@@ -1,6 +1,6 @@
 """Cycle statistics of products of conjugation-invariant random permutations.
 
-A laboratory in five layers: exact permutation combinatorics (perms),
+A laboratory in seven layers: exact permutation combinatorics (perms),
 batched samplers for invariant laws (samplers), the directed-graph
 machinery that encodes how a product cycle reads its factors
 (cyclegraphs), a rational-arithmetic oracle over small symmetric groups

@@ -23,16 +23,20 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from permprod.oracle import (
     ExactDistribution,
     exact_joint_cycle_prob,
     exact_moment,
 )
-from permprod.samplers import RngStream, SamplerSpec, product_rows
+from permprod.samplers import SamplerSpec, product_rows, small_cycle_counts
 from permprod.stats import (
     Functional,
-    _chunk_size,
+    MomentEstimate,
     convergence_scan,
+    draw_chunks,
+    estimates_from_counts,
     moment_estimates,
     parse_functional,
 )
@@ -55,10 +59,6 @@ _COMMANDS = ("sample", "moments", "convergence", "exact", "verify-lemmas", "coun
 
 # Full enumeration in the exact back end caps at 8!.
 _EXACT_MAX_N = 8
-
-# Stream block for the factor diagnostics of the counterexample command,
-# disjoint from the product-sampling streams at base 0.
-_DIAG_STREAM_BASE = 2**31
 
 
 class ConfigError(ValueError):
@@ -431,28 +431,31 @@ def _exact_law(spec: SamplerSpec) -> ExactDistribution:
 
 def _run_sample(config: ExperimentConfig):
     specs = [s.bind(n=config.n) for s in config.samplers]
-    num = len(specs)
-    chunk = _chunk_size(config.n)
     rows = []
-    pos = 0
-    chunk_index = 0
-    while pos < config.samples:
-        size = min(chunk, config.samples - pos)
-        factors = [
-            spec.draw_batch(RngStream(config.seed, chunk_index * num + f), size)
-            for f, spec in enumerate(specs)
-        ]
-        prod = product_rows(factors) if num > 1 else None
-        for i in range(size):
+
+    def consume(pos, factor_rows):
+        prod = product_rows(factor_rows) if len(specs) > 1 else None
+        for i in range(factor_rows[0].shape[0]):
             row: dict = {"index": pos + i}
-            for f in range(num):
-                row[f"factor{f + 1}"] = " ".join(str(int(x) + 1) for x in factors[f][i])
+            for f, factor in enumerate(factor_rows):
+                row[f"factor{f + 1}"] = " ".join(str(int(x) + 1) for x in factor[i])
             if prod is not None:
                 row["product"] = " ".join(str(int(x) + 1) for x in prod[i])
             rows.append(row)
-        pos += size
-        chunk_index += 1
+
+    draw_chunks(specs, config.samples, config.seed, consume)
     return rows, None, 0
+
+
+def _estimate_row(config: ExperimentConfig, label: str, est: MomentEstimate) -> dict:
+    return {
+        "n": config.n,
+        "functional": label,
+        "value": est.value,
+        "stderr": est.stderr,
+        "samples": config.samples,
+        "seed": config.seed,
+    }
 
 
 def _run_moments(config: ExperimentConfig):
@@ -463,17 +466,7 @@ def _run_moments(config: ExperimentConfig):
         config.seed,
         n=config.n,
     )
-    rows = [
-        {
-            "n": config.n,
-            "functional": f.label(),
-            "value": est.value,
-            "stderr": est.stderr,
-            "samples": config.samples,
-            "seed": config.seed,
-        }
-        for f, est in zip(config.functionals, ests)
-    ]
+    rows = [_estimate_row(config, f.label(), e) for f, e in zip(config.functionals, ests)]
     return rows, None, 0
 
 
@@ -547,7 +540,8 @@ def _run_verify_lemmas(config: ExperimentConfig):
 
 
 def _run_counterexample(config: ExperimentConfig):
-    specs = list(config.samplers)
+    # The factor1:* diagnostics read the first factor of the pair's draws.
+    specs = [s.bind(n=config.n) for s in config.samplers]
     pair_funcs = [
         Functional.product_cycle_counts((1,)),
         Functional.product_cycle_counts((1, 1)),
@@ -557,40 +551,22 @@ def _run_counterexample(config: ExperimentConfig):
         Functional.scaled_fixed_point_moment(2),
         Functional.scaled_two_cycle_rate(),
     ]
-    pair_ests = moment_estimates(
-        specs, pair_funcs, config.samples, config.seed, n=config.n
-    )
-    solo_ests = moment_estimates(
-        [specs[0]],
-        solo_funcs,
-        config.samples,
-        config.seed,
-        n=config.n,
-        stream_base=_DIAG_STREAM_BASE,
-    )
+    pair_counts = np.empty((config.samples, 1), dtype=np.int64)
+    solo_counts = np.empty((config.samples, 2), dtype=np.int64)
+
+    def consume(pos, factor_rows):
+        end = pos + factor_rows[0].shape[0]
+        pair_counts[pos:end] = small_cycle_counts(product_rows(factor_rows), 1)
+        solo_counts[pos:end] = small_cycle_counts(factor_rows[0], 2)
+
+    draw_chunks(specs, config.samples, config.seed, consume)
     rows = []
-    for f, est in zip(pair_funcs, pair_ests):
-        rows.append(
-            {
-                "n": config.n,
-                "functional": f.label(),
-                "value": est.value,
-                "stderr": est.stderr,
-                "samples": config.samples,
-                "seed": config.seed,
-            }
-        )
-    for f, est in zip(solo_funcs, solo_ests):
-        rows.append(
-            {
-                "n": config.n,
-                "functional": f"factor1:{f.label()}",
-                "value": est.value,
-                "stderr": est.stderr,
-                "samples": config.samples,
-                "seed": config.seed,
-            }
-        )
+    for prefix, funcs, counts, law in (
+        ("", pair_funcs, pair_counts, specs),
+        ("factor1:", solo_funcs, solo_counts, specs[:1]),
+    ):
+        ests = estimates_from_counts(funcs, counts, law, config.seed)
+        rows += [_estimate_row(config, prefix + f.label(), e) for f, e in zip(funcs, ests)]
     return rows, None, 0
 
 

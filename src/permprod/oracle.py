@@ -251,14 +251,14 @@ def _type_of_images(images: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def product_type_distribution(
-    d1: ExactDistribution, d2: ExactDistribution, invert_first: bool = False
+    d1: ExactDistribution, d2: ExactDistribution
 ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Exact cycle-type law of the product, ``sigma o rho`` by default or
-    ``inverse(sigma) o rho`` with ``invert_first``.
+    """Exact cycle-type law of the product ``sigma o rho``.
 
     Reduction: for each cycle type of the first factor, one class
     representative stands in for the whole class because the second
-    factor's law is conjugation invariant.
+    factor's law is conjugation invariant. So ``inverse(sigma) o rho``
+    has this law too: inversion keeps sigma's cycle type.
     """
     if d1.n != d2.n:
         raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
@@ -269,9 +269,7 @@ def product_type_distribution(
     for lam, prob1 in d1.class_probs:
         if prob1 == 0:
             continue
-        rep = representative(lam)
-        base = inverse(rep) if invert_first else rep
-        base_images = base.images
+        base_images = representative(lam).images
         counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for rho_images, rho_type in table:
             if w2.get(rho_type, 0) == 0:
@@ -296,14 +294,13 @@ def exact_moment(
     d1: ExactDistribution,
     d2: ExactDistribution,
     v_vec: Sequence[int],
-    invert_first: bool = False,
 ) -> Fraction:
     """E of the product over v_vec of the number of v-cycles of the product
     permutation. Repeats in v_vec multiply the same count again, so
     ``v_vec = (1, 1)`` gives the second moment of the fixed-point count."""
     if not v_vec or any(v < 1 for v in v_vec):
         raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
-    dist = product_type_distribution(d1, d2, invert_first=invert_first)
+    dist = product_type_distribution(d1, d2)
     return sum(
         (prob * _count_product(mu, v_vec) for mu, prob in dist), Fraction(0)
     )
@@ -334,8 +331,8 @@ def _fixed_index_prob(
 def exact_joint_cycle_prob(
     d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
 ) -> Fraction:
-    """P(the cycle of ``inverse(sigma) o rho`` through index i has length
-    v_i for every i = 1..k), computed from the product's cycle-type law.
+    """P(the cycle of the product ``sigma o rho`` through index i has
+    length v_i for every i = 1..k), computed from its cycle-type law.
 
     Valid because both factor laws are conjugation invariant, which makes
     the product law exchangeable over index positions.
@@ -344,7 +341,7 @@ def exact_joint_cycle_prob(
         raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
     if len(v_vec) > d1.n:
         raise ValueError(f"more start indices than ground-set elements: {v_vec!r}")
-    dist = product_type_distribution(d1, d2, invert_first=True)
+    dist = product_type_distribution(d1, d2)
     n = d1.n
     return sum(
         (prob * _fixed_index_prob(mu, v_vec, n) for mu, prob in dist), Fraction(0)

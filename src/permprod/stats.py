@@ -6,10 +6,12 @@ live on a truncated lattice {0..T}^k with one extra overflow cell that
 lumps all mass outside the box, and total-variation distance includes
 that overflow cell.
 
-Sampling is chunked; chunk c of factor f draws from the stream
-(seed, c * num_factors + f), so results are reproducible bit for bit
-for a fixed chunk size and independent of how chunks would be spread
-over workers.
+Sampling is chunked, all of it in :func:`draw_chunks`. With F factors,
+factor f of chunk c at grid point g draws from the stream
+(seed, g * 2**32 + c * F + f); a lone estimate is grid point 0. So
+results are reproducible bit for bit for a fixed chunk size, and two
+grid points never share a stream. Every row a grid point reports (each
+moment and each ``tv:k``) reads the same single draw.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +41,9 @@ __all__ = [
     "eta_joint_pmf",
     "empirical_joint_pmf",
     "tv_distance",
+    "draw_chunks",
     "sample_joint_counts",
+    "estimates_from_counts",
     "moment_estimate",
     "moment_estimates",
     "convergence_scan",
@@ -253,30 +257,47 @@ def _resolved_specs(
     return [spec.bind(n=size) for spec in specs], size
 
 
-def _product_counts_chunks(
-    specs: Sequence[SamplerSpec],
-    n: int | None,
-    kmax: int,
+def draw_chunks(
+    bound: Sequence[SamplerSpec],
     samples: int,
     seed: int,
+    consume: Callable[[int, list[np.ndarray]], None],
     stream_base: int = 0,
-) -> np.ndarray:
-    bound, size_n = _resolved_specs(specs, n)
+) -> None:
+    """Draw ``samples`` rows of every factor, one chunk at a time.
+
+    ``bound`` holds specs bound to one ground-set size. Factor f of chunk
+    c draws from the stream (seed, stream_base + c * F + f), and the
+    chunk's factor rows go to ``consume(pos, factor_rows)``, where
+    ``pos`` is the sample index of the chunk's first row. Only that call
+    holds the rows, so each chunk is freed before the next one is drawn.
+    """
     num = len(bound)
-    chunk = _chunk_size(size_n)
-    out = np.empty((samples, kmax), dtype=np.int64)
-    pos = 0
-    chunk_index = 0
-    while pos < samples:
+    chunk = _chunk_size(bound[0].n)
+    chunks = -(-samples // chunk)
+    if chunks * num > _GRID_STRIDE:
+        raise ValueError(f"{chunks} chunks of {num} factors overrun the grid stride")
+    for c, pos in enumerate(range(0, samples, chunk)):
         size = min(chunk, samples - pos)
-        factors = []
-        for f, spec in enumerate(bound):
-            stream = RngStream(seed, stream_base + chunk_index * num + f)
-            factors.append(spec.draw_batch(stream, size))
-        prod = product_rows(factors)
-        out[pos : pos + size] = small_cycle_counts(prod, kmax)
-        pos += size
-        chunk_index += 1
+        consume(
+            pos,
+            [
+                spec.draw_batch(RngStream(seed, stream_base + c * num + f), size)
+                for f, spec in enumerate(bound)
+            ],
+        )
+
+
+def _product_counts(
+    bound: Sequence[SamplerSpec], kmax: int, samples: int, seed: int, stream_base: int
+) -> np.ndarray:
+    out = np.empty((samples, kmax), dtype=np.int64)
+
+    def consume(pos: int, factor_rows: list[np.ndarray]) -> None:
+        counts = small_cycle_counts(product_rows(factor_rows), kmax)
+        out[pos : pos + counts.shape[0]] = counts
+
+    draw_chunks(bound, samples, seed, consume, stream_base)
     return out
 
 
@@ -286,12 +307,12 @@ def sample_joint_counts(
     samples: int,
     seed: int,
     n: int | None = None,
-    stream_base: int = 0,
 ) -> np.ndarray:
     """Count vectors (1-cycles, ..., k-cycles) of the sampled products."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return _product_counts_chunks(specs, n, k, samples, seed, stream_base)
+    bound, _ = _resolved_specs(specs, n)
+    return _product_counts(bound, k, samples, seed, 0)
 
 
 def _functional_values(
@@ -307,13 +328,47 @@ def _functional_values(
     return counts[:, 1] / n
 
 
+def estimates_from_counts(
+    functionals: Sequence[Functional],
+    counts: np.ndarray,
+    bound: Sequence[SamplerSpec],
+    seed: int,
+) -> list[MomentEstimate]:
+    """Mean and standard error of each functional over rows of cycle counts.
+
+    ``counts`` holds one row (1-cycles, 2-cycles, ...) per sample of the
+    law ``bound`` describes, with at least ``max(f.kmax)`` columns.
+    """
+    samples = counts.shape[0]
+    if samples < 100:
+        raise ValueError("moment estimates need samples >= 100")
+    n = bound[0].n
+    label = " x ".join(s.label() for s in bound)
+    values = [_functional_values(f, counts, n) for f in functionals]
+    return [
+        MomentEstimate(
+            value=float(row.mean()),
+            stderr=float(row.std(ddof=1) / math.sqrt(samples)),
+            samples=samples,
+            seed=seed,
+            spec=f"{functional.label()} | {label} | n={n}",
+        )
+        for functional, row in zip(functionals, values)
+    ]
+
+
+def _check_functionals(functionals: Sequence[Functional], num: int) -> None:
+    bad = [f.label() for f in functionals if f.kind != "product_cycle_counts"]
+    if num != 1 and bad:
+        raise ValueError(f"functional {bad[0]} applies to a single sampler, got {num}")
+
+
 def moment_estimates(
     specs: Sequence[SamplerSpec],
     functionals: Sequence[Functional],
     samples: int,
     seed: int,
     n: int | None = None,
-    stream_base: int = 0,
 ) -> list[MomentEstimate]:
     """Monte Carlo estimates of several functionals from one set of draws.
 
@@ -326,44 +381,11 @@ def moment_estimates(
     funcs = list(functionals)
     if not funcs:
         raise ValueError("need at least one functional")
-    if samples < 100:
-        raise ValueError("moment estimates need samples >= 100")
-    bound, size_n = _resolved_specs(specs, n)
-    num = len(bound)
-    if num != 1 and any(f.kind != "product_cycle_counts" for f in funcs):
-        bad = next(f for f in funcs if f.kind != "product_cycle_counts")
-        raise ValueError(
-            f"functional {bad.label()} applies to a single sampler, got {num}"
-        )
+    bound, _ = _resolved_specs(specs, n)
+    _check_functionals(funcs, len(bound))
     kmax = max(f.kmax for f in funcs)
-    chunk = _chunk_size(size_n)
-    values = np.empty((len(funcs), samples), dtype=np.float64)
-    pos = 0
-    chunk_index = 0
-    while pos < samples:
-        size = min(chunk, samples - pos)
-        factors = []
-        for fi, spec in enumerate(bound):
-            stream = RngStream(seed, stream_base + chunk_index * num + fi)
-            factors.append(spec.draw_batch(stream, size))
-        counts = small_cycle_counts(product_rows(factors), kmax)
-        for qi, functional in enumerate(funcs):
-            values[qi, pos : pos + size] = _functional_values(
-                functional, counts, size_n
-            )
-        pos += size
-        chunk_index += 1
-    label = " x ".join(s.label() for s in bound)
-    return [
-        MomentEstimate(
-            value=float(row.mean()),
-            stderr=float(row.std(ddof=1) / math.sqrt(samples)),
-            samples=samples,
-            seed=seed,
-            spec=f"{functional.label()} | {label} | n={size_n}",
-        )
-        for functional, row in zip(funcs, values)
-    ]
+    counts = _product_counts(bound, kmax, samples, seed, 0)
+    return estimates_from_counts(funcs, counts, bound, seed)
 
 
 def moment_estimate(
@@ -372,12 +394,9 @@ def moment_estimate(
     samples: int,
     seed: int,
     n: int | None = None,
-    stream_base: int = 0,
 ) -> MomentEstimate:
     """Monte Carlo estimate of one functional with its standard error."""
-    return moment_estimates(
-        specs, [functional], samples, seed, n=n, stream_base=stream_base
-    )[0]
+    return moment_estimates(specs, [functional], samples, seed, n=n)[0]
 
 
 @dataclass
@@ -418,18 +437,23 @@ def convergence_scan(
     ``tv_orders`` lists joint orders k; for each, the scan reports the
     total-variation distance between the empirical joint law of the
     first k cycle counts of the product and the Poisson reference law.
+    Each grid point draws its products once, at the largest order any
+    row needs, and every row of that point reads those counts.
     """
     grid = list(n_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"n_grid must be strictly increasing: {grid!r}")
     if not functionals and not tv_orders:
         raise ValueError("nothing to scan")
+    _check_functionals(functionals, len(specs))
+    kmax = max([f.kmax for f in functionals] + list(tv_orders))
     result = ScanResult()
     series: dict[str, list[tuple[float, float]]] = {}
     for gi, n in enumerate(grid):
-        base = gi * _GRID_STRIDE
+        bound, _ = _resolved_specs(specs, n)
+        counts = _product_counts(bound, kmax, samples, seed, gi * _GRID_STRIDE)
         estimates = (
-            moment_estimates(specs, functionals, samples, seed, n=n, stream_base=base)
+            estimates_from_counts(functionals, counts, bound, seed)
             if functionals
             else []
         )
@@ -448,10 +472,7 @@ def convergence_scan(
                 (est.value, 2.0 * est.stderr)
             )
         for k in tv_orders:
-            counts = sample_joint_counts(
-                specs, k, samples, seed, n=n, stream_base=base + _GRID_STRIDE // 2
-            )
-            emp = empirical_joint_pmf(counts, truncation)
+            emp = empirical_joint_pmf(counts[:, :k], truncation)
             ref = eta_joint_pmf(k, truncation)
             dist = tv_distance(emp, ref)
             label = f"tv:{k}"

@@ -485,7 +485,7 @@ def sweep_prefix_decay(
 
 
 def run_all(
-    pair_n: int = 4,
+    pair_n: int = 5,
     single_n: int = 7,
     bounds_n: int | None = None,
     thetas: Sequence = ("1/2", "1", "2"),

@@ -28,7 +28,7 @@ _CONFIGS = {
         ["convergence", "--seed", "5", "--samplers", "ewens:2, uniform",
          "--n-grid", "64, 2048", "--functionals", "product:1, product:2",
          "--tv-orders", "2, 3", "--samples", "3000"],
-        "2fd810727f0daebd8ebf80ff026197512f195fd604529bfd222e8c754e664540",
+        "eecb3a6ca6f3b622e793c764eb7459e066246ad791e6e530b605ccfb728efd84",
     ),
     "exact": (
         ["exact", "--seed", "0", "--samplers", "ewens:2, ewens:1/2", "--n", "5",
@@ -42,7 +42,7 @@ _CONFIGS = {
     "counterexample-ewens": (
         ["counterexample", "--seed", "7", "--samplers", "ewens:2, uniform",
          "--n", "2048", "--samples", "3000"],
-        "28a6f44a0d208198bfe5c551b13f43fe1167d76e182aec501244daa3301baef1",
+        "fa37e1391f6b706a0db03103d37111e1d354adface8cfd56df581568c41dbd13",
     ),
     "counterexample-sqrt-fixed": (
         ["counterexample", "--seed", "7", "--samplers", "sqrt_fixed:sqrt, uniform",

@@ -117,13 +117,26 @@ def test_ewens_pair_fixed_point_moment_closed_form():
     assert exact_moment(d1, d2, (1,)) == direct
 
 
-def test_invert_first_is_immaterial_for_invariant_laws():
-    n = 4
-    d1 = ExactDistribution.ewens(n, 2)
-    d2 = ExactDistribution.ewens(n, Fraction(1, 2))
-    a = dict(product_type_distribution(d1, d2, invert_first=False))
-    b = dict(product_type_distribution(d1, d2, invert_first=True))
-    assert a == b
+def test_joint_cycle_prob_matches_inverse_first_double_sum():
+    # the oracle enumerates sigma o rho; the joint cycle law is stated for
+    # inverse(sigma) o rho, which has the same law when sigma's law is
+    # conjugation invariant. Check that against the unreduced double sum.
+    for n in (4, 5):
+        d1 = ExactDistribution.ewens(n, 2)
+        d2 = ExactDistribution.ewens(n, Fraction(1, 2))
+        # weights of inverse(sigma), keyed by inverse(sigma)
+        w1_inv = {inverse(s): p for s, p in permutation_weights(d1).items()}
+        w2 = permutation_weights(d2)
+        for v in [(1,), (2,), (1, 2), (3, 1)]:
+            direct = pair_expectation_direct(
+                w1_inv,
+                w2,
+                lambda s_inv, r: all(
+                    len(_cycle_through(compose(s_inv, r), i + 1)) == length
+                    for i, length in enumerate(v)
+                ),
+            )
+            assert exact_joint_cycle_prob(d1, d2, v) == direct
 
 
 def test_representative_reduction_matches_double_sum():

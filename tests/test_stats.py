@@ -213,3 +213,40 @@ def test_scan_rows_are_reproducible():
     assert [(r.n, r.value, r.stderr) for r in a.rows] == [
         (r.n, r.value, r.stderr) for r in b.rows
     ]
+
+
+def _rows(scan, prefix):
+    return [
+        (r.n, r.functional, r.value, r.stderr)
+        for r in scan.rows
+        if r.functional.startswith(prefix)
+    ]
+
+
+def test_scan_moment_rows_equal_moment_estimates_at_grid_point_zero():
+    # n = 1024 spans two chunks, so the stream keying is compared too
+    f = [Functional.product_cycle_counts((1,)), Functional.product_cycle_counts((1, 2))]
+    scan = convergence_scan(UNIFORM2, f, [1024, 2048], 5000, seed=8, tv_orders=[3])
+    ests = moment_estimates(UNIFORM2, f, 5000, seed=8, n=1024)
+    assert _rows(scan, "product:")[:2] == [
+        (1024, g.label(), e.value, e.stderr) for g, e in zip(f, ests)
+    ]
+
+
+def test_scan_tv_rows_do_not_depend_on_other_rows():
+    # each variant draws at a different kmax: 2, 3 and 4
+    f = [Functional.product_cycle_counts((1, 4))]
+    alone = convergence_scan(UNIFORM2, [], [8, 16], 600, seed=2, tv_orders=[2])
+    both = convergence_scan(UNIFORM2, [], [8, 16], 600, seed=2, tv_orders=[2, 3])
+    with_f = convergence_scan(UNIFORM2, f, [8, 16], 600, seed=2, tv_orders=[2])
+    assert _rows(alone, "tv:2") == _rows(both, "tv:2") == _rows(with_f, "tv:2")
+    assert alone.trend["tv:2"] == both.trend["tv:2"] == with_f.trend["tv:2"]
+
+
+def test_stream_ids_stay_inside_the_grid_stride(monkeypatch):
+    # 500 samples at n = 8 is one chunk; two factors need stream ids 0 and 1
+    monkeypatch.setattr("permprod.stats._GRID_STRIDE", 1)
+    with pytest.raises(ValueError, match="grid stride"):
+        sample_joint_counts(UNIFORM2, 2, 500, seed=1, n=8)
+    monkeypatch.setattr("permprod.stats._GRID_STRIDE", 2)
+    assert sample_joint_counts(UNIFORM2, 2, 500, seed=1, n=8).shape == (500, 2)
