@@ -14,14 +14,12 @@ from permprod.cli import main as cli_main
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pair-n", type=int, default=5, help="pair sweeps cover all of S_n x S_n")
     parser.add_argument("--single-n", type=int, default=7, help="single-factor sweeps cover S_n")
     parser.add_argument("--output", default=None)
     args = parser.parse_args(argv)
     argv_out = [
         "verify-lemmas",
-        "--seed", str(args.seed),
         "--pair-n", str(args.pair_n),
         "--single-n", str(args.single_n),
     ]

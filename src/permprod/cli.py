@@ -2,10 +2,11 @@
 
 A run is described by a flat key = value config, either in a file loaded
 with ``--config`` or assembled from command-line flags; flags override
-file entries. The seed is always explicit, never auto-generated, so a
-config determines its output bytes exactly. Reports embed the resolved
-config (minus the output path, which would break byte-level comparison
-of reruns) as provenance.
+file entries. Commands that sample need an explicit seed, never an
+auto-generated one, so a config determines its output bytes exactly;
+``exact`` and ``verify-lemmas`` draw nothing, so for them the seed is
+optional. Reports embed the resolved config (minus the output path,
+which would break byte-level comparison of reruns) as provenance.
 
 Exit codes: 0 success, 1 a verification suite reported violations,
 2 malformed config or infeasible parameters.
@@ -114,12 +115,12 @@ _APPLICABLE = {
 }
 
 _REQUIRED = {
-    "sample": ("samplers", "n", "samples"),
-    "moments": ("samplers", "n", "samples", "functionals"),
-    "convergence": ("samplers", "n_grid", "samples"),
+    "sample": ("seed", "samplers", "n", "samples"),
+    "moments": ("seed", "samplers", "n", "samples", "functionals"),
+    "convergence": ("seed", "samplers", "n_grid", "samples"),
     "exact": ("samplers", "n", "v_vec"),
     "verify-lemmas": (),
-    "counterexample": ("samplers", "n", "samples"),
+    "counterexample": ("seed", "samplers", "n", "samples"),
 }
 
 
@@ -128,7 +129,7 @@ class ExperimentConfig:
     """One fully resolved run; construction validates everything."""
 
     command: str
-    seed: int
+    seed: int | None = None
     samplers: tuple[SamplerSpec, ...] = ()
     n: int | None = None
     n_grid: tuple[int, ...] | None = None
@@ -153,7 +154,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"command: {self.command!r} is not one of {', '.join(_COMMANDS)}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
             raise ConfigError("seed: must be a non-negative integer")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: {self.format!r} is not csv or json")
@@ -232,13 +233,11 @@ def config_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
     for key in mapping:
         if key not in known:
             raise ConfigError(f"{key}: unknown config key")
-    for key in ("command", "seed"):
-        if key not in mapping:
-            raise ConfigError(f"{key}: missing")
-    kwargs: dict = {
-        "command": mapping["command"].strip(),
-        "seed": _parse_int("seed", mapping["seed"]),
-    }
+    if "command" not in mapping:
+        raise ConfigError("command: missing")
+    kwargs: dict = {"command": mapping["command"].strip()}
+    if "seed" in mapping:
+        kwargs["seed"] = _parse_int("seed", mapping["seed"])
     if "samplers" in mapping:
         parts = _split_list(mapping["samplers"])
         if not parts:
@@ -290,7 +289,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Inverse of parse_config; omits fields that hold their defaults."""
-    lines = [f"command = {config.command}", f"seed = {config.seed}"]
+    lines = [f"command = {config.command}"]
+    if config.seed is not None:
+        lines.append(f"seed = {config.seed}")
     if config.samplers:
         lines.append("samplers = " + ", ".join(sampler_to_text(s) for s in config.samplers))
     if config.n is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from permprod.perms import Permutation, inverse
+from permprod.perms import Permutation
 
 __all__ = [
     "DirectedGraph",
@@ -164,18 +164,24 @@ class GraphProfile:
 
 def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
     """Walk the cycle of ``inverse(sigma) o rho`` through m, recording rho-images."""
-    if sigma.n != rho.n:
-        raise ValueError(f"size mismatch: {sigma.n} vs {rho.n}")
-    if not 1 <= m <= sigma.n:
-        raise ValueError(f"start index {m} outside 1..{sigma.n}")
-    sinv = inverse(sigma)
+    n = sigma.n
+    if n != rho.n:
+        raise ValueError(f"size mismatch: {n} vs {rho.n}")
+    if not 1 <= m <= n:
+        raise ValueError(f"start index {m} outside 1..{n}")
+    rho_images = rho.images
+    sinv = [0] * (n + 1)
+    for pos, img in enumerate(sigma.images, start=1):
+        sinv[img] = pos
     i_seq = [m]
-    j_seq = [rho(m)]
-    x = sinv(j_seq[-1])
+    j = rho_images[m - 1]
+    j_seq = [j]
+    x = sinv[j]
     while x != m:
         i_seq.append(x)
-        j_seq.append(rho(x))
-        x = sinv(j_seq[-1])
+        j = rho_images[x - 1]
+        j_seq.append(j)
+        x = sinv[j]
     return TraversalRecord(m=m, k=len(i_seq), i_seq=tuple(i_seq), j_seq=tuple(j_seq))
 
 
@@ -282,7 +288,8 @@ def membership(sigma: Permutation, g: DirectedGraph) -> bool:
     """Whether sigma satisfies every edge constraint sigma(i) = j of ``g``."""
     if sigma.n != g.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {g.n}")
-    return all(sigma(a) == b for a, b in g.edges)
+    images = sigma.images
+    return all(images[a - 1] == b for a, b in g.edges)
 
 
 def profile(g: DirectedGraph) -> GraphProfile:
@@ -472,13 +479,10 @@ def enumerate_B(
     return len(couples)
 
 
-def no_two_cycles_when_components_small(
-    sigma: Permutation, rho: Permutation, m: int
-) -> bool:
-    """If every non-trivial component of both traversal graphs has exactly
-    two vertices, neither graph may contain a 2-cycle. Returns True when
-    that implication holds for this (sigma, rho, m)."""
-    g1, g2 = graphs_from_traversal(sigma, rho, m)
+def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) -> bool:
+    """If every non-trivial component of both graphs of one traversal has
+    exactly two vertices, neither graph may contain a 2-cycle. Returns True
+    when that implication holds for the couple (g1, g2)."""
     for g in (g1, g2):
         for verts, _ in profile(g).nontrivial:
             if len(verts) != 2:
@@ -487,33 +491,36 @@ def no_two_cycles_when_components_small(
 
 
 def shared_cycle_graphs_match(
-    sigma: Permutation, rho: Permutation, m1: int, m2: int
+    r1: TraversalRecord,
+    graphs1: tuple[DirectedGraph, DirectedGraph],
+    r2: TraversalRecord,
+    graphs2: tuple[DirectedGraph, DirectedGraph],
 ) -> bool:
     """Start indices on the same traversal cycle must induce identical graphs.
 
-    Vacuously true when m1 is not on the cycle through m2.
+    ``r1`` and ``r2`` are traversals of one pair from two start indices,
+    each walked on its own, and ``graphs1``, ``graphs2`` their graph
+    couples. Vacuously true when the start of r1 is not on the cycle of r2.
     """
-    record = traversal(sigma, rho, m2)
-    if m1 not in record.i_seq:
+    if r1.m not in r2.i_seq:
         return True
-    a1, a2 = graphs_from_traversal(sigma, rho, m1)
-    b1, b2 = graphs_from_record(record, sigma.n)
+    (a1, a2), (b1, b2) = graphs1, graphs2
     return a1.edges == b1.edges and a2.edges == b2.edges
 
 
-def reversal_identities_hold(sigma: Permutation, rho: Permutation, m: int) -> bool:
+def reversal_identities_hold(
+    r: TraversalRecord, g1: DirectedGraph, s: TraversalRecord, h2: DirectedGraph
+) -> bool:
     """The five exchange identities tying the traversal of (sigma, rho) to
     the traversal of (rho, sigma) and to the inverted pair.
 
-    With r = traversal(sigma, rho, m) and s = traversal(rho, sigma, m):
-    equal lengths; s.j reverses r.j; s.i reverses r.i off the anchor;
-    both anchors are m; and the sigma-side graph of (sigma, rho) at m is
-    the edge-reversal of the rho-side graph of (inverse(rho),
-    inverse(sigma)) at rho(m).
+    With r = traversal(sigma, rho, m), g1 its sigma-side graph, s =
+    traversal(rho, sigma, m) and h2 the rho-side graph of
+    traversal(inverse(rho), inverse(sigma), rho(m)): equal lengths; s.j
+    reverses r.j; s.i reverses r.i off the anchor; both anchors are m;
+    and g1 is the edge-reversal of h2.
     """
-    r = traversal(sigma, rho, m)
-    s = traversal(rho, sigma, m)
-    k = r.k
+    m, k = r.m, r.k
     if s.k != k:
         return False
     for l in range(1, k + 1):
@@ -524,21 +531,25 @@ def reversal_identities_hold(sigma: Permutation, rho: Permutation, m: int) -> bo
             return False
     if r.i_seq[0] != m or s.i_seq[0] != m:
         return False
-    g1, _ = graphs_from_record(r, sigma.n)
-    _, h2 = graphs_from_traversal(inverse(rho), inverse(sigma), rho(m))
     return g1.reversed_edges().edges == h2.edges
 
 
-def relabel_dichotomy_holds(g1: DirectedGraph, tau: Permutation) -> bool:
+def relabel_dichotomy_holds(
+    g1: DirectedGraph, components: Iterable[frozenset[int]], tau: Permutation
+) -> bool:
     """Relabeling by a map with a fixed point in every non-trivial component
     either moves the graph to one with incompatible constraints or fixes
     it entirely. Returns True when that dichotomy holds for (g1, tau);
     vacuously true when the fixed-point premise fails.
+
+    ``components`` holds the vertex sets of the non-trivial components of
+    g1, as listed by ``profile(g1)``, so a caller trying many relabelings
+    computes them once.
     """
     if g1.n != tau.n:
         raise ValueError(f"size mismatch: {g1.n} vs {tau.n}")
-    fixed = {x for x in range(1, tau.n + 1) if tau(x) == x}
-    for verts, _ in profile(g1).nontrivial:
+    fixed = {x for x, y in enumerate(tau.images, start=1) if x == y}
+    for verts in components:
         if not verts & fixed:
             return True
     g2 = g1.relabel(tau)

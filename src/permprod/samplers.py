@@ -87,9 +87,8 @@ class SamplerSpec:
 
     ``n`` may be left unset and bound later (convergence scans reuse one
     spec across a grid). ``fixed_count`` accepts the symbolic value
-    ``"sqrt"``, resolved to isqrt(n) at draw time. ``seed`` is the
-    default stream seed when the spec is drawn standalone; orchestration
-    code passes explicit streams instead.
+    ``"sqrt"``, resolved to isqrt(n) at draw time. A spec holds no seed:
+    callers pass the stream to draw from.
     """
 
     kind: str
@@ -97,7 +96,6 @@ class SamplerSpec:
     theta: Fraction | None = None
     fixed_count: int | str | None = None
     two_cycle_fraction: Fraction | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -130,12 +128,10 @@ class SamplerSpec:
             if not isinstance(self.fixed_count, int) or self.fixed_count < 0:
                 raise ValueError("fixed_count must be a non-negative integer or 'sqrt'")
 
-    def bind(self, n: int | None = None, seed: int | None = None) -> "SamplerSpec":
+    def bind(self, n: int | None = None) -> "SamplerSpec":
         out = self
         if n is not None:
             out = replace(out, n=n)
-        if seed is not None:
-            out = replace(out, seed=seed)
         if out.n is None:
             raise ValueError("sampler spec has no ground-set size bound")
         return out
@@ -175,11 +171,6 @@ class SamplerSpec:
 
     def draw(self, rng: RngStream) -> Permutation:
         return perm_from_row(self.draw_batch(rng, 1)[0])
-
-    def stream(self) -> RngStream:
-        if self.seed is None:
-            raise ValueError("sampler spec has no seed")
-        return RngStream(self.seed, 0)
 
 
 def perm_from_row(row: np.ndarray) -> Permutation:

@@ -6,6 +6,13 @@ every member, reporting a case count and a violation count. Nothing here
 samples; a non-zero violation count means the claim is false as stated,
 not that a tolerance was missed.
 
+The five suites over ordered pairs share one pass (:func:`sweep_pairs`):
+S_n x S_n is enumerated once, each (sigma, rho, m) is traversed and its
+two graphs built once, and every suite reads them into its own tally.
+Each start is walked on its own, never derived from another start's
+cycle, so the shared-cycle check compares independent walks. The
+``sweep_*`` names of those suites select their summary from the pass.
+
 The suites are sized so the defaults finish in seconds: pair sweeps cap
 at n = 5 (about 1.4e4 ordered pairs) and single-permutation sweeps at
 n = 7.
@@ -23,7 +30,9 @@ from permprod.cyclegraphs import (
     DirectedGraph,
     graphs_from_record,
     graphs_from_traversal,
+    membership,
     no_two_cycles_when_components_small,
+    profile,
     relabel_dichotomy_holds,
     reversal_identities_hold,
     shared_cycle_graphs_match,
@@ -47,6 +56,7 @@ from permprod.perms import (
 
 __all__ = [
     "SweepSummary",
+    "sweep_pairs",
     "sweep_trace_identity",
     "sweep_traversal_consistency",
     "sweep_shared_cycle",
@@ -103,6 +113,17 @@ class _Tally:
                 self.examples.append(describe())
 
 
+def _summary(suite: str, n: int, tally: _Tally, detail: str) -> SweepSummary:
+    return SweepSummary(
+        suite=suite,
+        n=n,
+        cases=tally.cases,
+        violations=tally.violations,
+        detail=detail,
+        examples=tally.examples,
+    )
+
+
 def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSummary:
     """Fixed points of every power, computed twice.
 
@@ -118,199 +139,194 @@ def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSumma
         for k in range(1, max_power + 1):
             ok = trace_power(perm, k) == power_fixed_points(perm, k)
             tally.record(ok, lambda p=perm, kk=k: f"perm={p.to_line()} k={kk}")
-    return SweepSummary(
-        suite="trace-power-identity",
-        n=n,
-        cases=tally.cases,
-        violations=tally.violations,
-        detail=f"all {n}! permutations, powers 1..{max_power}",
-        examples=tally.examples,
+    return _summary(
+        "trace-power-identity", n, tally, f"all {n}! permutations, powers 1..{max_power}"
     )
 
 
-def sweep_traversal_consistency(n: int = 4) -> SweepSummary:
-    """Traversal records against their definition, for every pair and start.
+def _edge_mask(edges, n: int) -> int:
+    # Edge (a, b) is bit (a - 1) * n + (b - 1), so ascending bits are
+    # edges in sorted order.
+    mask = 0
+    for a, b in edges:
+        mask |= 1 << ((a - 1) * n + b - 1)
+    return mask
 
-    The index walk must equal the cycle of inverse(sigma) o rho through
-    the start, the companion sequence must be its rho-image, and the two
-    derived graphs must have one edge per step and be satisfied by the
-    very pair that produced them.
+
+def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
+    return [
+        (bit // n + 1, bit % n + 1) for bit in range(n * n) if mask >> bit & 1
+    ]
+
+
+class _Fibers:
+    """Graph-tuple fibers of one start count, kept as counts.
+
+    A pair's union couple is a function of its tuple, so a union's fiber is
+    the disjoint union of the fibers of the tuples mapping to it: a tuple's
+    fiber equals its union's fiber exactly when it is that union's only
+    tuple. The member pairs themselves are never stored; each pair's
+    satisfaction of its union edges is checked as it arrives.
     """
-    tally = _Tally()
-    perms = list(all_permutations(n))
-    for sigma in perms:
-        sinv = inverse(sigma)
-        for rho in perms:
-            prod = compose(sinv, rho)
-            for m in range(1, n + 1):
-                record = traversal(sigma, rho, m)
-                g1, g2 = graphs_from_record(record, n)
-                ok = (
-                    record.i_seq == cycle_of(prod, m)
-                    and record.j_seq == tuple(rho(x) for x in record.i_seq)
-                    and len(g1.edges) == record.k
-                    and len(g2.edges) == record.k
-                    and all(sigma(a) == b for a, b in g1.edges)
-                    and all(rho(a) == b for a, b in g2.edges)
-                )
-                tally.record(
-                    ok,
-                    lambda s=sigma, r=rho, mm=m: (
-                        f"sigma={s.to_line()} rho={r.to_line()} m={mm}"
-                    ),
-                )
-    return SweepSummary(
-        suite="traversal-encoding",
-        n=n,
-        cases=tally.cases,
-        violations=tally.violations,
-        detail=f"all ordered pairs at n={n}, every start index",
-        examples=tally.examples,
-    )
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.pairs: dict[tuple, int] = {}
+        self.union_of: dict[tuple, tuple[int, int]] = {}
+        self.tuples_of_union: dict[tuple[int, int], int] = {}
+        self.unsatisfied: set[tuple] = set()
+
+    def add(self, side_masks: list[tuple[int, int]], sigma_mask: int, rho_mask: int) -> None:
+        key = tuple(side_masks[: self.k])
+        e1 = e2 = 0
+        for m1, m2 in key:
+            e1 |= m1
+            e2 |= m2
+        if key not in self.pairs:
+            self.pairs[key] = 0
+            self.union_of[key] = (e1, e2)
+            self.tuples_of_union[(e1, e2)] = self.tuples_of_union.get((e1, e2), 0) + 1
+        self.pairs[key] += 1
+        if e1 & ~sigma_mask or e2 & ~rho_mask:
+            self.unsatisfied.add(key)
 
 
-def _pair_sweep(suite: str, n: int, check, per_start_pairs: bool, detail: str) -> SweepSummary:
-    # check(sigma, rho, m) for per_start_pairs=False, check(sigma, rho, m1, m2) otherwise
-    tally = _Tally()
-    perms = list(all_permutations(n))
-    for sigma in perms:
-        for rho in perms:
-            if per_start_pairs:
-                for m1, m2 in itertools.combinations(range(1, n + 1), 2):
-                    ok = check(sigma, rho, m1, m2)
-                    tally.record(
-                        ok,
-                        lambda s=sigma, r=rho, a=m1, b=m2: (
-                            f"sigma={s.to_line()} rho={r.to_line()} m1={a} m2={b}"
-                        ),
-                    )
-            else:
-                for m in range(1, n + 1):
-                    ok = check(sigma, rho, m)
-                    tally.record(
-                        ok,
-                        lambda s=sigma, r=rho, mm=m: (
-                            f"sigma={s.to_line()} rho={r.to_line()} m={mm}"
-                        ),
-                    )
-    return SweepSummary(
-        suite=suite,
-        n=n,
-        cases=tally.cases,
-        violations=tally.violations,
-        detail=detail,
-        examples=tally.examples,
-    )
+def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[SweepSummary]:
+    """The five pair suites from one pass over S_n x S_n.
 
+    For every ordered pair (sigma, rho) and every start m the pass walks
+    traversal(sigma, rho, m) and builds its graph couple once; each suite
+    reads them and keeps its own tally. In suite order:
 
-def sweep_shared_cycle(n: int = 4) -> SweepSummary:
-    """Start indices on one traversal cycle must induce identical graphs."""
-    return _pair_sweep(
-        suite="shared-cycle-graphs",
-        n=n,
-        check=shared_cycle_graphs_match,
-        per_start_pairs=True,
-        detail=f"all ordered pairs at n={n}, every unordered start pair",
-    )
-
-
-def sweep_reversal_symmetry(n: int = 4) -> SweepSummary:
-    """The exchange identities between (sigma, rho) and (rho, sigma)."""
-    return _pair_sweep(
-        suite="reversal-exchange",
-        n=n,
-        check=reversal_identities_hold,
-        per_start_pairs=False,
-        detail=f"all ordered pairs at n={n}, every start index",
-    )
-
-
-def sweep_small_components(n: int = 4) -> SweepSummary:
-    """No 2-cycles in traversal graphs whose components all have 2 vertices."""
-    return _pair_sweep(
-        suite="two-vertex-components",
-        n=n,
-        check=no_two_cycles_when_components_small,
-        per_start_pairs=False,
-        detail=f"all ordered pairs at n={n}, every start index",
-    )
-
-
-def sweep_event_factorization(
-    n: int = 4, start_counts: Sequence[int] = (1, 2, 3)
-) -> SweepSummary:
-    """Fibers of the union-graph map are full membership rectangles.
-
-    All ordered pairs are grouped by the union couple over start indices
-    1..k. For every realized couple (G1, G2), the group must equal
-    {sigma satisfying G1} x {rho satisfying G2} with both factor counts
-    obtained by brute force and matching (n - edges)!, and the finer
-    per-start graph tuple must induce exactly the same grouping, so the
-    tuple and the union carry the same information.
+    * traversal-encoding: the index walk equals the cycle of
+      inverse(sigma) o rho through m, the companion sequence is its
+      rho-image, and the two graphs have one edge per step and are
+      satisfied by the very pair that produced them;
+    * shared-cycle-graphs: two starts on one cycle, each walked on its
+      own, induce identical graphs;
+    * reversal-exchange: the exchange identities with (rho, sigma) and
+      the inverted pair, whose traversals are walked fresh per case;
+    * two-vertex-components: no 2-cycles when every component has two
+      vertices;
+    * event-factorization: grouped by the union couple over starts 1..k,
+      for each k in ``start_counts``, every realized couple (G1, G2) has
+      the fiber {sigma satisfying G1} x {rho satisfying G2}, with both
+      factor counts found by brute force and matching (n - edges)!, and
+      the finer per-start graph tuple induces the same grouping, so the
+      tuple and the union carry the same information.
     """
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
         raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
     perms = list(all_permutations(n))
-    member_count: dict[frozenset, int] = {}
+    inverses = [inverse(p) for p in perms]
+    perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
+    starts = range(1, n + 1)
+    start_pairs = list(itertools.combinations(range(n), 2))
+    encoding, shared, reversal, small = _Tally(), _Tally(), _Tally(), _Tally()
+    fibers = [_Fibers(k) for k in ks]
+    for sigma, sinv, sigma_mask in zip(perms, inverses, perm_masks):
+        for rho, rinv, rho_mask in zip(perms, inverses, perm_masks):
+            prod = compose(sinv, rho)
+            records = [traversal(sigma, rho, m) for m in starts]
+            graphs = [graphs_from_record(r, n) for r in records]
+            for r, (g1, g2) in zip(records, graphs):
+                m = r.m
 
-    def count_satisfying(edges: frozenset) -> int:
-        if edges not in member_count:
-            member_count[edges] = sum(
-                1 for p in perms if all(p(a) == b for a, b in edges)
-            )
-        return member_count[edges]
+                def describe(s=sigma, rr=rho, mm=m):
+                    return f"sigma={s.to_line()} rho={rr.to_line()} m={mm}"
 
-    tally = _Tally()
-    tuples_total = 0
-    for k in ks:
-        starts = tuple(range(1, k + 1))
-        by_union: dict[tuple[frozenset, frozenset], set] = {}
-        by_tuple: dict[tuple, set] = {}
-        union_of_tuple: dict[tuple, tuple[frozenset, frozenset]] = {}
-        for si, sigma in enumerate(perms):
-            for ri, rho in enumerate(perms):
-                per = [graphs_from_traversal(sigma, rho, m) for m in starts]
-                tuple_key = tuple(g.edges for couple in per for g in couple)
-                e1 = frozenset().union(*(g1.edges for g1, _ in per))
-                e2 = frozenset().union(*(g2.edges for _, g2 in per))
-                by_union.setdefault((e1, e2), set()).add((si, ri))
-                by_tuple.setdefault(tuple_key, set()).add((si, ri))
-                union_of_tuple[tuple_key] = (e1, e2)
-        tuples_total += len(by_tuple)
-        for tuple_key, fiber in by_tuple.items():
-            e1, e2 = union_of_tuple[tuple_key]
-            ok = fiber == by_union[(e1, e2)]
+                encoding.record(
+                    r.i_seq == cycle_of(prod, m)
+                    and r.j_seq == tuple(rho.images[x - 1] for x in r.i_seq)
+                    and len(g1.edges) == r.k
+                    and len(g2.edges) == r.k
+                    and membership(sigma, g1)
+                    and membership(rho, g2),
+                    describe,
+                )
+                back = traversal(rho, sigma, m)
+                _, h2 = graphs_from_record(traversal(rinv, sinv, rho(m)), n)
+                reversal.record(reversal_identities_hold(r, g1, back, h2), describe)
+                small.record(no_two_cycles_when_components_small(g1, g2), describe)
+            for a, b in start_pairs:
+                shared.record(
+                    shared_cycle_graphs_match(records[a], graphs[a], records[b], graphs[b]),
+                    lambda s=sigma, rr=rho, m1=a + 1, m2=b + 1: (
+                        f"sigma={s.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
+                    ),
+                )
+            side_masks = [(_edge_mask(g1.edges, n), _edge_mask(g2.edges, n)) for g1, g2 in graphs]
+            for fib in fibers:
+                fib.add(side_masks, sigma_mask, rho_mask)
+
+    satisfying: dict[int, int] = {}
+
+    def count_satisfying(mask: int) -> int:
+        if mask not in satisfying:
+            satisfying[mask] = sum(1 for pm in perm_masks if not mask & ~pm)
+        return satisfying[mask]
+
+    factorization = _Tally()
+    for fib in fibers:
+        for key, fiber_size in fib.pairs.items():
+            e1, e2 = fib.union_of[key]
             expected = count_satisfying(e1) * count_satisfying(e2)
-            ok = ok and len(fiber) == expected
-            ok = ok and expected == (
-                math.factorial(n - len(e1)) * math.factorial(n - len(e2))
+            ok = (
+                fib.tuples_of_union[(e1, e2)] == 1
+                and fiber_size == expected
+                and expected
+                == math.factorial(n - e1.bit_count()) * math.factorial(n - e2.bit_count())
+                and key not in fib.unsatisfied
             )
-            if ok:
-                for si, ri in fiber:
-                    s, r = perms[si], perms[ri]
-                    if not all(s(a) == b for a, b in e1) or not all(
-                        r(a) == b for a, b in e2
-                    ):
-                        ok = False
-                        break
-            tally.record(
+            factorization.record(
                 ok,
-                lambda kk=k, a=e1, b=e2: (
-                    f"k={kk} sides {sorted(a)} / {sorted(b)}"
+                lambda kk=fib.k, a=e1, b=e2: (
+                    f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
                 ),
             )
-    return SweepSummary(
-        suite="event-factorization",
-        n=n,
-        cases=tally.cases,
-        violations=tally.violations,
-        detail=(
-            f"{tuples_total} realized graph tuples over start counts "
-            f"{tuple(ks)} at n={n}"
+    per_start = f"all ordered pairs at n={n}, every start index"
+    return [
+        _summary("traversal-encoding", n, encoding, per_start),
+        _summary(
+            "shared-cycle-graphs", n, shared,
+            f"all ordered pairs at n={n}, every unordered start pair",
         ),
-        examples=tally.examples,
-    )
+        _summary("reversal-exchange", n, reversal, per_start),
+        _summary("two-vertex-components", n, small, per_start),
+        _summary(
+            "event-factorization", n, factorization,
+            f"{factorization.cases} realized graph tuples over start counts "
+            f"{tuple(ks)} at n={n}",
+        ),
+    ]
+
+
+def sweep_traversal_consistency(n: int = 4) -> SweepSummary:
+    """Traversal records against their definition; see :func:`sweep_pairs`."""
+    return sweep_pairs(n)[0]
+
+
+def sweep_shared_cycle(n: int = 4) -> SweepSummary:
+    """Start indices on one traversal cycle must induce identical graphs."""
+    return sweep_pairs(n)[1]
+
+
+def sweep_reversal_symmetry(n: int = 4) -> SweepSummary:
+    """The exchange identities between (sigma, rho) and (rho, sigma)."""
+    return sweep_pairs(n)[2]
+
+
+def sweep_small_components(n: int = 4) -> SweepSummary:
+    """No 2-cycles in traversal graphs whose components all have 2 vertices."""
+    return sweep_pairs(n)[3]
+
+
+def sweep_event_factorization(
+    n: int = 4, start_counts: Sequence[int] = (1, 2, 3)
+) -> SweepSummary:
+    """Fibers of the union-graph map are full membership rectangles."""
+    return sweep_pairs(n, start_counts)[4]
 
 
 def _partial_injections(n: int):
@@ -332,19 +348,16 @@ def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:
     perms = list(all_permutations(n))
     for edges in _partial_injections(n):
         g = DirectedGraph(n, edges)
+        components = [verts for verts, _ in profile(g).nontrivial]
         for tau in perms:
-            ok = relabel_dichotomy_holds(g, tau)
+            ok = relabel_dichotomy_holds(g, components, tau)
             tally.record(
                 ok,
                 lambda ee=edges, t=tau: f"edges={sorted(ee)} tau={t.to_line()}",
             )
-    return SweepSummary(
-        suite="relabel-dichotomy",
-        n=n,
-        cases=tally.cases,
-        violations=tally.violations,
-        detail=f"all partial-injection graphs at n={n} times all relabelings",
-        examples=tally.examples,
+    return _summary(
+        "relabel-dichotomy", n, tally,
+        f"all partial-injection graphs at n={n} times all relabelings",
     )
 
 
@@ -422,14 +435,7 @@ def sweep_membership_bounds(
                 )
     kinds = ", ".join(law.kind for law in laws)
     return [
-        SweepSummary(
-            suite=family,
-            n=n,
-            cases=tally.cases,
-            violations=tally.violations,
-            detail=f"{len(graphs)} union graphs at n={n}; laws: {kinds}",
-            examples=tally.examples,
-        )
+        _summary(family, n, tally, f"{len(graphs)} union graphs at n={n}; laws: {kinds}")
         for family, tally in sorted(tallies.items())
     ]
 
@@ -471,16 +477,10 @@ def sweep_prefix_decay(
                         f"theta={th} f={ff} no decay from n={a} to n={b}"
                     ),
                 )
-    return SweepSummary(
-        suite="prefix-fixing-decay",
-        n=max(ns),
-        cases=tally.cases,
-        violations=tally.violations,
-        detail=(
-            f"n in {tuple(ns)}, prefix lengths {tuple(prefix_lengths)}, "
-            f"thetas {tuple(str(t) for t in thetas)}"
-        ),
-        examples=tally.examples,
+    return _summary(
+        "prefix-fixing-decay", max(ns), tally,
+        f"n in {tuple(ns)}, prefix lengths {tuple(prefix_lengths)}, "
+        f"thetas {tuple(str(t) for t in thetas)}",
     )
 
 
@@ -496,15 +496,8 @@ def run_all(
     single_n <= 7 unless long runtimes are acceptable.
     """
     bn = pair_n if bounds_n is None else bounds_n
-    out = [
-        sweep_trace_identity(single_n),
-        sweep_traversal_consistency(pair_n),
-        sweep_shared_cycle(pair_n),
-        sweep_reversal_symmetry(pair_n),
-        sweep_small_components(pair_n),
-        sweep_event_factorization(pair_n),
-        sweep_relabel_dichotomy(pair_n),
-    ]
+    out = [sweep_trace_identity(single_n), *sweep_pairs(pair_n)]
+    out.append(sweep_relabel_dichotomy(pair_n))
     out.extend(sweep_membership_bounds(bn, thetas))
     out.append(sweep_prefix_decay(thetas=thetas))
     return out

@@ -45,6 +45,9 @@ def test_config_round_trip():
         format="json",
     )
     assert parse_config(serialize_config(config)) == config
+    unseeded = ExperimentConfig(command="verify-lemmas", pair_n=4)
+    assert serialize_config(unseeded) == "command = verify-lemmas\npair_n = 4\n"
+    assert parse_config(serialize_config(unseeded)) == unseeded
 
 
 def test_parse_config_comments_and_duplicates():
@@ -59,7 +62,9 @@ def test_parse_config_comments_and_duplicates():
 
 def test_config_missing_and_unknown_fields():
     with pytest.raises(ConfigError, match="seed"):
-        config_from_mapping({"command": "verify-lemmas"})
+        config_from_mapping(
+            {"command": "sample", "samplers": "uniform", "n": "4", "samples": "2"}
+        )
     with pytest.raises(ConfigError, match="command"):
         config_from_mapping({"seed": "3"})
     with pytest.raises(ConfigError, match="unknown config key"):
@@ -200,6 +205,40 @@ def test_main_verify_lemmas_small(capsys):
     assert all(r["ok"] == "true" for r in rows)
     suites = {r["suite"] for r in rows}
     assert "relabel-dichotomy" in suites and "membership-upper-bounds" in suites
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--samplers", "uniform", "--n", "4", "--samples", "2"],
+        ["moments", "--samplers", "uniform, uniform", "--n", "6",
+         "--functionals", "product:1", "--samples", "100"],
+        ["convergence", "--samplers", "uniform, uniform", "--n-grid", "4, 6",
+         "--functionals", "product:1", "--samples", "100"],
+        ["counterexample", "--samplers", "uniform, uniform", "--n", "6", "--samples", "100"],
+    ],
+)
+def test_sampling_commands_require_a_seed(argv, capsys):
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert main(argv + ["--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--samplers", "uniform, uniform", "--n", "5", "--v-vec", "1, 2"],
+        ["verify-lemmas", "--pair-n", "3", "--single-n", "4"],
+    ],
+)
+def test_exact_and_verify_lemmas_need_no_seed(argv, capsys):
+    assert main(argv) == 0
+    bare_config, _, bare_body = capsys.readouterr().out.partition("\n")
+    assert main(argv + ["--seed", "4"]) == 0
+    seeded_config, _, seeded_body = capsys.readouterr().out.partition("\n")
+    assert "seed" not in bare_config
+    assert seeded_config.startswith(f"# config: command = {argv[0]}; seed = 4;")
+    assert bare_body == seeded_body
 
 
 def test_main_sample_layout_and_determinism(tmp_path):

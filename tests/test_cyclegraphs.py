@@ -7,6 +7,7 @@ from permprod.cyclegraphs import (
     GraphClass,
     canonical_class,
     enumerate_B,
+    graphs_from_record,
     graphs_from_traversal,
     is_T_class,
     joint_membership_consistent,
@@ -175,9 +176,34 @@ def test_enumerate_b_input_validation():
 @given(perm_strategy(5), perm_strategy(5))
 @settings(max_examples=40)
 def test_lemma_predicates_hold_on_random_pairs(sigma, rho):
-    assert no_two_cycles_when_components_small(sigma, rho, 1)
-    assert shared_cycle_graphs_match(sigma, rho, 1, 2)
-    assert reversal_identities_hold(sigma, rho, 1)
+    r1, r2 = traversal(sigma, rho, 1), traversal(sigma, rho, 2)
+    graphs1, graphs2 = graphs_from_record(r1, 5), graphs_from_record(r2, 5)
+    assert no_two_cycles_when_components_small(*graphs1)
+    assert shared_cycle_graphs_match(r1, graphs1, r2, graphs2)
+    s = traversal(rho, sigma, 1)
+    _, h2 = graphs_from_traversal(inverse(rho), inverse(sigma), rho(1))
+    assert reversal_identities_hold(r1, graphs1[0], s, h2)
+
+
+def test_lemma_predicates_catch_broken_inputs():
+    sigma = Permutation.from_cycles(4, [(1, 2, 3)])
+    rho = Permutation.from_cycles(4, [(2, 4)])
+    r1, r2 = traversal(sigma, rho, 1), traversal(sigma, rho, 2)
+    assert 1 in r2.i_seq
+    graphs1, graphs2 = graphs_from_record(r1, 4), graphs_from_record(r2, 4)
+    assert shared_cycle_graphs_match(r1, graphs1, r2, graphs2)
+    other = (DirectedGraph.of(4, [(1, 1)]), graphs2[1])
+    assert not shared_cycle_graphs_match(r1, graphs1, r2, other)
+    assert shared_cycle_graphs_match(r1, graphs1, traversal(sigma, sigma, 2), other)
+    s = traversal(rho, sigma, 1)
+    _, h2 = graphs_from_traversal(inverse(rho), inverse(sigma), rho(1))
+    assert reversal_identities_hold(r1, graphs1[0], s, h2)
+    assert not reversal_identities_hold(r1, graphs1[0], s, graphs1[1])
+    assert not reversal_identities_hold(r1, graphs1[0], traversal(rho, sigma, 4), h2)
+    two_cycle = DirectedGraph.of(4, [(1, 2), (2, 1)])
+    pair = DirectedGraph.of(4, [(3, 4)])
+    assert not no_two_cycles_when_components_small(two_cycle, pair)
+    assert no_two_cycles_when_components_small(two_cycle, DirectedGraph.of(4, [(2, 3), (3, 4)]))
 
 
 @given(perm_strategy(5), st.data())
@@ -188,4 +214,6 @@ def test_relabel_dichotomy_on_random_graphs(tau, data):
             st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3
         )
     )
-    assert relabel_dichotomy_holds(DirectedGraph.of(5, pairs), tau)
+    g = DirectedGraph.of(5, pairs)
+    components = [verts for verts, _ in profile(g).nontrivial]
+    assert relabel_dichotomy_holds(g, components, tau)

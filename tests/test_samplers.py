@@ -162,8 +162,8 @@ def test_spec_validation_and_labels():
 
 def test_spec_bind_and_sqrt_resolution():
     spec = SamplerSpec("sqrt_fixed", fixed_count="sqrt")
-    bound = spec.bind(n=17, seed=5)
-    assert bound.n == 17 and bound.seed == 5
+    bound = spec.bind(n=17)
+    assert bound.n == 17
     assert bound.resolved_fixed_count() == 4
     assert spec.n is None  # bind does not mutate
 

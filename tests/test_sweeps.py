@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from permprod import sweeps
 from permprod.sweeps import (
     SweepSummary,
     run_all,
     sweep_event_factorization,
     sweep_membership_bounds,
+    sweep_pairs,
     sweep_prefix_decay,
     sweep_relabel_dichotomy,
     sweep_reversal_symmetry,
@@ -68,6 +70,93 @@ def test_run_all_structure():
     assert "event-factorization" in suites
     assert "prefix-fixing-decay" in suites
     assert all(s.violations == 0 for s in summaries)
+
+
+def test_run_all_case_counts_at_n4():
+    # The case counts the separate per-suite sweeps gave at these sizes.
+    summaries = run_all(pair_n=4, single_n=5)
+    assert [(s.suite, s.cases) for s in summaries] == [
+        ("trace-power-identity", 1200),
+        ("traversal-encoding", 2304),
+        ("shared-cycle-graphs", 3456),
+        ("reversal-exchange", 2304),
+        ("two-vertex-components", 2304),
+        ("event-factorization", 1408),
+        ("relabel-dichotomy", 5016),
+        ("matching-sandwich-bounds", 144),
+        ("membership-upper-bounds", 1248),
+        ("two-cycle-upper-bounds", 63),
+        ("prefix-fixing-decay", 66),
+    ]
+    assert all(s.ok for s in summaries)
+
+
+def test_pair_selectors_pick_their_suite():
+    picks = [
+        sweep_traversal_consistency(3),
+        sweep_shared_cycle(3),
+        sweep_reversal_symmetry(3),
+        sweep_small_components(3),
+        sweep_event_factorization(3, start_counts=(1, 2)),
+    ]
+    assert [p.suite for p in picks] == [
+        "traversal-encoding",
+        "shared-cycle-graphs",
+        "reversal-exchange",
+        "two-vertex-components",
+        "event-factorization",
+    ]
+    assert picks == sweep_pairs(3)[:4] + sweep_pairs(3, start_counts=(1, 2))[4:]
+    with pytest.raises(ValueError, match="start counts"):
+        sweep_pairs(3, start_counts=(4,))
+
+
+_PER_START = [
+    "sigma=1 2 3 rho=1 2 3 m=1",
+    "sigma=1 2 3 rho=1 2 3 m=2",
+    "sigma=1 2 3 rho=1 2 3 m=3",
+    "sigma=1 2 3 rho=1 3 2 m=1",
+    "sigma=1 2 3 rho=1 3 2 m=2",
+]
+
+
+@pytest.mark.parametrize(
+    "predicate, suite, examples",
+    [
+        (
+            "shared_cycle_graphs_match",
+            "shared-cycle-graphs",
+            [
+                "sigma=1 2 3 rho=1 2 3 m1=1 m2=2",
+                "sigma=1 2 3 rho=1 2 3 m1=1 m2=3",
+                "sigma=1 2 3 rho=1 2 3 m1=2 m2=3",
+                "sigma=1 2 3 rho=1 3 2 m1=1 m2=2",
+                "sigma=1 2 3 rho=1 3 2 m1=1 m2=3",
+            ],
+        ),
+        ("reversal_identities_hold", "reversal-exchange", _PER_START),
+        ("no_two_cycles_when_components_small", "two-vertex-components", _PER_START),
+        ("membership", "traversal-encoding", _PER_START),
+    ],
+)
+def test_a_failing_predicate_shows_in_its_suite_only(monkeypatch, predicate, suite, examples):
+    monkeypatch.setattr(sweeps, predicate, lambda *args: False)
+    summaries = sweep_pairs(3)
+    assert [s.suite for s in summaries if not s.ok] == [suite]
+    failed = next(s for s in summaries if s.suite == suite)
+    assert failed.violations == failed.cases > 0
+    assert failed.examples == examples
+
+
+def test_a_failing_factor_count_shows_in_event_factorization_only(monkeypatch):
+    monkeypatch.setattr(sweeps.math, "factorial", lambda x: 0)
+    summaries = sweep_pairs(3)
+    assert [s.suite for s in summaries if not s.ok] == ["event-factorization"]
+    assert summaries[4].violations == summaries[4].cases == 99
+    assert summaries[4].examples[:2] == [
+        "k=1 sides [(1, 1)] / [(1, 1)]",
+        "k=1 sides [(1, 1), (2, 2)] / [(1, 2), (2, 1)]",
+    ]
 
 
 def test_summary_serialization():
