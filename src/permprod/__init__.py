@@ -39,14 +39,7 @@ from permprod.perms import (
     inverse,
     trace_power,
 )
-from permprod.samplers import (
-    RngStream,
-    SamplerSpec,
-    sample_ewens,
-    sample_matching_heavy,
-    sample_sqrt_fixed,
-    sample_uniform,
-)
+from permprod.samplers import RngStream, SamplerSpec
 from permprod.stats import (
     Functional,
     JointPmf,
@@ -54,7 +47,6 @@ from permprod.stats import (
     convergence_scan,
     empirical_joint_pmf,
     eta_joint_pmf,
-    moment_estimate,
     moment_estimates,
     tv_distance,
 )
@@ -73,10 +65,6 @@ __all__ = [
     "trace_power",
     "RngStream",
     "SamplerSpec",
-    "sample_uniform",
-    "sample_ewens",
-    "sample_sqrt_fixed",
-    "sample_matching_heavy",
     "DirectedGraph",
     "GraphClass",
     "TraversalRecord",
@@ -99,7 +87,6 @@ __all__ = [
     "eta_joint_pmf",
     "empirical_joint_pmf",
     "tv_distance",
-    "moment_estimate",
     "moment_estimates",
     "convergence_scan",
     "SweepSummary",

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from permprod.oracle import (
+    _ENUM_MAX_N,
     ExactDistribution,
     exact_joint_cycle_prob,
     exact_moment,
@@ -57,9 +58,6 @@ __all__ = [
 ]
 
 _COMMANDS = ("sample", "moments", "convergence", "exact", "verify-lemmas", "counterexample")
-
-# Full enumeration in the exact back end caps at 8!.
-_EXACT_MAX_N = 8
 
 
 class ConfigError(ValueError):
@@ -184,14 +182,20 @@ class ExperimentConfig:
             raise ConfigError("truncation: must be >= 0")
         if self.pair_n < 1 or self.single_n < 1:
             raise ConfigError("pair_n/single_n: must be >= 1")
+        for size in self.n_grid or (self.n,):
+            for spec in self.samplers:
+                try:
+                    spec.bind(n=size).fixed_cycle_type()
+                except ValueError as exc:
+                    raise ConfigError(f"samplers: {exc}") from None
         if self.command in ("exact", "counterexample") and len(self.samplers) != 2:
             raise ConfigError(
                 f"samplers: command {self.command} needs exactly 2 samplers, "
                 f"got {len(self.samplers)}"
             )
         if self.command == "exact":
-            if self.n > _EXACT_MAX_N:
-                raise ConfigError(f"n: exact enumeration caps at {_EXACT_MAX_N}")
+            if self.n > _ENUM_MAX_N:
+                raise ConfigError(f"n: exact enumeration caps at {_ENUM_MAX_N}")
             if len(self.v_vec) > self.n:
                 raise ConfigError("v_vec: more start indices than ground-set elements")
         if self.command == "convergence" and not self.functionals and not self.tv_orders:
@@ -405,29 +409,13 @@ def emit_report(
 
 def _exact_law(spec: SamplerSpec) -> ExactDistribution:
     """The distribution a bound sampler spec draws from, as an exact law."""
-    n = spec.n
     if spec.kind == "uniform":
-        return ExactDistribution.uniform(n)
+        return ExactDistribution.uniform(spec.n)
     if spec.kind == "ewens":
-        return ExactDistribution.ewens(n, spec.theta)
-    if spec.kind == "sqrt_fixed":
-        f = spec.resolved_fixed_count()
-        if not 0 <= f <= n or n - f == 1:
-            raise ConfigError(
-                f"samplers: {spec.label()} infeasible at n={n}: the non-fixed "
-                "block must be empty or a cycle of length >= 2"
-            )
-        ptype = (1,) * n if f == n else (n - f,) + (1,) * f
-        return ExactDistribution.explicit(n, {ptype: 1}, kind=spec.label())
-    frac = spec.two_cycle_fraction
-    m = (frac.numerator * n) // frac.denominator if frac else 0
-    rest = n - 2 * m
-    if rest in (1, 2):
-        raise ConfigError(
-            f"samplers: {spec.label()} infeasible at n={n}: {rest} spare points"
-        )
-    ptype = (2,) * m + ((rest,) if rest else ())
-    return ExactDistribution.explicit(n, {ptype: 1}, kind=spec.label())
+        return ExactDistribution.ewens(spec.n, spec.theta)
+    return ExactDistribution.explicit(
+        spec.n, {spec.fixed_cycle_type(): 1}, kind=spec.label()
+    )
 
 
 def _run_sample(config: ExperimentConfig):
@@ -541,8 +529,10 @@ def _run_verify_lemmas(config: ExperimentConfig):
 
 
 def _run_counterexample(config: ExperimentConfig):
-    # The factor1:* diagnostics read the first factor of the pair's draws.
+    # The factor1:* diagnostics read the first factor of the pair's draws,
+    # or its cycle type when the first law fixes one.
     specs = [s.bind(n=config.n) for s in config.samplers]
+    solo_type = specs[0].fixed_cycle_type()
     pair_funcs = [
         Functional.product_cycle_counts((1,)),
         Functional.product_cycle_counts((1, 1)),
@@ -554,11 +544,14 @@ def _run_counterexample(config: ExperimentConfig):
     ]
     pair_counts = np.empty((config.samples, 1), dtype=np.int64)
     solo_counts = np.empty((config.samples, 2), dtype=np.int64)
+    if solo_type is not None:
+        solo_counts[:] = (solo_type.count(1), solo_type.count(2))
 
     def consume(pos, factor_rows):
         end = pos + factor_rows[0].shape[0]
         pair_counts[pos:end] = small_cycle_counts(product_rows(factor_rows), 1)
-        solo_counts[pos:end] = small_cycle_counts(factor_rows[0], 2)
+        if solo_type is None:
+            solo_counts[pos:end] = small_cycle_counts(factor_rows[0], 2)
 
     draw_chunks(specs, config.samples, config.seed, consume)
     rows = []

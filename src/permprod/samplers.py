@@ -16,11 +16,11 @@ The last two have deterministic cycle type, so relabeling uniformly is
 exactly the uniform law on that conjugacy class.
 
 Randomness comes from :class:`RngStream`, keyed by (seed, stream_id);
-identical keys reproduce identical draw sequences. The batch entry
-points return integer arrays with zero-based rows (row r maps x to
-``rows[r, x]``) and are the fast path for Monte Carlo work; the scalar
-entry points wrap batches of one and return :class:`Permutation` values
-in the package's one-based convention.
+identical keys reproduce identical draw sequences. The samplers draw
+batches: integer arrays with zero-based rows (row r maps x to
+``rows[r, x]``). :func:`perm_from_row` and :func:`row_from_perm` convert
+one row to and from a :class:`Permutation` in the package's one-based
+convention.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
+from permprod.oracle import _as_fraction
 from permprod.perms import Permutation
 
 __all__ = [
     "RngStream",
     "SamplerSpec",
-    "sample_uniform",
-    "sample_ewens",
-    "sample_sqrt_fixed",
-    "sample_matching_heavy",
     "uniform_rows",
     "ewens_rows",
     "sqrt_fixed_rows",
@@ -49,7 +46,6 @@ __all__ = [
     "row_from_perm",
     "product_rows",
     "small_cycle_counts",
-    "total_cycle_counts",
 ]
 
 _KINDS = ("uniform", "ewens", "sqrt_fixed", "matching_heavy")
@@ -71,14 +67,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise ValueError(f"expected an exact rational, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +133,33 @@ class SamplerSpec:
             return math.isqrt(self.n)
         return int(self.fixed_count)
 
+    def fixed_cycle_type(self) -> tuple[int, ...] | None:
+        """Cycle lengths of a bound ``sqrt_fixed`` or ``matching_heavy`` law.
+
+        The lengths come in the order of the consecutive blocks that the
+        row samplers conjugate: the fixed points or 2-cycles, then the
+        cycle on the remaining points, if any. Laws without a fixed cycle
+        type give None. Raises ValueError if the type does not exist at n.
+        """
+        if self.kind not in ("sqrt_fixed", "matching_heavy"):
+            return None
+        n = self.bind().n
+        if self.kind == "sqrt_fixed":
+            short, count = 1, self.resolved_fixed_count()
+        else:
+            frac = self.two_cycle_fraction
+            short, count = 2, (frac.numerator * n) // frac.denominator
+        rest = n - short * count
+        if rest < 0:
+            raise ValueError(f"{self.label()} infeasible at n={n}: more fixed points than n")
+        if 0 < rest <= short:
+            name = "fixed points" if short == 1 else "2-cycles"
+            raise ValueError(
+                f"{self.label()} infeasible at n={n}: {count} {name} leave a block of "
+                f"size {rest}, which must be empty or one cycle longer than {short}"
+            )
+        return (short,) * count + ((rest,) if rest else ())
+
     def label(self) -> str:
         if self.kind == "uniform":
             return "uniform"
@@ -168,9 +183,6 @@ class SamplerSpec:
         if self.kind == "sqrt_fixed":
             return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count())
         return matching_heavy_rows(rng, size, n, self.two_cycle_fraction)
-
-    def draw(self, rng: RngStream) -> Permutation:
-        return perm_from_row(self.draw_batch(rng, 1)[0])
 
 
 def perm_from_row(row: np.ndarray) -> Permutation:
@@ -222,63 +234,24 @@ def _conjugated_rows(rng: RngStream, size: int, base: np.ndarray) -> np.ndarray:
     return np.take_along_axis(tinv, base[t], axis=1)
 
 
+def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
+    # One cycle on each block of consecutive points, in the given order:
+    # o -> o + 1 -> ... -> o + L - 1 -> o for the block of length L at o.
+    lengths = np.asarray(cycle_type, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    base = np.arange(1, ends[-1] + 1, dtype=np.int64)
+    base[ends - 1] = ends - lengths
+    return base
+
+
 def sqrt_fixed_rows(rng: RngStream, size: int, n: int, fixed_count: int) -> np.ndarray:
-    if not 0 <= fixed_count <= n:
-        raise ValueError(f"fixed_count {fixed_count} outside 0..{n}")
-    if n - fixed_count == 1:
-        raise ValueError("n - fixed_count = 1 leaves a length-1 'long cycle'")
-    base = np.arange(n, dtype=np.int64)
-    if n - fixed_count >= 2:
-        base[fixed_count : n - 1] = np.arange(fixed_count + 1, n, dtype=np.int64)
-        base[n - 1] = fixed_count
-    return _conjugated_rows(rng, size, base)
+    spec = SamplerSpec("sqrt_fixed", n=n, fixed_count=fixed_count)
+    return _conjugated_rows(rng, size, _block_base(spec.fixed_cycle_type()))
 
 
 def matching_heavy_rows(rng: RngStream, size: int, n: int, fraction) -> np.ndarray:
-    fraction = _as_fraction(fraction)
-    if not 0 <= fraction <= Fraction(1, 2):
-        raise ValueError("two_cycle_fraction must lie in [0, 1/2]")
-    m = (fraction.numerator * n) // fraction.denominator if fraction else 0
-    rest = n - 2 * m
-    if rest in (1, 2):
-        raise ValueError(
-            f"two_cycle_fraction {fraction} at n = {n} leaves {rest} spare points; "
-            "the spare block must be empty or a cycle of length >= 3"
-        )
-    base = np.arange(n, dtype=np.int64)
-    for i in range(m):
-        base[2 * i] = 2 * i + 1
-        base[2 * i + 1] = 2 * i
-    if rest >= 3:
-        base[2 * m : n - 1] = np.arange(2 * m + 1, n, dtype=np.int64)
-        base[n - 1] = 2 * m
-    return _conjugated_rows(rng, size, base)
-
-
-def sample_uniform(n: int, rng: RngStream) -> Permutation:
-    """One uniform permutation of {1, ..., n}."""
-    return perm_from_row(uniform_rows(rng, 1, n)[0])
-
-
-def sample_ewens(n: int, theta, rng: RngStream) -> Permutation:
-    """One draw from the theta-biased cycle measure; theta = 0 degenerates
-    to a uniform n-cycle."""
-    theta = _as_fraction(theta)
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    return perm_from_row(ewens_rows(rng, 1, n, float(theta))[0])
-
-
-def sample_sqrt_fixed(n: int, fixed_count: int, rng: RngStream) -> Permutation:
-    """Uniform permutation with ``fixed_count`` fixed points and one cycle
-    on the remaining points."""
-    return perm_from_row(sqrt_fixed_rows(rng, 1, n, fixed_count)[0])
-
-
-def sample_matching_heavy(n: int, two_cycle_fraction, rng: RngStream) -> Permutation:
-    """Uniform permutation with floor(fraction * n) 2-cycles and one cycle
-    on the remaining points."""
-    return perm_from_row(matching_heavy_rows(rng, 1, n, two_cycle_fraction)[0])
+    spec = SamplerSpec("matching_heavy", n=n, two_cycle_fraction=fraction)
+    return _conjugated_rows(rng, size, _block_base(spec.fixed_cycle_type()))
 
 
 def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -317,23 +290,3 @@ def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
                 acc -= e * counts[:, e - 1]
         counts[:, d - 1] = acc // d
     return counts
-
-
-def total_cycle_counts(rows: np.ndarray) -> np.ndarray:
-    """Per-row total number of cycles, by explicit traversal."""
-    size, n = rows.shape
-    out = np.empty(size, dtype=np.int64)
-    for r in range(size):
-        images = rows[r]
-        seen = bytearray(n)
-        total = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            total += 1
-            x = start
-            while not seen[x]:
-                seen[x] = 1
-                x = images[x]
-        out[r] = total
-    return out

@@ -2,9 +2,9 @@
 
 The reference law for the vector of small-cycle counts is a product of
 independent Poisson variables with mean 1/d in coordinate d. Joint laws
-live on a truncated lattice {0..T}^k with one extra overflow cell that
-lumps all mass outside the box, and total-variation distance includes
-that overflow cell.
+are dense arrays on the truncated lattice {0..T}^k with one extra
+overflow cell that lumps all mass outside the box, and total-variation
+distance includes that overflow cell.
 
 Sampling is chunked, all of it in :func:`draw_chunks`. With F factors,
 factor f of chunk c at grid point g draws from the stream
@@ -16,9 +16,9 @@ moment and each ``tv:k``) reads the same single draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "draw_chunks",
     "sample_joint_counts",
     "estimates_from_counts",
-    "moment_estimate",
     "moment_estimates",
     "convergence_scan",
 ]
@@ -61,40 +60,33 @@ def _chunk_size(n: int) -> int:
 
 @dataclass
 class JointPmf:
-    """Probability masses on {0..truncation}^k plus one overflow cell."""
+    """Probability masses on {0..T}^k plus one overflow cell.
 
-    k: int
-    truncation: int
-    mass: dict[tuple[int, ...], float]
+    ``mass`` is a dense array of shape (T + 1,) * k whose entry at index
+    (c_1, ..., c_k) is the mass of that count vector; ``k`` and
+    ``truncation`` (T) are read from its shape.
+    """
+
+    mass: np.ndarray
     overflow: float
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.truncation < 0:
-            raise ValueError("need k >= 1 and truncation >= 0")
-        exact = isinstance(self.overflow, Fraction) and all(
-            isinstance(v, Fraction) for v in self.mass.values()
-        )
-        total = sum(self.mass.values(), self.overflow)
-        for cell, value in self.mass.items():
-            if len(cell) != self.k:
-                raise ValueError(f"cell {cell!r} has wrong arity")
-            if any(not 0 <= c <= self.truncation for c in cell):
-                raise ValueError(f"cell {cell!r} outside the truncation box")
-            if value < 0:
-                raise ValueError(f"negative mass at {cell!r}")
-        if exact:
-            if total != 1:
-                raise ValueError(f"exact masses sum to {total}, expected 1")
-        elif abs(total - 1.0) > 1e-9:
+        self.mass = np.asarray(self.mass, dtype=np.float64)
+        if self.mass.ndim < 1 or len(set(self.mass.shape)) != 1:
+            raise ValueError(f"mass must be a non-empty cube, got shape {self.mass.shape}")
+        if self.overflow < 0 or (self.mass < 0).any():
+            raise ValueError("negative mass")
+        total = self.mass.sum() + self.overflow
+        if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses sum to {total!r}, expected 1")
 
-    def cell(self, counts: Sequence[int]):
-        return self.mass.get(tuple(counts), type(self.overflow)(0))
+    @property
+    def k(self) -> int:
+        return self.mass.ndim
 
-    def marginal_mean(self, coord: int) -> float:
-        if not 1 <= coord <= self.k:
-            raise ValueError(f"coordinate {coord} outside 1..{self.k}")
-        return sum(cell[coord - 1] * value for cell, value in self.mass.items())
+    @property
+    def truncation(self) -> int:
+        return self.mass.shape[0] - 1
 
 
 @dataclass
@@ -199,19 +191,11 @@ def eta_joint_pmf(k: int, truncation: int = 8) -> JointPmf:
     if k < 1 or truncation < 0:
         raise ValueError("need k >= 1 and truncation >= 0")
     marginals = [
-        [poisson_pmf(1.0 / d, j) for j in range(truncation + 1)]
+        np.array([poisson_pmf(1.0 / d, j) for j in range(truncation + 1)])
         for d in range(1, k + 1)
     ]
-    mass: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for cell in np.ndindex(*([truncation + 1] * k)):
-        value = 1.0
-        for d, j in enumerate(cell):
-            value *= marginals[d][j]
-        cell_t = tuple(int(c) for c in cell)
-        mass[cell_t] = value
-        total += value
-    return JointPmf(k=k, truncation=truncation, mass=mass, overflow=max(0.0, 1.0 - total))
+    mass = functools.reduce(np.multiply.outer, marginals)
+    return JointPmf(mass=mass, overflow=max(0.0, 1.0 - float(mass.sum())))
 
 
 def empirical_joint_pmf(samples, truncation: int = 8) -> JointPmf:
@@ -220,27 +204,19 @@ def empirical_joint_pmf(samples, truncation: int = 8) -> JointPmf:
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("samples must be a non-empty 2d array of count vectors")
     size, k = arr.shape
-    inside = (arr <= truncation).all(axis=1) & (arr >= 0).all(axis=1)
-    overflow = float((~inside).sum()) / size
-    mass: dict[tuple[int, ...], float] = {}
-    kept = arr[inside]
-    if kept.size:
-        cells, counts = np.unique(kept, axis=0, return_counts=True)
-        for cell, count in zip(cells, counts):
-            mass[tuple(int(c) for c in cell)] = float(count) / size
-    return JointPmf(k=k, truncation=truncation, mass=mass, overflow=overflow)
+    shape = (truncation + 1,) * k
+    inside = ((arr >= 0) & (arr <= truncation)).all(axis=1)
+    cells = np.ravel_multi_index(arr[inside].T, shape)
+    mass = np.bincount(cells, minlength=math.prod(shape)) / size
+    return JointPmf(mass=mass.reshape(shape), overflow=float((~inside).sum()) / size)
 
 
 def tv_distance(p: JointPmf, q: JointPmf) -> float:
     """Half the l1 distance over the truncated box and the overflow cell."""
-    if p.k != q.k or p.truncation != q.truncation:
-        raise ValueError(
-            f"shape mismatch: ({p.k}, {p.truncation}) vs ({q.k}, {q.truncation})"
-        )
-    cells = set(p.mass) | set(q.mass)
-    total = sum(abs(p.cell(c) - q.cell(c)) for c in cells)
-    total += abs(p.overflow - q.overflow)
-    return total / 2
+    if p.mass.shape != q.mass.shape:
+        raise ValueError(f"shape mismatch: {p.mass.shape} vs {q.mass.shape}")
+    total = np.abs(p.mass - q.mass).sum() + abs(p.overflow - q.overflow)
+    return float(total) / 2
 
 
 def _resolved_specs(
@@ -388,17 +364,6 @@ def moment_estimates(
     return estimates_from_counts(funcs, counts, bound, seed)
 
 
-def moment_estimate(
-    specs: Sequence[SamplerSpec],
-    functional: Functional,
-    samples: int,
-    seed: int,
-    n: int | None = None,
-) -> MomentEstimate:
-    """Monte Carlo estimate of one functional with its standard error."""
-    return moment_estimates(specs, [functional], samples, seed, n=n)[0]
-
-
 @dataclass
 class ScanRow:
     n: int
@@ -486,7 +451,7 @@ def convergence_scan(
                     seed=seed,
                 )
             )
-            occupied = max(1, len(emp.mass))
+            occupied = max(1, np.count_nonzero(emp.mass))
             noise = 2.0 * math.sqrt(occupied / samples)
             series.setdefault(label, []).append((dist, noise))
     for label, points in series.items():

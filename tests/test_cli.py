@@ -241,6 +241,28 @@ def test_exact_and_verify_lemmas_need_no_seed(argv, capsys):
     assert bare_body == seeded_body
 
 
+@pytest.mark.parametrize("law, n", [("sqrt_fixed:3", 4), ("matching_heavy:1/2", 5)])
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("sample", ["--n", "{n}", "--samples", "2"]),
+        ("moments", ["--n", "{n}", "--functionals", "product:1", "--samples", "100"]),
+        # the infeasible size is the last grid point, after a feasible one
+        ("convergence", ["--n-grid", "{m}, {n}", "--tv-orders", "2", "--samples", "100"]),
+        ("counterexample", ["--n", "{n}", "--samples", "100"]),
+        ("exact", ["--n", "{n}", "--v-vec", "1"]),
+    ],
+)
+def test_infeasible_fixed_law_names_samplers(command, extra, law, n, capsys):
+    args = [a.format(n=n, m=n - 1) for a in extra]
+    argv = [command, "--seed", "1", "--samplers", f"{law}, uniform", *args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: samplers: ")
+    assert "infeasible" in captured.err
+
+
 def test_main_sample_layout_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = [

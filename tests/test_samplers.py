@@ -23,7 +23,6 @@ from permprod.samplers import (
     row_from_perm,
     small_cycle_counts,
     sqrt_fixed_rows,
-    total_cycle_counts,
     uniform_rows,
 )
 from permprod.oracle import ExactDistribution
@@ -133,6 +132,35 @@ def test_matching_heavy_rejects_tiny_rest_cycle():
         matching_heavy_rows(RngStream(0, 0), 4, 8, Fraction(3, 8))
 
 
+def test_fixed_cycle_type_lists_blocks_in_base_order():
+    def spec(kind, n, **kw):
+        return SamplerSpec(kind, n=n, **kw)
+
+    assert spec("sqrt_fixed", 9, fixed_count="sqrt").fixed_cycle_type() == (1, 1, 1, 6)
+    assert spec("sqrt_fixed", 4, fixed_count=2).fixed_cycle_type() == (1, 1, 2)
+    assert spec("sqrt_fixed", 3, fixed_count=3).fixed_cycle_type() == (1, 1, 1)
+    assert spec("sqrt_fixed", 3, fixed_count=0).fixed_cycle_type() == (3,)
+    half = Fraction(1, 2)
+    assert spec("matching_heavy", 4, two_cycle_fraction=half).fixed_cycle_type() == (2, 2)
+    third = Fraction(1, 3)
+    assert spec("matching_heavy", 9, two_cycle_fraction=third).fixed_cycle_type() == (
+        2, 2, 2, 3,
+    )
+    assert spec("matching_heavy", 5, two_cycle_fraction=0).fixed_cycle_type() == (5,)
+    assert spec("uniform", 5).fixed_cycle_type() is None
+    assert spec("ewens", 5, theta=2).fixed_cycle_type() is None
+    for bad in (
+        spec("sqrt_fixed", 4, fixed_count=3),
+        spec("sqrt_fixed", 4, fixed_count=5),
+        spec("matching_heavy", 5, two_cycle_fraction=half),
+        spec("matching_heavy", 8, two_cycle_fraction=Fraction(3, 8)),
+    ):
+        with pytest.raises(ValueError, match="infeasible"):
+            bad.fixed_cycle_type()
+    with pytest.raises(ValueError, match="bound"):
+        SamplerSpec("matching_heavy", two_cycle_fraction=half).fixed_cycle_type()
+
+
 def test_conjugated_samplers_hit_all_positions():
     # fixed points must not stick to the low indices after conjugation
     rows = sqrt_fixed_rows(RngStream(17, 0), 4000, 6, 2)
@@ -206,13 +234,6 @@ def test_small_cycle_counts_match_brute_force(n, kmax):
         counts = cycle_counts(perm_from_row(row))
         for k in range(1, kmax + 1):
             assert table[i, k - 1] == counts.get(k)
-
-
-def test_total_cycle_counts_match_brute_force():
-    rows = uniform_rows(RngStream(29, 1), 50, 7)
-    totals = total_cycle_counts(rows)
-    for i, row in enumerate(rows):
-        assert totals[i] == cycle_counts(perm_from_row(row)).num_cycles
 
 
 def test_row_perm_round_trip():

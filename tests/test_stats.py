@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from permprod.stats import (
     convergence_scan,
     empirical_joint_pmf,
     eta_joint_pmf,
-    moment_estimate,
     moment_estimates,
     parse_functional,
     poisson_pmf,
@@ -35,44 +35,41 @@ def test_eta_pmf_marginals_close_to_poisson():
     T = 8
     pmf = eta_joint_pmf(3, truncation=T)
     assert pmf.k == 3 and pmf.truncation == T
+    assert pmf.mass.shape == (T + 1,) * 3
     overflow = pmf.overflow
     assert 0 <= overflow < 1e-4
     # truncation clips each marginal by at most the total overflow
     for d in (1, 2, 3):
+        other = tuple(a for a in range(3) if a != d - 1)
+        marg = pmf.mass.sum(axis=other)
         for j in range(T + 1):
-            marg = sum(v for c, v in pmf.mass.items() if c[d - 1] == j)
-            assert abs(marg - poisson_pmf(1.0 / d, j)) <= overflow + 1e-12
+            assert abs(marg[j] - poisson_pmf(1.0 / d, j)) <= overflow + 1e-12
 
 
 def test_eta_marginal_mean_close_to_rate():
     pmf = eta_joint_pmf(2)
-    assert abs(pmf.marginal_mean(1) - 1.0) < 1e-4
-    assert abs(pmf.marginal_mean(2) - 0.5) < 1e-4
+    values = np.arange(pmf.truncation + 1)
+    assert abs(values @ pmf.mass.sum(axis=1) - 1.0) < 1e-4
+    assert abs(values @ pmf.mass.sum(axis=0) - 0.5) < 1e-4
 
 
 def test_joint_pmf_validation():
-    with pytest.raises(ValueError):
-        JointPmf(k=1, truncation=2, mass={(0,): 0.5}, overflow=0.0)
-    with pytest.raises(ValueError):
-        JointPmf(k=1, truncation=2, mass={(3,): 1.0}, overflow=0.0)
-    with pytest.raises(ValueError):
-        JointPmf(k=2, truncation=2, mass={(0,): 1.0}, overflow=0.0)
-    # exact masses must balance exactly
-    with pytest.raises(ValueError):
-        JointPmf(
-            k=1,
-            truncation=1,
-            mass={(0,): Fraction(1, 2)},
-            overflow=Fraction(1, 3),
-        )
-    ok = JointPmf(
-        k=1,
-        truncation=1,
-        mass={(0,): Fraction(1, 2), (1,): Fraction(1, 4)},
-        overflow=Fraction(1, 4),
-    )
-    assert ok.cell((1,)) == Fraction(1, 4)
-    assert ok.cell((0, 0)) == 0
+    # a total short of 1
+    with pytest.raises(ValueError, match="sum"):
+        JointPmf(mass=np.array([0.5, 0.0, 0.0]), overflow=0.0)
+    # shapes that are not a cube, or hold no cell
+    with pytest.raises(ValueError, match="cube"):
+        JointPmf(mass=np.full((2, 3), 1 / 6), overflow=0.0)
+    with pytest.raises(ValueError, match="cube"):
+        JointPmf(mass=np.array(1.0), overflow=0.0)
+    # negative mass in a cell or in the overflow, with a total of 1
+    with pytest.raises(ValueError, match="negative"):
+        JointPmf(mass=np.array([1.5, -0.5]), overflow=0.0)
+    with pytest.raises(ValueError, match="negative"):
+        JointPmf(mass=np.array([1.25, 0.0]), overflow=-0.25)
+    ok = JointPmf(mass=np.array([[0.5, 0.25], [0.0, 0.0]]), overflow=0.25)
+    assert ok.k == 2 and ok.truncation == 1
+    assert ok.mass[0, 1] == 0.25
 
 
 def test_tv_distance_basics():
@@ -82,16 +79,41 @@ def test_tv_distance_basics():
     d = tv_distance(a, b)
     assert 0 < d <= 1
     assert d == tv_distance(b, a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape"):
         tv_distance(a, eta_joint_pmf(3))
+    with pytest.raises(ValueError, match="shape"):
+        tv_distance(a, eta_joint_pmf(2, truncation=4))
 
 
 def test_empirical_pmf_counts_and_overflow():
     samples = np.array([[0, 1], [0, 1], [9, 0], [2, 2]])
     pmf = empirical_joint_pmf(samples, truncation=8)
-    assert pmf.cell((0, 1)) == 0.5
-    assert pmf.cell((2, 2)) == 0.25
+    assert pmf.mass.shape == (9, 9)
+    assert pmf.mass[0, 1] == 0.5
+    assert pmf.mass[2, 2] == 0.25
+    assert np.count_nonzero(pmf.mass) == 2
     assert pmf.overflow == 0.25
+
+
+@pytest.mark.parametrize("k, truncation", [(1, 3), (2, 2), (3, 2)])
+def test_tv_distance_matches_brute_force(k, truncation):
+    # Poisson-like rows with some coordinates above the truncation
+    rng = np.random.default_rng(17 + k)
+    rows = rng.poisson(1.2, size=(400, k))
+    got = tv_distance(empirical_joint_pmf(rows, truncation), eta_joint_pmf(k, truncation))
+    cells, counts = np.unique(rows, axis=0, return_counts=True)
+    emp = {tuple(int(c) for c in cell): n / len(rows) for cell, n in zip(cells, counts)}
+    total, ref_overflow, emp_overflow = 0.0, 1.0, 0.0
+    for cell in itertools.product(range(truncation + 1), repeat=k):
+        ref = math.prod(poisson_pmf(1.0 / (d + 1), c) for d, c in enumerate(cell))
+        total += abs(emp.get(cell, 0.0) - ref)
+        ref_overflow -= ref
+    for cell, p in emp.items():
+        if max(cell) > truncation:
+            emp_overflow += p
+    assert emp_overflow > 0
+    want = (total + abs(emp_overflow - ref_overflow)) / 2
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_functional_labels_and_parsing():
@@ -125,9 +147,9 @@ def test_sample_joint_counts_shape_and_range():
 
 def test_moment_estimate_deterministic_and_labeled():
     f = Functional.product_cycle_counts((1,))
-    a = moment_estimate(UNIFORM2, f, 2000, seed=11, n=8)
-    b = moment_estimate(UNIFORM2, f, 2000, seed=11, n=8)
-    c = moment_estimate(UNIFORM2, f, 2000, seed=12, n=8)
+    a = moment_estimates(UNIFORM2, [f], 2000, seed=11, n=8)[0]
+    b = moment_estimates(UNIFORM2, [f], 2000, seed=11, n=8)[0]
+    c = moment_estimates(UNIFORM2, [f], 2000, seed=12, n=8)[0]
     assert (a.value, a.stderr) == (b.value, b.stderr)
     assert (a.value, a.stderr) != (c.value, c.stderr)
     assert "product:1" in a.spec and "n=8" in a.spec
@@ -140,7 +162,7 @@ def test_moment_estimates_share_draws():
         Functional.product_cycle_counts((1, 1)),
     ]
     ests = moment_estimates(UNIFORM2, funcs, 1500, seed=3, n=7)
-    solo = moment_estimate(UNIFORM2, funcs[0], 1500, seed=3, n=7)
+    solo = moment_estimates(UNIFORM2, funcs[:1], 1500, seed=3, n=7)[0]
     assert ests[0].value == solo.value
 
 
@@ -151,8 +173,8 @@ def test_moment_estimates_validation():
     with pytest.raises(ValueError):
         moment_estimates(UNIFORM2, [f], 50, seed=0, n=5)
     with pytest.raises(ValueError):
-        moment_estimate(
-            UNIFORM2, Functional.scaled_fixed_point_moment(1), 1000, seed=0, n=5
+        moment_estimates(
+            UNIFORM2, [Functional.scaled_fixed_point_moment(1)], 1000, seed=0, n=5
         )
 
 
@@ -164,9 +186,9 @@ def test_estimator_consistent_with_oracle(theta):
         SamplerSpec("ewens", theta=theta),
         SamplerSpec("ewens", theta=Fraction(2)),
     )
-    est = moment_estimate(
-        specs, Functional.product_cycle_counts((1,)), samples, seed=21, n=n
-    )
+    est = moment_estimates(
+        specs, [Functional.product_cycle_counts((1,))], samples, seed=21, n=n
+    )[0]
     truth = float(
         exact_moment(
             ExactDistribution.ewens(n, theta), ExactDistribution.ewens(n, 2), (1,)
