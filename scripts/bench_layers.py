@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Per-chunk timings of the Monte Carlo layers, best of k runs.
+
+For each n it times one chunk (the rows ``draw_chunks`` draws at once):
+every sampler law, both as full relabeled draws and as the class
+representatives that class-function consumers draw for factor 0; the
+product of two factors; and small-cycle counting of that product for
+k = 1, 3 and 6. Times are wall-clock milliseconds from time.perf_counter.
+
+    PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096]
+"""
+
+import argparse
+import os
+import sys
+import time
+
+import numpy as np
+
+from permprod.cli import sampler_from_text
+from permprod.samplers import RngStream, product_rows, small_cycle_counts
+from permprod.stats import _chunk_size
+
+LAWS = ("uniform", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/3")
+
+
+def best_ms(fn, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times) * 1e3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=5, help="runs per layer; the best is kept")
+    parser.add_argument("--sizes", default="500, 1000, 4096", help="comma-separated n values")
+    args = parser.parse_args(argv)
+    sizes = [int(part) for part in args.sizes.split(",")]
+    print(f"nproc {os.cpu_count()}, numpy {np.__version__}, best of {args.repeat}, ms per chunk")
+    for n in sizes:
+        size = _chunk_size(n)
+        print(f"n = {n}, {size} rows per chunk")
+        for text in LAWS:
+            spec = sampler_from_text(text).bind(n=n)
+            full, rep = (
+                best_ms(lambda: spec.draw_batch(RngStream(1, 0), size, relabel=r), args.repeat)
+                for r in (True, False)
+            )
+            print(f"  {text:<20} full {full:8.2f}  representative {rep:8.2f}")
+        uniform = sampler_from_text("uniform").bind(n=n)
+        factors = [uniform.draw_batch(RngStream(1, f), size) for f in range(2)]
+        print(f"  {'product_rows x2':<20} {best_ms(lambda: product_rows(factors), args.repeat):8.2f}")
+        prod = product_rows(factors)
+        for k in (1, 3, 6):
+            ms = best_ms(lambda: small_cycle_counts(prod, k), args.repeat)
+            print(f"  {f'small_cycle_counts {k}':<20} {ms:8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,7 @@ from permprod.oracle import (
     exact_joint_cycle_prob,
     exact_moment,
 )
-from permprod.samplers import SamplerSpec, product_rows, small_cycle_counts
+from permprod.samplers import _MAX_N, SamplerSpec, product_rows, small_cycle_counts
 from permprod.stats import (
     Functional,
     MomentEstimate,
@@ -174,6 +174,10 @@ class ExperimentConfig:
             or self.n_grid[0] < 1
         ):
             raise ConfigError("n_grid: must be a strictly increasing list of sizes")
+        # Sampled rows are int32; checked before any size reaches a sampler.
+        for name, size in (("n", self.n), ("n_grid", max(self.n_grid or (1,)))):
+            if size is not None and size > _MAX_N:
+                raise ConfigError(f"{name}: sizes above {_MAX_N} do not fit int32 rows")
         if self.v_vec is not None and (not self.v_vec or any(v < 1 for v in self.v_vec)):
             raise ConfigError("v_vec: cycle lengths must be >= 1")
         if any(k < 1 for k in self.tv_orders):
@@ -553,7 +557,7 @@ def _run_counterexample(config: ExperimentConfig):
         if solo_type is None:
             solo_counts[pos:end] = small_cycle_counts(factor_rows[0], 2)
 
-    draw_chunks(specs, config.samples, config.seed, consume)
+    draw_chunks(specs, config.samples, config.seed, consume, classes_only=True)
     rows = []
     for prefix, funcs, counts, law in (
         ("", pair_funcs, pair_counts, specs),

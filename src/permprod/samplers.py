@@ -3,22 +3,31 @@
 Four families, all invariant under relabeling of the ground set:
 
 * ``uniform``: the uniform law on the symmetric group;
-* ``ewens``: the theta-biased cycle measure, drawn by sequential
-  insertion (element i either opens a new cycle with probability
-  theta / (theta + i - 1) or is inserted after a uniformly chosen
-  earlier element);
-* ``sqrt_fixed``: a fixed count of fixed points plus one long cycle,
-  uniformly relabeled;
+* ``ewens``: the theta-biased cycle measure;
+* ``sqrt_fixed``: a fixed count of fixed points plus one long cycle;
 * ``matching_heavy``: a prescribed share of 2-cycles plus one long
-  cycle on the leftovers, uniformly relabeled.
+  cycle on the leftovers.
 
-The last two have deterministic cycle type, so relabeling uniformly is
-exactly the uniform law on that conjugacy class.
+Each law is its cycle-type law followed by a uniform relabeling, and one
+kernel draws them that way: it lays the cycles on consecutive blocks of
+positions and carries the blocks onto a uniform arrangement of the ground
+set. Ewens cycle types come from the Feller coupling (position j >= 1
+opens a block with probability theta / (theta + j)); the last two laws
+have one fixed cycle type. ``uniform`` is a plain shuffle.
+
+Every quantity the Monte Carlo reports is a class function of the
+product and of the first factor. For independent conjugation-invariant
+factors, replacing the first factor by any member of its class leaves
+the law of the product's class unchanged (the oracle's representative
+reduction), so consumers of class functions draw the first factor
+unrelabeled, on the identity arrangement. ``sample`` prints the factors
+themselves and draws every factor in full.
 
 Randomness comes from :class:`RngStream`, keyed by (seed, stream_id);
 identical keys reproduce identical draw sequences. The samplers draw
-batches: integer arrays with zero-based rows (row r maps x to
-``rows[r, x]``). :func:`perm_from_row` and :func:`row_from_perm` convert
+batches: int32 arrays with zero-based rows (row r maps x to
+``rows[r, x]``), which halves the memory traffic of int64 and holds any
+n below 2**31. :func:`perm_from_row` and :func:`row_from_perm` convert
 one row to and from a :class:`Permutation` in the package's one-based
 convention.
 """
@@ -49,6 +58,10 @@ __all__ = [
 ]
 
 _KINDS = ("uniform", "ewens", "sqrt_fixed", "matching_heavy")
+
+# Row entries are positions 0..n-1, so int32 rows hold every n up to _MAX_N.
+_ROW_DTYPE = np.int32
+_MAX_N = int(np.iinfo(_ROW_DTYPE).max)
 
 
 class RngStream:
@@ -170,7 +183,10 @@ class SamplerSpec:
             return f"sqrt_fixed({raw})"
         return f"matching_heavy({self.two_cycle_fraction})"
 
-    def draw_batch(self, rng: RngStream, size: int) -> np.ndarray:
+    def draw_batch(self, rng: RngStream, size: int, relabel: bool = True) -> np.ndarray:
+        """``size`` rows of this law, or with ``relabel=False`` only of its
+        cycle-type law, laid on the identity arrangement (``uniform`` rows
+        are always shuffled)."""
         if self.n is None:
             raise ValueError("bind n before drawing")
         if size < 1:
@@ -179,10 +195,10 @@ class SamplerSpec:
         if self.kind == "uniform":
             return uniform_rows(rng, size, n)
         if self.kind == "ewens":
-            return ewens_rows(rng, size, n, float(self.theta))
+            return ewens_rows(rng, size, n, float(self.theta), relabel)
         if self.kind == "sqrt_fixed":
-            return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count())
-        return matching_heavy_rows(rng, size, n, self.two_cycle_fraction)
+            return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count(), relabel)
+        return matching_heavy_rows(rng, size, n, self.two_cycle_fraction, relabel)
 
 
 def perm_from_row(row: np.ndarray) -> Permutation:
@@ -190,48 +206,74 @@ def perm_from_row(row: np.ndarray) -> Permutation:
 
 
 def row_from_perm(perm: Permutation) -> np.ndarray:
-    return np.asarray([x - 1 for x in perm.images], dtype=np.int64)
+    return np.asarray([x - 1 for x in perm.images], dtype=_ROW_DTYPE)
+
+
+def _shuffled(gen: np.random.Generator, size: int, n: int) -> np.ndarray:
+    # permuted shuffles int64 rows faster than int32 ones, with the same draws.
+    rows = np.tile(np.arange(n, dtype=np.int64), (size, 1))
+    return gen.permuted(rows, axis=1, out=rows).astype(_ROW_DTYPE)
+
+
+def _arranged(
+    gen: np.random.Generator, size: int, succ: np.ndarray, relabel: bool
+) -> np.ndarray:
+    """The kernel: rows whose cycles are the blocks of an arrangement.
+
+    ``succ[j]`` is the position after j in its block, wrapping from the
+    block's last position to its first; it is one (n,) base shared by
+    every row or one (size, n) array. Without ``relabel`` the rows are
+    ``succ`` itself, read-only, on the identity arrangement. With it,
+    each row draws a uniform arrangement arr and maps arr[j] to
+    arr[succ[j]], which is a uniform member of the row's conjugacy class.
+    """
+    n = succ.shape[-1]
+    if not relabel:
+        return np.broadcast_to(succ, (size, n))
+    arr = _shuffled(gen, size, n)
+    if succ.ndim == 1:
+        vals = np.take(arr, succ, axis=1)
+    else:
+        vals = np.take_along_axis(arr, succ, axis=1)
+    # rows[r, arr[r, j]] = vals[r, j], scattered through flat indices:
+    # faster than put_along_axis, most of all at large n.
+    flat_dtype = _ROW_DTYPE if size * n <= _MAX_N else np.int64
+    arr = arr + np.arange(0, size * n, n, dtype=flat_dtype)[:, None]
+    rows = np.empty((size, n), dtype=_ROW_DTYPE)
+    rows.reshape(-1)[arr] = vals
+    return rows
 
 
 def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = np.tile(np.arange(n, dtype=np.int64), (size, 1))
-    return rng.generator.permuted(base, axis=1)
+    return _shuffled(rng.generator, size, n)
 
 
-def ewens_rows(rng: RngStream, size: int, n: int, theta: float) -> np.ndarray:
-    """Sequential-insertion construction, vectorized across the batch.
+def ewens_rows(
+    rng: RngStream, size: int, n: int, theta: float, relabel: bool = True
+) -> np.ndarray:
+    """Blocks from the Feller coupling (Arratia, Barbour and Tavare 2003).
 
-    At step i (zero-based), draw u uniform on [0, theta + i): below
-    theta the element opens a new cycle, otherwise it is inserted after
-    existing element floor(u - theta).
+    Position j >= 1 opens a block with probability theta / (theta + j),
+    independently, and each block runs up to the next opening; the block
+    lengths have the Ewens(theta) cycle-type law.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if theta < 0:
         raise ValueError("theta must be non-negative")
     gen = rng.generator
-    sig = np.zeros((size, n), dtype=np.int64)
-    rows = np.arange(size)
-    for i in range(1, n):
-        u = gen.random(size) * (theta + i)
-        fresh = u < theta
-        old = ~fresh
-        sig[rows[fresh], i] = i
-        r = rows[old]
-        j = np.clip((u[old] - theta).astype(np.int64), 0, i - 1)
-        sig[r, i] = sig[r, j]
-        sig[r, j] = i
-    return sig
-
-
-def _conjugated_rows(rng: RngStream, size: int, base: np.ndarray) -> np.ndarray:
-    # Rows are t^-1 o base o t with t a fresh uniform permutation per row.
-    n = base.size
-    t = rng.generator.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1)
-    tinv = np.argsort(t, axis=1)
-    return np.take_along_axis(tinv, base[t], axis=1)
+    # Position 0 always opens (theta / (theta + 0) is 0/0 at theta = 0),
+    # and column n is a sentinel opening after each row's last block.
+    opens = np.ones((size, n + 1), dtype=bool)
+    opens[:, 1:n] = gen.random((size, n - 1)) < theta / (theta + np.arange(1, n))
+    r, c = np.nonzero(opens)
+    # Each real opening's next entry is its row's next opening or sentinel.
+    first = np.flatnonzero(c < n)
+    succ = np.tile(np.arange(1, n + 1, dtype=_ROW_DTYPE), (size, 1))
+    succ[r[first], c[first + 1] - 1] = c[first]
+    return _arranged(gen, size, succ, relabel)
 
 
 def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
@@ -239,19 +281,23 @@ def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
     # o -> o + 1 -> ... -> o + L - 1 -> o for the block of length L at o.
     lengths = np.asarray(cycle_type, dtype=np.int64)
     ends = np.cumsum(lengths)
-    base = np.arange(1, ends[-1] + 1, dtype=np.int64)
+    base = np.arange(1, ends[-1] + 1, dtype=_ROW_DTYPE)
     base[ends - 1] = ends - lengths
     return base
 
 
-def sqrt_fixed_rows(rng: RngStream, size: int, n: int, fixed_count: int) -> np.ndarray:
+def sqrt_fixed_rows(
+    rng: RngStream, size: int, n: int, fixed_count: int, relabel: bool = True
+) -> np.ndarray:
     spec = SamplerSpec("sqrt_fixed", n=n, fixed_count=fixed_count)
-    return _conjugated_rows(rng, size, _block_base(spec.fixed_cycle_type()))
+    return _arranged(rng.generator, size, _block_base(spec.fixed_cycle_type()), relabel)
 
 
-def matching_heavy_rows(rng: RngStream, size: int, n: int, fraction) -> np.ndarray:
+def matching_heavy_rows(
+    rng: RngStream, size: int, n: int, fraction, relabel: bool = True
+) -> np.ndarray:
     spec = SamplerSpec("matching_heavy", n=n, two_cycle_fraction=fraction)
-    return _conjugated_rows(rng, size, _block_base(spec.fixed_cycle_type()))
+    return _arranged(rng.generator, size, _block_base(spec.fixed_cycle_type()), relabel)
 
 
 def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -275,7 +321,7 @@ def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     size, n = rows.shape
-    idx = np.arange(n, dtype=np.int64)
+    idx = np.arange(n, dtype=rows.dtype)
     fixed = np.empty((size, kmax), dtype=np.int64)
     power = rows
     fixed[:, 0] = (power == idx).sum(axis=1)

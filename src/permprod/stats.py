@@ -239,6 +239,7 @@ def draw_chunks(
     seed: int,
     consume: Callable[[int, list[np.ndarray]], None],
     stream_base: int = 0,
+    classes_only: bool = False,
 ) -> None:
     """Draw ``samples`` rows of every factor, one chunk at a time.
 
@@ -247,6 +248,10 @@ def draw_chunks(
     chunk's factor rows go to ``consume(pos, factor_rows)``, where
     ``pos`` is the sample index of the chunk's first row. Only that call
     holds the rows, so each chunk is freed before the next one is drawn.
+
+    A consumer that reads only class functions (cycle counts) of the
+    product and of factor 0 passes ``classes_only``, and factor 0 is then
+    drawn unshuffled, as its class representative (see ``samplers``).
     """
     num = len(bound)
     chunk = _chunk_size(bound[0].n)
@@ -258,7 +263,11 @@ def draw_chunks(
         consume(
             pos,
             [
-                spec.draw_batch(RngStream(seed, stream_base + c * num + f), size)
+                spec.draw_batch(
+                    RngStream(seed, stream_base + c * num + f),
+                    size,
+                    relabel=f > 0 or not classes_only,
+                )
                 for f, spec in enumerate(bound)
             ],
         )
@@ -273,7 +282,7 @@ def _product_counts(
         counts = small_cycle_counts(product_rows(factor_rows), kmax)
         out[pos : pos + counts.shape[0]] = counts
 
-    draw_chunks(bound, samples, seed, consume, stream_base)
+    draw_chunks(bound, samples, seed, consume, stream_base, classes_only=True)
     return out
 
 

@@ -357,6 +357,23 @@ def test_main_moments_json(capsys):
     assert all(r["stderr"] > 0 for r in doc["rows"])
 
 
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("n", ["sample", "--n", str(2**31)]),
+        ("n_grid", ["convergence", "--n-grid", f"5, {2**31}", "--tv-orders", "1"]),
+    ],
+)
+def test_sizes_beyond_int32_rows_name_their_field(field, argv, capsys):
+    # Rejected while validating, so nothing of that size is allocated.
+    assert main(argv + ["--seed", "1", "--samplers", "uniform", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {field}: ")
+    ok = {"command": "sample", "seed": "1", "samplers": "uniform", "samples": "2"}
+    assert config_from_mapping({**ok, "n": str(2**31 - 1)}).n == 2**31 - 1
+
+
 def test_main_error_paths(tmp_path, capsys):
     assert main([]) == 2
     assert main(["exact", "--seed", "1", "--samplers", "uniform", "--n", "4", "--v-vec", "1"]) == 2

@@ -17,18 +17,18 @@ _CONFIGS = {
     "sample": (
         ["sample", "--seed", "3", "--samplers", "uniform, ewens:2", "--n", "6",
          "--samples", "5"],
-        "ff33cf11caa1cdced7e1cb6fae30a24524e1181c7c39b7dc9d1f4770b548dbac",
+        "44aaaa5304e64b4ab1194696237750112c7b62b851aedd2bc35692ca530f1cb6",
     ),
     "moments": (
         ["moments", "--seed", "3", "--samplers", "ewens:2, ewens:1/2", "--n", "50",
          "--functionals", "product:1, product:1*1, product:2", "--samples", "2000"],
-        "a6860c05339b7956eda8e1cac38a107771ceba74b9e0026a6a870548a8d75ad9",
+        "35a443658473cd2f4c87024ffb4d1e395d00f3c267b8c9ec01805c186e4e81fb",
     ),
     "convergence": (
         ["convergence", "--seed", "5", "--samplers", "ewens:2, uniform",
          "--n-grid", "64, 2048", "--functionals", "product:1, product:2",
          "--tv-orders", "2, 3", "--samples", "3000"],
-        "eecb3a6ca6f3b622e793c764eb7459e066246ad791e6e530b605ccfb728efd84",
+        "61b956169511757366811639e53150c3ac6892c46f98a3a0ec0135bae403ef55",
     ),
     "exact": (
         ["exact", "--seed", "0", "--samplers", "ewens:2, ewens:1/2", "--n", "5",
@@ -42,18 +42,18 @@ _CONFIGS = {
     "counterexample-ewens": (
         ["counterexample", "--seed", "7", "--samplers", "ewens:2, uniform",
          "--n", "2048", "--samples", "3000"],
-        "fa37e1391f6b706a0db03103d37111e1d354adface8cfd56df581568c41dbd13",
+        "aa25e49a91d710cdf0958a678fb101d3e72a000eeaa7661e7a95b94e346f814d",
     ),
     "counterexample-sqrt-fixed": (
         ["counterexample", "--seed", "7", "--samplers", "sqrt_fixed:sqrt, uniform",
          "--n", "2048", "--samples", "3000"],
-        "a6226bc9299f893aabde1f8e996589b3bb169c2ac39d75308a0d09b21e1807e2",
+        "f1d587f5730cbc0759c4d9add333a200c330c2d118519dc55e73c0f17e6599e3",
     ),
     "counterexample-matching-heavy": (
         ["counterexample", "--seed", "7",
          "--samplers", "matching_heavy:1/2, matching_heavy:1/3", "--n", "2048",
          "--samples", "3000"],
-        "d2380464699b9f3d4cbd8c3341cbf4276f91a6e7ad7197be73bf93edb9b9f160",
+        "50500c1e0365832d42f29c886ffee76341ad00a2e11ae3c9fe6194d09969d32c",
     ),
 }
 

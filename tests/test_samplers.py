@@ -6,6 +6,7 @@ practice while still catching a wrong sampler.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -52,13 +53,31 @@ def test_uniform_rows_are_valid(n, seed):
 
 
 @given(
-    st.integers(min_value=2, max_value=20),
-    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]),
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]),
+    st.booleans(),
 )
-@settings(max_examples=20)
-def test_ewens_rows_are_valid(n, theta):
-    rows = ewens_rows(RngStream(5, 1), 16, n, float(theta))
+@settings(max_examples=30)
+def test_ewens_rows_are_valid(n, theta, relabel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = ewens_rows(RngStream(5, 1), 16, n, float(theta), relabel)
+    assert rows.shape == (16, n)
     assert rows_are_permutations(rows, n)
+
+
+def test_representatives_lay_cycles_on_consecutive_blocks():
+    # Unshuffled rows map each point to the next one of its block.
+    for rows in (
+        ewens_rows(RngStream(2, 0), 50, 9, 2.0, relabel=False),
+        sqrt_fixed_rows(RngStream(2, 0), 50, 9, 3, relabel=False),
+        matching_heavy_rows(RngStream(2, 0), 50, 9, Fraction(1, 3), relabel=False),
+    ):
+        assert rows_are_permutations(rows, 9)
+        step = rows != np.arange(1, 10)
+        assert np.all(rows[step] <= np.nonzero(step)[1])
+    fixed = sqrt_fixed_rows(RngStream(2, 0), 4, 9, 3, relabel=False)
+    assert np.array_equal(fixed, np.tile([0, 1, 2, 4, 5, 6, 7, 8, 3], (4, 1)))
 
 
 def test_uniform_frequencies_at_n3():
@@ -230,6 +249,7 @@ def test_small_cycle_counts_match_brute_force(n, kmax):
     rows = uniform_rows(RngStream(13, n), 6, n)
     table = small_cycle_counts(rows, kmax)
     assert table.shape == (6, kmax)
+    assert np.array_equal(small_cycle_counts(rows.astype(np.int64), kmax), table)
     for i, row in enumerate(rows):
         counts = cycle_counts(perm_from_row(row))
         for k in range(1, kmax + 1):
@@ -239,3 +259,4 @@ def test_small_cycle_counts_match_brute_force(n, kmax):
 def test_row_perm_round_trip():
     p = Permutation.from_cycles(5, [(1, 5, 2)])
     assert perm_from_row(row_from_perm(p)) == p
+    assert row_from_perm(p).dtype == uniform_rows(RngStream(0, 0), 1, 5).dtype == np.int32

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 from fractions import Fraction
@@ -6,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permprod.oracle import ExactDistribution, exact_moment
-from permprod.samplers import SamplerSpec
+from permprod.cli import _exact_law, main, sampler_from_text
+from permprod.oracle import ExactDistribution, exact_moment, product_type_distribution
+from permprod.samplers import SamplerSpec, product_rows, small_cycle_counts
 from permprod.stats import (
     Functional,
     JointPmf,
     convergence_scan,
+    draw_chunks,
     empirical_joint_pmf,
     eta_joint_pmf,
     moment_estimates,
@@ -272,3 +275,42 @@ def test_stream_ids_stay_inside_the_grid_stride(monkeypatch):
         sample_joint_counts(UNIFORM2, 2, 500, seed=1, n=8)
     monkeypatch.setattr("permprod.stats._GRID_STRIDE", 2)
     assert sample_joint_counts(UNIFORM2, 2, 500, seed=1, n=8).shape == (500, 2)
+
+
+def test_first_factor_representative_keeps_product_class_law(tmp_path):
+    # Class-function consumers draw factor 0 unshuffled: the product's
+    # cycle-type law must still be the exact one, within 4 sigma per type.
+    n, m = 5, 40000
+    for pair in (
+        ("ewens:2", "ewens:1/2"),
+        ("sqrt_fixed:1", "uniform"),
+        # matching_heavy:2/5 has no cycle type at n = 5 (a lone leftover point)
+        ("matching_heavy:1/5", "ewens:2"),
+    ):
+        bound = [sampler_from_text(text).bind(n=n) for text in pair]
+        counts = np.empty((m, n), dtype=np.int64)
+
+        def consume(pos, factor_rows):
+            counts[pos : pos + factor_rows[0].shape[0]] = small_cycle_counts(
+                product_rows(factor_rows), n
+            )
+
+        draw_chunks(bound, m, 21, consume, classes_only=True)
+        seen = {
+            tuple(d for d in range(n, 0, -1) for _ in range(row[d - 1])): count
+            for row, count in zip(*np.unique(counts, axis=0, return_counts=True))
+        }
+        law = dict(product_type_distribution(*(_exact_law(s) for s in bound)))
+        assert set(seen) <= set(law), pair
+        for part, prob in law.items():
+            p = float(prob)
+            assert abs(seen.get(part, 0) - m * p) < 4 * math.sqrt(m * p * (1 - p)), (pair, part)
+    # sample prints factors, so its first factor stays a full relabeled draw:
+    # its fixed points spread over every position
+    out = tmp_path / "sample.csv"
+    argv = ["sample", "--seed", "17", "--samplers", "sqrt_fixed:2, uniform", "--n", "6"]
+    assert main(argv + ["--samples", "4000", "--output", str(out)]) == 0
+    lines = (ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
+    factor1 = np.array([row["factor1"].split() for row in csv.DictReader(lines)], dtype=int)
+    fixed_freq = (factor1 == np.arange(1, 7)).mean(axis=0)
+    assert np.all(fixed_freq > 0.2) and np.all(fixed_freq < 0.5)
