@@ -5,7 +5,10 @@ For each n it times one chunk (the rows ``draw_chunks`` draws at once):
 every sampler law, both as full relabeled draws and as the class
 representatives that class-function consumers draw for factor 0; the
 product of two factors; and small-cycle counting of that product for
-k = 1, 3 and 6. Times are wall-clock milliseconds from time.perf_counter.
+k = 1, 3 and 6. Then it times the exact oracle: one
+``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
+16, with its caches cleared first, as in a fresh ``permprod exact``
+process. Times are wall-clock milliseconds from time.perf_counter.
 
     PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096]
 """
@@ -15,13 +18,22 @@ import os
 import sys
 import time
 
+from fractions import Fraction
+
 import numpy as np
 
 from permprod.cli import sampler_from_text
+from permprod.oracle import (
+    ExactDistribution,
+    _character_table,
+    _mn_character,
+    product_type_distribution,
+)
 from permprod.samplers import RngStream, product_rows, small_cycle_counts
 from permprod.stats import _chunk_size
 
 LAWS = ("uniform", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/3")
+ORACLE_SIZES = (8, 12, 16)
 
 
 def best_ms(fn, repeat: int) -> float:
@@ -57,6 +69,16 @@ def main(argv=None) -> int:
         for k in (1, 3, 6):
             ms = best_ms(lambda: small_cycle_counts(prod, k), args.repeat)
             print(f"  {f'small_cycle_counts {k}':<20} {ms:8.2f}")
+    print("oracle: product_type_distribution(ewens:2, ewens:1/2), cold caches, ms")
+    for n in ORACLE_SIZES:
+        laws = (ExactDistribution.ewens(n, 2), ExactDistribution.ewens(n, Fraction(1, 2)))
+
+        def cold_law():
+            for cached in (product_type_distribution, _character_table, _mn_character):
+                cached.cache_clear()
+            product_type_distribution(*laws)
+
+        print(f"  n = {n:<16} {best_ms(cold_law, args.repeat):8.2f}")
     return 0
 
 

@@ -24,7 +24,6 @@ from permprod.cyclegraphs import (
 )
 from permprod.oracle import (
     ExactDistribution,
-    exact_graph_prob,
     exact_joint_cycle_prob,
     exact_moment,
     verify_bounds,
@@ -79,7 +78,6 @@ __all__ = [
     "ExactDistribution",
     "exact_moment",
     "exact_joint_cycle_prob",
-    "exact_graph_prob",
     "verify_bounds",
     "JointPmf",
     "MomentEstimate",

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from permprod.oracle import (
-    _ENUM_MAX_N,
+    _EXACT_MAX_N,
     ExactDistribution,
     exact_joint_cycle_prob,
     exact_moment,
@@ -192,14 +192,19 @@ class ExperimentConfig:
                     spec.bind(n=size).fixed_cycle_type()
                 except ValueError as exc:
                     raise ConfigError(f"samplers: {exc}") from None
-        if self.command in ("exact", "counterexample") and len(self.samplers) != 2:
+        if self.command == "counterexample" and len(self.samplers) != 2:
             raise ConfigError(
-                f"samplers: command {self.command} needs exactly 2 samplers, "
+                "samplers: command counterexample needs exactly 2 samplers, "
                 f"got {len(self.samplers)}"
             )
         if self.command == "exact":
-            if self.n > _ENUM_MAX_N:
-                raise ConfigError(f"n: exact enumeration caps at {_ENUM_MAX_N}")
+            if len(self.samplers) < 2:
+                raise ConfigError(
+                    "samplers: command exact needs at least 2 samplers, "
+                    f"got {len(self.samplers)}"
+                )
+            if self.n > _EXACT_MAX_N:
+                raise ConfigError(f"n: exact caps at {_EXACT_MAX_N}")
             if len(self.v_vec) > self.n:
                 raise ConfigError("v_vec: more start indices than ground-set elements")
         if self.command == "convergence" and not self.functionals and not self.tv_orders:
@@ -488,11 +493,11 @@ def _run_convergence(config: ExperimentConfig):
 
 
 def _run_exact(config: ExperimentConfig):
-    law1, law2 = (_exact_law(s.bind(n=config.n)) for s in config.samplers)
+    laws = [_exact_law(s.bind(n=config.n)) for s in config.samplers]
     v = tuple(config.v_vec)
     label = "*".join(str(x) for x in v)
-    moment = exact_moment(law1, law2, v)
-    joint = exact_joint_cycle_prob(law1, law2, v)
+    moment = exact_moment(laws, v)
+    joint = exact_joint_cycle_prob(laws, v)
     scaled = Fraction(config.n) ** len(v) * joint
     rows = []
     for quantity, value in (

@@ -1,72 +1,60 @@
 """Exact distribution calculations over small symmetric groups.
 
-Everything here is rational arithmetic via ``fractions.Fraction``;
-nothing samples. Distributions are required to be constant on conjugacy
-classes, which is what makes the calculations tractable: expectations of
-class functions only need the cycle-type distribution, and probabilities
-involving distinguished indices reduce to type-level counting because a
-conjugation-invariant law is exchangeable over the ground set.
+Everything here is exact arithmetic with integers and
+``fractions.Fraction``; nothing samples. Distributions are required to
+be constant on conjugacy classes, which is what makes the calculations
+tractable: expectations of class functions only need the cycle-type
+distribution, and probabilities involving distinguished indices reduce
+to type-level counting because a conjugation-invariant law is
+exchangeable over the ground set.
 
-The pair computations use a representative reduction. For independent
-conjugation-invariant factors, the inner sum over the second factor is
-unchanged when the first factor is replaced by any member of its
-conjugacy class, so one representative per cycle type of the first
-factor suffices and the cost drops from (n!)^2 to p(n) * n!. The
-unreduced double enumeration is also provided so tests can confirm the
-reduction instead of trusting it.
+The law of a product of independent invariant factors sigma_1..sigma_F
+comes from the characters of S_n (Diaconis and Shahshahani 1981; Sagan,
+*The Symmetric Group*, section 4.10). For a cycle type nu,
+
+    P(sigma_1 ... sigma_F in C_nu) = |C_nu| / n!
+        * sum over lambda of prod_f E chi_lambda(sigma_f)
+          * chi_lambda(nu) / chi_lambda(1)^(F-1),
+
+where lambda runs over the partitions of n and E chi_lambda(sigma_f) =
+sum over mu of P_f(mu) chi_lambda(mu) reads the factor's class
+probabilities. The characters come from the Murnaghan-Nakayama rule on
+beta-sets (Stanley, *Enumerative Combinatorics 2*, section 7.17) in
+integer arithmetic. The cost is that of the p(n) x p(n) character
+table, not of n!, so the product law reaches n = 16 where enumerating
+S_n stops at 8. The tests check it against brute-force enumeration.
+
+The membership probabilities of a single law (``exact_graph_prob`` and
+``verify_bounds``) still enumerate S_n, up to n = 8.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from permprod.cyclegraphs import (
-    DirectedGraph,
-    GraphClass,
-    canonical_class,
-    graphs_from_traversal,
-    is_T_class,
-    profile,
-    union_graphs,
-)
-from permprod.perms import (
-    Permutation,
-    all_permutations,
-    cycle_type,
-    inverse,
-)
+from permprod.cyclegraphs import DirectedGraph, is_T_class, profile
+from permprod.perms import all_permutations, cycle_type
 
 __all__ = [
     "ExactDistribution",
     "BoundCheck",
-    "partitions",
-    "class_size",
-    "representative",
-    "ewens_weight",
-    "rising_factorial",
-    "product_type_distribution",
     "exact_moment",
     "exact_joint_cycle_prob",
-    "exact_graph_prob",
     "verify_bounds",
     "prefix_fixed_prob",
     "ewens_prefix_fixed_prob",
-    "index_cycle_length_prob",
-    "expect_cycle_product",
-    "permutation_weights",
-    "pair_expectation_direct",
-    "conjugation_average",
-    "class_tuple_pmf",
-    "union_pair_pmf",
 ]
 
 # Full enumeration of one symmetric group; 8! is the practical ceiling.
 _ENUM_MAX_N = 8
+# Largest n for the product law by characters: the table of S_16 has
+# 231 x 231 entries and takes well under a second; S_20 (627 x 627)
+# takes several.
+_EXACT_MAX_N = 16
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -102,20 +90,6 @@ def class_size(partition: Sequence[int], n: int) -> int:
     return math.factorial(n) // z
 
 
-def representative(partition: Sequence[int], n: int | None = None) -> Permutation:
-    """One permutation of the given cycle type, cycles on consecutive blocks."""
-    total = sum(partition)
-    n = total if n is None else n
-    if n != total:
-        raise ValueError(f"partition {partition!r} does not sum to {n}")
-    cycles = []
-    start = 1
-    for length in partition:
-        cycles.append(list(range(start, start + length)))
-        start += length
-    return Permutation.from_cycles(n, cycles)
-
-
 def rising_factorial(theta: Fraction, n: int) -> Fraction:
     out = Fraction(1)
     for i in range(n):
@@ -131,21 +105,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise ValueError(f"expected an exact rational, got {value!r}")
-
-
-def ewens_weight(sigma: Permutation, theta) -> Fraction:
-    """Probability of one permutation under the theta-biased cycle measure,
-    theta^(number of cycles) over the rising factorial theta(theta+1)...(theta+n-1)."""
-    theta = _as_fraction(theta)
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    if theta == 0:
-        raise ValueError(
-            "theta = 0 is degenerate; use ExactDistribution.ewens(n, 0), "
-            "which is the uniform single-cycle law"
-        )
-    num_cycles = len(cycle_type(sigma))
-    return theta**num_cycles / rising_factorial(theta, sigma.n)
 
 
 @dataclass(frozen=True)
@@ -231,55 +190,92 @@ def _perm_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(rows)
 
 
-def _type_of_images(images: Sequence[int]) -> tuple[int, ...]:
-    n = len(images)
-    seen = bytearray(n)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
+@lru_cache(maxsize=None)
+def _mn_character(beta: int, mu: tuple[int, ...]) -> int:
+    # chi_lambda(mu) by the Murnaghan-Nakayama rule. ``beta`` is the bit
+    # set of lambda's beta-set {lambda_i + l - i}. A bead at 0 is a zero
+    # part; it is dropped and the rest shifted down, so each partition
+    # has one key. Removing a rim hook of length r moves a bead from b
+    # down to an empty b - r, with sign -1 to the number of beads
+    # strictly between.
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    total = 0
+    tops = beta >> r
+    while tops:
+        low = tops.bit_length() - 1
+        tops ^= 1 << low
+        high = low + r
+        if beta >> low & 1:
             continue
-        length = 0
-        x = start
-        while not seen[x - 1]:
-            seen[x - 1] = 1
-            length += 1
-            x = images[x - 1]
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
+        moved = beta ^ (1 << high) ^ (1 << low)
+        while moved & 1:
+            moved >>= 1
+        value = _mn_character(moved, rest)
+        between = (beta >> (low + 1)).bit_count() - (beta >> high).bit_count()
+        total += -value if between & 1 else value
+    return total
+
+
+@lru_cache(maxsize=None)
+def _character_table(
+    n: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The partitions of n and the rows chi_lambda(mu), both in the order
+    of :func:`partitions`; rows are indexed by lambda, columns by mu."""
+    parts = tuple(partitions(n))
+    rows = []
+    for lam in parts:
+        top = len(lam) - 1
+        beta = sum(1 << (part + top - i) for i, part in enumerate(lam))
+        rows.append(tuple(_mn_character(beta, mu) for mu in parts))
+    return parts, tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def product_type_distribution(
-    d1: ExactDistribution, d2: ExactDistribution
+    *laws: ExactDistribution,
 ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Exact cycle-type law of the product ``sigma o rho``.
+    """Exact cycle-type law of the product of independent factors with
+    the given laws, as sorted (type, probability) pairs without the
+    zero-mass types.
 
-    Reduction: for each cycle type of the first factor, one class
-    representative stands in for the whole class because the second
-    factor's law is conjugation invariant. So ``inverse(sigma) o rho``
-    has this law too: inversion keeps sigma's cycle type.
+    Uses the character formula of the module docstring. Each law's class
+    probabilities are scaled to integers by their common denominator,
+    and n! / chi_lambda(1) is an integer, so the sums stay in integers
+    and only the final quotient is a Fraction. The order of the factors
+    does not matter: the law of a product's class is the same for every
+    order of invariant factors.
     """
-    if d1.n != d2.n:
-        raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
-    n = d1.n
-    table = _perm_table(n)
-    w2 = {p: d2.perm_weight(p) for p, _ in d2.class_probs}
-    out: dict[tuple[int, ...], Fraction] = {}
-    for lam, prob1 in d1.class_probs:
-        if prob1 == 0:
-            continue
-        base_images = representative(lam).images
-        counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for rho_images, rho_type in table:
-            if w2.get(rho_type, 0) == 0:
-                continue
-            prod = tuple(base_images[x - 1] for x in rho_images)
-            key = (rho_type, _type_of_images(prod))
-            counts[key] = counts.get(key, 0) + 1
-        for (rho_type, mu), cnt in counts.items():
-            out[mu] = out.get(mu, Fraction(0)) + prob1 * w2[rho_type] * cnt
-    return tuple(sorted(out.items()))
+    if not laws:
+        raise ValueError("a product needs at least one factor")
+    n = laws[0].n
+    for d in laws[1:]:
+        if d.n != n:
+            raise ValueError(f"size mismatch: {n} vs {d.n}")
+    parts, table = _character_table(n)
+    column = {mu: j for j, mu in enumerate(parts)}
+    identity = column[(1,) * n]
+    fact = math.factorial(n)
+    denom = fact ** len(laws)
+    weights = [(fact // row[identity]) ** (len(laws) - 1) for row in table]
+    for d in laws:
+        scale = math.lcm(*(prob.denominator for _, prob in d.class_probs))
+        denom *= scale
+        mass = [
+            (column[mu], prob.numerator * (scale // prob.denominator))
+            for mu, prob in d.class_probs
+            if prob
+        ]
+        for i, row in enumerate(table):
+            weights[i] *= sum(m * row[j] for j, m in mass)
+    out = []
+    for j, nu in enumerate(parts):
+        total = sum(w * row[j] for w, row in zip(weights, table) if w)
+        if total:
+            out.append((nu, Fraction(class_size(nu, n) * total, denom)))
+    return tuple(sorted(out))
 
 
 def _count_product(partition: tuple[int, ...], v_vec: Sequence[int]) -> int:
@@ -291,16 +287,15 @@ def _count_product(partition: tuple[int, ...], v_vec: Sequence[int]) -> int:
 
 
 def exact_moment(
-    d1: ExactDistribution,
-    d2: ExactDistribution,
-    v_vec: Sequence[int],
+    laws: Sequence[ExactDistribution], v_vec: Sequence[int]
 ) -> Fraction:
     """E of the product over v_vec of the number of v-cycles of the product
-    permutation. Repeats in v_vec multiply the same count again, so
-    ``v_vec = (1, 1)`` gives the second moment of the fixed-point count."""
+    of independent factors with the given laws. Repeats in v_vec multiply
+    the same count again, so ``v_vec = (1, 1)`` gives the second moment of
+    the fixed-point count."""
     if not v_vec or any(v < 1 for v in v_vec):
         raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
-    dist = product_type_distribution(d1, d2)
+    dist = product_type_distribution(*laws)
     return sum(
         (prob * _count_product(mu, v_vec) for mu, prob in dist), Fraction(0)
     )
@@ -329,20 +324,21 @@ def _fixed_index_prob(
 
 
 def exact_joint_cycle_prob(
-    d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
+    laws: Sequence[ExactDistribution], v_vec: Sequence[int]
 ) -> Fraction:
-    """P(the cycle of the product ``sigma o rho`` through index i has
-    length v_i for every i = 1..k), computed from its cycle-type law.
+    """P(the cycle of the product of independent factors with the given
+    laws through index i has length v_i for every i = 1..k), computed
+    from its cycle-type law.
 
-    Valid because both factor laws are conjugation invariant, which makes
+    Valid because every factor law is conjugation invariant, which makes
     the product law exchangeable over index positions.
     """
     if not v_vec or any(v < 1 for v in v_vec):
         raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
-    if len(v_vec) > d1.n:
+    dist = product_type_distribution(*laws)
+    n = laws[0].n
+    if len(v_vec) > n:
         raise ValueError(f"more start indices than ground-set elements: {v_vec!r}")
-    dist = product_type_distribution(d1, d2)
-    n = d1.n
     return sum(
         (prob * _fixed_index_prob(mu, v_vec, n) for mu, prob in dist), Fraction(0)
     )
@@ -412,15 +408,6 @@ def index_cycle_length_prob(d: ExactDistribution, length: int) -> Fraction:
         if mult:
             total += prob * Fraction(length * mult, d.n)
     return total
-
-
-def expect_cycle_product(d: ExactDistribution, v_vec: Sequence[int]) -> Fraction:
-    """E of the product over v_vec of the number of v-cycles, single law."""
-    if not v_vec or any(v < 1 for v in v_vec):
-        raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
-    return sum(
-        (prob * _count_product(p, v_vec) for p, prob in d.class_probs), Fraction(0)
-    )
 
 
 @dataclass
@@ -541,142 +528,3 @@ def verify_bounds(d: ExactDistribution, g: DirectedGraph) -> list[BoundCheck]:
         )
     return checks
 
-
-def permutation_weights(d: ExactDistribution) -> dict[Permutation, Fraction]:
-    """The full pmf as a dictionary, for unreduced double enumerations."""
-    out: dict[Permutation, Fraction] = {}
-    for images, ptype in _perm_table(d.n):
-        w = d.perm_weight(ptype)
-        if w:
-            out[Permutation(images)] = w
-    return out
-
-
-def pair_expectation_direct(
-    w1: Mapping[Permutation, Fraction],
-    w2: Mapping[Permutation, Fraction],
-    fn: Callable[[Permutation, Permutation], object],
-) -> Fraction:
-    """Unreduced expectation over independent factors with explicit pmfs.
-
-    Exists so the representative reduction can be validated against the
-    straight double sum; pmfs need not be conjugation invariant here.
-    """
-    total = Fraction(0)
-    for sigma, p1 in w1.items():
-        if p1 == 0:
-            continue
-        for rho, p2 in w2.items():
-            if p2 == 0:
-                continue
-            total += p1 * p2 * _as_fraction_or_int(fn(sigma, rho))
-    return total
-
-
-def _as_fraction_or_int(value) -> Fraction:
-    if isinstance(value, bool):
-        return Fraction(1 if value else 0)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    raise ValueError(f"expected an exact value, got {value!r}")
-
-
-def conjugation_average(
-    weights: Mapping[Permutation, Fraction]
-) -> dict[Permutation, Fraction]:
-    """The law of t^-1 sigma t with t uniform and independent of sigma.
-
-    Fixed point of this map is exactly conjugation invariance; applying
-    it to an arbitrary pmf produces the invariant version.
-    """
-    perms = [Permutation(images) for images, _ in _perm_table(_n_of(weights))]
-    fact = len(perms)
-    out: dict[Permutation, Fraction] = {}
-    from permprod.perms import conjugate
-
-    for sigma, w in weights.items():
-        if w == 0:
-            continue
-        share = w / fact
-        for t in perms:
-            moved = conjugate(sigma, t)
-            out[moved] = out.get(moved, Fraction(0)) + share
-    return out
-
-
-def _n_of(weights: Mapping[Permutation, Fraction]) -> int:
-    for sigma in weights:
-        return sigma.n
-    raise ValueError("empty pmf")
-
-
-def class_tuple_pmf(
-    d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
-) -> dict[tuple[GraphClass, ...], Fraction]:
-    """Exact law of the tuple of per-index graph classes over starts 1..k,
-    restricted to pairs whose traversal cycle lengths match v_vec.
-
-    Full unreduced enumeration; practical for n <= 5.
-    """
-    n = d1.n
-    if n != d2.n:
-        raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
-    k = len(v_vec)
-    w1 = permutation_weights(d1)
-    w2 = permutation_weights(d2)
-    out: dict[tuple[GraphClass, ...], Fraction] = {}
-    for sigma, p1 in w1.items():
-        for rho, p2 in w2.items():
-            entry: list[GraphClass] = []
-            ok = True
-            for m in range(1, k + 1):
-                g1, g2 = graphs_from_traversal(sigma, rho, m)
-                if len(g2.edges) != v_vec[m - 1]:
-                    ok = False
-                    break
-                entry.append(canonical_class(g1))
-                entry.append(canonical_class(g2))
-            if ok:
-                key = tuple(entry)
-                out[key] = out.get(key, Fraction(0)) + p1 * p2
-    return out
-
-
-def union_pair_pmf(
-    d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
-) -> dict[tuple[GraphClass, GraphClass], Fraction]:
-    """Exact law of the pair of union-graph classes over starts 1..k,
-    restricted to pairs whose traversal cycle lengths match v_vec.
-
-    Full unreduced enumeration; practical for n <= 5.
-    """
-    n = d1.n
-    if n != d2.n:
-        raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
-    k = len(v_vec)
-    starts = tuple(range(1, k + 1))
-    w1 = permutation_weights(d1)
-    w2 = permutation_weights(d2)
-    out: dict[tuple[GraphClass, GraphClass], Fraction] = {}
-    sinv_cache: dict[Permutation, Permutation] = {}
-    for sigma, p1 in w1.items():
-        sinv = sinv_cache.setdefault(sigma, inverse(sigma))
-        for rho, p2 in w2.items():
-            lengths_ok = True
-            for m in starts:
-                length = 1
-                x = sinv(rho(m))
-                while x != m:
-                    length += 1
-                    x = sinv(rho(x))
-                if length != v_vec[m - 1]:
-                    lengths_ok = False
-                    break
-            if not lengths_ok:
-                continue
-            u1, u2 = union_graphs(sigma, rho, starts)
-            key = (canonical_class(u1), canonical_class(u2))
-            out[key] = out.get(key, Fraction(0)) + p1 * p2
-    return out

@@ -1,0 +1,250 @@
+"""Brute-force references for the oracle's reductions.
+
+Each function here is an unreduced sum over all of S_n (or S_n x S_n)
+with exact ``Fraction`` weights. They exist so that tests can check the
+oracle's class-level formulas against straight enumeration instead of
+trusting them, and they are practical only for n <= 7. Only ``perms``,
+``cyclegraphs`` and the ``ExactDistribution`` type are used, so nothing
+here leans on the code it checks.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence
+
+from permprod.cyclegraphs import (
+    GraphClass,
+    canonical_class,
+    graphs_from_traversal,
+    union_graphs,
+)
+from permprod.oracle import ExactDistribution
+from permprod.perms import (
+    Permutation,
+    all_permutations,
+    conjugate,
+    cycle_type,
+    inverse,
+)
+
+
+@lru_cache(maxsize=None)
+def _perm_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    # (images, cycle type) for every permutation of {1..n}.
+    return tuple((perm.images, cycle_type(perm)) for perm in all_permutations(n))
+
+
+def representative(partition: Sequence[int]) -> Permutation:
+    """One permutation of the given cycle type, cycles on consecutive blocks."""
+    cycles = []
+    start = 1
+    for length in partition:
+        cycles.append(list(range(start, start + length)))
+        start += length
+    return Permutation.from_cycles(sum(partition), cycles)
+
+
+def ewens_weight(sigma: Permutation, theta) -> Fraction:
+    """Probability of one permutation under the theta-biased cycle measure,
+    theta^(number of cycles) over the rising factorial theta(theta+1)...(theta+n-1)."""
+    theta = Fraction(theta)
+    if theta < 0:
+        raise ValueError("theta must be non-negative")
+    if theta == 0:
+        raise ValueError(
+            "theta = 0 is degenerate; use ExactDistribution.ewens(n, 0), "
+            "which is the uniform single-cycle law"
+        )
+    rising = math.prod(theta + i for i in range(sigma.n))
+    return theta ** len(cycle_type(sigma)) / rising
+
+
+def _type_of_images(images: Sequence[int]) -> tuple[int, ...]:
+    n = len(images)
+    seen = bytearray(n)
+    lengths = []
+    for start in range(1, n + 1):
+        if seen[start - 1]:
+            continue
+        length = 0
+        x = start
+        while not seen[x - 1]:
+            seen[x - 1] = 1
+            length += 1
+            x = images[x - 1]
+        lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
+
+
+@lru_cache(maxsize=None)
+def product_type_distribution(
+    d1: ExactDistribution, d2: ExactDistribution
+) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """Exact cycle-type law of the product ``sigma o rho``, by enumeration.
+
+    For each cycle type of the first factor, one class representative
+    stands in for the whole class, because the second factor's law is
+    conjugation invariant; the second factor runs over all of S_n. Same
+    return shape as the oracle's: sorted (type, probability) pairs with
+    zero-mass types left out.
+    """
+    if d1.n != d2.n:
+        raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
+    table = _perm_table(d1.n)
+    w2 = {p: d2.perm_weight(p) for p, _ in d2.class_probs}
+    out: dict[tuple[int, ...], Fraction] = {}
+    for lam, prob1 in d1.class_probs:
+        if prob1 == 0:
+            continue
+        base_images = representative(lam).images
+        counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for rho_images, rho_type in table:
+            if w2.get(rho_type, 0) == 0:
+                continue
+            prod = tuple(base_images[x - 1] for x in rho_images)
+            key = (rho_type, _type_of_images(prod))
+            counts[key] = counts.get(key, 0) + 1
+        for (rho_type, mu), cnt in counts.items():
+            out[mu] = out.get(mu, Fraction(0)) + prob1 * w2[rho_type] * cnt
+    return tuple(sorted(out.items()))
+
+
+def expect_cycle_product(d: ExactDistribution, v_vec: Sequence[int]) -> Fraction:
+    """E of the product over v_vec of the number of v-cycles, single law."""
+    if not v_vec or any(v < 1 for v in v_vec):
+        raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
+    return sum(
+        (prob * math.prod(p.count(v) for v in v_vec) for p, prob in d.class_probs),
+        Fraction(0),
+    )
+
+
+def permutation_weights(d: ExactDistribution) -> dict[Permutation, Fraction]:
+    """The full pmf as a dictionary, for unreduced double enumerations."""
+    out: dict[Permutation, Fraction] = {}
+    for images, ptype in _perm_table(d.n):
+        w = d.perm_weight(ptype)
+        if w:
+            out[Permutation(images)] = w
+    return out
+
+
+def pair_expectation_direct(
+    w1: Mapping[Permutation, Fraction],
+    w2: Mapping[Permutation, Fraction],
+    fn: Callable[[Permutation, Permutation], object],
+) -> Fraction:
+    """Unreduced expectation over independent factors with explicit pmfs.
+
+    The pmfs need not be conjugation invariant here.
+    """
+    total = Fraction(0)
+    for sigma, p1 in w1.items():
+        if p1 == 0:
+            continue
+        for rho, p2 in w2.items():
+            if p2 == 0:
+                continue
+            total += p1 * p2 * _as_fraction_or_int(fn(sigma, rho))
+    return total
+
+
+def _as_fraction_or_int(value) -> Fraction:
+    if isinstance(value, bool):
+        return Fraction(1 if value else 0)
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    raise ValueError(f"expected an exact value, got {value!r}")
+
+
+def conjugation_average(
+    weights: Mapping[Permutation, Fraction]
+) -> dict[Permutation, Fraction]:
+    """The law of t^-1 sigma t with t uniform and independent of sigma.
+
+    Fixed point of this map is exactly conjugation invariance; applying
+    it to an arbitrary pmf produces the invariant version.
+    """
+    n = next(iter(weights)).n
+    perms = [Permutation(images) for images, _ in _perm_table(n)]
+    out: dict[Permutation, Fraction] = {}
+    for sigma, w in weights.items():
+        if w == 0:
+            continue
+        share = w / len(perms)
+        for t in perms:
+            moved = conjugate(sigma, t)
+            out[moved] = out.get(moved, Fraction(0)) + share
+    return out
+
+
+def class_tuple_pmf(
+    d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
+) -> dict[tuple[GraphClass, ...], Fraction]:
+    """Exact law of the tuple of per-index graph classes over starts 1..k,
+    restricted to pairs whose traversal cycle lengths match v_vec.
+
+    Full unreduced enumeration; practical for n <= 5.
+    """
+    if d1.n != d2.n:
+        raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
+    k = len(v_vec)
+    w1 = permutation_weights(d1)
+    w2 = permutation_weights(d2)
+    out: dict[tuple[GraphClass, ...], Fraction] = {}
+    for sigma, p1 in w1.items():
+        for rho, p2 in w2.items():
+            entry: list[GraphClass] = []
+            ok = True
+            for m in range(1, k + 1):
+                g1, g2 = graphs_from_traversal(sigma, rho, m)
+                if len(g2.edges) != v_vec[m - 1]:
+                    ok = False
+                    break
+                entry.append(canonical_class(g1))
+                entry.append(canonical_class(g2))
+            if ok:
+                key = tuple(entry)
+                out[key] = out.get(key, Fraction(0)) + p1 * p2
+    return out
+
+
+def union_pair_pmf(
+    d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
+) -> dict[tuple[GraphClass, GraphClass], Fraction]:
+    """Exact law of the pair of union-graph classes over starts 1..k,
+    restricted to pairs whose traversal cycle lengths match v_vec.
+
+    Full unreduced enumeration; practical for n <= 5.
+    """
+    if d1.n != d2.n:
+        raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
+    starts = tuple(range(1, len(v_vec) + 1))
+    w1 = permutation_weights(d1)
+    w2 = permutation_weights(d2)
+    out: dict[tuple[GraphClass, GraphClass], Fraction] = {}
+    for sigma, p1 in w1.items():
+        sinv = inverse(sigma)
+        for rho, p2 in w2.items():
+            lengths_ok = True
+            for m in starts:
+                length = 1
+                x = sinv(rho(m))
+                while x != m:
+                    length += 1
+                    x = sinv(rho(x))
+                if length != v_vec[m - 1]:
+                    lengths_ok = False
+                    break
+            if not lengths_ok:
+                continue
+            u1, u2 = union_graphs(sigma, rho, starts)
+            key = (canonical_class(u1), canonical_class(u2))
+            out[key] = out.get(key, Fraction(0)) + p1 * p2
+    return out

@@ -103,7 +103,7 @@ def cli_artifacts(tmp_path_factory):
 def test_criterion_01_first_moments_exact(report):
     t0 = time.perf_counter()
     d = ExactDistribution.uniform(6)
-    ok = all(exact_moment(d, d, (v,)) == Fraction(1, v) for v in range(1, 7))
+    ok = all(exact_moment((d, d), (v,)) == Fraction(1, v) for v in range(1, 7))
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60
     report(1, "E[t_v] = 1/v exactly at n=6 for v=1..6", ok, f"{elapsed:.1f}s")
@@ -114,7 +114,7 @@ def test_criterion_02_second_moment_exact(report):
     ok = True
     for n in (4, 5, 6):
         d = ExactDistribution.uniform(n)
-        ok = ok and exact_moment(d, d, (1, 1)) == 2
+        ok = ok and exact_moment((d, d), (1, 1)) == 2
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60
     report(2, "E[t_1^2] = 2 exactly at n=4,5,6", ok, f"{elapsed:.1f}s")
@@ -124,7 +124,7 @@ def test_criterion_03_scaled_joint_prob_exact(report):
     ok = True
     for n in (4, 5, 6):
         d = ExactDistribution.uniform(n)
-        scaled = n**2 * exact_joint_cycle_prob(d, d, (1, 2))
+        scaled = n**2 * exact_joint_cycle_prob((d, d), (1, 2))
         ok = ok and scaled == Fraction(n, n - 1)
     report(3, "n^2 P(c_1=1, c_2=2) = n/(n-1) exactly at n=4,5,6", ok)
 
@@ -207,10 +207,10 @@ def test_criterion_09_fixed_point_heavy_factors(cli_artifacts, report):
     rows = {r["functional"]: r for r in _csv_rows(job["paths"][0])}
     value = float(rows["product:1"]["value"])
     ok = 1.8 <= value <= 2.2
-    # same construction checked against full enumeration at n=8, where
-    # both factors have two fixed points and one 6-cycle
+    # same construction checked against the exact product law at n=8,
+    # where both factors have two fixed points and one 6-cycle
     law8 = ExactDistribution.explicit(8, {(6, 1, 1): 1}, kind="fixed-heavy")
-    ok = ok and exact_moment(law8, law8, (1,)) == Fraction(8, 7)
+    ok = ok and exact_moment((law8, law8), (1,)) == Fraction(8, 7)
     report(
         9,
         "fixed-point-heavy pair at n=4096: E[#1 of product] lands near 2",
@@ -224,9 +224,9 @@ def test_criterion_10_matching_heavy_factors(cli_artifacts, report):
     rows = {r["functional"]: r for r in _csv_rows(job["paths"][0])}
     value = float(rows["product:1*1"]["value"])
     ok = 2.7 <= value <= 3.3
-    # full enumeration at n=6: three 2-cycles in each factor
+    # exact product law at n=6: three 2-cycles in each factor
     law6 = ExactDistribution.explicit(6, {(2, 2, 2): 1}, kind="matching-heavy")
-    ok = ok and exact_moment(law6, law6, (1, 1)) == 4
+    ok = ok and exact_moment((law6, law6), (1, 1)) == 4
     report(
         10,
         "matching-heavy pair at n=2000: E[(#1 of product)^2] lands near 3",

@@ -88,7 +88,8 @@ def test_config_rejects_inapplicable_fields():
 def test_config_value_checks():
     base = {"command": "exact", "seed": "1", "samplers": "uniform, uniform", "v_vec": "1"}
     with pytest.raises(ConfigError, match="n:"):
-        config_from_mapping({**base, "n": "9"})
+        config_from_mapping({**base, "n": "17"})
+    assert config_from_mapping({**base, "n": "16"}).n == 16
     with pytest.raises(ConfigError, match="samplers"):
         config_from_mapping({**base, "samplers": "uniform", "n": "5"})
     with pytest.raises(ConfigError, match="v_vec"):
@@ -194,6 +195,18 @@ def test_main_scaled_joint_prob_value(capsys):
     rows = list(csv.DictReader(ln for ln in out.splitlines() if not ln.startswith("#")))
     scaled = next(r for r in rows if r["quantity"] == "scaled-joint-prob")
     assert scaled["rational"] == "5/4"
+
+
+def test_main_exact_size_cap_and_three_factors(capsys):
+    argv = ["exact", "--samplers", "ewens:2, ewens:1/2", "--v-vec", "1"]
+    assert main(argv + ["--n", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: n: ")
+    # a uniform factor makes the whole product uniform: E t_1 = 1
+    assert main(["exact", "--samplers", "ewens:2, ewens:1/2, uniform", "--n", "9", "--v-vec", "1"]) == 0
+    rows = list(csv.DictReader(ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")))
+    assert {r["quantity"]: r["rational"] for r in rows}["moment"] == "1/1"
 
 
 def test_main_verify_lemmas_small(capsys):

@@ -1,7 +1,8 @@
 """Exact-arithmetic oracle tests.
 
-Every expected value here is either a closed form evaluated inline or a
-constant frozen from an independent derivation; estimates never appear.
+Every expected value here is a closed form evaluated inline, a constant
+frozen from an independent derivation, or a brute-force enumeration from
+``brute``; estimates never appear.
 """
 
 import math
@@ -12,29 +13,36 @@ from hypothesis import given, settings, strategies as st
 
 from permprod.perms import Permutation, compose, cycle_counts, inverse
 from permprod.cyclegraphs import DirectedGraph, canonical_class, t_class, union_graphs
+from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
+    _ENUM_MAX_N,
     BoundCheck,
     ExactDistribution,
+    _character_table,
     class_size,
-    class_tuple_pmf,
-    conjugation_average,
     ewens_prefix_fixed_prob,
-    ewens_weight,
     exact_graph_prob,
     exact_joint_cycle_prob,
     exact_moment,
-    expect_cycle_product,
     index_cycle_length_prob,
-    pair_expectation_direct,
     partitions,
-    permutation_weights,
     prefix_fixed_prob,
     product_type_distribution,
-    representative,
     rising_factorial,
-    union_pair_pmf,
     verify_bounds,
 )
+
+from brute import (
+    class_tuple_pmf,
+    conjugation_average,
+    ewens_weight,
+    expect_cycle_product,
+    pair_expectation_direct,
+    permutation_weights,
+    representative,
+    union_pair_pmf,
+)
+from brute import product_type_distribution as brute_product_law
 
 THETAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -99,8 +107,8 @@ def test_uniform_product_has_uniform_law():
 @given(st.integers(min_value=2, max_value=6))
 def test_uniform_product_first_moments(n):
     du = ExactDistribution.uniform(n)
-    assert exact_moment(du, du, (1,)) == 1
-    assert exact_moment(du, du, (1, 1)) == 2
+    assert exact_moment((du, du), (1,)) == 1
+    assert exact_moment((du, du), (1, 1)) == 2
 
 
 def test_ewens_pair_fixed_point_moment_closed_form():
@@ -114,13 +122,14 @@ def test_ewens_pair_fixed_point_moment_closed_form():
         permutation_weights(d2),
         lambda s, r: cycle_counts(compose(s, r)).get(1),
     )
-    assert exact_moment(d1, d2, (1,)) == direct
+    assert exact_moment((d1, d2), (1,)) == direct
 
 
 def test_joint_cycle_prob_matches_inverse_first_double_sum():
-    # the oracle enumerates sigma o rho; the joint cycle law is stated for
-    # inverse(sigma) o rho, which has the same law when sigma's law is
-    # conjugation invariant. Check that against the unreduced double sum.
+    # the oracle gives the class law of sigma o rho; the joint cycle law is
+    # stated for inverse(sigma) o rho, which has the same law when sigma's
+    # law is conjugation invariant. Check that against the unreduced double
+    # sum.
     for n in (4, 5):
         d1 = ExactDistribution.ewens(n, 2)
         d2 = ExactDistribution.ewens(n, Fraction(1, 2))
@@ -136,12 +145,13 @@ def test_joint_cycle_prob_matches_inverse_first_double_sum():
                     for i, length in enumerate(v)
                 ),
             )
-            assert exact_joint_cycle_prob(d1, d2, v) == direct
+            assert exact_joint_cycle_prob((d1, d2), v) == direct
 
 
 def test_representative_reduction_matches_double_sum():
-    # the reduced expectation fixes one factor at a class representative;
-    # validate against the unreduced 576-term double sum
+    # the brute-force law fixes the first factor at a class representative,
+    # the oracle sums characters; validate both against the unreduced
+    # 576-term double sum
     n = 4
     d1 = ExactDistribution.ewens(n, 2)
     d2 = ExactDistribution.ewens(n, Fraction(1, 2))
@@ -153,21 +163,26 @@ def test_representative_reduction_matches_double_sum():
             w2,
             lambda s, r: math.prod(cycle_counts(compose(s, r)).get(k) for k in v),
         )
-        assert exact_moment(d1, d2, v) == direct
+        assert exact_moment((d1, d2), v) == direct
+        reduced = sum(
+            prob * math.prod(mu.count(k) for k in v)
+            for mu, prob in brute_product_law(d1, d2)
+        )
+        assert reduced == direct
 
 
 def test_joint_cycle_prob_frozen_values():
     for n in (4, 5):
         du = ExactDistribution.uniform(n)
-        assert exact_joint_cycle_prob(du, du, (1, 2)) == Fraction(
+        assert exact_joint_cycle_prob((du, du), (1, 2)) == Fraction(
             1, n * (n - 1)
         )
-        assert n**2 * exact_joint_cycle_prob(du, du, (1, 2)) == Fraction(n, n - 1)
+        assert n**2 * exact_joint_cycle_prob((du, du), (1, 2)) == Fraction(n, n - 1)
     d1 = ExactDistribution.ewens(4, 2)
     d2 = ExactDistribution.ewens(4, Fraction(1, 2))
-    assert exact_joint_cycle_prob(d1, d2, (1,)) == Fraction(8, 35)
-    assert exact_joint_cycle_prob(d1, d2, (2,)) == Fraction(87, 350)
-    assert exact_joint_cycle_prob(d1, d2, (1, 2)) == Fraction(8, 105)
+    assert exact_joint_cycle_prob((d1, d2), (1,)) == Fraction(8, 35)
+    assert exact_joint_cycle_prob((d1, d2), (2,)) == Fraction(87, 350)
+    assert exact_joint_cycle_prob((d1, d2), (1, 2)) == Fraction(8, 105)
 
 
 def test_index_cycle_length_uniform():
@@ -234,7 +249,7 @@ def test_union_pair_pmf_mass_equals_joint_prob():
     for a, b in [(du, du), (d1, d2)]:
         for v in [(1,), (1, 1), (2,)]:
             mass = sum(union_pair_pmf(a, b, v).values(), Fraction(0))
-            assert mass == exact_joint_cycle_prob(a, b, v)
+            assert mass == exact_joint_cycle_prob((a, b), v)
     assert sum(union_pair_pmf(d1, d2, (1, 1)).values(), Fraction(0)) == Fraction(
         12, 175
     )
@@ -276,7 +291,7 @@ def test_couple_sum_reproduces_joint_prob():
         (exact_graph_prob(du, g1) * exact_graph_prob(du, g2) for g1, g2 in couples),
         Fraction(0),
     )
-    assert total == exact_joint_cycle_prob(du, du, v) == Fraction(1, 12)
+    assert total == exact_joint_cycle_prob((du, du), v) == Fraction(1, 12)
 
 
 def _cycle_through(p: Permutation, m: int) -> tuple[int, ...]:
@@ -311,5 +326,74 @@ def test_verify_bounds_families_and_validity():
 
 
 def test_full_enumeration_is_capped():
+    # the single-law membership probabilities enumerate S_n; the product
+    # law does not, and goes past this cap
+    n = _ENUM_MAX_N + 1
+    du = ExactDistribution.uniform(n)
     with pytest.raises(ValueError):
-        permutation_weights(ExactDistribution.uniform(9))
+        exact_graph_prob(du, DirectedGraph.of(n, [(1, 1)]))
+    assert dict(product_type_distribution(du, du)) == dict(du.class_probs)
+
+
+def _law(text: str, n: int) -> ExactDistribution:
+    return _exact_law(sampler_from_text(text).bind(n=n))
+
+
+def _fixed_law(n: int) -> ExactDistribution:
+    # one fixed point and a long cycle, or at n = 2, where that type does
+    # not exist, one 2-cycle
+    return _law("matching_heavy:1/2" if n == 2 else "sqrt_fixed:1", n)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("ewens:2", "ewens:1/2"), ("uniform", "ewens:1/2"), ("ewens:0", "ewens:3"), ("fixed", "ewens:2")],
+)
+def test_character_law_matches_enumeration(first, second):
+    for n in range(1, 8):
+        a = _fixed_law(n) if first == "fixed" else _law(first, n)
+        b = _law(second, n)
+        assert product_type_distribution(a, b) == brute_product_law(a, b), n
+
+
+def test_three_factor_law_is_two_factor_law_of_the_first_pair():
+    # sigma_1 sigma_2 is conjugation invariant and independent of sigma_3,
+    # so the three-factor law is the two-factor law of (law(ab), c)
+    for n in range(1, 7):
+        a, b, c = _law("ewens:2", n), _law("ewens:1/2", n), _fixed_law(n)
+        pair = ExactDistribution.explicit(n, dict(brute_product_law(a, b)))
+        assert product_type_distribution(a, b, c) == brute_product_law(pair, c), n
+
+
+def _hook_length_degree(lam: tuple[int, ...]) -> int:
+    conjugate = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    hooks = math.prod(
+        lam[i] - j + conjugate[j] - i - 1  # arm + leg + 1
+        for i in range(len(lam))
+        for j in range(lam[i])
+    )
+    return math.factorial(sum(lam)) // hooks
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_character_table_orthogonality_and_degrees(n):
+    parts, table = _character_table(n)
+    assert list(parts) == list(partitions(n))
+    sizes = [class_size(mu, n) for mu in parts]
+    identity = parts.index((1,) * n)
+    for i, row in enumerate(table):
+        assert row[identity] == _hook_length_degree(parts[i])
+        for k, other in enumerate(table):
+            inner = sum(c * x * y for c, x, y in zip(sizes, row, other))
+            assert inner == (math.factorial(n) if i == k else 0), (parts[i], parts[k])
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_fixed_point_moment_matches_closed_form_past_enumeration(n):
+    # E t_1 = n P(sigma rho fixes 1) = n [ab + (1-a)(1-b)/(n-1)], where a
+    # and b are the chances that each Ewens factor fixes a given point
+    theta1, theta2 = Fraction(2), Fraction(1, 2)
+    a, b = theta1 / (theta1 + n - 1), theta2 / (theta2 + n - 1)
+    laws = (ExactDistribution.ewens(n, theta1), ExactDistribution.ewens(n, theta2))
+    assert exact_moment(laws, (1,)) == n * (a * b + (1 - a) * (1 - b) / (n - 1))
+    assert sum(p for _, p in product_type_distribution(*laws)) == 1

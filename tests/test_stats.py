@@ -183,7 +183,7 @@ def test_moment_estimates_validation():
 
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1), Fraction(2)])
 def test_estimator_consistent_with_oracle(theta):
-    # the estimator must agree with full enumeration at small n
+    # the estimator must agree with the exact oracle at small n
     n, samples = 5, 10**6
     specs = (
         SamplerSpec("ewens", theta=theta),
@@ -194,7 +194,7 @@ def test_estimator_consistent_with_oracle(theta):
     )[0]
     truth = float(
         exact_moment(
-            ExactDistribution.ewens(n, theta), ExactDistribution.ewens(n, 2), (1,)
+            (ExactDistribution.ewens(n, theta), ExactDistribution.ewens(n, 2)), (1,)
         )
     )
     assert abs(est.value - truth) <= 4 * est.stderr
