@@ -9,6 +9,11 @@ k = 1, 3 and 6. Then it times the exact oracle: one
 ``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
 16, with its caches cleared first, as in a fresh ``permprod exact``
 process. Times are wall-clock milliseconds from time.perf_counter.
+Last come the stages of a default ``permprod verify-lemmas``, in
+seconds: the trace sweep at n = 7, the pair pass at n = 5 (which also
+collects the union graphs), relabel-dichotomy at n = 5, and the
+membership bounds at n = 5 on the union graphs of that pass, with the
+oracle's per-graph caches cleared first.
 
     PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096]
 """
@@ -22,11 +27,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from permprod import sweeps
 from permprod.cli import sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
+    _bound_shape,
     _character_table,
     _mn_character,
+    _satisfying_type_counts,
     product_type_distribution,
 )
 from permprod.samplers import RngStream, product_rows, small_cycle_counts
@@ -79,6 +87,21 @@ def main(argv=None) -> int:
             product_type_distribution(*laws)
 
         print(f"  n = {n:<16} {best_ms(cold_law, args.repeat):8.2f}")
+    print("verify-lemmas stages at the default sizes, s")
+    _, union_masks = sweeps._pair_pass(5, (1, 2, 3))
+
+    def cold_bounds():
+        _satisfying_type_counts.cache_clear()
+        _bound_shape.cache_clear()
+        sweeps.sweep_membership_bounds(5, _union_masks=union_masks)
+
+    for label, stage in (
+        ("trace n = 7", lambda: sweeps.sweep_trace_identity(7)),
+        ("pair pass n = 5", lambda: sweeps._pair_pass(5, (1, 2, 3))),
+        ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5)),
+        ("bounds n = 5", cold_bounds),
+    ):
+        print(f"  {label:<20} {best_ms(stage, args.repeat) / 1e3:8.3f}")
     return 0
 
 

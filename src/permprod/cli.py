@@ -518,9 +518,7 @@ def _run_exact(config: ExperimentConfig):
 
 
 def _run_verify_lemmas(config: ExperimentConfig):
-    summaries = run_all(
-        pair_n=config.pair_n, single_n=config.single_n, bounds_n=config.pair_n
-    )
+    summaries = run_all(pair_n=config.pair_n, single_n=config.single_n)
     rows = [
         {
             "suite": s.suite,

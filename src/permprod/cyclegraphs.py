@@ -35,6 +35,7 @@ __all__ = [
     "traversal",
     "graphs_from_traversal",
     "graphs_from_record",
+    "rho_side_graph",
     "union_graphs",
     "canonical_class",
     "membership",
@@ -82,15 +83,14 @@ class DirectedGraph:
             verts.add(b)
         return frozenset(verts)
 
-    def reversed_edges(self) -> "DirectedGraph":
-        """The graph with every edge reversed (adjacency-matrix transpose)."""
-        return DirectedGraph(self.n, frozenset((b, a) for a, b in self.edges))
-
     def relabel(self, t: Permutation) -> "DirectedGraph":
         """Rename vertex x to t(x) everywhere."""
         if t.n != self.n:
             raise ValueError(f"size mismatch: {t.n} vs {self.n}")
-        return DirectedGraph(self.n, frozenset((t(a), t(b)) for a, b in self.edges))
+        images = t.images
+        return DirectedGraph(
+            self.n, frozenset((images[a - 1], images[b - 1]) for a, b in self.edges)
+        )
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         rows = [[0] * self.n for _ in range(self.n)]
@@ -162,6 +162,17 @@ class GraphProfile:
         return len(self.non_isolated)
 
 
+@lru_cache(maxsize=1024)
+def _preimages(images: tuple[int, ...]) -> tuple[int, ...]:
+    # out[j] is the index mapped to j; out[0] is unused. A sweep walks each
+    # permutation thousands of times, so the inverse is built once per
+    # permutation it meets.
+    out = [0] * (len(images) + 1)
+    for pos, img in enumerate(images, start=1):
+        out[img] = pos
+    return tuple(out)
+
+
 def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
     """Walk the cycle of ``inverse(sigma) o rho`` through m, recording rho-images."""
     n = sigma.n
@@ -170,9 +181,7 @@ def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
     if not 1 <= m <= n:
         raise ValueError(f"start index {m} outside 1..{n}")
     rho_images = rho.images
-    sinv = [0] * (n + 1)
-    for pos, img in enumerate(sigma.images, start=1):
-        sinv[img] = pos
+    sinv = _preimages(sigma.images)
     i_seq = [m]
     j = rho_images[m - 1]
     j_seq = [j]
@@ -192,8 +201,12 @@ def graphs_from_record(record: TraversalRecord, n: int) -> tuple[DirectedGraph, 
     first = {(i_seq[0], j_seq[k - 1])}
     for l in range(k - 1):
         first.add((i_seq[l + 1], j_seq[l]))
-    second = {(i_seq[l], j_seq[l]) for l in range(k)}
-    return DirectedGraph(n, frozenset(first)), DirectedGraph(n, frozenset(second))
+    return DirectedGraph(n, frozenset(first)), rho_side_graph(record, n)
+
+
+def rho_side_graph(record: TraversalRecord, n: int) -> DirectedGraph:
+    """The rho-side graph of one traversal alone: edges (i_l, j_l)."""
+    return DirectedGraph(n, frozenset(zip(record.i_seq, record.j_seq)))
 
 
 def graphs_from_traversal(
@@ -479,14 +492,27 @@ def enumerate_B(
     return len(couples)
 
 
+def _components_all_have_two_vertices(edges: Iterable[tuple[int, int]]) -> bool:
+    # Every component has two vertices exactly when each non-isolated
+    # vertex v has exactly one neighbour u != v, loops ignored, and v is
+    # u's only such neighbour. ``partner`` pairs them off; a second
+    # neighbour fails at once, and a loop needs a partner for its vertex.
+    partner: dict[int, int] = {}
+    for a, b in edges:
+        if a != b and (partner.setdefault(a, b) != b or partner.setdefault(b, a) != a):
+            return False
+    return all(a in partner for a, b in edges if a == b)
+
+
 def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) -> bool:
     """If every non-trivial component of both graphs of one traversal has
     exactly two vertices, neither graph may contain a 2-cycle. Returns True
     when that implication holds for the couple (g1, g2)."""
-    for g in (g1, g2):
-        for verts, _ in profile(g).nontrivial:
-            if len(verts) != 2:
-                return True
+    if not (
+        _components_all_have_two_vertices(g1.edges)
+        and _components_all_have_two_vertices(g2.edges)
+    ):
+        return True
     return not (_has_two_cycle(g1.edges) or _has_two_cycle(g2.edges))
 
 
@@ -531,7 +557,13 @@ def reversal_identities_hold(
             return False
     if r.i_seq[0] != m or s.i_seq[0] != m:
         return False
-    return g1.reversed_edges().edges == h2.edges
+    return {(b, a) for a, b in g1.edges} == h2.edges
+
+
+@lru_cache(maxsize=1024)
+def _fixed_points(images: tuple[int, ...]) -> frozenset[int]:
+    # A sweep tries every relabeling on thousands of graphs.
+    return frozenset(x for x, y in enumerate(images, start=1) if x == y)
 
 
 def relabel_dichotomy_holds(
@@ -548,7 +580,7 @@ def relabel_dichotomy_holds(
     """
     if g1.n != tau.n:
         raise ValueError(f"size mismatch: {g1.n} vs {tau.n}")
-    fixed = {x for x, y in enumerate(tau.images, start=1) if x == y}
+    fixed = _fixed_points(tau.images)
     for verts in components:
         if not verts & fixed:
             return True

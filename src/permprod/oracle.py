@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from permprod.cyclegraphs import DirectedGraph, is_T_class, profile
@@ -171,12 +171,16 @@ class ExactDistribution:
     def class_probabilities(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.class_probs)
 
+    @cached_property
+    def _perm_weights(self) -> dict[tuple[int, ...], Fraction]:
+        return {
+            partition: prob / class_size(partition, self.n)
+            for partition, prob in self.class_probs
+        }
+
     def perm_weight(self, partition: tuple[int, ...]) -> Fraction:
         """Probability of a single permutation with the given cycle type."""
-        prob = dict(self.class_probs).get(partition, Fraction(0))
-        if prob == 0:
-            return Fraction(0)
-        return prob / class_size(partition, self.n)
+        return self._perm_weights.get(partition, Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -344,17 +348,30 @@ def exact_joint_cycle_prob(
     )
 
 
+# Per-graph caches: large enough for every union graph at n = 5 (1545),
+# bounded so that a long-lived process does not grow without limit.
+_GRAPH_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _satisfying_type_counts(
+    n: int, edges: frozenset[tuple[int, int]]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # (cycle type, number of permutations of that type satisfying every
+    # edge); it depends on the graph only, so each law reuses it.
+    type_counts: dict[tuple[int, ...], int] = {}
+    for images, ptype in _perm_table(n):
+        if all(images[a - 1] == b for a, b in edges):
+            type_counts[ptype] = type_counts.get(ptype, 0) + 1
+    return tuple(type_counts.items())
+
+
 def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
     """P(sigma satisfies every edge constraint of g) under ``d``."""
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
-    edges = tuple(g.edges)
     total = Fraction(0)
-    type_counts: dict[tuple[int, ...], int] = {}
-    for images, ptype in _perm_table(d.n):
-        if all(images[a - 1] == b for a, b in edges):
-            type_counts[ptype] = type_counts.get(ptype, 0) + 1
-    for ptype, cnt in type_counts.items():
+    for ptype, cnt in _satisfying_type_counts(g.n, g.edges):
         w = d.perm_weight(ptype)
         if w:
             total += w * cnt
@@ -438,6 +455,27 @@ def _binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _bound_shape(g: DirectedGraph) -> tuple[int, int, int, bool, bool]:
+    # What verify_bounds reads off the graph alone, once per graph:
+    # component, vertex and loop counts; whether every component has two
+    # vertices and one is a 2-cycle; whether it is p disjoint single edges.
+    prof = profile(g)
+    p = prof.component_count
+    two_vertex = p >= 1 and all(len(verts) == 2 for verts, _ in prof.nontrivial)
+    has_cycle_comp = any(
+        any(a != b and (b, a) in edges for a, b in edges)
+        for _, edges in prof.nontrivial
+    )
+    return (
+        p,
+        prof.vertex_count,
+        prof.loop_count,
+        two_vertex and has_cycle_comp,
+        p >= 1 and is_T_class(g, p),
+    )
+
+
 def verify_bounds(d: ExactDistribution, g: DirectedGraph) -> list[BoundCheck]:
     """Check the membership-probability inequalities for one graph.
 
@@ -450,10 +488,7 @@ def verify_bounds(d: ExactDistribution, g: DirectedGraph) -> list[BoundCheck]:
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
     n = d.n
-    prof = profile(g)
-    p = prof.component_count
-    v = prof.vertex_count
-    f = prof.loop_count
+    p, v, f, two_cycle_case, matching_case = _bound_shape(g)
     prob = exact_graph_prob(d, g)
     checks: list[BoundCheck] = []
 
@@ -482,12 +517,7 @@ def verify_bounds(d: ExactDistribution, g: DirectedGraph) -> list[BoundCheck]:
         )
     )
 
-    two_vertex = p >= 1 and all(len(verts) == 2 for verts, _ in prof.nontrivial)
-    has_cycle_comp = any(
-        any(a != b and (b, a) in edges for a, b in edges)
-        for _, edges in prof.nontrivial
-    )
-    if two_vertex and has_cycle_comp:
+    if two_cycle_case:
         denom2 = _binom(n - p, p) * math.factorial(p)
         rhs = index_cycle_length_prob(d, 2) / denom2
         checks.append(
@@ -501,7 +531,7 @@ def verify_bounds(d: ExactDistribution, g: DirectedGraph) -> list[BoundCheck]:
             )
         )
 
-    if p >= 1 and is_T_class(g, p) and n >= 2 * p:
+    if matching_case and n >= 2 * p:
         denom3 = _binom(n - p, p) * math.factorial(p)
         upper = Fraction(1, denom3)
         slack = 1 - Fraction(p * p - p, n - 1) - p * prefix_fixed_prob(d, 1)

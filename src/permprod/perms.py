@@ -185,13 +185,14 @@ def conjugate(a: Permutation, t: Permutation) -> Permutation:
 
 def cycle_of(a: Permutation, m: int) -> tuple[int, ...]:
     """The cycle of ``a`` through ``m``: (m, a(m), a(a(m)), ...)."""
-    if not 1 <= m <= a.n:
-        raise ValueError(f"index {m} outside 1..{a.n}")
+    images = a.images
+    if not 1 <= m <= len(images):
+        raise ValueError(f"index {m} outside 1..{len(images)}")
     out = [m]
-    x = a(m)
+    x = images[m - 1]
     while x != m:
         out.append(x)
-        x = a(x)
+        x = images[x - 1]
     return tuple(out)
 
 
@@ -219,16 +220,19 @@ def cycle_type(a: Permutation) -> tuple[int, ...]:
     return cycle_counts(a).partition
 
 
-def trace_power(a: Permutation, k: int) -> int:
+def trace_power(a: Permutation | CycleCounts, k: int) -> int:
     """Number of fixed points of the k-th power of ``a``.
 
     Computed through the cycle decomposition: an index in a j-cycle is
     fixed by ``a^k`` exactly when j divides k, so the result is the sum
-    of j times the number of j-cycles over divisors j of k.
+    of j times the number of j-cycles over divisors j of k. ``a`` may be
+    given by its :class:`CycleCounts`, so that a caller asking for many
+    powers decomposes the permutation once.
     """
     if k < 1:
         raise ValueError("trace_power needs k >= 1")
-    return sum(j * c for j, c in cycle_counts(a).items if k % j == 0)
+    counts = a if isinstance(a, CycleCounts) else cycle_counts(a)
+    return sum(j * c for j, c in counts.items if k % j == 0)
 
 
 def power_fixed_points(a: Permutation, k: int) -> int:

@@ -18,9 +18,10 @@ have one fixed cycle type. ``uniform`` is a plain shuffle.
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
 factors, replacing the first factor by any member of its class leaves
-the law of the product's class unchanged (the oracle's representative
-reduction), so consumers of class functions draw the first factor
-unrelabeled, on the identity arrangement. ``sample`` prints the factors
+the law of the product's class unchanged (the representative reduction
+that the brute-force product law in ``tests/brute.py`` relies on), so
+consumers of class functions draw the first factor unrelabeled, on the
+identity arrangement. ``sample`` prints the factors
 themselves and draws every factor in full.
 
 Randomness comes from :class:`RngStream`, keyed by (seed, stream_id);

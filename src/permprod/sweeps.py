@@ -12,6 +12,8 @@ two graphs built once, and every suite reads them into its own tally.
 Each start is walked on its own, never derived from another start's
 cycle, so the shared-cycle check compares independent walks. The
 ``sweep_*`` names of those suites select their summary from the pass.
+The same pass collects the union graphs that the membership bounds run
+on, so :func:`run_all` walks S_n x S_n once.
 
 The suites are sized so the defaults finish in seconds: pair sweeps cap
 at n = 5 (about 1.4e4 ordered pairs) and single-permutation sweeps at
@@ -29,12 +31,12 @@ from typing import Sequence
 from permprod.cyclegraphs import (
     DirectedGraph,
     graphs_from_record,
-    graphs_from_traversal,
     membership,
     no_two_cycles_when_components_small,
     profile,
     relabel_dichotomy_holds,
     reversal_identities_hold,
+    rho_side_graph,
     shared_cycle_graphs_match,
     traversal,
 )
@@ -45,9 +47,9 @@ from permprod.oracle import (
     verify_bounds,
 )
 from permprod.perms import (
-    Permutation,
     all_permutations,
     compose,
+    cycle_counts,
     cycle_of,
     inverse,
     power_fixed_points,
@@ -136,8 +138,9 @@ def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSumma
         raise ValueError("max_power must be >= 1")
     tally = _Tally()
     for perm in all_permutations(n):
+        counts = cycle_counts(perm)
         for k in range(1, max_power + 1):
-            ok = trace_power(perm, k) == power_fixed_points(perm, k)
+            ok = trace_power(counts, k) == power_fixed_points(perm, k)
             tally.record(ok, lambda p=perm, kk=k: f"perm={p.to_line()} k={kk}")
     return _summary(
         "trace-power-identity", n, tally, f"all {n}! permutations, powers 1..{max_power}"
@@ -157,6 +160,33 @@ def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
     return [
         (bit // n + 1, bit % n + 1) for bit in range(n * n) if mask >> bit & 1
     ]
+
+
+def _side_masks(graphs: tuple[DirectedGraph, DirectedGraph], n: int) -> tuple[int, int]:
+    return _edge_mask(graphs[0].edges, n), _edge_mask(graphs[1].edges, n)
+
+
+def _add_union_masks(cycle_masks: list[tuple[int, int]], seen: set[int]) -> None:
+    """Add both sides of the union over every non-empty subset of
+    ``cycle_masks`` to ``seen``.
+
+    ``cycle_masks`` holds the (sigma-side, rho-side) edge masks of one
+    start on each cycle of inverse(sigma) o rho. Starts on one cycle
+    induce identical graphs (the shared-cycle suite checks this), so these
+    are the unions over every non-empty set of starts.
+    """
+    unions = [(0, 0)]
+    for m1, m2 in cycle_masks:
+        unions += [(e1 | m1, e2 | m2) for e1, e2 in unions]
+    for e1, e2 in unions[1:]:
+        seen.add(e1)
+        seen.add(e2)
+
+
+def _union_graphs_of(masks: set[int], n: int) -> list[DirectedGraph]:
+    # The graphs sorted by their sorted edge lists, which _mask_edges gives.
+    ordered = sorted(_mask_edges(mask, n) for mask in masks)
+    return [DirectedGraph(n, frozenset(edges)) for edges in ordered]
 
 
 class _Fibers:
@@ -215,6 +245,14 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
       the finer per-start graph tuple induces the same grouping, so the
       tuple and the union carry the same information.
     """
+    return _pair_pass(n, start_counts)[0]
+
+
+def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary], set[int]]:
+    # The pass behind sweep_pairs. It also returns the edge masks of the
+    # union graphs the membership bounds run on: the masks of one start
+    # per cycle are already at hand, so collecting them here spares a
+    # second walk.
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
         raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
@@ -225,9 +263,11 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
     start_pairs = list(itertools.combinations(range(n), 2))
     encoding, shared, reversal, small = _Tally(), _Tally(), _Tally(), _Tally()
     fibers = [_Fibers(k) for k in ks]
+    union_masks: set[int] = set()
     for sigma, sinv, sigma_mask in zip(perms, inverses, perm_masks):
         for rho, rinv, rho_mask in zip(perms, inverses, perm_masks):
             prod = compose(sinv, rho)
+            rho_images = rho.images
             records = [traversal(sigma, rho, m) for m in starts]
             graphs = [graphs_from_record(r, n) for r in records]
             for r, (g1, g2) in zip(records, graphs):
@@ -238,7 +278,7 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
 
                 encoding.record(
                     r.i_seq == cycle_of(prod, m)
-                    and r.j_seq == tuple(rho.images[x - 1] for x in r.i_seq)
+                    and r.j_seq == tuple(rho_images[x - 1] for x in r.i_seq)
                     and len(g1.edges) == r.k
                     and len(g2.edges) == r.k
                     and membership(sigma, g1)
@@ -246,7 +286,7 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
                     describe,
                 )
                 back = traversal(rho, sigma, m)
-                _, h2 = graphs_from_record(traversal(rinv, sinv, rho(m)), n)
+                h2 = rho_side_graph(traversal(rinv, sinv, rho_images[m - 1]), n)
                 reversal.record(reversal_identities_hold(r, g1, back, h2), describe)
                 small.record(no_two_cycles_when_components_small(g1, g2), describe)
             for a, b in start_pairs:
@@ -256,9 +296,15 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
                         f"sigma={s.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
                     ),
                 )
-            side_masks = [(_edge_mask(g1.edges, n), _edge_mask(g2.edges, n)) for g1, g2 in graphs]
+            side_masks = [_side_masks(pair, n) for pair in graphs]
             for fib in fibers:
                 fib.add(side_masks, sigma_mask, rho_mask)
+            # A record's start is the least index of its cycle for exactly
+            # one record per cycle.
+            _add_union_masks(
+                [mk for r, mk in zip(records, side_masks) if min(r.i_seq) == r.m],
+                union_masks,
+            )
 
     satisfying: dict[int, int] = {}
 
@@ -286,7 +332,7 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
                 ),
             )
     per_start = f"all ordered pairs at n={n}, every start index"
-    return [
+    summaries = [
         _summary("traversal-encoding", n, encoding, per_start),
         _summary(
             "shared-cycle-graphs", n, shared,
@@ -300,6 +346,7 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
             f"{tuple(ks)} at n={n}",
         ),
     ]
+    return summaries, union_masks
 
 
 def sweep_traversal_consistency(n: int = 4) -> SweepSummary:
@@ -361,36 +408,25 @@ def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:
     )
 
 
-def _union_graph_collection(n: int) -> list[DirectedGraph]:
-    """Every graph realizable as a union of per-start graphs, either side.
-
-    Start indices on a shared cycle contribute identical graphs (the
-    shared-cycle sweep confirms this exhaustively), so unions over
-    arbitrary index sets reduce to unions over subsets of the cycles of
-    inverse(sigma) o rho, one representative start per cycle.
-    """
-    seen: set[frozenset] = set()
+def _union_mask_collection(n: int) -> set[int]:
+    """The edge masks of every graph realizable as a union of per-start
+    graphs, either side, from a walk of one start per cycle over
+    S_n x S_n; the pair pass collects the same set as it goes."""
+    seen: set[int] = set()
     perms = list(all_permutations(n))
     for sigma in perms:
-        sinv = inverse(sigma)
         for rho in perms:
-            prod = compose(sinv, rho)
-            starts = []
-            covered = bytearray(n)
+            cycle_masks = []
+            covered = 0
             for m in range(1, n + 1):
-                if covered[m - 1]:
+                if covered >> m & 1:
                     continue
-                for x in cycle_of(prod, m):
-                    covered[x - 1] = 1
-                starts.append(m)
-            per = [graphs_from_traversal(sigma, rho, m) for m in starts]
-            for r in range(1, len(starts) + 1):
-                for combo in itertools.combinations(range(len(starts)), r):
-                    e1 = frozenset().union(*(per[i][0].edges for i in combo))
-                    e2 = frozenset().union(*(per[i][1].edges for i in combo))
-                    seen.add(e1)
-                    seen.add(e2)
-    return [DirectedGraph(n, edges) for edges in sorted(seen, key=sorted)]
+                record = traversal(sigma, rho, m)
+                for x in record.i_seq:
+                    covered |= 1 << x
+                cycle_masks.append(_side_masks(graphs_from_record(record, n), n))
+            _add_union_masks(cycle_masks, seen)
+    return seen
 
 
 _FAMILY_OF_CHECK = {
@@ -403,14 +439,18 @@ _FAMILY_OF_CHECK = {
 
 
 def sweep_membership_bounds(
-    n: int = 5, thetas: Sequence | None = ("1/2", "1", "2")
+    n: int = 5,
+    thetas: Sequence | None = ("1/2", "1", "2"),
+    *,
+    _union_masks: set[int] | None = None,
 ) -> list[SweepSummary]:
     """Exact probability bounds on every realizable union graph.
 
     Collects the union graphs from all ordered pairs at this n, then runs
     every applicable inequality under the theta-biased law for each theta
     (plus the uniform law when ``thetas`` includes None). Returns one
-    summary per bound family, exact arithmetic throughout.
+    summary per bound family, exact arithmetic throughout. :func:`run_all`
+    hands over the union masks its pair pass collected at this n.
     """
     laws = []
     for theta in thetas or ():
@@ -420,7 +460,9 @@ def sweep_membership_bounds(
             laws.append(ExactDistribution.ewens(n, Fraction(theta)))
     if not laws:
         raise ValueError("need at least one law")
-    graphs = _union_graph_collection(n)
+    if _union_masks is None:
+        _union_masks = _union_mask_collection(n)
+    graphs = _union_graphs_of(_union_masks, n)
     tallies = {family: _Tally() for family in set(_FAMILY_OF_CHECK.values())}
     for g in graphs:
         for law in laws:
@@ -487,17 +529,19 @@ def sweep_prefix_decay(
 def run_all(
     pair_n: int = 5,
     single_n: int = 7,
-    bounds_n: int | None = None,
     thetas: Sequence = ("1/2", "1", "2"),
 ) -> list[SweepSummary]:
-    """Run every suite; pair sweeps at pair_n, the power sweep at single_n.
+    """Run every suite: the pair suites, relabel-dichotomy and the
+    membership bounds at pair_n, the power sweep at single_n.
 
-    ``bounds_n`` defaults to ``pair_n``. Keep pair_n <= 5 and
-    single_n <= 7 unless long runtimes are acceptable.
+    One pass over S_n x S_n feeds the pair suites and the union graphs of
+    the bounds. Keep pair_n <= 5 and single_n <= 7 unless long runtimes
+    are acceptable.
     """
-    bn = pair_n if bounds_n is None else bounds_n
-    out = [sweep_trace_identity(single_n), *sweep_pairs(pair_n)]
+    out = [sweep_trace_identity(single_n)]
+    pair_summaries, union_masks = _pair_pass(pair_n, (1, 2, 3))
+    out.extend(pair_summaries)
     out.append(sweep_relabel_dichotomy(pair_n))
-    out.extend(sweep_membership_bounds(bn, thetas))
+    out.extend(sweep_membership_bounds(pair_n, thetas, _union_masks=union_masks))
     out.append(sweep_prefix_decay(thetas=thetas))
     return out

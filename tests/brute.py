@@ -1,24 +1,29 @@
-"""Brute-force references for the oracle's reductions.
+"""Brute-force references for the reductions of the oracle and the sweeps.
 
-Each function here is an unreduced sum over all of S_n (or S_n x S_n)
-with exact ``Fraction`` weights. They exist so that tests can check the
-oracle's class-level formulas against straight enumeration instead of
-trusting them, and they are practical only for n <= 7. Only ``perms``,
+Most functions here are unreduced sums over all of S_n (or S_n x S_n)
+with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
+every start set rather than one start per cycle, and the two-vertex
+predicate reads full component profiles. They exist so that tests can
+check the reduced code against straight enumeration instead of trusting
+it, and they are practical only for n <= 7. Only ``perms``,
 ``cyclegraphs`` and the ``ExactDistribution`` type are used, so nothing
 here leans on the code it checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from permprod.cyclegraphs import (
+    DirectedGraph,
     GraphClass,
     canonical_class,
     graphs_from_traversal,
+    profile,
     union_graphs,
 )
 from permprod.oracle import ExactDistribution
@@ -182,6 +187,34 @@ def conjugation_average(
             moved = conjugate(sigma, t)
             out[moved] = out.get(moved, Fraction(0)) + share
     return out
+
+
+def union_graph_list(n: int) -> list[DirectedGraph]:
+    """Both sides of ``union_graphs(sigma, rho, S)`` for every ordered pair
+    and every non-empty start set S, each graph once, sorted by its sorted
+    edge list. Every start set is walked, not one start per cycle;
+    practical for n <= 4."""
+    seen: set[frozenset] = set()
+    starts = range(1, n + 1)
+    for sigma in all_permutations(n):
+        for rho in all_permutations(n):
+            for size in range(1, n + 1):
+                for index_set in itertools.combinations(starts, size):
+                    u1, u2 = union_graphs(sigma, rho, index_set)
+                    seen.add(u1.edges)
+                    seen.add(u2.edges)
+    return [DirectedGraph(n, edges) for edges in sorted(seen, key=sorted)]
+
+
+def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) -> bool:
+    """The two-vertex-components implication read through full component
+    profiles: when every non-trivial component of both graphs has two
+    vertices, neither graph has a 2-cycle."""
+    for g in (g1, g2):
+        for verts, _ in profile(g).nontrivial:
+            if len(verts) != 2:
+                return True
+    return not any(a != b and (b, a) in g.edges for g in (g1, g2) for a, b in g.edges)
 
 
 def class_tuple_pmf(

@@ -1,5 +1,7 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import brute
 
 from permprod.perms import Permutation, compose, cycle_of, inverse
 from permprod.cyclegraphs import (
@@ -91,7 +93,6 @@ def test_graph_text_round_trip():
 def test_graph_basics():
     g = DirectedGraph.of(4, [(1, 2), (3, 3)])
     assert g.non_isolated() == frozenset({1, 2, 3})
-    assert g.reversed_edges().edges == frozenset({(2, 1), (3, 3)})
     t = Permutation.from_cycles(4, [(1, 4)])
     assert g.relabel(t).edges == frozenset({(4, 2), (3, 3)})
     assert g.adjacency()[0][1] == 1 and g.adjacency()[2][2] == 1
@@ -204,6 +205,32 @@ def test_lemma_predicates_catch_broken_inputs():
     pair = DirectedGraph.of(4, [(3, 4)])
     assert not no_two_cycles_when_components_small(two_cycle, pair)
     assert no_two_cycles_when_components_small(two_cycle, DirectedGraph.of(4, [(2, 3), (3, 4)]))
+
+
+def edge_lists(n: int = 6):
+    """Edge lists built from blocks: any edge, a loop, a 2-cycle, a path
+    on up to three vertices."""
+    v = st.integers(1, n)
+    block = st.one_of(
+        st.tuples(v, v).map(lambda e: [e]),
+        v.map(lambda a: [(a, a)]),
+        st.tuples(v, v).map(lambda e: [e, e[::-1]]),
+        st.tuples(v, v, v).map(lambda p: [(p[0], p[1]), (p[1], p[2])]),
+    )
+    return st.lists(block, max_size=4).map(lambda blocks: [e for b in blocks for e in b])
+
+
+@given(edge_lists(), edge_lists())
+@example([(1, 2), (2, 1), (1, 1)], [(3, 4)])
+@example([(1, 2), (2, 1)], [(3, 3)])
+@example([(1, 2), (2, 1), (3, 4)], [(5, 6), (6, 5)])
+@example([(1, 2), (2, 1)], [(3, 4), (4, 5)])
+@settings(max_examples=300)
+def test_two_vertex_predicate_matches_profile_definition(e1, e2):
+    g1, g2 = DirectedGraph.of(6, e1), DirectedGraph.of(6, e2)
+    assert no_two_cycles_when_components_small(g1, g2) == (
+        brute.no_two_cycles_when_components_small(g1, g2)
+    )
 
 
 @given(perm_strategy(5), st.data())

@@ -12,13 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permprod.perms import Permutation, compose, cycle_counts, inverse
-from permprod.cyclegraphs import DirectedGraph, canonical_class, t_class, union_graphs
+from permprod.cyclegraphs import (
+    DirectedGraph,
+    canonical_class,
+    membership,
+    t_class,
+    union_graphs,
+)
 from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
     _ENUM_MAX_N,
     BoundCheck,
     ExactDistribution,
+    _bound_shape,
     _character_table,
+    _satisfying_type_counts,
     class_size,
     ewens_prefix_fixed_prob,
     exact_graph_prob,
@@ -241,6 +249,19 @@ def test_graph_prob_ewens_concrete():
     assert exact_graph_prob(d, DirectedGraph.of(4, [(1, 2)])) == Fraction(1, 5)
 
 
+def test_graph_prob_counts_are_keyed_by_n():
+    # The per-type counts of satisfying permutations are shared across
+    # laws; one edge set at two sizes must not share them.
+    edges = [(1, 2), (2, 1)]
+    for n in (4, 5, 4):
+        g = DirectedGraph.of(n, edges)
+        uniform = ExactDistribution.uniform(n)
+        assert exact_graph_prob(uniform, g) == Fraction(1, n * (n - 1))
+        d = ExactDistribution.ewens(n, 2)
+        expected = sum(w for sigma, w in permutation_weights(d).items() if membership(sigma, g))
+        assert exact_graph_prob(d, g) == expected
+
+
 def test_union_pair_pmf_mass_equals_joint_prob():
     n = 4
     du = ExactDistribution.uniform(n)
@@ -323,6 +344,36 @@ def test_verify_bounds_families_and_validity():
     checks = verify_bounds(d, with_two_cycle)
     assert any("two-cycle-upper" in c.check_id for c in checks)
     assert all(c.holds for c in checks)
+
+
+def test_verify_bounds_does_not_depend_on_law_order():
+    # Counts and graph shapes are computed once per graph and reused by
+    # every law, so each order starts from cold caches: whichever law
+    # comes first must not leak into the others.
+    n = 4
+    laws = [ExactDistribution.ewens(n, t) for t in THETAS] + [ExactDistribution.uniform(n)]
+    graphs = [
+        DirectedGraph.of(n, edges)
+        for edges in (
+            [(1, 1)],
+            [(1, 2)],
+            [(1, 2), (2, 1)],
+            [(1, 2), (3, 4)],
+            [(1, 2), (2, 3)],
+            [(1, 1), (2, 3), (3, 2)],
+        )
+    ]
+    results = []
+    for order in (laws, laws[::-1]):
+        _satisfying_type_counts.cache_clear()
+        _bound_shape.cache_clear()
+        results.append({(law.kind, g): verify_bounds(law, g) for g in graphs for law in order})
+    assert results[0] == results[1]
+    for law in laws:
+        weights = permutation_weights(law)
+        for g in graphs:
+            prob = sum(w for sigma, w in weights.items() if membership(sigma, g))
+            assert results[0][law.kind, g][0].lhs == prob
 
 
 def test_full_enumeration_is_capped():

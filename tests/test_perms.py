@@ -113,6 +113,7 @@ def test_cycle_lengths_partition_the_ground_set(p):
 @settings(max_examples=200)
 def test_trace_power_matches_direct_fixed_point_count(p, k):
     assert trace_power(p, k) == power_fixed_points(p, k)
+    assert trace_power(cycle_counts(p), k) == trace_power(p, k)
 
 
 @given(perm_strategy(6))

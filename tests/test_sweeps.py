@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import brute
 from permprod import sweeps
 from permprod.sweeps import (
     SweepSummary,
@@ -89,6 +90,21 @@ def test_run_all_case_counts_at_n4():
         ("prefix-fixing-decay", 66),
     ]
     assert all(s.ok for s in summaries)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_union_graphs_match_every_start_set(n):
+    # One start per cycle, from the pair pass or from the standalone walk,
+    # gives the graphs and the order of unions over every start set.
+    expected = brute.union_graph_list(n)
+    for masks in (sweeps._pair_pass(n, (1, 2, 3))[1], sweeps._union_mask_collection(n)):
+        assert sweeps._union_graphs_of(masks, n) == expected
+
+
+def test_membership_bounds_alone_match_run_all():
+    families = {"matching-sandwich-bounds", "membership-upper-bounds", "two-cycle-upper-bounds"}
+    inside = [s for s in run_all(pair_n=4, single_n=3) if s.suite in families]
+    assert inside == sweep_membership_bounds(4)
 
 
 def test_pair_selectors_pick_their_suite():
