@@ -460,9 +460,8 @@ def sweep_membership_bounds(
             laws.append(ExactDistribution.ewens(n, Fraction(theta)))
     if not laws:
         raise ValueError("need at least one law")
-    if _union_masks is None:
-        _union_masks = _union_mask_collection(n)
-    graphs = _union_graphs_of(_union_masks, n)
+    masks = _union_mask_collection(n) if _union_masks is None else _union_masks
+    graphs = _union_graphs_of(masks, n)
     tallies = {family: _Tally() for family in set(_FAMILY_OF_CHECK.values())}
     for g in graphs:
         for law in laws:
