@@ -35,7 +35,6 @@ __all__ = [
     "traversal",
     "graphs_from_traversal",
     "graphs_from_record",
-    "rho_side_graph",
     "union_graphs",
     "canonical_class",
     "membership",
@@ -201,12 +200,7 @@ def graphs_from_record(record: TraversalRecord, n: int) -> tuple[DirectedGraph, 
     first = {(i_seq[0], j_seq[k - 1])}
     for l in range(k - 1):
         first.add((i_seq[l + 1], j_seq[l]))
-    return DirectedGraph(n, frozenset(first)), rho_side_graph(record, n)
-
-
-def rho_side_graph(record: TraversalRecord, n: int) -> DirectedGraph:
-    """The rho-side graph of one traversal alone: edges (i_l, j_l)."""
-    return DirectedGraph(n, frozenset(zip(record.i_seq, record.j_seq)))
+    return DirectedGraph(n, frozenset(first)), DirectedGraph(n, frozenset(zip(i_seq, j_seq)))
 
 
 def graphs_from_traversal(

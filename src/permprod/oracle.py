@@ -182,6 +182,23 @@ class ExactDistribution:
         """Probability of a single permutation with the given cycle type."""
         return self._perm_weights.get(partition, Fraction(0))
 
+    @cached_property
+    def _prefix_fixed_probs(self) -> tuple[Fraction, ...]:
+        # prefix_fixed_prob for f = 0..n, computed once per law: the
+        # bounds sweep asks for it once per (law, graph).
+        n = self.n
+        out = [Fraction(1)]
+        for f in range(1, n + 1):
+            rest = n - f
+            total = Fraction(0)
+            for mu in partitions(rest):
+                full = tuple(sorted(mu + (1,) * f, reverse=True))
+                w = self.perm_weight(full)
+                if w:
+                    total += w * (class_size(mu, rest) if rest else 1)
+            out.append(total)
+        return tuple(out)
+
 
 @lru_cache(maxsize=None)
 def _perm_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -383,20 +400,12 @@ def prefix_fixed_prob(d: ExactDistribution, f: int) -> Fraction:
 
     Permutations fixing the prefix correspond to permutations of the
     remaining n - f points; each rest-type contributes its class count
-    times the pmf of the padded full type.
+    times the pmf of the padded full type. A law computes the values for
+    every f on first use and keeps them.
     """
     if f < 0 or f > d.n:
         raise ValueError(f"prefix length {f} outside 0..{d.n}")
-    if f == 0:
-        return Fraction(1)
-    rest = d.n - f
-    total = Fraction(0)
-    for mu in partitions(rest):
-        full = tuple(sorted(mu + (1,) * f, reverse=True))
-        w = d.perm_weight(full)
-        if w:
-            total += w * (class_size(mu, rest) if rest else 1)
-    return total
+    return d._prefix_fixed_probs[f]
 
 
 def ewens_prefix_fixed_prob(n: int, f: int, theta) -> Fraction:

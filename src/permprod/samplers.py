@@ -217,25 +217,32 @@ def _shuffled(gen: np.random.Generator, size: int, n: int) -> np.ndarray:
 
 
 def _arranged(
-    gen: np.random.Generator, size: int, succ: np.ndarray, relabel: bool
+    gen: np.random.Generator,
+    size: int,
+    n: int,
+    relabel: bool,
+    succ: np.ndarray | None = None,
+    ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The kernel: rows whose cycles are the blocks of an arrangement.
 
-    ``succ[j]`` is the position after j in its block, wrapping from the
-    block's last position to its first; it is one (n,) base shared by
-    every row or one (size, n) array. Without ``relabel`` the rows are
-    ``succ`` itself, read-only, on the identity arrangement. With it,
-    each row draws a uniform arrangement arr and maps arr[j] to
+    Each block is a run of consecutive positions, each mapped to the next
+    and the last back to the first. The blocks come either as ``succ``,
+    one (n,) base shared by every row, with ``succ[j]`` the position
+    after j in its block; or as ``ends`` = (r, last, first), the last and
+    first position of every block of row r, for rows with blocks of their
+    own. Without ``relabel`` the rows are the successor map itself on the
+    identity arrangement (a read-only broadcast of a shared base). With
+    it, each row draws a uniform arrangement arr and maps arr[j] to
     arr[succ[j]], which is a uniform member of the row's conjugacy class.
     """
-    n = succ.shape[-1]
     if not relabel:
-        return np.broadcast_to(succ, (size, n))
+        if succ is not None:
+            return np.broadcast_to(succ, (size, n))
+        identity = np.broadcast_to(np.arange(n, dtype=_ROW_DTYPE), (size, n))
+        return _next_in_block(identity, ends)
     arr = _shuffled(gen, size, n)
-    if succ.ndim == 1:
-        vals = np.take(arr, succ, axis=1)
-    else:
-        vals = np.take_along_axis(arr, succ, axis=1)
+    vals = np.take(arr, succ, axis=1) if succ is not None else _next_in_block(arr, ends)
     # rows[r, arr[r, j]] = vals[r, j], scattered through flat indices:
     # faster than put_along_axis, most of all at large n.
     flat_dtype = _ROW_DTYPE if size * n <= _MAX_N else np.int64
@@ -243,6 +250,18 @@ def _arranged(
     rows = np.empty((size, n), dtype=_ROW_DTYPE)
     rows.reshape(-1)[arr] = vals
     return rows
+
+
+def _next_in_block(
+    arr: np.ndarray, ends: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    # arr[r, succ[r, j]] for per-row blocks: off the block ends succ[r, j]
+    # is j + 1, so a shifted copy of arr is right everywhere else.
+    r, last, first = ends
+    vals = np.empty(arr.shape, dtype=_ROW_DTYPE)
+    vals[:, :-1] = arr[:, 1:]
+    vals[r, last] = arr[r, first]
+    return vals
 
 
 def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
@@ -270,11 +289,10 @@ def ewens_rows(
     opens = np.ones((size, n + 1), dtype=bool)
     opens[:, 1:n] = gen.random((size, n - 1)) < theta / (theta + np.arange(1, n))
     r, c = np.nonzero(opens)
-    # Each real opening's next entry is its row's next opening or sentinel.
+    # Each real opening's next entry is its row's next opening or
+    # sentinel, one past the end of the block it opens.
     first = np.flatnonzero(c < n)
-    succ = np.tile(np.arange(1, n + 1, dtype=_ROW_DTYPE), (size, 1))
-    succ[r[first], c[first + 1] - 1] = c[first]
-    return _arranged(gen, size, succ, relabel)
+    return _arranged(gen, size, n, relabel, ends=(r[first], c[first + 1] - 1, c[first]))
 
 
 def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
@@ -291,14 +309,14 @@ def sqrt_fixed_rows(
     rng: RngStream, size: int, n: int, fixed_count: int, relabel: bool = True
 ) -> np.ndarray:
     spec = SamplerSpec("sqrt_fixed", n=n, fixed_count=fixed_count)
-    return _arranged(rng.generator, size, _block_base(spec.fixed_cycle_type()), relabel)
+    return _arranged(rng.generator, size, n, relabel, succ=_block_base(spec.fixed_cycle_type()))
 
 
 def matching_heavy_rows(
     rng: RngStream, size: int, n: int, fraction, relabel: bool = True
 ) -> np.ndarray:
     spec = SamplerSpec("matching_heavy", n=n, two_cycle_fraction=fraction)
-    return _arranged(rng.generator, size, _block_base(spec.fixed_cycle_type()), relabel)
+    return _arranged(rng.generator, size, n, relabel, succ=_block_base(spec.fixed_cycle_type()))
 
 
 def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -309,7 +327,11 @@ def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
     for rows in factor_rows[1:]:
         if rows.shape != prod.shape:
             raise ValueError("factor batches must share a shape")
-        prod = np.take_along_axis(prod, rows, axis=1)
+        if prod.strides[0] == 0:
+            # A broadcast class representative: one 1-D gather of its base.
+            prod = prod[0][rows]
+        else:
+            prod = np.take_along_axis(prod, rows, axis=1)
     return prod
 
 

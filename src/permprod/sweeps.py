@@ -10,7 +10,11 @@ The five suites over ordered pairs share one pass (:func:`sweep_pairs`):
 S_n x S_n is enumerated once, each (sigma, rho, m) is traversed and its
 two graphs built once, and every suite reads them into its own tally.
 Each start is walked on its own, never derived from another start's
-cycle, so the shared-cycle check compares independent walks. The
+cycle, so the shared-cycle check compares independent walks. The pairs
+are taken by orbits of the maps (sigma, rho) -> (rho, sigma) and
+(sigma, rho) -> (rho^-1, sigma^-1). The reversal-exchange check compares
+a pair's walks with those of two other members of its orbit, so each
+walk is shared within the orbit instead of being repeated. The
 ``sweep_*`` names of those suites select their summary from the pass.
 The same pass collects the union graphs that the membership bounds run
 on, so :func:`run_all` walks S_n x S_n once.
@@ -36,7 +40,6 @@ from permprod.cyclegraphs import (
     profile,
     relabel_dichotomy_holds,
     reversal_identities_hold,
-    rho_side_graph,
     shared_cycle_graphs_match,
     traversal,
 )
@@ -226,7 +229,10 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
 
     For every ordered pair (sigma, rho) and every start m the pass walks
     traversal(sigma, rho, m) and builds its graph couple once; each suite
-    reads them and keeps its own tally. In suite order:
+    reads them and keeps its own tally. The pairs are taken an orbit at a
+    time, the orbit of (sigma, rho) being its swap (rho, sigma), the
+    inverted swap (rho^-1, sigma^-1) and (sigma^-1, rho^-1), led by its
+    least pair in enumeration order. In suite order:
 
     * traversal-encoding: the index walk equals the cycle of
       inverse(sigma) o rho through m, the companion sequence is its
@@ -235,7 +241,8 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
     * shared-cycle-graphs: two starts on one cycle, each walked on its
       own, induce identical graphs;
     * reversal-exchange: the exchange identities with (rho, sigma) and
-      the inverted pair, whose traversals are walked fresh per case;
+      the inverted pair, whose traversals are those their own orbit
+      members walked, each independently of the pair's own walk;
     * two-vertex-components: no 2-cycles when every component has two
       vertices;
     * event-factorization: grouped by the union couple over starts 1..k,
@@ -257,24 +264,43 @@ def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary],
     if not ks or any(k < 1 or k > n for k in ks):
         raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
     perms = list(all_permutations(n))
-    inverses = [inverse(p) for p in perms]
+    index_of = {p: i for i, p in enumerate(perms)}
+    inv = [index_of[inverse(p)] for p in perms]
     perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
+    count = len(perms)
     starts = range(1, n + 1)
     start_pairs = list(itertools.combinations(range(n), 2))
     encoding, shared, reversal, small = _Tally(), _Tally(), _Tally(), _Tally()
     fibers = [_Fibers(k) for k in ks]
     union_masks: set[int] = set()
-    for sigma, sinv, sigma_mask in zip(perms, inverses, perm_masks):
-        for rho, rinv, rho_mask in zip(perms, inverses, perm_masks):
-            prod = compose(sinv, rho)
+    done = bytearray(count * count)
+    for lead in range(count * count):
+        if done[lead]:
+            continue
+        # The orbit of the least pair not yet done, as (sigma, rho) index
+        # pairs: the pair, its swap (rho, sigma), the inverted swap
+        # (rho^-1, sigma^-1) and (sigma^-1, rho^-1). Each member's n starts
+        # are walked and their graph couples built once.
+        a, b = divmod(lead, count)
+        orbit = dict.fromkeys([(a, b), (b, a), (inv[b], inv[a]), (inv[a], inv[b])])
+        for s, t in orbit:
+            done[s * count + t] = 1
+            records = [traversal(perms[s], perms[t], m) for m in starts]
+            orbit[s, t] = records, [graphs_from_record(r, n) for r in records]
+        for (s, t), (records, graphs) in orbit.items():
+            sigma, rho = perms[s], perms[t]
+            prod = compose(perms[inv[s]], rho)
             rho_images = rho.images
-            records = [traversal(sigma, rho, m) for m in starts]
-            graphs = [graphs_from_record(r, n) for r in records]
+            # traversal(rho, sigma, m) is the swapped member's record at m;
+            # the rho-side graph of traversal(rho^-1, sigma^-1, rho(m)) is
+            # the inverted swap's at start rho(m).
+            backs = orbit[t, s][0]
+            inverted = orbit[inv[t], inv[s]][1]
             for r, (g1, g2) in zip(records, graphs):
                 m = r.m
 
-                def describe(s=sigma, rr=rho, mm=m):
-                    return f"sigma={s.to_line()} rho={rr.to_line()} m={mm}"
+                def describe(ss=sigma, rr=rho, mm=m):
+                    return f"sigma={ss.to_line()} rho={rr.to_line()} m={mm}"
 
                 encoding.record(
                     r.i_seq == cycle_of(prod, m)
@@ -285,20 +311,19 @@ def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary],
                     and membership(rho, g2),
                     describe,
                 )
-                back = traversal(rho, sigma, m)
-                h2 = rho_side_graph(traversal(rinv, sinv, rho_images[m - 1]), n)
-                reversal.record(reversal_identities_hold(r, g1, back, h2), describe)
+                h2 = inverted[rho_images[m - 1] - 1][1]
+                reversal.record(reversal_identities_hold(r, g1, backs[m - 1], h2), describe)
                 small.record(no_two_cycles_when_components_small(g1, g2), describe)
-            for a, b in start_pairs:
+            for i, j in start_pairs:
                 shared.record(
-                    shared_cycle_graphs_match(records[a], graphs[a], records[b], graphs[b]),
-                    lambda s=sigma, rr=rho, m1=a + 1, m2=b + 1: (
-                        f"sigma={s.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
+                    shared_cycle_graphs_match(records[i], graphs[i], records[j], graphs[j]),
+                    lambda ss=sigma, rr=rho, m1=i + 1, m2=j + 1: (
+                        f"sigma={ss.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
                     ),
                 )
             side_masks = [_side_masks(pair, n) for pair in graphs]
             for fib in fibers:
-                fib.add(side_masks, sigma_mask, rho_mask)
+                fib.add(side_masks, perm_masks[s], perm_masks[t])
             # A record's start is the least index of its cycle for exactly
             # one record per cycle.
             _add_union_masks(

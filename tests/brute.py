@@ -2,8 +2,9 @@
 
 Most functions here are unreduced sums over all of S_n (or S_n x S_n)
 with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
-every start set rather than one start per cycle, and the two-vertex
-predicate reads full component profiles. They exist so that tests can
+every start set rather than one start per cycle, ``pair_pass`` walks
+every traversal afresh for each pair instead of sharing walks, and the
+two-vertex predicate reads full component profiles. They exist so that tests can
 check the reduced code against straight enumeration instead of trusting
 it, and they are practical only for n <= 7. Only ``perms``,
 ``cyclegraphs`` and the ``ExactDistribution`` type are used, so nothing
@@ -23,7 +24,11 @@ from permprod.cyclegraphs import (
     GraphClass,
     canonical_class,
     graphs_from_traversal,
+    membership,
     profile,
+    reversal_identities_hold,
+    shared_cycle_graphs_match,
+    traversal,
     union_graphs,
 )
 from permprod.oracle import ExactDistribution
@@ -204,6 +209,120 @@ def union_graph_list(n: int) -> list[DirectedGraph]:
                     seen.add(u1.edges)
                     seen.add(u2.edges)
     return [DirectedGraph(n, edges) for edges in sorted(seen, key=sorted)]
+
+
+def _edge_mask(edges, n: int) -> int:
+    return sum(1 << ((a - 1) * n + b - 1) for a, b in edges)
+
+
+class _Tally:
+    # Cases, violations and the first five violations' descriptions.
+    def __init__(self, suite: str) -> None:
+        self.suite, self.cases, self.violations, self.examples = suite, 0, 0, []
+
+    def record(self, ok: bool, describe: str) -> None:
+        self.cases += 1
+        if not ok:
+            self.violations += 1
+            if len(self.examples) < 5:
+                self.examples.append(describe)
+
+    def row(self) -> tuple[str, int, int, list[str]]:
+        return self.suite, self.cases, self.violations, self.examples
+
+
+def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
+    """The five pair suites of ``sweeps.sweep_pairs`` and the union masks
+    of its pass, without sharing anything between pairs.
+
+    Ordered pairs come one at a time in lexicographic order, and every
+    (sigma, rho, m) walks its own swapped and inverted traversals afresh.
+    Event factorization keeps each fiber's member pairs and compares them
+    with the pairs satisfying the union couple, listed from S_n x S_n.
+    The union masks come from every non-empty start set, not one start
+    per cycle. Returns (suite, cases, violations, examples) per suite in
+    sweep order, and the masks, edge (a, b) being bit (a - 1) * n + b - 1.
+    Practical for n <= 4.
+    """
+    perms = list(all_permutations(n))
+    starts = range(1, n + 1)
+    encoding, shared, reversal, small = (
+        _Tally(suite)
+        for suite in (
+            "traversal-encoding",
+            "shared-cycle-graphs",
+            "reversal-exchange",
+            "two-vertex-components",
+        )
+    )
+    fibers: dict[int, dict[tuple, list]] = {k: {} for k in start_counts}
+    masks: set[int] = set()
+    for sigma in perms:
+        sinv = inverse(sigma)
+        for rho in perms:
+            rinv = inverse(rho)
+            records = [traversal(sigma, rho, m) for m in starts]
+            graphs = [graphs_from_traversal(sigma, rho, m) for m in starts]
+            for r, (g1, g2) in zip(records, graphs):
+                m = r.m
+                describe = f"sigma={sigma.to_line()} rho={rho.to_line()} m={m}"
+                cycle = [m]
+                while sinv(rho(cycle[-1])) != m:
+                    cycle.append(sinv(rho(cycle[-1])))
+                encoding.record(
+                    list(r.i_seq) == cycle
+                    and list(r.j_seq) == [rho(x) for x in cycle]
+                    and len(g1.edges) == len(g2.edges) == len(cycle)
+                    and membership(sigma, g1)
+                    and membership(rho, g2),
+                    describe,
+                )
+                back = traversal(rho, sigma, m)
+                h2 = graphs_from_traversal(rinv, sinv, rho(m))[1]
+                reversal.record(reversal_identities_hold(r, g1, back, h2), describe)
+                small.record(no_two_cycles_when_components_small(g1, g2), describe)
+            for a, b in itertools.combinations(range(n), 2):
+                shared.record(
+                    shared_cycle_graphs_match(records[a], graphs[a], records[b], graphs[b]),
+                    f"sigma={sigma.to_line()} rho={rho.to_line()} m1={a + 1} m2={b + 1}",
+                )
+            for k, groups in fibers.items():
+                key = tuple((g1.edges, g2.edges) for g1, g2 in graphs[:k])
+                groups.setdefault(key, []).append((sigma, rho))
+            for size in range(1, n + 1):
+                for index_set in itertools.combinations(range(n), size):
+                    for side in (0, 1):
+                        edges = set().union(*(graphs[i][side].edges for i in index_set))
+                        masks.add(_edge_mask(edges, n))
+
+    satisfying: dict[frozenset, list[Permutation]] = {}
+
+    def satisfied_by(edges: frozenset) -> list[Permutation]:
+        if edges not in satisfying:
+            satisfying[edges] = [p for p in perms if membership(p, DirectedGraph(n, edges))]
+        return satisfying[edges]
+
+    factorization = _Tally("event-factorization")
+    for k, groups in fibers.items():
+        union_of = {
+            key: (frozenset().union(*(e1 for e1, _ in key)), frozenset().union(*(e2 for _, e2 in key)))
+            for key in groups
+        }
+        tuples_of_union: dict[tuple, int] = {}
+        for union in union_of.values():
+            tuples_of_union[union] = tuples_of_union.get(union, 0) + 1
+        for key, members in groups.items():
+            u1, u2 = union_of[key]
+            rectangle = {(s, r) for s in satisfied_by(u1) for r in satisfied_by(u2)}
+            factorization.record(
+                tuples_of_union[u1, u2] == 1
+                and set(members) == rectangle
+                and len(rectangle)
+                == math.factorial(n - len(u1)) * math.factorial(n - len(u2)),
+                f"k={k} sides {sorted(u1)} / {sorted(u2)}",
+            )
+    tallies = (encoding, shared, reversal, small, factorization)
+    return [t.row() for t in tallies], masks
 
 
 def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) -> bool:

@@ -348,10 +348,15 @@ def test_verify_bounds_families_and_validity():
 
 def test_verify_bounds_does_not_depend_on_law_order():
     # Counts and graph shapes are computed once per graph and reused by
-    # every law, so each order starts from cold caches: whichever law
+    # every law, and prefix-fixing probabilities once per law, so each
+    # order starts from cold caches and new law objects: whichever law
     # comes first must not leak into the others.
     n = 4
-    laws = [ExactDistribution.ewens(n, t) for t in THETAS] + [ExactDistribution.uniform(n)]
+
+    def new_laws():
+        return [ExactDistribution.ewens(n, t) for t in THETAS] + [ExactDistribution.uniform(n)]
+
+    laws = new_laws()
     graphs = [
         DirectedGraph.of(n, edges)
         for edges in (
@@ -364,7 +369,7 @@ def test_verify_bounds_does_not_depend_on_law_order():
         )
     ]
     results = []
-    for order in (laws, laws[::-1]):
+    for order in (new_laws(), new_laws()[::-1]):
         _satisfying_type_counts.cache_clear()
         _bound_shape.cache_clear()
         results.append({(law.kind, g): verify_bounds(law, g) for g in graphs for law in order})
@@ -372,8 +377,15 @@ def test_verify_bounds_does_not_depend_on_law_order():
     for law in laws:
         weights = permutation_weights(law)
         for g in graphs:
+            weighted, plain = results[0][law.kind, g][:2]
             prob = sum(w for sigma, w in weights.items() if membership(sigma, g))
-            assert results[0][law.kind, g][0].lhs == prob
+            assert weighted.lhs == prob
+            # The weighted bound is the plain one times P(sigma fixes 1..f).
+            f = weighted.parameters["f"]
+            fixing = sum(
+                w for sigma, w in weights.items() if all(sigma(i) == i for i in range(1, f + 1))
+            )
+            assert weighted.rhs == plain.rhs * fixing
 
 
 def test_full_enumeration_is_capped():

@@ -26,6 +26,7 @@ from permprod.samplers import (
     sqrt_fixed_rows,
     uniform_rows,
 )
+from permprod.cli import sampler_from_text
 from permprod.oracle import ExactDistribution
 
 
@@ -64,6 +65,34 @@ def test_ewens_rows_are_valid(n, theta, relabel):
         rows = ewens_rows(RngStream(5, 1), 16, n, float(theta), relabel)
     assert rows.shape == (16, n)
     assert rows_are_permutations(rows, n)
+
+
+def _ewens_rows_through_succ(rng, size, n, theta, relabel):
+    # The full (size, n) successor array, gathered and scattered along
+    # axis 1; the same draws as ewens_rows, in the same order.
+    gen = rng.generator
+    opens = np.ones((size, n + 1), dtype=bool)
+    opens[:, 1:n] = gen.random((size, n - 1)) < theta / (theta + np.arange(1, n))
+    succ = np.arange(1, n + 1) + np.zeros((size, 1), dtype=np.int64)
+    for r, row in enumerate(opens):
+        starts = np.flatnonzero(row)
+        succ[r, starts[1:] - 1] = starts[:-1]
+    if not relabel:
+        return succ
+    arr = gen.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1)
+    rows = np.empty_like(arr)
+    np.put_along_axis(rows, arr, np.take_along_axis(arr, succ, axis=1), axis=1)
+    return rows
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 250])
+@pytest.mark.parametrize("relabel", [True, False])
+def test_ewens_rows_match_the_successor_array_construction(theta, n, relabel):
+    rows = ewens_rows(RngStream(9, 4), 40, n, theta, relabel)
+    expected = _ewens_rows_through_succ(RngStream(9, 4), 40, n, theta, relabel)
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows, expected)
 
 
 def test_representatives_lay_cycles_on_consecutive_blocks():
@@ -227,6 +256,21 @@ def test_product_rows_is_left_composition():
     r = Permutation.from_cycles(4, [(3, 4)])
     prod = product_rows([row_from_perm(s)[None, :], row_from_perm(r)[None, :]])
     assert perm_from_row(prod[0]) == compose(s, r)
+
+
+@pytest.mark.parametrize("first", ["sqrt_fixed:sqrt", "matching_heavy:1/3"])
+def test_product_rows_of_a_broadcast_representative(first):
+    # A fixed-type representative is a read-only broadcast of one base row.
+    spec = sampler_from_text(first).bind(n=30)
+    rep = spec.draw_batch(RngStream(4, 0), 12, relabel=False)
+    assert rep.strides[0] == 0
+    factors = [rep, uniform_rows(RngStream(4, 1), 12, 30), uniform_rows(RngStream(4, 2), 12, 30)]
+    expected = np.ascontiguousarray(rep)
+    for rows in factors[1:]:
+        expected = np.take_along_axis(expected, rows, axis=1)
+    prod = product_rows(factors)
+    assert prod.dtype == np.int32
+    assert np.array_equal(prod, expected)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=4))
