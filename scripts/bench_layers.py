@@ -3,7 +3,9 @@
 
 For each n it times one chunk (the rows ``draw_chunks`` draws at once):
 every sampler law, both as full relabeled draws and as the class
-representatives that class-function consumers draw for factor 0; the
+representatives that class-function consumers draw for factor 0, with the
+``tracemalloc`` peak of one more full draw beside the output's own size
+(numpy reports its buffers to ``tracemalloc``); the
 product of two factors; and small-cycle counting of that product for
 k = 1, 3 and 6. Then it times the exact oracle: one
 ``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
@@ -23,6 +25,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 
 from fractions import Fraction
 
@@ -54,6 +57,17 @@ def best_ms(fn, repeat: int) -> float:
     return min(times) * 1e3
 
 
+def full_draw_peak(draw) -> tuple[float, float]:
+    # Peak traced allocation of one draw, the rows included, and the
+    # rows' own size, both in MiB.
+    tracemalloc.start()
+    try:
+        rows = draw()
+        return tracemalloc.get_traced_memory()[1] / 2**20, rows.nbytes / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="runs per layer; the best is kept")
@@ -70,7 +84,11 @@ def main(argv=None) -> int:
                 best_ms(lambda: spec.draw_batch(RngStream(1, 0), size, relabel=r), args.repeat)
                 for r in (True, False)
             )
-            print(f"  {text:<20} full {full:8.2f}  representative {rep:8.2f}")
+            peak, output = full_draw_peak(lambda: spec.draw_batch(RngStream(1, 0), size))
+            print(
+                f"  {text:<20} full {full:8.2f}  representative {rep:8.2f}"
+                f"  full-draw peak {peak:6.1f} MiB, output {output:5.1f} MiB"
+            )
         uniform = sampler_from_text("uniform").bind(n=n)
         factors = [uniform.draw_batch(RngStream(1, f), size) for f in range(2)]
         print(f"  {'product_rows x2':<20} {best_ms(lambda: product_rows(factors), args.repeat):8.2f}")

@@ -34,6 +34,7 @@ from permprod.oracle import (
 )
 from permprod.samplers import _MAX_N, SamplerSpec, product_rows, small_cycle_counts
 from permprod.stats import (
+    _MIN_ESTIMATE_SAMPLES,
     Functional,
     MomentEstimate,
     convergence_scan,
@@ -209,6 +210,15 @@ class ExperimentConfig:
                 raise ConfigError("v_vec: more start indices than ground-set elements")
         if self.command == "convergence" and not self.functionals and not self.tv_orders:
             raise ConfigError("functionals: convergence needs functionals or tv_orders")
+        # Moment rows need a standard error; checked before anything is drawn.
+        estimates = self.command in ("moments", "counterexample") or (
+            self.command == "convergence" and self.functionals
+        )
+        if estimates and self.samples < _MIN_ESTIMATE_SAMPLES:
+            raise ConfigError(
+                f"samples: command {self.command} estimates moments from at least "
+                f"{_MIN_ESTIMATE_SAMPLES} samples, got {self.samples}"
+            )
 
 
 _FIELD_DEFAULTS = {

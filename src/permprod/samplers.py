@@ -13,7 +13,16 @@ kernel draws them that way: it lays the cycles on consecutive blocks of
 positions and carries the blocks onto a uniform arrangement of the ground
 set. Ewens cycle types come from the Feller coupling (position j >= 1
 opens a block with probability theta / (theta + j)); the last two laws
-have one fixed cycle type. ``uniform`` is a plain shuffle.
+have one fixed cycle type. ``uniform`` rows are the kernel's arrangements
+themselves.
+
+The kernel works through a chunk a few rows at a time: it shuffles one
+reused block of rows (``_BLOCK_ELEMENTS`` entries), carries that block's
+cycles onto it and scatters the result into the chunk's rows, so no
+(size, n) temporary exists beside the output. The Feller uniforms are
+drawn the same way, every block before any shuffle. The generator fills
+and shuffles row by row, so the blocks draw the same rows, and leave the
+generator in the same state, as one whole-chunk draw.
 
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
@@ -210,10 +219,32 @@ def row_from_perm(perm: Permutation) -> np.ndarray:
     return np.asarray([x - 1 for x in perm.images], dtype=_ROW_DTYPE)
 
 
-def _shuffled(gen: np.random.Generator, size: int, n: int) -> np.ndarray:
-    # permuted shuffles int64 rows faster than int32 ones, with the same draws.
-    rows = np.tile(np.arange(n, dtype=np.int64), (size, 1))
-    return gen.permuted(rows, axis=1, out=rows).astype(_ROW_DTYPE)
+# int64 entries in the one reused shuffle block (512 KiB); the Feller
+# uniforms go through a float64 block of the same rows.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    # Rows per block; a single row longer than the budget is its own block.
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
+def _shuffled_blocks(gen: np.random.Generator, size: int, n: int):
+    """Yield (s, e, arr): uniform arrangements of rows s..e-1, in order.
+
+    ``arr`` is an int64 view of one reused block, valid until the next
+    step. permuted shuffles int64 rows faster than int32 ones, with the
+    same draws, and it consumes the stream row by row, so the blocks draw
+    what one (size, n) shuffle would.
+    """
+    step = _block_rows(n)
+    base = np.arange(n, dtype=np.int64)
+    buf = np.empty((min(size, step), n), dtype=np.int64)
+    for s in range(0, size, step):
+        arr = buf[: min(step, size - s)]
+        arr[...] = base
+        gen.permuted(arr, axis=1, out=arr)
+        yield s, s + len(arr), arr
 
 
 def _arranged(
@@ -230,25 +261,37 @@ def _arranged(
     and the last back to the first. The blocks come either as ``succ``,
     one (n,) base shared by every row, with ``succ[j]`` the position
     after j in its block; or as ``ends`` = (r, last, first), the last and
-    first position of every block of row r, for rows with blocks of their
-    own. Without ``relabel`` the rows are the successor map itself on the
-    identity arrangement (a read-only broadcast of a shared base). With
-    it, each row draws a uniform arrangement arr and maps arr[j] to
-    arr[succ[j]], which is a uniform member of the row's conjugacy class.
+    first position of every block of row r, sorted by r, for rows with
+    blocks of their own. Without ``relabel`` the rows are the successor
+    map itself on the identity arrangement (a read-only broadcast of a
+    shared base). With it, each row draws a uniform arrangement arr and
+    maps arr[j] to arr[succ[j]], which is a uniform member of the row's
+    conjugacy class. The arrangements come a row block at a time from
+    ``_shuffled_blocks``; each block's successor values and block-local
+    offsets are built from it and scattered into the output before the
+    next block is shuffled.
     """
     if not relabel:
         if succ is not None:
             return np.broadcast_to(succ, (size, n))
         identity = np.broadcast_to(np.arange(n, dtype=_ROW_DTYPE), (size, n))
         return _next_in_block(identity, ends)
-    arr = _shuffled(gen, size, n)
-    vals = np.take(arr, succ, axis=1) if succ is not None else _next_in_block(arr, ends)
-    # rows[r, arr[r, j]] = vals[r, j], scattered through flat indices:
-    # faster than put_along_axis, most of all at large n.
-    flat_dtype = _ROW_DTYPE if size * n <= _MAX_N else np.int64
-    arr = arr + np.arange(0, size * n, n, dtype=flat_dtype)[:, None]
     rows = np.empty((size, n), dtype=_ROW_DTYPE)
-    rows.reshape(-1)[arr] = vals
+    flat = rows.reshape(-1)
+    # Offsets within one block stay below max(_BLOCK_ELEMENTS, n), so int32.
+    offsets = np.arange(0, _block_rows(n) * n, n, dtype=_ROW_DTYPE)[:, None]
+    for s, e, block in _shuffled_blocks(gen, size, n):
+        arr = block.astype(_ROW_DTYPE)
+        if succ is not None:
+            vals = np.take(arr, succ, axis=1)
+        else:
+            lo, hi = np.searchsorted(ends[0], (s, e))
+            r, last, first = (part[lo:hi] for part in ends)
+            vals = _next_in_block(arr, (r - s, last, first))
+        # rows[s + i, arr[i, j]] = vals[i, j], scattered through flat
+        # indices: faster than put_along_axis, most of all at large n.
+        arr += offsets[: e - s]
+        flat[s * n : e * n][arr] = vals
     return rows
 
 
@@ -267,7 +310,10 @@ def _next_in_block(
 def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _shuffled(rng.generator, size, n)
+    rows = np.empty((size, n), dtype=_ROW_DTYPE)
+    for s, e, arr in _shuffled_blocks(rng.generator, size, n):
+        rows[s:e] = arr
+    return rows
 
 
 def ewens_rows(
@@ -284,15 +330,30 @@ def ewens_rows(
     if theta < 0:
         raise ValueError("theta must be non-negative")
     gen = rng.generator
+    return _arranged(gen, size, n, relabel, ends=_feller_ends(gen, size, n, theta))
+
+
+def _feller_ends(
+    gen: np.random.Generator, size: int, n: int, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (r, last, first) of every block of every row, sorted by r, from the
+    # Feller uniforms drawn a row block at a time.
+    probs = theta / (theta + np.arange(1, n))
+    step = _block_rows(n)
     # Position 0 always opens (theta / (theta + 0) is 0/0 at theta = 0),
     # and column n is a sentinel opening after each row's last block.
-    opens = np.ones((size, n + 1), dtype=bool)
-    opens[:, 1:n] = gen.random((size, n - 1)) < theta / (theta + np.arange(1, n))
-    r, c = np.nonzero(opens)
-    # Each real opening's next entry is its row's next opening or
-    # sentinel, one past the end of the block it opens.
-    first = np.flatnonzero(c < n)
-    return _arranged(gen, size, n, relabel, ends=(r[first], c[first + 1] - 1, c[first]))
+    opens = np.ones((min(size, step), n + 1), dtype=bool)
+    uniforms = np.empty((len(opens), n - 1))
+    parts = []
+    for s in range(0, size, step):
+        b = min(step, size - s)
+        np.less(gen.random(out=uniforms[:b]), probs, out=opens[:b, 1:n])
+        r, c = np.nonzero(opens[:b])
+        # Each real opening's next entry is its row's next opening or
+        # sentinel, one past the end of the block it opens.
+        first = np.flatnonzero(c < n)
+        parts.append((r[first] + s, c[first + 1] - 1, c[first]))
+    return tuple(np.concatenate(part, dtype=_ROW_DTYPE) for part in zip(*parts))
 
 
 def _block_base(cycle_type: Sequence[int]) -> np.ndarray:

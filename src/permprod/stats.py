@@ -52,6 +52,8 @@ _CHUNK = 8192
 # Cap on elements per batch array so large n does not blow up memory.
 _CHUNK_ELEMENTS = 1 << 22
 _GRID_STRIDE = 2**32
+# Fewest samples a mean and standard error are estimated from.
+_MIN_ESTIMATE_SAMPLES = 100
 
 
 def _chunk_size(n: int) -> int:
@@ -325,8 +327,8 @@ def estimates_from_counts(
     law ``bound`` describes, with at least ``max(f.kmax)`` columns.
     """
     samples = counts.shape[0]
-    if samples < 100:
-        raise ValueError("moment estimates need samples >= 100")
+    if samples < _MIN_ESTIMATE_SAMPLES:
+        raise ValueError(f"moment estimates need samples >= {_MIN_ESTIMATE_SAMPLES}")
     n = bound[0].n
     label = " x ".join(s.label() for s in bound)
     values = [_functional_values(f, counts, n) for f in functionals]

@@ -276,6 +276,35 @@ def test_infeasible_fixed_law_names_samplers(command, extra, law, n, capsys):
     assert "infeasible" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--n", "6", "--functionals", "product:1"],
+        ["counterexample", "--n", "6"],
+        ["convergence", "--n-grid", "5, 6", "--functionals", "product:1", "--tv-orders", "2"],
+    ],
+)
+def test_too_few_samples_for_estimates_name_samples_before_drawing(argv, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before rejecting the config")
+
+    monkeypatch.setattr("permprod.cli.draw_chunks", no_draw)
+    monkeypatch.setattr("permprod.stats.draw_chunks", no_draw)
+    common = ["--seed", "1", "--samplers", "uniform, uniform", "--samples", "50"]
+    assert main(argv + common) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: samples: ")
+
+
+def test_tv_only_convergence_takes_any_positive_sample_count(capsys):
+    argv = ["convergence", "--seed", "1", "--samplers", "uniform, uniform"]
+    assert main(argv + ["--n-grid", "5, 6", "--tv-orders", "2", "--samples", "3"]) == 0
+    assert "tv:2" in capsys.readouterr().out
+    assert main(argv + ["--n-grid", "5, 6", "--tv-orders", "2", "--samples", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: samples: ")
+
+
 def test_main_sample_layout_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = [

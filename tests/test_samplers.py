@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permprod import samplers
 from permprod.perms import Permutation, compose, cycle_counts, cycle_type
 from permprod.samplers import (
     RngStream,
@@ -79,10 +80,78 @@ def _ewens_rows_through_succ(rng, size, n, theta, relabel):
         succ[r, starts[1:] - 1] = starts[:-1]
     if not relabel:
         return succ
-    arr = gen.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1)
+    return _relabelled_through_succ(gen, succ)
+
+
+def _whole_chunk_arrangement(gen, size, n):
+    return gen.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1)
+
+
+def _relabelled_through_succ(gen, succ):
+    # One tiled shuffle of the whole chunk, then arr[r, j] -> arr[r, succ[r, j]].
+    arr = _whole_chunk_arrangement(gen, *succ.shape)
     rows = np.empty_like(arr)
     np.put_along_axis(rows, arr, np.take_along_axis(arr, succ, axis=1), axis=1)
     return rows
+
+
+def _whole_chunk_rows(spec, rng, size, relabel):
+    # The whole-chunk construction of every law, on the same stream as draw_batch.
+    gen, n = rng.generator, spec.n
+    if spec.kind == "uniform":
+        return _whole_chunk_arrangement(gen, size, n)
+    if spec.kind == "ewens":
+        return _ewens_rows_through_succ(rng, size, n, float(spec.theta), relabel)
+    succ, start = [], 0
+    for length in spec.fixed_cycle_type():
+        succ += list(range(start + 1, start + length)) + [start]
+        start += length
+    succ = np.tile(succ, (size, 1))
+    return _relabelled_through_succ(gen, succ) if relabel else succ
+
+
+_BLOCK_LAWS = ("uniform", "ewens:0", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/3")
+_BLOCK_SHAPES = [
+    (None, 250, 1000),  # four blocks, the last one partial
+    (None, 4096, 40),  # three blocks of 16, 16 and 8 rows
+    (None, 2, 300),  # one block
+    (None, 7, 1),
+    (64, 1, 5),
+    (64, 30, 41),  # twenty blocks of 2 rows and one of 1
+    (64, 100, 7),  # one row is longer than the budget
+]
+
+
+def _has_cycle_type(law, n):
+    try:
+        sampler_from_text(law).bind(n=n).fixed_cycle_type()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "law, relabel, block, n, size",
+    [
+        (law, relabel, *shape)
+        for law in _BLOCK_LAWS
+        # uniform rows are always shuffled
+        for relabel in ((True,) if law == "uniform" else (True, False))
+        for shape in _BLOCK_SHAPES
+        if _has_cycle_type(law, shape[1])
+    ],
+)
+def test_block_loop_matches_the_whole_chunk_construction(law, relabel, block, n, size, monkeypatch):
+    # block is the entry budget of the shuffle block; None keeps the module's.
+    if block is not None:
+        monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
+    spec = sampler_from_text(law).bind(n=n)
+    rng, reference = RngStream(21, 6), RngStream(21, 6)
+    rows = spec.draw_batch(rng, size, relabel)
+    expected = _whole_chunk_rows(spec, reference, size, relabel)
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows, expected)
+    assert rng.generator.random() == reference.generator.random()
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 2.0])
