@@ -12,11 +12,9 @@ k = 1, 3 and 6. Then it times the exact oracle: one
 16, with its caches cleared first, as in a fresh ``permprod exact``
 process. Times are wall-clock milliseconds from time.perf_counter.
 Last come the stages of a default ``permprod verify-lemmas``, in
-seconds: the trace sweep at n = 7, the pair pass at n = 5 (which also
-collects the union graphs) with its count of traversal calls,
-relabel-dichotomy at n = 5, and the membership bounds at n = 5 on the
-union graphs of that pass, with the oracle's per-graph caches cleared
-first.
+seconds: the trace sweep at n = 7, the pair pass at n = 5 with its
+count of traversal calls, relabel-dichotomy at n = 5, and the membership
+bounds at n = 5, with the oracle's per-graph caches cleared first.
 
     PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096]
 """
@@ -107,8 +105,7 @@ def main(argv=None) -> int:
 
         print(f"  n = {n:<16} {best_ms(cold_law, args.repeat):8.2f}")
     print("verify-lemmas stages at the default sizes, s")
-    # An untimed pair pass counts its traversal calls and collects the
-    # union masks for the bounds stage.
+    # An untimed pair pass counts its traversal calls.
     walk = sweeps.traversal
     calls = 0
 
@@ -119,18 +116,18 @@ def main(argv=None) -> int:
 
     sweeps.traversal = counted
     try:
-        _, union_masks = sweeps._pair_pass(5, (1, 2, 3))
+        sweeps.sweep_pairs(5)
     finally:
         sweeps.traversal = walk
 
     def cold_bounds():
         _satisfying_type_counts.cache_clear()
         _bound_shape.cache_clear()
-        sweeps.sweep_membership_bounds(5, _union_masks=union_masks)
+        sweeps.sweep_membership_bounds(5)
 
     for label, stage, note in (
         ("trace n = 7", lambda: sweeps.sweep_trace_identity(7), ""),
-        ("pair pass n = 5", lambda: sweeps._pair_pass(5, (1, 2, 3)), f"  {calls} traversal calls"),
+        ("pair pass n = 5", lambda: sweeps.sweep_pairs(5), f"  {calls} traversal calls"),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
         ("bounds n = 5", cold_bounds, ""),
     ):

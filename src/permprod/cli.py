@@ -329,12 +329,10 @@ def serialize_config(config: ExperimentConfig) -> str:
         lines.append("tv_orders = " + ", ".join(str(x) for x in config.tv_orders))
     if config.samples is not None:
         lines.append(f"samples = {config.samples}")
-    if config.truncation != 8:
-        lines.append(f"truncation = {config.truncation}")
-    if config.pair_n != 5:
-        lines.append(f"pair_n = {config.pair_n}")
-    if config.single_n != 7:
-        lines.append(f"single_n = {config.single_n}")
+    for name in ("truncation", "pair_n", "single_n"):
+        value = getattr(config, name)
+        if value != _FIELD_DEFAULTS[name]:
+            lines.append(f"{name} = {value}")
     if config.output is not None:
         lines.append(f"output = {config.output}")
     if config.format != "csv":

@@ -168,9 +168,6 @@ class ExactDistribution:
         )
         return cls(n=n, kind=kind, class_probs=probs)
 
-    def class_probabilities(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.class_probs)
-
     @cached_property
     def _perm_weights(self) -> dict[tuple[int, ...], Fraction]:
         return {
@@ -365,8 +362,9 @@ def exact_joint_cycle_prob(
     )
 
 
-# Per-graph caches: large enough for every union graph at n = 5 (1545),
-# bounded so that a long-lived process does not grow without limit.
+# Per-graph caches: large enough for every union graph at n = 5, the 1545
+# non-empty partial injections of {1..5}, bounded so that a long-lived
+# process does not grow without limit.
 _GRAPH_CACHE_SIZE = 4096
 
 
@@ -446,16 +444,6 @@ class BoundCheck:
     lhs: Fraction
     rhs: Fraction
     holds: bool
-
-    def as_json_dict(self) -> dict:
-        return {
-            "lemma": self.check_id,
-            "n": self.n,
-            "parameters": {k: str(v) for k, v in self.parameters.items()},
-            "lhs": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "rhs": f"{self.rhs.numerator}/{self.rhs.denominator}",
-            "holds": self.holds,
-        }
 
 
 def _binom(a: int, b: int) -> int:

@@ -149,10 +149,6 @@ class Functional:
     def scaled_two_cycle_rate(cls) -> "Functional":
         return cls(kind="scaled_two_cycle_rate")
 
-    @property
-    def num_factors_used(self) -> str:
-        return "all" if self.kind == "product_cycle_counts" else "one"
-
     def label(self) -> str:
         if self.kind == "product_cycle_counts":
             return "product:" + "*".join(str(v) for v in self.v_vec)

@@ -16,8 +16,15 @@ are taken by orbits of the maps (sigma, rho) -> (rho, sigma) and
 a pair's walks with those of two other members of its orbit, so each
 walk is shared within the orbit instead of being repeated. The
 ``sweep_*`` names of those suites select their summary from the pass.
-The same pass collects the union graphs that the membership bounds run
-on, so :func:`run_all` walks S_n x S_n once.
+
+The membership bounds run on every union graph, either side, of a
+non-empty start set of any pair. Those are exactly the non-empty partial
+injections of {1..n}, so no walk is needed to list them. Let C be the
+union of the cycles of sigma^-1 rho through the starts: the sigma-side
+union is sigma restricted to C, since sigma(i_{l+1}) = j_l, and the
+rho-side union is rho restricted to C. Conversely, a partial injection E
+extends to a permutation pi, and sigma = rho = pi with start set dom(E)
+gives E on both sides, as sigma^-1 rho is the identity.
 
 The suites are sized so the defaults finish in seconds: pair sweeps cap
 at n = 5 (about 1.4e4 ordered pairs) and single-permutation sweeps at
@@ -92,17 +99,6 @@ class SweepSummary:
     def ok(self) -> bool:
         return self.violations == 0
 
-    def as_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "cases": self.cases,
-            "violations": self.violations,
-            "ok": self.ok,
-            "detail": self.detail,
-            "examples": list(self.examples),
-        }
-
 
 class _Tally:
     def __init__(self) -> None:
@@ -169,29 +165,6 @@ def _side_masks(graphs: tuple[DirectedGraph, DirectedGraph], n: int) -> tuple[in
     return _edge_mask(graphs[0].edges, n), _edge_mask(graphs[1].edges, n)
 
 
-def _add_union_masks(cycle_masks: list[tuple[int, int]], seen: set[int]) -> None:
-    """Add both sides of the union over every non-empty subset of
-    ``cycle_masks`` to ``seen``.
-
-    ``cycle_masks`` holds the (sigma-side, rho-side) edge masks of one
-    start on each cycle of inverse(sigma) o rho. Starts on one cycle
-    induce identical graphs (the shared-cycle suite checks this), so these
-    are the unions over every non-empty set of starts.
-    """
-    unions = [(0, 0)]
-    for m1, m2 in cycle_masks:
-        unions += [(e1 | m1, e2 | m2) for e1, e2 in unions]
-    for e1, e2 in unions[1:]:
-        seen.add(e1)
-        seen.add(e2)
-
-
-def _union_graphs_of(masks: set[int], n: int) -> list[DirectedGraph]:
-    # The graphs sorted by their sorted edge lists, which _mask_edges gives.
-    ordered = sorted(_mask_edges(mask, n) for mask in masks)
-    return [DirectedGraph(n, frozenset(edges)) for edges in ordered]
-
-
 class _Fibers:
     """Graph-tuple fibers of one start count, kept as counts.
 
@@ -252,14 +225,6 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
       the finer per-start graph tuple induces the same grouping, so the
       tuple and the union carry the same information.
     """
-    return _pair_pass(n, start_counts)[0]
-
-
-def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary], set[int]]:
-    # The pass behind sweep_pairs. It also returns the edge masks of the
-    # union graphs the membership bounds run on: the masks of one start
-    # per cycle are already at hand, so collecting them here spares a
-    # second walk.
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
         raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
@@ -272,7 +237,6 @@ def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary],
     start_pairs = list(itertools.combinations(range(n), 2))
     encoding, shared, reversal, small = _Tally(), _Tally(), _Tally(), _Tally()
     fibers = [_Fibers(k) for k in ks]
-    union_masks: set[int] = set()
     done = bytearray(count * count)
     for lead in range(count * count):
         if done[lead]:
@@ -324,12 +288,6 @@ def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary],
             side_masks = [_side_masks(pair, n) for pair in graphs]
             for fib in fibers:
                 fib.add(side_masks, perm_masks[s], perm_masks[t])
-            # A record's start is the least index of its cycle for exactly
-            # one record per cycle.
-            _add_union_masks(
-                [mk for r, mk in zip(records, side_masks) if min(r.i_seq) == r.m],
-                union_masks,
-            )
 
     satisfying: dict[int, int] = {}
 
@@ -357,7 +315,7 @@ def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary],
                 ),
             )
     per_start = f"all ordered pairs at n={n}, every start index"
-    summaries = [
+    return [
         _summary("traversal-encoding", n, encoding, per_start),
         _summary(
             "shared-cycle-graphs", n, shared,
@@ -371,7 +329,6 @@ def _pair_pass(n: int, start_counts: Sequence[int]) -> tuple[list[SweepSummary],
             f"{tuple(ks)} at n={n}",
         ),
     ]
-    return summaries, union_masks
 
 
 def sweep_traversal_consistency(n: int = 4) -> SweepSummary:
@@ -433,27 +390,6 @@ def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:
     )
 
 
-def _union_mask_collection(n: int) -> set[int]:
-    """The edge masks of every graph realizable as a union of per-start
-    graphs, either side, from a walk of one start per cycle over
-    S_n x S_n; the pair pass collects the same set as it goes."""
-    seen: set[int] = set()
-    perms = list(all_permutations(n))
-    for sigma in perms:
-        for rho in perms:
-            cycle_masks = []
-            covered = 0
-            for m in range(1, n + 1):
-                if covered >> m & 1:
-                    continue
-                record = traversal(sigma, rho, m)
-                for x in record.i_seq:
-                    covered |= 1 << x
-                cycle_masks.append(_side_masks(graphs_from_record(record, n), n))
-            _add_union_masks(cycle_masks, seen)
-    return seen
-
-
 _FAMILY_OF_CHECK = {
     "membership-upper-weighted": "membership-upper-bounds",
     "membership-upper-plain": "membership-upper-bounds",
@@ -466,16 +402,17 @@ _FAMILY_OF_CHECK = {
 def sweep_membership_bounds(
     n: int = 5,
     thetas: Sequence | None = ("1/2", "1", "2"),
-    *,
-    _union_masks: set[int] | None = None,
 ) -> list[SweepSummary]:
     """Exact probability bounds on every realizable union graph.
 
-    Collects the union graphs from all ordered pairs at this n, then runs
-    every applicable inequality under the theta-biased law for each theta
-    (plus the uniform law when ``thetas`` includes None). Returns one
-    summary per bound family, exact arithmetic throughout. :func:`run_all`
-    hands over the union masks its pair pass collected at this n.
+    The union graphs of all ordered pairs at this n are the non-empty
+    partial injections of {1..n}: each side of a union is sigma or rho
+    restricted to the cycles of sigma^-1 rho through the starts, and a
+    partial injection E is both sides of its own union for sigma = rho
+    any permutation extending E, with start set dom(E). Every applicable
+    inequality runs on each of them under the theta-biased law for each
+    theta (plus the uniform law when ``thetas`` includes None). Returns
+    one summary per bound family, exact arithmetic throughout.
     """
     laws = []
     for theta in thetas or ():
@@ -485,8 +422,7 @@ def sweep_membership_bounds(
             laws.append(ExactDistribution.ewens(n, Fraction(theta)))
     if not laws:
         raise ValueError("need at least one law")
-    masks = _union_mask_collection(n) if _union_masks is None else _union_masks
-    graphs = _union_graphs_of(masks, n)
+    graphs = [DirectedGraph(n, edges) for edges in _partial_injections(n) if edges]
     tallies = {family: _Tally() for family in set(_FAMILY_OF_CHECK.values())}
     for g in graphs:
         for law in laws:
@@ -558,14 +494,12 @@ def run_all(
     """Run every suite: the pair suites, relabel-dichotomy and the
     membership bounds at pair_n, the power sweep at single_n.
 
-    One pass over S_n x S_n feeds the pair suites and the union graphs of
-    the bounds. Keep pair_n <= 5 and single_n <= 7 unless long runtimes
-    are acceptable.
+    One pass over S_n x S_n feeds the pair suites. Keep pair_n <= 5 and
+    single_n <= 7 unless long runtimes are acceptable.
     """
     out = [sweep_trace_identity(single_n)]
-    pair_summaries, union_masks = _pair_pass(pair_n, (1, 2, 3))
-    out.extend(pair_summaries)
+    out.extend(sweep_pairs(pair_n))
     out.append(sweep_relabel_dichotomy(pair_n))
-    out.extend(sweep_membership_bounds(pair_n, thetas, _union_masks=union_masks))
+    out.extend(sweep_membership_bounds(pair_n, thetas))
     out.append(sweep_prefix_decay(thetas=thetas))
     return out

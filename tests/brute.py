@@ -2,9 +2,10 @@
 
 Most functions here are unreduced sums over all of S_n (or S_n x S_n)
 with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
-every start set rather than one start per cycle, ``pair_pass`` walks
-every traversal afresh for each pair instead of sharing walks, and the
-two-vertex predicate reads full component profiles. They exist so that tests can
+every start set of every pair rather than listing partial injections,
+``pair_pass`` walks every traversal afresh for each pair instead of
+sharing walks, and the two-vertex predicate reads full component
+profiles. They exist so that tests can
 check the reduced code against straight enumeration instead of trusting
 it, and they are practical only for n <= 7. Only ``perms``,
 ``cyclegraphs`` and the ``ExactDistribution`` type are used, so nothing
@@ -197,8 +198,8 @@ def conjugation_average(
 def union_graph_list(n: int) -> list[DirectedGraph]:
     """Both sides of ``union_graphs(sigma, rho, S)`` for every ordered pair
     and every non-empty start set S, each graph once, sorted by its sorted
-    edge list. Every start set is walked, not one start per cycle;
-    practical for n <= 4."""
+    edge list. Every start set of every pair is walked; practical for
+    n <= 4."""
     seen: set[frozenset] = set()
     starts = range(1, n + 1)
     for sigma in all_permutations(n):
@@ -209,10 +210,6 @@ def union_graph_list(n: int) -> list[DirectedGraph]:
                     seen.add(u1.edges)
                     seen.add(u2.edges)
     return [DirectedGraph(n, edges) for edges in sorted(seen, key=sorted)]
-
-
-def _edge_mask(edges, n: int) -> int:
-    return sum(1 << ((a - 1) * n + b - 1) for a, b in edges)
 
 
 class _Tally:
@@ -232,17 +229,15 @@ class _Tally:
 
 
 def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
-    """The five pair suites of ``sweeps.sweep_pairs`` and the union masks
-    of its pass, without sharing anything between pairs.
+    """The five pair suites of ``sweeps.sweep_pairs``, without sharing
+    anything between pairs.
 
     Ordered pairs come one at a time in lexicographic order, and every
     (sigma, rho, m) walks its own swapped and inverted traversals afresh.
     Event factorization keeps each fiber's member pairs and compares them
     with the pairs satisfying the union couple, listed from S_n x S_n.
-    The union masks come from every non-empty start set, not one start
-    per cycle. Returns (suite, cases, violations, examples) per suite in
-    sweep order, and the masks, edge (a, b) being bit (a - 1) * n + b - 1.
-    Practical for n <= 4.
+    Returns (suite, cases, violations, examples) per suite in sweep
+    order. Practical for n <= 4.
     """
     perms = list(all_permutations(n))
     starts = range(1, n + 1)
@@ -256,7 +251,6 @@ def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
         )
     )
     fibers: dict[int, dict[tuple, list]] = {k: {} for k in start_counts}
-    masks: set[int] = set()
     for sigma in perms:
         sinv = inverse(sigma)
         for rho in perms:
@@ -289,11 +283,6 @@ def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
             for k, groups in fibers.items():
                 key = tuple((g1.edges, g2.edges) for g1, g2 in graphs[:k])
                 groups.setdefault(key, []).append((sigma, rho))
-            for size in range(1, n + 1):
-                for index_set in itertools.combinations(range(n), size):
-                    for side in (0, 1):
-                        edges = set().union(*(graphs[i][side].edges for i in index_set))
-                        masks.add(_edge_mask(edges, n))
 
     satisfying: dict[frozenset, list[Permutation]] = {}
 
@@ -322,7 +311,7 @@ def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
                 f"k={k} sides {sorted(u1)} / {sorted(u2)}",
             )
     tallies = (encoding, shared, reversal, small, factorization)
-    return [t.row() for t in tallies], masks
+    return [t.row() for t in tallies]
 
 
 def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) -> bool:

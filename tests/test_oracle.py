@@ -22,7 +22,6 @@ from permprod.cyclegraphs import (
 from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
     _ENUM_MAX_N,
-    BoundCheck,
     ExactDistribution,
     _bound_shape,
     _character_table,
@@ -322,13 +321,6 @@ def _cycle_through(p: Permutation, m: int) -> tuple[int, ...]:
         out.append(x)
         x = p(x)
     return tuple(out)
-
-
-def test_bound_check_serialization():
-    c = BoundCheck("demo", 5, {"p": 2}, Fraction(1, 3), Fraction(1, 2), True)
-    d = c.as_json_dict()
-    assert d["lemma"] == "demo"
-    assert d["holds"] is True
 
 
 def test_verify_bounds_families_and_validity():

@@ -1,6 +1,6 @@
 """The shared-walk pair pass against a pass that shares nothing.
 
-``sweeps._pair_pass`` walks each (sigma, rho, m) once and lets the
+``sweeps.sweep_pairs`` walks each (sigma, rho, m) once and lets the
 reversal-exchange check of the other members of its orbit read that
 walk. These tests check that the sharing changes no tally and that no
 walk is skipped or repeated.
@@ -17,10 +17,9 @@ from permprod.cyclegraphs import traversal
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_pair_pass_matches_a_pass_that_shares_no_walk(n):
-    summaries, masks = sweeps._pair_pass(n, (1, 2, 3))
-    rows, brute_masks = brute.pair_pass(n, (1, 2, 3))
+    summaries = sweeps.sweep_pairs(n, (1, 2, 3))
+    rows = brute.pair_pass(n, (1, 2, 3))
     assert [(s.suite, s.cases, s.violations, s.examples) for s in summaries] == rows
-    assert masks == brute_masks
 
 
 def test_pair_pass_walks_each_traversal_once(monkeypatch):
@@ -34,6 +33,6 @@ def test_pair_pass_walks_each_traversal_once(monkeypatch):
         return traversal(sigma, rho, m)
 
     monkeypatch.setattr(sweeps, "traversal", counted)
-    sweeps._pair_pass(n, (1, 2, 3))
+    sweeps.sweep_pairs(n, (1, 2, 3))
     assert len(walked) == n * math.factorial(n) ** 2
     assert len(set(walked)) == len(walked)

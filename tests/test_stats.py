@@ -133,8 +133,6 @@ def test_functional_labels_and_parsing():
 
 
 def test_functional_factor_usage():
-    assert Functional.product_cycle_counts((1,)).num_factors_used == "all"
-    assert Functional.scaled_fixed_point_moment(1).num_factors_used == "one"
     assert Functional.scaled_two_cycle_rate().kmax == 2
 
 

@@ -10,6 +10,8 @@ import pytest
 
 import brute
 from permprod import sweeps
+from permprod.cyclegraphs import union_graphs
+from permprod.perms import Permutation
 from permprod.sweeps import (
     SweepSummary,
     run_all,
@@ -94,11 +96,26 @@ def test_run_all_case_counts_at_n4():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_union_graphs_match_every_start_set(n):
-    # One start per cycle, from the pair pass or from the standalone walk,
-    # gives the graphs and the order of unions over every start set.
-    expected = brute.union_graph_list(n)
-    for masks in (sweeps._pair_pass(n, (1, 2, 3))[1], sweeps._union_mask_collection(n)):
-        assert sweeps._union_graphs_of(masks, n) == expected
+    # The unions over every start set of every pair are the non-empty
+    # partial injections, and the bounds run on each of them.
+    expected = [sorted(g.edges) for g in brute.union_graph_list(n)]
+    assert expected == sorted(sorted(e) for e in sweeps._partial_injections(n) if e)
+    for summary in sweep_membership_bounds(n):
+        assert summary.detail.startswith(f"{len(expected)} union graphs at n={n};")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_partial_injection_is_a_union_graph(n):
+    # Extend E to a permutation pi. With sigma = rho = pi, sigma^-1 rho is
+    # the identity, so the starts dom(E) give E on both sides.
+    for edges in sweeps._partial_injections(n):
+        if not edges:
+            continue
+        image = dict(edges)
+        free = iter(sorted(set(range(1, n + 1)) - set(image.values())))
+        pi = Permutation(tuple(image[x] if x in image else next(free) for x in range(1, n + 1)))
+        u1, u2 = union_graphs(pi, pi, sorted(image))
+        assert u1.edges == u2.edges == edges
 
 
 def test_membership_bounds_alone_match_run_all():
@@ -173,14 +190,6 @@ def test_a_failing_factor_count_shows_in_event_factorization_only(monkeypatch):
         "k=1 sides [(1, 1)] / [(1, 1)]",
         "k=1 sides [(1, 1), (2, 2)] / [(1, 2), (2, 1)]",
     ]
-
-
-def test_summary_serialization():
-    s = sweep_shared_cycle(3)
-    d = s.as_json_dict()
-    assert d["suite"] == s.suite
-    assert d["violations"] == 0
-    assert d["ok"] is True
 
 
 def test_summary_ok_tracks_violations():
