@@ -13,8 +13,9 @@ k = 1, 3 and 6. Then it times the exact oracle: one
 process. Times are wall-clock milliseconds from time.perf_counter.
 Last come the stages of a default ``permprod verify-lemmas``, in
 seconds: the trace sweep at n = 7, the pair pass at n = 5 with its
-count of traversal calls, relabel-dichotomy at n = 5, and the membership
-bounds at n = 5, with the oracle's per-graph caches cleared first.
+count of traversal calls, event-factorization at n = 5 on its own (the
+pair pass includes it), relabel-dichotomy at n = 5, and the membership
+bounds at n = 5.
 
     PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096]
 """
@@ -33,10 +34,8 @@ from permprod import sweeps
 from permprod.cli import sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
-    _bound_shape,
     _character_table,
     _mn_character,
-    _satisfying_type_counts,
     product_type_distribution,
 )
 from permprod.samplers import RngStream, product_rows, small_cycle_counts
@@ -120,16 +119,12 @@ def main(argv=None) -> int:
     finally:
         sweeps.traversal = walk
 
-    def cold_bounds():
-        _satisfying_type_counts.cache_clear()
-        _bound_shape.cache_clear()
-        sweeps.sweep_membership_bounds(5)
-
     for label, stage, note in (
         ("trace n = 7", lambda: sweeps.sweep_trace_identity(7), ""),
         ("pair pass n = 5", lambda: sweeps.sweep_pairs(5), f"  {calls} traversal calls"),
+        ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
-        ("bounds n = 5", cold_bounds, ""),
+        ("bounds n = 5", lambda: sweeps.sweep_membership_bounds(5), ""),
     ):
         print(f"  {label:<20} {best_ms(stage, args.repeat) / 1e3:8.3f}{note}")
     return 0

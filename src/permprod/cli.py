@@ -185,8 +185,10 @@ class ExperimentConfig:
             raise ConfigError("tv_orders: joint orders must be >= 1")
         if self.truncation < 0:
             raise ConfigError("truncation: must be >= 0")
-        if self.pair_n < 1 or self.single_n < 1:
-            raise ConfigError("pair_n/single_n: must be >= 1")
+        if self.pair_n < 3:
+            raise ConfigError("pair_n: must be >= 3, as event-factorization walks starts 1..3")
+        if self.single_n < 1:
+            raise ConfigError("single_n: must be >= 1")
         for size in self.n_grid or (self.n,):
             for spec in self.samplers:
                 try:

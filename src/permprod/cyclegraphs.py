@@ -91,30 +91,6 @@ class DirectedGraph:
             self.n, frozenset((images[a - 1], images[b - 1]) for a, b in self.edges)
         )
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        rows = [[0] * self.n for _ in range(self.n)]
-        for a, b in self.edges:
-            rows[a - 1][b - 1] = 1
-        return tuple(tuple(r) for r in rows)
-
-    def to_text(self) -> str:
-        lines = [f"n={self.n}"]
-        for a, b in sorted(self.edges):
-            lines.append(f"{a} {b}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "DirectedGraph":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("n="):
-            raise ValueError("graph text must start with an 'n=<int>' header")
-        n = int(lines[0][2:])
-        edges = []
-        for ln in lines[1:]:
-            a, b = ln.split()
-            edges.append((int(a), int(b)))
-        return cls.of(n, edges)
-
 
 @dataclass(frozen=True)
 class TraversalRecord:
@@ -272,15 +248,6 @@ class GraphClass:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def to_graph(self, n: int | None = None) -> DirectedGraph:
-        n = self.vertex_count if n is None else n
-        if n < self.vertex_count:
-            raise ValueError("target ground set smaller than the representative")
-        return DirectedGraph.of(max(n, 1), self.edges)
-
-    def to_text(self) -> str:
-        return self.to_graph().to_text()
 
 
 def canonical_class(g: DirectedGraph) -> GraphClass:

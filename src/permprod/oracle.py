@@ -362,34 +362,14 @@ def exact_joint_cycle_prob(
     )
 
 
-# Per-graph caches: large enough for every union graph at n = 5, the 1545
-# non-empty partial injections of {1..5}, bounded so that a long-lived
-# process does not grow without limit.
-_GRAPH_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
-def _satisfying_type_counts(
-    n: int, edges: frozenset[tuple[int, int]]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # (cycle type, number of permutations of that type satisfying every
-    # edge); it depends on the graph only, so each law reuses it.
-    type_counts: dict[tuple[int, ...], int] = {}
-    for images, ptype in _perm_table(n):
-        if all(images[a - 1] == b for a, b in edges):
-            type_counts[ptype] = type_counts.get(ptype, 0) + 1
-    return tuple(type_counts.items())
-
-
 def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
     """P(sigma satisfies every edge constraint of g) under ``d``."""
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
     total = Fraction(0)
-    for ptype, cnt in _satisfying_type_counts(g.n, g.edges):
-        w = d.perm_weight(ptype)
-        if w:
-            total += w * cnt
+    for images, ptype in _perm_table(g.n):
+        if all(images[a - 1] == b for a, b in g.edges):
+            total += d.perm_weight(ptype)
     return total
 
 
@@ -452,11 +432,10 @@ def _binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _bound_shape(g: DirectedGraph) -> tuple[int, int, int, bool, bool]:
-    # What verify_bounds reads off the graph alone, once per graph:
-    # component, vertex and loop counts; whether every component has two
-    # vertices and one is a 2-cycle; whether it is p disjoint single edges.
+    # What verify_bounds reads off the graph alone: component, vertex and
+    # loop counts; whether every component has two vertices and one is a
+    # 2-cycle; whether it is p disjoint single edges.
     prof = profile(g)
     p = prof.component_count
     two_vertex = p >= 1 and all(len(verts) == 2 for verts, _ in prof.nontrivial)

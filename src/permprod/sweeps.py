@@ -6,16 +6,32 @@ every member, reporting a case count and a violation count. Nothing here
 samples; a non-zero violation count means the claim is false as stated,
 not that a tolerance was missed.
 
-The five suites over ordered pairs share one pass (:func:`sweep_pairs`):
-S_n x S_n is enumerated once, each (sigma, rho, m) is traversed and its
-two graphs built once, and every suite reads them into its own tally.
-Each start is walked on its own, never derived from another start's
-cycle, so the shared-cycle check compares independent walks. The pairs
-are taken by orbits of the maps (sigma, rho) -> (rho, sigma) and
-(sigma, rho) -> (rho^-1, sigma^-1). The reversal-exchange check compares
-a pair's walks with those of two other members of its orbit, so each
-walk is shared within the orbit instead of being repeated. The
-``sweep_*`` names of those suites select their summary from the pass.
+Where a claim reads no labels, a sweep checks one member of each orbit
+of conjugation and counts it as many times as its orbit has members
+(:func:`_orbits` and the ``weight`` of ``_Tally.record``). Two
+identities make this exact:
+
+* Pairs. For any permutation pi, traversal(pi sigma pi^-1, pi rho pi^-1,
+  pi(m)) is traversal(sigma, rho, m) with every index x renamed pi(x),
+  and so are its two graphs. Traversal-encoding, shared-cycle,
+  reversal-exchange and two-vertex-components read no label, and
+  conjugation maps the starts m to pi(m) bijectively, so a pair's tally
+  over all its starts (or start pairs) equals that of its conjugate.
+  Sigma runs over one permutation per cycle type, rho over all of S_n,
+  and each tally is weighted by the class size.
+* Graphs. Relabel-dichotomy holds for (E, tau) exactly when it holds for
+  (pi E, pi tau pi^-1), and everything ``verify_bounds`` reads under a
+  conjugation-invariant law (the membership probability, the component,
+  vertex and loop counts, the shape cases) is unchanged by relabeling.
+  The components of a partial injection are paths and cycles, so the
+  sorted (vertex count, edge count) pairs of its components are a
+  complete invariant of its relabeling orbit: one graph per key stands
+  for all the graphs with that key.
+
+Event-factorization is exempt. Its fibers are keyed by the labelled
+graph tuples over the starts 1..k, which conjugation moves, so it runs
+over every ordered pair and walks the starts 1..max(k) of each. A run
+with violations names, in its examples, the representatives it checked.
 
 The membership bounds run on every union graph, either side, of a
 non-empty start set of any pair. Those are exactly the non-empty partial
@@ -61,6 +77,7 @@ from permprod.perms import (
     compose,
     cycle_counts,
     cycle_of,
+    cycle_type,
     inverse,
     power_fixed_points,
     trace_power,
@@ -106,12 +123,21 @@ class _Tally:
         self.violations = 0
         self.examples: list[str] = []
 
-    def record(self, ok: bool, describe) -> None:
-        self.cases += 1
+    def record(self, ok: bool, describe, weight: int = 1) -> None:
+        self.cases += weight
         if not ok:
-            self.violations += 1
+            self.violations += weight
             if len(self.examples) < _EXAMPLE_CAP:
                 self.examples.append(describe())
+
+
+def _orbits(items, key) -> list[list]:
+    """[first item, count] for each value of ``key``, in first-seen order."""
+    groups: dict = {}
+    for item in items:
+        group = groups.setdefault(key(item), [item, 0])
+        group[1] += 1
+    return list(groups.values())
 
 
 def _summary(suite: str, n: int, tally: _Tally, detail: str) -> SweepSummary:
@@ -198,14 +224,13 @@ class _Fibers:
 
 
 def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[SweepSummary]:
-    """The five pair suites from one pass over S_n x S_n.
+    """The five pair suites over S_n x S_n.
 
-    For every ordered pair (sigma, rho) and every start m the pass walks
-    traversal(sigma, rho, m) and builds its graph couple once; each suite
-    reads them and keeps its own tally. The pairs are taken an orbit at a
-    time, the orbit of (sigma, rho) being its swap (rho, sigma), the
-    inverted swap (rho^-1, sigma^-1) and (sigma^-1, rho^-1), led by its
-    least pair in enumeration order. In suite order:
+    The first four check sigma once per cycle type against every rho and
+    weight each tally by the class size (see the module docstring); for
+    each such pair and every start m, traversal(sigma, rho, m) is walked
+    and its graph couple built once, and each suite keeps its own tally.
+    In suite order:
 
     * traversal-encoding: the index walk equals the cycle of
       inverse(sigma) o rho through m, the companion sequence is its
@@ -213,53 +238,27 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
       satisfied by the very pair that produced them;
     * shared-cycle-graphs: two starts on one cycle, each walked on its
       own, induce identical graphs;
-    * reversal-exchange: the exchange identities with (rho, sigma) and
-      the inverted pair, whose traversals are those their own orbit
-      members walked, each independently of the pair's own walk;
+    * reversal-exchange: the exchange identities with traversal(rho,
+      sigma, m) and traversal(rho^-1, sigma^-1, rho(m)), both walked
+      afresh for the check;
     * two-vertex-components: no 2-cycles when every component has two
       vertices;
-    * event-factorization: grouped by the union couple over starts 1..k,
-      for each k in ``start_counts``, every realized couple (G1, G2) has
-      the fiber {sigma satisfying G1} x {rho satisfying G2}, with both
-      factor counts found by brute force and matching (n - edges)!, and
-      the finer per-start graph tuple induces the same grouping, so the
-      tuple and the union carry the same information.
+    * event-factorization, over every ordered pair: see
+      :func:`sweep_event_factorization`, which owns ``start_counts``.
     """
-    ks = list(start_counts)
-    if not ks or any(k < 1 or k > n for k in ks):
-        raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
+    factorization = sweep_event_factorization(n, start_counts)
     perms = list(all_permutations(n))
-    index_of = {p: i for i, p in enumerate(perms)}
-    inv = [index_of[inverse(p)] for p in perms]
-    perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
-    count = len(perms)
     starts = range(1, n + 1)
     start_pairs = list(itertools.combinations(range(n), 2))
     encoding, shared, reversal, small = _Tally(), _Tally(), _Tally(), _Tally()
-    fibers = [_Fibers(k) for k in ks]
-    done = bytearray(count * count)
-    for lead in range(count * count):
-        if done[lead]:
-            continue
-        # The orbit of the least pair not yet done, as (sigma, rho) index
-        # pairs: the pair, its swap (rho, sigma), the inverted swap
-        # (rho^-1, sigma^-1) and (sigma^-1, rho^-1). Each member's n starts
-        # are walked and their graph couples built once.
-        a, b = divmod(lead, count)
-        orbit = dict.fromkeys([(a, b), (b, a), (inv[b], inv[a]), (inv[a], inv[b])])
-        for s, t in orbit:
-            done[s * count + t] = 1
-            records = [traversal(perms[s], perms[t], m) for m in starts]
-            orbit[s, t] = records, [graphs_from_record(r, n) for r in records]
-        for (s, t), (records, graphs) in orbit.items():
-            sigma, rho = perms[s], perms[t]
-            prod = compose(perms[inv[s]], rho)
+    for sigma, size in _orbits(perms, cycle_type):
+        sigma_inv = inverse(sigma)
+        for rho in perms:
+            rho_inv = inverse(rho)
+            prod = compose(sigma_inv, rho)
             rho_images = rho.images
-            # traversal(rho, sigma, m) is the swapped member's record at m;
-            # the rho-side graph of traversal(rho^-1, sigma^-1, rho(m)) is
-            # the inverted swap's at start rho(m).
-            backs = orbit[t, s][0]
-            inverted = orbit[inv[t], inv[s]][1]
+            records = [traversal(sigma, rho, m) for m in starts]
+            graphs = [graphs_from_record(r, n) for r in records]
             for r, (g1, g2) in zip(records, graphs):
                 m = r.m
 
@@ -274,46 +273,20 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
                     and membership(sigma, g1)
                     and membership(rho, g2),
                     describe,
+                    size,
                 )
-                h2 = inverted[rho_images[m - 1] - 1][1]
-                reversal.record(reversal_identities_hold(r, g1, backs[m - 1], h2), describe)
-                small.record(no_two_cycles_when_components_small(g1, g2), describe)
+                back = traversal(rho, sigma, m)
+                h2 = graphs_from_record(traversal(rho_inv, sigma_inv, rho_images[m - 1]), n)[1]
+                reversal.record(reversal_identities_hold(r, g1, back, h2), describe, size)
+                small.record(no_two_cycles_when_components_small(g1, g2), describe, size)
             for i, j in start_pairs:
                 shared.record(
                     shared_cycle_graphs_match(records[i], graphs[i], records[j], graphs[j]),
                     lambda ss=sigma, rr=rho, m1=i + 1, m2=j + 1: (
                         f"sigma={ss.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
                     ),
+                    size,
                 )
-            side_masks = [_side_masks(pair, n) for pair in graphs]
-            for fib in fibers:
-                fib.add(side_masks, perm_masks[s], perm_masks[t])
-
-    satisfying: dict[int, int] = {}
-
-    def count_satisfying(mask: int) -> int:
-        if mask not in satisfying:
-            satisfying[mask] = sum(1 for pm in perm_masks if not mask & ~pm)
-        return satisfying[mask]
-
-    factorization = _Tally()
-    for fib in fibers:
-        for key, fiber_size in fib.pairs.items():
-            e1, e2 = fib.union_of[key]
-            expected = count_satisfying(e1) * count_satisfying(e2)
-            ok = (
-                fib.tuples_of_union[(e1, e2)] == 1
-                and fiber_size == expected
-                and expected
-                == math.factorial(n - e1.bit_count()) * math.factorial(n - e2.bit_count())
-                and key not in fib.unsatisfied
-            )
-            factorization.record(
-                ok,
-                lambda kk=fib.k, a=e1, b=e2: (
-                    f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
-                ),
-            )
     per_start = f"all ordered pairs at n={n}, every start index"
     return [
         _summary("traversal-encoding", n, encoding, per_start),
@@ -323,11 +296,7 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
         ),
         _summary("reversal-exchange", n, reversal, per_start),
         _summary("two-vertex-components", n, small, per_start),
-        _summary(
-            "event-factorization", n, factorization,
-            f"{factorization.cases} realized graph tuples over start counts "
-            f"{tuple(ks)} at n={n}",
-        ),
+        factorization,
     ]
 
 
@@ -354,8 +323,61 @@ def sweep_small_components(n: int = 4) -> SweepSummary:
 def sweep_event_factorization(
     n: int = 4, start_counts: Sequence[int] = (1, 2, 3)
 ) -> SweepSummary:
-    """Fibers of the union-graph map are full membership rectangles."""
-    return sweep_pairs(n, start_counts)[4]
+    """Fibers of the union-graph map are full membership rectangles.
+
+    Grouped by the union couple over starts 1..k, for each k in
+    ``start_counts``, every realized couple (G1, G2) has the fiber
+    {sigma satisfying G1} x {rho satisfying G2}, with both factor counts
+    found by brute force and matching (n - edges)!, and the finer
+    per-start graph tuple induces the same grouping, so the tuple and the
+    union carry the same information. The fibers are keyed by labelled
+    starts, so every ordered pair is walked, from starts 1..max(k) only.
+    """
+    ks = list(start_counts)
+    if not ks or any(k < 1 or k > n for k in ks):
+        raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
+    perms = list(all_permutations(n))
+    perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
+    starts = range(1, max(ks) + 1)
+    fibers = [_Fibers(k) for k in ks]
+    for sigma, sigma_mask in zip(perms, perm_masks):
+        for rho, rho_mask in zip(perms, perm_masks):
+            side_masks = [
+                _side_masks(graphs_from_record(traversal(sigma, rho, m), n), n) for m in starts
+            ]
+            for fib in fibers:
+                fib.add(side_masks, sigma_mask, rho_mask)
+
+    satisfying: dict[int, int] = {}
+
+    def count_satisfying(mask: int) -> int:
+        if mask not in satisfying:
+            satisfying[mask] = sum(1 for pm in perm_masks if not mask & ~pm)
+        return satisfying[mask]
+
+    factorization = _Tally()
+    for fib in fibers:
+        for key, fiber_size in fib.pairs.items():
+            e1, e2 = fib.union_of[key]
+            expected = count_satisfying(e1) * count_satisfying(e2)
+            ok = (
+                fib.tuples_of_union[(e1, e2)] == 1
+                and fiber_size == expected
+                and expected
+                == math.factorial(n - e1.bit_count()) * math.factorial(n - e2.bit_count())
+                and key not in fib.unsatisfied
+            )
+            factorization.record(
+                ok,
+                lambda kk=fib.k, a=e1, b=e2: (
+                    f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
+                ),
+            )
+    return _summary(
+        "event-factorization", n, factorization,
+        f"{factorization.cases} realized graph tuples over start counts "
+        f"{tuple(ks)} at n={n}",
+    )
 
 
 def _partial_injections(n: int):
@@ -366,23 +388,38 @@ def _partial_injections(n: int):
                 yield frozenset(zip(sources, images))
 
 
+def _shape(g: DirectedGraph) -> tuple[tuple[int, int], ...]:
+    # Sorted (vertex count, edge count) of the components: a complete
+    # invariant of a partial injection's relabeling orbit.
+    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g).nontrivial))
+
+
+def _graph_orbits(n: int) -> list[list]:
+    """[representative, orbit size] for each relabeling orbit of the
+    partial injections of {1..n}, the empty graph first."""
+    return _orbits((DirectedGraph(n, edges) for edges in _partial_injections(n)), _shape)
+
+
 def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:
     """Relabeling with a fixed point per component: frozen or inconsistent.
 
-    Runs over every graph whose edges form a partial injection and every
+    Covers every graph whose edges form a partial injection and every
     relabeling permutation; cases where some component avoids the fixed
-    points are vacuous and still counted.
+    points are vacuous and still counted. The dichotomy holds for (E, tau)
+    exactly when it holds for (pi E, pi tau pi^-1), so one graph per
+    relabeling orbit is tried against every tau, weighted by the orbit
+    size.
     """
     tally = _Tally()
     perms = list(all_permutations(n))
-    for edges in _partial_injections(n):
-        g = DirectedGraph(n, edges)
+    for g, size in _graph_orbits(n):
         components = [verts for verts, _ in profile(g).nontrivial]
         for tau in perms:
             ok = relabel_dichotomy_holds(g, components, tau)
             tally.record(
                 ok,
-                lambda ee=edges, t=tau: f"edges={sorted(ee)} tau={t.to_line()}",
+                lambda ee=g.edges, t=tau: f"edges={sorted(ee)} tau={t.to_line()}",
+                size,
             )
     return _summary(
         "relabel-dichotomy", n, tally,
@@ -410,9 +447,12 @@ def sweep_membership_bounds(
     restricted to the cycles of sigma^-1 rho through the starts, and a
     partial injection E is both sides of its own union for sigma = rho
     any permutation extending E, with start set dom(E). Every applicable
-    inequality runs on each of them under the theta-biased law for each
-    theta (plus the uniform law when ``thetas`` includes None). Returns
-    one summary per bound family, exact arithmetic throughout.
+    inequality covers each of them under the theta-biased law for each
+    theta (plus the uniform law when ``thetas`` includes None). The laws
+    are conjugation invariant, so every value a check reads is constant
+    on a relabeling orbit: one graph per orbit is checked, weighted by
+    the orbit size. Returns one summary per bound family, exact
+    arithmetic throughout.
     """
     laws = []
     for theta in thetas or ():
@@ -422,9 +462,9 @@ def sweep_membership_bounds(
             laws.append(ExactDistribution.ewens(n, Fraction(theta)))
     if not laws:
         raise ValueError("need at least one law")
-    graphs = [DirectedGraph(n, edges) for edges in _partial_injections(n) if edges]
+    orbits = [(g, size) for g, size in _graph_orbits(n) if g.edges]
     tallies = {family: _Tally() for family in set(_FAMILY_OF_CHECK.values())}
-    for g in graphs:
+    for g, size in orbits:
         for law in laws:
             for check in verify_bounds(law, g):
                 family = _FAMILY_OF_CHECK[check.check_id]
@@ -434,10 +474,12 @@ def sweep_membership_bounds(
                         f"{c.check_id} law={lw.kind} edges={sorted(gg.edges)} "
                         f"lhs={c.lhs} rhs={c.rhs}"
                     ),
+                    size,
                 )
+    graphs = sum(size for _, size in orbits)
     kinds = ", ".join(law.kind for law in laws)
     return [
-        _summary(family, n, tally, f"{len(graphs)} union graphs at n={n}; laws: {kinds}")
+        _summary(family, n, tally, f"{graphs} union graphs at n={n}; laws: {kinds}")
         for family, tally in sorted(tallies.items())
     ]
 
@@ -494,8 +536,9 @@ def run_all(
     """Run every suite: the pair suites, relabel-dichotomy and the
     membership bounds at pair_n, the power sweep at single_n.
 
-    One pass over S_n x S_n feeds the pair suites. Keep pair_n <= 5 and
-    single_n <= 7 unless long runtimes are acceptable.
+    pair_n must be at least 3, the largest start count of
+    event-factorization, which walks every ordered pair; keep pair_n <= 5
+    and single_n <= 7 unless long runtimes are acceptable.
     """
     out = [sweep_trace_identity(single_n)]
     out.extend(sweep_pairs(pair_n))

@@ -3,13 +3,15 @@
 Most functions here are unreduced sums over all of S_n (or S_n x S_n)
 with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
 every start set of every pair rather than listing partial injections,
-``pair_pass`` walks every traversal afresh for each pair instead of
-sharing walks, and the two-vertex predicate reads full component
-profiles. They exist so that tests can
-check the reduced code against straight enumeration instead of trusting
-it, and they are practical only for n <= 7. Only ``perms``,
-``cyclegraphs`` and the ``ExactDistribution`` type are used, so nothing
-here leans on the code it checks.
+``pair_pass`` walks every ordered pair instead of one sigma per cycle
+type, ``graph_pass`` checks every partial injection instead of one per
+relabeling orbit, and the two-vertex predicate reads full component
+profiles. They exist so that tests can check the reduced code against
+straight enumeration instead of trusting it, and they are practical
+only for n <= 7. Only ``perms``, ``cyclegraphs``, the
+``ExactDistribution`` type and, in ``graph_pass``, the per-graph
+``verify_bounds`` are used, so nothing here leans on the reductions it
+checks.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from permprod.cyclegraphs import (
     graphs_from_traversal,
     membership,
     profile,
+    relabel_dichotomy_holds,
     reversal_identities_hold,
     shared_cycle_graphs_match,
     traversal,
     union_graphs,
 )
-from permprod.oracle import ExactDistribution
+from permprod.oracle import ExactDistribution, verify_bounds
 from permprod.perms import (
     Permutation,
     all_permutations,
@@ -229,11 +232,11 @@ class _Tally:
 
 
 def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
-    """The five pair suites of ``sweeps.sweep_pairs``, without sharing
-    anything between pairs.
+    """The five pair suites of ``sweeps.sweep_pairs`` over every ordered
+    pair, without taking one sigma per cycle type.
 
     Ordered pairs come one at a time in lexicographic order, and every
-    (sigma, rho, m) walks its own swapped and inverted traversals afresh.
+    (sigma, rho, m) walks its own swapped and inverted traversals.
     Event factorization keeps each fiber's member pairs and compares them
     with the pairs satisfying the union couple, listed from S_n x S_n.
     Returns (suite, cases, violations, examples) per suite in sweep
@@ -312,6 +315,64 @@ def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
             )
     tallies = (encoding, shared, reversal, small, factorization)
     return [t.row() for t in tallies]
+
+
+def partial_injections(n: int) -> list[frozenset]:
+    """Every partial injection of {1..n}, the empty one included, as the
+    restrictions of every permutation to every subset of {1..n}, sorted
+    by sorted edge list."""
+    seen: set[frozenset] = set()
+    for perm in all_permutations(n):
+        for size in range(n + 1):
+            for domain in itertools.combinations(range(1, n + 1), size):
+                seen.add(frozenset((a, perm(a)) for a in domain))
+    return sorted(seen, key=sorted)
+
+
+_BOUND_FAMILY = {
+    "membership-upper-weighted": "membership-upper-bounds",
+    "membership-upper-plain": "membership-upper-bounds",
+    "two-cycle-upper": "two-cycle-upper-bounds",
+    "matching-sandwich-lower": "matching-sandwich-bounds",
+    "matching-sandwich-upper": "matching-sandwich-bounds",
+}
+
+
+def graph_pass(n: int, thetas: Sequence = ("1/2", "1", "2")):
+    """Relabel-dichotomy and the membership-bound families of
+    ``sweeps.run_all`` on every partial injection, none standing for
+    another.
+
+    Relabel-dichotomy tries every relabeling on every partial injection;
+    the bounds run on every non-empty one under the theta-biased law for
+    each theta, or the uniform law for None. Returns (suite, cases,
+    violations, examples) for relabel-dichotomy, then for each bound
+    family by name. Practical for n <= 5.
+    """
+    perms = list(all_permutations(n))
+    graphs = [DirectedGraph(n, edges) for edges in partial_injections(n)]
+    relabel = _Tally("relabel-dichotomy")
+    for g in graphs:
+        components = [verts for verts, _ in profile(g).nontrivial]
+        for tau in perms:
+            relabel.record(
+                relabel_dichotomy_holds(g, components, tau),
+                f"edges={sorted(g.edges)} tau={tau.to_line()}",
+            )
+    laws = [
+        ExactDistribution.uniform(n) if theta is None else ExactDistribution.ewens(n, theta)
+        for theta in thetas
+    ]
+    families = {family: _Tally(family) for family in sorted(set(_BOUND_FAMILY.values()))}
+    for g in [g for g in graphs if g.edges]:
+        for law in laws:
+            for check in verify_bounds(law, g):
+                families[_BOUND_FAMILY[check.check_id]].record(
+                    check.holds,
+                    f"{check.check_id} law={law.kind} edges={sorted(g.edges)} "
+                    f"lhs={check.lhs} rhs={check.rhs}",
+                )
+    return [relabel.row()] + [t.row() for t in families.values()]
 
 
 def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) -> bool:

@@ -416,6 +416,15 @@ def test_sizes_beyond_int32_rows_name_their_field(field, argv, capsys):
     assert config_from_mapping({**ok, "n": str(2**31 - 1)}).n == 2**31 - 1
 
 
+@pytest.mark.parametrize("pair_n", ["1", "2"])
+def test_pair_n_below_the_largest_start_count_names_its_field(pair_n, capsys):
+    # event-factorization walks the starts 1..3 of every pair.
+    assert main(["verify-lemmas", "--pair-n", pair_n, "--single-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: pair_n: ")
+
+
 def test_main_error_paths(tmp_path, capsys):
     assert main([]) == 2
     assert main(["exact", "--seed", "1", "--samplers", "uniform", "--n", "4", "--v-vec", "1"]) == 2

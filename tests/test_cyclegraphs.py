@@ -83,19 +83,11 @@ def test_union_graphs_merge_edge_sets():
         union_graphs(sigma, rho, [1, 1])
 
 
-def test_graph_text_round_trip():
-    g = DirectedGraph.of(6, [(2, 5), (3, 3), (6, 1)])
-    assert DirectedGraph.from_text(g.to_text()) == g
-    with pytest.raises(ValueError):
-        DirectedGraph.from_text("2 5\n")
-
-
 def test_graph_basics():
     g = DirectedGraph.of(4, [(1, 2), (3, 3)])
     assert g.non_isolated() == frozenset({1, 2, 3})
     t = Permutation.from_cycles(4, [(1, 4)])
     assert g.relabel(t).edges == frozenset({(4, 2), (3, 3)})
-    assert g.adjacency()[0][1] == 1 and g.adjacency()[2][2] == 1
 
 
 def test_canonical_class_concrete():

@@ -23,9 +23,7 @@ from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
     _ENUM_MAX_N,
     ExactDistribution,
-    _bound_shape,
     _character_table,
-    _satisfying_type_counts,
     class_size,
     ewens_prefix_fixed_prob,
     exact_graph_prob,
@@ -339,10 +337,9 @@ def test_verify_bounds_families_and_validity():
 
 
 def test_verify_bounds_does_not_depend_on_law_order():
-    # Counts and graph shapes are computed once per graph and reused by
-    # every law, and prefix-fixing probabilities once per law, so each
-    # order starts from cold caches and new law objects: whichever law
-    # comes first must not leak into the others.
+    # Prefix-fixing probabilities are kept per law object, so each order
+    # starts from new law objects: whichever law comes first must not
+    # leak into the others.
     n = 4
 
     def new_laws():
@@ -362,8 +359,6 @@ def test_verify_bounds_does_not_depend_on_law_order():
     ]
     results = []
     for order in (new_laws(), new_laws()[::-1]):
-        _satisfying_type_counts.cache_clear()
-        _bound_shape.cache_clear()
         results.append({(law.kind, g): verify_bounds(law, g) for g in graphs for law in order})
     assert results[0] == results[1]
     for law in laws:

@@ -10,8 +10,8 @@ import pytest
 
 import brute
 from permprod import sweeps
-from permprod.cyclegraphs import union_graphs
-from permprod.perms import Permutation
+from permprod.cyclegraphs import DirectedGraph, union_graphs
+from permprod.perms import Permutation, all_permutations
 from permprod.sweeps import (
     SweepSummary,
     run_all,
@@ -102,6 +102,59 @@ def test_union_graphs_match_every_start_set(n):
     assert expected == sorted(sorted(e) for e in sweeps._partial_injections(n) if e)
     for summary in sweep_membership_bounds(n):
         assert summary.detail.startswith(f"{len(expected)} union graphs at n={n};")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shape_key_groups_graphs_as_relabeling_orbits(n):
+    perms = list(all_permutations(n))
+    orbit_of = {
+        edges: frozenset(DirectedGraph(n, edges).relabel(t).edges for t in perms)
+        for edges in brute.partial_injections(n)
+    }
+    by_shape = {}
+    for edges in orbit_of:
+        by_shape.setdefault(sweeps._shape(DirectedGraph(n, edges)), set()).add(edges)
+    assert {frozenset(group) for group in by_shape.values()} == set(orbit_of.values())
+    # One representative per orbit, counted as many times as it has members.
+    reps = {orbit_of[g.edges]: size for g, size in sweeps._graph_orbits(n)}
+    assert reps == {orbit: len(orbit) for orbit in orbit_of.values()}
+
+
+def _graph_suites(n, thetas):
+    return [sweep_relabel_dichotomy(n), *sweep_membership_bounds(n, thetas)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_graph_suites_by_orbit_match_every_partial_injection(n):
+    thetas = ("1/2", "1", "2", None)
+    summaries = _graph_suites(n, thetas)
+    rows = brute.graph_pass(n, thetas)
+    assert [(s.suite, s.cases, s.violations, s.examples) for s in summaries] == rows
+
+
+def test_a_graph_fault_of_shape_only_is_counted_alike(monkeypatch):
+    # Failing every case on a two-edge graph is constant on relabeling
+    # orbits.
+    real_relabel, real_bounds = sweeps.relabel_dichotomy_holds, sweeps.verify_bounds
+
+    def relabel_fails_on_two_edges(g, components, tau):
+        return len(g.edges) != 2 and real_relabel(g, components, tau)
+
+    def bounds_fail_on_two_edges(law, g):
+        checks = real_bounds(law, g)
+        for check in checks:
+            check.holds = check.holds and len(g.edges) != 2
+        return checks
+
+    for module in (sweeps, brute):
+        monkeypatch.setattr(module, "relabel_dichotomy_holds", relabel_fails_on_two_edges)
+        monkeypatch.setattr(module, "verify_bounds", bounds_fail_on_two_edges)
+    n, thetas = 4, ("1/2", None)
+    summaries = _graph_suites(n, thetas)
+    assert all(s.violations > 0 for s in summaries)
+    assert [(s.suite, s.cases, s.violations) for s in summaries] == [
+        row[:3] for row in brute.graph_pass(n, thetas)
+    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
