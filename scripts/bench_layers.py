@@ -12,10 +12,11 @@ k = 1, 3 and 6. Then it times the exact oracle: one
 16, with its caches cleared first, as in a fresh ``permprod exact``
 process. Times are wall-clock milliseconds from time.perf_counter.
 Last come the stages of a default ``permprod verify-lemmas``, in
-seconds: the trace sweep at n = 7, the pair pass at n = 5 with its
-count of traversal calls, event-factorization at n = 5 on its own (the
-pair pass includes it), relabel-dichotomy at n = 5, and the membership
-bounds at n = 5.
+seconds, each with the ``tracemalloc`` peak of one more, untimed run:
+the trace sweep at n = 7, the pair pass at n = 5 with its count of
+traversal calls, then its two parts on their own (the four reduced pair
+suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
+and the membership bounds at n = 5.
 
     PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096]
 """
@@ -54,13 +55,13 @@ def best_ms(fn, repeat: int) -> float:
     return min(times) * 1e3
 
 
-def full_draw_peak(draw) -> tuple[float, float]:
-    # Peak traced allocation of one draw, the rows included, and the
-    # rows' own size, both in MiB.
+def traced_peak(fn):
+    # Peak traced allocation of one call, what it returns included, in
+    # MiB, and what it returned.
     tracemalloc.start()
     try:
-        rows = draw()
-        return tracemalloc.get_traced_memory()[1] / 2**20, rows.nbytes / 2**20
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20, result
     finally:
         tracemalloc.stop()
 
@@ -81,10 +82,10 @@ def main(argv=None) -> int:
                 best_ms(lambda: spec.draw_batch(RngStream(1, 0), size, relabel=r), args.repeat)
                 for r in (True, False)
             )
-            peak, output = full_draw_peak(lambda: spec.draw_batch(RngStream(1, 0), size))
+            peak, rows = traced_peak(lambda: spec.draw_batch(RngStream(1, 0), size))
             print(
                 f"  {text:<20} full {full:8.2f}  representative {rep:8.2f}"
-                f"  full-draw peak {peak:6.1f} MiB, output {output:5.1f} MiB"
+                f"  full-draw peak {peak:6.1f} MiB, output {rows.nbytes / 2**20:5.1f} MiB"
             )
         uniform = sampler_from_text("uniform").bind(n=n)
         factors = [uniform.draw_batch(RngStream(1, f), size) for f in range(2)]
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
             product_type_distribution(*laws)
 
         print(f"  n = {n:<16} {best_ms(cold_law, args.repeat):8.2f}")
-    print("verify-lemmas stages at the default sizes, s")
+    print("verify-lemmas stages at the default sizes: s, and MiB traced")
     # An untimed pair pass counts its traversal calls.
     walk = sweeps.traversal
     calls = 0
@@ -122,11 +123,14 @@ def main(argv=None) -> int:
     for label, stage, note in (
         ("trace n = 7", lambda: sweeps.sweep_trace_identity(7), ""),
         ("pair pass n = 5", lambda: sweeps.sweep_pairs(5), f"  {calls} traversal calls"),
+        ("reduced pairs n = 5", lambda: sweeps._reduced_pair_suites(5), ""),
         ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
         ("bounds n = 5", lambda: sweeps.sweep_membership_bounds(5), ""),
     ):
-        print(f"  {label:<20} {best_ms(stage, args.repeat) / 1e3:8.3f}{note}")
+        seconds = best_ms(stage, args.repeat) / 1e3
+        peak = traced_peak(stage)[0]
+        print(f"  {label:<20} {seconds:8.3f} s  peak {peak:8.2f} MiB{note}")
     return 0
 
 

@@ -30,8 +30,14 @@ identities make this exact:
 
 Event-factorization is exempt. Its fibers are keyed by the labelled
 graph tuples over the starts 1..k, which conjugation moves, so it runs
-over every ordered pair and walks the starts 1..max(k) of each. A run
-with violations names, in its examples, the representatives it checked.
+over every ordered pair and walks the starts 1..max(k) of each. Its
+fibers are kept as counts only: a pair count per tuple, and the tuples
+holding a pair that fails its own union. A tuple whose count is its
+union's rectangle size, with no such pair, fills that rectangle, so no
+other tuple can share its union; a second one would be a non-empty,
+disjoint fiber inside the same rectangle, and fail the count itself.
+A run with violations names, in its examples, the representatives it
+checked.
 
 The membership bounds run on every union graph, either side, of a
 non-empty start set of any pair. Those are exactly the non-empty partial
@@ -191,38 +197,6 @@ def _side_masks(graphs: tuple[DirectedGraph, DirectedGraph], n: int) -> tuple[in
     return _edge_mask(graphs[0].edges, n), _edge_mask(graphs[1].edges, n)
 
 
-class _Fibers:
-    """Graph-tuple fibers of one start count, kept as counts.
-
-    A pair's union couple is a function of its tuple, so a union's fiber is
-    the disjoint union of the fibers of the tuples mapping to it: a tuple's
-    fiber equals its union's fiber exactly when it is that union's only
-    tuple. The member pairs themselves are never stored; each pair's
-    satisfaction of its union edges is checked as it arrives.
-    """
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self.pairs: dict[tuple, int] = {}
-        self.union_of: dict[tuple, tuple[int, int]] = {}
-        self.tuples_of_union: dict[tuple[int, int], int] = {}
-        self.unsatisfied: set[tuple] = set()
-
-    def add(self, side_masks: list[tuple[int, int]], sigma_mask: int, rho_mask: int) -> None:
-        key = tuple(side_masks[: self.k])
-        e1 = e2 = 0
-        for m1, m2 in key:
-            e1 |= m1
-            e2 |= m2
-        if key not in self.pairs:
-            self.pairs[key] = 0
-            self.union_of[key] = (e1, e2)
-            self.tuples_of_union[(e1, e2)] = self.tuples_of_union.get((e1, e2), 0) + 1
-        self.pairs[key] += 1
-        if e1 & ~sigma_mask or e2 & ~rho_mask:
-            self.unsatisfied.add(key)
-
-
 def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[SweepSummary]:
     """The five pair suites over S_n x S_n.
 
@@ -247,6 +221,12 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
       :func:`sweep_event_factorization`, which owns ``start_counts``.
     """
     factorization = sweep_event_factorization(n, start_counts)
+    return [*_reduced_pair_suites(n), factorization]
+
+
+def _reduced_pair_suites(n: int) -> list[SweepSummary]:
+    """The first four suites of :func:`sweep_pairs`, without
+    event-factorization."""
     perms = list(all_permutations(n))
     starts = range(1, n + 1)
     start_pairs = list(itertools.combinations(range(n), 2))
@@ -296,42 +276,48 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
         ),
         _summary("reversal-exchange", n, reversal, per_start),
         _summary("two-vertex-components", n, small, per_start),
-        factorization,
     ]
 
 
 def sweep_traversal_consistency(n: int = 4) -> SweepSummary:
     """Traversal records against their definition; see :func:`sweep_pairs`."""
-    return sweep_pairs(n)[0]
+    return _reduced_pair_suites(n)[0]
 
 
 def sweep_shared_cycle(n: int = 4) -> SweepSummary:
     """Start indices on one traversal cycle must induce identical graphs."""
-    return sweep_pairs(n)[1]
+    return _reduced_pair_suites(n)[1]
 
 
 def sweep_reversal_symmetry(n: int = 4) -> SweepSummary:
     """The exchange identities between (sigma, rho) and (rho, sigma)."""
-    return sweep_pairs(n)[2]
+    return _reduced_pair_suites(n)[2]
 
 
 def sweep_small_components(n: int = 4) -> SweepSummary:
     """No 2-cycles in traversal graphs whose components all have 2 vertices."""
-    return sweep_pairs(n)[3]
+    return _reduced_pair_suites(n)[3]
 
 
 def sweep_event_factorization(
     n: int = 4, start_counts: Sequence[int] = (1, 2, 3)
 ) -> SweepSummary:
-    """Fibers of the union-graph map are full membership rectangles.
+    """Fibers of the graph-tuple map are full membership rectangles.
 
-    Grouped by the union couple over starts 1..k, for each k in
-    ``start_counts``, every realized couple (G1, G2) has the fiber
-    {sigma satisfying G1} x {rho satisfying G2}, with both factor counts
-    found by brute force and matching (n - edges)!, and the finer
-    per-start graph tuple induces the same grouping, so the tuple and the
-    union carry the same information. The fibers are keyed by labelled
-    starts, so every ordered pair is walked, from starts 1..max(k) only.
+    For each k in ``start_counts``, the pairs whose graph couples over
+    the starts 1..k form a given tuple must be exactly {sigma satisfying
+    G1} x {rho satisfying G2}, where (G1, G2) is the tuple's union
+    couple, with both factor counts found by brute force and matching
+    (n - edges)!. The fibers are keyed by labelled starts, so every
+    ordered pair is walked, from starts 1..max(k) only.
+
+    A fiber is kept as its pair count only, with one set per k of the
+    tuples that have a pair failing its own union. A tuple passes when
+    its count equals the rectangle's size and none of its pairs fails,
+    which makes the fiber the whole rectangle. That the tuple is then
+    the only one with its union follows: a second tuple with the same
+    union would have a non-empty fiber, disjoint from the first, of pairs
+    satisfying that union, so inside the same rectangle.
     """
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
@@ -339,14 +325,18 @@ def sweep_event_factorization(
     perms = list(all_permutations(n))
     perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
     starts = range(1, max(ks) + 1)
-    fibers = [_Fibers(k) for k in ks]
+    pairs: list[dict[tuple, int]] = [{} for _ in ks]
+    unsatisfied: list[set[tuple]] = [set() for _ in ks]
     for sigma, sigma_mask in zip(perms, perm_masks):
         for rho, rho_mask in zip(perms, perm_masks):
             side_masks = [
                 _side_masks(graphs_from_record(traversal(sigma, rho, m), n), n) for m in starts
             ]
-            for fib in fibers:
-                fib.add(side_masks, sigma_mask, rho_mask)
+            for k, counts, failing in zip(ks, pairs, unsatisfied):
+                key = tuple(side_masks[:k])
+                counts[key] = counts.get(key, 0) + 1
+                if any(m1 & ~sigma_mask or m2 & ~rho_mask for m1, m2 in key):
+                    failing.add(key)
 
     satisfying: dict[int, int] = {}
 
@@ -356,20 +346,22 @@ def sweep_event_factorization(
         return satisfying[mask]
 
     factorization = _Tally()
-    for fib in fibers:
-        for key, fiber_size in fib.pairs.items():
-            e1, e2 = fib.union_of[key]
+    for k, counts, failing in zip(ks, pairs, unsatisfied):
+        for key, fiber_size in counts.items():
+            e1 = e2 = 0
+            for m1, m2 in key:
+                e1 |= m1
+                e2 |= m2
             expected = count_satisfying(e1) * count_satisfying(e2)
             ok = (
-                fib.tuples_of_union[(e1, e2)] == 1
-                and fiber_size == expected
+                fiber_size == expected
                 and expected
                 == math.factorial(n - e1.bit_count()) * math.factorial(n - e2.bit_count())
-                and key not in fib.unsatisfied
+                and key not in failing
             )
             factorization.record(
                 ok,
-                lambda kk=fib.k, a=e1, b=e2: (
+                lambda kk=k, a=e1, b=e2: (
                     f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
                 ),
             )

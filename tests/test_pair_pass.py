@@ -7,7 +7,10 @@ reduction changes no tally, that a fault depending only on a
 traversal's shape is counted alike, and that a fault reading a label is
 not: the last documents the assumption the reduction rests on.
 Event-factorization is not reduced and must walk the starts 1..max(k)
-of every ordered pair.
+of every ordered pair. It keeps only a pair count per graph tuple and
+the tuples with a pair failing its union; under faulty graphs its
+tallies must still equal those of ``brute.pair_pass``, which keeps
+every fiber's pairs and counts the tuples of each union.
 """
 
 import math
@@ -16,7 +19,8 @@ import pytest
 
 import brute
 from permprod import cyclegraphs, sweeps
-from permprod.cyclegraphs import traversal
+from permprod.cyclegraphs import DirectedGraph, graphs_from_record, traversal
+from permprod.perms import all_permutations
 
 
 def _rows(summaries):
@@ -72,3 +76,81 @@ def test_event_factorization_walks_the_first_starts_of_every_pair(monkeypatch):
     assert len(walked) == 2 * math.factorial(n) ** 2
     assert len(set(walked)) == len(walked)
     assert {m for _, _, m in walked} == {1, 2}
+
+
+def _inject(monkeypatch, fault):
+    """Pass every traversal graph couple through fault(sigma, record, g1, g2).
+
+    ``sweeps`` builds each couple right after its walk, as does
+    ``cyclegraphs.graphs_from_traversal``, which ``brute`` calls, so the
+    sigma of the latest walk is the one that produced the record.
+    """
+    walked = []
+
+    def walk(sigma, rho, m):
+        walked[:] = [sigma]
+        return traversal(sigma, rho, m)
+
+    def build(record, n):
+        return fault(walked[0], record, *graphs_from_record(record, n))
+
+    for module in (sweeps, cyclegraphs):
+        monkeypatch.setattr(module, "traversal", walk)
+        monkeypatch.setattr(module, "graphs_from_record", build)
+
+
+def _drop_wrap_edge(sigma, r, g1, g2):
+    return DirectedGraph(g1.n, g1.edges - {(r.i_seq[0], r.j_seq[-1])}), g2
+
+
+def _add_unsatisfied_edge(sigma, r, g1, g2):
+    # The largest vertex x off the cycle gets the free target after
+    # sigma(x). Over one start, the pairs of one true tuple split by
+    # sigma(x) into fibers exactly as large as the grown union's
+    # rectangle, none of whose pairs satisfies it: only the unsatisfied
+    # set can see this.
+    off = [v for v in range(1, g1.n + 1) if v not in r.i_seq]
+    if len(off) < 2:
+        return g1, g2
+    x = off[-1]
+    targets = sorted(sigma(v) for v in off)
+    y = targets[(targets.index(sigma(x)) + 1) % len(targets)]
+    return DirectedGraph(g1.n, g1.edges | {(x, y)}), g2
+
+
+def _empty_start_two(sigma, r, g1, g2):
+    # Start 2 on start 1's cycle repeats start 1's couple; emptying it
+    # when sigma fixes n off that cycle splits one fiber into two tuples
+    # with one union, each smaller than the rectangle.
+    n = g1.n
+    if r.m == 2 and 1 in r.i_seq and n not in r.i_seq and sigma(n) == n:
+        empty = DirectedGraph(n, frozenset())
+        return empty, empty
+    return g1, g2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("fault", [_drop_wrap_edge, _add_unsatisfied_edge, _empty_start_two])
+def test_event_factorization_under_a_fault_matches_brute_force(monkeypatch, n, fault):
+    _inject(monkeypatch, fault)
+    summary = sweeps.sweep_event_factorization(n, (1, 2, 3))
+    expected = brute.pair_pass(n, (1, 2, 3))[4]
+    assert (summary.cases, summary.violations, summary.examples) == expected[1:]
+    # At n = 3, sigma on the cycle {1, 2} fixes sigma(3), so emptying
+    # start 2 moves whole fibers and no tuple shares its union.
+    assert summary.violations > 0 or (fault is _empty_start_two and n == 3)
+
+
+def test_emptying_start_two_gives_two_tuples_one_union(monkeypatch):
+    _inject(monkeypatch, _empty_start_two)
+    perms = list(all_permutations(4))
+    tuples_of_union: dict[tuple, set] = {}
+    for sigma in perms:
+        for rho in perms:
+            key = tuple(
+                (g1.edges, g2.edges)
+                for g1, g2 in (cyclegraphs.graphs_from_traversal(sigma, rho, m) for m in (1, 2))
+            )
+            union = tuple(frozenset().union(*side) for side in zip(*key))
+            tuples_of_union.setdefault(union, set()).add(key)
+    assert max(len(keys) for keys in tuples_of_union.values()) == 2

@@ -177,14 +177,19 @@ def test_membership_bounds_alone_match_run_all():
     assert inside == sweep_membership_bounds(4)
 
 
-def test_pair_selectors_pick_their_suite():
-    picks = [
-        sweep_traversal_consistency(3),
-        sweep_shared_cycle(3),
-        sweep_reversal_symmetry(3),
-        sweep_small_components(3),
-        sweep_event_factorization(3, start_counts=(1, 2)),
-    ]
+def test_pair_selectors_pick_their_suite(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a reduced-suite selector ran event-factorization")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sweeps, "sweep_event_factorization", unreachable)
+        picks = [
+            sweep_traversal_consistency(3),
+            sweep_shared_cycle(3),
+            sweep_reversal_symmetry(3),
+            sweep_small_components(3),
+        ]
+    picks.append(sweep_event_factorization(3, start_counts=(1, 2)))
     assert [p.suite for p in picks] == [
         "traversal-encoding",
         "shared-cycle-graphs",
