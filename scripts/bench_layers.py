@@ -13,7 +13,9 @@ k = 1, 3 and 6. Then it times the exact oracle: one
 process. Times are wall-clock milliseconds from time.perf_counter.
 Last come the stages of a default ``permprod verify-lemmas``, in
 seconds, each with the ``tracemalloc`` peak of one more, untimed run:
-the trace sweep at n = 7, the pair pass at n = 5 with its count of
+the trace sweep at n = 7 and, beyond the default, at n = 8 (it
+checks powers up to 2n, so its cost per permutation grows with n), the
+pair pass at n = 5 with its count of
 traversal calls, then its two parts on their own (the four reduced pair
 suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
 and the membership bounds at n = 5.
@@ -122,6 +124,7 @@ def main(argv=None) -> int:
 
     for label, stage, note in (
         ("trace n = 7", lambda: sweeps.sweep_trace_identity(7), ""),
+        ("trace n = 8", lambda: sweeps.sweep_trace_identity(8), ""),
         ("pair pass n = 5", lambda: sweeps.sweep_pairs(5), f"  {calls} traversal calls"),
         ("reduced pairs n = 5", lambda: sweeps._reduced_pair_suites(5), ""),
         ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),

@@ -43,7 +43,7 @@ from permprod.stats import (
     moment_estimates,
     parse_functional,
 )
-from permprod.sweeps import run_all
+from permprod.sweeps import _PAIR_MAX_N, run_all
 
 __all__ = [
     "ConfigError",
@@ -187,6 +187,11 @@ class ExperimentConfig:
             raise ConfigError("truncation: must be >= 0")
         if self.pair_n < 3:
             raise ConfigError("pair_n: must be >= 3, as event-factorization walks starts 1..3")
+        if self.pair_n > _PAIR_MAX_N:
+            raise ConfigError(
+                f"pair_n: caps at {_PAIR_MAX_N}, as event-factorization walks every "
+                "ordered pair (25.4 million at n = 7) and keeps a count per graph tuple"
+            )
         if self.single_n < 1:
             raise ConfigError("single_n: must be >= 1")
         for size in self.n_grid or (self.n,):

@@ -3,6 +3,7 @@
 Most functions here are unreduced sums over all of S_n (or S_n x S_n)
 with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
 every start set of every pair rather than listing partial injections,
+``trace_pass`` builds every power of every permutation by composition,
 ``pair_pass`` walks every ordered pair instead of one sigma per cycle
 type, ``graph_pass`` checks every partial injection instead of one per
 relabeling orbit, and the two-vertex predicate reads full component
@@ -39,9 +40,13 @@ from permprod.oracle import ExactDistribution, verify_bounds
 from permprod.perms import (
     Permutation,
     all_permutations,
+    compose,
     conjugate,
+    cycle_counts,
     cycle_type,
+    identity,
     inverse,
+    trace_power,
 )
 
 
@@ -229,6 +234,31 @@ class _Tally:
 
     def row(self) -> tuple[str, int, int, list[str]]:
         return self.suite, self.cases, self.violations, self.examples
+
+
+def start_is_fixed(a: Permutation, power: Permutation, start: int) -> bool:
+    """Whether ``power``, a power of ``a``, fixes ``start``. A seam for
+    faults that read ``a`` as well."""
+    return power(start) == start
+
+
+def trace_pass(n: int, max_power: int):
+    """The trace-power identity on every permutation, each power built
+    by repeated ``compose`` and its fixed points counted one start at a
+    time, with the formula evaluated afresh for every (perm, k). Returns
+    (suite, cases, violations, examples) as ``sweep_trace_identity``
+    tallies them."""
+    tally = _Tally("trace-power-identity")
+    starts = range(1, n + 1)
+    for a in all_permutations(n):
+        power = identity(n)
+        for k in range(1, max_power + 1):
+            power = compose(a, power)
+            fixed = sum(start_is_fixed(a, power, m) for m in starts)
+            tally.record(
+                trace_power(cycle_counts(a), k) == fixed, f"perm={a.to_line()} k={k}"
+            )
+    return tally.row()
 
 
 def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):

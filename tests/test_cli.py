@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from permprod import cli, sweeps
 from permprod.cli import (
     ConfigError,
     ExperimentConfig,
@@ -423,6 +424,24 @@ def test_pair_n_below_the_largest_start_count_names_its_field(pair_n, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: pair_n: ")
+
+
+@pytest.mark.parametrize("pair_n", ["7", "8"])
+def test_pair_n_above_the_cap_names_its_field(pair_n, monkeypatch, capsys):
+    # Rejected while validating: event-factorization at n = 7 would walk
+    # 25.4 million ordered pairs.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_all ran past a rejected pair_n")
+
+    monkeypatch.setattr(cli, "run_all", unreachable)
+    monkeypatch.setattr(sweeps, "run_all", unreachable)
+    assert main(["verify-lemmas", "--pair-n", pair_n, "--single-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: pair_n: caps at 6, ")
+    with pytest.raises(ConfigError, match="^pair_n: "):
+        config_from_mapping({"command": "verify-lemmas", "pair_n": pair_n})
+    assert config_from_mapping({"command": "verify-lemmas", "pair_n": "6"}).pair_n == 6
 
 
 def test_main_error_paths(tmp_path, capsys):

@@ -109,11 +109,30 @@ def test_cycle_lengths_partition_the_ground_set(p):
     assert seen == set(range(1, p.n + 1))
 
 
-@given(perm_strategy(), st.integers(min_value=1, max_value=9))
+@given(perm_strategy(), st.integers(min_value=1, max_value=15))
 @settings(max_examples=200)
-def test_trace_power_matches_direct_fixed_point_count(p, k):
-    assert trace_power(p, k) == power_fixed_points(p, k)
-    assert trace_power(cycle_counts(p), k) == trace_power(p, k)
+def test_trace_power_matches_direct_fixed_point_count(p, max_power):
+    formula = [trace_power(p, k) for k in range(1, max_power + 1)]
+    assert power_fixed_points(p, max_power) == formula
+    assert [trace_power(cycle_counts(p), k) for k in range(1, max_power + 1)] == formula
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_power_fixed_points_counts_powers_built_by_composition(n):
+    top = 2 * n + 1
+    for p in all_permutations(n):
+        power, expected = identity(n), []
+        for _ in range(top):
+            power = compose(p, power)
+            expected.append(sum(power(i) == i for i in range(1, n + 1)))
+        for max_power in range(1, top + 1):
+            assert power_fixed_points(p, max_power) == expected[:max_power]
+
+
+@pytest.mark.parametrize("max_power", [0, -1])
+def test_power_fixed_points_needs_a_positive_power(max_power):
+    with pytest.raises(ValueError, match="max_power"):
+        power_fixed_points(identity(3), max_power)
 
 
 @given(perm_strategy(6))

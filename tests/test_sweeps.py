@@ -4,12 +4,13 @@ The acceptance suite runs the full-size sweeps; these keep the plumbing
 honest at sizes that finish in well under a second each.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 import brute
-from permprod import sweeps
+from permprod import perms, sweeps
 from permprod.cyclegraphs import DirectedGraph, union_graphs
 from permprod.perms import Permutation, all_permutations
 from permprod.sweeps import (
@@ -37,6 +38,44 @@ def assert_clean(summary: SweepSummary):
 
 def test_trace_identity_sweep():
     assert_clean(sweep_trace_identity(5))
+
+
+def _walk_miscounting_start_one(a, max_power):
+    # When a(1) = 2, start 1 is counted as back at every power.
+    fixed = perms.power_fixed_points(a, max_power)
+    if a(1) != 2:
+        return fixed
+    length = len(perms.cycle_of(a, 1))
+    return [f + (k % length != 0) for k, f in enumerate(fixed, start=1)]
+
+
+def _brute_miscounting_start_one(a, power, start):
+    return (start == 1 and a(1) == 2) or power(start) == start
+
+
+def _formula_off_at_four_with_a_two_cycle(counts, k):
+    return perms.trace_power(counts, k) + (k == 4 and counts.get(2) > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("fault", ["clean", "walk", "formula"])
+def test_trace_identity_matches_every_power_built_by_composition(monkeypatch, fault, n):
+    # The walk fault reads a label, so it guards the walk running for
+    # every permutation; the formula fault reads the cycle type only, so
+    # it guards the formula table keyed by the full cycle counts.
+    if fault == "walk":
+        monkeypatch.setattr(sweeps, "power_fixed_points", _walk_miscounting_start_one)
+        monkeypatch.setattr(brute, "start_is_fixed", _brute_miscounting_start_one)
+    elif fault == "formula":
+        for module in (sweeps, brute):
+            monkeypatch.setattr(module, "trace_power", _formula_off_at_four_with_a_two_cycle)
+    summary = sweep_trace_identity(n)
+    row = brute.trace_pass(n, 2 * n)
+    assert (summary.suite, summary.cases, summary.violations, summary.examples) == row
+    assert summary.cases == math.factorial(n) * 2 * n
+    # Neither fault can show at n = 1: no permutation moves 1, and no
+    # power reaches 4.
+    assert (summary.violations > 0) == (fault != "clean" and n > 1)
 
 
 def test_traversal_consistency_sweep():
