@@ -7,7 +7,8 @@ representatives that class-function consumers draw for factor 0, with the
 ``tracemalloc`` peak of one more full draw beside the output's own size
 (numpy reports its buffers to ``tracemalloc``); the
 product of two factors; and small-cycle counting of that product for
-k = 1, 3 and 6. Then it times the exact oracle: one
+k = 1, 3 and 6, these two with the ``tracemalloc`` peak of one more call
+beside them. Then it times the exact oracle: one
 ``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
 16, with its caches cleared first, as in a fresh ``permprod exact``
 process. Times are wall-clock milliseconds from time.perf_counter.
@@ -18,12 +19,14 @@ checks powers up to 2n, so its cost per permutation grows with n), the
 pair pass at n = 5 with its count of
 traversal calls, then its two parts on their own (the four reduced pair
 suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
-and the membership bounds at n = 5.
+and the membership bounds at n = 5. ``--json PATH`` also writes every
+row, with nproc, the numpy version and the repeat count, to PATH.
 
-    PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096]
+    PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096] [--json PATH]
 """
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -72,8 +75,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="runs per layer; the best is kept")
     parser.add_argument("--sizes", default="500, 1000, 4096", help="comma-separated n values")
+    parser.add_argument("--json", metavar="PATH", help="also write every row to this JSON file")
     args = parser.parse_args(argv)
     sizes = [int(part) for part in args.sizes.split(",")]
+    rows = []
+
+    def emit(text, **row):
+        print(text)
+        rows.append(row)
+
     print(f"nproc {os.cpu_count()}, numpy {np.__version__}, best of {args.repeat}, ms per chunk")
     for n in sizes:
         size = _chunk_size(n)
@@ -84,18 +94,28 @@ def main(argv=None) -> int:
                 best_ms(lambda: spec.draw_batch(RngStream(1, 0), size, relabel=r), args.repeat)
                 for r in (True, False)
             )
-            peak, rows = traced_peak(lambda: spec.draw_batch(RngStream(1, 0), size))
-            print(
+            peak, out = traced_peak(lambda: spec.draw_batch(RngStream(1, 0), size))
+            emit(
                 f"  {text:<20} full {full:8.2f}  representative {rep:8.2f}"
-                f"  full-draw peak {peak:6.1f} MiB, output {rows.nbytes / 2**20:5.1f} MiB"
+                f"  full-draw peak {peak:6.1f} MiB, output {out.nbytes / 2**20:5.1f} MiB",
+                layer="draw_batch", law=text, n=n, rows=size, full_ms=full,
+                representative_ms=rep, peak_mib=peak, output_mib=out.nbytes / 2**20,
             )
         uniform = sampler_from_text("uniform").bind(n=n)
         factors = [uniform.draw_batch(RngStream(1, f), size) for f in range(2)]
-        print(f"  {'product_rows x2':<20} {best_ms(lambda: product_rows(factors), args.repeat):8.2f}")
+        layers = [("product_rows x2", "product_rows", None, lambda: product_rows(factors))]
         prod = product_rows(factors)
-        for k in (1, 3, 6):
-            ms = best_ms(lambda: small_cycle_counts(prod, k), args.repeat)
-            print(f"  {f'small_cycle_counts {k}':<20} {ms:8.2f}")
+        layers += [
+            (f"small_cycle_counts {k}", "small_cycle_counts", k, lambda k=k: small_cycle_counts(prod, k))
+            for k in (1, 3, 6)
+        ]
+        for label, layer, k, fn in layers:
+            ms = best_ms(fn, args.repeat)
+            peak = traced_peak(fn)[0]
+            emit(
+                f"  {label:<20} {ms:8.2f}  peak {peak:6.1f} MiB",
+                layer=layer, n=n, rows=size, k=k, ms=ms, peak_mib=peak,
+            )
     print("oracle: product_type_distribution(ewens:2, ewens:1/2), cold caches, ms")
     for n in ORACLE_SIZES:
         laws = (ExactDistribution.ewens(n, 2), ExactDistribution.ewens(n, Fraction(1, 2)))
@@ -105,7 +125,8 @@ def main(argv=None) -> int:
                 cached.cache_clear()
             product_type_distribution(*laws)
 
-        print(f"  n = {n:<16} {best_ms(cold_law, args.repeat):8.2f}")
+        ms = best_ms(cold_law, args.repeat)
+        emit(f"  n = {n:<16} {ms:8.2f}", layer="product_type_distribution", n=n, ms=ms)
     print("verify-lemmas stages at the default sizes: s, and MiB traced")
     # An untimed pair pass counts its traversal calls.
     walk = sweeps.traversal
@@ -133,7 +154,15 @@ def main(argv=None) -> int:
     ):
         seconds = best_ms(stage, args.repeat) / 1e3
         peak = traced_peak(stage)[0]
-        print(f"  {label:<20} {seconds:8.3f} s  peak {peak:8.2f} MiB{note}")
+        emit(
+            f"  {label:<20} {seconds:8.3f} s  peak {peak:8.2f} MiB{note}",
+            layer="verify-lemmas stage", stage=label, s=seconds, peak_mib=peak,
+        )
+    if args.json:
+        meta = {"nproc": os.cpu_count(), "numpy": np.__version__, "repeat": args.repeat}
+        with open(args.json, "w") as fh:
+            json.dump({**meta, "traversal_calls": calls, "rows": rows}, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

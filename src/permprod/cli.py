@@ -34,6 +34,7 @@ from permprod.oracle import (
 )
 from permprod.samplers import _MAX_N, SamplerSpec, product_rows, small_cycle_counts
 from permprod.stats import (
+    _CHUNK_ELEMENTS,
     _MIN_ESTIMATE_SAMPLES,
     Functional,
     MomentEstimate,
@@ -185,6 +186,14 @@ class ExperimentConfig:
             raise ConfigError("tv_orders: joint orders must be >= 1")
         if self.truncation < 0:
             raise ConfigError("truncation: must be >= 0")
+        # Each TV order k fills (truncation + 1)^k float cells; checked
+        # before anything is drawn.
+        if self.tv_orders and (self.truncation + 1) ** max(self.tv_orders) > _CHUNK_ELEMENTS:
+            raise ConfigError(
+                f"tv_orders: order {max(self.tv_orders)} at truncation {self.truncation} "
+                f"needs {self.truncation + 1}^{max(self.tv_orders)} pmf cells, "
+                f"above the cap of {_CHUNK_ELEMENTS}"
+            )
         if self.pair_n < 3:
             raise ConfigError("pair_n: must be >= 3, as event-factorization walks starts 1..3")
         if self.pair_n > _PAIR_MAX_N:

@@ -22,7 +22,11 @@ cycles onto it and scatters the result into the chunk's rows, so no
 (size, n) temporary exists beside the output. The Feller uniforms are
 drawn the same way, every block before any shuffle. The generator fills
 and shuffles row by row, so the blocks draw the same rows, and leave the
-generator in the same state, as one whole-chunk draw.
+generator in the same state, as one whole-chunk draw. The product and
+the small-cycle counts walk the same row blocks: each block's rows are
+offset by r * n into one reused intp block of flat indices, and every
+gather is a 1-D ``np.take`` into a reused or output buffer, so neither
+layer holds a (size, n) temporary either.
 
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
@@ -381,7 +385,15 @@ def matching_heavy_rows(
 
 
 def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-wise left-to-right product of equal-shape batches."""
+    """Row-wise left-to-right product of equal-shape batches.
+
+    Row r of the result maps x to ``f0[r, f1[r, ... fk[r, x]]]``. A
+    broadcast class representative (strides 0) is gathered from its one
+    base row. Every other step fills a fresh output of the running
+    product's dtype one row block at a time: the factor's block, offset
+    into flat indices (``_flat_blocks``), drives one 1-D ``np.take``
+    from the product's block into the output's.
+    """
     if not factor_rows:
         raise ValueError("need at least one factor")
     prod = factor_rows[0]
@@ -389,29 +401,65 @@ def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
         if rows.shape != prod.shape:
             raise ValueError("factor batches must share a shape")
         if prod.strides[0] == 0:
-            # A broadcast class representative: one 1-D gather of its base.
             prod = prod[0][rows]
-        else:
-            prod = np.take_along_axis(prod, rows, axis=1)
+            continue
+        out = np.empty(prod.shape, dtype=prod.dtype)
+        flat = out.reshape(-1)
+        n = prod.shape[1]
+        for s, e, idx in _flat_blocks(rows):
+            np.take(prod[s:e], idx, out=flat[s * n : e * n], mode="wrap")
+        prod = out
     return prod
+
+
+def _flat_blocks(rows: np.ndarray):
+    """Yield (s, e, idx): rows s..e-1 as flat indices into their own block.
+
+    ``idx[i * n + x]`` is ``rows[s + i, x] + i * n``, in one reused intp
+    block of ``_block_rows(n)`` rows, valid until the next step. An intp
+    index spares ``np.take`` the intp copy it makes of any other index;
+    every entry is in range, so ``mode="wrap"`` never acts, and unlike
+    the default mode it does not buffer the output.
+    """
+    size, n = rows.shape
+    step = _block_rows(n)
+    offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None]
+    buf = np.empty(min(size, step) * n, dtype=np.intp)
+    for s in range(0, size, step):
+        e = min(size, s + step)
+        idx = buf[: (e - s) * n]
+        np.add(rows[s:e], offsets[: e - s], out=idx.reshape(e - s, n))
+        yield s, e, idx
 
 
 def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
     """Per-row counts of d-cycles for d = 1..kmax, exact integer output.
 
-    Uses fixed-point counts of the first kmax powers and divisor
-    inversion; cost kmax compositions, no full cycle decomposition.
+    Counts the fixed points of the first kmax powers, then inverts over
+    divisors; no full cycle decomposition. kmax = 1 is one comparison.
+    Otherwise each row block is offset into flat indices once
+    (``_flat_blocks``); power k is one 1-D ``np.take`` of power k - 1
+    by that block, alternating between two reused intp blocks, and its
+    fixed points are the entries equal to a flat identity block.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     size, n = rows.shape
-    idx = np.arange(n, dtype=rows.dtype)
     fixed = np.empty((size, kmax), dtype=np.int64)
-    power = rows
-    fixed[:, 0] = (power == idx).sum(axis=1)
-    for k in range(2, kmax + 1):
-        power = np.take_along_axis(power, rows, axis=1)
-        fixed[:, k - 1] = (power == idx).sum(axis=1)
+    if kmax == 1:
+        fixed[:, 0] = (rows == np.arange(n, dtype=rows.dtype)).sum(axis=1)
+    else:
+        identity = np.arange(min(size, _block_rows(n)) * n, dtype=np.intp)
+        powers = np.empty((2, len(identity)), dtype=np.intp)
+        hits = np.empty(len(identity), dtype=bool)
+        for s, e, base in _flat_blocks(rows):
+            m = len(base)
+            power = base
+            for k in range(1, kmax + 1):
+                if k > 1:
+                    power = np.take(power, base, out=powers[k % 2, :m], mode="wrap")
+                np.equal(power, identity[:m], out=hits[:m])
+                fixed[s:e, k - 1] = hits[:m].reshape(e - s, n).sum(axis=1)
     counts = np.empty((size, kmax), dtype=np.int64)
     for d in range(1, kmax + 1):
         acc = fixed[:, d - 1].copy()

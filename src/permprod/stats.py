@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 _CHUNK = 8192
-# Cap on elements per batch array so large n does not blow up memory.
+# Cap on elements per batch array so large n does not blow up memory, and
+# on the (truncation + 1)^k cells of a joint pmf that a config may ask for.
 _CHUNK_ELEMENTS = 1 << 22
 _GRID_STRIDE = 2**32
 # Fewest samples a mean and standard error are estimated from.

@@ -9,7 +9,9 @@ type, ``graph_pass`` checks every partial injection instead of one per
 relabeling orbit, and the two-vertex predicate reads full component
 profiles. They exist so that tests can check the reduced code against
 straight enumeration instead of trusting it, and they are practical
-only for n <= 7. Only ``perms``, ``cyclegraphs``, the
+only for n <= 7. ``product_rows`` and ``small_cycle_counts`` are the
+Monte Carlo layers as whole-chunk ``take_along_axis`` gathers, with no
+row blocks and no flat indices. Only ``perms``, ``cyclegraphs``, the
 ``ExactDistribution`` type and, in ``graph_pass``, the per-graph
 ``verify_bounds`` are used, so nothing here leans on the reductions it
 checks.
@@ -22,6 +24,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from permprod.cyclegraphs import (
     DirectedGraph,
@@ -480,3 +484,31 @@ def union_pair_pmf(
             key = (canonical_class(u1), canonical_class(u2))
             out[key] = out.get(key, Fraction(0)) + p1 * p2
     return out
+
+
+def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise left-to-right product, one whole-chunk gather per factor;
+    the result has the dtype of the first factor."""
+    prod = factor_rows[0]
+    for rows in factor_rows[1:]:
+        prod = np.take_along_axis(prod, rows, axis=1)
+    return prod
+
+
+def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
+    """Per-row d-cycle counts for d = 1..kmax from the fixed points of
+    whole-chunk powers, inverted over divisors."""
+    size, n = rows.shape
+    idx = np.arange(n)
+    fixed = np.empty((size, kmax), dtype=np.int64)
+    power = rows
+    for k in range(1, kmax + 1):
+        if k > 1:
+            power = np.take_along_axis(power, rows, axis=1)
+        fixed[:, k - 1] = (power == idx).sum(axis=1)
+    counts = np.empty((size, kmax), dtype=np.int64)
+    for d in range(1, kmax + 1):
+        counts[:, d - 1] = (
+            fixed[:, d - 1] - sum(e * counts[:, e - 1] for e in range(1, d) if d % e == 0)
+        ) // d
+    return counts

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from permprod import cli, sweeps
+from permprod import cli, stats, sweeps
 from permprod.cli import (
     ConfigError,
     ExperimentConfig,
@@ -415,6 +415,39 @@ def test_sizes_beyond_int32_rows_name_their_field(field, argv, capsys):
     assert captured.err.startswith(f"config error: {field}: ")
     ok = {"command": "sample", "seed": "1", "samplers": "uniform", "samples": "2"}
     assert config_from_mapping({**ok, "n": str(2**31 - 1)}).n == 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "tv_orders, truncation",
+    [("6", "100"), ("2, 7", "8"), ("23", "1"), ("2", "2048")],
+)
+def test_tv_lattice_above_the_cap_names_its_field(tv_orders, truncation, monkeypatch, capsys):
+    # Rejected while validating: (truncation + 1)^k cells of order 6 at
+    # truncation 100 would take 7.72 TiB once every sample was drawn.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew samples for a rejected TV lattice")
+
+    monkeypatch.setattr(cli, "draw_chunks", unreachable)
+    monkeypatch.setattr(stats, "draw_chunks", unreachable)
+    argv = ["convergence", "--seed", "1", "--samplers", "uniform", "--n-grid", "5, 6"]
+    argv += ["--tv-orders", tv_orders, "--truncation", truncation, "--samples", "50"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: tv_orders: ")
+    assert f"truncation {truncation} " in captured.err
+    mapping = {"command": "convergence", "seed": "1", "samplers": "uniform", "samples": "50"}
+    mapping.update(n_grid="5, 6", tv_orders=tv_orders, truncation=truncation)
+    with pytest.raises(ConfigError, match="^tv_orders: "):
+        config_from_mapping(mapping)
+
+
+def test_tv_lattice_at_the_cap_runs(capsys):
+    # 4^11 = 2^22 cells is exactly the cap.
+    argv = ["convergence", "--seed", "1", "--samplers", "uniform", "--n-grid", "5, 6"]
+    assert main(argv + ["--tv-orders", "2, 11", "--truncation", "3", "--samples", "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith(("5,tv:", "6,tv:")) for line in lines) == 4
 
 
 @pytest.mark.parametrize("pair_n", ["1", "2"])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brute
 from permprod import samplers
 from permprod.perms import Permutation, compose, cycle_counts, cycle_type
 from permprod.samplers import (
@@ -340,6 +341,68 @@ def test_product_rows_of_a_broadcast_representative(first):
     prod = product_rows(factors)
     assert prod.dtype == np.int32
     assert np.array_equal(prod, expected)
+
+
+def _layer_input(law, n, size, seed, relabel=True, dtype=np.int32):
+    # One factor batch in the given dtype; a broadcast representative
+    # stays a broadcast of its (cast) base row.
+    rows = sampler_from_text(law).bind(n=n).draw_batch(RngStream(seed, 0), size, relabel)
+    if rows.strides[0] == 0:
+        return np.broadcast_to(rows[0].astype(dtype), rows.shape)
+    return rows.astype(dtype)
+
+
+_FIXED_TYPE_LAWS = ("sqrt_fixed:sqrt", "matching_heavy:1/3")
+_LAYER_LAWS = ("uniform", "ewens:2") + _FIXED_TYPE_LAWS
+
+
+def _feasible_shapes(laws):
+    return [(law, *shape) for law in laws for shape in _BLOCK_SHAPES if _has_cycle_type(law, shape[1])]
+
+
+@pytest.mark.parametrize(
+    "first, block, n, size",
+    _feasible_shapes(_LAYER_LAWS),
+)
+@pytest.mark.parametrize(
+    "dtypes",
+    [(np.int32,) * 3, (np.int64,) * 3, (np.int64, np.int32, np.int64)],
+    ids=["int32", "int64", "mixed"],
+)
+@pytest.mark.parametrize("factors", [2, 3])
+def test_product_rows_match_whole_chunk_gathers(first, block, n, size, dtypes, factors, monkeypatch):
+    # The first factor is a class representative (a broadcast for the
+    # fixed-type laws); a smaller block budget gives many blocks, a ragged
+    # last one, or rows longer than a block.
+    if block is not None:
+        monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
+    rows = [_layer_input(first, n, size, 30, relabel=False, dtype=dtypes[0])]
+    assert (rows[0].strides[0] == 0) == (first in _FIXED_TYPE_LAWS)
+    rows += [_layer_input("uniform", n, size, 31 + f, dtype=dtypes[f]) for f in range(1, factors)]
+    prod = product_rows(rows)
+    expected = brute.product_rows(rows)
+    assert prod.dtype == expected.dtype
+    assert np.array_equal(prod, expected)
+
+
+@pytest.mark.parametrize(
+    "law, block, n, size",
+    _feasible_shapes(_LAYER_LAWS),
+)
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=["int32", "int64"])
+@pytest.mark.parametrize("kmax", range(1, 8))
+def test_small_cycle_counts_match_whole_chunk_powers(law, block, n, size, dtype, kmax, monkeypatch):
+    # Relabeled uniform rows, unrelabeled Ewens rows, and broadcasts of a
+    # fixed-type representative, over the block shapes of the kernel tests.
+    relabel = law == "uniform"
+    if block is not None:
+        monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
+    rows = _layer_input(law, n, size, 32, relabel, dtype)
+    assert (rows.strides[0] == 0) == (law in _FIXED_TYPE_LAWS)
+    counts = small_cycle_counts(rows, kmax)
+    expected = brute.small_cycle_counts(rows, kmax)
+    assert counts.dtype == expected.dtype == np.int64
+    assert np.array_equal(counts, expected)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=4))
