@@ -19,7 +19,8 @@ checks powers up to 2n, so its cost per permutation grows with n), the
 pair pass at n = 5 with its count of
 traversal calls, then its two parts on their own (the four reduced pair
 suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
-and the membership bounds at n = 5. ``--json PATH`` also writes every
+the membership bounds at n = 5, and the whole default ``run_all()``,
+every suite of the report. ``--json PATH`` also writes every
 row, with nproc, the numpy version and the repeat count, to PATH.
 
     PYTHONPATH=src python scripts/bench_layers.py [--repeat 5] [--sizes 500,1000,4096] [--json PATH]
@@ -151,6 +152,7 @@ def main(argv=None) -> int:
         ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
         ("bounds n = 5", lambda: sweeps.sweep_membership_bounds(5), ""),
+        ("run_all()", sweeps.run_all, ""),
     ):
         seconds = best_ms(stage, args.repeat) / 1e3
         peak = traced_peak(stage)[0]

@@ -44,7 +44,7 @@ from permprod.stats import (
     moment_estimates,
     parse_functional,
 )
-from permprod.sweeps import _PAIR_MAX_N, run_all
+from permprod.sweeps import _PAIR_MAX_N, _SINGLE_MAX_N, run_all
 
 __all__ = [
     "ConfigError",
@@ -203,6 +203,11 @@ class ExperimentConfig:
             )
         if self.single_n < 1:
             raise ConfigError("single_n: must be >= 1")
+        if self.single_n > _SINGLE_MAX_N:
+            raise ConfigError(
+                f"single_n: caps at {_SINGLE_MAX_N}, as the trace sweep walks all "
+                "single_n! permutations (about 17 minutes at n = 11)"
+            )
         for size in self.n_grid or (self.n,):
             for spec in self.samplers:
                 try:

@@ -182,7 +182,14 @@ def parse_functional(text: str) -> Functional:
 def poisson_pmf(lam: float, j: int) -> float:
     if j < 0:
         raise ValueError("j must be >= 0")
-    return math.exp(-lam) * lam**j / math.factorial(j)
+    try:
+        return math.exp(-lam) * lam**j / math.factorial(j)
+    except OverflowError:
+        # j! (from j = 171) or lam**j no longer fits a float: take the
+        # term in log space.
+        if lam == 0:
+            return 0.0
+        return math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
 
 
 def eta_joint_pmf(k: int, truncation: int = 8) -> JointPmf:

@@ -30,7 +30,9 @@ identities make this exact:
 
 Event-factorization is exempt. Its fibers are keyed by the labelled
 graph tuples over the starts 1..k, which conjugation moves, so it runs
-over every ordered pair and walks the starts 1..max(k) of each. Its
+over every ordered pair and walks the starts 1..max(k) of each. It
+builds no graph objects: each walk's two side masks are read straight
+from its traversal record through a per-n table of edge bits. Its
 fibers are kept as counts only: a pair count per tuple, and the tuples
 holding a pair that fails its own union. A tuple whose count is its
 union's rectangle size, with no such pair, fills that rectangle, so no
@@ -52,7 +54,8 @@ The defaults finish in seconds: pair sweeps run at n = 5 (1.4e4 ordered
 pairs) and single-permutation sweeps at n = 7. ``verify-lemmas`` caps
 the pair sweeps at n = 6 (``_PAIR_MAX_N``): event-factorization cannot
 be reduced by conjugation, and at n = 7 it would walk 25.4 million
-ordered pairs. The single-permutation sweeps have no cap. The trace
+ordered pairs. It also caps the single-permutation sweep at n = 10
+(``_SINGLE_MAX_N``), since that sweep walks all n! permutations. The trace
 sweep walks each permutation once for all its powers and evaluates the
 divisor-sum formula once per cycle type.
 """
@@ -67,6 +70,7 @@ from typing import Sequence
 
 from permprod.cyclegraphs import (
     DirectedGraph,
+    TraversalRecord,
     graphs_from_record,
     membership,
     no_two_cycles_when_components_small,
@@ -110,9 +114,14 @@ __all__ = [
 
 _EXAMPLE_CAP = 5
 
-# Event-factorization runs over every ordered pair: 970,776 graph tuples
-# and 289 MB resident at n = 6, and 25.4 million pairs at n = 7.
+# Event-factorization runs over every ordered pair: 970,776 graph tuples,
+# about 15 s (one core of a 2-core machine) and 288 MB resident at n = 6,
+# and 25.4 million pairs at n = 7.
 _PAIR_MAX_N = 6
+# The trace sweep walks all single_n! permutations: on one core of a
+# 2-core machine, 0.96 s at n = 8 and 7.7 s at n = 9, so about 17
+# minutes at n = 11.
+_SINGLE_MAX_N = 10
 
 
 @dataclass
@@ -208,8 +217,27 @@ def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _side_masks(graphs: tuple[DirectedGraph, DirectedGraph], n: int) -> tuple[int, int]:
-    return _edge_mask(graphs[0].edges, n), _edge_mask(graphs[1].edges, n)
+def _edge_bits(n: int) -> list[list[int]]:
+    """``bits[a][b]`` is the :func:`_edge_mask` bit of edge (a, b), for
+    a, b in 1..n; row and column 0 are unused padding."""
+    return [[0] * (n + 1)] + [
+        [0] + [1 << ((a - 1) * n + b - 1) for b in range(1, n + 1)]
+        for a in range(1, n + 1)
+    ]
+
+
+def _record_masks(record: TraversalRecord, bits: list[list[int]]) -> tuple[int, int]:
+    """The (sigma-side, rho-side) edge masks of one traversal, read off
+    its record: the sigma side has the edges (i_{l+1}, j_l) and the wrap
+    edge (i_1, j_k), the rho side the edges (i_l, j_l)."""
+    sigma_side = rho_side = 0
+    j_prev = record.j_seq[-1]
+    for i, j in zip(record.i_seq, record.j_seq):
+        row = bits[i]
+        sigma_side |= row[j_prev]
+        rho_side |= row[j]
+        j_prev = j
+    return sigma_side, rho_side
 
 
 def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[SweepSummary]:
@@ -324,7 +352,11 @@ def sweep_event_factorization(
     G1} x {rho satisfying G2}, where (G1, G2) is the tuple's union
     couple, with both factor counts found by brute force and matching
     (n - edges)!. The fibers are keyed by labelled starts, so every
-    ordered pair is walked, from starts 1..max(k) only.
+    ordered pair is walked, from starts 1..max(k) only. No graph objects
+    are built: each walk's (sigma-side, rho-side) edge masks come
+    straight from its record (:func:`_record_masks`), and whether a
+    start's couple fails its own pair is found once per pair, not once
+    per k.
 
     A fiber is kept as its pair count only, with one set per k of the
     tuples that have a pair failing its own union. A tuple passes when
@@ -339,18 +371,27 @@ def sweep_event_factorization(
         raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
     perms = list(all_permutations(n))
     perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
+    bits = _edge_bits(n)
     starts = range(1, max(ks) + 1)
     pairs: list[dict[tuple, int]] = [{} for _ in ks]
     unsatisfied: list[set[tuple]] = [set() for _ in ks]
     for sigma, sigma_mask in zip(perms, perm_masks):
         for rho, rho_mask in zip(perms, perm_masks):
-            side_masks = [
-                _side_masks(graphs_from_record(traversal(sigma, rho, m), n), n) for m in starts
-            ]
+            side_masks = [_record_masks(traversal(sigma, rho, m), bits) for m in starts]
+            # The tuple over starts 1..k fails its own pair when k exceeds
+            # the first start whose couple sigma or rho does not satisfy.
+            first_failing = next(
+                (
+                    s
+                    for s, (m1, m2) in enumerate(side_masks)
+                    if m1 & ~sigma_mask or m2 & ~rho_mask
+                ),
+                len(side_masks),
+            )
             for k, counts, failing in zip(ks, pairs, unsatisfied):
                 key = tuple(side_masks[:k])
                 counts[key] = counts.get(key, 0) + 1
-                if any(m1 & ~sigma_mask or m2 & ~rho_mask for m1, m2 in key):
+                if k > first_failing:
                     failing.add(key)
 
     satisfying: dict[int, int] = {}

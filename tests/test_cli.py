@@ -450,6 +450,14 @@ def test_tv_lattice_at_the_cap_runs(capsys):
     assert sum(line.startswith(("5,tv:", "6,tv:")) for line in lines) == 4
 
 
+def test_truncation_past_the_float_factorials_runs(capsys):
+    # poisson_pmf reaches j = 200, where j! no longer fits a float.
+    argv = ["convergence", "--seed", "1", "--samplers", "uniform", "--n-grid", "5,6"]
+    assert main(argv + ["--tv-orders", "1", "--truncation", "200", "--samples", "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith(("5,tv:1,", "6,tv:1,")) for line in lines) == 2
+
+
 @pytest.mark.parametrize("pair_n", ["1", "2"])
 def test_pair_n_below_the_largest_start_count_names_its_field(pair_n, capsys):
     # event-factorization walks the starts 1..3 of every pair.
@@ -475,6 +483,30 @@ def test_pair_n_above_the_cap_names_its_field(pair_n, monkeypatch, capsys):
     with pytest.raises(ConfigError, match="^pair_n: "):
         config_from_mapping({"command": "verify-lemmas", "pair_n": pair_n})
     assert config_from_mapping({"command": "verify-lemmas", "pair_n": "6"}).pair_n == 6
+
+
+@pytest.mark.parametrize("single_n", ["11", "12"])
+def test_single_n_above_the_cap_names_its_field(single_n, monkeypatch, tmp_path, capsys):
+    # Rejected while validating: the trace sweep walks all single_n!
+    # permutations, about 17 minutes at n = 11.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_all ran past a rejected single_n")
+
+    monkeypatch.setattr(cli, "run_all", unreachable)
+    monkeypatch.setattr(sweeps, "run_all", unreachable)
+    assert main(["verify-lemmas", "--single-n", single_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: single_n: caps at 10, ")
+    f = tmp_path / "c.cfg"
+    f.write_text(f"command = verify-lemmas\nsingle_n = {single_n}\n")
+    assert main(["verify-lemmas", "--config", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: single_n: caps at 10, ")
+    f.write_text("command = verify-lemmas\nsingle_n = 10\n")
+    assert parse_config(f.read_text()).single_n == 10
+    assert config_from_mapping({"command": "verify-lemmas", "single_n": "10"}).single_n == 10
 
 
 def test_main_error_paths(tmp_path, capsys):

@@ -7,7 +7,8 @@ reduction changes no tally, that a fault depending only on a
 traversal's shape is counted alike, and that a fault reading a label is
 not: the last documents the assumption the reduction rests on.
 Event-factorization is not reduced and must walk the starts 1..max(k)
-of every ordered pair. It keeps only a pair count per graph tuple and
+of every ordered pair. It reads each walk's side masks straight from
+the traversal record and keeps only a pair count per graph tuple and
 the tuples with a pair failing its union; under faulty graphs its
 tallies must still equal those of ``brute.pair_pass``, which keeps
 every fiber's pairs and counts the tuples of each union.
@@ -78,12 +79,28 @@ def test_event_factorization_walks_the_first_starts_of_every_pair(monkeypatch):
     assert {m for _, _, m in walked} == {1, 2}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_record_masks_are_the_masks_of_the_graph_couple(n):
+    bits = sweeps._edge_bits(n)
+    perms = list(all_permutations(n))
+    for sigma in perms:
+        for rho in perms:
+            for m in range(1, n + 1):
+                record = traversal(sigma, rho, m)
+                g1, g2 = graphs_from_record(record, n)
+                want = sweeps._edge_mask(g1.edges, n), sweeps._edge_mask(g2.edges, n)
+                assert sweeps._record_masks(record, bits) == want
+
+
 def _inject(monkeypatch, fault):
     """Pass every traversal graph couple through fault(sigma, record, g1, g2).
 
-    ``sweeps`` builds each couple right after its walk, as does
-    ``cyclegraphs.graphs_from_traversal``, which ``brute`` calls, so the
-    sigma of the latest walk is the one that produced the record.
+    ``sweeps`` reads each record's side masks right after its walk, and
+    ``cyclegraphs.graphs_from_traversal``, which ``brute`` calls, builds
+    each couple right after its walk, so the sigma of the latest walk is
+    the one that produced the record. In ``sweeps`` the faulty couple is
+    built from the record and its masks are returned in place of the
+    record's own.
     """
     walked = []
 
@@ -94,9 +111,15 @@ def _inject(monkeypatch, fault):
     def build(record, n):
         return fault(walked[0], record, *graphs_from_record(record, n))
 
+    def masks(record, bits):
+        n = len(bits) - 1
+        g1, g2 = build(record, n)
+        return sweeps._edge_mask(g1.edges, n), sweeps._edge_mask(g2.edges, n)
+
     for module in (sweeps, cyclegraphs):
         monkeypatch.setattr(module, "traversal", walk)
-        monkeypatch.setattr(module, "graphs_from_record", build)
+    monkeypatch.setattr(cyclegraphs, "graphs_from_record", build)
+    monkeypatch.setattr(sweeps, "_record_masks", masks)
 
 
 def _drop_wrap_edge(sigma, r, g1, g2):

@@ -34,6 +34,15 @@ def test_poisson_pmf_values():
         poisson_pmf(1.0, -1)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1 / 2, 1 / 3, 1 / 6, 2.0, 50.0])
+def test_poisson_pmf_far_into_the_tail(lam):
+    # From j = 171, j! no longer fits a float, and 50**j not from 182.
+    for j in range(401):
+        want = float(Fraction(math.exp(-lam)) * Fraction(lam) ** j / math.factorial(j))
+        assert math.isclose(poisson_pmf(lam, j), want, rel_tol=1e-10, abs_tol=1e-300)
+    assert poisson_pmf(0.0, 200) == 0.0
+
+
 def test_eta_pmf_marginals_close_to_poisson():
     T = 8
     pmf = eta_joint_pmf(3, truncation=T)
