@@ -198,8 +198,8 @@ class ExperimentConfig:
             raise ConfigError("pair_n: must be >= 3, as event-factorization walks starts 1..3")
         if self.pair_n > _PAIR_MAX_N:
             raise ConfigError(
-                f"pair_n: caps at {_PAIR_MAX_N}, as event-factorization walks every "
-                "ordered pair (25.4 million at n = 7) and keeps a count per graph tuple"
+                f"pair_n: caps at {_PAIR_MAX_N}, as event-factorization walks "
+                "23.2 million pairs at n = 8, 15 times as many as at n = 7"
             )
         if self.single_n < 1:
             raise ConfigError("single_n: must be >= 1")

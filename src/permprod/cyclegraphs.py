@@ -114,6 +114,15 @@ class TraversalRecord:
         if len(set(self.i_seq)) != self.k or len(set(self.j_seq)) != self.k:
             raise ValueError("traversal sequences must have distinct entries")
 
+    @classmethod
+    def _of_walk(cls, i_seq: tuple[int, ...], j_seq: tuple[int, ...]) -> "TraversalRecord":
+        # The record of a walk ``traversal`` has just made, built without
+        # the checks of ``__post_init__``: a walk of a permutation cycle
+        # starts at m and has distinct entries, and so do its images.
+        record = object.__new__(cls)
+        vars(record).update(m=i_seq[0], k=len(i_seq), i_seq=i_seq, j_seq=j_seq)
+        return record
+
 
 @dataclass(frozen=True)
 class GraphProfile:
@@ -166,7 +175,7 @@ def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
         j = rho_images[x - 1]
         j_seq.append(j)
         x = sinv[j]
-    return TraversalRecord(m=m, k=len(i_seq), i_seq=tuple(i_seq), j_seq=tuple(j_seq))
+    return TraversalRecord._of_walk(tuple(i_seq), tuple(j_seq))
 
 
 def graphs_from_record(record: TraversalRecord, n: int) -> tuple[DirectedGraph, DirectedGraph]:

@@ -6,10 +6,10 @@ every member, reporting a case count and a violation count. Nothing here
 samples; a non-zero violation count means the claim is false as stated,
 not that a tolerance was missed.
 
-Where a claim reads no labels, a sweep checks one member of each orbit
-of conjugation and counts it as many times as its orbit has members
-(:func:`_orbits` and the ``weight`` of ``_Tally.record``). Two
-identities make this exact:
+Where a claim reads no labels, or only those of its starts, a sweep
+checks one member of each orbit of conjugation and counts it as many
+times as its orbit has members (:func:`_orbits` and the ``weight`` of
+``_Tally.record``). Three identities make this exact:
 
 * Pairs. For any permutation pi, traversal(pi sigma pi^-1, pi rho pi^-1,
   pi(m)) is traversal(sigma, rho, m) with every index x renamed pi(x),
@@ -27,17 +27,25 @@ identities make this exact:
   sorted (vertex count, edge count) pairs of its components are a
   complete invariant of its relabeling orbit: one graph per key stands
   for all the graphs with that key.
+* Starts. Event-factorization keys its fibers by the labelled graph
+  tuples over the starts 1..k, which conjugation moves unless pi fixes
+  every start. So with K the largest start count, sigma runs over one
+  permutation per orbit of conjugation by the permutations fixing
+  1..K pointwise (:func:`_stabiliser_orbits`), rho over all of S_n,
+  and each pair is weighted by the orbit size. Such a pi maps each
+  start's walk, tuple and fiber onto its pi-image, with the same pair
+  count and rectangle size, so each tuple is keyed canonically: the
+  vertices outside 1..K are renamed in order of first appearance along
+  the walks, and one key stands for all the labelled tuples of its
+  orbit. It builds no graph objects: each walk's side masks, labelled
+  and renamed, are read straight from its traversal record through a
+  per-n table of edge bits. Its fibers are kept as counts only: a pair
+  count per key, and the keys holding a pair that fails its own union.
+  A tuple whose count is its union's rectangle size, with no such pair,
+  fills that rectangle, so no other tuple can share its union; a second
+  one would be a non-empty, disjoint fiber inside the same rectangle,
+  and fail the count itself.
 
-Event-factorization is exempt. Its fibers are keyed by the labelled
-graph tuples over the starts 1..k, which conjugation moves, so it runs
-over every ordered pair and walks the starts 1..max(k) of each. It
-builds no graph objects: each walk's two side masks are read straight
-from its traversal record through a per-n table of edge bits. Its
-fibers are kept as counts only: a pair count per tuple, and the tuples
-holding a pair that fails its own union. A tuple whose count is its
-union's rectangle size, with no such pair, fills that rectangle, so no
-other tuple can share its union; a second one would be a non-empty,
-disjoint fiber inside the same rectangle, and fail the count itself.
 A run with violations names, in its examples, the representatives it
 checked.
 
@@ -52,12 +60,12 @@ gives E on both sides, as sigma^-1 rho is the identity.
 
 The defaults finish in seconds: pair sweeps run at n = 5 (1.4e4 ordered
 pairs) and single-permutation sweeps at n = 7. ``verify-lemmas`` caps
-the pair sweeps at n = 6 (``_PAIR_MAX_N``): event-factorization cannot
-be reduced by conjugation, and at n = 7 it would walk 25.4 million
-ordered pairs. It also caps the single-permutation sweep at n = 10
-(``_SINGLE_MAX_N``), since that sweep walks all n! permutations. The trace
-sweep walks each permutation once for all its powers and evaluates the
-divisor-sum formula once per cycle type.
+the pair sweeps at n = 7 (``_PAIR_MAX_N``), where event-factorization
+walks 1.5 million of the 25.4 million ordered pairs. It also caps the
+single-permutation sweep at n = 10 (``_SINGLE_MAX_N``), since that
+sweep walks all n! permutations. The trace sweep walks each permutation
+once for all its powers and evaluates the divisor-sum formula once per
+cycle type.
 """
 
 from __future__ import annotations
@@ -114,10 +122,13 @@ __all__ = [
 
 _EXAMPLE_CAP = 5
 
-# Event-factorization runs over every ordered pair: 970,776 graph tuples,
-# about 15 s (one core of a 2-core machine) and 288 MB resident at n = 6,
-# and 25.4 million pairs at n = 7.
-_PAIR_MAX_N = 6
+# Event-factorization walks one sigma per orbit under the stabiliser of
+# its starts against every rho. On one core of a 2-core machine: 108,000
+# pairs (970,776 graph tuples) in 2.5 s and 45 MB resident at n = 6;
+# 1.54 million pairs (42,186,823 tuples) in 52 s and 218 MB at n = 7, where
+# a whole verify-lemmas run takes 78 s and 222 MB. At n = 8 it would walk
+# 23.2 million pairs.
+_PAIR_MAX_N = 7
 # The trace sweep walks all single_n! permutations: on one core of a
 # 2-core machine, 0.96 s at n = 8 and 7.7 s at n = 9, so about 17
 # minutes at n = 11.
@@ -226,18 +237,47 @@ def _edge_bits(n: int) -> list[list[int]]:
     ]
 
 
-def _record_masks(record: TraversalRecord, bits: list[list[int]]) -> tuple[int, int]:
+def _record_masks(
+    record: TraversalRecord, bits: list[list[int]], names: Sequence[int]
+) -> tuple[int, int, int, int]:
     """The (sigma-side, rho-side) edge masks of one traversal, read off
-    its record: the sigma side has the edges (i_{l+1}, j_l) and the wrap
-    edge (i_1, j_k), the rho side the edges (i_l, j_l)."""
-    sigma_side = rho_side = 0
+    its record, then the same two masks with every vertex v renamed
+    ``names[v]``: the sigma side has the edges (i_{l+1}, j_l) and the
+    wrap edge (i_1, j_k), the rho side the edges (i_l, j_l)."""
+    sigma_side = rho_side = named_sigma = named_rho = 0
     j_prev = record.j_seq[-1]
+    named_prev = names[j_prev]
     for i, j in zip(record.i_seq, record.j_seq):
         row = bits[i]
+        named_row = bits[names[i]]
+        named_j = names[j]
         sigma_side |= row[j_prev]
         rho_side |= row[j]
-        j_prev = j
-    return sigma_side, rho_side
+        named_sigma |= named_row[named_prev]
+        named_rho |= named_row[named_j]
+        j_prev, named_prev = j, named_j
+    return sigma_side, rho_side, named_sigma, named_rho
+
+
+def _stabiliser_orbits(perms: list, fixed: int) -> list[list]:
+    """[representative, orbit size] for each orbit of conjugation by the
+    permutations that fix 1..fixed pointwise, in first-seen order. An
+    orbit is keyed by the least image tuple among its members."""
+    n = perms[0].n
+    movers = []
+    for moved in itertools.permutations(range(fixed + 1, n + 1)):
+        pi = (0, *range(1, fixed + 1), *moved)
+        pi_inv = [0] * n
+        for x in range(1, n + 1):
+            pi_inv[pi[x] - 1] = x
+        movers.append((pi, pi_inv))
+
+    def least_conjugate(sigma):
+        # (pi sigma pi^-1)(y) = pi(sigma(pi^-1(y))).
+        images = sigma.images
+        return min(tuple(pi[images[x - 1]] for x in pi_inv) for pi, pi_inv in movers)
+
+    return _orbits(perms, least_conjugate)
 
 
 def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[SweepSummary]:
@@ -260,7 +300,8 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
       afresh for the check;
     * two-vertex-components: no 2-cycles when every component has two
       vertices;
-    * event-factorization, over every ordered pair: see
+    * event-factorization, over one sigma per orbit of conjugation by
+      the permutations fixing its starts, against every rho: see
       :func:`sweep_event_factorization`, which owns ``start_counts``.
     """
     factorization = sweep_event_factorization(n, start_counts)
@@ -351,46 +392,78 @@ def sweep_event_factorization(
     the starts 1..k form a given tuple must be exactly {sigma satisfying
     G1} x {rho satisfying G2}, where (G1, G2) is the tuple's union
     couple, with both factor counts found by brute force and matching
-    (n - edges)!. The fibers are keyed by labelled starts, so every
-    ordered pair is walked, from starts 1..max(k) only. No graph objects
-    are built: each walk's (sigma-side, rho-side) edge masks come
+    (n - edges)!. Each case is one labelled graph tuple.
+
+    With K = max(start_counts), conjugating a pair by a pi that fixes
+    1..K maps each start's walk, and so each tuple and its fiber, onto
+    its pi-image (see the module docstring). So sigma runs over one
+    permutation per orbit of that conjugation, weighted by the orbit
+    size, and rho over all of S_n, walked from the starts 1..K. Each
+    tuple is keyed canonically: vertices 1..K keep their labels (all n
+    of them when K = n - 1) and the others are renamed K+1, K+2, ... in
+    order of first appearance along the records of starts 1..K (the
+    index walk, then its companion sequence). A couple gives back its
+    record, so a tuple and its pi-images share one key. The key over k
+    starts holds the first k renamed couples and u, the count of renamed
+    vertices they touch; it stands for (n-K)!/(n-K-u)! labelled tuples,
+    which share its fiber size, so its weighted pair total must divide
+    by that count, and the tally counts each key that many times. A run
+    with violations names the renamed tuples in its examples. No graph
+    objects are built: each walk's labelled and renamed masks come
     straight from its record (:func:`_record_masks`), and whether a
-    start's couple fails its own pair is found once per pair, not once
-    per k.
+    start's couple fails its own pair is found on the labelled masks
+    once per pair, not once per k.
 
     A fiber is kept as its pair count only, with one set per k of the
-    tuples that have a pair failing its own union. A tuple passes when
-    its count equals the rectangle's size and none of its pairs fails,
-    which makes the fiber the whole rectangle. That the tuple is then
-    the only one with its union follows: a second tuple with the same
-    union would have a non-empty fiber, disjoint from the first, of pairs
-    satisfying that union, so inside the same rectangle.
+    keys whose tuples have a pair failing its own union. A tuple passes
+    when its count equals the rectangle's size and none of its pairs
+    fails, which makes the fiber the whole rectangle. That the tuple is
+    then the only one with its union follows: a second tuple with the
+    same union would have a non-empty fiber, disjoint from the first, of
+    pairs satisfying that union, so inside the same rectangle.
     """
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
         raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
+    last = max(ks)
+    starts = range(1, last + 1)
+    # The points that every permutation fixing the starts fixes: fixing
+    # all points but one fixes that one too.
+    fixed = n if n - last == 1 else last
     perms = list(all_permutations(n))
     perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
     bits = _edge_bits(n)
-    starts = range(1, max(ks) + 1)
-    pairs: list[dict[tuple, int]] = [{} for _ in ks]
-    unsatisfied: list[set[tuple]] = [set() for _ in ks]
-    for sigma, sigma_mask in zip(perms, perm_masks):
+    fixed_names = [*range(fixed + 1), *[0] * (n - fixed)]
+    # A key packs the renamed couples of starts 1..k, n * n bits per
+    # side, above ``width`` bits holding u.
+    side_bits = n * n
+    width = n.bit_length()
+    totals: list[dict[int, int]] = [{} for _ in ks]
+    unsatisfied: list[set[int]] = [set() for _ in ks]
+    for sigma, orbit_size in _stabiliser_orbits(perms, fixed):
+        sigma_mask = _edge_mask(enumerate(sigma.images, start=1), n)
         for rho, rho_mask in zip(perms, perm_masks):
-            side_masks = [_record_masks(traversal(sigma, rho, m), bits) for m in starts]
+            names = fixed_names.copy()
+            named = fixed
+            packed = 0
+            keys = []
             # The tuple over starts 1..k fails its own pair when k exceeds
             # the first start whose couple sigma or rho does not satisfy.
-            first_failing = next(
-                (
-                    s
-                    for s, (m1, m2) in enumerate(side_masks)
-                    if m1 & ~sigma_mask or m2 & ~rho_mask
-                ),
-                len(side_masks),
-            )
-            for k, counts, failing in zip(ks, pairs, unsatisfied):
-                key = tuple(side_masks[:k])
-                counts[key] = counts.get(key, 0) + 1
+            first_failing = last
+            for s, m in enumerate(starts):
+                record = traversal(sigma, rho, m)
+                for v in record.i_seq + record.j_seq:
+                    if not names[v]:
+                        named += 1
+                        names[v] = named
+                m1, m2, c1, c2 = _record_masks(record, bits, names)
+                if first_failing == last and (m1 & ~sigma_mask or m2 & ~rho_mask):
+                    first_failing = s
+                packed = (packed << side_bits | c1) << side_bits | c2
+                keys.append(packed << width | named - fixed)
+            for k, counts, failing in zip(ks, totals, unsatisfied):
+                key = keys[k - 1]
+                counts[key] = counts.get(key, 0) + orbit_size
                 if k > first_failing:
                     failing.add(key)
 
@@ -401,16 +474,23 @@ def sweep_event_factorization(
             satisfying[mask] = sum(1 for pm in perm_masks if not mask & ~pm)
         return satisfying[mask]
 
+    side = (1 << side_bits) - 1
     factorization = _Tally()
-    for k, counts, failing in zip(ks, pairs, unsatisfied):
-        for key, fiber_size in counts.items():
+    for k, counts, failing in zip(ks, totals, unsatisfied):
+        for key, total in counts.items():
+            tuples = math.perm(n - fixed, key & (1 << width) - 1)
+            fiber_size, spread = divmod(total, tuples)
             e1 = e2 = 0
-            for m1, m2 in key:
-                e1 |= m1
-                e2 |= m2
+            packed = key >> width
+            for _ in range(k):
+                e2 |= packed & side
+                packed >>= side_bits
+                e1 |= packed & side
+                packed >>= side_bits
             expected = count_satisfying(e1) * count_satisfying(e2)
             ok = (
-                fiber_size == expected
+                not spread
+                and fiber_size == expected
                 and expected
                 == math.factorial(n - e1.bit_count()) * math.factorial(n - e2.bit_count())
                 and key not in failing
@@ -420,6 +500,7 @@ def sweep_event_factorization(
                 lambda kk=k, a=e1, b=e2: (
                     f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
                 ),
+                tuples,
             )
     return _summary(
         "event-factorization", n, factorization,
@@ -585,7 +666,7 @@ def run_all(
     membership bounds at pair_n, the power sweep at single_n.
 
     pair_n must be at least 3, the largest start count of
-    event-factorization, which walks every ordered pair; ``verify-lemmas``
+    event-factorization, which walks the starts 1..3; ``verify-lemmas``
     caps it at ``_PAIR_MAX_N``.
     """
     out = [sweep_trace_identity(single_n)]

@@ -5,9 +5,11 @@ with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
 every start set of every pair rather than listing partial injections,
 ``trace_pass`` builds every power of every permutation by composition,
 ``pair_pass`` walks every ordered pair instead of one sigma per cycle
-type, ``graph_pass`` checks every partial injection instead of one per
-relabeling orbit, and the two-vertex predicate reads full component
-profiles. They exist so that tests can check the reduced code against
+type, ``event_factorization_pass`` walks every ordered pair instead of
+one sigma per orbit under the stabiliser of its starts and keys its
+fibers by labelled graph tuples, ``graph_pass`` checks every partial
+injection instead of one per relabeling orbit, and the two-vertex
+predicate reads full component profiles. They exist so that tests can check the reduced code against
 straight enumeration instead of trusting it, and they are practical
 only for n <= 7. ``product_rows`` and ``small_cycle_counts`` are the
 Monte Carlo layers as whole-chunk ``take_along_axis`` gathers, with no
@@ -225,15 +227,17 @@ def union_graph_list(n: int) -> list[DirectedGraph]:
 
 
 class _Tally:
-    # Cases, violations and the first five violations' descriptions.
-    def __init__(self, suite: str) -> None:
+    # Cases, violations and the descriptions of the first ``cap``
+    # violations (of all of them when cap is None).
+    def __init__(self, suite: str, cap: int | None = 5) -> None:
         self.suite, self.cases, self.violations, self.examples = suite, 0, 0, []
+        self.cap = cap
 
     def record(self, ok: bool, describe: str) -> None:
         self.cases += 1
         if not ok:
             self.violations += 1
-            if len(self.examples) < 5:
+            if self.cap is None or len(self.examples) < self.cap:
                 self.examples.append(describe)
 
     def row(self) -> tuple[str, int, int, list[str]]:
@@ -349,6 +353,62 @@ def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
             )
     tallies = (encoding, shared, reversal, small, factorization)
     return [t.row() for t in tallies]
+
+
+def event_factorization_pass(
+    n: int, start_counts: Sequence[int] = (1, 2, 3), example_cap: int | None = 5
+):
+    """Event factorization over every ordered pair, with fibers keyed by
+    the labelled graph tuples over the starts 1..k.
+
+    Each pair walks the starts 1..max(k) through
+    ``graphs_from_traversal``. A fiber is kept as its pair count, with
+    one set per k of the tuples holding a pair that fails its own union,
+    and passes when its count is the size of its union's rectangle and
+    none of its pairs fails. Returns (suite, cases, violations, examples)
+    as ``sweeps.sweep_event_factorization`` tallies it, with the first
+    ``example_cap`` violations as examples (all of them when None), in
+    the order the pairs first meet their tuples. Practical for n <= 5.
+    """
+    ks = list(start_counts)
+    starts = range(1, max(ks) + 1)
+    perms = list(all_permutations(n))
+    perm_edges = [frozenset(enumerate(p.images, start=1)) for p in perms]
+    counts: list[dict[tuple, int]] = [{} for _ in ks]
+    unsatisfied: list[set[tuple]] = [set() for _ in ks]
+    for sigma in perms:
+        for rho in perms:
+            couples = [graphs_from_traversal(sigma, rho, m) for m in starts]
+            first_failing = next(
+                (
+                    s
+                    for s, (g1, g2) in enumerate(couples)
+                    if not (membership(sigma, g1) and membership(rho, g2))
+                ),
+                len(couples),
+            )
+            for k, fibers, failing in zip(ks, counts, unsatisfied):
+                key = tuple((g1.edges, g2.edges) for g1, g2 in couples[:k])
+                fibers[key] = fibers.get(key, 0) + 1
+                if k > first_failing:
+                    failing.add(key)
+
+    def satisfying(edges: frozenset) -> int:
+        return sum(1 for pe in perm_edges if edges <= pe)
+
+    tally = _Tally("event-factorization", example_cap)
+    for k, fibers, failing in zip(ks, counts, unsatisfied):
+        for key, size in fibers.items():
+            u1 = frozenset().union(*(e1 for e1, _ in key))
+            u2 = frozenset().union(*(e2 for _, e2 in key))
+            expected = satisfying(u1) * satisfying(u2)
+            tally.record(
+                size == expected
+                and expected == math.factorial(n - len(u1)) * math.factorial(n - len(u2))
+                and key not in failing,
+                f"k={k} sides {sorted(u1)} / {sorted(u2)}",
+            )
+    return tally.row()
 
 
 def partial_injections(n: int) -> list[frozenset]:

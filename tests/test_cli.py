@@ -467,10 +467,10 @@ def test_pair_n_below_the_largest_start_count_names_its_field(pair_n, capsys):
     assert captured.err.startswith("config error: pair_n: ")
 
 
-@pytest.mark.parametrize("pair_n", ["7", "8"])
+@pytest.mark.parametrize("pair_n", ["8", "9"])
 def test_pair_n_above_the_cap_names_its_field(pair_n, monkeypatch, capsys):
-    # Rejected while validating: event-factorization at n = 7 would walk
-    # 25.4 million ordered pairs.
+    # Rejected while validating: event-factorization at n = 8 would walk
+    # 23.2 million pairs.
     def unreachable(*args, **kwargs):
         raise AssertionError("run_all ran past a rejected pair_n")
 
@@ -479,10 +479,10 @@ def test_pair_n_above_the_cap_names_its_field(pair_n, monkeypatch, capsys):
     assert main(["verify-lemmas", "--pair-n", pair_n, "--single-n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: pair_n: caps at 6, ")
+    assert captured.err.startswith("config error: pair_n: caps at 7, ")
     with pytest.raises(ConfigError, match="^pair_n: "):
         config_from_mapping({"command": "verify-lemmas", "pair_n": pair_n})
-    assert config_from_mapping({"command": "verify-lemmas", "pair_n": "6"}).pair_n == 6
+    assert config_from_mapping({"command": "verify-lemmas", "pair_n": "7"}).pair_n == 7
 
 
 @pytest.mark.parametrize("single_n", ["11", "12"])

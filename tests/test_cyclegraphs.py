@@ -3,10 +3,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import brute
 
-from permprod.perms import Permutation, compose, cycle_of, inverse
+from permprod.perms import Permutation, all_permutations, compose, cycle_of, inverse
 from permprod.cyclegraphs import (
     DirectedGraph,
     GraphClass,
+    TraversalRecord,
     canonical_class,
     enumerate_B,
     graphs_from_record,
@@ -67,6 +68,34 @@ def test_traversal_rejects_bad_start():
         traversal(p, p, 0)
     with pytest.raises(ValueError):
         traversal(p, p, 4)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (1, 2, (1, 2), (2,)),
+        (1, 0, (), ()),
+        (2, 2, (1, 2), (2, 1)),
+        (1, 3, (1, 2, 1), (2, 3, 1)),
+        (1, 2, (1, 3), (2, 2)),
+    ],
+)
+def test_a_record_built_from_outside_is_checked(fields):
+    with pytest.raises(ValueError):
+        TraversalRecord(*fields)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_records_equal_checked_records(n):
+    # traversal builds its records without the checks; each must equal
+    # the record the checking constructor builds from the same fields.
+    perms = list(all_permutations(n))
+    for sigma in perms:
+        for rho in perms:
+            for m in range(1, n + 1):
+                rec = traversal(sigma, rho, m)
+                assert type(rec) is TraversalRecord
+                assert rec == TraversalRecord(rec.m, rec.k, rec.i_seq, rec.j_seq)
 
 
 def test_union_graphs_merge_edge_sets():

@@ -1,4 +1,4 @@
-"""The reduced pair pass against the full pass over S_n x S_n.
+"""The reduced pair passes against full passes over S_n x S_n.
 
 ``sweeps.sweep_pairs`` checks one sigma per cycle type against every
 rho and weights each tally by the class size, which is exact because
@@ -6,22 +6,24 @@ the four reduced suites read no label. These tests check that the
 reduction changes no tally, that a fault depending only on a
 traversal's shape is counted alike, and that a fault reading a label is
 not: the last documents the assumption the reduction rests on.
-Event-factorization is not reduced and must walk the starts 1..max(k)
-of every ordered pair. It reads each walk's side masks straight from
-the traversal record and keeps only a pair count per graph tuple and
-the tuples with a pair failing its union; under faulty graphs its
-tallies must still equal those of ``brute.pair_pass``, which keeps
-every fiber's pairs and counts the tuples of each union.
+Event-factorization walks one sigma per orbit of conjugation by the
+permutations fixing its starts 1..K, against every rho, and keys each
+graph tuple canonically. Its tallies must equal those of
+``brute.event_factorization_pass``, which walks every ordered pair and
+keys the tuples by their labels, clean and under a label-free fault;
+and, at n <= 4, where that stabiliser is trivial, those of
+``brute.pair_pass``, which keeps every fiber's pairs and counts the
+tuples of each union, under faults that read labels too.
 """
 
-import math
+import itertools
 
 import pytest
 
 import brute
 from permprod import cyclegraphs, sweeps
 from permprod.cyclegraphs import DirectedGraph, graphs_from_record, traversal
-from permprod.perms import all_permutations
+from permprod.perms import Permutation, all_permutations, conjugate
 
 
 def _rows(summaries):
@@ -63,8 +65,12 @@ def test_a_fault_reading_a_label_is_not(monkeypatch):
     assert 0 < full[2] != reduced.violations
 
 
-def test_event_factorization_walks_the_first_starts_of_every_pair(monkeypatch):
-    n = 4
+@pytest.mark.parametrize(
+    "n, start_counts, orbits", [(5, (1, 2, 3), 66), (5, (1, 2), 28), (4, (1, 2), 14)]
+)
+def test_event_factorization_walks_one_sigma_per_stabiliser_orbit(
+    monkeypatch, n, start_counts, orbits
+):
     walked = []
 
     def counted(sigma, rho, m):
@@ -72,24 +78,48 @@ def test_event_factorization_walks_the_first_starts_of_every_pair(monkeypatch):
         return traversal(sigma, rho, m)
 
     monkeypatch.setattr(sweeps, "traversal", counted)
-    summary = sweeps.sweep_event_factorization(n, (1, 2))
+    summary = sweeps.sweep_event_factorization(n, start_counts)
     assert summary.ok
-    assert len(walked) == 2 * math.factorial(n) ** 2
+    fixed = max(start_counts)
+    perms = [p.images for p in all_permutations(n)]
+    assert len(walked) == orbits * len(perms) * fixed
     assert len(set(walked)) == len(walked)
-    assert {m for _, _, m in walked} == {1, 2}
+    # Every sigma walked meets every rho from each start 1..K.
+    sigmas = {sigma for sigma, _, _ in walked}
+    assert set(walked) == set(itertools.product(sigmas, perms, range(1, fixed + 1)))
+    # The sigmas walked are one per orbit of conjugation by the
+    # permutations fixing 1..K.
+    movers = [p for p in perms if p[:fixed] == tuple(range(1, fixed + 1))]
+
+    def orbit(images):
+        sigma = Permutation(images)
+        return frozenset(conjugate(sigma, Permutation(pi)).images for pi in movers)
+
+    covered = [orbit(sigma) for sigma in sigmas]
+    assert len(sigmas) == orbits
+    assert sum(map(len, covered)) == len(perms) == len(frozenset().union(*covered))
+
+
+def _couple_masks(g1, g2, names):
+    # The masks of a couple as ``sweeps._record_masks`` returns them:
+    # labelled, then with every vertex v renamed names[v].
+    renamed = [[(names[a], names[b]) for a, b in g.edges] for g in (g1, g2)]
+    return tuple(sweeps._edge_mask(edges, g1.n) for edges in (g1.edges, g2.edges, *renamed))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_record_masks_are_the_masks_of_the_graph_couple(n):
+    # Labelled, and renamed by v -> n + 1 - v.
     bits = sweeps._edge_bits(n)
+    names = [0, *range(n, 0, -1)]
     perms = list(all_permutations(n))
     for sigma in perms:
         for rho in perms:
             for m in range(1, n + 1):
                 record = traversal(sigma, rho, m)
                 g1, g2 = graphs_from_record(record, n)
-                want = sweeps._edge_mask(g1.edges, n), sweeps._edge_mask(g2.edges, n)
-                assert sweeps._record_masks(record, bits) == want
+                want = _couple_masks(g1, g2, names)
+                assert sweeps._record_masks(record, bits, names) == want
 
 
 def _inject(monkeypatch, fault):
@@ -99,8 +129,9 @@ def _inject(monkeypatch, fault):
     ``cyclegraphs.graphs_from_traversal``, which ``brute`` calls, builds
     each couple right after its walk, so the sigma of the latest walk is
     the one that produced the record. In ``sweeps`` the faulty couple is
-    built from the record and its masks are returned in place of the
-    record's own.
+    built from the record and its masks, labelled and renamed, are
+    returned in place of the record's own: one seam feeds both the
+    check of a pair against its own couple and the canonical key.
     """
     walked = []
 
@@ -111,10 +142,8 @@ def _inject(monkeypatch, fault):
     def build(record, n):
         return fault(walked[0], record, *graphs_from_record(record, n))
 
-    def masks(record, bits):
-        n = len(bits) - 1
-        g1, g2 = build(record, n)
-        return sweeps._edge_mask(g1.edges, n), sweeps._edge_mask(g2.edges, n)
+    def masks(record, bits, names):
+        return _couple_masks(*build(record, len(bits) - 1), names)
 
     for module in (sweeps, cyclegraphs):
         monkeypatch.setattr(module, "traversal", walk)
@@ -152,6 +181,30 @@ def _empty_start_two(sigma, r, g1, g2):
     return g1, g2
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("start_counts", [(1, 2, 3), (1, 2)])
+def test_reduced_event_factorization_matches_the_full_pass(n, start_counts):
+    summary = sweeps.sweep_event_factorization(n, start_counts)
+    expected = brute.event_factorization_pass(n, start_counts)
+    assert (summary.suite, summary.cases, summary.violations, summary.examples) == expected
+    assert summary.ok
+
+
+@pytest.mark.parametrize("start_counts", [(1, 2, 3), (1, 2)])
+def test_reduced_event_factorization_under_a_label_free_fault(monkeypatch, start_counts):
+    # Past n = K + 1 the stabiliser of the starts moves vertices, so one
+    # key stands for several labelled tuples; a run with violations
+    # names the canonical representatives, each a violating tuple of the
+    # full pass.
+    _inject(monkeypatch, _drop_wrap_edge)
+    summary = sweeps.sweep_event_factorization(5, start_counts)
+    _, cases, violations, examples = brute.event_factorization_pass(5, start_counts, None)
+    assert (summary.cases, summary.violations) == (cases, violations)
+    assert summary.violations > 0
+    assert len(summary.examples) == 5
+    assert set(summary.examples) <= set(examples)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("fault", [_drop_wrap_edge, _add_unsatisfied_edge, _empty_start_two])
 def test_event_factorization_under_a_fault_matches_brute_force(monkeypatch, n, fault):
@@ -159,6 +212,7 @@ def test_event_factorization_under_a_fault_matches_brute_force(monkeypatch, n, f
     summary = sweeps.sweep_event_factorization(n, (1, 2, 3))
     expected = brute.pair_pass(n, (1, 2, 3))[4]
     assert (summary.cases, summary.violations, summary.examples) == expected[1:]
+    assert brute.event_factorization_pass(n, (1, 2, 3)) == expected
     # At n = 3, sigma on the cycle {1, 2} fixes sigma(3), so emptying
     # start 2 moves whole fibers and no tuple shares its union.
     assert summary.violations > 0 or (fault is _empty_start_two and n == 3)
