@@ -6,9 +6,16 @@ every sampler law, both as full relabeled draws and as the class
 representatives that class-function consumers draw for factor 0, with the
 ``tracemalloc`` peak of one more full draw beside the output's own size
 (numpy reports its buffers to ``tracemalloc``); the
-product of two factors; and small-cycle counting of that product for
-k = 1, 3 and 6, these two with the ``tracemalloc`` peak of one more call
-beside them. Then it times the exact oracle: one
+product of two factors; small-cycle counting of that product for
+k = 1, 3 and 6; and ``product_cycle_counts``, the last factor of a
+two-factor job drawn, composed and counted block by block, for a
+uniform and a sqrt_fixed:sqrt pair at k = 1 and 3 (its time includes
+the last factor's draw). These last three layers carry the
+``tracemalloc`` peak of one more call beside them. The layers of one n
+run round robin, one pass over all of them per repeat, and each keeps
+its best. The ``product_cycle_counts`` rows are left out when the
+package on the path has no such function, so the one script also
+measures a tree from before it. Then it times the exact oracle: one
 ``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
 16, with its caches cleared first, as in a fresh ``permprod exact``
 process. Times are wall-clock milliseconds from time.perf_counter.
@@ -40,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from permprod import sweeps
+from permprod import samplers, sweeps
 from permprod.cli import sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
@@ -52,6 +59,7 @@ from permprod.samplers import RngStream, product_rows, small_cycle_counts
 from permprod.stats import _chunk_size
 
 LAWS = ("uniform", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/3")
+FUSED_LAWS = ("uniform", "sqrt_fixed:sqrt")
 ORACLE_SIZES = (8, 12, 16)
 
 
@@ -62,6 +70,19 @@ def best_ms(fn, repeat: int) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times) * 1e3
+
+
+def round_robin(stages: dict, repeat: int) -> dict:
+    """Best seconds of each stage over ``repeat`` passes; each pass runs
+    every stage once, so that a slow spell of the host weighs on all
+    stages alike."""
+    best = dict.fromkeys(stages, float("inf"))
+    for _ in range(repeat):
+        for key, stage in stages.items():
+            start = time.perf_counter()
+            stage()
+            best[key] = min(best[key], time.perf_counter() - start)
+    return best
 
 
 def traced_peak(fn):
@@ -89,15 +110,41 @@ def main(argv=None) -> int:
         rows.append(row)
 
     print(f"nproc {os.cpu_count()}, numpy {np.__version__}, best of {args.repeat}, ms per chunk")
+    fused = getattr(samplers, "product_cycle_counts", None)
     for n in sizes:
         size = _chunk_size(n)
         print(f"n = {n}, {size} rows per chunk")
-        for text in LAWS:
-            spec = sampler_from_text(text).bind(n=n)
-            full, rep = (
-                best_ms(lambda: spec.draw_batch(RngStream(1, 0), size, relabel=r), args.repeat)
-                for r in (True, False)
-            )
+        specs = {text: sampler_from_text(text).bind(n=n) for text in LAWS}
+        draws = {
+            (text, relabel): lambda spec=spec, r=relabel: spec.draw_batch(RngStream(1, 0), size, relabel=r)
+            for text, spec in specs.items()
+            for relabel in (True, False)
+        }
+        factors = [specs["uniform"].draw_batch(RngStream(1, f), size) for f in range(2)]
+        layers = [("product_rows x2", "product_rows", None, None, lambda: product_rows(factors))]
+        prod = product_rows(factors)
+        layers += [
+            (f"small_cycle_counts {k}", "small_cycle_counts", None, k, lambda k=k: small_cycle_counts(prod, k))
+            for k in (1, 3, 6)
+        ]
+        if fused is not None:
+            # The last factor of a two-factor job, against its first
+            # factor's representative; it includes the last factor's draw.
+            for text in FUSED_LAWS:
+                spec = specs[text]
+                left = spec.draw_batch(RngStream(1, 0), size, relabel=False)
+                layers += [
+                    (
+                        f"product_cycle_counts {text} {k}", "product_cycle_counts", text, k,
+                        lambda spec=spec, left=left, k=k: fused(left, spec, RngStream(1, 1), k),
+                    )
+                    for k in (1, 3)
+                ]
+        best = round_robin(
+            {**draws, **{label: fn for label, _, _, _, fn in layers}}, args.repeat
+        )
+        for text, spec in specs.items():
+            full, rep = (best[(text, r)] * 1e3 for r in (True, False))
             peak, out = traced_peak(lambda: spec.draw_batch(RngStream(1, 0), size))
             emit(
                 f"  {text:<20} full {full:8.2f}  representative {rep:8.2f}"
@@ -105,20 +152,13 @@ def main(argv=None) -> int:
                 layer="draw_batch", law=text, n=n, rows=size, full_ms=full,
                 representative_ms=rep, peak_mib=peak, output_mib=out.nbytes / 2**20,
             )
-        uniform = sampler_from_text("uniform").bind(n=n)
-        factors = [uniform.draw_batch(RngStream(1, f), size) for f in range(2)]
-        layers = [("product_rows x2", "product_rows", None, lambda: product_rows(factors))]
-        prod = product_rows(factors)
-        layers += [
-            (f"small_cycle_counts {k}", "small_cycle_counts", k, lambda k=k: small_cycle_counts(prod, k))
-            for k in (1, 3, 6)
-        ]
-        for label, layer, k, fn in layers:
-            ms = best_ms(fn, args.repeat)
+        for label, layer, law, k, fn in layers:
+            ms = best[label] * 1e3
             peak = traced_peak(fn)[0]
+            extra = {"law": law} if law else {}
             emit(
-                f"  {label:<20} {ms:8.2f}  peak {peak:6.1f} MiB",
-                layer=layer, n=n, rows=size, k=k, ms=ms, peak_mib=peak,
+                f"  {label:<38} {ms:8.2f}  peak {peak:6.1f} MiB",
+                layer=layer, n=n, rows=size, k=k, ms=ms, peak_mib=peak, **extra,
             )
     print("oracle: product_type_distribution(ewens:2, ewens:1/2), cold caches, ms")
     for n in ORACLE_SIZES:
@@ -157,14 +197,7 @@ def main(argv=None) -> int:
         ("bounds n = 5", lambda: sweeps.sweep_membership_bounds(5), ""),
         ("run_all()", sweeps.run_all, ""),
     )
-    # Round robin: each repeat runs every stage once, so that a slow
-    # spell of the host weighs on all stages alike.
-    best = {label: float("inf") for label, _, _ in stages}
-    for _ in range(args.repeat):
-        for label, stage, _ in stages:
-            start = time.perf_counter()
-            stage()
-            best[label] = min(best[label], time.perf_counter() - start)
+    best = round_robin({label: stage for label, stage, _ in stages}, args.repeat)
     for label, stage, note in stages:
         peak = traced_peak(stage)[0]
         emit(

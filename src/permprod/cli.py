@@ -583,13 +583,13 @@ def _run_counterexample(config: ExperimentConfig):
     if solo_type is not None:
         solo_counts[:] = (solo_type.count(1), solo_type.count(2))
 
-    def consume(pos, factor_rows):
-        end = pos + factor_rows[0].shape[0]
-        pair_counts[pos:end] = small_cycle_counts(product_rows(factor_rows), 1)
+    def consume(pos, counts, first):
+        end = pos + counts.shape[0]
+        pair_counts[pos:end] = counts
         if solo_type is None:
-            solo_counts[pos:end] = small_cycle_counts(factor_rows[0], 2)
+            solo_counts[pos:end] = small_cycle_counts(first, 2)
 
-    draw_chunks(specs, config.samples, config.seed, consume, classes_only=True)
+    draw_chunks(specs, config.samples, config.seed, consume, kmax=1)
     rows = []
     for prefix, funcs, counts, law in (
         ("", pair_funcs, pair_counts, specs),

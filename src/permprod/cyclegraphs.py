@@ -159,12 +159,12 @@ def _preimages(images: tuple[int, ...]) -> tuple[int, ...]:
 
 def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
     """Walk the cycle of ``inverse(sigma) o rho`` through m, recording rho-images."""
-    n = sigma.n
-    if n != rho.n:
-        raise ValueError(f"size mismatch: {n} vs {rho.n}")
+    rho_images = rho.images
+    n = len(sigma.images)
+    if n != len(rho_images):
+        raise ValueError(f"size mismatch: {n} vs {len(rho_images)}")
     if not 1 <= m <= n:
         raise ValueError(f"start index {m} outside 1..{n}")
-    rho_images = rho.images
     sinv = _preimages(sigma.images)
     i_seq = [m]
     j = rho_images[m - 1]

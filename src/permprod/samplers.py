@@ -34,8 +34,12 @@ factors, replacing the first factor by any member of its class leaves
 the law of the product's class unchanged (the representative reduction
 that the brute-force product law in ``tests/brute.py`` relies on), so
 consumers of class functions draw the first factor unrelabeled, on the
-identity arrangement. ``sample`` prints the factors
-themselves and draws every factor in full.
+identity arrangement. Nor do they build the last factor:
+:func:`product_cycle_counts` takes the kernel's row blocks as pairs
+(arrangement, successor values), composes each with the product of the
+factors before it and counts the small cycles per block, with the same
+draws as a full draw. ``sample`` prints the factors themselves and
+draws every factor in full.
 
 Randomness comes from :class:`RngStream`, keyed by (seed, stream_id);
 identical keys reproduce identical draw sequences. The samplers draw
@@ -69,6 +73,7 @@ __all__ = [
     "row_from_perm",
     "product_rows",
     "small_cycle_counts",
+    "product_cycle_counts",
 ]
 
 _KINDS = ("uniform", "ewens", "sqrt_fixed", "matching_heavy")
@@ -270,10 +275,8 @@ def _arranged(
     map itself on the identity arrangement (a read-only broadcast of a
     shared base). With it, each row draws a uniform arrangement arr and
     maps arr[j] to arr[succ[j]], which is a uniform member of the row's
-    conjugacy class. The arrangements come a row block at a time from
-    ``_shuffled_blocks``; each block's successor values and block-local
-    offsets are built from it and scattered into the output before the
-    next block is shuffled.
+    conjugacy class; the row blocks of ``_arrangement_blocks`` are
+    scattered into the output one at a time.
     """
     if not relabel:
         if succ is not None:
@@ -284,7 +287,36 @@ def _arranged(
     flat = rows.reshape(-1)
     # Offsets within one block stay below max(_BLOCK_ELEMENTS, n), so int32.
     offsets = np.arange(0, _block_rows(n) * n, n, dtype=_ROW_DTYPE)[:, None]
+    for s, e, arr, vals in _arrangement_blocks(gen, size, n, succ, ends):
+        # rows[s + i, arr[i, j]] = vals[i, j], scattered through flat
+        # indices: faster than put_along_axis, most of all at large n.
+        arr += offsets[: e - s]
+        flat[s * n : e * n][arr] = vals
+    return rows
+
+
+def _arrangement_blocks(
+    gen: np.random.Generator,
+    size: int,
+    n: int,
+    succ: np.ndarray | None = None,
+    ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+):
+    """Yield (s, e, arr, vals): relabelled rows s..e-1 of the kernel, in order.
+
+    Row s + i maps ``arr[i, j]`` to ``vals[i, j]``. ``arr`` is the row
+    block's uniform arrangement from ``_shuffled_blocks`` and ``vals``
+    its successor values under ``succ`` or ``ends`` (as in
+    ``_arranged``), both fresh int32 blocks. With neither, the rows are
+    the arrangements themselves (``uniform``): ``arr`` is a read-only
+    broadcast of the identity and ``vals`` the shuffled int64 block,
+    valid until the next step.
+    """
+    identity = np.arange(n, dtype=_ROW_DTYPE)
     for s, e, block in _shuffled_blocks(gen, size, n):
+        if succ is None and ends is None:
+            yield s, e, np.broadcast_to(identity, block.shape), block
+            continue
         arr = block.astype(_ROW_DTYPE)
         if succ is not None:
             vals = np.take(arr, succ, axis=1)
@@ -292,11 +324,7 @@ def _arranged(
             lo, hi = np.searchsorted(ends[0], (s, e))
             r, last, first = (part[lo:hi] for part in ends)
             vals = _next_in_block(arr, (r - s, last, first))
-        # rows[s + i, arr[i, j]] = vals[i, j], scattered through flat
-        # indices: faster than put_along_axis, most of all at large n.
-        arr += offsets[: e - s]
-        flat[s * n : e * n][arr] = vals
-    return rows
+        yield s, e, arr, vals
 
 
 def _next_in_block(
@@ -438,9 +466,7 @@ def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
     Counts the fixed points of the first kmax powers, then inverts over
     divisors; no full cycle decomposition. kmax = 1 is one comparison.
     Otherwise each row block is offset into flat indices once
-    (``_flat_blocks``); power k is one 1-D ``np.take`` of power k - 1
-    by that block, alternating between two reused intp blocks, and its
-    fixed points are the entries equal to a flat identity block.
+    (``_flat_blocks``) and its powers counted by ``_power_fixed_points``.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -449,17 +475,116 @@ def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
     if kmax == 1:
         fixed[:, 0] = (rows == np.arange(n, dtype=rows.dtype)).sum(axis=1)
     else:
-        identity = np.arange(min(size, _block_rows(n)) * n, dtype=np.intp)
-        powers = np.empty((2, len(identity)), dtype=np.intp)
-        hits = np.empty(len(identity), dtype=bool)
+        scratch = _power_scratch(min(size, _block_rows(n)) * n)
         for s, e, base in _flat_blocks(rows):
-            m = len(base)
-            power = base
-            for k in range(1, kmax + 1):
-                if k > 1:
-                    power = np.take(power, base, out=powers[k % 2, :m], mode="wrap")
-                np.equal(power, identity[:m], out=hits[:m])
-                fixed[s:e, k - 1] = hits[:m].reshape(e - s, n).sum(axis=1)
+            _power_fixed_points(base, fixed[s:e], 1, scratch)
+    return _cycle_counts(fixed)
+
+
+def product_cycle_counts(
+    left: np.ndarray, spec: SamplerSpec, rng: RngStream, kmax: int
+) -> np.ndarray:
+    """``small_cycle_counts(product_rows([left, right]), kmax)`` for
+    ``right = spec.draw_batch(rng, len(left))``, without building
+    ``right`` or the product.
+
+    It takes the same draws, in the same order, and leaves ``rng`` in
+    the same state. Each row block of the kernel (``_arrangement_blocks``)
+    maps arr to vals, so the product maps arr to img = left[vals], one
+    flat ``np.take`` per block: from the base row of a broadcast
+    representative (strides 0), otherwise from the block's own rows of
+    ``left`` through row offsets. The fixed points are the entries with
+    img equal to arr. Only for kmax >= 2 is img scattered at arr into one
+    reused flat block, whose powers ``_power_fixed_points`` counts as it
+    does for ``small_cycle_counts``.
+    """
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    size, n = left.shape
+    if spec.bind().n != n:
+        raise ValueError(f"left rows have n={n}, the spec n={spec.n}")
+    gen = rng.generator
+    if spec.kind == "ewens":
+        ends = _feller_ends(gen, size, n, float(spec.theta))
+        blocks = _arrangement_blocks(gen, size, n, ends=ends)
+    else:
+        succ = None if spec.kind == "uniform" else _block_base(spec.fixed_cycle_type())
+        blocks = _arrangement_blocks(gen, size, n, succ=succ)
+    broadcast = left.strides[0] == 0
+    left = left[0] if broadcast else np.ascontiguousarray(left).reshape(-1)
+    step = min(size, _block_rows(n))
+    offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None]
+    idx = np.empty((step, n), dtype=np.intp)
+    img = np.empty((step, n), dtype=left.dtype)
+    hits = np.empty((step, n), dtype=bool)
+    if kmax > 1:
+        scratch = _power_scratch(step * n)
+        scattered = np.empty(step * n, dtype=np.intp)
+    fixed = np.empty((size, kmax), dtype=np.int64)
+    for s, e, arr, vals in blocks:
+        b = e - s
+        if broadcast:
+            np.take(left, vals, out=img[:b], mode="wrap")
+        else:
+            np.add(vals, offsets[:b], out=idx[:b])
+            np.take(left[s * n : e * n], idx[:b], out=img[:b], mode="wrap")
+        fixed[s:e, 0] = np.equal(img[:b], arr, out=hits[:b]).sum(axis=1)
+        if kmax > 1:
+            # base[arr[i, j] + i * n] = img[i, j] + i * n; the identity
+            # arrangement of ``uniform`` needs no scatter.
+            base = idx[:b]
+            if arr.strides[0] == 0:
+                np.copyto(base, img[:b])
+            else:
+                np.add(arr, offsets[:b], out=base)
+                scattered[base.reshape(-1)] = img[:b].reshape(-1)
+                base = scattered[: b * n].reshape(b, n)
+            base += offsets[:b]
+            _power_fixed_points(base.reshape(-1), fixed[s:e], 2, scratch)
+    return _cycle_counts(fixed)
+
+
+def _power_scratch(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # A flat identity block and two power blocks of m intp entries, and
+    # one bool block of hits.
+    return (
+        np.arange(m, dtype=np.intp),
+        np.empty((2, m), dtype=np.intp),
+        np.empty(m, dtype=bool),
+    )
+
+
+def _power_fixed_points(
+    base: np.ndarray,
+    fixed: np.ndarray,
+    first: int,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Set ``fixed[i, k - 1]`` to the fixed points of power k of row i,
+    for k = first..kmax, kmax = ``fixed.shape[1]``.
+
+    ``base`` is a row block as flat indices into itself (entry i * n + x
+    is row i's image of x, plus i * n). Power k is one 1-D ``np.take`` of
+    power k - 1 by ``base``, alternating between the two power blocks of
+    ``scratch`` (``_power_scratch``), and its fixed points are the
+    entries equal to the flat identity block.
+    """
+    identity, powers, hits = scratch
+    m = len(base)
+    rows, kmax = fixed.shape
+    power = base
+    for k in range(1, kmax + 1):
+        if k > 1:
+            power = np.take(power, base, out=powers[k % 2, :m], mode="wrap")
+        if k >= first:
+            np.equal(power, identity[:m], out=hits[:m])
+            fixed[:, k - 1] = hits[:m].reshape(rows, -1).sum(axis=1)
+
+
+def _cycle_counts(fixed: np.ndarray) -> np.ndarray:
+    # Counts of d-cycles from the fixed points of powers 1..kmax: the
+    # fixed points of power d are the sum of e * (e-cycles) over e | d.
+    size, kmax = fixed.shape
     counts = np.empty((size, kmax), dtype=np.int64)
     for d in range(1, kmax + 1):
         acc = fixed[:, d - 1].copy()

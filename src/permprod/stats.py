@@ -11,7 +11,10 @@ factor f of chunk c at grid point g draws from the stream
 (seed, g * 2**32 + c * F + f); a lone estimate is grid point 0. So
 results are reproducible bit for bit for a fixed chunk size, and two
 grid points never share a stream. Every row a grid point reports (each
-moment and each ``tv:k``) reads the same single draw.
+moment and each ``tv:k``) reads the same single draw. The estimators read
+only the small-cycle counts of the product, so they take those counts
+straight from the chunk loop: factor 0 is drawn as its class
+representative and the last factor is never built as rows.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from permprod.samplers import (
     RngStream,
     SamplerSpec,
+    product_cycle_counts,
     product_rows,
     small_cycle_counts,
 )
@@ -243,21 +247,26 @@ def draw_chunks(
     bound: Sequence[SamplerSpec],
     samples: int,
     seed: int,
-    consume: Callable[[int, list[np.ndarray]], None],
+    consume: Callable[..., None],
     stream_base: int = 0,
-    classes_only: bool = False,
+    kmax: int | None = None,
 ) -> None:
-    """Draw ``samples`` rows of every factor, one chunk at a time.
+    """Draw ``samples`` products of the factors, one chunk at a time.
 
     ``bound`` holds specs bound to one ground-set size. Factor f of chunk
-    c draws from the stream (seed, stream_base + c * F + f), and the
-    chunk's factor rows go to ``consume(pos, factor_rows)``, where
-    ``pos`` is the sample index of the chunk's first row. Only that call
-    holds the rows, so each chunk is freed before the next one is drawn.
+    c draws from the stream (seed, stream_base + c * F + f), and ``pos``
+    below is the sample index of the chunk's first row. Only the
+    ``consume`` call holds a chunk's arrays, so each chunk is freed
+    before the next one is drawn.
 
-    A consumer that reads only class functions (cycle counts) of the
-    product and of factor 0 passes ``classes_only``, and factor 0 is then
-    drawn unshuffled, as its class representative (see ``samplers``).
+    Without ``kmax``, ``consume(pos, factor_rows)`` gets every factor's
+    rows, each a full relabeled draw. A consumer that reads only class
+    functions of the product and of factor 0 passes ``kmax``, and
+    ``consume(pos, counts, first)`` gets the product's counts of
+    d-cycles, d = 1..kmax, and factor 0's rows, drawn unshuffled as its
+    class representative (see ``samplers``). The middle factors are
+    multiplied in by ``product_rows``; the last factor is never built:
+    ``product_cycle_counts`` composes and counts it block by block.
     """
     num = len(bound)
     chunk = _chunk_size(bound[0].n)
@@ -266,17 +275,18 @@ def draw_chunks(
         raise ValueError(f"{chunks} chunks of {num} factors overrun the grid stride")
     for c, pos in enumerate(range(0, samples, chunk)):
         size = min(chunk, samples - pos)
-        consume(
-            pos,
-            [
-                spec.draw_batch(
-                    RngStream(seed, stream_base + c * num + f),
-                    size,
-                    relabel=f > 0 or not classes_only,
-                )
-                for f, spec in enumerate(bound)
-            ],
-        )
+        streams = [RngStream(seed, stream_base + c * num + f) for f in range(num)]
+        if kmax is None:
+            consume(pos, [spec.draw_batch(rng, size) for spec, rng in zip(bound, streams)])
+            continue
+        first = bound[0].draw_batch(streams[0], size, relabel=False)
+        if num == 1:
+            counts = small_cycle_counts(first, kmax)
+        else:
+            middle = zip(bound[1:-1], streams[1:-1])
+            left = product_rows([first, *(spec.draw_batch(rng, size) for spec, rng in middle)])
+            counts = product_cycle_counts(left, bound[-1], streams[-1], kmax)
+        consume(pos, counts, first)
 
 
 def _product_counts(
@@ -284,11 +294,10 @@ def _product_counts(
 ) -> np.ndarray:
     out = np.empty((samples, kmax), dtype=np.int64)
 
-    def consume(pos: int, factor_rows: list[np.ndarray]) -> None:
-        counts = small_cycle_counts(product_rows(factor_rows), kmax)
+    def consume(pos: int, counts: np.ndarray, first: np.ndarray) -> None:
         out[pos : pos + counts.shape[0]] = counts
 
-    draw_chunks(bound, samples, seed, consume, stream_base, classes_only=True)
+    draw_chunks(bound, samples, seed, consume, stream_base, kmax)
     return out
 
 

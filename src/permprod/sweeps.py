@@ -74,7 +74,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from permprod.cyclegraphs import (
     DirectedGraph,
@@ -238,7 +238,7 @@ def _edge_bits(n: int) -> list[list[int]]:
 
 
 def _record_masks(
-    record: TraversalRecord, bits: list[list[int]], names: Sequence[int]
+    record: TraversalRecord, bits: list[list[int]], names: Mapping[int, int]
 ) -> tuple[int, int, int, int]:
     """The (sigma-side, rho-side) edge masks of one traversal, read off
     its record, then the same two masks with every vertex v renamed
@@ -433,7 +433,9 @@ def sweep_event_factorization(
     perms = list(all_permutations(n))
     perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
     bits = _edge_bits(n)
-    fixed_names = [*range(fixed + 1), *[0] * (n - fixed)]
+    # Vertices past ``fixed`` are named as the walks reach them; reading
+    # an unnamed one raises KeyError rather than dropping its edges.
+    fixed_names = {v: v for v in range(1, fixed + 1)}
     # A key packs the renamed couples of starts 1..k, n * n bits per
     # side, above ``width`` bits holding u.
     side_bits = n * n
@@ -453,7 +455,7 @@ def sweep_event_factorization(
             for s, m in enumerate(starts):
                 record = traversal(sigma, rho, m)
                 for v in record.i_seq + record.j_seq:
-                    if not names[v]:
+                    if v not in names:
                         named += 1
                         names[v] = named
                 m1, m2, c1, c2 = _record_masks(record, bits, names)

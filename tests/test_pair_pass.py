@@ -218,6 +218,15 @@ def test_event_factorization_under_a_fault_matches_brute_force(monkeypatch, n, f
     assert summary.violations > 0 or (fault is _empty_start_two and n == 3)
 
 
+@pytest.mark.parametrize("n, start_counts", [(4, (1, 2)), (5, (1, 2, 3))])
+def test_an_edge_on_an_unnamed_vertex_raises(monkeypatch, n, start_counts):
+    # Past n = K + 1 the added edge can leave from a vertex off every walk
+    # so far, which has no name: reading it must fail, not drop the edge.
+    _inject(monkeypatch, _add_unsatisfied_edge)
+    with pytest.raises(KeyError):
+        sweeps.sweep_event_factorization(n, start_counts)
+
+
 def test_emptying_start_two_gives_two_tuples_one_union(monkeypatch):
     _inject(monkeypatch, _empty_start_two)
     perms = list(all_permutations(4))

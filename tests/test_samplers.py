@@ -6,6 +6,7 @@ practice while still catching a wrong sampler.
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -403,6 +404,68 @@ def test_small_cycle_counts_match_whole_chunk_powers(law, block, n, size, dtype,
     expected = brute.small_cycle_counts(rows, kmax)
     assert counts.dtype == expected.dtype == np.int64
     assert np.array_equal(counts, expected)
+
+
+# First factors of every layout: a broadcast representative, a per-row
+# representative, and a full uniform draw.
+_FIRST_FACTORS = (("sqrt_fixed:sqrt", False), ("ewens:2", False), ("uniform", True))
+
+
+@pytest.mark.parametrize(
+    "first, relabel, last, block, n, size",
+    [
+        (first, relabel, *shape)
+        for first, relabel in _FIRST_FACTORS
+        for shape in _feasible_shapes(("uniform", "ewens:1/2", "sqrt_fixed:sqrt", "matching_heavy:1/3"))
+        if _has_cycle_type(first, shape[2])
+    ],
+)
+@pytest.mark.parametrize("factors", [2, 3])
+def test_product_cycle_counts_match_the_built_product(
+    first, relabel, last, block, n, size, factors, monkeypatch
+):
+    # The counts equal those of the whole-chunk product with the last
+    # factor drawn in full, for every kmax, and the last factor's stream
+    # ends where draw_batch leaves it.
+    if block is not None:
+        monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
+    rows = [sampler_from_text(first).bind(n=n).draw_batch(RngStream(40, 0), size, relabel)]
+    assert (rows[0].strides[0] == 0) == (first == "sqrt_fixed:sqrt")
+    if factors == 3:
+        rows.append(uniform_rows(RngStream(40, 1), size, n))
+    left = product_rows(rows)
+    spec = sampler_from_text(last).bind(n=n)
+    drawn = RngStream(40, 2)
+    expected = brute.small_cycle_counts(brute.product_rows([*rows, spec.draw_batch(drawn, size)]), 7)
+    for kmax in range(1, 8):
+        rng = RngStream(40, 2)
+        counts = samplers.product_cycle_counts(left, spec, rng, kmax)
+        assert counts.dtype == expected.dtype == np.int64
+        assert np.array_equal(counts, expected[:, :kmax]), kmax
+        assert rng.generator.bit_generator.state == drawn.generator.bit_generator.state
+
+
+def test_product_cycle_counts_hold_no_factor_rows():
+    # One chunk of the counter-fixed job: 1024 rows at n = 4096, k = 1.
+    n, size = 4096, 1024
+    spec = sampler_from_text("sqrt_fixed:sqrt").bind(n=n)
+    left = spec.draw_batch(RngStream(41, 0), size, relabel=False)
+    tracemalloc.start()
+    try:
+        samplers.product_cycle_counts(left, spec, RngStream(41, 1), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * n * np.dtype(np.int32).itemsize / 4
+
+
+def test_product_cycle_counts_reject_bad_input():
+    spec = SamplerSpec("uniform", n=5)
+    left = uniform_rows(RngStream(42, 0), 3, 5)
+    with pytest.raises(ValueError, match="kmax"):
+        samplers.product_cycle_counts(left, spec, RngStream(42, 1), 0)
+    with pytest.raises(ValueError, match="n=6"):
+        samplers.product_cycle_counts(left, spec.bind(n=6), RngStream(42, 1), 1)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=4))

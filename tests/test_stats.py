@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from permprod.cli import _exact_law, main, sampler_from_text
 from permprod.oracle import ExactDistribution, exact_moment, product_type_distribution
-from permprod.samplers import SamplerSpec, product_rows, small_cycle_counts
+from permprod.samplers import SamplerSpec
 from permprod.stats import (
     Functional,
     JointPmf,
@@ -297,12 +297,10 @@ def test_first_factor_representative_keeps_product_class_law(tmp_path):
         bound = [sampler_from_text(text).bind(n=n) for text in pair]
         counts = np.empty((m, n), dtype=np.int64)
 
-        def consume(pos, factor_rows):
-            counts[pos : pos + factor_rows[0].shape[0]] = small_cycle_counts(
-                product_rows(factor_rows), n
-            )
+        def consume(pos, chunk_counts, first):
+            counts[pos : pos + len(chunk_counts)] = chunk_counts
 
-        draw_chunks(bound, m, 21, consume, classes_only=True)
+        draw_chunks(bound, m, 21, consume, kmax=n)
         seen = {
             tuple(d for d in range(n, 0, -1) for _ in range(row[d - 1])): count
             for row, count in zip(*np.unique(counts, axis=0, return_counts=True))
