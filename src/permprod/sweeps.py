@@ -8,8 +8,8 @@ not that a tolerance was missed.
 
 Where a claim reads no labels, or only those of its starts, a sweep
 checks one member of each orbit of conjugation and counts it as many
-times as its orbit has members (:func:`_orbits` and the ``weight`` of
-``_Tally.record``). Three identities make this exact:
+times as its orbit has members (:func:`_conjugation_orbits` and the
+``weight`` of ``_Tally.record``). Three identities make this exact:
 
 * Pairs. For any permutation pi, traversal(pi sigma pi^-1, pi rho pi^-1,
   pi(m)) is traversal(sigma, rho, m) with every index x renamed pi(x),
@@ -17,16 +17,23 @@ times as its orbit has members (:func:`_orbits` and the ``weight`` of
   reversal-exchange and two-vertex-components read no label, and
   conjugation maps the starts m to pi(m) bijectively, so a pair's tally
   over all its starts (or start pairs) equals that of its conjugate.
-  Sigma runs over one permutation per cycle type, rho over all of S_n,
-  and each tally is weighted by the class size.
+  This holds for every pi, those commuting with sigma included, so the
+  pairs are taken one per orbit of simultaneous conjugation
+  (:func:`_pair_orbits`): sigma runs over one permutation per cycle
+  type, rho over one per orbit of conjugation by sigma's centraliser,
+  and each tally is weighted by the class size times rho's orbit size.
+  That is sum over cycle types lambda of z_lambda pairs, 161 of the
+  14,400 at n = 5.
 * Graphs. Relabel-dichotomy holds for (E, tau) exactly when it holds for
   (pi E, pi tau pi^-1), and everything ``verify_bounds`` reads under a
   conjugation-invariant law (the membership probability, the component,
   vertex and loop counts, the shape cases) is unchanged by relabeling.
-  The components of a partial injection are paths and cycles, so the
-  sorted (vertex count, edge count) pairs of its components are a
-  complete invariant of its relabeling orbit: one graph per key stands
-  for all the graphs with that key.
+  The components of a partial injection are paths and cycles, and two
+  partial injections are relabelings of each other exactly when they
+  have the same multiset of component shapes. So one graph per shape,
+  built with its components on consecutive vertices
+  (:func:`_graph_orbits`), stands for all the graphs of that shape, and
+  its orbit size has a closed form: no partial injection is listed.
 * Starts. Event-factorization keys its fibers by the labelled graph
   tuples over the starts 1..k, which conjugation moves unless pi fixes
   every start. So with K the largest start count, sigma runs over one
@@ -72,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -99,7 +107,6 @@ from permprod.perms import (
     compose,
     cycle_counts,
     cycle_of,
-    cycle_type,
     inverse,
     power_fixed_points,
     trace_power,
@@ -123,11 +130,14 @@ __all__ = [
 _EXAMPLE_CAP = 5
 
 # Event-factorization walks one sigma per orbit under the stabiliser of
-# its starts against every rho. On one core of a 2-core machine: 108,000
-# pairs (970,776 graph tuples) in 2.5 s and 45 MB resident at n = 6;
-# 1.54 million pairs (42,186,823 tuples) in 52 s and 218 MB at n = 7, where
-# a whole verify-lemmas run takes 78 s and 222 MB. At n = 8 it would walk
-# 23.2 million pairs.
+# its starts against every rho, and is most of a run past n = 5. On one
+# core of a 2-core machine: 108,000 pairs (970,776 graph tuples) in 2.5 s
+# and 45 MB resident at n = 6, where a whole verify-lemmas run takes
+# 2.8 s; 1.54 million pairs (42,186,823 tuples) in 58 s and 218 MB at
+# n = 7, where a whole run takes 67 s and 219 MB. There the four other
+# pair suites (5,579 pairs) take 1.4 s, relabel-dichotomy 1.1 s and the
+# bounds 1.2 s (110 graph shapes). At n = 8 it would walk 23.2 million
+# pairs.
 _PAIR_MAX_N = 7
 # The trace sweep walks all single_n! permutations: on one core of a
 # 2-core machine, 0.96 s at n = 8 and 7.7 s at n = 9, so about 17
@@ -163,15 +173,6 @@ class _Tally:
             self.violations += weight
             if len(self.examples) < _EXAMPLE_CAP:
                 self.examples.append(describe())
-
-
-def _orbits(items, key) -> list[list]:
-    """[first item, count] for each value of ``key``, in first-seen order."""
-    groups: dict = {}
-    for item in items:
-        group = groups.setdefault(key(item), [item, 0])
-        group[1] += 1
-    return list(groups.values())
 
 
 def _summary(suite: str, n: int, tally: _Tally, detail: str) -> SweepSummary:
@@ -259,34 +260,65 @@ def _record_masks(
     return sigma_side, rho_side, named_sigma, named_rho
 
 
-def _stabiliser_orbits(perms: list, fixed: int) -> list[list]:
+def _conjugation_orbits(perms: list, group: list) -> list[list]:
     """[representative, orbit size] for each orbit of conjugation by the
-    permutations that fix 1..fixed pointwise, in first-seen order. An
-    orbit is keyed by the least image tuple among its members."""
+    permutations in ``group``, in first-seen order: each permutation of
+    ``perms`` not yet marked stands for its orbit and marks all of it.
+    ``perms`` must be closed under that conjugation."""
     n = perms[0].n
     movers = []
-    for moved in itertools.permutations(range(fixed + 1, n + 1)):
-        pi = (0, *range(1, fixed + 1), *moved)
+    for pi in group:
         pi_inv = [0] * n
-        for x in range(1, n + 1):
-            pi_inv[pi[x] - 1] = x
-        movers.append((pi, pi_inv))
-
-    def least_conjugate(sigma):
-        # (pi sigma pi^-1)(y) = pi(sigma(pi^-1(y))).
+        for x, image in enumerate(pi.images, start=1):
+            pi_inv[image - 1] = x
+        movers.append(((0, *pi.images), pi_inv))
+    marked: set = set()
+    out = []
+    for sigma in perms:
         images = sigma.images
-        return min(tuple(pi[images[x - 1]] for x in pi_inv) for pi, pi_inv in movers)
+        if images in marked:
+            continue
+        # (pi sigma pi^-1)(y) = pi(sigma(pi^-1(y))).
+        orbit = {tuple(pi[images[x - 1]] for x in pi_inv) for pi, pi_inv in movers}
+        marked |= orbit
+        out.append([sigma, len(orbit)])
+    return out
 
-    return _orbits(perms, least_conjugate)
+
+def _stabiliser_orbits(perms: list, fixed: int) -> list[list]:
+    """[representative, orbit size] for each orbit of conjugation by the
+    permutations that fix 1..fixed pointwise, in first-seen order."""
+    prefix = tuple(range(1, fixed + 1))
+    return _conjugation_orbits(perms, [p for p in perms if p.images[:fixed] == prefix])
+
+
+def _pair_orbits(perms: list):
+    """(sigma, rho, orbit size) for each orbit of simultaneous conjugation
+    on S_n x S_n: sigma runs over one permutation per cycle type, and rho
+    over one per orbit of conjugation by sigma's centraliser, since
+    conjugating the pair by pi keeps sigma exactly when pi commutes with
+    it. The orbit has (class size) x (rho's orbit size) members."""
+    for sigma, class_size in _conjugation_orbits(perms, perms):
+        images = sigma.images
+        # pi(sigma(i)) == sigma(pi(i)) for every i.
+        centraliser = [
+            pi
+            for pi in perms
+            if all(pi.images[s - 1] == images[p - 1] for p, s in zip(pi.images, images))
+        ]
+        for rho, orbit_size in _conjugation_orbits(perms, centraliser):
+            yield sigma, rho, class_size * orbit_size
 
 
 def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[SweepSummary]:
     """The five pair suites over S_n x S_n.
 
-    The first four check sigma once per cycle type against every rho and
-    weight each tally by the class size (see the module docstring); for
-    each such pair and every start m, traversal(sigma, rho, m) is walked
-    and its graph couple built once, and each suite keeps its own tally.
+    The first four check one pair per orbit of simultaneous conjugation,
+    sigma once per cycle type and rho once per orbit of conjugation by
+    sigma's centraliser, and weight each tally by the orbit size (see the
+    module docstring); for each such pair and every start m,
+    traversal(sigma, rho, m) is walked and its graph couple built once,
+    and each suite keeps its own tally.
     In suite order:
 
     * traversal-encoding: the index walk equals the cycle of
@@ -315,42 +347,41 @@ def _reduced_pair_suites(n: int) -> list[SweepSummary]:
     starts = range(1, n + 1)
     start_pairs = list(itertools.combinations(range(n), 2))
     encoding, shared, reversal, small = _Tally(), _Tally(), _Tally(), _Tally()
-    for sigma, size in _orbits(perms, cycle_type):
+    for sigma, rho, size in _pair_orbits(perms):
         sigma_inv = inverse(sigma)
-        for rho in perms:
-            rho_inv = inverse(rho)
-            prod = compose(sigma_inv, rho)
-            rho_images = rho.images
-            records = [traversal(sigma, rho, m) for m in starts]
-            graphs = [graphs_from_record(r, n) for r in records]
-            for r, (g1, g2) in zip(records, graphs):
-                m = r.m
+        rho_inv = inverse(rho)
+        prod = compose(sigma_inv, rho)
+        rho_images = rho.images
+        records = [traversal(sigma, rho, m) for m in starts]
+        graphs = [graphs_from_record(r, n) for r in records]
+        for r, (g1, g2) in zip(records, graphs):
+            m = r.m
 
-                def describe(ss=sigma, rr=rho, mm=m):
-                    return f"sigma={ss.to_line()} rho={rr.to_line()} m={mm}"
+            def describe(ss=sigma, rr=rho, mm=m):
+                return f"sigma={ss.to_line()} rho={rr.to_line()} m={mm}"
 
-                encoding.record(
-                    r.i_seq == cycle_of(prod, m)
-                    and r.j_seq == tuple(rho_images[x - 1] for x in r.i_seq)
-                    and len(g1.edges) == r.k
-                    and len(g2.edges) == r.k
-                    and membership(sigma, g1)
-                    and membership(rho, g2),
-                    describe,
-                    size,
-                )
-                back = traversal(rho, sigma, m)
-                h2 = graphs_from_record(traversal(rho_inv, sigma_inv, rho_images[m - 1]), n)[1]
-                reversal.record(reversal_identities_hold(r, g1, back, h2), describe, size)
-                small.record(no_two_cycles_when_components_small(g1, g2), describe, size)
-            for i, j in start_pairs:
-                shared.record(
-                    shared_cycle_graphs_match(records[i], graphs[i], records[j], graphs[j]),
-                    lambda ss=sigma, rr=rho, m1=i + 1, m2=j + 1: (
-                        f"sigma={ss.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
-                    ),
-                    size,
-                )
+            encoding.record(
+                r.i_seq == cycle_of(prod, m)
+                and r.j_seq == tuple(rho_images[x - 1] for x in r.i_seq)
+                and len(g1.edges) == r.k
+                and len(g2.edges) == r.k
+                and membership(sigma, g1)
+                and membership(rho, g2),
+                describe,
+                size,
+            )
+            back = traversal(rho, sigma, m)
+            h2 = graphs_from_record(traversal(rho_inv, sigma_inv, rho_images[m - 1]), n)[1]
+            reversal.record(reversal_identities_hold(r, g1, back, h2), describe, size)
+            small.record(no_two_cycles_when_components_small(g1, g2), describe, size)
+        for i, j in start_pairs:
+            shared.record(
+                shared_cycle_graphs_match(records[i], graphs[i], records[j], graphs[j]),
+                lambda ss=sigma, rr=rho, m1=i + 1, m2=j + 1: (
+                    f"sigma={ss.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
+                ),
+                size,
+            )
     per_start = f"all ordered pairs at n={n}, every start index"
     return [
         _summary("traversal-encoding", n, encoding, per_start),
@@ -511,24 +542,42 @@ def sweep_event_factorization(
     )
 
 
-def _partial_injections(n: int):
-    verts = range(1, n + 1)
-    for e in range(n + 1):
-        for sources in itertools.combinations(verts, e):
-            for images in itertools.permutations(verts, e):
-                yield frozenset(zip(sources, images))
-
-
-def _shape(g: DirectedGraph) -> tuple[tuple[int, int], ...]:
-    # Sorted (vertex count, edge count) of the components: a complete
-    # invariant of a partial injection's relabeling orbit.
-    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g).nontrivial))
-
-
 def _graph_orbits(n: int) -> list[list]:
     """[representative, orbit size] for each relabeling orbit of the
-    partial injections of {1..n}, the empty graph first."""
-    return _orbits((DirectedGraph(n, edges) for edges in _partial_injections(n)), _shape)
+    partial injections of {1..n}, the empty graph first.
+
+    An orbit is a shape: a multiset of components, each an l-cycle
+    (l vertices, l edges) or a path with l edges (l + 1 vertices), with
+    v vertices in all. Its representative lays the components out on
+    consecutive vertices from 1. Its size is the n!/(n - v)! ordered
+    choices of those v vertices over the choices giving the same graph,
+    prod_l a_l! * prod_l l^b_l b_l! with a_l paths with l edges and b_l
+    l-cycles: equal components swapped, and each cycle rotated.
+    """
+    # Kinds of component as (vertex count, edge count); a shape is listed
+    # once, as a non-decreasing tuple of kinds.
+    kinds = sorted([(v, v) for v in range(1, n + 1)] + [(v, v - 1) for v in range(2, n + 1)])
+    out = []
+
+    def extend(shape: list, first: int, free: int) -> None:
+        edges = []
+        start = 1
+        for verts, edge_count in shape:
+            block = range(start, start + verts)
+            edges.extend(zip(block, block[1:]))
+            if edge_count == verts:
+                edges.append((block[-1], start))
+            start += verts
+        symmetry = 1
+        for (verts, edge_count), copies in Counter(shape).items():
+            symmetry *= math.factorial(copies) * (verts**copies if edge_count == verts else 1)
+        out.append([DirectedGraph(n, frozenset(edges)), math.perm(n, start - 1) // symmetry])
+        for index in range(first, len(kinds)):
+            if kinds[index][0] <= free:
+                extend([*shape, kinds[index]], index, free - kinds[index][0])
+
+    extend([], 0, n)
+    return out
 
 
 def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:

@@ -4,14 +4,18 @@ Most functions here are unreduced sums over all of S_n (or S_n x S_n)
 with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
 every start set of every pair rather than listing partial injections,
 ``trace_pass`` builds every power of every permutation by composition,
-``pair_pass`` walks every ordered pair instead of one sigma per cycle
-type, ``event_factorization_pass`` walks every ordered pair instead of
-one sigma per orbit under the stabiliser of its starts and keys its
-fibers by labelled graph tuples, ``graph_pass`` checks every partial
-injection instead of one per relabeling orbit, and the two-vertex
-predicate reads full component profiles. They exist so that tests can check the reduced code against
-straight enumeration instead of trusting it, and they are practical
-only for n <= 7. ``product_rows`` and ``small_cycle_counts`` are the
+``pair_pass`` walks every ordered pair instead of one per orbit of
+simultaneous conjugation, ``class_pair_pass`` (the sweep's previous
+path) walks one sigma per cycle type against every rho,
+``event_factorization_pass`` walks every ordered pair instead of one
+sigma per orbit under the stabiliser of its starts and keys its fibers
+by labelled graph tuples, ``graph_pass`` checks every partial injection
+instead of one per relabeling orbit, ``graph_orbits`` (the sweep's
+previous path) finds those orbits by listing every partial injection
+and grouping by ``shape`` instead of building one graph per shape, and
+the two-vertex predicate reads full component profiles. They exist so
+that tests can check the reduced code against straight enumeration
+instead of trusting it, and they are practical only for n <= 7. ``product_rows`` and ``small_cycle_counts`` are the
 Monte Carlo layers as whole-chunk ``take_along_axis`` gathers, with no
 row blocks and no flat indices. Only ``perms``, ``cyclegraphs``, the
 ``ExactDistribution`` type and, in ``graph_pass``, the per-graph
@@ -233,10 +237,10 @@ class _Tally:
         self.suite, self.cases, self.violations, self.examples = suite, 0, 0, []
         self.cap = cap
 
-    def record(self, ok: bool, describe: str) -> None:
-        self.cases += 1
+    def record(self, ok: bool, describe: str, weight: int = 1) -> None:
+        self.cases += weight
         if not ok:
-            self.violations += 1
+            self.violations += weight
             if self.cap is None or len(self.examples) < self.cap:
                 self.examples.append(describe)
 
@@ -269,58 +273,68 @@ def trace_pass(n: int, max_power: int):
     return tally.row()
 
 
+_PAIR_SUITES = (
+    "traversal-encoding",
+    "shared-cycle-graphs",
+    "reversal-exchange",
+    "two-vertex-components",
+)
+
+
+def _check_pair(sigma: Permutation, rho: Permutation, tallies, weight: int = 1):
+    """Record one ordered pair in the four reduced pair suites' tallies,
+    in suite order, each case counted ``weight`` times; every
+    (sigma, rho, m) walks its own swapped and inverted traversals.
+    Returns the graph couples of the starts 1..n."""
+    encoding, shared, reversal, small = tallies
+    n = sigma.n
+    sinv, rinv = inverse(sigma), inverse(rho)
+    records = [traversal(sigma, rho, m) for m in range(1, n + 1)]
+    graphs = [graphs_from_traversal(sigma, rho, m) for m in range(1, n + 1)]
+    for r, (g1, g2) in zip(records, graphs):
+        m = r.m
+        describe = f"sigma={sigma.to_line()} rho={rho.to_line()} m={m}"
+        cycle = [m]
+        while sinv(rho(cycle[-1])) != m:
+            cycle.append(sinv(rho(cycle[-1])))
+        encoding.record(
+            list(r.i_seq) == cycle
+            and list(r.j_seq) == [rho(x) for x in cycle]
+            and len(g1.edges) == len(g2.edges) == len(cycle)
+            and membership(sigma, g1)
+            and membership(rho, g2),
+            describe,
+            weight,
+        )
+        back = traversal(rho, sigma, m)
+        h2 = graphs_from_traversal(rinv, sinv, rho(m))[1]
+        reversal.record(reversal_identities_hold(r, g1, back, h2), describe, weight)
+        small.record(no_two_cycles_when_components_small(g1, g2), describe, weight)
+    for a, b in itertools.combinations(range(n), 2):
+        shared.record(
+            shared_cycle_graphs_match(records[a], graphs[a], records[b], graphs[b]),
+            f"sigma={sigma.to_line()} rho={rho.to_line()} m1={a + 1} m2={b + 1}",
+            weight,
+        )
+    return graphs
+
+
 def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
     """The five pair suites of ``sweeps.sweep_pairs`` over every ordered
-    pair, without taking one sigma per cycle type.
+    pair, without taking one pair per orbit of conjugation.
 
-    Ordered pairs come one at a time in lexicographic order, and every
-    (sigma, rho, m) walks its own swapped and inverted traversals.
-    Event factorization keeps each fiber's member pairs and compares them
-    with the pairs satisfying the union couple, listed from S_n x S_n.
-    Returns (suite, cases, violations, examples) per suite in sweep
-    order. Practical for n <= 4.
+    Ordered pairs come one at a time in lexicographic order, each checked
+    by ``_check_pair``. Event factorization keeps each fiber's member
+    pairs and compares them with the pairs satisfying the union couple,
+    listed from S_n x S_n. Returns (suite, cases, violations, examples)
+    per suite in sweep order. Practical for n <= 4.
     """
     perms = list(all_permutations(n))
-    starts = range(1, n + 1)
-    encoding, shared, reversal, small = (
-        _Tally(suite)
-        for suite in (
-            "traversal-encoding",
-            "shared-cycle-graphs",
-            "reversal-exchange",
-            "two-vertex-components",
-        )
-    )
+    tallies = [_Tally(suite) for suite in _PAIR_SUITES]
     fibers: dict[int, dict[tuple, list]] = {k: {} for k in start_counts}
     for sigma in perms:
-        sinv = inverse(sigma)
         for rho in perms:
-            rinv = inverse(rho)
-            records = [traversal(sigma, rho, m) for m in starts]
-            graphs = [graphs_from_traversal(sigma, rho, m) for m in starts]
-            for r, (g1, g2) in zip(records, graphs):
-                m = r.m
-                describe = f"sigma={sigma.to_line()} rho={rho.to_line()} m={m}"
-                cycle = [m]
-                while sinv(rho(cycle[-1])) != m:
-                    cycle.append(sinv(rho(cycle[-1])))
-                encoding.record(
-                    list(r.i_seq) == cycle
-                    and list(r.j_seq) == [rho(x) for x in cycle]
-                    and len(g1.edges) == len(g2.edges) == len(cycle)
-                    and membership(sigma, g1)
-                    and membership(rho, g2),
-                    describe,
-                )
-                back = traversal(rho, sigma, m)
-                h2 = graphs_from_traversal(rinv, sinv, rho(m))[1]
-                reversal.record(reversal_identities_hold(r, g1, back, h2), describe)
-                small.record(no_two_cycles_when_components_small(g1, g2), describe)
-            for a, b in itertools.combinations(range(n), 2):
-                shared.record(
-                    shared_cycle_graphs_match(records[a], graphs[a], records[b], graphs[b]),
-                    f"sigma={sigma.to_line()} rho={rho.to_line()} m1={a + 1} m2={b + 1}",
-                )
+            graphs = _check_pair(sigma, rho, tallies)
             for k, groups in fibers.items():
                 key = tuple((g1.edges, g2.edges) for g1, g2 in graphs[:k])
                 groups.setdefault(key, []).append((sigma, rho))
@@ -351,7 +365,28 @@ def pair_pass(n: int, start_counts: Sequence[int] = (1, 2, 3)):
                 == math.factorial(n - len(u1)) * math.factorial(n - len(u2)),
                 f"k={k} sides {sorted(u1)} / {sorted(u2)}",
             )
-    tallies = (encoding, shared, reversal, small, factorization)
+    return [t.row() for t in (*tallies, factorization)]
+
+
+def class_pair_pass(n: int):
+    """The four reduced pair suites of ``sweeps.sweep_pairs`` with sigma
+    taken once per cycle type, the first of its class in lexicographic
+    order, against every rho, each pair checked by ``_check_pair`` and
+    weighted by the class size.
+
+    Every rho is walked, so the weighted tallies stay exact under a fault
+    that reads rho's labels but not sigma's, which the reduction by
+    sigma's centraliser does not. Returns (suite, cases, violations,
+    examples) per suite in sweep order. Practical for n <= 6.
+    """
+    perms = list(all_permutations(n))
+    classes: dict[tuple[int, ...], list] = {}
+    for perm in perms:
+        classes.setdefault(cycle_type(perm), [perm, 0])[1] += 1
+    tallies = [_Tally(suite) for suite in _PAIR_SUITES]
+    for sigma, size in classes.values():
+        for rho in perms:
+            _check_pair(sigma, rho, tallies, size)
     return [t.row() for t in tallies]
 
 
@@ -421,6 +456,24 @@ def partial_injections(n: int) -> list[frozenset]:
             for domain in itertools.combinations(range(1, n + 1), size):
                 seen.add(frozenset((a, perm(a)) for a in domain))
     return sorted(seen, key=sorted)
+
+
+def shape(g: DirectedGraph) -> tuple[tuple[int, int], ...]:
+    """Sorted (vertex count, edge count) of the components of a partial
+    injection: a complete invariant of its relabeling orbit."""
+    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g).nontrivial))
+
+
+def graph_orbits(n: int) -> list[list]:
+    """[representative, orbit size] for each relabeling orbit of the
+    partial injections of {1..n}, found by listing every one of them and
+    grouping by ``shape``: the first in sorted edge order stands for its
+    orbit. The empty graph comes first."""
+    groups: dict[tuple, list] = {}
+    for edges in partial_injections(n):
+        g = DirectedGraph(n, edges)
+        groups.setdefault(shape(g), [g, 0])[1] += 1
+    return list(groups.values())
 
 
 _BOUND_FAMILY = {

@@ -1,4 +1,5 @@
-"""Pinned SHA-256 digests of small reports, one config per command.
+"""Pinned SHA-256 digests of reports: a small config per command, and
+the default ``verify-lemmas`` run.
 
 A config fixes its report bytes exactly, so any change to the random
 draws, the arithmetic or the report layout shows up here. A change that
@@ -38,6 +39,10 @@ _CONFIGS = {
     "verify-lemmas": (
         ["verify-lemmas", "--seed", "0", "--pair-n", "3", "--single-n", "4"],
         "b4cf10d5399ef88e116d5ea39f775f7eeb1b08253410888b76747a15eace02ad",
+    ),
+    "verify-lemmas-default": (
+        ["verify-lemmas"],
+        "3dadb253a4a67db5a521d1d919a388dde031a289c1d575028d18d1a6a44c6cfc",
     ),
     "counterexample-ewens": (
         ["counterexample", "--seed", "7", "--samplers", "ewens:2, uniform",

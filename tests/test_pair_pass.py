@@ -1,11 +1,15 @@
 """The reduced pair passes against full passes over S_n x S_n.
 
-``sweeps.sweep_pairs`` checks one sigma per cycle type against every
-rho and weights each tally by the class size, which is exact because
-the four reduced suites read no label. These tests check that the
-reduction changes no tally, that a fault depending only on a
-traversal's shape is counted alike, and that a fault reading a label is
-not: the last documents the assumption the reduction rests on.
+``sweeps.sweep_pairs`` checks one pair per orbit of simultaneous
+conjugation, sigma once per cycle type and rho once per orbit of
+conjugation by sigma's centraliser, and weights each tally by the orbit
+size, which is exact because the four reduced suites read no label.
+These tests check that the orbits are the orbits, that the reduction
+changes no tally, against the full pass at n <= 4 and against
+``brute.class_pair_pass`` (sigma per class, every rho) at n = 5, that a
+fault depending only on a traversal's shape is counted alike, and that
+a fault reading a label of sigma, or one of rho alone, is not: the last
+two document the assumptions the two reductions rest on.
 Event-factorization walks one sigma per orbit of conjugation by the
 permutations fixing its starts 1..K, against every rho, and keys each
 graph tuple canonically. Its tallies must equal those of
@@ -17,13 +21,15 @@ tuples of each union, under faults that read labels too.
 """
 
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
 import brute
 from permprod import cyclegraphs, sweeps
 from permprod.cyclegraphs import DirectedGraph, graphs_from_record, traversal
-from permprod.perms import Permutation, all_permutations, conjugate
+from permprod.perms import Permutation, all_permutations, conjugate, cycle_type
 
 
 def _rows(summaries):
@@ -37,13 +43,14 @@ def test_reduced_pair_pass_matches_the_full_pass(n):
     assert [(s.suite, s.cases, s.violations, s.examples) for s in summaries] == rows
 
 
+def _fails_on_two_cycles(r, g1, s, h2):
+    return r.k != 2 and cyclegraphs.reversal_identities_hold(r, g1, s, h2)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_fault_of_shape_only_is_counted_alike(monkeypatch, n):
-    def fails_on_two_cycles(r, g1, s, h2):
-        return r.k != 2 and cyclegraphs.reversal_identities_hold(r, g1, s, h2)
-
     for module in (sweeps, brute):
-        monkeypatch.setattr(module, "reversal_identities_hold", fails_on_two_cycles)
+        monkeypatch.setattr(module, "reversal_identities_hold", _fails_on_two_cycles)
     summaries = sweeps.sweep_pairs(n, (1, 2, 3))
     assert summaries[2].violations > 0
     assert _rows(summaries) == [row[:3] for row in brute.pair_pass(n, (1, 2, 3))]
@@ -63,6 +70,81 @@ def test_a_fault_reading_a_label_is_not(monkeypatch):
     full = brute.pair_pass(n, (1, 2, 3))[0]
     assert reduced.cases == full[1]
     assert 0 < full[2] != reduced.violations
+
+
+def test_a_fault_reading_a_label_of_rho_is_not(monkeypatch):
+    # Failing start 1 whenever rho fixes 1 reads rho's label and not
+    # sigma's. Sigma per class against every rho still counts it
+    # exactly, since every class member meets every rho alike; rho per
+    # orbit of sigma's centraliser does not, since a representative
+    # stands for conjugates that do not fix 1.
+    def fails_when_rho_fixes_one(r, g1, s, h2):
+        rho_fixes_one = r.m == 1 and r.j_seq[0] == 1
+        return not rho_fixes_one and cyclegraphs.reversal_identities_hold(r, g1, s, h2)
+
+    for module in (sweeps, brute):
+        monkeypatch.setattr(module, "reversal_identities_hold", fails_when_rho_fixes_one)
+    n = 4
+    reduced = sweeps.sweep_pairs(n, (1, 2, 3))[2]
+    full = brute.pair_pass(n, (1, 2, 3))[2]
+    assert brute.class_pair_pass(n)[2][1:3] == full[1:3]
+    assert full[2] == math.factorial(n) * math.factorial(n - 1)
+    assert reduced.cases == full[1]
+    assert 0 < full[2] != reduced.violations
+
+
+@pytest.mark.parametrize("fault", [None, _fails_on_two_cycles])
+def test_pair_suites_match_sigma_per_class_against_every_rho(monkeypatch, fault):
+    # At n = 5, where the full pass is too slow, the reduction by sigma's
+    # centraliser is checked against the sweep it replaced.
+    if fault is not None:
+        for module in (sweeps, brute):
+            monkeypatch.setattr(module, "reversal_identities_hold", fault)
+    summaries = sweeps._reduced_pair_suites(5)
+    rows = brute.class_pair_pass(5)
+    if fault is None:
+        assert [(s.suite, s.cases, s.violations, s.examples) for s in summaries] == rows
+        assert all(s.ok for s in summaries)
+    else:
+        assert summaries[2].violations > 0
+        assert _rows(summaries) == [row[:3] for row in rows]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("group", ["all", "centraliser", "stabiliser"])
+def test_conjugation_orbits_partition_the_group(n, group):
+    perms = list(all_permutations(n))
+    last = perms[-1]
+    pis = {
+        "all": perms,
+        "centraliser": [pi for pi in perms if conjugate(last, pi) == last],
+        "stabiliser": [pi for pi in perms if pi.images[:2] == (1, 2)[:n]],
+    }[group]
+    orbits = sweeps._conjugation_orbits(perms, pis)
+    members = [frozenset(conjugate(rep, pi).images for pi in pis) for rep, _ in orbits]
+    assert [size for _, size in orbits] == [len(m) for m in members]
+    assert sum(map(len, members)) == len(frozenset().union(*members)) == math.factorial(n)
+    # Each representative is the first of its orbit in lexicographic order.
+    assert [rep.images for rep, _ in orbits] == sorted(min(m) for m in members)
+
+
+@pytest.mark.parametrize("n, pairs", [(1, 1), (2, 4), (3, 11), (4, 43), (5, 161), (6, 901)])
+def test_pair_orbits_are_the_orbits_of_simultaneous_conjugation(n, pairs):
+    perms = list(all_permutations(n))
+    orbits = list(sweeps._pair_orbits(perms))
+    # Burnside: the pairs fixed by pi are its centraliser squared, so
+    # there are sum over classes of n!/(class size) orbits.
+    class_sizes = Counter(cycle_type(p) for p in perms).values()
+    assert len(orbits) == pairs == sum(math.factorial(n) // size for size in class_sizes)
+    assert sum(size for _, _, size in orbits) == math.factorial(n) ** 2
+    if n > 4:
+        return
+    members = [
+        frozenset((conjugate(s, pi).images, conjugate(r, pi).images) for pi in perms)
+        for s, r, _ in orbits
+    ]
+    assert [size for _, _, size in orbits] == [len(m) for m in members]
+    assert len(frozenset().union(*members)) == math.factorial(n) ** 2
 
 
 @pytest.mark.parametrize(

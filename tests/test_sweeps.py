@@ -5,6 +5,7 @@ honest at sizes that finish in well under a second each.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -138,7 +139,7 @@ def test_union_graphs_match_every_start_set(n):
     # The unions over every start set of every pair are the non-empty
     # partial injections, and the bounds run on each of them.
     expected = [sorted(g.edges) for g in brute.union_graph_list(n)]
-    assert expected == sorted(sorted(e) for e in sweeps._partial_injections(n) if e)
+    assert expected == sorted(sorted(e) for e in brute.partial_injections(n) if e)
     for summary in sweep_membership_bounds(n):
         assert summary.detail.startswith(f"{len(expected)} union graphs at n={n};")
 
@@ -152,7 +153,7 @@ def test_shape_key_groups_graphs_as_relabeling_orbits(n):
     }
     by_shape = {}
     for edges in orbit_of:
-        by_shape.setdefault(sweeps._shape(DirectedGraph(n, edges)), set()).add(edges)
+        by_shape.setdefault(brute.shape(DirectedGraph(n, edges)), set()).add(edges)
     assert {frozenset(group) for group in by_shape.values()} == set(orbit_of.values())
     # One representative per orbit, counted as many times as it has members.
     reps = {orbit_of[g.edges]: size for g, size in sweeps._graph_orbits(n)}
@@ -171,7 +172,7 @@ def test_graph_suites_by_orbit_match_every_partial_injection(n):
     assert [(s.suite, s.cases, s.violations, s.examples) for s in summaries] == rows
 
 
-def test_a_graph_fault_of_shape_only_is_counted_alike(monkeypatch):
+def _fail_graphs_with_two_edges(monkeypatch):
     # Failing every case on a two-edge graph is constant on relabeling
     # orbits.
     real_relabel, real_bounds = sweeps.relabel_dichotomy_holds, sweeps.verify_bounds
@@ -188,6 +189,10 @@ def test_a_graph_fault_of_shape_only_is_counted_alike(monkeypatch):
     for module in (sweeps, brute):
         monkeypatch.setattr(module, "relabel_dichotomy_holds", relabel_fails_on_two_edges)
         monkeypatch.setattr(module, "verify_bounds", bounds_fail_on_two_edges)
+
+
+def test_a_graph_fault_of_shape_only_is_counted_alike(monkeypatch):
+    _fail_graphs_with_two_edges(monkeypatch)
     n, thetas = 4, ("1/2", None)
     summaries = _graph_suites(n, thetas)
     assert all(s.violations > 0 for s in summaries)
@@ -196,11 +201,45 @@ def test_a_graph_fault_of_shape_only_is_counted_alike(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "n, total", [(1, 2), (2, 7), (3, 34), (4, 209), (5, 1546), (6, 13327)]
+)
+def test_graph_orbits_by_shape_match_the_enumeration(n, total):
+    built = sweeps._graph_orbits(n)
+    listed = brute.graph_orbits(n)
+    assert not built[0][0].edges
+    for g, _ in built:
+        assert len({a for a, _ in g.edges}) == len({b for _, b in g.edges}) == len(g.edges)
+    assert Counter((brute.shape(g), size) for g, size in built) == Counter(
+        (brute.shape(g), size) for g, size in listed
+    )
+    assert sum(size for _, size in built) == total == len(brute.partial_injections(n))
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_graph_suites_match_the_enumerated_orbits(monkeypatch, fault):
+    # At n = 5, the orbits built by shape against those found by listing
+    # every partial injection, clean and under a fault of shape only.
+    if fault:
+        _fail_graphs_with_two_edges(monkeypatch)
+    n, thetas = 5, ("1/2", None)
+    built = _graph_suites(n, thetas)
+    monkeypatch.setattr(sweeps, "_graph_orbits", brute.graph_orbits)
+    listed = _graph_suites(n, thetas)
+    assert all(s.ok for s in built) != fault
+    if fault:
+        assert [(s.suite, s.cases, s.violations) for s in built] == [
+            (s.suite, s.cases, s.violations) for s in listed
+        ]
+    else:
+        assert built == listed
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_every_partial_injection_is_a_union_graph(n):
     # Extend E to a permutation pi. With sigma = rho = pi, sigma^-1 rho is
     # the identity, so the starts dom(E) give E on both sides.
-    for edges in sweeps._partial_injections(n):
+    for edges in brute.partial_injections(n):
         if not edges:
             continue
         image = dict(edges)
