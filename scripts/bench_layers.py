@@ -26,7 +26,8 @@ checks powers up to 2n, so its cost per permutation grows with n), the
 pair pass at n = 5 with its count of
 traversal calls, then its two parts on their own (the four reduced pair
 suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
-the membership bounds at n = 5, and the whole default ``run_all()``,
+the membership bounds at n = 5 and, beyond the default, at n = 7 (the
+largest ``--pair-n``), and the whole default ``run_all()``,
 every suite of the report. These stages run round robin, one pass over
 all of them per repeat, and each keeps its best. Event-factorization at
 n = 6, beyond the default, is timed once after them. ``--json PATH``
@@ -195,6 +196,7 @@ def main(argv=None) -> int:
         ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
         ("bounds n = 5", lambda: sweeps.sweep_membership_bounds(5), ""),
+        ("bounds n = 7", lambda: sweeps.sweep_membership_bounds(7), ""),
         ("run_all()", sweeps.run_all, ""),
     )
     best = round_robin({label: stage for label, stage, _ in stages}, args.repeat)

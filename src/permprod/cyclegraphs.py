@@ -21,6 +21,8 @@ edges are ordered pairs; a loop (i, i) is a component with one vertex.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -41,6 +43,8 @@ __all__ = [
     "profile",
     "is_T_class",
     "t_class",
+    "shape",
+    "shape_orbit_size",
     "enumerate_B",
     "no_two_cycles_when_components_small",
     "shared_cycle_graphs_match",
@@ -355,6 +359,33 @@ def _partial_bijection(edges: Iterable[tuple[int, int]]) -> tuple[dict, dict] | 
         forward[a] = b
         backward[b] = a
     return forward, backward
+
+
+def shape(g: DirectedGraph) -> tuple[tuple[int, int], ...] | None:
+    """Sorted (vertex count, edge count) of the components of ``g``, or
+    None when ``g`` is not a partial injection.
+
+    A partial injection is a disjoint union of l-cycles, (l, l), and
+    paths with l edges, (l + 1, l); two of them are relabelings of each
+    other exactly when they have the same shape.
+    """
+    if _partial_bijection(g.edges) is None:
+        return None
+    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g).nontrivial))
+
+
+def shape_orbit_size(kinds: Sequence[tuple[int, int]], n: int) -> int:
+    """Number of partial injections of {1..n} with the given shape.
+
+    The n!/(n - v)! ordered choices of the shape's v vertices, over the
+    choices giving the same graph: prod_l a_l! * prod_l l^b_l b_l!, with
+    a_l paths with l edges and b_l l-cycles, for equal components
+    swapped and each cycle rotated.
+    """
+    symmetry = 1
+    for (verts, edge_count), copies in Counter(kinds).items():
+        symmetry *= math.factorial(copies) * (verts**copies if edge_count == verts else 1)
+    return math.perm(n, sum(verts for verts, _ in kinds)) // symmetry
 
 
 def joint_membership_consistent(e1: Iterable[tuple[int, int]], e2: Iterable[tuple[int, int]]) -> bool:

@@ -24,8 +24,22 @@ integer arithmetic. The cost is that of the p(n) x p(n) character
 table, not of n!, so the product law reaches n = 16 where enumerating
 S_n stops at 8. The tests check it against brute-force enumeration.
 
-The membership probabilities of a single law (``exact_graph_prob`` and
-``verify_bounds``) still enumerate S_n, up to n = 8.
+The membership probabilities of a single law (``exact_graph_prob``,
+``prefix_fixed_prob`` and ``verify_bounds``) come from one rule by
+shape. A partial injection E of {1..n} is a disjoint union of paths and
+cycles, and its shape S (``cyclegraphs.shape``) is the multiset of
+those. Counting the pairs (pi, E) with pi of cycle type lambda, E of
+shape S and E inside pi in two ways gives
+
+    P(sigma contains E | sigma in C_lambda) = N_lambda(S) / |orbit(S)|,
+
+where N_lambda(S) counts the partial injections of shape S inside one
+member of C_lambda and |orbit(S)| those in {1..n}
+(``cyclegraphs.shape_orbit_size``). N_lambda(S) is a product over the
+cycles of lambda: each l-cycle's edges are chosen independently, all l
+of them giving one l-cycle and otherwise each run of r chosen edges a
+path with r edges. Nothing enumerates S_n, so no cap on n is needed;
+the cost grows with the number of shapes inside each cycle type.
 """
 
 from __future__ import annotations
@@ -33,24 +47,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from permprod.cyclegraphs import DirectedGraph, is_T_class, profile
-from permprod.perms import all_permutations, cycle_type
+from permprod.cyclegraphs import DirectedGraph, shape, shape_orbit_size
 
 __all__ = [
     "ExactDistribution",
     "BoundCheck",
     "exact_moment",
     "exact_joint_cycle_prob",
+    "shape_prob",
     "verify_bounds",
     "prefix_fixed_prob",
     "ewens_prefix_fixed_prob",
 ]
 
-# Full enumeration of one symmetric group; 8! is the practical ceiling.
-_ENUM_MAX_N = 8
 # Largest n for the product law by characters: the table of S_16 has
 # 231 x 231 entries and takes well under a second; S_20 (627 x 627)
 # takes several.
@@ -167,45 +179,6 @@ class ExactDistribution:
             )
         )
         return cls(n=n, kind=kind, class_probs=probs)
-
-    @cached_property
-    def _perm_weights(self) -> dict[tuple[int, ...], Fraction]:
-        return {
-            partition: prob / class_size(partition, self.n)
-            for partition, prob in self.class_probs
-        }
-
-    def perm_weight(self, partition: tuple[int, ...]) -> Fraction:
-        """Probability of a single permutation with the given cycle type."""
-        return self._perm_weights.get(partition, Fraction(0))
-
-    @cached_property
-    def _prefix_fixed_probs(self) -> tuple[Fraction, ...]:
-        # prefix_fixed_prob for f = 0..n, computed once per law: the
-        # bounds sweep asks for it once per (law, graph).
-        n = self.n
-        out = [Fraction(1)]
-        for f in range(1, n + 1):
-            rest = n - f
-            total = Fraction(0)
-            for mu in partitions(rest):
-                full = tuple(sorted(mu + (1,) * f, reverse=True))
-                w = self.perm_weight(full)
-                if w:
-                    total += w * (class_size(mu, rest) if rest else 1)
-            out.append(total)
-        return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    # (images, cycle type) for every permutation of {1..n}.
-    if n > _ENUM_MAX_N:
-        raise ValueError(f"full enumeration capped at n = {_ENUM_MAX_N}, got {n}")
-    rows = []
-    for perm in all_permutations(n):
-        rows.append((perm.images, cycle_type(perm)))
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -362,28 +335,77 @@ def exact_joint_cycle_prob(
     )
 
 
+_Shape = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _cycle_shapes(length: int) -> tuple[tuple[_Shape, int], ...]:
+    # (shape, count) over the edge subsets of one l-cycle. All l edges
+    # give the cycle itself. Otherwise k >= 1 runs of r_1..r_k edges, R in
+    # all, are placed by the first edge of a first run (l ways), the
+    # k! / prod m! orders of the runs (m runs of each length) and the k
+    # gaps of at least one edge summing to l - R (C(l - R - 1, k - 1)
+    # ways); each subset is met k times, once per run taken as first.
+    out = [(((length, length),), 1), ((), 1)]
+    for edges in range(1, length):
+        for runs in partitions(edges):
+            k = len(runs)
+            repeats = math.prod(map(math.factorial, _multiplicities(runs).values()))
+            count = length * math.factorial(k - 1) * math.comb(length - edges - 1, k - 1)
+            if count:
+                out.append((tuple(sorted((r + 1, r) for r in runs)), count // repeats))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shape_counts(partition: tuple[int, ...]) -> dict[_Shape, int]:
+    """N_lambda(S) for every shape S: the number of partial injections
+    of shape S inside one permutation of cycle type ``partition``. Each
+    cycle's edges are chosen independently of the others'."""
+    counts: dict[_Shape, int] = {(): 1}
+    for length in partition:
+        grown: dict[_Shape, int] = {}
+        for kinds, count in counts.items():
+            for more, ways in _cycle_shapes(length):
+                key = tuple(sorted(kinds + more)) if more else kinds
+                grown[key] = grown.get(key, 0) + count * ways
+        counts = grown
+    return counts
+
+
+def shape_prob(d: ExactDistribution, kinds: Sequence[tuple[int, int]]) -> Fraction:
+    """P(sigma contains E) under ``d``, the same for every partial
+    injection E of {1..n} with the given shape: its components as
+    (vertex count, edge count) pairs, as ``cyclegraphs.shape`` lists them.
+
+    Sums N_lambda(S) / |orbit(S)| over the law's cycle types lambda; see
+    the module docstring.
+    """
+    kinds = tuple(sorted(kinds))
+    orbit = shape_orbit_size(kinds, d.n)
+    if not orbit:
+        raise ValueError(f"shape {kinds!r} has more than {d.n} vertices")
+    total = sum(
+        (prob * _shape_counts(mu).get(kinds, 0) for mu, prob in d.class_probs if prob),
+        Fraction(0),
+    )
+    return total / orbit
+
+
 def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
-    """P(sigma satisfies every edge constraint of g) under ``d``."""
+    """P(sigma satisfies every edge constraint of g) under ``d``: the
+    probability of g's shape, or 0 when g is not a partial injection."""
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
-    total = Fraction(0)
-    for images, ptype in _perm_table(g.n):
-        if all(images[a - 1] == b for a, b in g.edges):
-            total += d.perm_weight(ptype)
-    return total
+    kinds = shape(g)
+    return Fraction(0) if kinds is None else shape_prob(d, kinds)
 
 
 def prefix_fixed_prob(d: ExactDistribution, f: int) -> Fraction:
-    """P(sigma fixes each of 1..f) under ``d``, by type-level counting.
-
-    Permutations fixing the prefix correspond to permutations of the
-    remaining n - f points; each rest-type contributes its class count
-    times the pmf of the padded full type. A law computes the values for
-    every f on first use and keeps them.
-    """
+    """P(sigma fixes each of 1..f) under ``d``: the shape of f loops."""
     if f < 0 or f > d.n:
         raise ValueError(f"prefix length {f} outside 0..{d.n}")
-    return d._prefix_fixed_probs[f]
+    return shape_prob(d, ((1, 1),) * f)
 
 
 def ewens_prefix_fixed_prob(n: int, f: int, theta) -> Fraction:
@@ -400,20 +422,6 @@ def ewens_prefix_fixed_prob(n: int, f: int, theta) -> Fraction:
     return out
 
 
-def index_cycle_length_prob(d: ExactDistribution, length: int) -> Fraction:
-    """P(the cycle through index 1 has the given length) under ``d``."""
-    if length < 1:
-        raise ValueError("cycle length must be >= 1")
-    total = Fraction(0)
-    for partition, prob in d.class_probs:
-        if prob == 0:
-            continue
-        mult = _multiplicities(partition).get(length, 0)
-        if mult:
-            total += prob * Fraction(length * mult, d.n)
-    return total
-
-
 @dataclass
 class BoundCheck:
     """One verified inequality: ``lhs <= rhs`` expected to hold."""
@@ -426,111 +434,43 @@ class BoundCheck:
     holds: bool
 
 
-def _binom(a: int, b: int) -> int:
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def _bound_shape(g: DirectedGraph) -> tuple[int, int, int, bool, bool]:
-    # What verify_bounds reads off the graph alone: component, vertex and
-    # loop counts; whether every component has two vertices and one is a
-    # 2-cycle; whether it is p disjoint single edges.
-    prof = profile(g)
-    p = prof.component_count
-    two_vertex = p >= 1 and all(len(verts) == 2 for verts, _ in prof.nontrivial)
-    has_cycle_comp = any(
-        any(a != b and (b, a) in edges for a, b in edges)
-        for _, edges in prof.nontrivial
-    )
-    return (
-        p,
-        prof.vertex_count,
-        prof.loop_count,
-        two_vertex and has_cycle_comp,
-        p >= 1 and is_T_class(g, p),
-    )
-
-
 def verify_bounds(d: ExactDistribution, g: DirectedGraph) -> list[BoundCheck]:
-    """Check the membership-probability inequalities for one graph.
+    """Check the membership-probability inequalities for one partial
+    injection.
 
     Always checks the two-step upper bound through the loop-fixing
     probability. When every non-trivial component has two vertices and
     at least one is a 2-cycle, also checks the 2-cycle upper bound. When
     the graph consists of disjoint single edges, checks the two-sided
-    sandwich.
+    sandwich. Everything but the membership probability is read off
+    the shape: p components, v vertices, f loops.
     """
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
+    kinds = shape(g)
+    if kinds is None:
+        raise ValueError("the bounds are stated for partial injections")
     n = d.n
-    p, v, f, two_cycle_case, matching_case = _bound_shape(g)
+    p = len(kinds)
+    v = sum(verts for verts, _ in kinds)
+    f = kinds.count((1, 1))
     prob = exact_graph_prob(d, g)
+    params = {"p": p, "v": v, "f": f, "edges": len(g.edges)}
     checks: list[BoundCheck] = []
 
-    denom = _binom(n - p, v - p) * math.factorial(v - p)
-    base_params = {"p": p, "v": v, "f": f, "edges": len(g.edges)}
-    weighted = prefix_fixed_prob(d, f) / denom
-    checks.append(
-        BoundCheck(
-            check_id="membership-upper-weighted",
-            n=n,
-            parameters=base_params,
-            lhs=prob,
-            rhs=weighted,
-            holds=prob <= weighted,
-        )
-    )
-    plain = Fraction(1, denom)
-    checks.append(
-        BoundCheck(
-            check_id="membership-upper-plain",
-            n=n,
-            parameters=base_params,
-            lhs=prob,
-            rhs=plain,
-            holds=prob <= plain,
-        )
-    )
+    def check(check_id: str, lhs: Fraction, rhs: Fraction) -> None:
+        checks.append(BoundCheck(check_id, n, params, lhs, rhs, holds=lhs <= rhs))
 
-    if two_cycle_case:
-        denom2 = _binom(n - p, p) * math.factorial(p)
-        rhs = index_cycle_length_prob(d, 2) / denom2
-        checks.append(
-            BoundCheck(
-                check_id="two-cycle-upper",
-                n=n,
-                parameters=base_params,
-                lhs=prob,
-                rhs=rhs,
-                holds=prob <= rhs,
-            )
-        )
-
-    if matching_case and n >= 2 * p:
-        denom3 = _binom(n - p, p) * math.factorial(p)
-        upper = Fraction(1, denom3)
+    # binom(n - p, v - p) (v - p)!; with every component on two vertices,
+    # v = 2p and this is binom(n - p, p) p!.
+    denom = math.perm(n - p, v - p)
+    check("membership-upper-weighted", prob, prefix_fixed_prob(d, f) / denom)
+    check("membership-upper-plain", prob, Fraction(1, denom))
+    if (2, 2) in kinds and all(verts == 2 for verts, _ in kinds):
+        # (n - 1) P(sigma has the 2-cycle (1 2)) = P(1 lies on a 2-cycle).
+        check("two-cycle-upper", prob, (n - 1) * shape_prob(d, ((2, 2),)) / denom)
+    if set(kinds) == {(2, 1)}:
         slack = 1 - Fraction(p * p - p, n - 1) - p * prefix_fixed_prob(d, 1)
-        lower = slack / denom3
-        checks.append(
-            BoundCheck(
-                check_id="matching-sandwich-lower",
-                n=n,
-                parameters=base_params,
-                lhs=lower,
-                rhs=prob,
-                holds=lower <= prob,
-            )
-        )
-        checks.append(
-            BoundCheck(
-                check_id="matching-sandwich-upper",
-                n=n,
-                parameters=base_params,
-                lhs=prob,
-                rhs=upper,
-                holds=prob <= upper,
-            )
-        )
+        check("matching-sandwich-lower", slack / denom, prob)
+        check("matching-sandwich-upper", prob, Fraction(1, denom))
     return checks
-

@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -93,6 +92,7 @@ from permprod.cyclegraphs import (
     profile,
     relabel_dichotomy_holds,
     reversal_identities_hold,
+    shape_orbit_size,
     shared_cycle_graphs_match,
     traversal,
 )
@@ -136,7 +136,7 @@ _EXAMPLE_CAP = 5
 # 2.8 s; 1.54 million pairs (42,186,823 tuples) in 58 s and 218 MB at
 # n = 7, where a whole run takes 67 s and 219 MB. There the four other
 # pair suites (5,579 pairs) take 1.4 s, relabel-dichotomy 1.1 s and the
-# bounds 1.2 s (110 graph shapes). At n = 8 it would walk 23.2 million
+# bounds 0.09 s (110 graph shapes). At n = 8 it would walk 23.2 million
 # pairs.
 _PAIR_MAX_N = 7
 # The trace sweep walks all single_n! permutations: on one core of a
@@ -549,10 +549,7 @@ def _graph_orbits(n: int) -> list[list]:
     An orbit is a shape: a multiset of components, each an l-cycle
     (l vertices, l edges) or a path with l edges (l + 1 vertices), with
     v vertices in all. Its representative lays the components out on
-    consecutive vertices from 1. Its size is the n!/(n - v)! ordered
-    choices of those v vertices over the choices giving the same graph,
-    prod_l a_l! * prod_l l^b_l b_l! with a_l paths with l edges and b_l
-    l-cycles: equal components swapped, and each cycle rotated.
+    consecutive vertices from 1, and its size is ``shape_orbit_size``.
     """
     # Kinds of component as (vertex count, edge count); a shape is listed
     # once, as a non-decreasing tuple of kinds.
@@ -568,10 +565,7 @@ def _graph_orbits(n: int) -> list[list]:
             if edge_count == verts:
                 edges.append((block[-1], start))
             start += verts
-        symmetry = 1
-        for (verts, edge_count), copies in Counter(shape).items():
-            symmetry *= math.factorial(copies) * (verts**copies if edge_count == verts else 1)
-        out.append([DirectedGraph(n, frozenset(edges)), math.perm(n, start - 1) // symmetry])
+        out.append([DirectedGraph(n, frozenset(edges)), shape_orbit_size(shape, n)])
         for index in range(first, len(kinds)):
             if kinds[index][0] <= free:
                 extend([*shape, kinds[index]], index, free - kinds[index][0])
@@ -671,8 +665,8 @@ def sweep_prefix_decay(
 ) -> SweepSummary:
     """Prefix-fixing probabilities: closed form and scaled decay.
 
-    For each theta and prefix length f, the type-level computation must
-    match the closed form exactly, and P(fix 1..f)^2 * n^f must strictly
+    For each theta and prefix length f, the probability of the shape of
+    f loops (``prefix_fixed_prob``) must match the closed form exactly, and P(fix 1..f)^2 * n^f must strictly
     decrease along n_values. The square keeps the comparison rational;
     it is equivalent to decay of P * n^(f/2).
     """

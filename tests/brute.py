@@ -15,10 +15,14 @@ previous path) finds those orbits by listing every partial injection
 and grouping by ``shape`` instead of building one graph per shape, and
 the two-vertex predicate reads full component profiles. They exist so
 that tests can check the reduced code against straight enumeration
-instead of trusting it, and they are practical only for n <= 7. ``product_rows`` and ``small_cycle_counts`` are the
-Monte Carlo layers as whole-chunk ``take_along_axis`` gathers, with no
-row blocks and no flat indices. Only ``perms``, ``cyclegraphs``, the
-``ExactDistribution`` type and, in ``graph_pass``, the per-graph
+instead of trusting it, and they are practical only for n <= 7.
+``graph_prob`` sums a law's pmf over every permutation containing a
+graph, where the oracle reads one probability per shape.
+``product_rows`` and ``small_cycle_counts`` are the Monte Carlo layers
+as whole-chunk ``take_along_axis`` gathers, with no row blocks and no
+flat indices. Only ``perms``, ``cyclegraphs``, the
+``ExactDistribution`` type (whose pmf is read off its class
+probabilities here) and, in ``graph_pass``, the per-graph
 ``verify_bounds`` are used, so nothing here leans on the reductions it
 checks.
 """
@@ -64,6 +68,28 @@ from permprod.perms import (
 def _perm_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     # (images, cycle type) for every permutation of {1..n}.
     return tuple((perm.images, cycle_type(perm)) for perm in all_permutations(n))
+
+
+def type_weights(d: ExactDistribution) -> dict[tuple[int, ...], Fraction]:
+    """Probability of one permutation of each cycle type: its class
+    probability over the class size, counted in the enumeration."""
+    sizes: dict[tuple[int, ...], int] = {}
+    for _, ptype in _perm_table(d.n):
+        sizes[ptype] = sizes.get(ptype, 0) + 1
+    return {ptype: prob / sizes[ptype] for ptype, prob in d.class_probs}
+
+
+def graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
+    """P(sigma contains every edge of g) under ``d``, summed over S_n."""
+    w = type_weights(d)
+    return sum(
+        (
+            w.get(ptype, 0)
+            for images, ptype in _perm_table(g.n)
+            if all(images[a - 1] == b for a, b in g.edges)
+        ),
+        Fraction(0),
+    )
 
 
 def representative(partition: Sequence[int]) -> Permutation:
@@ -124,7 +150,7 @@ def product_type_distribution(
     if d1.n != d2.n:
         raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
     table = _perm_table(d1.n)
-    w2 = {p: d2.perm_weight(p) for p, _ in d2.class_probs}
+    w2 = type_weights(d2)
     out: dict[tuple[int, ...], Fraction] = {}
     for lam, prob1 in d1.class_probs:
         if prob1 == 0:
@@ -154,9 +180,10 @@ def expect_cycle_product(d: ExactDistribution, v_vec: Sequence[int]) -> Fraction
 
 def permutation_weights(d: ExactDistribution) -> dict[Permutation, Fraction]:
     """The full pmf as a dictionary, for unreduced double enumerations."""
+    weights = type_weights(d)
     out: dict[Permutation, Fraction] = {}
     for images, ptype in _perm_table(d.n):
-        w = d.perm_weight(ptype)
+        w = weights.get(ptype, 0)
         if w:
             out[Permutation(images)] = w
     return out

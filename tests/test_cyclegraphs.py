@@ -19,6 +19,8 @@ from permprod.cyclegraphs import (
     profile,
     relabel_dichotomy_holds,
     reversal_identities_hold,
+    shape,
+    shape_orbit_size,
     shared_cycle_graphs_match,
     t_class,
     traversal,
@@ -149,6 +151,23 @@ def test_profile_counts_components():
     assert prof.vertex_count == 6
     sizes = sorted(len(v) for v, _ in prof.nontrivial)
     assert sizes == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shape_matches_the_profile_of_every_partial_injection(n):
+    sizes = {}
+    for edges in brute.partial_injections(n):
+        g = DirectedGraph(n, edges)
+        assert shape(g) == brute.shape(g)
+        sizes[shape(g)] = sizes.get(shape(g), 0) + 1
+    assert sizes == {kinds: shape_orbit_size(kinds, n) for kinds in sizes}
+
+
+def test_shape_of_a_graph_that_is_no_partial_injection_is_none():
+    assert shape(DirectedGraph.of(4, [(1, 2), (2, 3), (3, 1), (4, 4)])) == ((1, 1), (3, 3))
+    assert shape(DirectedGraph.of(4, [(1, 2), (1, 3)])) is None
+    assert shape(DirectedGraph.of(4, [(1, 3), (2, 3)])) is None
+    assert shape(DirectedGraph.of(4, [(1, 1), (1, 2)])) is None
 
 
 def test_t_class_shape_and_recognition():

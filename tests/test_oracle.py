@@ -21,7 +21,6 @@ from permprod.cyclegraphs import (
 )
 from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
-    _ENUM_MAX_N,
     ExactDistribution,
     _character_table,
     class_size,
@@ -29,11 +28,11 @@ from permprod.oracle import (
     exact_graph_prob,
     exact_joint_cycle_prob,
     exact_moment,
-    index_cycle_length_prob,
     partitions,
     prefix_fixed_prob,
     product_type_distribution,
     rising_factorial,
+    shape_prob,
     verify_bounds,
 )
 
@@ -42,12 +41,15 @@ from brute import (
     conjugation_average,
     ewens_weight,
     expect_cycle_product,
+    graph_orbits,
+    graph_prob,
     pair_expectation_direct,
     permutation_weights,
     representative,
     union_pair_pmf,
 )
 from brute import product_type_distribution as brute_product_law
+from brute import shape as brute_shape
 
 THETAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -190,12 +192,6 @@ def test_joint_cycle_prob_frozen_values():
     assert exact_joint_cycle_prob((d1, d2), (1, 2)) == Fraction(8, 105)
 
 
-def test_index_cycle_length_uniform():
-    d = ExactDistribution.uniform(6)
-    for length in range(1, 7):
-        assert index_cycle_length_prob(d, length) == Fraction(1, 6)
-
-
 def test_expect_cycle_product_frozen_values():
     # E[#2] under the theta-biased law: theta/2 * n(n-1) / ((theta+n-1)(theta+n-2))
     assert expect_cycle_product(ExactDistribution.ewens(5, 2), (2,)) == Fraction(2, 3)
@@ -246,9 +242,61 @@ def test_graph_prob_ewens_concrete():
     assert exact_graph_prob(d, DirectedGraph.of(4, [(1, 2)])) == Fraction(1, 5)
 
 
+def _mixture(n: int) -> ExactDistribution:
+    # Mass proportional to 1, 2, 3, ... on the cycle types in order.
+    parts = list(partitions(n))
+    total = len(parts) * (len(parts) + 1) // 2
+    return ExactDistribution.explicit(
+        n, {lam: Fraction(i + 1, total) for i, lam in enumerate(parts)}, kind="mixture"
+    )
+
+
+def _shape_laws(n: int) -> list[ExactDistribution]:
+    # Uniform, Ewens 1/2, 2 and 0, every single cycle type and a mixture.
+    laws = [ExactDistribution.uniform(n)]
+    laws += [ExactDistribution.ewens(n, theta) for theta in (Fraction(1, 2), 2, 0)]
+    laws += [ExactDistribution.explicit(n, {lam: 1}, kind=str(lam)) for lam in partitions(n)]
+    return laws + [_mixture(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shape_prob_matches_enumeration_for_every_shape(n):
+    laws = _shape_laws(n)
+    for g, _ in graph_orbits(n):
+        kinds = brute_shape(g)
+        for d in laws:
+            expected = graph_prob(d, g)
+            assert shape_prob(d, kinds) == expected, (d.kind, kinds)
+            assert exact_graph_prob(d, g) == expected, (d.kind, kinds)
+
+
+def test_shape_prob_matches_enumeration_at_six():
+    n = 6
+    laws = [
+        ExactDistribution.uniform(n),
+        ExactDistribution.ewens(n, 2),
+        ExactDistribution.explicit(n, {(3, 2, 1): 1}),
+        _mixture(n),
+    ]
+    for g, _ in graph_orbits(n):
+        for d in laws:
+            assert exact_graph_prob(d, g) == graph_prob(d, g), (d.kind, sorted(g.edges))
+
+
+def test_graph_prob_is_zero_off_partial_injections():
+    for edges in ([(1, 2), (1, 3)], [(1, 3), (2, 3)], [(1, 1), (1, 2)]):
+        g = DirectedGraph.of(4, edges)
+        for d in _shape_laws(4):
+            assert exact_graph_prob(d, g) == graph_prob(d, g) == 0
+    with pytest.raises(ValueError):
+        verify_bounds(ExactDistribution.uniform(4), DirectedGraph.of(4, [(1, 2), (1, 3)]))
+    with pytest.raises(ValueError):
+        shape_prob(ExactDistribution.uniform(3), ((2, 1), (2, 1)))
+
+
 def test_graph_prob_counts_are_keyed_by_n():
-    # The per-type counts of satisfying permutations are shared across
-    # laws; one edge set at two sizes must not share them.
+    # The shape counts are cached per cycle type and shared across laws;
+    # one edge set at two sizes must not share them.
     edges = [(1, 2), (2, 1)]
     for n in (4, 5, 4):
         g = DirectedGraph.of(n, edges)
@@ -337,9 +385,9 @@ def test_verify_bounds_families_and_validity():
 
 
 def test_verify_bounds_does_not_depend_on_law_order():
-    # Prefix-fixing probabilities are kept per law object, so each order
-    # starts from new law objects: whichever law comes first must not
-    # leak into the others.
+    # The counts behind every probability are cached per cycle type and
+    # shared by the laws, so each order starts from new law objects:
+    # whichever law comes first must not leak into the others.
     n = 4
 
     def new_laws():
@@ -355,6 +403,7 @@ def test_verify_bounds_does_not_depend_on_law_order():
             [(1, 2), (3, 4)],
             [(1, 2), (2, 3)],
             [(1, 1), (2, 3), (3, 2)],
+            [(1, 2), (2, 1), (3, 4)],
         )
     ]
     results = []
@@ -363,25 +412,62 @@ def test_verify_bounds_does_not_depend_on_law_order():
     assert results[0] == results[1]
     for law in laws:
         weights = permutation_weights(law)
+
+        def prob_of(event):
+            return sum(w for sigma, w in weights.items() if event(sigma))
+
         for g in graphs:
-            weighted, plain = results[0][law.kind, g][:2]
-            prob = sum(w for sigma, w in weights.items() if membership(sigma, g))
-            assert weighted.lhs == prob
+            checks = {c.check_id: c for c in results[0][law.kind, g]}
+            kinds = brute_shape(g)
+            p, v = len(kinds), len(g.non_isolated())
+            f = sum(a == b for a, b in g.edges)
+            weighted = checks.pop("membership-upper-weighted")
+            plain = checks.pop("membership-upper-plain")
+            assert weighted.parameters == {"p": p, "v": v, "f": f, "edges": len(g.edges)}
+            assert weighted.lhs == prob_of(lambda sigma: membership(sigma, g))
+            assert plain.rhs == Fraction(math.factorial(n - v), math.factorial(n - p))
             # The weighted bound is the plain one times P(sigma fixes 1..f).
-            f = weighted.parameters["f"]
-            fixing = sum(
-                w for sigma, w in weights.items() if all(sigma(i) == i for i in range(1, f + 1))
-            )
+            fixing = prob_of(lambda sigma: all(sigma(i) == i for i in range(1, f + 1)))
             assert weighted.rhs == plain.rhs * fixing
+            # With every component on two vertices and one a 2-cycle, the
+            # 2-cycle bound is the plain one times P(1 lies on a 2-cycle).
+            if (2, 2) in kinds and all(verts == 2 for verts, _ in kinds):
+                on_two_cycle = prob_of(lambda sigma: sigma(1) != 1 and sigma(sigma(1)) == 1)
+                assert checks.pop("two-cycle-upper").rhs == plain.rhs * on_two_cycle
+            # p disjoint single edges: the sandwich around the plain bound.
+            if set(kinds) == {(2, 1)}:
+                fixes_1 = prob_of(lambda sigma: sigma(1) == 1)
+                slack = 1 - Fraction(p * p - p, n - 1) - p * fixes_1
+                assert checks.pop("matching-sandwich-lower").lhs == slack * plain.rhs
+                assert checks.pop("matching-sandwich-upper").rhs == plain.rhs
+            assert checks == {}
 
 
-def test_full_enumeration_is_capped():
-    # the single-law membership probabilities enumerate S_n; the product
-    # law does not, and goes past this cap
-    n = _ENUM_MAX_N + 1
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_graph_prob_past_enumeration_matches_closed_forms(n):
+    # Under Ewens(theta), P(sigma contains E) = theta^c(E) theta^(n - |E|)
+    # / theta^(n) with c(E) the closed cycles of E and theta^(m) the
+    # rising factorial; uniform is (n - |E|)! / n!.
+    graphs = {
+        # edges: closed cycles
+        ((1, 1),): 1,
+        ((1, 2),): 0,
+        ((1, 2), (2, 1), (3, 3)): 2,
+        ((1, 2), (2, 3), (4, 5), (5, 4), (6, 7), (7, 8), (8, 6)): 2,
+        ((1, 2), (2, 3), (3, 4), (5, 5), (6, 6), (7, 9)): 2,
+    }
     du = ExactDistribution.uniform(n)
-    with pytest.raises(ValueError):
-        exact_graph_prob(du, DirectedGraph.of(n, [(1, 1)]))
+    for edges, cycles in graphs.items():
+        g = DirectedGraph.of(n, edges)
+        assert exact_graph_prob(du, g) == Fraction(
+            math.factorial(n - len(edges)), math.factorial(n)
+        )
+        for theta in THETAS:
+            expected = (
+                theta**cycles * rising_factorial(theta, n - len(edges)) / rising_factorial(theta, n)
+            )
+            assert exact_graph_prob(ExactDistribution.ewens(n, theta), g) == expected, (theta, edges)
+    # The product law does not enumerate S_n either.
     assert dict(product_type_distribution(du, du)) == dict(du.class_probs)
 
 
