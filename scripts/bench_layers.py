@@ -29,8 +29,10 @@ suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
 the membership bounds at n = 5 and, beyond the default, at n = 7 (the
 largest ``--pair-n``), and the whole default ``run_all()``,
 every suite of the report. These stages run round robin, one pass over
-all of them per repeat, and each keeps its best. Event-factorization at
-n = 6, beyond the default, is timed once after them. ``--json PATH``
+all of them per repeat, and each keeps its best. Two stages beyond the
+default are timed once after them: the trace sweep at n = 9, where the
+single-permutation sweep's n! scaling shows, and event-factorization at
+n = 6. ``--json PATH``
 also writes every row, with nproc, the numpy version and the repeat
 count, to PATH.
 
@@ -206,16 +208,17 @@ def main(argv=None) -> int:
             f"  {label:<20} {best[label]:8.3f} s  peak {peak:8.2f} MiB{note}",
             layer="verify-lemmas stage", stage=label, s=best[label], peak_mib=peak,
         )
-    def event_factorization_n6():
-        return sweeps.sweep_event_factorization(6)
-
-    seconds = best_ms(event_factorization_n6, 1) / 1e3
-    peak = traced_peak(event_factorization_n6)[0]
-    emit(
-        f"  {'event-factor. n = 6':<20} {seconds:8.3f} s  peak {peak:8.2f} MiB  timed once",
-        layer="verify-lemmas stage", stage="event-factor. n = 6", s=seconds, peak_mib=peak,
-        repeat=1,
+    once = (
+        ("trace n = 9", lambda: sweeps.sweep_trace_identity(9)),
+        ("event-factor. n = 6", lambda: sweeps.sweep_event_factorization(6)),
     )
+    for label, stage in once:
+        seconds = best_ms(stage, 1) / 1e3
+        peak = traced_peak(stage)[0]
+        emit(
+            f"  {label:<20} {seconds:8.3f} s  peak {peak:8.2f} MiB  timed once",
+            layer="verify-lemmas stage", stage=label, s=seconds, peak_mib=peak, repeat=1,
+        )
     if args.json:
         meta = {"nproc": os.cpu_count(), "numpy": np.__version__, "repeat": args.repeat}
         with open(args.json, "w") as fh:

@@ -16,7 +16,6 @@ from permprod.cyclegraphs import (
     canonical_class,
     enumerate_B,
     graphs_from_traversal,
-    is_T_class,
     membership,
     t_class,
     traversal,
@@ -72,7 +71,6 @@ __all__ = [
     "union_graphs",
     "canonical_class",
     "membership",
-    "is_T_class",
     "t_class",
     "enumerate_B",
     "ExactDistribution",

@@ -206,7 +206,7 @@ class ExperimentConfig:
         if self.single_n > _SINGLE_MAX_N:
             raise ConfigError(
                 f"single_n: caps at {_SINGLE_MAX_N}, as the trace sweep walks all "
-                "single_n! permutations (about 17 minutes at n = 11)"
+                "single_n! permutations (about 2 minutes at n = 11)"
             )
         for size in self.n_grid or (self.n,):
             for spec in self.samplers:

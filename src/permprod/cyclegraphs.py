@@ -41,7 +41,6 @@ __all__ = [
     "canonical_class",
     "membership",
     "profile",
-    "is_T_class",
     "t_class",
     "shape",
     "shape_orbit_size",
@@ -130,24 +129,14 @@ class TraversalRecord:
 
 @dataclass(frozen=True)
 class GraphProfile:
-    """Component-level summary used by the probability bounds.
+    """The components of a graph, read by ``shape`` and relabel-dichotomy.
 
     ``nontrivial`` lists the edge-bearing weakly connected components as
     (vertex frozenset, edge frozenset) pairs; isolated vertices are not
-    listed. ``loop_count`` counts edges (i, i) anywhere in the graph.
+    listed.
     """
 
-    loop_count: int
-    non_isolated: frozenset[int]
     nontrivial: tuple[tuple[frozenset[int], frozenset[tuple[int, int]]], ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.nontrivial)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.non_isolated)
 
 
 @lru_cache(maxsize=1024)
@@ -289,10 +278,7 @@ def profile(g: DirectedGraph) -> GraphProfile:
             x = parent[x]
         return x
 
-    loops = 0
     for a, b in g.edges:
-        if a == b:
-            loops += 1
         for v in (a, b):
             parent.setdefault(v, v)
         ra, rb = find(a), find(b)
@@ -313,33 +299,12 @@ def profile(g: DirectedGraph) -> GraphProfile:
             key=lambda pair: min(pair[0]),
         )
     )
-    return GraphProfile(
-        loop_count=loops,
-        non_isolated=g.non_isolated(),
-        nontrivial=nontrivial,
-    )
+    return GraphProfile(nontrivial)
 
 
 def _has_two_cycle(edges: Iterable[tuple[int, int]]) -> bool:
     edge_set = set(edges)
     return any(a != b and (b, a) in edge_set for a, b in edge_set)
-
-
-def is_T_class(g: DirectedGraph, k: int) -> bool:
-    """Whether ``g`` has exactly k non-trivial components, each a single
-    edge between two distinct vertices."""
-    if k < 0:
-        raise ValueError("component count must be >= 0")
-    prof = profile(g)
-    if prof.component_count != k:
-        return False
-    for verts, edges in prof.nontrivial:
-        if len(verts) != 2 or len(edges) != 1:
-            return False
-        (a, b), = edges
-        if a == b:
-            return False
-    return True
 
 
 def t_class(k: int) -> GraphClass:

@@ -29,7 +29,6 @@ __all__ = [
     "cycle_counts",
     "cycle_type",
     "trace_power",
-    "power_fixed_points",
 ]
 
 
@@ -233,27 +232,3 @@ def trace_power(a: Permutation | CycleCounts, k: int) -> int:
         raise ValueError("trace_power needs k >= 1")
     counts = a if isinstance(a, CycleCounts) else cycle_counts(a)
     return sum(j * c for j, c in counts.items if k % j == 0)
-
-
-def power_fixed_points(a: Permutation, max_power: int) -> list[int]:
-    """Fixed points of ``a^1, ..., a^max_power`` by direct iteration.
-
-    Entry ``k - 1`` of the result counts the fixed points of ``a^k``. One
-    walk of ``max_power`` steps leaves each start, and power k gains one
-    whenever the walk is back at its start after k steps. No cycle logic
-    is used: the walk does not stop at the first return or read a cycle
-    length, so this stays independent of :func:`trace_power` and the two
-    can be checked against each other.
-    """
-    if max_power < 1:
-        raise ValueError("power_fixed_points needs max_power >= 1")
-    step = (0, *a.images)
-    fixed = [0] * (max_power + 1)
-    powers = range(1, max_power + 1)
-    for start in range(1, a.n + 1):
-        x = start
-        for k in powers:
-            x = step[x]
-            if x == start:
-                fixed[k] += 1
-    return fixed[1:]

@@ -70,9 +70,12 @@ pairs) and single-permutation sweeps at n = 7. ``verify-lemmas`` caps
 the pair sweeps at n = 7 (``_PAIR_MAX_N``), where event-factorization
 walks 1.5 million of the 25.4 million ordered pairs. It also caps the
 single-permutation sweep at n = 10 (``_SINGLE_MAX_N``), since that
-sweep walks all n! permutations. The trace sweep walks each permutation
-once for all its powers and evaluates the divisor-sum formula once per
-cycle type.
+sweep walks all n! permutations. The trace sweep walks them in numpy
+blocks of ``_TRACE_BLOCK_ROWS`` rows, each block twice: once for the
+fixed points of every power and once for each row's cycle type, whose
+divisor-sum formula is evaluated once per type. Event-factorization
+counts the permutations satisfying each distinct side mask once, in
+numpy, against the n! permutation masks.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from permprod.cyclegraphs import (
     DirectedGraph,
@@ -103,14 +108,14 @@ from permprod.oracle import (
     verify_bounds,
 )
 from permprod.perms import (
+    CycleCounts,
     all_permutations,
     compose,
-    cycle_counts,
     cycle_of,
     inverse,
-    power_fixed_points,
     trace_power,
 )
+from permprod.samplers import _power_fixed_points, _power_scratch
 
 __all__ = [
     "SweepSummary",
@@ -131,18 +136,27 @@ _EXAMPLE_CAP = 5
 
 # Event-factorization walks one sigma per orbit under the stabiliser of
 # its starts against every rho, and is most of a run past n = 5. On one
-# core of a 2-core machine: 108,000 pairs (970,776 graph tuples) in 2.5 s
-# and 45 MB resident at n = 6, where a whole verify-lemmas run takes
-# 2.8 s; 1.54 million pairs (42,186,823 tuples) in 58 s and 218 MB at
-# n = 7, where a whole run takes 67 s and 219 MB. There the four other
+# core of a 2-core machine: 108,000 pairs (970,776 graph tuples) in 2.0 s
+# and 46 MB resident at n = 6, where a whole verify-lemmas run takes
+# 2.2 s; 1.54 million pairs (42,186,823 tuples) in 34 s and 218 MB at
+# n = 7, where a whole run takes 37 s and 223 MB. There the four other
 # pair suites (5,579 pairs) take 1.4 s, relabel-dichotomy 1.1 s and the
 # bounds 0.09 s (110 graph shapes). At n = 8 it would walk 23.2 million
 # pairs.
 _PAIR_MAX_N = 7
 # The trace sweep walks all single_n! permutations: on one core of a
-# 2-core machine, 0.96 s at n = 8 and 7.7 s at n = 9, so about 17
-# minutes at n = 11.
+# 2-core machine, 0.09 s at n = 8, 0.8 s at n = 9 and 8.7 s at n = 10,
+# so about 2 minutes at n = 11.
 _SINGLE_MAX_N = 10
+# Rows per block of the trace sweep: a block and its temporaries take
+# about 0.3 MiB at n = 8.
+_TRACE_BLOCK_ROWS = 512
+# Event-factorization checks its keys in blocks of _KEY_BLOCK, and
+# compares side masks with the n! permutation masks in blocks of at most
+# _MASK_BLOCK_ELEMENTS entries. Every key is held while they run, so
+# their temporaries are kept to tens of kB.
+_KEY_BLOCK = 256
+_MASK_BLOCK_ELEMENTS = 1 << 10
 
 
 @dataclass
@@ -186,29 +200,112 @@ def _summary(suite: str, n: int, tally: _Tally, detail: str) -> SweepSummary:
     )
 
 
+def _permutation_blocks(n: int, rows: int):
+    """Yield S_n in ``itertools.permutations`` order, as (b, n) intp blocks
+    of at most ``rows`` rows of 0-based images."""
+    perms = itertools.permutations(range(n))
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(perms, rows)), dtype=np.intp
+        )
+        if not flat.size:
+            return
+        yield flat.reshape(-1, n)
+
+
+def _flat(block: np.ndarray) -> np.ndarray:
+    # Entry i * n + x is row i's image of x, plus i * n.
+    b, n = block.shape
+    return (block + np.arange(0, b * n, n)[:, None]).reshape(-1)
+
+
+def _power_walk(block: np.ndarray, max_power: int) -> np.ndarray:
+    """``fixed[i, k - 1]``, the fixed points of power k of row i of
+    ``block``, for k = 1..max_power: each power is one flat ``np.take``
+    of the last (``samplers._power_fixed_points``), its fixed points the
+    entries equal to the identity. No cycle logic is used: no walk stops
+    at its first return or reads a cycle length."""
+    base = _flat(block)
+    fixed = np.empty((len(block), max_power), dtype=np.int64)
+    _power_fixed_points(base, fixed, 1, _power_scratch(base.size))
+    return fixed
+
+
+def _cycle_type_keys(block: np.ndarray) -> np.ndarray:
+    """One integer per row of ``block`` naming its cycle type: the sum of
+    (n + 1) ** (r - 1) over its points, r a point's first-return length.
+    A d-cycle has d points of length d, so digit d - 1 in base n + 1 is d
+    times the number of d-cycles. Each point walks the block on its own,
+    n flat gathers, apart from :func:`_power_walk`."""
+    n = block.shape[1]
+    base = _flat(block)
+    start = np.arange(base.size)
+    returned = np.empty((n, base.size), dtype=bool)
+    point = base
+    for r in range(n):
+        np.equal(point, start, out=returned[r])
+        point = np.take(base, point)
+    # Written from the last step down, each point keeps its first return.
+    length = np.zeros(base.size, dtype=np.intp)
+    for r in range(n, 0, -1):
+        length[returned[r - 1]] = r
+    # weight[r] = (n + 1) ** (r - 1); a point that never returned would
+    # weigh 0 and leave the digits short of n.
+    weight = np.array([0] + [(n + 1) ** r for r in range(n)], dtype=np.int64)
+    return np.take(weight, length).reshape(-1, n).sum(axis=1)
+
+
+def _cycle_counts_of_key(key: int, n: int) -> CycleCounts:
+    counts = {}
+    for d in range(1, n + 1):
+        key, points = divmod(key, n + 1)
+        counts[d] = points // d
+    return CycleCounts.from_mapping(n, counts)
+
+
 def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSummary:
     """Fixed points of every power, computed twice.
 
     The divisor-sum formula through the cycle decomposition must agree
-    with direct iteration for every permutation and every power. The
-    formula is a function of the cycle counts alone, so it is evaluated
-    once per cycle type; the direct walk runs for every permutation.
+    with direct iteration for every permutation and every power. S_n is
+    walked in blocks of ``_TRACE_BLOCK_ROWS`` rows, in
+    ``itertools.permutations`` order, each walked twice: by
+    :func:`_power_walk` for the direct counts, and by
+    :func:`_cycle_type_keys` for each row's cycle type. The formula is a
+    function of the cycle counts alone, so it is evaluated once per cycle
+    type. Only the (perm, k) cells that disagree are recorded one by one,
+    perm-major and k-minor, so the examples are the first mismatches in
+    that order.
     """
     if max_power is None:
         max_power = 2 * n
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     powers = range(1, max_power + 1)
-    formulas: dict = {}
+    # The formula's values for each cycle type met, in order of meeting,
+    # and each type's key mapped to its row.
+    formulas: list[list[int]] = []
+    types: dict[int, int] = {}
     tally = _Tally()
-    for perm in all_permutations(n):
-        counts = cycle_counts(perm)
-        formula = formulas.get(counts)
-        if formula is None:
-            formula = formulas[counts] = [trace_power(counts, k) for k in powers]
-        direct = power_fixed_points(perm, max_power)
-        for k, want, got in zip(powers, formula, direct):
-            tally.record(want == got, lambda p=perm, kk=k: f"perm={p.to_line()} k={kk}")
+    for block in _permutation_blocks(n, _TRACE_BLOCK_ROWS):
+        type_of_row = []
+        for key in _cycle_type_keys(block).tolist():
+            if key not in types:
+                counts = _cycle_counts_of_key(key, n)
+                types[key] = len(formulas)
+                formulas.append([trace_power(counts, k) for k in powers])
+            type_of_row.append(types[key])
+        want = np.take(np.array(formulas, dtype=np.int64), type_of_row, axis=0)
+        bad = np.flatnonzero(want != _power_walk(block, max_power))
+        tally.cases += want.size - bad.size
+        for cell in bad.tolist():
+            row, k = divmod(cell, max_power)
+            tally.record(
+                False,
+                lambda images=block[row], kk=k + 1: (
+                    f"perm={' '.join(map(str, (images + 1).tolist()))} k={kk}"
+                ),
+            )
     return _summary(
         "trace-power-identity", n, tally, f"all {n}! permutations, powers 1..{max_power}"
     )
@@ -452,10 +549,18 @@ def sweep_event_factorization(
     then the only one with its union follows: a second tuple with the
     same union would have a non-empty fiber, disjoint from the first, of
     pairs satisfying that union, so inside the same rectangle.
+
+    The keys are checked in blocks of ``_KEY_BLOCK``. The side masks a
+    block meets for the first time are counted together, each against
+    every permutation's mask in one numpy comparison
+    (:func:`_satisfying_counts`), so each distinct mask is counted once.
+    Keys that pass add to the case count in bulk.
     """
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
         raise ValueError(f"start counts must lie in 1..{n}: {ks!r}")
+    if n * n > 64:
+        raise ValueError(f"edge masks hold n * n <= 64 bits, so n <= 8: n = {n}")
     last = max(ks)
     starts = range(1, last + 1)
     # The points that every permutation fixing the starts fixes: fixing
@@ -500,46 +605,79 @@ def sweep_event_factorization(
                 if k > first_failing:
                     failing.add(key)
 
+    # The number of permutations satisfying each side mask met so far.
     satisfying: dict[int, int] = {}
-
-    def count_satisfying(mask: int) -> int:
-        if mask not in satisfying:
-            satisfying[mask] = sum(1 for pm in perm_masks if not mask & ~pm)
-        return satisfying[mask]
-
-    side = (1 << side_bits) - 1
+    perm_array = _as_int64(perm_masks)
+    free = [math.factorial(n - e) for e in range(n + 1)]
+    arrangements = [math.perm(n - fixed, u) for u in range(n - fixed + 1)]
+    low = (1 << width) - 1
     factorization = _Tally()
     for k, counts, failing in zip(ks, totals, unsatisfied):
-        for key, total in counts.items():
-            tuples = math.perm(n - fixed, key & (1 << width) - 1)
-            fiber_size, spread = divmod(total, tuples)
-            e1 = e2 = 0
-            packed = key >> width
-            for _ in range(k):
-                e2 |= packed & side
-                packed >>= side_bits
-                e1 |= packed & side
-                packed >>= side_bits
-            expected = count_satisfying(e1) * count_satisfying(e2)
-            ok = (
-                not spread
-                and fiber_size == expected
-                and expected
-                == math.factorial(n - e1.bit_count()) * math.factorial(n - e2.bit_count())
-                and key not in failing
-            )
-            factorization.record(
-                ok,
-                lambda kk=k, a=e1, b=e2: (
-                    f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
-                ),
-                tuples,
-            )
+        key_iter = iter(counts)
+        while keys := list(itertools.islice(key_iter, _KEY_BLOCK)):
+            unions = [_key_unions(key >> width, k, side_bits) for key in keys]
+            new = list({mask for pair in unions for mask in pair}.difference(satisfying))
+            satisfying.update(zip(new, _satisfying_counts(new, perm_array)))
+            # Keys that pass are counted in bulk, the rest one by one, in
+            # key order.
+            passed = 0
+            for key, (e1, e2) in zip(keys, unions):
+                tuples = arrangements[key & low]
+                fiber_size, spread = divmod(counts[key], tuples)
+                expected = satisfying[e1] * satisfying[e2]
+                if (
+                    not spread
+                    and fiber_size == expected
+                    and expected == free[e1.bit_count()] * free[e2.bit_count()]
+                    and key not in failing
+                ):
+                    passed += tuples
+                else:
+                    factorization.record(
+                        False,
+                        lambda kk=k, a=e1, b=e2: (
+                            f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
+                        ),
+                        tuples,
+                    )
+            factorization.cases += passed
     return _summary(
         "event-factorization", n, factorization,
         f"{factorization.cases} realized graph tuples over start counts "
         f"{tuple(ks)} at n={n}",
     )
+
+
+def _key_unions(packed: int, k: int, side_bits: int) -> tuple[int, int]:
+    """The sigma-side and rho-side unions of the k renamed couples packed
+    in a key above its u bits (see :func:`sweep_event_factorization`):
+    the couples sit 2 * side_bits apart, so shifting each one down onto
+    the last and or-ing folds them all into the lowest couple."""
+    folded = packed
+    for i in range(1, k):
+        folded |= packed >> 2 * i * side_bits
+    side = (1 << side_bits) - 1
+    return folded >> side_bits & side, folded & side
+
+
+def _as_int64(masks: Sequence[int]) -> np.ndarray:
+    # Masks of up to 64 bits, bit 63 as the sign bit, which & and == treat
+    # as any other. int64 rather than uint64 shares numpy's int64 loops
+    # with the trace sweep, so fewer of numpy's pages are resident.
+    return np.array(masks, dtype=np.uint64).view(np.int64)
+
+
+def _satisfying_counts(masks: Sequence[int], perm_masks: np.ndarray) -> list[int]:
+    """For each edge mask, the number of permutation masks holding all its
+    edges: one comparison per block of masks against every permutation,
+    at most ``_MASK_BLOCK_ELEMENTS`` entries a block."""
+    wanted = _as_int64(masks)[:, None]
+    step = max(1, _MASK_BLOCK_ELEMENTS // len(perm_masks))
+    out = np.empty(len(wanted), dtype=np.int64)
+    for s in range(0, len(wanted), step):
+        block = wanted[s : s + step]
+        out[s : s + step] = ((block & perm_masks) == block).sum(axis=1)
+    return out.tolist()
 
 
 def _graph_orbits(n: int) -> list[list]:

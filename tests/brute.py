@@ -4,6 +4,8 @@ Most functions here are unreduced sums over all of S_n (or S_n x S_n)
 with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
 every start set of every pair rather than listing partial injections,
 ``trace_pass`` builds every power of every permutation by composition,
+``power_fixed_points`` walks one permutation at a time where the trace
+sweep walks blocks of rows,
 ``pair_pass`` walks every ordered pair instead of one per orbit of
 simultaneous conjugation, ``class_pair_pass`` (the sweep's previous
 path) walks one sigma per cycle type against every rho,
@@ -273,6 +275,31 @@ class _Tally:
 
     def row(self) -> tuple[str, int, int, list[str]]:
         return self.suite, self.cases, self.violations, self.examples
+
+
+def power_fixed_points(a: Permutation, max_power: int) -> list[int]:
+    """Fixed points of ``a^1, ..., a^max_power`` by direct iteration, one
+    permutation at a time: the reference for the trace sweep's row blocks.
+
+    Entry ``k - 1`` of the result counts the fixed points of ``a^k``. One
+    walk of ``max_power`` steps leaves each start, and power k gains one
+    whenever the walk is back at its start after k steps. No cycle logic
+    is used: the walk does not stop at the first return or read a cycle
+    length, so this stays independent of ``trace_power`` and the two can
+    be checked against each other.
+    """
+    if max_power < 1:
+        raise ValueError("power_fixed_points needs max_power >= 1")
+    step = (0, *a.images)
+    fixed = [0] * (max_power + 1)
+    powers = range(1, max_power + 1)
+    for start in range(1, a.n + 1):
+        x = start
+        for k in powers:
+            x = step[x]
+            if x == start:
+                fixed[k] += 1
+    return fixed[1:]
 
 
 def start_is_fixed(a: Permutation, power: Permutation, start: int) -> bool:

@@ -488,7 +488,7 @@ def test_pair_n_above_the_cap_names_its_field(pair_n, monkeypatch, capsys):
 @pytest.mark.parametrize("single_n", ["11", "12"])
 def test_single_n_above_the_cap_names_its_field(single_n, monkeypatch, tmp_path, capsys):
     # Rejected while validating: the trace sweep walks all single_n!
-    # permutations, about 17 minutes at n = 11.
+    # permutations, about 2 minutes at n = 11.
     def unreachable(*args, **kwargs):
         raise AssertionError("run_all ran past a rejected single_n")
 

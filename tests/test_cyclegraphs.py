@@ -12,7 +12,6 @@ from permprod.cyclegraphs import (
     enumerate_B,
     graphs_from_record,
     graphs_from_traversal,
-    is_T_class,
     joint_membership_consistent,
     membership,
     no_two_cycles_when_components_small,
@@ -146,9 +145,8 @@ def test_canonical_class_is_relabel_invariant(t, data):
 def test_profile_counts_components():
     g = DirectedGraph.of(8, [(1, 2), (2, 3), (5, 5), (6, 7)])
     prof = profile(g)
-    assert prof.loop_count == 1
-    assert prof.component_count == 3
-    assert prof.vertex_count == 6
+    assert len(prof.nontrivial) == 3
+    assert set().union(*(v for v, _ in prof.nontrivial)) == g.non_isolated()
     sizes = sorted(len(v) for v, _ in prof.nontrivial)
     assert sizes == [1, 2, 3]
 
@@ -174,10 +172,12 @@ def test_t_class_shape_and_recognition():
     t2 = t_class(2)
     assert t2.vertex_count == 4
     assert t2.edges == ((1, 2), (3, 4))
-    assert is_T_class(DirectedGraph.of(6, [(1, 4), (2, 5)]), 2)
-    assert not is_T_class(DirectedGraph.of(6, [(1, 4), (4, 5)]), 2)
-    assert not is_T_class(DirectedGraph.of(6, [(3, 3)]), 1)
-    assert is_T_class(DirectedGraph.of(6, []), 0)
+    # A graph is of the T-class with k components exactly when its
+    # canonical class is t_class(k).
+    assert canonical_class(DirectedGraph.of(6, [(1, 4), (2, 5)])) == t2
+    assert canonical_class(DirectedGraph.of(6, [(1, 4), (4, 5)])) != t2
+    assert canonical_class(DirectedGraph.of(6, [(3, 3)])) != t_class(1)
+    assert canonical_class(DirectedGraph.of(6, [(1, 4), (2, 5), (3, 6)])) == t_class(3)
 
 
 def test_graph_class_validates_canonical_form():

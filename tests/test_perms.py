@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brute import power_fixed_points
 from permprod.perms import (
     CycleCounts,
     Permutation,
@@ -12,7 +13,6 @@ from permprod.perms import (
     cycle_type,
     identity,
     inverse,
-    power_fixed_points,
     trace_power,
 )
 

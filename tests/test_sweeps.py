@@ -5,6 +5,7 @@ honest at sizes that finish in well under a second each.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -41,13 +42,17 @@ def test_trace_identity_sweep():
     assert_clean(sweep_trace_identity(5))
 
 
-def _walk_miscounting_start_one(a, max_power):
-    # When a(1) = 2, start 1 is counted as back at every power.
-    fixed = perms.power_fixed_points(a, max_power)
-    if a(1) != 2:
-        return fixed
-    length = len(perms.cycle_of(a, 1))
-    return [f + (k % length != 0) for k, f in enumerate(fixed, start=1)]
+_power_walk, _cycle_type_keys = sweeps._power_walk, sweeps._cycle_type_keys
+
+
+def _walk_miscounting_start_one(block, max_power):
+    # In rows with a(1) = 2, start 1 is counted as back at every power.
+    fixed = _power_walk(block, max_power)
+    for row, images in zip(fixed, block.tolist()):
+        if images[0] == 1:
+            length = len(perms.cycle_of(Permutation(tuple(x + 1 for x in images)), 1))
+            row += [k % length != 0 for k in range(1, max_power + 1)]
+    return fixed
 
 
 def _brute_miscounting_start_one(a, power, start):
@@ -63,9 +68,12 @@ def _formula_off_at_four_with_a_two_cycle(counts, k):
 def test_trace_identity_matches_every_power_built_by_composition(monkeypatch, fault, n):
     # The walk fault reads a label, so it guards the walk running for
     # every permutation; the formula fault reads the cycle type only, so
-    # it guards the formula table keyed by the full cycle counts.
+    # it guards the formula table keyed by the full cycle counts. Blocks
+    # of 7 rows split S_n raggedly past n = 3, so the examples run across
+    # blocks.
+    monkeypatch.setattr(sweeps, "_TRACE_BLOCK_ROWS", 7)
     if fault == "walk":
-        monkeypatch.setattr(sweeps, "power_fixed_points", _walk_miscounting_start_one)
+        monkeypatch.setattr(sweeps, "_power_walk", _walk_miscounting_start_one)
         monkeypatch.setattr(brute, "start_is_fixed", _brute_miscounting_start_one)
     elif fault == "formula":
         for module in (sweeps, brute):
@@ -77,6 +85,47 @@ def test_trace_identity_matches_every_power_built_by_composition(monkeypatch, fa
     # Neither fault can show at n = 1: no permutation moves 1, and no
     # power reaches 4.
     assert (summary.violations > 0) == (fault != "clean" and n > 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_batched_walks_match_the_walk_of_each_permutation(monkeypatch, n):
+    # Blocks of 7 rows, which divides no n! here, so the last block is
+    # ragged. Both walks see every permutation, in order, once.
+    monkeypatch.setattr(sweeps, "_TRACE_BLOCK_ROWS", 7)
+    direct, typed = [], []
+
+    def walk(block, max_power):
+        fixed = _power_walk(block, max_power)
+        direct.extend(zip(block.tolist(), fixed.tolist()))
+        return fixed
+
+    def keys(block):
+        out = _cycle_type_keys(block)
+        typed.extend(zip(block.tolist(), out.tolist()))
+        return out
+
+    monkeypatch.setattr(sweeps, "_power_walk", walk)
+    monkeypatch.setattr(sweeps, "_cycle_type_keys", keys)
+    assert_clean(sweep_trace_identity(n))
+    every = list(all_permutations(n))
+    assert [tuple(x + 1 for x in images) for images, _ in direct] == [p.images for p in every]
+    assert [images for images, _ in typed] == [images for images, _ in direct]
+    for p, (_, fixed), (_, key) in zip(every, direct, typed):
+        assert fixed == brute.power_fixed_points(p, 2 * n)
+        assert sweeps._cycle_counts_of_key(key, n) == perms.cycle_counts(p)
+
+
+def test_trace_sweep_memory_is_bounded():
+    # One block of rows and its temporaries at a time: S_8 as intp rows
+    # alone would take 2.5 MiB, its powers 4.9 MiB.
+    tracemalloc.start()
+    try:
+        summary = sweep_trace_identity(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.cases == math.factorial(8) * 16
+    assert peak < 2**20
 
 
 def test_traversal_consistency_sweep():
@@ -92,6 +141,41 @@ def test_pair_sweeps_at_n3():
 
 def test_event_factorization_sweep():
     assert_clean(sweep_event_factorization(3, start_counts=(1, 2)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_satisfying_counts_match_a_scan_of_every_permutation(monkeypatch, n):
+    # Small blocks of keys and of masks, so that both run ragged. Every
+    # side mask a key names is counted, once.
+    perm_masks = [sweeps._edge_mask(enumerate(p.images, start=1), n) for p in all_permutations(n)]
+    named, seen = set(), []
+    real_unions, real_counts = sweeps._key_unions, sweeps._satisfying_counts
+
+    def unions(*args):
+        out = real_unions(*args)
+        named.update(out)
+        return out
+
+    def counted(masks, perm_array):
+        out = real_counts(masks, perm_array)
+        seen.extend(zip(masks, out))
+        return out
+
+    whole = sweep_event_factorization(n)
+    monkeypatch.setattr(sweeps, "_key_unions", unions)
+    monkeypatch.setattr(sweeps, "_satisfying_counts", counted)
+    monkeypatch.setattr(sweeps, "_KEY_BLOCK", 13)
+    monkeypatch.setattr(sweeps, "_MASK_BLOCK_ELEMENTS", 5 * len(perm_masks) + 3)
+    assert sweep_event_factorization(n) == whole
+    assert whole.ok
+    assert sorted(mask for mask, _ in seen) == sorted(named)
+    for mask, count in seen:
+        assert count == sum(1 for pm in perm_masks if not mask & ~pm)
+
+
+def test_event_factorization_edge_masks_fit_in_64_bits():
+    with pytest.raises(ValueError, match="n <= 8"):
+        sweep_event_factorization(9)
 
 
 def test_membership_bound_sweeps():
