@@ -32,7 +32,10 @@ every suite of the report. These stages run round robin, one pass over
 all of them per repeat, and each keeps its best. Two stages beyond the
 default are timed once after them: the trace sweep at n = 9, where the
 single-permutation sweep's n! scaling shows, and event-factorization at
-n = 6. ``--json PATH``
+n = 6. Last, ``cyclegraphs.walk_patterns`` lists its patterns for the
+cycle lengths (3, 3) and (2, 2, 2), each timed once, with the pattern
+count beside the time; this is left out when the package on the path
+has no such function. ``--json PATH``
 also writes every row, with nproc, the numpy version and the repeat
 count, to PATH.
 
@@ -50,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from permprod import samplers, sweeps
+from permprod import cyclegraphs, samplers, sweeps
 from permprod.cli import sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
@@ -219,6 +222,17 @@ def main(argv=None) -> int:
             f"  {label:<20} {seconds:8.3f} s  peak {peak:8.2f} MiB  timed once",
             layer="verify-lemmas stage", stage=label, s=seconds, peak_mib=peak, repeat=1,
         )
+    patterns = getattr(cyclegraphs, "walk_patterns", None)
+    if patterns is not None:
+        print("walk patterns: s, timed once")
+        for v_vec in ((3, 3), (2, 2, 2)):
+            start = time.perf_counter()
+            count = sum(1 for _ in patterns(v_vec))
+            seconds = time.perf_counter() - start
+            emit(
+                f"  v = {str(v_vec):<16} {seconds:8.3f} s  {count} patterns",
+                layer="walk_patterns", v=list(v_vec), s=seconds, patterns=count, repeat=1,
+            )
     if args.json:
         meta = {"nproc": os.cpu_count(), "numpy": np.__version__, "repeat": args.repeat}
         with open(args.json, "w") as fh:

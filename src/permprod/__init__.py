@@ -11,15 +11,10 @@ exhaustive verification suites (sweeps), and a command-line front end
 
 from permprod.cyclegraphs import (
     DirectedGraph,
-    GraphClass,
     TraversalRecord,
-    canonical_class,
     enumerate_B,
-    graphs_from_traversal,
     membership,
-    t_class,
     traversal,
-    union_graphs,
 )
 from permprod.oracle import (
     ExactDistribution,
@@ -64,14 +59,9 @@ __all__ = [
     "RngStream",
     "SamplerSpec",
     "DirectedGraph",
-    "GraphClass",
     "TraversalRecord",
     "traversal",
-    "graphs_from_traversal",
-    "union_graphs",
-    "canonical_class",
     "membership",
-    "t_class",
     "enumerate_B",
     "ExactDistribution",
     "exact_moment",

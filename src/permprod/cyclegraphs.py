@@ -12,49 +12,41 @@ functional graph of rho:
   sigma(a) = b;
 * the rho-side graph has edges (i_l, j_l), recording rho(a) = b.
 
-Everything downstream, equivalence classes under relabeling, the
-single-edge matching classes, counts of realizable graph couples, is
-exact combinatorics on these graphs. Vertices are labelled 1..n and
-edges are ordered pairs; a loop (i, i) is a component with one vertex.
+Both graphs are partial injections, and a partial injection is named up
+to relabeling by its ``shape``, the sizes of its components. The walk
+patterns of ``walk_patterns`` list every couple the walks from starts
+1..K can induce, up to the names of the other vertices, and
+``enumerate_B`` counts the labelled couples of two given shapes from
+them. Vertices are labelled 1..n and edges are ordered pairs; a loop
+(i, i) is a component with one vertex.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from permprod.perms import Permutation
 
 __all__ = [
     "DirectedGraph",
-    "GraphClass",
     "TraversalRecord",
-    "GraphProfile",
     "traversal",
-    "graphs_from_traversal",
     "graphs_from_record",
-    "union_graphs",
-    "canonical_class",
     "membership",
     "profile",
-    "t_class",
     "shape",
     "shape_orbit_size",
+    "walk_patterns",
     "enumerate_B",
     "no_two_cycles_when_components_small",
     "shared_cycle_graphs_match",
     "reversal_identities_hold",
     "relabel_dichotomy_holds",
-    "joint_membership_consistent",
 ]
-
-# Lexicographic canonicalization is brute force over relabelings, so the
-# number of non-isolated vertices is capped.
-_CANON_MAX_VERTICES = 9
 
 
 @dataclass(frozen=True)
@@ -77,13 +69,6 @@ class DirectedGraph:
     @classmethod
     def of(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
         return cls(n, frozenset((int(a), int(b)) for a, b in edges))
-
-    def non_isolated(self) -> frozenset[int]:
-        verts: set[int] = set()
-        for a, b in self.edges:
-            verts.add(a)
-            verts.add(b)
-        return frozenset(verts)
 
     def relabel(self, t: Permutation) -> "DirectedGraph":
         """Rename vertex x to t(x) everywhere."""
@@ -125,18 +110,6 @@ class TraversalRecord:
         record = object.__new__(cls)
         vars(record).update(m=i_seq[0], k=len(i_seq), i_seq=i_seq, j_seq=j_seq)
         return record
-
-
-@dataclass(frozen=True)
-class GraphProfile:
-    """The components of a graph, read by ``shape`` and relabel-dichotomy.
-
-    ``nontrivial`` lists the edge-bearing weakly connected components as
-    (vertex frozenset, edge frozenset) pairs; isolated vertices are not
-    listed.
-    """
-
-    nontrivial: tuple[tuple[frozenset[int], frozenset[tuple[int, int]]], ...]
 
 
 @lru_cache(maxsize=1024)
@@ -181,85 +154,6 @@ def graphs_from_record(record: TraversalRecord, n: int) -> tuple[DirectedGraph, 
     return DirectedGraph(n, frozenset(first)), DirectedGraph(n, frozenset(zip(i_seq, j_seq)))
 
 
-def graphs_from_traversal(
-    sigma: Permutation, rho: Permutation, m: int
-) -> tuple[DirectedGraph, DirectedGraph]:
-    return graphs_from_record(traversal(sigma, rho, m), sigma.n)
-
-
-def union_graphs(
-    sigma: Permutation, rho: Permutation, index_set: Sequence[int]
-) -> tuple[DirectedGraph, DirectedGraph]:
-    """Union of the per-index graphs over ``index_set``, sigma side and rho side."""
-    indices = list(index_set)
-    if not indices:
-        raise ValueError("index_set must not be empty")
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"duplicate indices in {indices!r}")
-    first: set[tuple[int, int]] = set()
-    second: set[tuple[int, int]] = set()
-    for m in indices:
-        g1, g2 = graphs_from_traversal(sigma, rho, m)
-        first |= g1.edges
-        second |= g2.edges
-    return DirectedGraph(sigma.n, frozenset(first)), DirectedGraph(sigma.n, frozenset(second))
-
-
-@lru_cache(maxsize=None)
-def _lex_min_form(v: int, edges: frozenset) -> tuple[tuple[int, int], ...]:
-    # Smallest sorted edge tuple over all relabelings of 1..v.
-    if v > _CANON_MAX_VERTICES:
-        raise ValueError(
-            f"canonicalization capped at {_CANON_MAX_VERTICES} non-isolated vertices, got {v}"
-        )
-    edge_list = list(edges)
-    best: tuple[tuple[int, int], ...] | None = None
-    for phi in itertools.permutations(range(1, v + 1)):
-        cand = tuple(sorted((phi[a - 1], phi[b - 1]) for a, b in edge_list))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
-
-
-@dataclass(frozen=True)
-class GraphClass:
-    """A graph up to deleting isolated vertices and relabeling the rest.
-
-    Stored as the representative on {1, ..., vertex_count} whose sorted
-    edge tuple is lexicographically least over all relabelings. Two
-    graphs get equal GraphClass values exactly when they agree after
-    stripping isolated vertices, up to isomorphism.
-    """
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        touched: set[int] = set()
-        for a, b in self.edges:
-            if not (1 <= a <= self.vertex_count and 1 <= b <= self.vertex_count):
-                raise ValueError(f"edge ({a}, {b}) outside 1..{self.vertex_count}")
-            touched.add(a)
-            touched.add(b)
-        if self.vertex_count and touched != set(range(1, self.vertex_count + 1)):
-            raise ValueError("class representative must have no isolated vertices")
-        if self.edges != _lex_min_form(self.vertex_count, frozenset(self.edges)):
-            raise ValueError("class representative is not in canonical form")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def canonical_class(g: DirectedGraph) -> GraphClass:
-    """Strip isolated vertices, then relabel to the lexicographically least form."""
-    verts = sorted(g.non_isolated())
-    index = {x: pos for pos, x in enumerate(verts, start=1)}
-    stripped = frozenset((index[a], index[b]) for a, b in g.edges)
-    return GraphClass(len(verts), _lex_min_form(len(verts), stripped))
-
-
 def membership(sigma: Permutation, g: DirectedGraph) -> bool:
     """Whether sigma satisfies every edge constraint sigma(i) = j of ``g``."""
     if sigma.n != g.n:
@@ -268,8 +162,12 @@ def membership(sigma: Permutation, g: DirectedGraph) -> bool:
     return all(images[a - 1] == b for a, b in g.edges)
 
 
-def profile(g: DirectedGraph) -> GraphProfile:
-    """Weakly connected components of the edge-bearing part of ``g``."""
+def profile(
+    g: DirectedGraph,
+) -> tuple[tuple[frozenset[int], frozenset[tuple[int, int]]], ...]:
+    """The edge-bearing weakly connected components of ``g`` as (vertex
+    set, edge set) pairs, ordered by least vertex; isolated vertices are
+    not listed."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -290,7 +188,7 @@ def profile(g: DirectedGraph) -> GraphProfile:
     comp_edges: dict[int, set[tuple[int, int]]] = {root: set() for root in comp_verts}
     for a, b in g.edges:
         comp_edges[find(a)].add((a, b))
-    nontrivial = tuple(
+    return tuple(
         sorted(
             (
                 (frozenset(comp_verts[root]), frozenset(comp_edges[root]))
@@ -299,20 +197,11 @@ def profile(g: DirectedGraph) -> GraphProfile:
             key=lambda pair: min(pair[0]),
         )
     )
-    return GraphProfile(nontrivial)
 
 
 def _has_two_cycle(edges: Iterable[tuple[int, int]]) -> bool:
     edge_set = set(edges)
     return any(a != b and (b, a) in edge_set for a, b in edge_set)
-
-
-def t_class(k: int) -> GraphClass:
-    """The class of k pairwise disjoint single edges."""
-    if k < 1:
-        raise ValueError("t_class needs k >= 1")
-    edges = [(2 * i + 1, 2 * i + 2) for i in range(k)]
-    return canonical_class(DirectedGraph.of(2 * k, edges))
 
 
 def _partial_bijection(edges: Iterable[tuple[int, int]]) -> tuple[dict, dict] | None:
@@ -336,7 +225,7 @@ def shape(g: DirectedGraph) -> tuple[tuple[int, int], ...] | None:
     """
     if _partial_bijection(g.edges) is None:
         return None
-    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g).nontrivial))
+    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g)))
 
 
 def shape_orbit_size(kinds: Sequence[tuple[int, int]], n: int) -> int:
@@ -353,109 +242,111 @@ def shape_orbit_size(kinds: Sequence[tuple[int, int]], n: int) -> int:
     return math.perm(n, sum(verts for verts, _ in kinds)) // symmetry
 
 
-def joint_membership_consistent(e1: Iterable[tuple[int, int]], e2: Iterable[tuple[int, int]]) -> bool:
-    """Whether some permutation satisfies every constraint of both edge sets."""
+def _joint_membership_consistent(
+    e1: Iterable[tuple[int, int]], e2: Iterable[tuple[int, int]]
+) -> bool:
+    # Whether some permutation satisfies every constraint of both edge sets.
     return _partial_bijection(list(e1) + list(e2)) is not None
 
 
-def _trace_realizes(
+def walk_patterns(
     v_vec: Sequence[int],
-    e1: frozenset[tuple[int, int]],
-    e2: frozenset[tuple[int, int]],
-) -> bool:
-    """Decide whether some pair (sigma, rho) produces exactly the union
-    graphs (e1, e2) over start indices 1..k with prescribed cycle lengths.
+) -> Iterator[tuple[int, frozenset[tuple[int, int]], frozenset[tuple[int, int]]]]:
+    """Every way the cycles of ``inverse(sigma) o rho`` through the starts
+    1..K can have the lengths ``v_vec`` (K = len(v_vec)), up to the names
+    of the other vertices.
 
-    The union edges force partial values of sigma and rho, and those
-    forced values determine every traversal step, so the decision is a
-    replay: walk from each start index using only forced edges, demand
-    that each walk closes at its start after exactly the prescribed
-    number of steps, and at the end demand that every edge was consumed.
+    The starts are walked in order. A start already on an earlier walk's
+    cycle only has its length checked. Otherwise step l of its walk goes
+    from i_l to j_l = rho(i_l) and on to i_{l+1} = sigma^-1(j_l). Neither
+    value is set before the step, since i_l is new to every walk and
+    j_l is no earlier rho-image, so each is chosen: j_l among the named
+    vertices that are no rho-image yet, i_{l+1} among those that have no
+    sigma-image yet, or the next fresh name. A vertex with a sigma-image
+    lies on a finished cycle or earlier on this walk, so the walk never
+    enters one; it must come back to its start at exactly step v_m.
+
+    Yields (u, sigma-side edges, rho-side edges) per pattern: the starts
+    are named 1..K and the u fresh vertices K+1..K+u in order of first
+    appearance. A labelled couple of graphs on {1..n} that some pair
+    induces determines its pattern by replaying the walks, so each
+    pattern stands for (n-K)!/(n-K-u)! labelled couples.
     """
-    maps1 = _partial_bijection(e1)
-    maps2 = _partial_bijection(e2)
-    if maps1 is None or maps2 is None:
-        return False
-    _, s_inv = maps1
-    r, _ = maps2
-    used1: set[tuple[int, int]] = set()
-    used2: set[tuple[int, int]] = set()
-    cycle_len: dict[int, int] = {}
-    for m, want in enumerate(v_vec, start=1):
-        if m in cycle_len:
-            if cycle_len[m] != want:
-                return False
-            continue
-        walk = [m]
-        i = m
-        for step in range(1, want + 1):
-            j = r.get(i)
-            if j is None:
-                return False
-            used2.add((i, j))
-            nxt = s_inv.get(j)
-            if nxt is None:
-                return False
-            used1.add((nxt, j))
-            if nxt == m:
-                if step != want:
-                    return False
-                break
-            if nxt in cycle_len or nxt in walk:
-                return False
-            walk.append(nxt)
-            i = nxt
+    if not v_vec:
+        raise ValueError("v_vec must not be empty")
+    if any(v < 1 for v in v_vec):
+        raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
+    k = len(v_vec)
+    rho: dict[int, int] = {}
+    sigma: dict[int, int] = {}
+    rho_images: set[int] = set()
+    length: dict[int, int] = {}  # vertex -> length of its finished cycle
+
+    def from_start(m: int, u: int):
+        if m > k:
+            yield u, frozenset(sigma.items()), frozenset(rho.items())
+        elif m in length:
+            if length[m] == v_vec[m - 1]:
+                yield from from_start(m + 1, u)
         else:
-            return False
-        for x in walk:
-            cycle_len[x] = want
-    return used1 == e1 and used2 == e2
+            yield from step(m, [m], u)
+
+    def step(m: int, path: list[int], u: int):
+        closing = len(path) == v_vec[m - 1]
+        i = path[-1]
+        for j in range(1, k + u + 2):
+            if j in rho_images:
+                continue
+            u_j = u + (j > k + u)
+            rho[i] = j
+            rho_images.add(j)
+            for x in range(1, k + u_j + 2):
+                # x in sigma: x is on a finished cycle or earlier on this walk.
+                if x in sigma or (x == m) != closing:
+                    continue
+                sigma[x] = j
+                u_x = u_j + (x > k + u_j)
+                if closing:
+                    length.update(dict.fromkeys(path, len(path)))
+                    yield from from_start(m + 1, u_x)
+                    for y in path:
+                        del length[y]
+                else:
+                    path.append(x)
+                    yield from step(m, path, u_x)
+                    path.pop()
+                del sigma[x]
+            del rho[i]
+            rho_images.discard(j)
+
+    return from_start(1, 0)
 
 
 def enumerate_B(
     n: int,
     v_vec: Sequence[int],
-    class1: GraphClass,
-    class2: GraphClass,
-    return_couples: bool = False,
-):
-    """Count the realizable graph couples on {1, ..., n} for the given classes.
+    shape1: Sequence[tuple[int, int]],
+    shape2: Sequence[tuple[int, int]],
+) -> int:
+    """Count the graph couples (g1, g2) on {1..n} that some pair
+    (sigma, rho) induces as its sigma-side and rho-side union graphs over
+    the starts 1..K with cycle lengths ``v_vec``, where g1 has the shape
+    ``shape1`` and g2 the shape ``shape2``, each given as (vertex count,
+    edge count) pairs as ``shape`` lists them.
 
-    A couple (g1, g2) is counted when: both graphs have the same
-    non-isolated vertex set including every start index 1..k, their
-    classes are ``class1`` and ``class2``, and some pair (sigma, rho)
-    produces exactly (g1, g2) as union graphs over start indices 1..k
-    with cycle lengths ``v_vec``.
+    The count is the sum of (n-K)!/(n-K-u)! over the walk patterns with
+    K + u <= n whose two edge sets have these shapes.
     """
-    k = len(v_vec)
-    if k < 1:
-        raise ValueError("v_vec must not be empty")
-    if any(v < 1 for v in v_vec):
-        raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
     if n < 1:
         raise ValueError("enumerate_B needs n >= 1")
-    couples: set[tuple[frozenset, frozenset]] = set()
-    w = class1.vertex_count
-    starts = set(range(1, k + 1))
-    if w == class2.vertex_count and w <= n:
-        for verts in itertools.permutations(range(1, n + 1), w):
-            if not starts.issubset(verts):
-                continue
-            e1 = frozenset((verts[a - 1], verts[b - 1]) for a, b in class1.edges)
-            for phi in itertools.permutations(verts):
-                e2 = frozenset((phi[a - 1], phi[b - 1]) for a, b in class2.edges)
-                key = (e1, e2)
-                if key in couples:
-                    continue
-                if _trace_realizes(v_vec, e1, e2):
-                    couples.add(key)
-    if return_couples:
-        graphs = sorted(
-            ((DirectedGraph(n, e1), DirectedGraph(n, e2)) for e1, e2 in couples),
-            key=lambda pair: (sorted(pair[0].edges), sorted(pair[1].edges)),
-        )
-        return len(couples), graphs
-    return len(couples)
+    k = len(v_vec)
+    want = (tuple(sorted(shape1)), tuple(sorted(shape2)))
+    return sum(
+        math.perm(n - k, u)
+        for u, e1, e2 in walk_patterns(v_vec)
+        if k + u <= n
+        and (shape(DirectedGraph(k + u, e1)), shape(DirectedGraph(k + u, e2))) == want
+    )
 
 
 def _components_all_have_two_vertices(edges: Iterable[tuple[int, int]]) -> bool:
@@ -553,4 +444,4 @@ def relabel_dichotomy_holds(
     g2 = g1.relabel(tau)
     if g1.edges == g2.edges:
         return True
-    return not joint_membership_consistent(g1.edges, g2.edges)
+    return not _joint_membership_consistent(g1.edges, g2.edges)

@@ -45,9 +45,7 @@ Randomness comes from :class:`RngStream`, keyed by (seed, stream_id);
 identical keys reproduce identical draw sequences. The samplers draw
 batches: int32 arrays with zero-based rows (row r maps x to
 ``rows[r, x]``), which halves the memory traffic of int64 and holds any
-n below 2**31. :func:`perm_from_row` and :func:`row_from_perm` convert
-one row to and from a :class:`Permutation` in the package's one-based
-convention.
+n below 2**31.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from typing import Sequence
 import numpy as np
 
 from permprod.oracle import _as_fraction
-from permprod.perms import Permutation
 
 __all__ = [
     "RngStream",
@@ -69,8 +66,6 @@ __all__ = [
     "ewens_rows",
     "sqrt_fixed_rows",
     "matching_heavy_rows",
-    "perm_from_row",
-    "row_from_perm",
     "product_rows",
     "small_cycle_counts",
     "product_cycle_counts",
@@ -218,14 +213,6 @@ class SamplerSpec:
         if self.kind == "sqrt_fixed":
             return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count(), relabel)
         return matching_heavy_rows(rng, size, n, self.two_cycle_fraction, relabel)
-
-
-def perm_from_row(row: np.ndarray) -> Permutation:
-    return Permutation(tuple(int(x) + 1 for x in row))
-
-
-def row_from_perm(perm: Permutation) -> np.ndarray:
-    return np.asarray([x - 1 for x in perm.images], dtype=_ROW_DTYPE)
 
 
 # int64 entries in the one reused shuffle block (512 KiB); the Feller

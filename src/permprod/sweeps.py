@@ -725,7 +725,7 @@ def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:
     tally = _Tally()
     perms = list(all_permutations(n))
     for g, size in _graph_orbits(n):
-        components = [verts for verts, _ in profile(g).nontrivial]
+        components = [verts for verts, _ in profile(g)]
         for tau in perms:
             ok = relabel_dichotomy_holds(g, components, tau)
             tally.record(

@@ -20,6 +20,13 @@ that tests can check the reduced code against straight enumeration
 instead of trusting it, and they are practical only for n <= 7.
 ``graph_prob`` sums a law's pmf over every permutation containing a
 graph, where the oracle reads one probability per shape.
+``enumerate_B`` lists every labelled couple of two shapes and replays
+each through ``_trace_realizes``, where ``cyclegraphs.enumerate_B``
+counts walk patterns; ``canonical_form`` names a graph up to relabeling
+by its lexicographically least relabeling, where ``cyclegraphs`` reads
+its shape. ``shape_tuple_pmf`` and ``union_pair_pmf`` are joint laws of
+graph shapes over every pair, and ``graphs_from_traversal`` and
+``union_graphs`` build a pair's graphs from its walks.
 ``product_rows`` and ``small_cycle_counts`` are the Monte Carlo layers
 as whole-chunk ``take_along_axis`` gathers, with no row blocks and no
 flat indices. Only ``perms``, ``cyclegraphs``, the
@@ -39,18 +46,16 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from permprod import cyclegraphs
 from permprod.cyclegraphs import (
     DirectedGraph,
-    GraphClass,
-    canonical_class,
-    graphs_from_traversal,
+    _partial_bijection,
     membership,
     profile,
     relabel_dichotomy_holds,
     reversal_identities_hold,
     shared_cycle_graphs_match,
     traversal,
-    union_graphs,
 )
 from permprod.oracle import ExactDistribution, verify_bounds
 from permprod.perms import (
@@ -240,6 +245,33 @@ def conjugation_average(
             moved = conjugate(sigma, t)
             out[moved] = out.get(moved, Fraction(0)) + share
     return out
+
+
+def graphs_from_traversal(
+    sigma: Permutation, rho: Permutation, m: int
+) -> tuple[DirectedGraph, DirectedGraph]:
+    """Both graphs of the traversal of (sigma, rho) from m. Looked up on
+    the module at each call, so that a fault patched into
+    ``cyclegraphs.traversal`` or ``graphs_from_record`` reaches it."""
+    return cyclegraphs.graphs_from_record(cyclegraphs.traversal(sigma, rho, m), sigma.n)
+
+
+def union_graphs(
+    sigma: Permutation, rho: Permutation, index_set: Sequence[int]
+) -> tuple[DirectedGraph, DirectedGraph]:
+    """Union of the per-index graphs over ``index_set``, sigma side and rho side."""
+    indices = list(index_set)
+    if not indices:
+        raise ValueError("index_set must not be empty")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"duplicate indices in {indices!r}")
+    first: set[tuple[int, int]] = set()
+    second: set[tuple[int, int]] = set()
+    for m in indices:
+        g1, g2 = graphs_from_traversal(sigma, rho, m)
+        first |= g1.edges
+        second |= g2.edges
+    return DirectedGraph(sigma.n, frozenset(first)), DirectedGraph(sigma.n, frozenset(second))
 
 
 def union_graph_list(n: int) -> list[DirectedGraph]:
@@ -515,7 +547,7 @@ def partial_injections(n: int) -> list[frozenset]:
 def shape(g: DirectedGraph) -> tuple[tuple[int, int], ...]:
     """Sorted (vertex count, edge count) of the components of a partial
     injection: a complete invariant of its relabeling orbit."""
-    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g).nontrivial))
+    return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g)))
 
 
 def graph_orbits(n: int) -> list[list]:
@@ -554,7 +586,7 @@ def graph_pass(n: int, thetas: Sequence = ("1/2", "1", "2")):
     graphs = [DirectedGraph(n, edges) for edges in partial_injections(n)]
     relabel = _Tally("relabel-dichotomy")
     for g in graphs:
-        components = [verts for verts, _ in profile(g).nontrivial]
+        components = [verts for verts, _ in profile(g)]
         for tau in perms:
             relabel.record(
                 relabel_dichotomy_holds(g, components, tau),
@@ -581,17 +613,18 @@ def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) ->
     profiles: when every non-trivial component of both graphs has two
     vertices, neither graph has a 2-cycle."""
     for g in (g1, g2):
-        for verts, _ in profile(g).nontrivial:
+        for verts, _ in profile(g):
             if len(verts) != 2:
                 return True
     return not any(a != b and (b, a) in g.edges for g in (g1, g2) for a, b in g.edges)
 
 
-def class_tuple_pmf(
+def shape_tuple_pmf(
     d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
-) -> dict[tuple[GraphClass, ...], Fraction]:
-    """Exact law of the tuple of per-index graph classes over starts 1..k,
-    restricted to pairs whose traversal cycle lengths match v_vec.
+) -> dict[tuple, Fraction]:
+    """Exact law of the tuple of per-index graph shapes over starts 1..k,
+    sigma side then rho side for each start, restricted to pairs whose
+    traversal cycle lengths match v_vec.
 
     Full unreduced enumeration; practical for n <= 5.
     """
@@ -600,18 +633,18 @@ def class_tuple_pmf(
     k = len(v_vec)
     w1 = permutation_weights(d1)
     w2 = permutation_weights(d2)
-    out: dict[tuple[GraphClass, ...], Fraction] = {}
+    out: dict[tuple, Fraction] = {}
     for sigma, p1 in w1.items():
         for rho, p2 in w2.items():
-            entry: list[GraphClass] = []
+            entry: list = []
             ok = True
             for m in range(1, k + 1):
                 g1, g2 = graphs_from_traversal(sigma, rho, m)
                 if len(g2.edges) != v_vec[m - 1]:
                     ok = False
                     break
-                entry.append(canonical_class(g1))
-                entry.append(canonical_class(g2))
+                entry.append(shape(g1))
+                entry.append(shape(g2))
             if ok:
                 key = tuple(entry)
                 out[key] = out.get(key, Fraction(0)) + p1 * p2
@@ -620,8 +653,8 @@ def class_tuple_pmf(
 
 def union_pair_pmf(
     d1: ExactDistribution, d2: ExactDistribution, v_vec: Sequence[int]
-) -> dict[tuple[GraphClass, GraphClass], Fraction]:
-    """Exact law of the pair of union-graph classes over starts 1..k,
+) -> dict[tuple, Fraction]:
+    """Exact law of the pair of union-graph shapes over starts 1..k,
     restricted to pairs whose traversal cycle lengths match v_vec.
 
     Full unreduced enumeration; practical for n <= 5.
@@ -631,7 +664,7 @@ def union_pair_pmf(
     starts = tuple(range(1, len(v_vec) + 1))
     w1 = permutation_weights(d1)
     w2 = permutation_weights(d2)
-    out: dict[tuple[GraphClass, GraphClass], Fraction] = {}
+    out: dict[tuple, Fraction] = {}
     for sigma, p1 in w1.items():
         sinv = inverse(sigma)
         for rho, p2 in w2.items():
@@ -648,9 +681,140 @@ def union_pair_pmf(
             if not lengths_ok:
                 continue
             u1, u2 = union_graphs(sigma, rho, starts)
-            key = (canonical_class(u1), canonical_class(u2))
+            key = (shape(u1), shape(u2))
             out[key] = out.get(key, Fraction(0)) + p1 * p2
     return out
+
+
+def canonical_form(g: DirectedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``g`` with its isolated vertices deleted and the rest relabeled
+    1..v, as (v, sorted edges) with the edge tuple lexicographically least
+    over all v! relabelings: equal exactly for graphs that are relabelings
+    of each other. Practical for v <= 8."""
+    verts = sorted({x for edge in g.edges for x in edge})
+    index = {x: pos for pos, x in enumerate(verts, start=1)}
+    edges = [(index[a], index[b]) for a, b in g.edges]
+    return len(verts), min(
+        tuple(sorted((phi[a - 1], phi[b - 1]) for a, b in edges))
+        for phi in itertools.permutations(range(1, len(verts) + 1))
+    )
+
+
+def _trace_realizes(
+    v_vec: Sequence[int],
+    e1: frozenset[tuple[int, int]],
+    e2: frozenset[tuple[int, int]],
+) -> bool:
+    """Decide whether some pair (sigma, rho) produces exactly the union
+    graphs (e1, e2) over start indices 1..k with prescribed cycle lengths.
+
+    The union edges force partial values of sigma and rho, and those
+    forced values determine every traversal step, so the decision is a
+    replay: walk from each start index using only forced edges, demand
+    that each walk closes at its start after exactly the prescribed
+    number of steps, and at the end demand that every edge was consumed.
+    """
+    maps1 = _partial_bijection(e1)
+    maps2 = _partial_bijection(e2)
+    if maps1 is None or maps2 is None:
+        return False
+    _, s_inv = maps1
+    r, _ = maps2
+    used1: set[tuple[int, int]] = set()
+    used2: set[tuple[int, int]] = set()
+    cycle_len: dict[int, int] = {}
+    for m, want in enumerate(v_vec, start=1):
+        if m in cycle_len:
+            if cycle_len[m] != want:
+                return False
+            continue
+        walk = [m]
+        i = m
+        for step in range(1, want + 1):
+            j = r.get(i)
+            if j is None:
+                return False
+            used2.add((i, j))
+            nxt = s_inv.get(j)
+            if nxt is None:
+                return False
+            used1.add((nxt, j))
+            if nxt == m:
+                if step != want:
+                    return False
+                break
+            if nxt in cycle_len or nxt in walk:
+                return False
+            walk.append(nxt)
+            i = nxt
+        else:
+            return False
+        for x in walk:
+            cycle_len[x] = want
+    return used1 == e1 and used2 == e2
+
+
+def _labelled_copies(kinds: Sequence[tuple[int, int]], verts: Sequence[int]) -> set[frozenset]:
+    # Every partial injection with the shape ``kinds`` and the vertex set
+    # ``verts``: one graph of the shape on 1..v, its paths and cycles on
+    # consecutive blocks, under every bijection onto ``verts``.
+    edges, start = [], 1
+    for size, edge_count in kinds:
+        block = range(start, start + size)
+        edges.extend(zip(block, block[1:]))
+        if edge_count == size:
+            edges.append((block[-1], start))
+        start += size
+    return {
+        frozenset((phi[a - 1], phi[b - 1]) for a, b in edges)
+        for phi in itertools.permutations(verts)
+    }
+
+
+def _ends(edges: frozenset) -> tuple[frozenset, frozenset]:
+    return frozenset(a for a, _ in edges), frozenset(b for _, b in edges)
+
+
+def enumerate_B(
+    n: int,
+    v_vec: Sequence[int],
+    shape1: Sequence[tuple[int, int]],
+    shape2: Sequence[tuple[int, int]],
+    return_couples: bool = False,
+):
+    """Count the couples (g1, g2) on {1..n} of the shapes ``shape1`` and
+    ``shape2`` that some pair produces as union graphs over the starts
+    1..k with cycle lengths ``v_vec``, by listing them.
+
+    Both graphs have one vertex set holding every start, so each such set
+    is tried with every labelled copy of each shape on it, and each couple
+    is decided by ``_trace_realizes``. Only couples whose two sides have
+    the same sources and the same targets are replayed: every walked
+    vertex i has an edge out on both sides, to rho(i) and to sigma(i), and
+    every rho-image an edge in on both, so no other couple is realized.
+    With ``return_couples`` it also returns the couples as graph pairs,
+    sorted by edge lists. Practical for n <= 6.
+    """
+    k = len(v_vec)
+    w = sum(verts for verts, _ in shape1)
+    couples = []
+    if w == sum(verts for verts, _ in shape2) and k <= w <= n:
+        for rest in itertools.combinations(range(k + 1, n + 1), w - k):
+            verts = (*range(1, k + 1), *rest)
+            second: dict[tuple, list] = {}
+            for e2 in _labelled_copies(shape2, verts):
+                second.setdefault(_ends(e2), []).append(e2)
+            for e1 in _labelled_copies(shape1, verts):
+                couples += [
+                    (e1, e2) for e2 in second.get(_ends(e1), ()) if _trace_realizes(v_vec, e1, e2)
+                ]
+    if return_couples:
+        graphs = sorted(
+            ((DirectedGraph(n, e1), DirectedGraph(n, e2)) for e1, e2 in couples),
+            key=lambda pair: (sorted(pair[0].edges), sorted(pair[1].edges)),
+        )
+        return len(couples), graphs
+    return len(couples)
 
 
 def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,18 +1,18 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
+from brute import graphs_from_traversal, union_graphs
 
 from permprod.perms import Permutation, all_permutations, compose, cycle_of, inverse
 from permprod.cyclegraphs import (
     DirectedGraph,
-    GraphClass,
     TraversalRecord,
-    canonical_class,
+    _joint_membership_consistent,
     enumerate_B,
     graphs_from_record,
-    graphs_from_traversal,
-    joint_membership_consistent,
     membership,
     no_two_cycles_when_components_small,
     profile,
@@ -21,9 +21,8 @@ from permprod.cyclegraphs import (
     shape,
     shape_orbit_size,
     shared_cycle_graphs_match,
-    t_class,
     traversal,
-    union_graphs,
+    walk_patterns,
 )
 
 
@@ -115,23 +114,18 @@ def test_union_graphs_merge_edge_sets():
 
 def test_graph_basics():
     g = DirectedGraph.of(4, [(1, 2), (3, 3)])
-    assert g.non_isolated() == frozenset({1, 2, 3})
     t = Permutation.from_cycles(4, [(1, 4)])
     assert g.relabel(t).edges == frozenset({(4, 2), (3, 3)})
 
 
-def test_canonical_class_concrete():
-    edge = canonical_class(DirectedGraph.of(9, [(3, 7)]))
-    assert edge.vertex_count == 2
-    assert edge.edges == ((1, 2),)
-    loop = canonical_class(DirectedGraph.of(9, [(4, 4)]))
-    assert loop.vertex_count == 1
-    assert loop.edges == ((1, 1),)
+def test_shape_concrete():
+    assert shape(DirectedGraph.of(9, [(3, 7)])) == ((2, 1),)
+    assert shape(DirectedGraph.of(9, [(4, 4)])) == ((1, 1),)
 
 
 @given(perm_strategy(7), st.data())
 @settings(max_examples=60)
-def test_canonical_class_is_relabel_invariant(t, data):
+def test_shape_is_relabel_invariant(t, data):
     k = data.draw(st.integers(min_value=1, max_value=4))
     pairs = data.draw(
         st.lists(
@@ -139,15 +133,27 @@ def test_canonical_class_is_relabel_invariant(t, data):
         )
     )
     g = DirectedGraph.of(7, pairs)
-    assert canonical_class(g.relabel(t)) == canonical_class(g)
+    assert shape(g.relabel(t)) == shape(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shape_names_the_classes_of_the_lex_min_form(n):
+    # Two partial injections have one shape exactly when their least
+    # relabelings agree.
+    forms = {}
+    for edges in brute.partial_injections(n):
+        g = DirectedGraph(n, edges)
+        forms.setdefault(shape(g), set()).add(brute.canonical_form(g))
+    assert all(len(found) == 1 for found in forms.values())
+    assert len(set().union(*forms.values())) == len(forms)
 
 
 def test_profile_counts_components():
     g = DirectedGraph.of(8, [(1, 2), (2, 3), (5, 5), (6, 7)])
     prof = profile(g)
-    assert len(prof.nontrivial) == 3
-    assert set().union(*(v for v, _ in prof.nontrivial)) == g.non_isolated()
-    sizes = sorted(len(v) for v, _ in prof.nontrivial)
+    assert len(prof) == 3
+    assert set().union(*(v for v, _ in prof)) == {1, 2, 3, 5, 6, 7}
+    sizes = sorted(len(v) for v, _ in prof)
     assert sizes == [1, 2, 3]
 
 
@@ -168,50 +174,89 @@ def test_shape_of_a_graph_that_is_no_partial_injection_is_none():
     assert shape(DirectedGraph.of(4, [(1, 1), (1, 2)])) is None
 
 
-def test_t_class_shape_and_recognition():
-    t2 = t_class(2)
-    assert t2.vertex_count == 4
-    assert t2.edges == ((1, 2), (3, 4))
-    # A graph is of the T-class with k components exactly when its
-    # canonical class is t_class(k).
-    assert canonical_class(DirectedGraph.of(6, [(1, 4), (2, 5)])) == t2
-    assert canonical_class(DirectedGraph.of(6, [(1, 4), (4, 5)])) != t2
-    assert canonical_class(DirectedGraph.of(6, [(3, 3)])) != t_class(1)
-    assert canonical_class(DirectedGraph.of(6, [(1, 4), (2, 5), (3, 6)])) == t_class(3)
-
-
-def test_graph_class_validates_canonical_form():
-    with pytest.raises(ValueError):
-        GraphClass(2, ((2, 1),))  # lex-min form is ((1, 2),)
-    with pytest.raises(ValueError):
-        GraphClass(3, ((1, 2),))  # vertex 3 isolated
+def test_t_shape_recognition():
+    # A graph is k pairwise disjoint single edges exactly when its shape
+    # is ((2, 1),) * k.
+    assert shape(DirectedGraph.of(6, [(1, 4), (2, 5)])) == ((2, 1),) * 2
+    assert shape(DirectedGraph.of(6, [(1, 4), (4, 5)])) != ((2, 1),) * 2
+    assert shape(DirectedGraph.of(6, [(3, 3)])) != ((2, 1),)
+    assert shape(DirectedGraph.of(6, [(1, 4), (2, 5), (3, 6)])) == ((2, 1),) * 3
 
 
 def test_joint_membership_consistency():
-    assert joint_membership_consistent([(1, 2)], [(3, 4)])
-    assert joint_membership_consistent([(1, 2)], [(1, 2)])
-    assert not joint_membership_consistent([(1, 2)], [(1, 3)])
-    assert not joint_membership_consistent([(1, 3)], [(2, 3)])
+    assert _joint_membership_consistent([(1, 2)], [(3, 4)])
+    assert _joint_membership_consistent([(1, 2)], [(1, 2)])
+    assert not _joint_membership_consistent([(1, 2)], [(1, 3)])
+    assert not _joint_membership_consistent([(1, 3)], [(2, 3)])
 
 
 def test_enumerate_b_matches_choice_count():
-    t1 = t_class(1)
+    t1 = ((2, 1),)
     assert enumerate_B(3, (1,), t1, t1) == 2
     assert enumerate_B(4, (1,), t1, t1) == 3
-    count, couples = enumerate_B(4, (1,), t1, t1, return_couples=True)
+    count, couples = brute.enumerate_B(4, (1,), t1, t1, return_couples=True)
     assert count == len(couples) == 3
     for g1, g2 in couples:
-        assert canonical_class(g1) == t1
-        assert canonical_class(g2) == t1
-        assert 1 in g1.non_isolated()
+        assert shape(g1) == shape(g2) == t1
+        assert any(1 in edge for edge in g1.edges)
 
 
 def test_enumerate_b_input_validation():
-    t1 = t_class(1)
+    t1 = ((2, 1),)
     with pytest.raises(ValueError):
         enumerate_B(4, (), t1, t1)
     with pytest.raises(ValueError):
         enumerate_B(4, (0,), t1, t1)
+    with pytest.raises(ValueError):
+        enumerate_B(0, (1,), t1, t1)
+
+
+@pytest.mark.parametrize(
+    "v_vec, patterns", [((1,), 2), ((3,), 34), ((2, 2), 216), ((3, 3), 13395), ((2, 2, 2), 13954)]
+)
+def test_walk_pattern_counts(v_vec, patterns):
+    assert len({(e1, e2) for _, e1, e2 in walk_patterns(v_vec)}) == patterns
+
+
+LENGTH_VECTORS = ((1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1))
+
+
+@pytest.mark.parametrize("v_vec", LENGTH_VECTORS)
+def test_walk_patterns_are_partial_injections_on_their_names(v_vec):
+    # Both sides are partial injections on exactly the vertices 1..K+u,
+    # with one edge per step of a walk on each side.
+    k = len(v_vec)
+    for u, e1, e2 in walk_patterns(v_vec):
+        assert shape(DirectedGraph(k + u, e1)) is not None
+        assert shape(DirectedGraph(k + u, e2)) is not None
+        for edges in (e1, e2):
+            assert {x for edge in edges for x in edge} == set(range(1, k + u + 1))
+        assert len(e1) == len(e2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumerate_b_matches_the_brute_reference(n):
+    # Every shape couple that some walk pattern realizes at n, the pair of
+    # (K+1)-cycles, which no pattern realizes, and the first unrealized
+    # couples of shapes that each side realizes.
+    for v in LENGTH_VECTORS:
+        k = len(v)
+        if sum(v) > n:
+            continue
+        realized = {
+            (shape(DirectedGraph(k + u, e1)), shape(DirectedGraph(k + u, e2)))
+            for u, e1, e2 in walk_patterns(v)
+            if k + u <= n
+        }
+        cycle = ((k + 1, k + 1),)
+        sides = ({s1 for s1, _ in realized}, {s2 for _, s2 in realized})
+        unrealized = [(cycle, cycle)] + sorted(set(itertools.product(*sides)) - realized)[:3]
+        for s1, s2 in realized:
+            count = enumerate_B(n, v, s1, s2)
+            assert count > 0
+            assert count == brute.enumerate_B(n, v, s1, s2), (v, s1, s2)
+        for s1, s2 in unrealized:
+            assert enumerate_B(n, v, s1, s2) == brute.enumerate_B(n, v, s1, s2) == 0, (v, s1, s2)
 
 
 @given(perm_strategy(5), perm_strategy(5))
@@ -282,5 +327,5 @@ def test_relabel_dichotomy_on_random_graphs(tau, data):
         )
     )
     g = DirectedGraph.of(5, pairs)
-    components = [verts for verts, _ in profile(g).nontrivial]
+    components = [verts for verts, _ in profile(g)]
     assert relabel_dichotomy_holds(g, components, tau)

@@ -6,19 +6,14 @@ frozen from an independent derivation, or a brute-force enumeration from
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permprod.perms import Permutation, compose, cycle_counts, inverse
-from permprod.cyclegraphs import (
-    DirectedGraph,
-    canonical_class,
-    membership,
-    t_class,
-    union_graphs,
-)
+from permprod.cyclegraphs import DirectedGraph, membership, shape, walk_patterns
 from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
@@ -37,7 +32,6 @@ from permprod.oracle import (
 )
 
 from brute import (
-    class_tuple_pmf,
     conjugation_average,
     ewens_weight,
     expect_cycle_product,
@@ -46,6 +40,8 @@ from brute import (
     pair_expectation_direct,
     permutation_weights,
     representative,
+    shape_tuple_pmf,
+    union_graphs,
     union_pair_pmf,
 )
 from brute import product_type_distribution as brute_product_law
@@ -325,7 +321,7 @@ def test_single_start_tuple_pmf_equals_union_pmf():
     d1 = ExactDistribution.ewens(4, 2)
     d2 = ExactDistribution.ewens(4, Fraction(1, 2))
     for v in [(1,), (2,)]:
-        tp = class_tuple_pmf(d1, d2, v)
+        tp = shape_tuple_pmf(d1, d2, v)
         up = union_pair_pmf(d1, d2, v)
         assert {(k[0], k[1]): p for k, p in tp.items()} == up
 
@@ -333,8 +329,8 @@ def test_single_start_tuple_pmf_equals_union_pmf():
 def test_tuple_pmf_generic_fixed_pair_mass():
     # both starts fixed with generic (non-loop) graphs: 1/12 * 7/12
     du = ExactDistribution.uniform(4)
-    tp = class_tuple_pmf(du, du, (1, 1))
-    t1 = t_class(1)
+    tp = shape_tuple_pmf(du, du, (1, 1))
+    t1 = ((2, 1),)
     assert tp[(t1, t1, t1, t1)] == Fraction(7, 144)
 
 
@@ -358,6 +354,40 @@ def test_couple_sum_reproduces_joint_prob():
         Fraction(0),
     )
     assert total == exact_joint_cycle_prob((du, du), v) == Fraction(1, 12)
+
+
+LENGTH_VECTORS = ((1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_walk_patterns_sum_to_the_joint_cycle_law(n):
+    # The event "start m lies on a cycle of length v_m for every m" is the
+    # disjoint union over patterns of {sigma contains E_sigma, rho contains
+    # E_rho}, each pattern for (n-K)!/(n-K-u)! labelled couples.
+    laws = [
+        ExactDistribution.ewens(n, 2),
+        ExactDistribution.ewens(n, Fraction(1, 2)),
+        ExactDistribution.uniform(n),
+        ExactDistribution.explicit(n, {(3,) + (1,) * (n - 3): 1}),
+    ]
+    for v in LENGTH_VECTORS:
+        if sum(v) > n:
+            continue
+        k = len(v)
+        keys = Counter(
+            (u, shape(DirectedGraph(k + u, e1)), shape(DirectedGraph(k + u, e2)))
+            for u, e1, e2 in walk_patterns(v)
+            if k + u <= n
+        )
+        for d1, d2 in zip(laws, laws[1:] + laws[:1]):
+            total = sum(
+                (
+                    count * math.perm(n - k, u) * shape_prob(d1, s1) * shape_prob(d2, s2)
+                    for (u, s1, s2), count in keys.items()
+                ),
+                Fraction(0),
+            )
+            assert total == exact_joint_cycle_prob((d1, d2), v), (v, d1.kind, d2.kind)
 
 
 def _cycle_through(p: Permutation, m: int) -> tuple[int, ...]:
@@ -419,7 +449,7 @@ def test_verify_bounds_does_not_depend_on_law_order():
         for g in graphs:
             checks = {c.check_id: c for c in results[0][law.kind, g]}
             kinds = brute_shape(g)
-            p, v = len(kinds), len(g.non_isolated())
+            p, v = len(kinds), len({x for edge in g.edges for x in edge})
             f = sum(a == b for a, b in g.edges)
             weighted = checks.pop("membership-upper-weighted")
             plain = checks.pop("membership-upper-plain")

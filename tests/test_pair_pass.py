@@ -208,9 +208,9 @@ def _inject(monkeypatch, fault):
     """Pass every traversal graph couple through fault(sigma, record, g1, g2).
 
     ``sweeps`` reads each record's side masks right after its walk, and
-    ``cyclegraphs.graphs_from_traversal``, which ``brute`` calls, builds
-    each couple right after its walk, so the sigma of the latest walk is
-    the one that produced the record. In ``sweeps`` the faulty couple is
+    ``brute.graphs_from_traversal`` builds each couple right after its
+    walk, so the sigma of the latest walk is the one that produced the
+    record. In ``sweeps`` the faulty couple is
     built from the record and its masks, labelled and renamed, are
     returned in place of the record's own: one seam feeds both the
     check of a pair against its own couple and the canonical key.
@@ -317,7 +317,7 @@ def test_emptying_start_two_gives_two_tuples_one_union(monkeypatch):
         for rho in perms:
             key = tuple(
                 (g1.edges, g2.edges)
-                for g1, g2 in (cyclegraphs.graphs_from_traversal(sigma, rho, m) for m in (1, 2))
+                for g1, g2 in (brute.graphs_from_traversal(sigma, rho, m) for m in (1, 2))
             )
             union = tuple(frozenset().union(*side) for side in zip(*key))
             tuples_of_union.setdefault(union, set()).add(key)

@@ -22,15 +22,22 @@ from permprod.samplers import (
     SamplerSpec,
     ewens_rows,
     matching_heavy_rows,
-    perm_from_row,
     product_rows,
-    row_from_perm,
     small_cycle_counts,
     sqrt_fixed_rows,
     uniform_rows,
 )
 from permprod.cli import sampler_from_text
 from permprod.oracle import ExactDistribution
+
+
+def perm_from_row(row: np.ndarray) -> Permutation:
+    # The one-based permutation of one zero-based row.
+    return Permutation(tuple(int(x) + 1 for x in row))
+
+
+def row_from_perm(perm: Permutation) -> np.ndarray:
+    return np.asarray([x - 1 for x in perm.images], dtype=np.int32)
 
 
 def rows_are_permutations(rows: np.ndarray, n: int) -> bool:
