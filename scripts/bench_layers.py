@@ -29,10 +29,10 @@ suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
 the membership bounds at n = 5 and, beyond the default, at n = 7 (the
 largest ``--pair-n``), and the whole default ``run_all()``,
 every suite of the report. These stages run round robin, one pass over
-all of them per repeat, and each keeps its best. Two stages beyond the
-default are timed once after them: the trace sweep at n = 9, where the
-single-permutation sweep's n! scaling shows, and event-factorization at
-n = 6. Last, ``cyclegraphs.walk_patterns`` lists its patterns for the
+all of them per repeat, and each keeps its best. Three stages beyond
+the default are timed once after them: the trace sweep at n = 9, where
+the single-permutation sweep's n! scaling shows, and event-factorization
+at n = 6 and at n = 7, the largest ``--pair-n``. Last, ``cyclegraphs.walk_patterns`` lists its patterns for the
 cycle lengths (3, 3) and (2, 2, 2), each timed once, with the pattern
 count beside the time; this is left out when the package on the path
 has no such function. ``--json PATH``
@@ -214,6 +214,7 @@ def main(argv=None) -> int:
     once = (
         ("trace n = 9", lambda: sweeps.sweep_trace_identity(9)),
         ("event-factor. n = 6", lambda: sweeps.sweep_event_factorization(6)),
+        ("event-factor. n = 7", lambda: sweeps.sweep_event_factorization(7)),
     )
     for label, stage in once:
         seconds = best_ms(stage, 1) / 1e3

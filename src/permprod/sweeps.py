@@ -44,10 +44,11 @@ times as its orbit has members (:func:`_conjugation_orbits` and the
   count and rectangle size, so each tuple is keyed canonically: the
   vertices outside 1..K are renamed in order of first appearance along
   the walks, and one key stands for all the labelled tuples of its
-  orbit. It builds no graph objects: each walk's side masks, labelled
-  and renamed, are read straight from its traversal record through a
-  per-n table of edge bits. Its fibers are kept as counts only: a pair
-  count per key, and the keys holding a pair that fails its own union.
+  orbit. It builds no graph objects and no traversal records: it walks
+  its pairs in numpy blocks, every start of every pair at once, and
+  reads each couple's edges, labelled and renamed, off the walk arrays.
+  Its fibers are kept as counts only: a pair count per key, and the
+  keys holding a pair that fails its own union.
   A tuple whose count is its union's rectangle size, with no such pair,
   fills that rectangle, so no other tuple can share its union; a second
   one would be a non-empty, disjoint fiber inside the same rectangle,
@@ -74,23 +75,25 @@ sweep walks all n! permutations. The trace sweep walks them in numpy
 blocks of ``_TRACE_BLOCK_ROWS`` rows, each block twice: once for the
 fixed points of every power and once for each row's cycle type, whose
 divisor-sum formula is evaluated once per type. Event-factorization
-counts the permutations satisfying each distinct side mask once, in
-numpy, against the n! permutation masks.
+walks each sigma against the rhos in blocks of at most ``_PAIR_BLOCK``
+pairs, and counts the permutations satisfying each distinct side mask
+once, in numpy, against the n! permutation masks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from permprod.cyclegraphs import (
     DirectedGraph,
-    TraversalRecord,
     graphs_from_record,
     membership,
     no_two_cycles_when_components_small,
@@ -136,13 +139,14 @@ _EXAMPLE_CAP = 5
 
 # Event-factorization walks one sigma per orbit under the stabiliser of
 # its starts against every rho, and is most of a run past n = 5. On one
-# core of a 2-core machine: 108,000 pairs (970,776 graph tuples) in 2.0 s
-# and 46 MB resident at n = 6, where a whole verify-lemmas run takes
-# 2.2 s; 1.54 million pairs (42,186,823 tuples) in 34 s and 218 MB at
-# n = 7, where a whole run takes 37 s and 223 MB. There the four other
-# pair suites (5,579 pairs) take 1.4 s, relabel-dichotomy 1.1 s and the
-# bounds 0.09 s (110 graph shapes). At n = 8 it would walk 23.2 million
-# pairs.
+# core of a 2-core machine: 108,000 pairs (970,776 graph tuples) in
+# 0.8 s and 45 MB resident at n = 6, where a whole verify-lemmas run
+# takes 0.9 s; 1.54 million pairs (42,186,823 tuples) in 10-12 s and
+# 217 MB at n = 7, where a whole run takes 11 s and 222 MB. There the
+# four other pair suites (5,579 pairs) take 1.4 s, relabel-dichotomy
+# 1.1 s and the bounds 0.09 s (110 graph shapes). At n = 8 it would walk
+# 23.2 million pairs, and its per-k key tables, about 200 MB at n = 7,
+# would grow about 15-fold.
 _PAIR_MAX_N = 7
 # The trace sweep walks all single_n! permutations: on one core of a
 # 2-core machine, 0.09 s at n = 8, 0.8 s at n = 9 and 8.7 s at n = 10,
@@ -151,10 +155,13 @@ _SINGLE_MAX_N = 10
 # Rows per block of the trace sweep: a block and its temporaries take
 # about 0.3 MiB at n = 8.
 _TRACE_BLOCK_ROWS = 512
-# Event-factorization checks its keys in blocks of _KEY_BLOCK, and
-# compares side masks with the n! permutation masks in blocks of at most
-# _MASK_BLOCK_ELEMENTS entries. Every key is held while they run, so
-# their temporaries are kept to tens of kB.
+# Event-factorization walks one sigma against at most _PAIR_BLOCK rhos
+# at a time: all of S_5 in one block, whose temporaries peak at about
+# 0.2 MiB, and 1.1 MiB at n = 7. It checks its keys in blocks of
+# _KEY_BLOCK, and compares side masks with the n! permutation masks in
+# blocks of at most _MASK_BLOCK_ELEMENTS entries. Every key is held while
+# they run, so their temporaries are kept to tens of kB.
+_PAIR_BLOCK = 512
 _KEY_BLOCK = 256
 _MASK_BLOCK_ELEMENTS = 1 << 10
 
@@ -326,37 +333,6 @@ def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _edge_bits(n: int) -> list[list[int]]:
-    """``bits[a][b]`` is the :func:`_edge_mask` bit of edge (a, b), for
-    a, b in 1..n; row and column 0 are unused padding."""
-    return [[0] * (n + 1)] + [
-        [0] + [1 << ((a - 1) * n + b - 1) for b in range(1, n + 1)]
-        for a in range(1, n + 1)
-    ]
-
-
-def _record_masks(
-    record: TraversalRecord, bits: list[list[int]], names: Mapping[int, int]
-) -> tuple[int, int, int, int]:
-    """The (sigma-side, rho-side) edge masks of one traversal, read off
-    its record, then the same two masks with every vertex v renamed
-    ``names[v]``: the sigma side has the edges (i_{l+1}, j_l) and the
-    wrap edge (i_1, j_k), the rho side the edges (i_l, j_l)."""
-    sigma_side = rho_side = named_sigma = named_rho = 0
-    j_prev = record.j_seq[-1]
-    named_prev = names[j_prev]
-    for i, j in zip(record.i_seq, record.j_seq):
-        row = bits[i]
-        named_row = bits[names[i]]
-        named_j = names[j]
-        sigma_side |= row[j_prev]
-        rho_side |= row[j]
-        named_sigma |= named_row[named_prev]
-        named_rho |= named_row[named_j]
-        j_prev, named_prev = j, named_j
-    return sigma_side, rho_side, named_sigma, named_rho
-
-
 def _conjugation_orbits(perms: list, group: list) -> list[list]:
     """[representative, orbit size] for each orbit of conjugation by the
     permutations in ``group``, in first-seen order: each permutation of
@@ -511,6 +487,157 @@ def sweep_small_components(n: int = 4) -> SweepSummary:
     return _reduced_pair_suites(n)[3]
 
 
+def _walk_pairs(
+    sigma_inv: np.ndarray, rho: np.ndarray, last: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walks of a block of pairs from the starts 1..last, and the
+    edges of their graph couples, all 0-based: row r is the pair whose
+    sigma^-1 has the images ``sigma_inv[r]`` and whose rho has ``rho[r]``.
+
+    Every row walks every start at once, for n steps: i_0 = m, j_l =
+    rho(i_l) and i_{l+1} = sigma^-1(j_l), until i_{l+1} is m again after
+    k steps. ``walks[r, s]`` is start s + 1's traversal record, its index
+    walk then its companion sequence, each padded with -1 to n entries.
+    ``tails[r, s, side]`` and ``heads[r, s, side]`` are the edges of that
+    start's couple, side 0 for sigma and 1 for rho, padded with -1: step
+    l gives the sigma-side edge (i_{l+1}, j_l), which for the last step
+    is the wrap edge (i_0, j_{k-1}), and the rho-side edge (i_l, j_l).
+    """
+    rows, n = rho.shape
+    offset = np.arange(0, rows * n, n)[:, None]
+    # Flat indices: entry r * n + x of rho_at is that of rho_r(x).
+    rho_at = (rho + offset).ravel()
+    sigma_inv_at = (sigma_inv + offset).ravel()
+    # Step l of every row and start, (i_l, j_l, i_{l+1}) as flat indices.
+    steps = np.empty((n, 3, rows, last), dtype=np.intp)
+    i = offset + np.arange(last)
+    for l in range(n):
+        steps[l, 0] = i
+        np.take(rho_at, i, out=steps[l, 1])
+        i = np.take(sigma_inv_at, steps[l, 1], out=steps[l, 2])
+    steps -= offset
+    steps = steps.transpose(2, 3, 1, 0)
+    # A walk's k steps run up to its first return to m.
+    k = np.argmax(steps[:, :, 2] == np.arange(last)[:, None], axis=2) + 1
+    np.copyto(steps, -1, where=(np.arange(n) >= k[..., None])[:, :, None])
+    return steps[:, :, :2], steps[:, :, 2::-2], steps[:, :, [1, 1]]
+
+
+def _vertex_names(walks: np.ndarray, fixed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(names, u) for the walks of a block of :func:`_walk_pairs`.
+
+    Vertices below ``fixed`` keep their labels, and the others are named
+    fixed, fixed + 1, ... in order of first appearance along each row's
+    walks: start by start, the index walk before its companion sequence.
+    ``names[r, s, v]`` is row r's name for vertex v at start s + 1, or
+    n * n, which names no vertex, while no walk of starts 1..s+1 has
+    reached v. Column n, which the -1 padding reads, is 0. ``u[r, s]``
+    counts the vertices named by the walks of starts 1..s+1.
+    """
+    rows, last, _, n = walks.shape
+    # Each vertex also appears once past the end of row r's walks.
+    every = np.broadcast_to(np.arange(n), (rows, n))
+    seq = np.concatenate([walks.reshape(rows, -1), every], axis=1)
+    # first[r, v]: where v first appears in row r's walks, or past their
+    # end if it never does; -1 for the fixed vertices.
+    first = np.full((rows, n), -1, dtype=np.intp)
+    for v in range(fixed, n):
+        first[:, v] = np.argmax(seq == v, axis=1)
+    late = first[:, fixed:]
+    names = np.zeros((rows, n + 1), dtype=np.intp)
+    names[:, :fixed] = np.arange(fixed)
+    names[:, fixed:n] = fixed + (late[:, None, :] < late[:, :, None]).sum(axis=2)
+    # Start s's walks end at position 2n(s + 1).
+    reached = first[:, None, :] < 2 * n * np.arange(1, last + 1)[:, None]
+    padded = np.concatenate([reached, np.ones((rows, last, 1), dtype=bool)], axis=2)
+    return np.where(padded, names[:, None, :], n * n), reached[:, :, fixed:].sum(axis=2)
+
+
+def _couple_bits(tails: np.ndarray, heads: np.ndarray, names: np.ndarray, spare: int) -> np.ndarray:
+    """The edge bits of the couples of a block of :func:`_walk_pairs`,
+    both ends of each edge (a, b) renamed by ``names[r, s]``
+    (:func:`_vertex_names`), as bit a * n + b of its side (the bits of
+    :func:`_edge_mask`, 0-based).
+
+    Row r holds n * n bools for each side of each start, from the first
+    column up: the couples of starts last..1, each its rho side before
+    its sigma side, then ``spare`` columns left False. An edge on a
+    vertex that no walk up to its start has reached raises KeyError
+    rather than being dropped.
+    """
+    rows, last, _, _ = tails.shape
+    n = names.shape[2] - 1
+    # Entry (r * last + s) * (n + 1) + v of names.ravel() is the name of
+    # v at row r and start s; -1 padding reads a column n, named 0.
+    at = np.arange(0, rows * last * (n + 1), n + 1).reshape(rows, last, 1, 1)
+    bit = np.take(names, tails + at)
+    bit *= n
+    bit += np.take(names, heads + at)
+    # A vertex named n * n puts its edge's bit past n * n.
+    if np.count_nonzero(bit >= n * n):
+        r, s = np.argwhere((bit >= n * n).any(axis=(2, 3)))[0]
+        raise KeyError(f"an edge of start {s + 1} in row {r} is on a vertex no walk has reached")
+    width = 2 * last * n * n + spare
+    # Start s's side has the ((last - 1 - s) * 2 + 1 - side)-th n * n bits.
+    block = (2 * last - 1 - np.arange(2 * last)).reshape(last, 2, 1) * n * n
+    bit += np.arange(0, rows * width, width).reshape(rows, 1, 1, 1) + block
+    bits = np.zeros((rows, width), dtype=bool)
+    bits.reshape(-1)[bit[tails >= 0]] = True
+    return bits
+
+
+def _block_keys(
+    sigma: np.ndarray, sigma_inv: np.ndarray, rho: np.ndarray, ks: list[int], fixed: int
+) -> list[tuple[list[int], list[int], set[int]]]:
+    """For each k, the keys of a block of pairs over the starts 1..k in
+    order of first appearance (:func:`_key_ints`), the number of rows
+    holding each, and the keys of the rows whose pair fails its own
+    union (see :func:`sweep_event_factorization`). Rows are pairs of
+    0-based images.
+
+    A key is, from its lowest bit up, the couples of starts k..1 as
+    :func:`_couple_bits` lays them out, so that start 1's sigma side,
+    which names the fewest vertices, is near the top, and above them
+    n - fixed - u in binary, which is mostly 0 at the largest k.
+    """
+    rows, n = rho.shape
+    last = max(ks)
+    width = (n - fixed).bit_length()
+    walks, tails, heads = _walk_pairs(sigma_inv, rho, last)
+    names, u = _vertex_names(walks, fixed)
+    bits = _couple_bits(tails, heads, names, width)
+    # Start s fails its own pair when sigma or rho misses an edge of its
+    # couple, and so does every tuple over more than s starts.
+    images = np.concatenate([sigma, rho], axis=1).ravel()
+    at = np.arange(0, rows * 2 * n, n).reshape(rows, 1, 2, 1)
+    missed = (np.take(images, tails + at) != heads) & (tails >= 0)
+    missed = missed.sum(axis=(2, 3))
+    unnamed_bits = ((n - fixed - u[:, :, None]) >> np.arange(width)) & 1 == 1
+    out = []
+    for k in ks:
+        bits[:, bits.shape[1] - width :] = unnamed_bits[:, k - 1]
+        packed = np.packbits(bits[:, 2 * (last - k) * n * n :], axis=1, bitorder="little")
+        rows_keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+        tally = Counter(rows_keys)
+        failing = np.flatnonzero(missed[:, :k].sum(axis=1)).tolist()
+        out.append(
+            (
+                list(_key_ints(tally)),
+                list(tally.values()),
+                set(_key_ints(rows_keys[r] for r in failing)),
+            )
+        )
+    return out
+
+
+def _key_ints(keys):
+    """The packed keys of :func:`_block_keys`, as ints, negated.
+    ``int.from_bytes`` sizes an int by its bytes, which can take one
+    30-bit digit more than its value: negating copies it at its own
+    size, 16 bytes less for most keys at n = 7."""
+    return map(operator.neg, map(int.from_bytes, keys, itertools.repeat("little")))
+
+
 def sweep_event_factorization(
     n: int = 4, start_counts: Sequence[int] = (1, 2, 3)
 ) -> SweepSummary:
@@ -536,11 +663,18 @@ def sweep_event_factorization(
     vertices they touch; it stands for (n-K)!/(n-K-u)! labelled tuples,
     which share its fiber size, so its weighted pair total must divide
     by that count, and the tally counts each key that many times. A run
-    with violations names the renamed tuples in its examples. No graph
-    objects are built: each walk's labelled and renamed masks come
-    straight from its record (:func:`_record_masks`), and whether a
-    start's couple fails its own pair is found on the labelled masks
-    once per pair, not once per k.
+    with violations names the renamed tuples in its examples.
+
+    The pairs are walked sigma-major and rho-minor, in numpy blocks of
+    one sigma against at most ``_PAIR_BLOCK`` rhos, every start of every
+    row at once (:func:`_walk_pairs`). No graph objects are built: each
+    block's couples are renamed (:func:`_vertex_names`) and set as edge
+    bits (:func:`_couple_bits`), and a key packs u and those bits over
+    the first k starts into an int (:func:`_block_keys`). Whether a
+    start's couple fails its own pair is read off its labelled edges. A
+    block's keys are counted within the block, then merged in order of
+    first appearance into one running table per k, so the tables keep
+    the keys in the order in which the pairs first meet them.
 
     A fiber is kept as its pair count only, with one set per k of the
     keys whose tuples have a pair failing its own union. A tuple passes
@@ -550,11 +684,11 @@ def sweep_event_factorization(
     same union would have a non-empty fiber, disjoint from the first, of
     pairs satisfying that union, so inside the same rectangle.
 
-    The keys are checked in blocks of ``_KEY_BLOCK``. The side masks a
-    block meets for the first time are counted together, each against
-    every permutation's mask in one numpy comparison
+    The keys are checked in blocks of ``_KEY_BLOCK``, their unions read
+    off in numpy (:func:`_key_unions`). The side masks a block meets for
+    the first time are counted together, each against every
+    permutation's mask in one numpy comparison
     (:func:`_satisfying_counts`), so each distinct mask is counted once.
-    Keys that pass add to the case count in bulk.
     """
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
@@ -562,85 +696,75 @@ def sweep_event_factorization(
     if n * n > 64:
         raise ValueError(f"edge masks hold n * n <= 64 bits, so n <= 8: n = {n}")
     last = max(ks)
-    starts = range(1, last + 1)
     # The points that every permutation fixing the starts fixes: fixing
     # all points but one fixes that one too.
     fixed = n if n - last == 1 else last
     perms = list(all_permutations(n))
-    perm_masks = [_edge_mask(enumerate(p.images, start=1), n) for p in perms]
-    bits = _edge_bits(n)
-    # Vertices past ``fixed`` are named as the walks reach them; reading
-    # an unnamed one raises KeyError rather than dropping its edges.
-    fixed_names = {v: v for v in range(1, fixed + 1)}
-    # A key packs the renamed couples of starts 1..k, n * n bits per
-    # side, above ``width`` bits holding u.
-    side_bits = n * n
-    width = n.bit_length()
+    orbits = _stabiliser_orbits(perms, fixed)
+    perm_array = _as_int64([_edge_mask(enumerate(p.images, start=1), n) for p in perms])
+    # The walks read S_n as rows of 0-based images, in the same order,
+    # and need no permutation objects: at n = 7 they took 1 MB.
+    images = next(_permutation_blocks(n, len(perms)))
+    del perms
     totals: list[dict[int, int]] = [{} for _ in ks]
     unsatisfied: list[set[int]] = [set() for _ in ks]
-    for sigma, orbit_size in _stabiliser_orbits(perms, fixed):
-        sigma_mask = _edge_mask(enumerate(sigma.images, start=1), n)
-        for rho, rho_mask in zip(perms, perm_masks):
-            names = fixed_names.copy()
-            named = fixed
-            packed = 0
-            keys = []
-            # The tuple over starts 1..k fails its own pair when k exceeds
-            # the first start whose couple sigma or rho does not satisfy.
-            first_failing = last
-            for s, m in enumerate(starts):
-                record = traversal(sigma, rho, m)
-                for v in record.i_seq + record.j_seq:
-                    if v not in names:
-                        named += 1
-                        names[v] = named
-                m1, m2, c1, c2 = _record_masks(record, bits, names)
-                if first_failing == last and (m1 & ~sigma_mask or m2 & ~rho_mask):
-                    first_failing = s
-                packed = (packed << side_bits | c1) << side_bits | c2
-                keys.append(packed << width | named - fixed)
-            for k, counts, failing in zip(ks, totals, unsatisfied):
-                key = keys[k - 1]
-                counts[key] = counts.get(key, 0) + orbit_size
-                if k > first_failing:
-                    failing.add(key)
+    for sigma, size in orbits:
+        sigma_rows = np.fromiter(
+            itertools.chain(sigma.images, inverse(sigma).images), dtype=np.intp, count=2 * n
+        ).reshape(2, n) - 1
+        for first in range(0, len(images), _PAIR_BLOCK):
+            rho = images[first : first + _PAIR_BLOCK]
+            block = _block_keys(*sigma_rows[:, None].repeat(len(rho), axis=1), rho, ks, fixed)
+            for (keys, pairs, failing), counts, failed in zip(block, totals, unsatisfied):
+                # A block names each key once: its running count grows by
+                # its pairs here, each of weight size.
+                added = map(operator.mul, pairs, itertools.repeat(size))
+                old = map(counts.get, keys, itertools.repeat(0))
+                counts.update(zip(keys, map(operator.add, old, added)))
+                failed.update(failing)
 
-    # The number of permutations satisfying each side mask met so far.
-    satisfying: dict[int, int] = {}
-    perm_array = _as_int64(perm_masks)
-    free = [math.factorial(n - e) for e in range(n + 1)]
-    arrangements = [math.perm(n - fixed, u) for u in range(n - fixed + 1)]
-    low = (1 << width) - 1
+    # For each side mask met so far: the number of permutations holding
+    # all its edges, shifted above 32 bits that hold (n - edges)!, or 0
+    # past n edges, where no permutation fits.
+    sides: dict[int, int] = {}
+    free = [math.factorial(n - e) if e <= n else 0 for e in range(n * n + 1)]
+    arrangements = np.array([math.perm(n - fixed, u) for u in range(n - fixed + 1)])
     factorization = _Tally()
-    for k, counts, failing in zip(ks, totals, unsatisfied):
+    for k, counts, failed in zip(ks, totals, unsatisfied):
         key_iter = iter(counts)
         while keys := list(itertools.islice(key_iter, _KEY_BLOCK)):
-            unions = [_key_unions(key >> width, k, side_bits) for key in keys]
-            new = list({mask for pair in unions for mask in pair}.difference(satisfying))
-            satisfying.update(zip(new, _satisfying_counts(new, perm_array)))
-            # Keys that pass are counted in bulk, the rest one by one, in
-            # key order.
-            passed = 0
-            for key, (e1, e2) in zip(keys, unions):
-                tuples = arrangements[key & low]
-                fiber_size, spread = divmod(counts[key], tuples)
-                expected = satisfying[e1] * satisfying[e2]
-                if (
-                    not spread
-                    and fiber_size == expected
-                    and expected == free[e1.bit_count()] * free[e2.bit_count()]
-                    and key not in failing
-                ):
-                    passed += tuples
-                else:
-                    factorization.record(
-                        False,
-                        lambda kk=k, a=e1, b=e2: (
-                            f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
-                        ),
-                        tuples,
-                    )
-            factorization.cases += passed
+            u, e1, e2 = _key_unions(keys, k, n, fixed)
+            tuples = arrangements[u]
+            fiber_size, spread = np.divmod(
+                np.fromiter(map(counts.__getitem__, keys), dtype=np.int64, count=len(keys)),
+                tuples,
+            )
+            e1, e2 = e1.tolist(), e2.tolist()
+            new = list(set(e1).union(e2).difference(sides))
+            satisfying = _satisfying_counts(new, perm_array)
+            sides.update(
+                (mask, count << 32 | free[mask.bit_count()]) for mask, count in zip(new, satisfying)
+            )
+            side1, side2 = (
+                np.fromiter(map(sides.__getitem__, side), dtype=np.int64, count=len(keys))
+                for side in (e1, e2)
+            )
+            expected = (side1 >> 32) * (side2 >> 32)
+            full = (side1 & 0xFFFFFFFF) * (side2 & 0xFFFFFFFF)
+            ok = (spread == 0) & (fiber_size == expected) & (expected == full)
+            if failed:
+                ok &= np.fromiter((key not in failed for key in keys), dtype=bool, count=len(keys))
+            factorization.cases += int(tuples[ok].sum())
+            for index in np.flatnonzero(~ok).tolist():
+                factorization.record(
+                    False,
+                    lambda kk=k, a=e1[index], b=e2[index]: (
+                        f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
+                    ),
+                    int(tuples[index]),
+                )
+        # The later tables and the side masks take the memory back.
+        counts.clear()
     return _summary(
         "event-factorization", n, factorization,
         f"{factorization.cases} realized graph tuples over start counts "
@@ -648,16 +772,36 @@ def sweep_event_factorization(
     )
 
 
-def _key_unions(packed: int, k: int, side_bits: int) -> tuple[int, int]:
-    """The sigma-side and rho-side unions of the k renamed couples packed
-    in a key above its u bits (see :func:`sweep_event_factorization`):
-    the couples sit 2 * side_bits apart, so shifting each one down onto
-    the last and or-ing folds them all into the lowest couple."""
-    folded = packed
-    for i in range(1, k):
-        folded |= packed >> 2 * i * side_bits
-    side = (1 << side_bits) - 1
-    return folded >> side_bits & side, folded & side
+def _key_unions(keys: list[int], k: int, n: int, fixed: int) -> tuple[np.ndarray, ...]:
+    """u, and the sigma-side and rho-side unions of the k renamed couples
+    packed in each key (see :func:`_block_keys`) as uint64 edge masks,
+    read off the keys as rows of 64-bit words."""
+    side_bits = n * n
+    width = (n - fixed).bit_length()
+    words = -(-(2 * k * side_bits + width) // 64)
+    packed = map(
+        int.to_bytes,
+        map(operator.neg, keys),
+        itertools.repeat(8 * words),
+        itertools.repeat("little"),
+    )
+    raw = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(keys), words)
+
+    def field(start: int, bits: int) -> np.ndarray:
+        # Bits start.. start + bits - 1 of each key, bits <= 64.
+        if not bits:
+            return np.zeros(len(keys), dtype=np.int64)
+        word, shift = divmod(start, 64)
+        value = (raw[:, word] >> np.uint64(shift)).view(np.int64)
+        if shift + bits > 64:
+            value = value | (raw[:, word + 1] << np.uint64(64 - shift)).view(np.int64)
+        return value & (1 << bits) - 1 if bits < 64 else value
+
+    # The rho side and then the sigma side of each couple.
+    sides = np.stack([field(side * side_bits, side_bits) for side in range(2 * k)])
+    unions = np.bitwise_or.reduce(sides.reshape(k, 2, len(keys)), axis=0)
+    rho_side, sigma_side = unions.view(np.uint64)
+    return n - fixed - field(2 * k * side_bits, width), sigma_side, rho_side
 
 
 def _as_int64(masks: Sequence[int]) -> np.ndarray:

@@ -27,6 +27,9 @@ by its lexicographically least relabeling, where ``cyclegraphs`` reads
 its shape. ``shape_tuple_pmf`` and ``union_pair_pmf`` are joint laws of
 graph shapes over every pair, and ``graphs_from_traversal`` and
 ``union_graphs`` build a pair's graphs from its walks.
+``record_masks`` reads one traversal's side masks, labelled and
+renamed, straight off its record, where event-factorization walks
+blocks of pairs in numpy (the sweep's previous path).
 ``product_rows`` and ``small_cycle_counts`` are the Monte Carlo layers
 as whole-chunk ``take_along_axis`` gathers, with no row blocks and no
 flat indices. Only ``perms``, ``cyclegraphs``, the
@@ -254,6 +257,38 @@ def graphs_from_traversal(
     the module at each call, so that a fault patched into
     ``cyclegraphs.traversal`` or ``graphs_from_record`` reaches it."""
     return cyclegraphs.graphs_from_record(cyclegraphs.traversal(sigma, rho, m), sigma.n)
+
+
+def edge_bits(n: int) -> list[list[int]]:
+    """``bits[a][b]`` is bit (a - 1) * n + (b - 1), that of edge (a, b)
+    in ``sweeps._edge_mask``, for a, b in 1..n; row and column 0 are
+    unused padding."""
+    return [[0] * (n + 1)] + [
+        [0] + [1 << ((a - 1) * n + b - 1) for b in range(1, n + 1)]
+        for a in range(1, n + 1)
+    ]
+
+
+def record_masks(
+    record: cyclegraphs.TraversalRecord, bits: list[list[int]], names: Mapping[int, int]
+) -> tuple[int, int, int, int]:
+    """The (sigma-side, rho-side) edge masks of one traversal, read off
+    its record, then the same two masks with every vertex v renamed
+    ``names[v]``: the sigma side has the edges (i_{l+1}, j_l) and the
+    wrap edge (i_1, j_k), the rho side the edges (i_l, j_l)."""
+    sigma_side = rho_side = named_sigma = named_rho = 0
+    j_prev = record.j_seq[-1]
+    named_prev = names[j_prev]
+    for i, j in zip(record.i_seq, record.j_seq):
+        row = bits[i]
+        named_row = bits[names[i]]
+        named_j = names[j]
+        sigma_side |= row[j_prev]
+        rho_side |= row[j]
+        named_sigma |= named_row[named_prev]
+        named_rho |= named_row[named_j]
+        j_prev, named_prev = j, named_j
+    return sigma_side, rho_side, named_sigma, named_rho
 
 
 def union_graphs(

@@ -17,19 +17,23 @@ graph tuple canonically. Its tallies must equal those of
 keys the tuples by their labels, clean and under a label-free fault;
 and, at n <= 4, where that stabiliser is trivial, those of
 ``brute.pair_pass``, which keeps every fiber's pairs and counts the
-tuples of each union, under faults that read labels too.
+tuples of each union, under faults that read labels too. Its pairs are
+walked in numpy blocks (``sweeps._walk_pairs``): the walks and masks of
+a block must be those of ``traversal`` and ``graphs_from_record``, pair
+by pair, and faults reach the sweep by rewriting a block's edges.
 """
 
 import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import brute
 from permprod import cyclegraphs, sweeps
-from permprod.cyclegraphs import DirectedGraph, graphs_from_record, traversal
-from permprod.perms import Permutation, all_permutations, conjugate, cycle_type
+from permprod.cyclegraphs import DirectedGraph, TraversalRecord, graphs_from_record, traversal
+from permprod.perms import Permutation, all_permutations, conjugate, cycle_type, inverse
 
 
 def _rows(summaries):
@@ -153,13 +157,16 @@ def test_pair_orbits_are_the_orbits_of_simultaneous_conjugation(n, pairs):
 def test_event_factorization_walks_one_sigma_per_stabiliser_orbit(
     monkeypatch, n, start_counts, orbits
 ):
+    # Each row of a block of walks is one pair, walked from every start.
     walked = []
+    walk = sweeps._walk_pairs
 
-    def counted(sigma, rho, m):
-        walked.append((sigma.images, rho.images, m))
-        return traversal(sigma, rho, m)
+    def counted(sigma_inv, rho, last):
+        for sigma, images in zip(_images(sigma_inv, inverted=True), _images(rho)):
+            walked.extend((sigma, images, m) for m in range(1, last + 1))
+        return walk(sigma_inv, rho, last)
 
-    monkeypatch.setattr(sweeps, "traversal", counted)
+    monkeypatch.setattr(sweeps, "_walk_pairs", counted)
     summary = sweeps.sweep_event_factorization(n, start_counts)
     assert summary.ok
     fixed = max(start_counts)
@@ -182,38 +189,123 @@ def test_event_factorization_walks_one_sigma_per_stabiliser_orbit(
     assert sum(map(len, covered)) == len(perms) == len(frozenset().union(*covered))
 
 
+def _images(rows, inverted=False):
+    # The 1-based images of each row of 0-based images, or of its inverse.
+    if inverted:
+        return [tuple(row.index(x) + 1 for x in range(len(row))) for row in rows.tolist()]
+    return [tuple(x + 1 for x in row) for row in rows.tolist()]
+
+
 def _couple_masks(g1, g2, names):
-    # The masks of a couple as ``sweeps._record_masks`` returns them:
+    # The masks of a couple as ``brute.record_masks`` returns them:
     # labelled, then with every vertex v renamed names[v].
     renamed = [[(names[a], names[b]) for a, b in g.edges] for g in (g1, g2)]
     return tuple(sweeps._edge_mask(edges, g1.n) for edges in (g1.edges, g2.edges, *renamed))
 
 
+def _by_start(bits, last):
+    # A row of couple bits holds starts last..1, each its rho side first;
+    # bits[r, s, side] is start s + 1's side, sigma then rho.
+    rows = len(bits)
+    return bits.reshape(rows, last, 2, -1)[:, ::-1, ::-1]
+
+
+def _mask(bits):
+    return sum(1 << int(b) for b in np.flatnonzero(bits))
+
+
+def _first_names(records, fixed):
+    # Vertices 1..fixed keep their labels, and the others are named
+    # fixed + 1, ... in order of first appearance along the records,
+    # each index walk before its companion sequence.
+    names = {v: v for v in range(1, fixed + 1)}
+    for record in records:
+        for v in record.i_seq + record.j_seq:
+            names.setdefault(v, len(names) + 1)
+    return names
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_record_masks_are_the_masks_of_the_graph_couple(n):
-    # Labelled, and renamed by v -> n + 1 - v.
-    bits = sweeps._edge_bits(n)
-    names = [0, *range(n, 0, -1)]
+def test_batched_walks_give_the_masks_of_the_graph_couples(n):
+    # Every ordered pair, walked from every start in one block. Vertices
+    # past fixed are renamed by first appearance over all the starts, and
+    # named n * n at the starts before their first.
+    fixed = min(2, n)
     perms = list(all_permutations(n))
-    for sigma in perms:
-        for rho in perms:
-            for m in range(1, n + 1):
-                record = traversal(sigma, rho, m)
-                g1, g2 = graphs_from_record(record, n)
-                want = _couple_masks(g1, g2, names)
-                assert sweeps._record_masks(record, bits, names) == want
+    pairs = list(itertools.product(perms, perms))
+    sigma_inv = np.array([inverse(sigma).images for sigma, _ in pairs]) - 1
+    rho = np.array([rho.images for _, rho in pairs]) - 1
+    walks, tails, heads = sweeps._walk_pairs(sigma_inv, rho, n)
+    names, u = sweeps._vertex_names(walks, fixed)
+    labels = np.tile(np.append(np.arange(n), 0), (len(pairs), n, 1))
+    weights = 1 << np.arange(n * n)
+    # masks[r, s]: labelled sigma side, rho side, then renamed.
+    masks = np.concatenate(
+        [
+            _by_start(sweeps._couple_bits(tails, heads, table, 0), n) @ weights
+            for table in (labels, names)
+        ],
+        axis=2,
+    ).tolist()
+    bits = brute.edge_bits(n)
+    rows = zip(pairs, walks.tolist(), names.tolist(), u.tolist(), masks)
+    for (sigma, rho), row_walks, row_names, row_u, row_masks in rows:
+        records = [traversal(sigma, rho, m) for m in range(1, n + 1)]
+        want_names = _first_names(records, fixed)
+        for s, record in enumerate(records):
+            reached = {v for r in records[: s + 1] for v in r.i_seq + r.j_seq}
+            named = reached | set(range(1, fixed + 1))
+            assert row_names[s][:n] == [
+                want_names[v] - 1 if v in named else n * n for v in range(1, n + 1)
+            ]
+            assert row_u[s] == len(named) - fixed
+            pad = [-1] * (n - record.k)
+            assert row_walks[s] == [
+                [v - 1 for v in seq] + pad for seq in (record.i_seq, record.j_seq)
+            ]
+            want = _couple_masks(*graphs_from_record(record, n), want_names)
+            assert brute.record_masks(record, bits, want_names) == want
+            assert tuple(row_masks[s]) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_key_unions_read_back_what_a_block_packs(n):
+    # A key packs u and the renamed couples of starts k..1 into an int of
+    # several 64-bit words, n * n edge bits a side, 64 at n = 8. Read
+    # back, its keys give each row's u and the unions of its couples.
+    fixed = n if n == 4 else 3
+    step = max(1, math.factorial(n) // 60)
+    perms = list(itertools.islice(all_permutations(n), 0, None, step))
+    sigma = perms[len(perms) // 3]
+    rho = np.array([p.images for p in perms]) - 1
+    sigma_rows = [
+        np.broadcast_to(np.array(p.images) - 1, rho.shape) for p in (sigma, inverse(sigma))
+    ]
+    block = sweeps._block_keys(*sigma_rows, rho, [1, 2, 3], fixed)
+    walks, tails, heads = sweeps._walk_pairs(sigma_rows[1], rho, 3)
+    names, u = sweeps._vertex_names(walks, fixed)
+    bits = _by_start(sweeps._couple_bits(tails, heads, names, 0), 3)
+    for k, (keys, pairs, failing) in zip([1, 2, 3], block):
+        assert sum(pairs) == len(perms) and not failing
+        unions = [
+            (row_u[k - 1], *(_mask(side) for side in row_bits[:k].any(axis=0)))
+            for row_u, row_bits in zip(u, bits)
+        ]
+        read = zip(*(side.tolist() for side in sweeps._key_unions(keys, k, n, fixed)))
+        assert set(read) == set(unions)
 
 
 def _inject(monkeypatch, fault):
     """Pass every traversal graph couple through fault(sigma, record, g1, g2).
 
-    ``sweeps`` reads each record's side masks right after its walk, and
-    ``brute.graphs_from_traversal`` builds each couple right after its
-    walk, so the sigma of the latest walk is the one that produced the
-    record. In ``sweeps`` the faulty couple is
-    built from the record and its masks, labelled and renamed, are
-    returned in place of the record's own: one seam feeds both the
-    check of a pair against its own couple and the canonical key.
+    ``sweeps`` walks its pairs in blocks through ``_walk_pairs``; here
+    each row's walk from each start is read back as its record, and the
+    block's edges are replaced by those of the faulty couple, padded
+    with -1. The walks, which name the vertices, are kept. One seam so
+    feeds both the check of a pair against its own couple and the
+    canonical key. ``brute.graphs_from_traversal`` builds each couple
+    right after its walk, so the sigma of the latest walk is the one
+    that produced the record.
     """
     walked = []
 
@@ -224,13 +316,31 @@ def _inject(monkeypatch, fault):
     def build(record, n):
         return fault(walked[0], record, *graphs_from_record(record, n))
 
-    def masks(record, bits, names):
-        return _couple_masks(*build(record, len(bits) - 1), names)
+    walk_pairs = sweeps._walk_pairs
 
-    for module in (sweeps, cyclegraphs):
-        monkeypatch.setattr(module, "traversal", walk)
+    def faulty_walk_pairs(sigma_inv, rho, last):
+        walks, _, _ = walk_pairs(sigma_inv, rho, last)
+        n = rho.shape[1]
+        couples = []
+        for images, row_walks in zip(_images(sigma_inv, inverted=True), walks.tolist()):
+            sigma = Permutation(images)
+            for m, (i_seq, j_seq) in enumerate(row_walks, start=1):
+                i_seq = tuple(v + 1 for v in i_seq if v >= 0)
+                j_seq = tuple(v + 1 for v in j_seq if v >= 0)
+                record = TraversalRecord(m, len(i_seq), i_seq, j_seq)
+                couples.append(fault(sigma, record, *graphs_from_record(record, n)))
+        width = max(len(g.edges) for couple in couples for g in couple)
+        ends = np.full((2, len(couples), 2, max(width, 1)), -1)
+        for c, couple in enumerate(couples):
+            for side, g in enumerate(couple):
+                for e, edge in enumerate(sorted(g.edges)):
+                    ends[:, c, side, e] = np.subtract(edge, 1)
+        tails, heads = ends.reshape(2, *walks.shape[:3], -1)
+        return walks, tails, heads
+
+    monkeypatch.setattr(cyclegraphs, "traversal", walk)
     monkeypatch.setattr(cyclegraphs, "graphs_from_record", build)
-    monkeypatch.setattr(sweeps, "_record_masks", masks)
+    monkeypatch.setattr(sweeps, "_walk_pairs", faulty_walk_pairs)
 
 
 def _drop_wrap_edge(sigma, r, g1, g2):
@@ -270,6 +380,24 @@ def test_reduced_event_factorization_matches_the_full_pass(n, start_counts):
     expected = brute.event_factorization_pass(n, start_counts)
     assert (summary.suite, summary.cases, summary.violations, summary.examples) == expected
     assert summary.ok
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_event_factorization_is_blind_to_its_block_size(monkeypatch, n):
+    # Blocks of one pair, and of seven, which leave a ragged last block
+    # for each sigma; under a fault, the examples keep their order too.
+    whole = sweeps.sweep_event_factorization(n)
+    for rows in (1, 7):
+        monkeypatch.setattr(sweeps, "_PAIR_BLOCK", rows)
+        assert sweeps.sweep_event_factorization(n) == whole
+    if n == 4:
+        _inject(monkeypatch, _drop_wrap_edge)
+        faulty = []
+        for rows in (1, 7, 5040):
+            monkeypatch.setattr(sweeps, "_PAIR_BLOCK", rows)
+            faulty.append(sweeps.sweep_event_factorization(n))
+        assert faulty[0].violations > 0
+        assert faulty[0] == faulty[1] == faulty[2]
 
 
 @pytest.mark.parametrize("start_counts", [(1, 2, 3), (1, 2)])

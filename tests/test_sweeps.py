@@ -128,6 +128,19 @@ def test_trace_sweep_memory_is_bounded():
     assert peak < 2**20
 
 
+def test_event_factorization_memory_is_bounded():
+    # One block of pairs and one block of keys at a time beside the
+    # running tables, whose keys take about 1.2 MiB at n = 5.
+    tracemalloc.start()
+    try:
+        summary = sweep_event_factorization(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.cases == 30725
+    assert peak < 1.5 * 2**20
+
+
 def test_traversal_consistency_sweep():
     assert_clean(sweep_traversal_consistency(3))
 
@@ -153,7 +166,8 @@ def test_satisfying_counts_match_a_scan_of_every_permutation(monkeypatch, n):
 
     def unions(*args):
         out = real_unions(*args)
-        named.update(out)
+        for side in out[1:3]:
+            named.update(side.tolist())
         return out
 
     def counted(masks, perm_array):
