@@ -32,10 +32,14 @@ every suite of the report. These stages run round robin, one pass over
 all of them per repeat, and each keeps its best. Three stages beyond
 the default are timed once after them: the trace sweep at n = 9, where
 the single-permutation sweep's n! scaling shows, and event-factorization
-at n = 6 and at n = 7, the largest ``--pair-n``. Last, ``cyclegraphs.walk_patterns`` lists its patterns for the
-cycle lengths (3, 3) and (2, 2, 2), each timed once, with the pattern
-count beside the time; this is left out when the package on the path
-has no such function. ``--json PATH``
+at n = 6 and at n = 7, the largest ``--pair-n``. Then a whole
+``permprod verify-lemmas --pair-n 7`` runs once in a fresh interpreter
+on the same package, timed from spawn to exit, with the peak resident
+set that process reads for itself (VmHWM, so Linux only). Last,
+``cyclegraphs.walk_patterns`` lists its patterns for the cycle lengths
+(3, 3) and (2, 2, 2), each timed once, with the pattern count beside
+the time; this is left out when the package on the path has no such
+function. ``--json PATH``
 also writes every row, with nproc, the numpy version and the repeat
 count, to PATH.
 
@@ -45,6 +49,7 @@ count, to PATH.
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -223,6 +228,30 @@ def main(argv=None) -> int:
             f"  {label:<20} {seconds:8.3f} s  peak {peak:8.2f} MiB  timed once",
             layer="verify-lemmas stage", stage=label, s=seconds, peak_mib=peak, repeat=1,
         )
+    # The package's own source directory goes first on the child's path.
+    source = os.path.dirname(os.path.dirname(os.path.abspath(sweeps.__file__)))
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["verify-lemmas", "--pair-n", "7"]
+    # The child reports the peak of its own address space (VmHWM, Linux),
+    # which a fork of this large process does not inflate.
+    child = (
+        f"import sys; from permprod.cli import main; code = main({argv!r}); "
+        "sys.stderr.write(open('/proc/self/status').read()); sys.exit(code)"
+    )
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True,
+    )
+    seconds = time.perf_counter() - start
+    code = done.returncode
+    peak_mb = int(done.stderr.split("VmHWM:")[1].split()[0]) / 1024
+    emit(
+        f"  {' '.join(argv):<20} {seconds:8.3f} s  peak RSS {peak_mb:7.1f} MB  exit {code}, run once",
+        layer="verify-lemmas run", args=argv, s=seconds, peak_rss_mb=peak_mb, exit_code=code,
+        repeat=1,
+    )
     patterns = getattr(cyclegraphs, "walk_patterns", None)
     if patterns is not None:
         print("walk patterns: s, timed once")

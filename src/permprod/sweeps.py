@@ -47,8 +47,9 @@ times as its orbit has members (:func:`_conjugation_orbits` and the
   orbit. It builds no graph objects and no traversal records: it walks
   its pairs in numpy blocks, every start of every pair at once, and
   reads each couple's edges, labelled and renamed, off the walk arrays.
-  Its fibers are kept as counts only: a pair count per key, and the
-  keys holding a pair that fails its own union.
+  Its fibers are kept as counts only, in one sorted table of int64 key
+  rows over the starts 1..K, with a pair count and a first failing start
+  per row; the keys over fewer starts are the rows' prefixes.
   A tuple whose count is its union's rectangle size, with no such pair,
   fills that rectangle, so no other tuple can share its union; a second
   one would be a non-empty, disjoint fiber inside the same rectangle,
@@ -75,17 +76,17 @@ sweep walks all n! permutations. The trace sweep walks them in numpy
 blocks of ``_TRACE_BLOCK_ROWS`` rows, each block twice: once for the
 fixed points of every power and once for each row's cycle type, whose
 divisor-sum formula is evaluated once per type. Event-factorization
-walks each sigma against the rhos in blocks of at most ``_PAIR_BLOCK``
-pairs, and counts the permutations satisfying each distinct side mask
-once, in numpy, against the n! permutation masks.
+walks its (sigma, rho) rows in blocks of ``_PAIR_BLOCK`` that run across
+sigmas, merges each block's key rows into its table as it goes, reads
+every start count's keys off that one table by one sort, and counts the
+permutations satisfying each distinct side mask once, in numpy, against
+the n! permutation masks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -139,14 +140,14 @@ _EXAMPLE_CAP = 5
 
 # Event-factorization walks one sigma per orbit under the stabiliser of
 # its starts against every rho, and is most of a run past n = 5. On one
-# core of a 2-core machine: 108,000 pairs (970,776 graph tuples) in
-# 0.8 s and 45 MB resident at n = 6, where a whole verify-lemmas run
-# takes 0.9 s; 1.54 million pairs (42,186,823 tuples) in 10-12 s and
-# 217 MB at n = 7, where a whole run takes 11 s and 222 MB. There the
-# four other pair suites (5,579 pairs) take 1.4 s, relabel-dichotomy
-# 1.1 s and the bounds 0.09 s (110 graph shapes). At n = 8 it would walk
-# 23.2 million pairs, and its per-k key tables, about 200 MB at n = 7,
-# would grow about 15-fold.
+# core of a 2-core machine: 108,000 pairs (72,780 key rows) in 0.6 s at
+# n = 6, where a whole verify-lemmas run takes 0.8-1.2 s and 44 MB; 1.54
+# million pairs (807,468 key rows) in 7-9 s at n = 7, where a whole run
+# takes 9.6 s and 171 MB, the four other pair suites 1.9 s,
+# relabel-dichotomy 1.4 s and the bounds 0.05 s. At n = 8 it would walk
+# 23.2 million pairs, about 100 s of walking at its rate per block, into
+# some 9 million key rows (11 times n = 7's) of 81 bytes: a 0.7 GB
+# table, and a peak near 1.8 GB if it grows as it does at n = 7.
 _PAIR_MAX_N = 7
 # The trace sweep walks all single_n! permutations: on one core of a
 # 2-core machine, 0.09 s at n = 8, 0.8 s at n = 9 and 8.7 s at n = 10,
@@ -155,14 +156,15 @@ _SINGLE_MAX_N = 10
 # Rows per block of the trace sweep: a block and its temporaries take
 # about 0.3 MiB at n = 8.
 _TRACE_BLOCK_ROWS = 512
-# Event-factorization walks one sigma against at most _PAIR_BLOCK rhos
-# at a time: all of S_5 in one block, whose temporaries peak at about
-# 0.2 MiB, and 1.1 MiB at n = 7. It checks its keys in blocks of
-# _KEY_BLOCK, and compares side masks with the n! permutation masks in
-# blocks of at most _MASK_BLOCK_ELEMENTS entries. Every key is held while
-# they run, so their temporaries are kept to tens of kB.
-_PAIR_BLOCK = 512
-_KEY_BLOCK = 256
+# Event-factorization walks its pairs in blocks of _PAIR_BLOCK rows,
+# whose temporaries peak at 0.2 MiB at n = 5 and 0.6 MiB at n = 7. It
+# merges the blocks' key rows into its table once the rows walked since
+# the last merge number _MERGE_ROWS and half the table's rows: at n = 7
+# that holds the peak to about 2.4 times the table's 46 MB. It compares
+# side masks with the n! permutation masks in blocks of at most
+# _MASK_BLOCK_ELEMENTS entries.
+_PAIR_BLOCK = 256
+_MERGE_ROWS = 1 << 14
 _MASK_BLOCK_ELEMENTS = 1 << 10
 
 
@@ -318,16 +320,9 @@ def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSumma
     )
 
 
-def _edge_mask(edges, n: int) -> int:
-    # Edge (a, b) is bit (a - 1) * n + (b - 1), so ascending bits are
-    # edges in sorted order.
-    mask = 0
-    for a, b in edges:
-        mask |= 1 << ((a - 1) * n + b - 1)
-    return mask
-
-
 def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
+    # The edges of a mask, edge (a, b) being bit (a - 1) * n + (b - 1),
+    # in sorted order.
     return [
         (bit // n + 1, bit % n + 1) for bit in range(n * n) if mask >> bit & 1
     ]
@@ -553,17 +548,12 @@ def _vertex_names(walks: np.ndarray, fixed: int) -> tuple[np.ndarray, np.ndarray
     return np.where(padded, names[:, None, :], n * n), reached[:, :, fixed:].sum(axis=2)
 
 
-def _couple_bits(tails: np.ndarray, heads: np.ndarray, names: np.ndarray, spare: int) -> np.ndarray:
-    """The edge bits of the couples of a block of :func:`_walk_pairs`,
-    both ends of each edge (a, b) renamed by ``names[r, s]``
-    (:func:`_vertex_names`), as bit a * n + b of its side (the bits of
-    :func:`_edge_mask`, 0-based).
-
-    Row r holds n * n bools for each side of each start, from the first
-    column up: the couples of starts last..1, each its rho side before
-    its sigma side, then ``spare`` columns left False. An edge on a
-    vertex that no walk up to its start has reached raises KeyError
-    rather than being dropped.
+def _side_masks(tails: np.ndarray, heads: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """``masks[r, s, side]``: that side (0 sigma, 1 rho) of start s + 1's
+    couple in a block of :func:`_walk_pairs` as an int64 edge mask, each
+    edge (a, b) renamed by ``names[r, s]`` (:func:`_vertex_names`) and
+    set as bit a * n + b. An edge on a vertex that no walk up to its
+    start has reached raises KeyError rather than being dropped.
     """
     rows, last, _, _ = tails.shape
     n = names.shape[2] - 1
@@ -577,65 +567,87 @@ def _couple_bits(tails: np.ndarray, heads: np.ndarray, names: np.ndarray, spare:
     if np.count_nonzero(bit >= n * n):
         r, s = np.argwhere((bit >= n * n).any(axis=(2, 3)))[0]
         raise KeyError(f"an edge of start {s + 1} in row {r} is on a vertex no walk has reached")
-    width = 2 * last * n * n + spare
-    # Start s's side has the ((last - 1 - s) * 2 + 1 - side)-th n * n bits.
-    block = (2 * last - 1 - np.arange(2 * last)).reshape(last, 2, 1) * n * n
-    bit += np.arange(0, rows * width, width).reshape(rows, 1, 1, 1) + block
-    bits = np.zeros((rows, width), dtype=bool)
-    bits.reshape(-1)[bit[tails >= 0]] = True
-    return bits
+    edges = np.left_shift(1, bit, dtype=np.int64)
+    edges[tails < 0] = 0
+    return np.bitwise_or.reduce(edges, axis=3)
 
 
-def _block_keys(
-    sigma: np.ndarray, sigma_inv: np.ndarray, rho: np.ndarray, ks: list[int], fixed: int
-) -> list[tuple[list[int], list[int], set[int]]]:
-    """For each k, the keys of a block of pairs over the starts 1..k in
-    order of first appearance (:func:`_key_ints`), the number of rows
-    holding each, and the keys of the rows whose pair fails its own
-    union (see :func:`sweep_event_factorization`). Rows are pairs of
-    0-based images.
+def _key_layout(n: int, fixed: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Where one start's sigma mask, rho mask and u lie in a key row: each
+    as (word, shift, width), filling an int64 word from bit 0 and moving
+    to the next word when it does not fit; and the words a start takes:
+    1 up to n = 5, 2 at n = 6 and 7, 3 at n = 8."""
+    place, word, used = [], 0, 0
+    for width in (n * n, n * n, (n - fixed).bit_length()):
+        if used + width > 64:
+            word, used = word + 1, 0
+        place.append((word, used, width))
+        used += width
+    return place, word + 1
 
-    A key is, from its lowest bit up, the couples of starts k..1 as
-    :func:`_couple_bits` lays them out, so that start 1's sigma side,
-    which names the fewest vertices, is near the top, and above them
-    n - fixed - u in binary, which is mostly 0 at the largest k.
+
+def _key_rows(
+    sigma: np.ndarray, sigma_inv: np.ndarray, rho: np.ndarray, last: int, fixed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The key rows of a block of pairs of 0-based images, and each row's
+    first failing start, or last + 1.
+
+    Row r holds, start by start, the renamed masks of each start's couple
+    (:func:`_side_masks`) and u (:func:`_vertex_names`), in int64 words
+    as :func:`_key_layout` places them: a tuple's key over the starts
+    1..k is its row's first k starts' words. A start fails when sigma or
+    rho misses an edge of its labelled couple.
     """
     rows, n = rho.shape
-    last = max(ks)
-    width = (n - fixed).bit_length()
     walks, tails, heads = _walk_pairs(sigma_inv, rho, last)
     names, u = _vertex_names(walks, fixed)
-    bits = _couple_bits(tails, heads, names, width)
-    # Start s fails its own pair when sigma or rho misses an edge of its
-    # couple, and so does every tuple over more than s starts.
-    images = np.concatenate([sigma, rho], axis=1).ravel()
-    at = np.arange(0, rows * 2 * n, n).reshape(rows, 1, 2, 1)
-    missed = (np.take(images, tails + at) != heads) & (tails >= 0)
-    missed = missed.sum(axis=(2, 3))
-    unnamed_bits = ((n - fixed - u[:, :, None]) >> np.arange(width)) & 1 == 1
-    out = []
-    for k in ks:
-        bits[:, bits.shape[1] - width :] = unnamed_bits[:, k - 1]
-        packed = np.packbits(bits[:, 2 * (last - k) * n * n :], axis=1, bitorder="little")
-        rows_keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
-        tally = Counter(rows_keys)
-        failing = np.flatnonzero(missed[:, :k].sum(axis=1)).tolist()
-        out.append(
-            (
-                list(_key_ints(tally)),
-                list(tally.values()),
-                set(_key_ints(rows_keys[r] for r in failing)),
-            )
-        )
-    return out
+    masks = _side_masks(tails, heads, names)
+    place, words = _key_layout(n, fixed)
+    keys = np.zeros((rows, last, words), dtype=np.int64)
+    for (word, shift, _), value in zip(place, (masks[:, :, 0], masks[:, :, 1], u)):
+        keys[:, :, word] |= value << shift
+    # Each row's sigma and rho, each followed by a -1 that the -1 padding
+    # reads, and so matches.
+    images = np.full((rows, 2, n + 1), -1)
+    images[:, 0, :n] = sigma
+    images[:, 1, :n] = rho
+    at = np.arange(0, rows * 2 * (n + 1), n + 1).reshape(rows, 1, 2, 1)
+    missed = (np.take(images, tails + at) != heads).reshape(rows, last, -1).any(axis=2)
+    fail = np.where(missed.any(axis=1), missed.argmax(axis=1) + 1, last + 1)
+    return keys.reshape(rows, -1), fail.astype(np.int8)
 
 
-def _key_ints(keys):
-    """The packed keys of :func:`_block_keys`, as ints, negated.
-    ``int.from_bytes`` sizes an int by its bytes, which can take one
-    30-bit digit more than its value: negating copies it at its own
-    size, 16 bytes less for most keys at n = 7."""
-    return map(operator.neg, map(int.from_bytes, keys, itertools.repeat("little")))
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    # The first row of each run of equal rows.
+    change = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=change[1:])
+    return np.flatnonzero(change)
+
+
+def _merge_keys(columns: tuple[list[np.ndarray], ...]) -> None:
+    """Merge in place the pieces of each column of the table (key rows,
+    pair count, first row, first failing start) into one, sorted by key
+    with each key once: its counts summed, its least first row and
+    failing start kept. Keys sort as byte strings, so rows sharing their
+    first k starts' words are contiguous for every k; the stable sort
+    finds a sorted piece, such as the last table, as one run."""
+    keys, pairs, first, fail = map(np.concatenate, columns)
+    for column in columns:
+        column.clear()
+    order = np.argsort(keys.view(f"V{8 * keys.shape[1]}").ravel(), kind="stable")
+    keys = keys[order]
+    starts = _run_starts(keys)
+    columns[0].append(keys[starts])
+    del keys
+    reducers = (np.add, np.minimum, np.minimum)
+    for column, values, ufunc in zip(columns[1:], (pairs, first, fail), reducers):
+        column.append(ufunc.reduceat(values[order], starts))
+
+
+def _fixing_counts(n: int) -> list[int]:
+    # (n - e)! for e = 0..n * n: the permutations of S_n holding e given
+    # edges of a partial injection, and none past n edges.
+    return [math.factorial(n - e) if e <= n else 0 for e in range(n * n + 1)]
 
 
 def sweep_event_factorization(
@@ -666,29 +678,28 @@ def sweep_event_factorization(
     with violations names the renamed tuples in its examples.
 
     The pairs are walked sigma-major and rho-minor, in numpy blocks of
-    one sigma against at most ``_PAIR_BLOCK`` rhos, every start of every
-    row at once (:func:`_walk_pairs`). No graph objects are built: each
-    block's couples are renamed (:func:`_vertex_names`) and set as edge
-    bits (:func:`_couple_bits`), and a key packs u and those bits over
-    the first k starts into an int (:func:`_block_keys`). Whether a
-    start's couple fails its own pair is read off its labelled edges. A
-    block's keys are counted within the block, then merged in order of
-    first appearance into one running table per k, so the tables keep
-    the keys in the order in which the pairs first meet them.
+    ``_PAIR_BLOCK`` rows that run across sigmas, every start at once
+    (:func:`_walk_pairs`). No graph objects are built: a row becomes
+    one row of int64 words, each start's renamed side masks and u, and
+    its first failing start (:func:`_key_rows`). One sorted table keeps
+    the distinct rows with their weighted pair counts, first rows and
+    first failing starts; blocks are merged into it whenever the rows
+    walked since reach half its size (:func:`_merge_keys`). The keys
+    over k starts are the runs of the table's first k starts' words, and
+    their counts, first rows and failing starts are reduced over each
+    run. Examples follow the first rows, the order in which the pairs
+    first meet the keys.
 
-    A fiber is kept as its pair count only, with one set per k of the
-    keys whose tuples have a pair failing its own union. A tuple passes
-    when its count equals the rectangle's size and none of its pairs
-    fails, which makes the fiber the whole rectangle. That the tuple is
-    then the only one with its union follows: a second tuple with the
-    same union would have a non-empty fiber, disjoint from the first, of
-    pairs satisfying that union, so inside the same rectangle.
-
-    The keys are checked in blocks of ``_KEY_BLOCK``, their unions read
-    off in numpy (:func:`_key_unions`). The side masks a block meets for
-    the first time are counted together, each against every
-    permutation's mask in one numpy comparison
-    (:func:`_satisfying_counts`), so each distinct mask is counted once.
+    A fiber is kept as its pair count only, and as whether one of its
+    pairs fails its own union. A tuple passes when its count equals the
+    rectangle's size and none of its pairs fails, which makes the fiber
+    the whole rectangle. That the tuple is then the only one with its
+    union follows: a second tuple with the same union would have a
+    non-empty fiber, disjoint from the first, of pairs satisfying that
+    union, so inside the same rectangle. The unions are read off the key
+    words (:func:`_key_unions`); each distinct side mask is counted once
+    against every permutation's mask (:func:`_satisfying_counts`), and
+    compared with (n - edges)! (:func:`_fixing_counts`).
     """
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
@@ -699,72 +710,79 @@ def sweep_event_factorization(
     # The points that every permutation fixing the starts fixes: fixing
     # all points but one fixes that one too.
     fixed = n if n - last == 1 else last
-    perms = list(all_permutations(n))
-    orbits = _stabiliser_orbits(perms, fixed)
-    perm_array = _as_int64([_edge_mask(enumerate(p.images, start=1), n) for p in perms])
-    # The walks read S_n as rows of 0-based images, in the same order,
-    # and need no permutation objects: at n = 7 they took 1 MB.
-    images = next(_permutation_blocks(n, len(perms)))
-    del perms
-    totals: list[dict[int, int]] = [{} for _ in ks]
-    unsatisfied: list[set[int]] = [set() for _ in ks]
-    for sigma, size in orbits:
-        sigma_rows = np.fromiter(
-            itertools.chain(sigma.images, inverse(sigma).images), dtype=np.intp, count=2 * n
-        ).reshape(2, n) - 1
-        for first in range(0, len(images), _PAIR_BLOCK):
-            rho = images[first : first + _PAIR_BLOCK]
-            block = _block_keys(*sigma_rows[:, None].repeat(len(rho), axis=1), rho, ks, fixed)
-            for (keys, pairs, failing), counts, failed in zip(block, totals, unsatisfied):
-                # A block names each key once: its running count grows by
-                # its pairs here, each of weight size.
-                added = map(operator.mul, pairs, itertools.repeat(size))
-                old = map(counts.get, keys, itertools.repeat(0))
-                counts.update(zip(keys, map(operator.add, old, added)))
-                failed.update(failing)
+    orbits = _stabiliser_orbits(list(all_permutations(n)), fixed)
+    # S_n as rows of 0-based images, in the same order, and as edge masks.
+    images = next(_permutation_blocks(n, math.factorial(n)))
+    perm_masks = np.bitwise_or.reduce(1 << (images + np.arange(0, n * n, n)), axis=1)
+    sigmas = np.array([sigma.images for sigma, _ in orbits], dtype=np.intp) - 1
+    sigma_invs = np.argsort(sigmas, axis=1)
+    sizes = np.array([size for _, size in orbits], dtype=np.int32)
+    total = len(sigmas) * len(images)
+    # The table, once merged, then the blocks walked since. A pair count
+    # fits in 32 bits up to n = 8, as does a row's index.
+    columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
+    table_rows = pending = 0
+    for start in range(0, total, _PAIR_BLOCK):
+        row = np.arange(start, min(start + _PAIR_BLOCK, total), dtype=np.int32)
+        orbit, r = np.divmod(row, len(images))
+        keys, fail = _key_rows(sigmas[orbit], sigma_invs[orbit], images[r], last, fixed)
+        for column, piece in zip(columns, (keys, sizes[orbit], row, fail)):
+            column.append(piece)
+        pending += len(row)
+        if pending >= max(_MERGE_ROWS, table_rows // 2):
+            _merge_keys(columns)
+            table_rows, pending = len(columns[0][0]), 0
+    _merge_keys(columns)
+    keys, pairs, first, fail = (column.pop() for column in columns)
 
-    # For each side mask met so far: the number of permutations holding
-    # all its edges, shifted above 32 bits that hold (n - edges)!, or 0
-    # past n edges, where no permutation fits.
-    sides: dict[int, int] = {}
-    free = [math.factorial(n - e) if e <= n else 0 for e in range(n * n + 1)]
+    free = _fixing_counts(n)
     arrangements = np.array([math.perm(n - fixed, u) for u in range(n - fixed + 1)])
+    # The side masks met so far, sorted, and for each the number of
+    # permutations holding all its edges, shifted above 32 bits that
+    # hold (n - edges)!.
+    known = counts = np.empty(0, dtype=np.int64)
+    words = keys.shape[1] // last
     factorization = _Tally()
-    for k, counts, failed in zip(ks, totals, unsatisfied):
-        key_iter = iter(counts)
-        while keys := list(itertools.islice(key_iter, _KEY_BLOCK)):
-            u, e1, e2 = _key_unions(keys, k, n, fixed)
-            tuples = arrangements[u]
-            fiber_size, spread = np.divmod(
-                np.fromiter(map(counts.__getitem__, keys), dtype=np.int64, count=len(keys)),
-                tuples,
+
+    def check(k: int) -> None:
+        # The keys over k starts, one per run of the table's first k
+        # starts; at k = last every row is its own run.
+        nonlocal known, counts
+        heads = keys[:, : k * words]
+        starts = _run_starts(heads)
+        u, e1, e2 = _key_unions(heads[starts] if len(starts) < len(keys) else heads, k, n, fixed)
+        tuples = arrangements[u]
+        del u
+        masks = np.sort(np.concatenate([e1, e2]))
+        masks = masks[_run_starts(masks[:, None])]
+        if len(known):
+            masks = masks[np.take(known, np.searchsorted(known, masks), mode="clip") != masks]
+        if len(masks):
+            edges = [free[mask.bit_count()] for mask in masks.view(np.uint64).tolist()]
+            at = np.searchsorted(known, masks)
+            known = np.insert(known, at, masks)
+            counts = np.insert(counts, at, _satisfying_counts(masks, perm_masks) << 32 | edges)
+        del masks
+        side1, side2 = (np.take(counts, np.searchsorted(known, side)) for side in (e1, e2))
+        expected = (side1 >> 32) * (side2 >> 32)
+        ok = expected == (side1 & 0xFFFFFFFF) * (side2 & 0xFFFFFFFF)
+        fiber_size, spread = np.divmod(np.add.reduceat(pairs, starts), tuples)
+        ok &= (spread == 0) & (fiber_size == expected)
+        ok &= np.minimum.reduceat(fail, starts) > k
+        factorization.cases += int(tuples[ok].sum())
+        bad = np.flatnonzero(~ok)
+        bad = bad[np.argsort(np.minimum.reduceat(first, starts)[bad])]
+        for index in bad.tolist():
+            factorization.record(
+                False,
+                lambda a=int(e1[index]), b=int(e2[index]): (
+                    f"k={k} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
+                ),
+                int(tuples[index]),
             )
-            e1, e2 = e1.tolist(), e2.tolist()
-            new = list(set(e1).union(e2).difference(sides))
-            satisfying = _satisfying_counts(new, perm_array)
-            sides.update(
-                (mask, count << 32 | free[mask.bit_count()]) for mask, count in zip(new, satisfying)
-            )
-            side1, side2 = (
-                np.fromiter(map(sides.__getitem__, side), dtype=np.int64, count=len(keys))
-                for side in (e1, e2)
-            )
-            expected = (side1 >> 32) * (side2 >> 32)
-            full = (side1 & 0xFFFFFFFF) * (side2 & 0xFFFFFFFF)
-            ok = (spread == 0) & (fiber_size == expected) & (expected == full)
-            if failed:
-                ok &= np.fromiter((key not in failed for key in keys), dtype=bool, count=len(keys))
-            factorization.cases += int(tuples[ok].sum())
-            for index in np.flatnonzero(~ok).tolist():
-                factorization.record(
-                    False,
-                    lambda kk=k, a=e1[index], b=e2[index]: (
-                        f"k={kk} sides {_mask_edges(a, n)} / {_mask_edges(b, n)}"
-                    ),
-                    int(tuples[index]),
-                )
-        # The later tables and the side masks take the memory back.
-        counts.clear()
+
+    for k in ks:
+        check(k)
     return _summary(
         "event-factorization", n, factorization,
         f"{factorization.cases} realized graph tuples over start counts "
@@ -772,56 +790,32 @@ def sweep_event_factorization(
     )
 
 
-def _key_unions(keys: list[int], k: int, n: int, fixed: int) -> tuple[np.ndarray, ...]:
-    """u, and the sigma-side and rho-side unions of the k renamed couples
-    packed in each key (see :func:`_block_keys`) as uint64 edge masks,
-    read off the keys as rows of 64-bit words."""
-    side_bits = n * n
-    width = (n - fixed).bit_length()
-    words = -(-(2 * k * side_bits + width) // 64)
-    packed = map(
-        int.to_bytes,
-        map(operator.neg, keys),
-        itertools.repeat(8 * words),
-        itertools.repeat("little"),
-    )
-    raw = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(keys), words)
+def _key_unions(keys: np.ndarray, k: int, n: int, fixed: int) -> tuple[np.ndarray, ...]:
+    """u, and the sigma-side and rho-side unions of the couples of the
+    first k starts as int64 edge masks, of each key row (:func:`_key_rows`)."""
+    place, words = _key_layout(n, fixed)
+    head = keys[:, : k * words].reshape(len(keys), k, words)
+    union = np.bitwise_or.reduce(head, axis=1)
 
-    def field(start: int, bits: int) -> np.ndarray:
-        # Bits start.. start + bits - 1 of each key, bits <= 64.
-        if not bits:
-            return np.zeros(len(keys), dtype=np.int64)
-        word, shift = divmod(start, 64)
-        value = (raw[:, word] >> np.uint64(shift)).view(np.int64)
-        if shift + bits > 64:
-            value = value | (raw[:, word + 1] << np.uint64(64 - shift)).view(np.int64)
-        return value & (1 << bits) - 1 if bits < 64 else value
+    def field(row: np.ndarray, word: int, shift: int, width: int) -> np.ndarray:
+        value = row[:, word] >> shift
+        return value & (1 << width) - 1 if width < 64 else value
 
-    # The rho side and then the sigma side of each couple.
-    sides = np.stack([field(side * side_bits, side_bits) for side in range(2 * k)])
-    unions = np.bitwise_or.reduce(sides.reshape(k, 2, len(keys)), axis=0)
-    rho_side, sigma_side = unions.view(np.uint64)
-    return n - fixed - field(2 * k * side_bits, width), sigma_side, rho_side
+    sigma_side, rho_side, named = place
+    return field(head[:, -1], *named), field(union, *sigma_side), field(union, *rho_side)
 
 
-def _as_int64(masks: Sequence[int]) -> np.ndarray:
-    # Masks of up to 64 bits, bit 63 as the sign bit, which & and == treat
-    # as any other. int64 rather than uint64 shares numpy's int64 loops
-    # with the trace sweep, so fewer of numpy's pages are resident.
-    return np.array(masks, dtype=np.uint64).view(np.int64)
-
-
-def _satisfying_counts(masks: Sequence[int], perm_masks: np.ndarray) -> list[int]:
-    """For each edge mask, the number of permutation masks holding all its
-    edges: one comparison per block of masks against every permutation,
-    at most ``_MASK_BLOCK_ELEMENTS`` entries a block."""
-    wanted = _as_int64(masks)[:, None]
+def _satisfying_counts(masks: np.ndarray, perm_masks: np.ndarray) -> np.ndarray:
+    """For each int64 edge mask, the number of permutation masks holding
+    all its edges: one comparison per block of masks against every
+    permutation, at most ``_MASK_BLOCK_ELEMENTS`` entries a block."""
+    wanted = masks[:, None]
     step = max(1, _MASK_BLOCK_ELEMENTS // len(perm_masks))
     out = np.empty(len(wanted), dtype=np.int64)
     for s in range(0, len(wanted), step):
         block = wanted[s : s + step]
         out[s : s + step] = ((block & perm_masks) == block).sum(axis=1)
-    return out.tolist()
+    return out
 
 
 def _graph_orbits(n: int) -> list[list]:
@@ -948,9 +942,10 @@ def sweep_prefix_decay(
     """Prefix-fixing probabilities: closed form and scaled decay.
 
     For each theta and prefix length f, the probability of the shape of
-    f loops (``prefix_fixed_prob``) must match the closed form exactly, and P(fix 1..f)^2 * n^f must strictly
-    decrease along n_values. The square keeps the comparison rational;
-    it is equivalent to decay of P * n^(f/2).
+    f loops (``prefix_fixed_prob``) must match the closed form exactly,
+    and P(fix 1..f)^2 * n^f must strictly decrease along n_values. The
+    square keeps the comparison rational; it is equivalent to decay of
+    P * n^(f/2). Each theta's laws are built once, for every f.
     """
     ns = list(n_values)
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -958,11 +953,12 @@ def sweep_prefix_decay(
     tally = _Tally()
     for theta in thetas:
         theta = Fraction(theta)
+        laws = [ExactDistribution.ewens(n, theta) for n in ns]
         for f in prefix_lengths:
             values = []
-            for n in ns:
+            for n, law in zip(ns, laws):
                 closed = ewens_prefix_fixed_prob(n, f, theta)
-                typed = prefix_fixed_prob(ExactDistribution.ewens(n, theta), f)
+                typed = prefix_fixed_prob(law, f)
                 tally.record(
                     typed == closed,
                     lambda nn=n, ff=f, th=theta: f"theta={th} f={ff} n={nn} closed-form mismatch",

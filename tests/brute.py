@@ -29,7 +29,8 @@ graph shapes over every pair, and ``graphs_from_traversal`` and
 ``union_graphs`` build a pair's graphs from its walks.
 ``record_masks`` reads one traversal's side masks, labelled and
 renamed, straight off its record, where event-factorization walks
-blocks of pairs in numpy (the sweep's previous path).
+blocks of pairs in numpy (the sweep's previous path); ``edge_mask``
+builds a mask from an edge list, one edge at a time.
 ``product_rows`` and ``small_cycle_counts`` are the Monte Carlo layers
 as whole-chunk ``take_along_axis`` gathers, with no row blocks and no
 flat indices. Only ``perms``, ``cyclegraphs``, the
@@ -259,10 +260,19 @@ def graphs_from_traversal(
     return cyclegraphs.graphs_from_record(cyclegraphs.traversal(sigma, rho, m), sigma.n)
 
 
+def edge_mask(edges, n: int) -> int:
+    """The edges (a, b) as bits (a - 1) * n + (b - 1), the edge masks of
+    ``sweeps``."""
+    mask = 0
+    for a, b in edges:
+        mask |= 1 << ((a - 1) * n + b - 1)
+    return mask
+
+
 def edge_bits(n: int) -> list[list[int]]:
     """``bits[a][b]`` is bit (a - 1) * n + (b - 1), that of edge (a, b)
-    in ``sweeps._edge_mask``, for a, b in 1..n; row and column 0 are
-    unused padding."""
+    in ``edge_mask``, for a, b in 1..n; row and column 0 are unused
+    padding."""
     return [[0] * (n + 1)] + [
         [0] + [1 << ((a - 1) * n + b - 1) for b in range(1, n + 1)]
         for a in range(1, n + 1)

@@ -23,8 +23,10 @@ a block must be those of ``traversal`` and ``graphs_from_record``, pair
 by pair, and faults reach the sweep by rewriting a block's edges.
 """
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -200,18 +202,7 @@ def _couple_masks(g1, g2, names):
     # The masks of a couple as ``brute.record_masks`` returns them:
     # labelled, then with every vertex v renamed names[v].
     renamed = [[(names[a], names[b]) for a, b in g.edges] for g in (g1, g2)]
-    return tuple(sweeps._edge_mask(edges, g1.n) for edges in (g1.edges, g2.edges, *renamed))
-
-
-def _by_start(bits, last):
-    # A row of couple bits holds starts last..1, each its rho side first;
-    # bits[r, s, side] is start s + 1's side, sigma then rho.
-    rows = len(bits)
-    return bits.reshape(rows, last, 2, -1)[:, ::-1, ::-1]
-
-
-def _mask(bits):
-    return sum(1 << int(b) for b in np.flatnonzero(bits))
+    return tuple(brute.edge_mask(edges, g1.n) for edges in (g1.edges, g2.edges, *renamed))
 
 
 def _first_names(records, fixed):
@@ -238,14 +229,9 @@ def test_batched_walks_give_the_masks_of_the_graph_couples(n):
     walks, tails, heads = sweeps._walk_pairs(sigma_inv, rho, n)
     names, u = sweeps._vertex_names(walks, fixed)
     labels = np.tile(np.append(np.arange(n), 0), (len(pairs), n, 1))
-    weights = 1 << np.arange(n * n)
     # masks[r, s]: labelled sigma side, rho side, then renamed.
     masks = np.concatenate(
-        [
-            _by_start(sweeps._couple_bits(tails, heads, table, 0), n) @ weights
-            for table in (labels, names)
-        ],
-        axis=2,
+        [sweeps._side_masks(tails, heads, table) for table in (labels, names)], axis=2
     ).tolist()
     bits = brute.edge_bits(n)
     rows = zip(pairs, walks.tolist(), names.tolist(), u.tolist(), masks)
@@ -268,11 +254,16 @@ def test_batched_walks_give_the_masks_of_the_graph_couples(n):
             assert tuple(row_masks[s]) == want
 
 
+class _Walked(Exception):
+    pass
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_key_unions_read_back_what_a_block_packs(n):
-    # A key packs u and the renamed couples of starts k..1 into an int of
-    # several 64-bit words, n * n edge bits a side, 64 at n = 8. Read
-    # back, its keys give each row's u and the unions of its couples.
+def test_key_unions_read_back_what_a_block_packs(monkeypatch, n):
+    # A key row packs u and the renamed couples of starts 1..3 into int64
+    # words, n * n edge bits a side, 64 at n = 8. Read back over its
+    # first k starts, it gives u and the unions of the couples'
+    # renamed masks.
     fixed = n if n == 4 else 3
     step = max(1, math.factorial(n) // 60)
     perms = list(itertools.islice(all_permutations(n), 0, None, step))
@@ -281,18 +272,31 @@ def test_key_unions_read_back_what_a_block_packs(n):
     sigma_rows = [
         np.broadcast_to(np.array(p.images) - 1, rho.shape) for p in (sigma, inverse(sigma))
     ]
-    block = sweeps._block_keys(*sigma_rows, rho, [1, 2, 3], fixed)
-    walks, tails, heads = sweeps._walk_pairs(sigma_rows[1], rho, 3)
-    names, u = sweeps._vertex_names(walks, fixed)
-    bits = _by_start(sweeps._couple_bits(tails, heads, names, 0), 3)
-    for k, (keys, pairs, failing) in zip([1, 2, 3], block):
-        assert sum(pairs) == len(perms) and not failing
-        unions = [
-            (row_u[k - 1], *(_mask(side) for side in row_bits[:k].any(axis=0)))
-            for row_u, row_bits in zip(u, bits)
-        ]
+    keys, fail = sweeps._key_rows(*sigma_rows, rho, 3, fixed)
+    assert keys.dtype == np.int64 and fail.tolist() == [4] * len(perms)
+    bits = brute.edge_bits(n)
+    for k in (1, 2, 3):
         read = zip(*(side.tolist() for side in sweeps._key_unions(keys, k, n, fixed)))
-        assert set(read) == set(unions)
+        for p, (u, *sides) in zip(perms, read):
+            records = [traversal(sigma, p, m) for m in range(1, k + 1)]
+            names = _first_names(records, fixed)
+            masks = [brute.record_masks(record, bits, names) for record in records]
+            assert u == len(names) - fixed
+            # Bit 63 of an int64 mask is its sign bit.
+            assert [side % 2**64 for side in sides] == [
+                functools.reduce(operator.or_, side) for side in list(zip(*masks))[2:]
+            ]
+    if n == 8:
+        # The sweep accepts n = 8 and keys its first block.
+        key_rows = sweeps._key_rows
+
+        def first_block(*args):
+            key_rows(*args)
+            raise _Walked
+
+        monkeypatch.setattr(sweeps, "_key_rows", first_block)
+        with pytest.raises(_Walked):
+            sweeps.sweep_event_factorization(8)
 
 
 def _inject(monkeypatch, fault):

@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import brute
@@ -129,8 +130,8 @@ def test_trace_sweep_memory_is_bounded():
 
 
 def test_event_factorization_memory_is_bounded():
-    # One block of pairs and one block of keys at a time beside the
-    # running tables, whose keys take about 1.2 MiB at n = 5.
+    # One block of pairs at a time beside the key table, whose 7,920
+    # rows take about 0.25 MiB at n = 5.
     tracemalloc.start()
     try:
         summary = sweep_event_factorization(5)
@@ -158,9 +159,9 @@ def test_event_factorization_sweep():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_satisfying_counts_match_a_scan_of_every_permutation(monkeypatch, n):
-    # Small blocks of keys and of masks, so that both run ragged. Every
-    # side mask a key names is counted, once.
-    perm_masks = [sweeps._edge_mask(enumerate(p.images, start=1), n) for p in all_permutations(n)]
+    # Small blocks of pairs, merges and masks, so that all run ragged.
+    # Every side mask a key names is counted, once.
+    perm_masks = [brute.edge_mask(enumerate(p.images, start=1), n) for p in all_permutations(n)]
     named, seen = set(), []
     real_unions, real_counts = sweeps._key_unions, sweeps._satisfying_counts
 
@@ -172,19 +173,78 @@ def test_satisfying_counts_match_a_scan_of_every_permutation(monkeypatch, n):
 
     def counted(masks, perm_array):
         out = real_counts(masks, perm_array)
-        seen.extend(zip(masks, out))
+        seen.extend(zip(masks.tolist(), out.tolist()))
         return out
 
     whole = sweep_event_factorization(n)
     monkeypatch.setattr(sweeps, "_key_unions", unions)
     monkeypatch.setattr(sweeps, "_satisfying_counts", counted)
-    monkeypatch.setattr(sweeps, "_KEY_BLOCK", 13)
+    monkeypatch.setattr(sweeps, "_PAIR_BLOCK", 13)
+    monkeypatch.setattr(sweeps, "_MERGE_ROWS", 50)
     monkeypatch.setattr(sweeps, "_MASK_BLOCK_ELEMENTS", 5 * len(perm_masks) + 3)
     assert sweep_event_factorization(n) == whole
     assert whole.ok
     assert sorted(mask for mask, _ in seen) == sorted(named)
     for mask, count in seen:
         assert count == sum(1 for pm in perm_masks if not mask & ~pm)
+
+
+@pytest.mark.parametrize("n, rows", [(4, 576), (5, 6678)])
+def test_event_factorization_keeps_one_row_per_largest_tuple(monkeypatch, n, rows):
+    # The distinct key rows over the starts 1..3 are the canonical
+    # tuples that the mass balance of the walk patterns counts, and each
+    # is one key of the largest start count.
+    tables, keys = [], {}
+    real_merge, real_unions = sweeps._merge_keys, sweeps._key_unions
+
+    def merge(columns):
+        real_merge(columns)
+        tables.append(len(columns[0][0]))
+
+    def unions(table, k, *args):
+        keys[k] = len(table)
+        return real_unions(table, k, *args)
+
+    monkeypatch.setattr(sweeps, "_merge_keys", merge)
+    monkeypatch.setattr(sweeps, "_key_unions", unions)
+    summary = sweep_event_factorization(n)
+    assert summary.ok
+    assert tables[-1] == rows == keys[3]
+    assert keys[1] < keys[2] < keys[3]
+    if n == 4:
+        # Every vertex keeps its label, so each key is one tuple.
+        assert summary.cases == sum(keys.values()) == 1408
+
+
+def test_merge_keys_sums_counts_and_keeps_the_least_first_row_and_failing_start():
+    # Pieces with keys repeated within and across pieces, some with the
+    # sign bit set, merged twice as the sweep does: the first table
+    # becomes a piece of the second merge.
+    rng = np.random.default_rng(23)
+    pieces = []
+    for index in range(5):
+        rows = int(rng.integers(1, 40))
+        keys = rng.integers(-2, 2, (rows, 2)) << 62 | rng.integers(0, 3, (rows, 2))
+        first = rng.permutation(rows) + 100 * index
+        pieces.append((keys, rng.integers(1, 9, rows), first, rng.integers(1, 5, rows)))
+    want = {}
+    for keys, *values in pieces:
+        for key, pairs, first, fail in zip(map(tuple, keys.tolist()), *values):
+            old = want.get(key, (0, first, fail))
+            want[key] = (old[0] + pairs, min(old[1], first), min(old[2], fail))
+    columns = ([], [], [], [])
+    for index, piece in enumerate(pieces):
+        for column, values in zip(columns, piece):
+            column.append(values)
+        if index == 2:
+            sweeps._merge_keys(columns)
+    sweeps._merge_keys(columns)
+    assert [len(column) for column in columns] == [1, 1, 1, 1]
+    keys, *values = (column[0] for column in columns)
+    got = dict(zip(map(tuple, keys.tolist()), zip(*(v.tolist() for v in values))))
+    assert got == want and len(keys) == len(want)
+    # Each first word is one run of the sorted keys.
+    assert len(sweeps._run_starts(keys[:, :1])) == len({key[0] for key in want})
 
 
 def test_event_factorization_edge_masks_fit_in_64_bits():
@@ -416,7 +476,7 @@ def test_a_failing_predicate_shows_in_its_suite_only(monkeypatch, predicate, sui
 
 
 def test_a_failing_factor_count_shows_in_event_factorization_only(monkeypatch):
-    monkeypatch.setattr(sweeps.math, "factorial", lambda x: 0)
+    monkeypatch.setattr(sweeps, "_fixing_counts", lambda n: [0] * (n * n + 1))
     summaries = sweep_pairs(3)
     assert [s.suite for s in summaries if not s.ok] == ["event-factorization"]
     assert summaries[4].violations == summaries[4].cases == 99
