@@ -9,8 +9,9 @@ representatives that class-function consumers draw for factor 0, with the
 product of two factors; small-cycle counting of that product for
 k = 1, 3 and 6; and ``product_cycle_counts``, the last factor of a
 two-factor job drawn, composed and counted block by block, for a
-uniform and a sqrt_fixed:sqrt pair at k = 1 and 3 (its time includes
-the last factor's draw). These last three layers carry the
+uniform and a sqrt_fixed:sqrt pair at k = 1 and 3 and for the Ewens
+scan's pair (an ewens:2 representative, then ewens:1/2) at k = 3 (its
+time includes the last factor's draw). These last three layers carry the
 ``tracemalloc`` peak of one more call beside them. The layers of one n
 run round robin, one pass over all of them per repeat, and each keeps
 its best. The ``product_cycle_counts`` rows are left out when the
@@ -70,7 +71,12 @@ from permprod.samplers import RngStream, product_rows, small_cycle_counts
 from permprod.stats import _chunk_size
 
 LAWS = ("uniform", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/3")
-FUSED_LAWS = ("uniform", "sqrt_fixed:sqrt")
+# (first factor, last factor, k values) of the product_cycle_counts rows.
+FUSED_PAIRS = (
+    ("uniform", "uniform", (1, 3)),
+    ("sqrt_fixed:sqrt", "sqrt_fixed:sqrt", (1, 3)),
+    ("ewens:2", "ewens:1/2", (3,)),
+)
 ORACLE_SIZES = (8, 12, 16)
 
 
@@ -141,15 +147,16 @@ def main(argv=None) -> int:
         if fused is not None:
             # The last factor of a two-factor job, against its first
             # factor's representative; it includes the last factor's draw.
-            for text in FUSED_LAWS:
+            for first, text, ks in FUSED_PAIRS:
                 spec = specs[text]
-                left = spec.draw_batch(RngStream(1, 0), size, relabel=False)
+                left = specs[first].draw_batch(RngStream(1, 0), size, relabel=False)
                 layers += [
                     (
-                        f"product_cycle_counts {text} {k}", "product_cycle_counts", text, k,
+                        f"product_cycle_counts {first} x {text} {k}", "product_cycle_counts",
+                        (first, text), k,
                         lambda spec=spec, left=left, k=k: fused(left, spec, RngStream(1, 1), k),
                     )
-                    for k in (1, 3)
+                    for k in ks
                 ]
         best = round_robin(
             {**draws, **{label: fn for label, _, _, _, fn in layers}}, args.repeat
@@ -163,12 +170,12 @@ def main(argv=None) -> int:
                 layer="draw_batch", law=text, n=n, rows=size, full_ms=full,
                 representative_ms=rep, peak_mib=peak, output_mib=out.nbytes / 2**20,
             )
-        for label, layer, law, k, fn in layers:
+        for label, layer, pair, k, fn in layers:
             ms = best[label] * 1e3
             peak = traced_peak(fn)[0]
-            extra = {"law": law} if law else {}
+            extra = {"first": pair[0], "law": pair[1]} if pair else {}
             emit(
-                f"  {label:<38} {ms:8.2f}  peak {peak:6.1f} MiB",
+                f"  {label:<56} {ms:8.2f}  peak {peak:6.1f} MiB",
                 layer=layer, n=n, rows=size, k=k, ms=ms, peak_mib=peak, **extra,
             )
     print("oracle: product_type_distribution(ewens:2, ewens:1/2), cold caches, ms")

@@ -214,6 +214,14 @@ class ExperimentConfig:
                     spec.bind(n=size).fixed_cycle_type()
                 except ValueError as exc:
                     raise ConfigError(f"samplers: {exc}") from None
+        # The draws read theta as a float; exact works in rationals.
+        if self.command != "exact" and any(
+            spec.kind == "ewens" and spec.theta > sys.float_info.max for spec in self.samplers
+        ):
+            raise ConfigError(
+                f"samplers: an ewens theta above {sys.float_info.max:.6g}, the largest "
+                "float, cannot be drawn; only command exact takes it"
+            )
         if self.command == "counterexample" and len(self.samplers) != 2:
             raise ConfigError(
                 "samplers: command counterexample needs exactly 2 samplers, "

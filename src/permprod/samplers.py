@@ -14,19 +14,21 @@ positions and carries the blocks onto a uniform arrangement of the ground
 set. Ewens cycle types come from the Feller coupling (position j >= 1
 opens a block with probability theta / (theta + j)); the last two laws
 have one fixed cycle type. ``uniform`` rows are the kernel's arrangements
-themselves.
+themselves, and a uniform cycle type is Ewens(1).
 
 The kernel works through a chunk a few rows at a time: it shuffles one
 reused block of rows (``_BLOCK_ELEMENTS`` entries), carries that block's
 cycles onto it and scatters the result into the chunk's rows, so no
-(size, n) temporary exists beside the output. The Feller uniforms are
-drawn the same way, every block before any shuffle. The generator fills
-and shuffles row by row, so the blocks draw the same rows, and leave the
-generator in the same state, as one whole-chunk draw. The product and
-the small-cycle counts walk the same row blocks: each block's rows are
-offset by r * n into one reused intp block of flat indices, and every
-gather is a 1-D ``np.take`` into a reused or output buffer, so neither
-layer holds a (size, n) temporary either.
+(size, n) temporary exists beside the output. The generator shuffles
+row by row, so the blocks draw the same rows, and leave the generator
+in the same state, as one whole-chunk shuffle. Before any shuffle, an
+Ewens chunk draws its Feller openings for all rows together: one
+uniform per cycle, each jumping a row from one opening to the next
+(``_feller_ends``), so only the openings, not every position, are
+drawn. The product and the small-cycle counts walk the same row blocks:
+each block's rows are offset by r * n into one reused intp block of
+flat indices, and every gather is a 1-D ``np.take`` into a reused or
+output buffer, so neither layer holds a (size, n) temporary either.
 
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
@@ -199,14 +201,17 @@ class SamplerSpec:
 
     def draw_batch(self, rng: RngStream, size: int, relabel: bool = True) -> np.ndarray:
         """``size`` rows of this law, or with ``relabel=False`` only of its
-        cycle-type law, laid on the identity arrangement (``uniform`` rows
-        are always shuffled)."""
+        cycle-type law, laid on the identity arrangement. A uniform
+        permutation's cycle type is Ewens(1), so unrelabelled ``uniform``
+        rows are Ewens(1) representatives."""
         if self.n is None:
             raise ValueError("bind n before drawing")
         if size < 1:
             raise ValueError("batch size must be >= 1")
         n = self.n
         if self.kind == "uniform":
+            if not relabel:
+                return ewens_rows(rng, size, n, 1.0, relabel=False)
             return uniform_rows(rng, size, n)
         if self.kind == "ewens":
             return ewens_rows(rng, size, n, float(self.theta), relabel)
@@ -215,8 +220,7 @@ class SamplerSpec:
         return matching_heavy_rows(rng, size, n, self.two_cycle_fraction, relabel)
 
 
-# int64 entries in the one reused shuffle block (512 KiB); the Feller
-# uniforms go through a float64 block of the same rows.
+# int64 entries in the one reused shuffle block (512 KiB).
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -342,12 +346,16 @@ def ewens_rows(
 
     Position j >= 1 opens a block with probability theta / (theta + j),
     independently, and each block runs up to the next opening; the block
-    lengths have the Ewens(theta) cycle-type law.
+    lengths have the Ewens(theta) cycle-type law. Rows jump from one
+    opening to the next (``_feller_ends``), one uniform per block, so the
+    cost grows with the number of cycles, 1 + sum_{j<n} theta / (theta + j)
+    a row on average: about theta * ln(n) for theta well below n, and
+    about n, in as many rounds per chunk, for theta far above it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
+    if not 0 <= theta < math.inf:
+        raise ValueError("theta must be finite and non-negative")
     gen = rng.generator
     return _arranged(gen, size, n, relabel, ends=_feller_ends(gen, size, n, theta))
 
@@ -355,24 +363,42 @@ def ewens_rows(
 def _feller_ends(
     gen: np.random.Generator, size: int, n: int, theta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (r, last, first) of every block of every row, sorted by r, from the
-    # Feller uniforms drawn a row block at a time.
-    probs = theta / (theta + np.arange(1, n))
-    step = _block_rows(n)
-    # Position 0 always opens (theta / (theta + 0) is 0/0 at theta = 0),
-    # and column n is a sentinel opening after each row's last block.
-    opens = np.ones((min(size, step), n + 1), dtype=bool)
-    uniforms = np.empty((len(opens), n - 1))
+    """(r, last, first) of every block of every row, sorted by r.
+
+    Every row opens a block at 0 and then jumps from one opening to the
+    next. No position in j+1..m opens with probability
+    prod_{i=j+1..m} i / (theta + i) = exp(drop[j] - drop[m]), where drop
+    is the table of sum_{i<=m} (log(theta + i) - log(i)): finite for every
+    finite theta, where log1p(-theta / (theta + i)) would reach -inf once
+    theta / (theta + i) rounds to 1. So a row at opening j draws V in
+    (0, 1], and its next opening is the first m with
+    drop[m] > drop[j] - log V, or none. Round t draws one uniform per row
+    still open, in row order, and one searchsorted jumps them all: one
+    uniform per block.
+    """
+    positions = np.arange(1, n)
+    drop = np.zeros(n)
+    np.cumsum(np.log(theta + positions) - np.log(positions), out=drop[1:])
+    rows = np.arange(size)
+    at = np.zeros(size, dtype=np.intp)
     parts = []
-    for s in range(0, size, step):
-        b = min(step, size - s)
-        np.less(gen.random(out=uniforms[:b]), probs, out=opens[:b, 1:n])
-        r, c = np.nonzero(opens[:b])
-        # Each real opening's next entry is its row's next opening or
-        # sentinel, one past the end of the block it opens.
-        first = np.flatnonzero(c < n)
-        parts.append((r[first] + s, c[first + 1] - 1, c[first]))
-    return tuple(np.concatenate(part, dtype=_ROW_DTYPE) for part in zip(*parts))
+    while len(rows):
+        nxt = np.searchsorted(drop, drop[at] - np.log(1 - gen.random(len(rows))), side="right")
+        # The block opened at ``at`` ends before the next opening, or at n - 1.
+        parts.append((rows, nxt - 1, at))
+        more = nxt < n
+        rows, at = rows[more], nxt[more]
+    # Round t lists block t of each row still open, so that block goes to
+    # the row's offset plus t. A stable argsort by row would do as well,
+    # but it pages in about 128 kB of numpy sort code, which peak RSS counts.
+    r, last, first = (np.concatenate(part) for part in zip(*parts))
+    counts = np.bincount(r, minlength=size)
+    rounds = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+    place = (np.cumsum(counts) - counts)[r] + rounds
+    ends = np.empty((3, len(r)), dtype=_ROW_DTYPE)
+    for out, part in zip(ends, (r, last, first)):
+        out[place] = part
+    return tuple(ends)
 
 
 def _block_base(cycle_type: Sequence[int]) -> np.ndarray:

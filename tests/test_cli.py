@@ -417,6 +417,39 @@ def test_sizes_beyond_int32_rows_name_their_field(field, argv, capsys):
     assert config_from_mapping({**ok, "n": str(2**31 - 1)}).n == 2**31 - 1
 
 
+_HUGE_THETA = "ewens:1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "5", "--samples", "3"],
+        ["moments", "--n", "5", "--samples", "300", "--functionals", "product:1"],
+        ["convergence", "--n-grid", "5, 6", "--samples", "300", "--functionals", "product:1"],
+        ["counterexample", "--n", "5", "--samples", "300"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_theta_beyond_floats_is_a_config_error_where_it_is_drawn(argv, capsys):
+    # The draws read theta as a float, which 10^400 overflows.
+    assert main(argv + ["--seed", "1", "--samplers", f"{_HUGE_THETA}, uniform"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: samplers: ")
+    assert "largest float" in captured.err
+
+
+def test_exact_takes_a_theta_beyond_floats(tmp_path):
+    # exact works in rationals: at theta = 10^400, E t_1 of the product
+    # falls short of 4 by about 2.4 * 10^-399.
+    path = tmp_path / "exact.csv"
+    argv = ["exact", "--samplers", f"{_HUGE_THETA}, {_HUGE_THETA}", "--n", "4", "--v-vec", "1"]
+    assert main(argv + ["--output", str(path)]) == 0
+    moment = next(line for line in path.read_text().splitlines() if line.startswith("4,moment,1,"))
+    value = Fraction(moment.split(",")[3])
+    assert 0 < 4 - value < Fraction(1, 10**390)
+
+
 @pytest.mark.parametrize(
     "tv_orders, truncation",
     [("6", "100"), ("2, 7", "8"), ("23", "1"), ("2", "2048")],

@@ -18,18 +18,18 @@ _CONFIGS = {
     "sample": (
         ["sample", "--seed", "3", "--samplers", "uniform, ewens:2", "--n", "6",
          "--samples", "5"],
-        "44aaaa5304e64b4ab1194696237750112c7b62b851aedd2bc35692ca530f1cb6",
+        "37192d20913b50e9c7211fc8307c2e4f658a83f0977d7f1dbd0a1b05db103218",
     ),
     "moments": (
         ["moments", "--seed", "3", "--samplers", "ewens:2, ewens:1/2", "--n", "50",
          "--functionals", "product:1, product:1*1, product:2", "--samples", "2000"],
-        "35a443658473cd2f4c87024ffb4d1e395d00f3c267b8c9ec01805c186e4e81fb",
+        "3e12b2ce467e1dd76676b9780b4aed044bcebc51c74a05a3318b9c2b1e96bd63",
     ),
     "convergence": (
         ["convergence", "--seed", "5", "--samplers", "ewens:2, uniform",
          "--n-grid", "64, 2048", "--functionals", "product:1, product:2",
          "--tv-orders", "2, 3", "--samples", "3000"],
-        "61b956169511757366811639e53150c3ac6892c46f98a3a0ec0135bae403ef55",
+        "85e1f1352e26d53fc0a1f0c826815d0c62c648cd152fbf30446c268da76a2ce7",
     ),
     "exact": (
         ["exact", "--seed", "0", "--samplers", "ewens:2, ewens:1/2", "--n", "5",
@@ -47,7 +47,7 @@ _CONFIGS = {
     "counterexample-ewens": (
         ["counterexample", "--seed", "7", "--samplers", "ewens:2, uniform",
          "--n", "2048", "--samples", "3000"],
-        "aa25e49a91d710cdf0958a678fb101d3e72a000eeaa7661e7a95b94e346f814d",
+        "f1445f3c6d22d84e9e269c7177fadc8706031287b38ea046a430cd64787b6e2a",
     ),
     "counterexample-sqrt-fixed": (
         ["counterexample", "--seed", "7", "--samplers", "sqrt_fixed:sqrt, uniform",

@@ -1,8 +1,9 @@
 """Sampler correctness: row validity, cycle-type guarantees, stream discipline.
 
 Distributional checks compare empirical frequencies against the exact law
-at small n with wide (4 sigma) tolerances so they stay deterministic in
-practice while still catching a wrong sampler.
+at small n with wide tolerances (4 sigma, or 5 where a test makes over a
+hundred comparisons) so they stay deterministic in practice while still
+catching a wrong sampler.
 """
 
 import math
@@ -77,12 +78,38 @@ def test_ewens_rows_are_valid(n, theta, relabel):
     assert rows_are_permutations(rows, n)
 
 
+def _feller_opens(gen, size, n, theta):
+    # The Feller coupling walked one row and one position at a time, in
+    # the kernel's stream order: round t draws one uniform V in (0, 1] per
+    # row still open, in row order. A row at opening j walks on past m
+    # while the chance that no position in j+1..m opens,
+    # prod_{i=j+1..m} i / (theta + i), stays at least V; then the next
+    # position opens, or the row is done at n.
+    opens = np.zeros((size, n + 1), dtype=bool)
+    opens[:, [0, n]] = True
+    at = dict.fromkeys(range(size), 0)
+    while at:
+        for r, v in zip(list(at), 1 - gen.random(len(at))):
+            m, survive = at[r] + 1, 1.0
+            while m < n:
+                survive *= m / (theta + m)
+                if survive < v:
+                    break
+                m += 1
+            if m < n:
+                opens[r, m] = True
+                at[r] = m
+            else:
+                del at[r]
+    return opens
+
+
 def _ewens_rows_through_succ(rng, size, n, theta, relabel):
-    # The full (size, n) successor array, gathered and scattered along
-    # axis 1; the same draws as ewens_rows, in the same order.
+    # The full (size, n) successor array of the scalar Feller walk,
+    # gathered and scattered along axis 1; the same draws as ewens_rows,
+    # in the same order.
     gen = rng.generator
-    opens = np.ones((size, n + 1), dtype=bool)
-    opens[:, 1:n] = gen.random((size, n - 1)) < theta / (theta + np.arange(1, n))
+    opens = _feller_opens(gen, size, n, theta)
     succ = np.arange(1, n + 1) + np.zeros((size, 1), dtype=np.int64)
     for r, row in enumerate(opens):
         starts = np.flatnonzero(row)
@@ -106,8 +133,11 @@ def _relabelled_through_succ(gen, succ):
 
 def _whole_chunk_rows(spec, rng, size, relabel):
     # The whole-chunk construction of every law, on the same stream as draw_batch.
+    # A uniform cycle type is Ewens(1).
     gen, n = rng.generator, spec.n
     if spec.kind == "uniform":
+        if not relabel:
+            return _ewens_rows_through_succ(rng, size, n, 1.0, relabel)
         return _whole_chunk_arrangement(gen, size, n)
     if spec.kind == "ewens":
         return _ewens_rows_through_succ(rng, size, n, float(spec.theta), relabel)
@@ -144,8 +174,7 @@ def _has_cycle_type(law, n):
     [
         (law, relabel, *shape)
         for law in _BLOCK_LAWS
-        # uniform rows are always shuffled
-        for relabel in ((True,) if law == "uniform" else (True, False))
+        for relabel in (True, False)
         for shape in _BLOCK_SHAPES
         if _has_cycle_type(law, shape[1])
     ],
@@ -215,6 +244,72 @@ def test_ewens_theta_zero_gives_single_cycle():
     rows = ewens_rows(RngStream(1, 0), 32, 6, 0.0)
     for row in rows:
         assert cycle_type(perm_from_row(row)) == (6,)
+
+
+def _block_types(ends, size, n):
+    # Each row's block lengths as a cycle type, largest first.
+    r, last, first = ends
+    counts = np.zeros((size, n + 1), dtype=np.int64)
+    np.add.at(counts, (r, last - first + 1), 1)
+    return [
+        tuple(length for length in range(n, 0, -1) for _ in range(row[length]))
+        for row in counts
+    ]
+
+
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(40)])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_feller_block_types_match_the_ewens_law(theta, n):
+    m = 40000
+    types = _block_types(samplers._feller_ends(RngStream(24, n).generator, m, n, float(theta)), m, n)
+    law = dict(ExactDistribution.ewens(n, theta).class_probs)
+    got: dict[tuple[int, ...], int] = {}
+    for t in types:
+        got[t] = got.get(t, 0) + 1
+    assert set(got) <= set(law)
+    for part, p in law.items():
+        expect = m * float(p)
+        sd = math.sqrt(m * float(p) * (1 - float(p)))
+        # At theta = 0 the one type has p = 1, sd = 0 and no slack.
+        assert abs(got.get(part, 0) - expect) <= 5 * sd, part
+
+
+@pytest.mark.parametrize("theta", [1e6, 1e17, 1e300])
+def test_feller_ends_at_extreme_theta_give_the_identity(theta):
+    # A jump past position j + 1 needs V below about (j + 1) / theta: at
+    # theta = 1e6 about once in 10^5 draws. At the larger two it never
+    # happens, as every step of the log table, 36.9 or more, stays finite
+    # and above -log V, which is at most 53 ln 2 = 36.7.
+    size, n = 64, 10
+    rows = ewens_rows(RngStream(24, 0), size, n, theta, relabel=False)
+    assert np.array_equal(rows, np.tile(np.arange(n), (size, 1)))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.0, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 9, 250])
+def test_feller_ends_tile_each_row_and_draw_one_uniform_per_block(theta, n):
+    size = 37
+    gen, reference = RngStream(24, 2).generator, RngStream(24, 2).generator
+    r, last, first = samplers._feller_ends(gen, size, n, theta)
+    assert r.dtype == last.dtype == first.dtype == np.int32
+    # Sorted by row, every row present, and each row's blocks in order:
+    # the first opens at 0, each next one after the last ends, the last
+    # ends at n - 1.
+    assert np.array_equal(np.unique(r), np.arange(size))
+    assert np.all(np.diff(r) >= 0)
+    assert np.all(first <= last)
+    new_row = np.r_[True, r[1:] != r[:-1]]
+    assert np.all(first[new_row] == 0)
+    assert np.array_equal(first[~new_row], last[np.flatnonzero(~new_row) - 1] + 1)
+    assert np.all(last[np.r_[new_row[1:], True]] == n - 1)
+    reference.random(len(r))
+    assert gen.bit_generator.state == reference.bit_generator.state
+
+
+def test_ewens_rows_reject_an_infinite_theta():
+    for theta in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ewens_rows(RngStream(0, 0), 2, 5, theta)
 
 
 @given(st.integers(min_value=0, max_value=6))
@@ -326,6 +421,10 @@ def test_spec_draw_batch_matches_row_sampler():
     spec = SamplerSpec("uniform", n=6)
     a = spec.draw_batch(RngStream(31, 2), 5)
     b = uniform_rows(RngStream(31, 2), 5, 6)
+    assert np.array_equal(a, b)
+    # Unrelabelled, a uniform row is an Ewens(1) representative.
+    a = spec.draw_batch(RngStream(31, 2), 5, relabel=False)
+    b = ewens_rows(RngStream(31, 2), 5, 6, 1.0, relabel=False)
     assert np.array_equal(a, b)
 
 
