@@ -24,16 +24,17 @@ Last come the stages of a default ``permprod verify-lemmas``, in
 seconds, each with the ``tracemalloc`` peak of one more, untimed run:
 the trace sweep at n = 7 and, beyond the default, at n = 8 (it
 checks powers up to 2n, so its cost per permutation grows with n), the
-pair pass at n = 5 with its count of
-traversal calls, then its two parts on their own (the four reduced pair
-suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
+pair pass at n = 5 with the count of rows its numpy walks
+(``sweeps._walk_pairs``) take, then its two parts on their own (the four
+reduced pair suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
 the membership bounds at n = 5 and, beyond the default, at n = 7 (the
 largest ``--pair-n``), and the whole default ``run_all()``,
 every suite of the report. These stages run round robin, one pass over
-all of them per repeat, and each keeps its best. Three stages beyond
+all of them per repeat, and each keeps its best. Four stages beyond
 the default are timed once after them: the trace sweep at n = 9, where
-the single-permutation sweep's n! scaling shows, and event-factorization
-at n = 6 and at n = 7, the largest ``--pair-n``. Then a whole
+the single-permutation sweep's n! scaling shows, the four reduced pair
+suites at n = 7, and event-factorization at n = 6 and at n = 7, the
+largest ``--pair-n``. Then a whole
 ``permprod verify-lemmas --pair-n 7`` runs once in a fresh interpreter
 on the same package, timed from spawn to exit, with the peak resident
 set that process reads for itself (VmHWM, so Linux only). Last,
@@ -190,25 +191,25 @@ def main(argv=None) -> int:
         ms = best_ms(cold_law, args.repeat)
         emit(f"  n = {n:<16} {ms:8.2f}", layer="product_type_distribution", n=n, ms=ms)
     print("verify-lemmas stages at the default sizes: s, and MiB traced")
-    # An untimed pair pass counts its traversal calls.
-    walk = sweeps.traversal
-    calls = 0
+    # An untimed pair pass counts the rows of its numpy walks.
+    walk = sweeps._walk_pairs
+    walked = 0
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return walk(*args)
+    def counted(sigma_inv, rho, last):
+        nonlocal walked
+        walked += len(rho)
+        return walk(sigma_inv, rho, last)
 
-    sweeps.traversal = counted
+    sweeps._walk_pairs = counted
     try:
         sweeps.sweep_pairs(5)
     finally:
-        sweeps.traversal = walk
+        sweeps._walk_pairs = walk
 
     stages = (
         ("trace n = 7", lambda: sweeps.sweep_trace_identity(7), ""),
         ("trace n = 8", lambda: sweeps.sweep_trace_identity(8), ""),
-        ("pair pass n = 5", lambda: sweeps.sweep_pairs(5), f"  {calls} traversal calls"),
+        ("pair pass n = 5", lambda: sweeps.sweep_pairs(5), f"  {walked} walked rows"),
         ("reduced pairs n = 5", lambda: sweeps._reduced_pair_suites(5), ""),
         ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
@@ -225,6 +226,7 @@ def main(argv=None) -> int:
         )
     once = (
         ("trace n = 9", lambda: sweeps.sweep_trace_identity(9)),
+        ("reduced pairs n = 7", lambda: sweeps._reduced_pair_suites(7)),
         ("event-factor. n = 6", lambda: sweeps.sweep_event_factorization(6)),
         ("event-factor. n = 7", lambda: sweeps.sweep_event_factorization(7)),
     )
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
     if args.json:
         meta = {"nproc": os.cpu_count(), "numpy": np.__version__, "repeat": args.repeat}
         with open(args.json, "w") as fh:
-            json.dump({**meta, "traversal_calls": calls, "rows": rows}, fh, indent=1)
+            json.dump({**meta, "walked_rows": walked, "rows": rows}, fh, indent=1)
             fh.write("\n")
     return 0
 

@@ -42,9 +42,6 @@ __all__ = [
     "shape_orbit_size",
     "walk_patterns",
     "enumerate_B",
-    "no_two_cycles_when_components_small",
-    "shared_cycle_graphs_match",
-    "reversal_identities_hold",
     "relabel_dichotomy_holds",
 ]
 
@@ -114,9 +111,9 @@ class TraversalRecord:
 
 @lru_cache(maxsize=1024)
 def _preimages(images: tuple[int, ...]) -> tuple[int, ...]:
-    # out[j] is the index mapped to j; out[0] is unused. A sweep walks each
-    # permutation thousands of times, so the inverse is built once per
-    # permutation it meets.
+    # out[j] is the index mapped to j; out[0] is unused. A full pass over
+    # pairs walks each permutation thousands of times, so the inverse is
+    # built once per permutation it meets.
     out = [0] * (len(images) + 1)
     for pos, img in enumerate(images, start=1):
         out[img] = pos
@@ -197,11 +194,6 @@ def profile(
             key=lambda pair: min(pair[0]),
         )
     )
-
-
-def _has_two_cycle(edges: Iterable[tuple[int, int]]) -> bool:
-    edge_set = set(edges)
-    return any(a != b and (b, a) in edge_set for a, b in edge_set)
 
 
 def _partial_bijection(edges: Iterable[tuple[int, int]]) -> tuple[dict, dict] | None:
@@ -347,74 +339,6 @@ def enumerate_B(
         if k + u <= n
         and (shape(DirectedGraph(k + u, e1)), shape(DirectedGraph(k + u, e2))) == want
     )
-
-
-def _components_all_have_two_vertices(edges: Iterable[tuple[int, int]]) -> bool:
-    # Every component has two vertices exactly when each non-isolated
-    # vertex v has exactly one neighbour u != v, loops ignored, and v is
-    # u's only such neighbour. ``partner`` pairs them off; a second
-    # neighbour fails at once, and a loop needs a partner for its vertex.
-    partner: dict[int, int] = {}
-    for a, b in edges:
-        if a != b and (partner.setdefault(a, b) != b or partner.setdefault(b, a) != a):
-            return False
-    return all(a in partner for a, b in edges if a == b)
-
-
-def no_two_cycles_when_components_small(g1: DirectedGraph, g2: DirectedGraph) -> bool:
-    """If every non-trivial component of both graphs of one traversal has
-    exactly two vertices, neither graph may contain a 2-cycle. Returns True
-    when that implication holds for the couple (g1, g2)."""
-    if not (
-        _components_all_have_two_vertices(g1.edges)
-        and _components_all_have_two_vertices(g2.edges)
-    ):
-        return True
-    return not (_has_two_cycle(g1.edges) or _has_two_cycle(g2.edges))
-
-
-def shared_cycle_graphs_match(
-    r1: TraversalRecord,
-    graphs1: tuple[DirectedGraph, DirectedGraph],
-    r2: TraversalRecord,
-    graphs2: tuple[DirectedGraph, DirectedGraph],
-) -> bool:
-    """Start indices on the same traversal cycle must induce identical graphs.
-
-    ``r1`` and ``r2`` are traversals of one pair from two start indices,
-    each walked on its own, and ``graphs1``, ``graphs2`` their graph
-    couples. Vacuously true when the start of r1 is not on the cycle of r2.
-    """
-    if r1.m not in r2.i_seq:
-        return True
-    (a1, a2), (b1, b2) = graphs1, graphs2
-    return a1.edges == b1.edges and a2.edges == b2.edges
-
-
-def reversal_identities_hold(
-    r: TraversalRecord, g1: DirectedGraph, s: TraversalRecord, h2: DirectedGraph
-) -> bool:
-    """The five exchange identities tying the traversal of (sigma, rho) to
-    the traversal of (rho, sigma) and to the inverted pair.
-
-    With r = traversal(sigma, rho, m), g1 its sigma-side graph, s =
-    traversal(rho, sigma, m) and h2 the rho-side graph of
-    traversal(inverse(rho), inverse(sigma), rho(m)): equal lengths; s.j
-    reverses r.j; s.i reverses r.i off the anchor; both anchors are m;
-    and g1 is the edge-reversal of h2.
-    """
-    m, k = r.m, r.k
-    if s.k != k:
-        return False
-    for l in range(1, k + 1):
-        if s.j_seq[l - 1] != r.j_seq[k - l]:
-            return False
-    for l in range(2, k + 1):
-        if s.i_seq[l - 1] != r.i_seq[k - l + 1]:
-            return False
-    if r.i_seq[0] != m or s.i_seq[0] != m:
-        return False
-    return {(b, a) for a, b in g1.edges} == h2.edges
 
 
 @lru_cache(maxsize=1024)

@@ -53,6 +53,7 @@ n below 2**31.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -199,6 +200,17 @@ class SamplerSpec:
             return f"sqrt_fixed({raw})"
         return f"matching_heavy({self.two_cycle_fraction})"
 
+    def _drawn_theta(self) -> float:
+        """theta as the float the Ewens kernel draws with. ``exact`` takes
+        any rational theta, but one above the largest float cannot be
+        drawn: ValueError rather than the conversion's OverflowError."""
+        try:
+            return float(self.theta)
+        except OverflowError:
+            raise ValueError(
+                f"theta above {sys.float_info.max:.6g}, the largest float, cannot be drawn"
+            ) from None
+
     def draw_batch(self, rng: RngStream, size: int, relabel: bool = True) -> np.ndarray:
         """``size`` rows of this law, or with ``relabel=False`` only of its
         cycle-type law, laid on the identity arrangement. A uniform
@@ -214,7 +226,7 @@ class SamplerSpec:
                 return ewens_rows(rng, size, n, 1.0, relabel=False)
             return uniform_rows(rng, size, n)
         if self.kind == "ewens":
-            return ewens_rows(rng, size, n, float(self.theta), relabel)
+            return ewens_rows(rng, size, n, self._drawn_theta(), relabel)
         if self.kind == "sqrt_fixed":
             return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count(), relabel)
         return matching_heavy_rows(rng, size, n, self.two_cycle_fraction, relabel)
@@ -518,7 +530,7 @@ def product_cycle_counts(
         raise ValueError(f"left rows have n={n}, the spec n={spec.n}")
     gen = rng.generator
     if spec.kind == "ewens":
-        ends = _feller_ends(gen, size, n, float(spec.theta))
+        ends = _feller_ends(gen, size, n, spec._drawn_theta())
         blocks = _arrangement_blocks(gen, size, n, ends=ends)
     else:
         succ = None if spec.kind == "uniform" else _block_base(spec.fixed_cycle_type())

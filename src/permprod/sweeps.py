@@ -23,7 +23,10 @@ times as its orbit has members (:func:`_conjugation_orbits` and the
   type, rho over one per orbit of conjugation by sigma's centraliser,
   and each tally is weighted by the class size times rho's orbit size.
   That is sum over cycle types lambda of z_lambda pairs, 161 of the
-  14,400 at n = 5.
+  14,400 at n = 5. These four suites build no traversal records or
+  graph objects either: they walk their pairs in numpy blocks with
+  event-factorization's walk, every start at once, and check each claim
+  on the walk arrays and labelled edge masks (:func:`_pair_verdicts`).
 * Graphs. Relabel-dichotomy holds for (E, tau) exactly when it holds for
   (pi E, pi tau pi^-1), and everything ``verify_bounds`` reads under a
   conjugation-invariant law (the membership probability, the component,
@@ -75,7 +78,9 @@ single-permutation sweep at n = 10 (``_SINGLE_MAX_N``), since that
 sweep walks all n! permutations. The trace sweep walks them in numpy
 blocks of ``_TRACE_BLOCK_ROWS`` rows, each block twice: once for the
 fixed points of every power and once for each row's cycle type, whose
-divisor-sum formula is evaluated once per type. Event-factorization
+divisor-sum formula is evaluated once per type. The four other pair
+suites walk their orbit pairs in blocks of ``_PAIR_BLOCK``, three times
+each: as (sigma, rho), swapped and inverted. Event-factorization
 walks its (sigma, rho) rows in blocks of ``_PAIR_BLOCK`` that run across
 sigmas, merges each block's key rows into its table as it goes, reads
 every start count's keys off that one table by one sort, and counts the
@@ -95,15 +100,9 @@ import numpy as np
 
 from permprod.cyclegraphs import (
     DirectedGraph,
-    graphs_from_record,
-    membership,
-    no_two_cycles_when_components_small,
     profile,
     relabel_dichotomy_holds,
-    reversal_identities_hold,
     shape_orbit_size,
-    shared_cycle_graphs_match,
-    traversal,
 )
 from permprod.oracle import (
     ExactDistribution,
@@ -113,10 +112,9 @@ from permprod.oracle import (
 )
 from permprod.perms import (
     CycleCounts,
+    Permutation,
     all_permutations,
-    compose,
     cycle_of,
-    inverse,
     trace_power,
 )
 from permprod.samplers import _power_fixed_points, _power_scratch
@@ -143,8 +141,9 @@ _EXAMPLE_CAP = 5
 # core of a 2-core machine: 108,000 pairs (72,780 key rows) in 0.6 s at
 # n = 6, where a whole verify-lemmas run takes 0.8-1.2 s and 44 MB; 1.54
 # million pairs (807,468 key rows) in 7-9 s at n = 7, where a whole run
-# takes 9.6 s and 171 MB, the four other pair suites 1.9 s,
-# relabel-dichotomy 1.4 s and the bounds 0.05 s. At n = 8 it would walk
+# takes 9.6 s and 171 MB, the four other pair suites 0.2-0.3 s (5,579
+# orbit pairs, 0.1 s of it finding them), relabel-dichotomy 1.4 s and
+# the bounds 0.05 s. At n = 8 it would walk
 # 23.2 million pairs, about 100 s of walking at its rate per block, into
 # some 9 million key rows (11 times n = 7's) of 81 bytes: a 0.7 GB
 # table, and a peak near 1.8 GB if it grows as it does at n = 7.
@@ -328,36 +327,80 @@ def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _conjugation_orbits(perms: list, group: list) -> list[list]:
+def _conjugation_orbits(perms: list, generators: list) -> list[list]:
     """[representative, orbit size] for each orbit of conjugation by the
-    permutations in ``group``, in first-seen order: each permutation of
-    ``perms`` not yet marked stands for its orbit and marks all of it.
-    ``perms`` must be closed under that conjugation."""
+    group that ``generators`` generate, in first-seen order: the first
+    member of each orbit in ``perms`` stands for it. ``perms`` must be
+    closed under that conjugation.
+
+    Each permutation is labelled with its own index, and labels are
+    lowered to the least label one generator step away, then to their
+    own label's label, until none moves. A label stays in its orbit and
+    only falls, and a label no step lowers is constant along every
+    orbit, which the steps connect, so each orbit ends labelled with its
+    first member. Each generator costs one gather over ``perms``.
+    """
     n = perms[0].n
-    movers = []
-    for pi in group:
-        pi_inv = [0] * n
-        for x, image in enumerate(pi.images, start=1):
-            pi_inv[image - 1] = x
-        movers.append(((0, *pi.images), pi_inv))
-    marked: set = set()
-    out = []
-    for sigma in perms:
-        images = sigma.images
-        if images in marked:
-            continue
-        # (pi sigma pi^-1)(y) = pi(sigma(pi^-1(y))).
-        orbit = {tuple(pi[images[x - 1]] for x in pi_inv) for pi, pi_inv in movers}
-        marked |= orbit
-        out.append([sigma, len(orbit)])
+    images = np.array([p.images for p in perms], dtype=np.intp) - 1
+    # Base-n digits name each permutation by one integer.
+    digits = n ** np.arange(n - 1, -1, -1)
+    codes = (images * digits).sum(axis=1)
+    sorter = np.argsort(codes)
+    steps = []
+    for pi in generators:
+        pi = np.array(pi.images, dtype=np.intp) - 1
+        # (pi sigma pi^-1)(y) = pi(sigma(pi^-1(y))), for every sigma at once.
+        moved = (np.take(pi, images[:, np.argsort(pi)]) * digits).sum(axis=1)
+        steps.append(sorter[np.searchsorted(codes, moved, sorter=sorter)])
+    label = np.arange(len(perms))
+    while True:
+        lowered = label
+        for step in steps:
+            lowered = np.minimum(lowered, lowered[step])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    label.sort()
+    firsts = _run_starts(label[:, None])
+    sizes = np.diff(firsts, append=len(perms))
+    return [[perms[i], size] for i, size in zip(label[firsts].tolist(), sizes.tolist())]
+
+
+def _symmetric_generators(n: int, points: Sequence[int]) -> list[Permutation]:
+    """A transposition and a cycle of ``points``, which generate every
+    permutation of {1..n} that fixes the other points; none for fewer
+    than two points."""
+    points = list(points)
+    if len(points) < 2:
+        return []
+    return [Permutation.from_cycles(n, [points[:2]]), Permutation.from_cycles(n, [points])]
+
+
+def _centraliser_generators(sigma: Permutation) -> list[Permutation]:
+    """Generators of the permutations commuting with sigma: sigma on one
+    of its cycles and the identity elsewhere, for each cycle, and the
+    swap, point by point along them, of each two consecutive cycles of
+    one length. They rotate each cycle and reorder the cycles of each
+    length, which is every such permutation."""
+    n, seen, cycles = sigma.n, set(), []
+    for m in range(1, n + 1):
+        if m not in seen:
+            cycles.append(cycle_of(sigma, m))
+            seen.update(cycles[-1])
+    cycles.sort(key=len)
+    out = [Permutation.from_cycles(n, [cycle]) for cycle in cycles if len(cycle) > 1]
+    for a, b in zip(cycles, cycles[1:]):
+        if len(a) == len(b):
+            out.append(Permutation.from_cycles(n, list(zip(a, b))))
     return out
 
 
 def _stabiliser_orbits(perms: list, fixed: int) -> list[list]:
     """[representative, orbit size] for each orbit of conjugation by the
     permutations that fix 1..fixed pointwise, in first-seen order."""
-    prefix = tuple(range(1, fixed + 1))
-    return _conjugation_orbits(perms, [p for p in perms if p.images[:fixed] == prefix])
+    n = perms[0].n
+    return _conjugation_orbits(perms, _symmetric_generators(n, range(fixed + 1, n + 1)))
 
 
 def _pair_orbits(perms: list):
@@ -366,15 +409,9 @@ def _pair_orbits(perms: list):
     over one per orbit of conjugation by sigma's centraliser, since
     conjugating the pair by pi keeps sigma exactly when pi commutes with
     it. The orbit has (class size) x (rho's orbit size) members."""
-    for sigma, class_size in _conjugation_orbits(perms, perms):
-        images = sigma.images
-        # pi(sigma(i)) == sigma(pi(i)) for every i.
-        centraliser = [
-            pi
-            for pi in perms
-            if all(pi.images[s - 1] == images[p - 1] for p, s in zip(pi.images, images))
-        ]
-        for rho, orbit_size in _conjugation_orbits(perms, centraliser):
+    n = perms[0].n
+    for sigma, class_size in _conjugation_orbits(perms, _symmetric_generators(n, range(1, n + 1))):
+        for rho, orbit_size in _conjugation_orbits(perms, _centraliser_generators(sigma)):
             yield sigma, rho, class_size * orbit_size
 
 
@@ -384,10 +421,9 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
     The first four check one pair per orbit of simultaneous conjugation,
     sigma once per cycle type and rho once per orbit of conjugation by
     sigma's centraliser, and weight each tally by the orbit size (see the
-    module docstring); for each such pair and every start m,
-    traversal(sigma, rho, m) is walked and its graph couple built once,
-    and each suite keeps its own tally.
-    In suite order:
+    module docstring); each such pair is walked from every start m at
+    once, in numpy (:func:`_pair_verdicts`), and each suite keeps its own
+    tally. In suite order:
 
     * traversal-encoding: the index walk equals the cycle of
       inverse(sigma) o rho through m, the companion sequence is its
@@ -395,9 +431,9 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
       satisfied by the very pair that produced them;
     * shared-cycle-graphs: two starts on one cycle, each walked on its
       own, induce identical graphs;
-    * reversal-exchange: the exchange identities with traversal(rho,
-      sigma, m) and traversal(rho^-1, sigma^-1, rho(m)), both walked
-      afresh for the check;
+    * reversal-exchange: the exchange identities with the walks of
+      (rho, sigma) from m and of (rho^-1, sigma^-1) from rho(m), both
+      walked for the check;
     * two-vertex-components: no 2-cycles when every component has two
       vertices;
     * event-factorization, over one sigma per orbit of conjugation by
@@ -410,56 +446,181 @@ def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[Swe
 
 def _reduced_pair_suites(n: int) -> list[SweepSummary]:
     """The first four suites of :func:`sweep_pairs`, without
-    event-factorization."""
-    perms = list(all_permutations(n))
-    starts = range(1, n + 1)
-    start_pairs = list(itertools.combinations(range(n), 2))
-    encoding, shared, reversal, small = _Tally(), _Tally(), _Tally(), _Tally()
-    for sigma, rho, size in _pair_orbits(perms):
-        sigma_inv = inverse(sigma)
-        rho_inv = inverse(rho)
-        prod = compose(sigma_inv, rho)
-        rho_images = rho.images
-        records = [traversal(sigma, rho, m) for m in starts]
-        graphs = [graphs_from_record(r, n) for r in records]
-        for r, (g1, g2) in zip(records, graphs):
-            m = r.m
+    event-factorization.
 
-            def describe(ss=sigma, rr=rho, mm=m):
-                return f"sigma={ss.to_line()} rho={rr.to_line()} m={mm}"
-
-            encoding.record(
-                r.i_seq == cycle_of(prod, m)
-                and r.j_seq == tuple(rho_images[x - 1] for x in r.i_seq)
-                and len(g1.edges) == r.k
-                and len(g2.edges) == r.k
-                and membership(sigma, g1)
-                and membership(rho, g2),
-                describe,
-                size,
-            )
-            back = traversal(rho, sigma, m)
-            h2 = graphs_from_record(traversal(rho_inv, sigma_inv, rho_images[m - 1]), n)[1]
-            reversal.record(reversal_identities_hold(r, g1, back, h2), describe, size)
-            small.record(no_two_cycles_when_components_small(g1, g2), describe, size)
-        for i, j in start_pairs:
-            shared.record(
-                shared_cycle_graphs_match(records[i], graphs[i], records[j], graphs[j]),
-                lambda ss=sigma, rr=rho, m1=i + 1, m2=j + 1: (
-                    f"sigma={ss.to_line()} rho={rr.to_line()} m1={m1} m2={m2}"
-                ),
-                size,
-            )
-    per_start = f"all ordered pairs at n={n}, every start index"
+    The orbit pairs are walked in blocks of ``_PAIR_BLOCK`` rows, every
+    start at once (:func:`_pair_verdicts`). Each verdict counts its
+    pair's orbit size, and the failures are recorded pair-major and
+    start-minor (start-pair-minor for shared-cycle-graphs), so the
+    examples are the first failures in that order.
+    """
+    orbits = list(_pair_orbits(list(all_permutations(n))))
+    sigmas = np.array([sigma.images for sigma, _, _ in orbits], dtype=np.intp) - 1
+    rhos = np.array([rho.images for _, rho, _ in orbits], dtype=np.intp) - 1
+    sizes = np.array([size for _, _, size in orbits], dtype=np.int64)
+    start_pairs = [f"m1={a + 1} m2={b + 1}" for a, b in itertools.combinations(range(n), 2)]
+    per_start = [f"m={m}" for m in range(1, n + 1)]
+    tallies = [_Tally() for _ in range(4)]
+    columns = [per_start, start_pairs, per_start, per_start]
+    for start in range(0, len(orbits), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        weights = sizes[block]
+        for tally, ok, names in zip(tallies, _pair_verdicts(sigmas[block], rhos[block]), columns):
+            tally.cases += int((ok.sum(axis=1) * weights).sum())
+            for cell in np.flatnonzero(~ok).tolist():
+                row, column = divmod(cell, ok.shape[1])
+                sigma, rho, size = orbits[start + row]
+                tally.record(
+                    False,
+                    lambda ss=sigma, rr=rho, c=names[column]: (
+                        f"sigma={ss.to_line()} rho={rr.to_line()} {c}"
+                    ),
+                    size,
+                )
+    encoding, shared, reversal, small = tallies
+    detail = f"all ordered pairs at n={n}, every start index"
     return [
-        _summary("traversal-encoding", n, encoding, per_start),
+        _summary("traversal-encoding", n, encoding, detail),
         _summary(
             "shared-cycle-graphs", n, shared,
             f"all ordered pairs at n={n}, every unordered start pair",
         ),
-        _summary("reversal-exchange", n, reversal, per_start),
-        _summary("two-vertex-components", n, small, per_start),
+        _summary("reversal-exchange", n, reversal, detail),
+        _summary("two-vertex-components", n, small, detail),
     ]
+
+
+def _pair_verdicts(sigma: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The verdicts of the four reduced suites on a block of pairs of
+    0-based images, in suite order: bool arrays with one row per pair and
+    one column per start (per start pair, in ``itertools.combinations``
+    order, for shared-cycle-graphs).
+
+    The pairs are walked from every start by :func:`_walk_pairs`, as
+    (sigma, rho), swapped as (rho, sigma), and inverted as (rho^-1,
+    sigma^-1), whose walk from rho(m) goes with the start m. The couples
+    are read as labelled edge masks (:func:`_side_masks`), each also with
+    every edge reversed.
+    """
+    rows, n = rho.shape
+    sigma_inv, rho_inv = np.argsort(sigma, axis=1), np.argsort(rho, axis=1)
+    walks, tails, heads = _walk_pairs(sigma_inv, rho, n)
+    # Every vertex keeps its label; the -1 padding reads column n.
+    labels = np.tile(np.append(np.arange(n), 0), (rows, n, 1))
+    masks = _side_masks(tails, heads, labels)
+    flipped = _side_masks(heads, tails, labels)
+    swapped = _walk_pairs(rho_inv, sigma, n)[0]
+    _, inverted_tails, inverted_heads = _walk_pairs(rho, sigma_inv, n)
+    inverted = _side_masks(inverted_tails, inverted_heads, labels)[:, :, 1]
+    return (
+        _encoding_verdicts(sigma, sigma_inv, rho, walks, tails, heads, masks),
+        _shared_cycle_verdicts(walks, masks),
+        _reversal_verdicts(walks, swapped, flipped[:, :, 0], np.take_along_axis(inverted, rho, 1)),
+        _two_vertex_verdicts(masks, flipped, n),
+    )
+
+
+def _walk_lengths(walks: np.ndarray) -> np.ndarray:
+    # k of each walk of a block of _walk_pairs: its unpadded steps.
+    return (walks[:, :, 0] >= 0).sum(axis=2)
+
+
+def _encoding_verdicts(
+    sigma: np.ndarray,
+    sigma_inv: np.ndarray,
+    rho: np.ndarray,
+    walks: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    masks: np.ndarray,
+) -> np.ndarray:
+    """Traversal-encoding: the index walk is the cycle of sigma^-1 rho
+    through its start, walked here on its own, one flat gather of the
+    product per step; the companion sequence is its rho-image; each side
+    of the couple has k distinct edges (set bits of its mask); and sigma
+    and rho hold every edge of their sides."""
+    rows, n = rho.shape
+    product = np.take(_flat(sigma_inv), _flat(rho))
+    start = np.arange(rows * n).reshape(rows, n)
+    cycle = np.empty((rows, n, n), dtype=np.intp)
+    back = np.empty((rows, n, n), dtype=bool)
+    point = start
+    for l in range(n):
+        cycle[:, :, l] = point
+        point = np.take(product, point)
+        np.equal(point, start, out=back[:, :, l])
+    cycle -= start[:, :1, None]
+    # Written from the last step down, each cycle keeps its first return.
+    length = np.full((rows, n), n)
+    for l in range(n - 1, 0, -1):
+        length[back[:, :, l - 1]] = l
+    cycle[np.arange(n) >= length[:, :, None]] = -1
+    k = _walk_lengths(walks)
+    ok = (walks[:, :, 0] == cycle).all(axis=2)
+    ok &= (_images_of(rho[:, None], walks[:, :, :1]) == walks[:, :, 1:]).all(axis=(2, 3))
+    ok &= (_bit_counts(masks) == k[:, :, None]).all(axis=2)
+    ok &= ~_unsatisfied(sigma, rho, tails, heads)
+    return ok
+
+
+def _shared_cycle_verdicts(walks: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Shared-cycle-graphs, for each start pair a < b: when start a lies
+    on start b's walk, the two starts' labelled masks are equal."""
+    n = walks.shape[1]
+    # on[r, a, b]: start a + 1 is on the index walk of start b + 1.
+    on = (walks[:, None, :, 0] == np.arange(n)[:, None, None]).any(axis=3)
+    same = (masks[:, :, None] == masks[:, None]).all(axis=3)
+    first, second = np.triu_indices(n, 1)
+    return (~on | same)[:, first, second]
+
+
+def _reversal_verdicts(
+    walks: np.ndarray, swapped: np.ndarray, reversed_sigma_side: np.ndarray, inverted: np.ndarray
+) -> np.ndarray:
+    """Reversal-exchange: with s the walk of (rho, sigma) from the same
+    start, of the same length k, s.j reverses the companion sequence
+    (s.j[l] = j[k - 1 - l]) and s.i the index walk off the anchor (s.i[l]
+    = i[k - l] for l >= 1); both walks start at m; and the sigma side,
+    every edge reversed, is the rho side of the inverted walk from
+    rho(m)."""
+    n = walks.shape[1]
+    k = _walk_lengths(walks)[:, :, None]
+    steps = np.arange(n)
+
+    def reversed_walk(seq: np.ndarray, shift: int) -> np.ndarray:
+        # seq[(k - shift - l) mod k] at step l < k, and -1 padding past k.
+        at = (k - shift - steps) % k
+        return np.where(steps < k, np.take_along_axis(seq, at, axis=2), -1)
+
+    ok = (swapped[:, :, 1] == reversed_walk(walks[:, :, 1], 1)).all(axis=2)
+    ok &= (swapped[:, :, 0] == reversed_walk(walks[:, :, 0], 0)).all(axis=2)
+    ok &= (walks[:, :, 0, 0] == steps) & (swapped[:, :, 0, 0] == steps)
+    ok &= reversed_sigma_side == inverted
+    return ok
+
+
+def _two_vertex_verdicts(masks: np.ndarray, flipped: np.ndarray, n: int) -> np.ndarray:
+    """Two-vertex-components, on a block's edge masks ``masks[r, s, side]``
+    and the same with every edge reversed: when every component of both
+    sides has two vertices, neither side has a 2-cycle.
+
+    Every component has two vertices when each vertex has at most one
+    neighbour other than itself, in either direction, and each loop's
+    vertex has one; a 2-cycle is a non-loop edge whose reverse is an edge.
+    The masks are read as uint64, so that all n * n <= 64 bits are plain
+    bits.
+    """
+    masks, flipped = masks.view(np.uint64), flipped.view(np.uint64)
+    loops = np.uint64(sum(1 << v * (n + 1) for v in range(n)))
+    plain, plain_flipped = masks & ~loops, flipped & ~loops
+    shifts = np.arange(n, dtype=np.uint64) * np.uint64(n)
+    # neighbours[r, s, side, v]: the other vertices v has an edge with.
+    neighbours = ((plain | plain_flipped)[..., None] >> shifts) & np.uint64((1 << n) - 1)
+    looped = (masks[..., None] >> shifts + np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    paired = (neighbours & neighbours - np.uint64(1)) == 0
+    paired &= (looped == 0) | (neighbours != 0)
+    two_cycle = ((plain & plain_flipped) != 0).any(axis=2)
+    return ~paired.all(axis=(2, 3)) | ~two_cycle
 
 
 def sweep_traversal_consistency(n: int = 4) -> SweepSummary:
@@ -572,6 +733,39 @@ def _side_masks(tails: np.ndarray, heads: np.ndarray, names: np.ndarray) -> np.n
     return np.bitwise_or.reduce(edges, axis=3)
 
 
+def _images_of(perms: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``out[r, s, p, l]``: permutation p of row r, ``perms[r, p]`` as
+    0-based images, at ``points[r, s, p, l]``, and -1 at -1 padding."""
+    rows, count, n = perms.shape
+    # Each permutation is followed by a -1, which the -1 padding of the
+    # next one reads (of the last, for the first).
+    images = np.full((rows, count, n + 1), -1)
+    images[:, :, :n] = perms
+    at = np.arange(0, rows * count * (n + 1), n + 1).reshape(rows, 1, count, 1)
+    return np.take(images, points + at)
+
+
+def _unsatisfied(
+    sigma: np.ndarray, rho: np.ndarray, tails: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
+    """``out[r, s]``: whether, in a block of :func:`_walk_pairs`, sigma
+    misses an edge of the sigma side of start s + 1's couple, or rho one
+    of its rho side."""
+    rows, last = tails.shape[:2]
+    return (_images_of(np.stack([sigma, rho], axis=1), tails) != heads).reshape(
+        rows, last, -1
+    ).any(axis=2)
+
+
+# The set bits of each byte value.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int8)
+
+
+def _bit_counts(masks: np.ndarray) -> np.ndarray:
+    # The set bits of each int64 mask, byte by byte.
+    return np.take(_BYTE_BITS, masks.view(np.uint8)).reshape(*masks.shape, 8).sum(axis=-1)
+
+
 def _key_layout(n: int, fixed: int) -> tuple[list[tuple[int, int, int]], int]:
     """Where one start's sigma mask, rho mask and u lie in a key row: each
     as (word, shift, width), filling an int64 word from bit 0 and moving
@@ -606,13 +800,7 @@ def _key_rows(
     keys = np.zeros((rows, last, words), dtype=np.int64)
     for (word, shift, _), value in zip(place, (masks[:, :, 0], masks[:, :, 1], u)):
         keys[:, :, word] |= value << shift
-    # Each row's sigma and rho, each followed by a -1 that the -1 padding
-    # reads, and so matches.
-    images = np.full((rows, 2, n + 1), -1)
-    images[:, 0, :n] = sigma
-    images[:, 1, :n] = rho
-    at = np.arange(0, rows * 2 * (n + 1), n + 1).reshape(rows, 1, 2, 1)
-    missed = (np.take(images, tails + at) != heads).reshape(rows, last, -1).any(axis=2)
+    missed = _unsatisfied(sigma, rho, tails, heads)
     fail = np.where(missed.any(axis=1), missed.argmax(axis=1) + 1, last + 1)
     return keys.reshape(rows, -1), fail.astype(np.int8)
 

@@ -15,7 +15,12 @@ by labelled graph tuples, ``graph_pass`` checks every partial injection
 instead of one per relabeling orbit, ``graph_orbits`` (the sweep's
 previous path) finds those orbits by listing every partial injection
 and grouping by ``shape`` instead of building one graph per shape, and
-the two-vertex predicate reads full component profiles. They exist so
+the two-vertex predicate reads full component profiles.
+``pair_verdicts`` gives the four reduced pair suites' verdicts on one
+pair from its traversal records and graph objects, through
+``shared_cycle_graphs_match``, ``reversal_identities_hold`` and the
+two-vertex predicate (the sweep's previous path), where the sweep reads
+them off numpy walk arrays and edge masks. They exist so
 that tests can check the reduced code against straight enumeration
 instead of trusting it, and they are practical only for n <= 7.
 ``graph_prob`` sums a law's pmf over every permutation containing a
@@ -57,8 +62,6 @@ from permprod.cyclegraphs import (
     membership,
     profile,
     relabel_dichotomy_holds,
-    reversal_identities_hold,
-    shared_cycle_graphs_match,
     traversal,
 )
 from permprod.oracle import ExactDistribution, verify_bounds
@@ -412,41 +415,103 @@ _PAIR_SUITES = (
 )
 
 
-def _check_pair(sigma: Permutation, rho: Permutation, tallies, weight: int = 1):
-    """Record one ordered pair in the four reduced pair suites' tallies,
-    in suite order, each case counted ``weight`` times; every
-    (sigma, rho, m) walks its own swapped and inverted traversals.
-    Returns the graph couples of the starts 1..n."""
-    encoding, shared, reversal, small = tallies
+def shared_cycle_graphs_match(
+    r1: cyclegraphs.TraversalRecord,
+    graphs1: tuple[DirectedGraph, DirectedGraph],
+    r2: cyclegraphs.TraversalRecord,
+    graphs2: tuple[DirectedGraph, DirectedGraph],
+) -> bool:
+    """Start indices on the same traversal cycle must induce identical graphs.
+
+    ``r1`` and ``r2`` are traversals of one pair from two start indices,
+    each walked on its own, and ``graphs1``, ``graphs2`` their graph
+    couples. Vacuously true when the start of r1 is not on the cycle of r2.
+    """
+    if r1.m not in r2.i_seq:
+        return True
+    (a1, a2), (b1, b2) = graphs1, graphs2
+    return a1.edges == b1.edges and a2.edges == b2.edges
+
+
+def reversal_identities_hold(
+    r: cyclegraphs.TraversalRecord,
+    g1: DirectedGraph,
+    s: cyclegraphs.TraversalRecord,
+    h2: DirectedGraph,
+) -> bool:
+    """The five exchange identities tying the traversal of (sigma, rho) to
+    the traversal of (rho, sigma) and to the inverted pair.
+
+    With r = traversal(sigma, rho, m), g1 its sigma-side graph, s =
+    traversal(rho, sigma, m) and h2 the rho-side graph of
+    traversal(inverse(rho), inverse(sigma), rho(m)): equal lengths; s.j
+    reverses r.j; s.i reverses r.i off the anchor; both anchors are m;
+    and g1 is the edge-reversal of h2.
+    """
+    m, k = r.m, r.k
+    if s.k != k:
+        return False
+    for l in range(1, k + 1):
+        if s.j_seq[l - 1] != r.j_seq[k - l]:
+            return False
+    for l in range(2, k + 1):
+        if s.i_seq[l - 1] != r.i_seq[k - l + 1]:
+            return False
+    if r.i_seq[0] != m or s.i_seq[0] != m:
+        return False
+    return {(b, a) for a, b in g1.edges} == h2.edges
+
+
+def pair_verdicts(sigma: Permutation, rho: Permutation):
+    """The verdicts of the four reduced pair suites on one ordered pair,
+    in suite order, and the graph couples of the starts 1..n.
+
+    Traversal-encoding, reversal-exchange and two-vertex-components give
+    one verdict per start, shared-cycle-graphs one per start pair a < b
+    in ``itertools.combinations`` order. Every (sigma, rho, m) walks its
+    own swapped and inverted traversals, and the cycle of sigma^-1 rho
+    through m is walked point by point.
+    """
     n = sigma.n
     sinv, rinv = inverse(sigma), inverse(rho)
     records = [traversal(sigma, rho, m) for m in range(1, n + 1)]
     graphs = [graphs_from_traversal(sigma, rho, m) for m in range(1, n + 1)]
+    encoding, reversal, small = [], [], []
     for r, (g1, g2) in zip(records, graphs):
         m = r.m
-        describe = f"sigma={sigma.to_line()} rho={rho.to_line()} m={m}"
         cycle = [m]
         while sinv(rho(cycle[-1])) != m:
             cycle.append(sinv(rho(cycle[-1])))
-        encoding.record(
+        encoding.append(
             list(r.i_seq) == cycle
             and list(r.j_seq) == [rho(x) for x in cycle]
             and len(g1.edges) == len(g2.edges) == len(cycle)
             and membership(sigma, g1)
-            and membership(rho, g2),
-            describe,
-            weight,
+            and membership(rho, g2)
         )
         back = traversal(rho, sigma, m)
         h2 = graphs_from_traversal(rinv, sinv, rho(m))[1]
-        reversal.record(reversal_identities_hold(r, g1, back, h2), describe, weight)
-        small.record(no_two_cycles_when_components_small(g1, g2), describe, weight)
-    for a, b in itertools.combinations(range(n), 2):
-        shared.record(
-            shared_cycle_graphs_match(records[a], graphs[a], records[b], graphs[b]),
-            f"sigma={sigma.to_line()} rho={rho.to_line()} m1={a + 1} m2={b + 1}",
-            weight,
-        )
+        reversal.append(reversal_identities_hold(r, g1, back, h2))
+        small.append(no_two_cycles_when_components_small(g1, g2))
+    shared = [
+        shared_cycle_graphs_match(records[a], graphs[a], records[b], graphs[b])
+        for a, b in itertools.combinations(range(n), 2)
+    ]
+    return (encoding, shared, reversal, small), graphs
+
+
+def _check_pair(sigma: Permutation, rho: Permutation, tallies, weight: int = 1):
+    """Record one ordered pair's ``pair_verdicts`` in the four reduced
+    pair suites' tallies, in suite order, each case counted ``weight``
+    times. Returns the graph couples of the starts 1..n."""
+    verdicts, graphs = pair_verdicts(sigma, rho)
+    pair = f"sigma={sigma.to_line()} rho={rho.to_line()}"
+    per_start = [f"m={m}" for m in range(1, sigma.n + 1)]
+    start_pairs = [f"m1={a + 1} m2={b + 1}" for a, b in itertools.combinations(range(sigma.n), 2)]
+    columns = (per_start, start_pairs, per_start, per_start)
+    for tally, oks, names in zip(tallies, verdicts, columns):
+        for ok, name in zip(oks, names):
+            tally.record(ok, f"{pair} {name}", weight)
     return graphs
 
 

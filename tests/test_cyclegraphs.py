@@ -1,11 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
-from brute import graphs_from_traversal, union_graphs
+from brute import (
+    graphs_from_traversal,
+    no_two_cycles_when_components_small,
+    reversal_identities_hold,
+    shared_cycle_graphs_match,
+    union_graphs,
+)
 
+from permprod import sweeps
 from permprod.perms import Permutation, all_permutations, compose, cycle_of, inverse
 from permprod.cyclegraphs import (
     DirectedGraph,
@@ -14,13 +22,10 @@ from permprod.cyclegraphs import (
     enumerate_B,
     graphs_from_record,
     membership,
-    no_two_cycles_when_components_small,
     profile,
     relabel_dichotomy_holds,
-    reversal_identities_hold,
     shape,
     shape_orbit_size,
-    shared_cycle_graphs_match,
     traversal,
     walk_patterns,
 )
@@ -312,9 +317,15 @@ def edge_lists(n: int = 6):
 @example([(1, 2), (2, 1)], [(3, 4), (4, 5)])
 @settings(max_examples=300)
 def test_two_vertex_predicate_matches_profile_definition(e1, e2):
+    # The sweep's bit tests on a couple's edge masks, and on the masks
+    # with every edge reversed, against component profiles.
     g1, g2 = DirectedGraph.of(6, e1), DirectedGraph.of(6, e2)
-    assert no_two_cycles_when_components_small(g1, g2) == (
-        brute.no_two_cycles_when_components_small(g1, g2)
+    masks, flipped = (
+        np.array([[[brute.edge_mask(edges, 6) for edges in sides]]], dtype=np.int64)
+        for sides in ((e1, e2), ([e[::-1] for e in e1], [e[::-1] for e in e2]))
+    )
+    assert bool(sweeps._two_vertex_verdicts(masks, flipped, 6)[0, 0]) == (
+        no_two_cycles_when_components_small(g1, g2)
     )
 
 

@@ -9,7 +9,11 @@ changes no tally, against the full pass at n <= 4 and against
 ``brute.class_pair_pass`` (sigma per class, every rho) at n = 5, that a
 fault depending only on a traversal's shape is counted alike, and that
 a fault reading a label of sigma, or one of rho alone, is not: the last
-two document the assumptions the two reductions rest on.
+two document the assumptions the two reductions rest on. The four
+suites read their verdicts off numpy walks (``sweeps._pair_verdicts``),
+and each verdict, start by start, must be that of ``brute.pair_verdicts``
+on the pair's traversal records and graph objects, clean and under
+faults, so that no two errors cancel in a total.
 Event-factorization walks one sigma per orbit of conjugation by the
 permutations fixing its starts 1..K, against every rho, and keys each
 graph tuple canonically. Its tallies must equal those of
@@ -18,9 +22,11 @@ keys the tuples by their labels, clean and under a label-free fault;
 and, at n <= 4, where that stabiliser is trivial, those of
 ``brute.pair_pass``, which keeps every fiber's pairs and counts the
 tuples of each union, under faults that read labels too. Its pairs are
-walked in numpy blocks (``sweeps._walk_pairs``): the walks and masks of
-a block must be those of ``traversal`` and ``graphs_from_record``, pair
-by pair, and faults reach the sweep by rewriting a block's edges.
+walked in numpy blocks (``sweeps._walk_pairs``), as are the four
+suites': the walks and masks of a block must be those of ``traversal``
+and ``graphs_from_record``, pair by pair, and faults reach every pair
+suite by rewriting a block's edges (``_inject``), and the full passes
+through the same couples.
 """
 
 import functools
@@ -49,28 +55,28 @@ def test_reduced_pair_pass_matches_the_full_pass(n):
     assert [(s.suite, s.cases, s.violations, s.examples) for s in summaries] == rows
 
 
-def _fails_on_two_cycles(r, g1, s, h2):
-    return r.k != 2 and cyclegraphs.reversal_identities_hold(r, g1, s, h2)
+def _fails_on_two_cycles(sigma, r, g1, g2):
+    # Breaks the couple of every walk of length 2: it reads the walk's
+    # shape alone, which conjugation keeps.
+    return _drop_wrap_edge(sigma, r, g1, g2) if r.k == 2 else (g1, g2)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_fault_of_shape_only_is_counted_alike(monkeypatch, n):
-    for module in (sweeps, brute):
-        monkeypatch.setattr(module, "reversal_identities_hold", _fails_on_two_cycles)
+    _inject(monkeypatch, _fails_on_two_cycles)
     summaries = sweeps.sweep_pairs(n, (1, 2, 3))
     assert summaries[2].violations > 0
     assert _rows(summaries) == [row[:3] for row in brute.pair_pass(n, (1, 2, 3))]
 
 
 def test_a_fault_reading_a_label_is_not(monkeypatch):
-    # Failing every permutation that fixes 1 is not invariant under
-    # conjugation: the class representative stands for members that do
-    # not fix 1, so the weighted count is not the true one.
-    def fails_when_one_is_fixed(perm, g):
-        return perm(1) != 1 and cyclegraphs.membership(perm, g)
+    # Breaking every couple of a sigma that fixes 1 is not invariant
+    # under conjugation: the class representative stands for members that
+    # do not fix 1, so the weighted count is not the true one.
+    def fails_when_one_is_fixed(sigma, r, g1, g2):
+        return _drop_wrap_edge(sigma, r, g1, g2) if sigma(1) == 1 else (g1, g2)
 
-    for module in (sweeps, brute):
-        monkeypatch.setattr(module, "membership", fails_when_one_is_fixed)
+    _inject(monkeypatch, fails_when_one_is_fixed)
     n = 4
     reduced = sweeps.sweep_pairs(n, (1, 2, 3))[0]
     full = brute.pair_pass(n, (1, 2, 3))[0]
@@ -79,17 +85,18 @@ def test_a_fault_reading_a_label_is_not(monkeypatch):
 
 
 def test_a_fault_reading_a_label_of_rho_is_not(monkeypatch):
-    # Failing start 1 whenever rho fixes 1 reads rho's label and not
-    # sigma's. Sigma per class against every rho still counts it
-    # exactly, since every class member meets every rho alike; rho per
-    # orbit of sigma's centraliser does not, since a representative
-    # stands for conjugates that do not fix 1.
-    def fails_when_rho_fixes_one(r, g1, s, h2):
+    # Breaking the sigma side of start 1 whenever rho fixes 1 reads rho's
+    # label and not sigma's. Sigma per class against every rho still
+    # counts it exactly, since every class member meets every rho alike;
+    # rho per orbit of sigma's centraliser does not, since a
+    # representative stands for conjugates that do not fix 1. The fault
+    # also meets the inverted walks, but only on their sigma sides, which
+    # reversal-exchange does not read.
+    def fails_when_rho_fixes_one(sigma, r, g1, g2):
         rho_fixes_one = r.m == 1 and r.j_seq[0] == 1
-        return not rho_fixes_one and cyclegraphs.reversal_identities_hold(r, g1, s, h2)
+        return _drop_wrap_edge(sigma, r, g1, g2) if rho_fixes_one else (g1, g2)
 
-    for module in (sweeps, brute):
-        monkeypatch.setattr(module, "reversal_identities_hold", fails_when_rho_fixes_one)
+    _inject(monkeypatch, fails_when_rho_fixes_one)
     n = 4
     reduced = sweeps.sweep_pairs(n, (1, 2, 3))[2]
     full = brute.pair_pass(n, (1, 2, 3))[2]
@@ -104,8 +111,7 @@ def test_pair_suites_match_sigma_per_class_against_every_rho(monkeypatch, fault)
     # At n = 5, where the full pass is too slow, the reduction by sigma's
     # centraliser is checked against the sweep it replaced.
     if fault is not None:
-        for module in (sweeps, brute):
-            monkeypatch.setattr(module, "reversal_identities_hold", fault)
+        _inject(monkeypatch, fault)
     summaries = sweeps._reduced_pair_suites(5)
     rows = brute.class_pair_pass(5)
     if fault is None:
@@ -306,8 +312,9 @@ def _inject(monkeypatch, fault):
     each row's walk from each start is read back as its record, and the
     block's edges are replaced by those of the faulty couple, padded
     with -1. The walks, which name the vertices, are kept. One seam so
-    feeds both the check of a pair against its own couple and the
-    canonical key. ``brute.graphs_from_traversal`` builds each couple
+    feeds every pair suite: event-factorization's check of a pair
+    against its own couple and its canonical key, and the four reduced
+    suites' verdicts, the swapped and inverted walks included. ``brute.graphs_from_traversal`` builds each couple
     right after its walk, so the sigma of the latest walk is the one
     that produced the record.
     """
@@ -454,3 +461,40 @@ def test_emptying_start_two_gives_two_tuples_one_union(monkeypatch):
             union = tuple(frozenset().union(*side) for side in zip(*key))
             tuples_of_union.setdefault(union, set()).add(key)
     assert max(len(keys) for keys in tuples_of_union.values()) == 2
+
+
+def _two_cycle_couples(sigma, r, g1, g2):
+    # The sigma side of a walk of length 2 becomes the 2-cycle on its
+    # index walk, so its one component has two vertices; one of length 3
+    # also gets a loop on its third point, a component of one vertex.
+    i = r.i_seq
+    if r.k == 2:
+        return DirectedGraph(g1.n, frozenset({(i[0], i[1]), (i[1], i[0])})), g2
+    if r.k == 3:
+        return DirectedGraph(g1.n, frozenset({(i[0], i[1]), (i[1], i[0]), (i[2], i[2])})), g2
+    return g1, g2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        (None, [False, False, False, False]),
+        (_drop_wrap_edge, [True, True, True, False]),
+        (_two_cycle_couples, [True, True, True, True]),
+    ],
+)
+def test_each_verdict_is_the_predicate_on_its_own_records(monkeypatch, n, fault, failing):
+    # Every orbit pair's verdicts, start by start (start pair by start
+    # pair for shared-cycle-graphs), against the predicates on the pair's
+    # traversal records and graph objects, so that no two errors can
+    # cancel in a suite's totals. The faults reach both through _inject.
+    if fault is not None:
+        _inject(monkeypatch, fault)
+    orbits = list(sweeps._pair_orbits(list(all_permutations(n))))
+    sigma = np.array([s.images for s, _, _ in orbits]) - 1
+    rho = np.array([r.images for _, r, _ in orbits]) - 1
+    verdicts = [v.tolist() for v in sweeps._pair_verdicts(sigma, rho)]
+    for row, (s, r, _) in enumerate(orbits):
+        assert [v[row] for v in verdicts] == list(brute.pair_verdicts(s, r)[0]), (s, r)
+    assert [not all(map(all, v)) for v in verdicts] == failing

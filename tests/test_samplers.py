@@ -312,6 +312,20 @@ def test_ewens_rows_reject_an_infinite_theta():
             ewens_rows(RngStream(0, 0), 2, 5, theta)
 
 
+def test_draw_batch_rejects_a_theta_beyond_floats():
+    # exact takes such a theta; drawing needs it as a float.
+    spec = SamplerSpec("ewens", n=5, theta=10**400)
+    with pytest.raises(ValueError, match="theta above .* the largest float"):
+        spec.draw_batch(RngStream(1), 3)
+
+
+def test_product_cycle_counts_rejects_a_theta_beyond_floats():
+    spec = SamplerSpec("ewens", n=5, theta=10**400)
+    left = np.tile(np.arange(5), (3, 1))
+    with pytest.raises(ValueError, match="theta above .* the largest float"):
+        samplers.product_cycle_counts(left, spec, RngStream(1), 1)
+
+
 @given(st.integers(min_value=0, max_value=6))
 @settings(max_examples=10)
 def test_sqrt_fixed_rows_have_declared_type(f):

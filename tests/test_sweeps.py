@@ -451,7 +451,7 @@ _PER_START = [
     "predicate, suite, examples",
     [
         (
-            "shared_cycle_graphs_match",
+            "_shared_cycle_verdicts",
             "shared-cycle-graphs",
             [
                 "sigma=1 2 3 rho=1 2 3 m1=1 m2=2",
@@ -461,13 +461,16 @@ _PER_START = [
                 "sigma=1 2 3 rho=1 3 2 m1=1 m2=3",
             ],
         ),
-        ("reversal_identities_hold", "reversal-exchange", _PER_START),
-        ("no_two_cycles_when_components_small", "two-vertex-components", _PER_START),
-        ("membership", "traversal-encoding", _PER_START),
+        ("_reversal_verdicts", "reversal-exchange", _PER_START),
+        ("_two_vertex_verdicts", "two-vertex-components", _PER_START),
+        ("_encoding_verdicts", "traversal-encoding", _PER_START),
     ],
 )
 def test_a_failing_predicate_shows_in_its_suite_only(monkeypatch, predicate, suite, examples):
-    monkeypatch.setattr(sweeps, predicate, lambda *args: False)
+    # Each suite's verdicts on a block come from one function; failing
+    # every verdict it gives fails that suite alone.
+    verdicts = getattr(sweeps, predicate)
+    monkeypatch.setattr(sweeps, predicate, lambda *args: np.zeros_like(verdicts(*args)))
     summaries = sweep_pairs(3)
     assert [s.suite for s in summaries if not s.ok] == [suite]
     failed = next(s for s in summaries if s.suite == suite)
