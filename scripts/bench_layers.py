@@ -22,19 +22,21 @@ measures a tree from before it. Then it times the exact oracle: one
 process. Times are wall-clock milliseconds from time.perf_counter.
 Last come the stages of a default ``permprod verify-lemmas``, in
 seconds, each with the ``tracemalloc`` peak of one more, untimed run:
-the trace sweep at n = 7 and, beyond the default, at n = 8 (it
-checks powers up to 2n, so its cost per permutation grows with n), the
+the trace sweep at n = 7 and, beyond the default, at n = 8 (one
+permutation per cycle type, every power up to 2n), the
 pair pass at n = 5 with the count of rows its numpy walks
 (``sweeps._walk_pairs``) take, then its two parts on their own (the four
 reduced pair suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
 the membership bounds at n = 5 and, beyond the default, at n = 7 (the
 largest ``--pair-n``), and the whole default ``run_all()``,
 every suite of the report. These stages run round robin, one pass over
-all of them per repeat, and each keeps its best. Four stages beyond
-the default are timed once after them: the trace sweep at n = 9, where
-the single-permutation sweep's n! scaling shows, the four reduced pair
-suites at n = 7, and event-factorization at n = 6 and at n = 7, the
-largest ``--pair-n``. Then a whole
+all of them per repeat, and each keeps its best. Stages beyond the
+default are timed once after them: the trace sweep at n = 10 and at
+n = 30, each left out when the package's ``_SINGLE_MAX_N`` is below it
+(so the one script also measures a tree that walks all n!
+permutations), then, at n = 7, the largest ``--pair-n``, the four
+reduced pair suites and relabel-dichotomy, and event-factorization at
+n = 6 and n = 7. Then a whole
 ``permprod verify-lemmas --pair-n 7`` runs once in a fresh interpreter
 on the same package, timed from spawn to exit, with the peak resident
 set that process reads for itself (VmHWM, so Linux only). Last,
@@ -224,12 +226,18 @@ def main(argv=None) -> int:
             f"  {label:<20} {best[label]:8.3f} s  peak {peak:8.2f} MiB{note}",
             layer="verify-lemmas stage", stage=label, s=best[label], peak_mib=peak,
         )
-    once = (
-        ("trace n = 9", lambda: sweeps.sweep_trace_identity(9)),
+    # The trace sweep only where the package's own cap allows it.
+    once = [
+        (f"trace n = {n}", lambda n=n: sweeps.sweep_trace_identity(n))
+        for n in (10, 30)
+        if n <= sweeps._SINGLE_MAX_N
+    ]
+    once += [
         ("reduced pairs n = 7", lambda: sweeps._reduced_pair_suites(7)),
+        ("relabel n = 7", lambda: sweeps.sweep_relabel_dichotomy(7)),
         ("event-factor. n = 6", lambda: sweeps.sweep_event_factorization(6)),
         ("event-factor. n = 7", lambda: sweeps.sweep_event_factorization(7)),
-    )
+    ]
     for label, stage in once:
         seconds = best_ms(stage, 1) / 1e3
         peak = traced_peak(stage)[0]

@@ -205,8 +205,8 @@ class ExperimentConfig:
             raise ConfigError("single_n: must be >= 1")
         if self.single_n > _SINGLE_MAX_N:
             raise ConfigError(
-                f"single_n: caps at {_SINGLE_MAX_N}, as the trace sweep walks all "
-                "single_n! permutations (about 2 minutes at n = 11)"
+                f"single_n: caps at {_SINGLE_MAX_N}, as the trace sweep checks one "
+                "permutation per cycle type: 5,604 at n = 30, 37,338 at n = 40"
             )
         for size in self.n_grid or (self.n,):
             for spec in self.samplers:

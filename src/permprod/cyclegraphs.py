@@ -42,7 +42,6 @@ __all__ = [
     "shape_orbit_size",
     "walk_patterns",
     "enumerate_B",
-    "relabel_dichotomy_holds",
 ]
 
 
@@ -234,13 +233,6 @@ def shape_orbit_size(kinds: Sequence[tuple[int, int]], n: int) -> int:
     return math.perm(n, sum(verts for verts, _ in kinds)) // symmetry
 
 
-def _joint_membership_consistent(
-    e1: Iterable[tuple[int, int]], e2: Iterable[tuple[int, int]]
-) -> bool:
-    # Whether some permutation satisfies every constraint of both edge sets.
-    return _partial_bijection(list(e1) + list(e2)) is not None
-
-
 def walk_patterns(
     v_vec: Sequence[int],
 ) -> Iterator[tuple[int, frozenset[tuple[int, int]], frozenset[tuple[int, int]]]]:
@@ -339,33 +331,3 @@ def enumerate_B(
         if k + u <= n
         and (shape(DirectedGraph(k + u, e1)), shape(DirectedGraph(k + u, e2))) == want
     )
-
-
-@lru_cache(maxsize=1024)
-def _fixed_points(images: tuple[int, ...]) -> frozenset[int]:
-    # A sweep tries every relabeling on thousands of graphs.
-    return frozenset(x for x, y in enumerate(images, start=1) if x == y)
-
-
-def relabel_dichotomy_holds(
-    g1: DirectedGraph, components: Iterable[frozenset[int]], tau: Permutation
-) -> bool:
-    """Relabeling by a map with a fixed point in every non-trivial component
-    either moves the graph to one with incompatible constraints or fixes
-    it entirely. Returns True when that dichotomy holds for (g1, tau);
-    vacuously true when the fixed-point premise fails.
-
-    ``components`` holds the vertex sets of the non-trivial components of
-    g1, as listed by ``profile(g1)``, so a caller trying many relabelings
-    computes them once.
-    """
-    if g1.n != tau.n:
-        raise ValueError(f"size mismatch: {g1.n} vs {tau.n}")
-    fixed = _fixed_points(tau.images)
-    for verts in components:
-        if not verts & fixed:
-            return True
-    g2 = g1.relabel(tau)
-    if g1.edges == g2.edges:
-        return True
-    return not _joint_membership_consistent(g1.edges, g2.edges)

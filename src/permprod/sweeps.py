@@ -9,8 +9,11 @@ not that a tolerance was missed.
 Where a claim reads no labels, or only those of its starts, a sweep
 checks one member of each orbit of conjugation and counts it as many
 times as its orbit has members (:func:`_conjugation_orbits` and the
-``weight`` of ``_Tally.record``). Three identities make this exact:
+``weight`` of ``_Tally.record``). Four identities make this exact:
 
+* Permutations. The fixed points of (pi a pi^-1)^k are pi applied to
+  those of a^k, and the divisor-sum formula reads the cycle counts
+  alone, so the trace sweep checks one permutation per cycle type.
 * Pairs. For any permutation pi, traversal(pi sigma pi^-1, pi rho pi^-1,
   pi(m)) is traversal(sigma, rho, m) with every index x renamed pi(x),
   and so are its two graphs. Traversal-encoding, shared-cycle,
@@ -59,7 +62,8 @@ times as its orbit has members (:func:`_conjugation_orbits` and the
   and fail the count itself.
 
 A run with violations names, in its examples, the representatives it
-checked.
+checked; the trace sweep names the first failing permutations in
+lexicographic order instead, as a walk of all of S_n would.
 
 The membership bounds run on every union graph, either side, of a
 non-empty start set of any pair. Those are exactly the non-empty partial
@@ -71,14 +75,13 @@ extends to a permutation pi, and sigma = rho = pi with start set dom(E)
 gives E on both sides, as sigma^-1 rho is the identity.
 
 The defaults finish in seconds: pair sweeps run at n = 5 (1.4e4 ordered
-pairs) and single-permutation sweeps at n = 7. ``verify-lemmas`` caps
-the pair sweeps at n = 7 (``_PAIR_MAX_N``), where event-factorization
-walks 1.5 million of the 25.4 million ordered pairs. It also caps the
-single-permutation sweep at n = 10 (``_SINGLE_MAX_N``), since that
-sweep walks all n! permutations. The trace sweep walks them in numpy
-blocks of ``_TRACE_BLOCK_ROWS`` rows, each block twice: once for the
-fixed points of every power and once for each row's cycle type, whose
-divisor-sum formula is evaluated once per type. The four other pair
+pairs) and single-permutation sweeps at n = 7. S_n is listed once per
+n, as one cached table (:func:`_table`) that the orbit finders,
+relabel-dichotomy and event-factorization read; a permutation, a
+generator included, is named by its row. ``verify-lemmas`` caps the
+pair sweeps at n = 7 (``_PAIR_MAX_N``), where event-factorization walks
+1.5 million of the 25.4 million ordered pairs, and the trace sweep at
+n = 30 (``_SINGLE_MAX_N``), with 5,604 cycle types. The four reduced pair
 suites walk their orbit pairs in blocks of ``_PAIR_BLOCK``, three times
 each: as (sigma, rho), swapped and inverted. Event-factorization
 walks its (sigma, rho) rows in blocks of ``_PAIR_BLOCK`` that run across
@@ -90,6 +93,7 @@ the n! permutation masks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -98,26 +102,18 @@ from typing import Sequence
 
 import numpy as np
 
-from permprod.cyclegraphs import (
-    DirectedGraph,
-    profile,
-    relabel_dichotomy_holds,
-    shape_orbit_size,
-)
+from permprod.cyclegraphs import DirectedGraph, profile, shape, shape_orbit_size
 from permprod.oracle import (
     ExactDistribution,
+    _shape_counts,
+    class_size,
     ewens_prefix_fixed_prob,
+    partitions,
     prefix_fixed_prob,
     verify_bounds,
 )
-from permprod.perms import (
-    CycleCounts,
-    Permutation,
-    all_permutations,
-    cycle_of,
-    trace_power,
-)
-from permprod.samplers import _power_fixed_points, _power_scratch
+from permprod.perms import CycleCounts, trace_power
+from permprod.samplers import _block_base, _power_fixed_points, _power_scratch
 
 __all__ = [
     "SweepSummary",
@@ -139,22 +135,15 @@ _EXAMPLE_CAP = 5
 # Event-factorization walks one sigma per orbit under the stabiliser of
 # its starts against every rho, and is most of a run past n = 5. On one
 # core of a 2-core machine: 108,000 pairs (72,780 key rows) in 0.6 s at
-# n = 6, where a whole verify-lemmas run takes 0.8-1.2 s and 44 MB; 1.54
-# million pairs (807,468 key rows) in 7-9 s at n = 7, where a whole run
-# takes 9.6 s and 171 MB, the four other pair suites 0.2-0.3 s (5,579
-# orbit pairs, 0.1 s of it finding them), relabel-dichotomy 1.4 s and
-# the bounds 0.05 s. At n = 8 it would walk
-# 23.2 million pairs, about 100 s of walking at its rate per block, into
-# some 9 million key rows (11 times n = 7's) of 81 bytes: a 0.7 GB
-# table, and a peak near 1.8 GB if it grows as it does at n = 7.
+# n = 6; 1.54 million pairs (807,468 key rows) in 6-9 s at n = 7, where
+# a whole run takes 6.8-7.2 s and 162-183 MB, the other suites under
+# 0.3 s in all. At n = 8 it would walk 23.2 million pairs, about 100 s of
+# walking, into some 9 million key rows of 81 bytes: a 0.7 GB table, and
+# a peak near 1.8 GB if it grows as it does at n = 7.
 _PAIR_MAX_N = 7
-# The trace sweep walks all single_n! permutations: on one core of a
-# 2-core machine, 0.09 s at n = 8, 0.8 s at n = 9 and 8.7 s at n = 10,
-# so about 2 minutes at n = 11.
-_SINGLE_MAX_N = 10
-# Rows per block of the trace sweep: a block and its temporaries take
-# about 0.3 MiB at n = 8.
-_TRACE_BLOCK_ROWS = 512
+# The trace sweep checks one permutation per cycle type: 5,604 at n = 30,
+# in 0.45 s on one core of a 2-core machine, but 37,338 at n = 40.
+_SINGLE_MAX_N = 30
 # Event-factorization walks its pairs in blocks of _PAIR_BLOCK rows,
 # whose temporaries peak at 0.2 MiB at n = 5 and 0.6 MiB at n = 7. It
 # merges the blocks' key rows into its table once the rows walked since
@@ -208,17 +197,33 @@ def _summary(suite: str, n: int, tally: _Tally, detail: str) -> SweepSummary:
     )
 
 
-def _permutation_blocks(n: int, rows: int):
-    """Yield S_n in ``itertools.permutations`` order, as (b, n) intp blocks
-    of at most ``rows`` rows of 0-based images."""
-    perms = itertools.permutations(range(n))
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(perms, rows)), dtype=np.intp
-        )
-        if not flat.size:
-            return
-        yield flat.reshape(-1, n)
+@functools.lru_cache(maxsize=1)
+def _table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_n, read-only, for the last n asked: its (n!, n) 0-based images
+    in lexicographic (``itertools.permutations``) order and each row's
+    :func:`_codes`, which therefore ascend with the rows."""
+    images = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))), dtype=np.intp
+    ).reshape(-1, n)
+    codes = _codes(images)
+    images.flags.writeable = codes.flags.writeable = False
+    return images, codes
+
+
+def _codes(images: np.ndarray) -> np.ndarray:
+    # Rows of 0-based images as base-n numbers, the first image leading.
+    n = images.shape[-1]
+    return (images * n ** np.arange(n - 1, -1, -1)).sum(axis=-1)
+
+
+def _rows(images: np.ndarray) -> np.ndarray:
+    # The table rows of permutations given as rows of 0-based images.
+    return np.searchsorted(_table(images.shape[-1])[1], _codes(images))
+
+
+def _line(images: Sequence[int]) -> str:
+    # 0-based images in one-line notation, as ``Permutation.to_line``.
+    return " ".join(str(x + 1) for x in images)
 
 
 def _flat(block: np.ndarray) -> np.ndarray:
@@ -239,84 +244,60 @@ def _power_walk(block: np.ndarray, max_power: int) -> np.ndarray:
     return fixed
 
 
-def _cycle_type_keys(block: np.ndarray) -> np.ndarray:
-    """One integer per row of ``block`` naming its cycle type: the sum of
-    (n + 1) ** (r - 1) over its points, r a point's first-return length.
-    A d-cycle has d points of length d, so digit d - 1 in base n + 1 is d
-    times the number of d-cycles. Each point walks the block on its own,
-    n flat gathers, apart from :func:`_power_walk`."""
-    n = block.shape[1]
-    base = _flat(block)
-    start = np.arange(base.size)
-    returned = np.empty((n, base.size), dtype=bool)
-    point = base
-    for r in range(n):
-        np.equal(point, start, out=returned[r])
-        point = np.take(base, point)
-    # Written from the last step down, each point keeps its first return.
-    length = np.zeros(base.size, dtype=np.intp)
-    for r in range(n, 0, -1):
-        length[returned[r - 1]] = r
-    # weight[r] = (n + 1) ** (r - 1); a point that never returned would
-    # weigh 0 and leave the digits short of n.
-    weight = np.array([0] + [(n + 1) ** r for r in range(n)], dtype=np.int64)
-    return np.take(weight, length).reshape(-1, n).sum(axis=1)
-
-
-def _cycle_counts_of_key(key: int, n: int) -> CycleCounts:
-    counts = {}
-    for d in range(1, n + 1):
-        key, points = divmod(key, n + 1)
-        counts[d] = points // d
-    return CycleCounts.from_mapping(n, counts)
-
-
 def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSummary:
     """Fixed points of every power, computed twice.
 
     The divisor-sum formula through the cycle decomposition must agree
-    with direct iteration for every permutation and every power. S_n is
-    walked in blocks of ``_TRACE_BLOCK_ROWS`` rows, in
-    ``itertools.permutations`` order, each walked twice: by
-    :func:`_power_walk` for the direct counts, and by
-    :func:`_cycle_type_keys` for each row's cycle type. The formula is a
-    function of the cycle counts alone, so it is evaluated once per cycle
-    type. Only the (perm, k) cells that disagree are recorded one by one,
-    perm-major and k-minor, so the examples are the first mismatches in
-    that order.
+    with direct iteration for every permutation and every power. Both
+    sides are class functions, so one permutation per cycle type is
+    checked, its cycles on consecutive blocks of points
+    (``samplers._block_base``), walked by :func:`_power_walk`, and each
+    (perm, k) cell counts as many cases as the class has members. The
+    examples are the first failing cells of S_n in lexicographic order,
+    k-minor (:func:`_first_failures`).
     """
     if max_power is None:
         max_power = 2 * n
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    powers = range(1, max_power + 1)
-    # The formula's values for each cycle type met, in order of meeting,
-    # and each type's key mapped to its row.
-    formulas: list[list[int]] = []
-    types: dict[int, int] = {}
+    classes = list(partitions(n))
+    direct = _power_walk(np.stack([_block_base(lengths) for lengths in classes]), max_power)
+    failing: dict[tuple[int, ...], list[int]] = {}  # each type's failing powers
     tally = _Tally()
-    for block in _permutation_blocks(n, _TRACE_BLOCK_ROWS):
-        type_of_row = []
-        for key in _cycle_type_keys(block).tolist():
-            if key not in types:
-                counts = _cycle_counts_of_key(key, n)
-                types[key] = len(formulas)
-                formulas.append([trace_power(counts, k) for k in powers])
-            type_of_row.append(types[key])
-        want = np.take(np.array(formulas, dtype=np.int64), type_of_row, axis=0)
-        bad = np.flatnonzero(want != _power_walk(block, max_power))
-        tally.cases += want.size - bad.size
-        for cell in bad.tolist():
-            row, k = divmod(cell, max_power)
-            tally.record(
-                False,
-                lambda images=block[row], kk=k + 1: (
-                    f"perm={' '.join(map(str, (images + 1).tolist()))} k={kk}"
-                ),
-            )
+    for lengths, fixed in zip(classes, direct.tolist()):
+        counts = CycleCounts.from_mapping(n, {d: lengths.count(d) for d in lengths})
+        failing[lengths] = [k for k, got in enumerate(fixed, 1) if trace_power(counts, k) != got]
+        size = class_size(lengths, n)
+        tally.cases += size * max_power
+        tally.violations += size * len(failing[lengths])
+    tally.examples = _first_failures(n, {c: ks for c, ks in failing.items() if ks})
     return _summary(
         "trace-power-identity", n, tally, f"all {n}! permutations, powers 1..{max_power}"
     )
+
+
+def _first_failures(n: int, failing: dict[tuple[int, ...], list[int]]) -> list[str]:
+    """The first ``_EXAMPLE_CAP`` cells (perm, k) of S_n, perm-major in
+    lexicographic order, k among the powers ``failing`` gives perm's
+    cycle type. S_n is not listed: images are chosen point by point,
+    least first, and a prefix grows only while a failing type holds a
+    partial injection of its shape (``oracle._shape_counts``)."""
+    examples: list[str] = []
+
+    def extend(prefix: list[int]) -> None:
+        for y in sorted(set(range(n)).difference(prefix)):
+            grown = prefix + [y]
+            kinds = shape(DirectedGraph(n, frozenset((x + 1, z + 1) for x, z in enumerate(grown))))
+            types = [lengths for lengths in failing if kinds in _shape_counts(lengths)]
+            if types and len(grown) < n:
+                extend(grown)
+            elif types:
+                examples.extend(f"perm={_line(grown)} k={k}" for k in failing[types[0]])
+            if len(examples) >= _EXAMPLE_CAP:
+                return
+
+    extend([])
+    return examples[:_EXAMPLE_CAP]
 
 
 def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
@@ -327,32 +308,22 @@ def _mask_edges(mask: int, n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _conjugation_orbits(perms: list, generators: list) -> list[list]:
-    """[representative, orbit size] for each orbit of conjugation by the
-    group that ``generators`` generate, in first-seen order: the first
-    member of each orbit in ``perms`` stands for it. ``perms`` must be
-    closed under that conjugation.
+def _conjugation_orbits(n: int, generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of S_n under conjugation by the group that the table
+    rows ``generators`` generate, in table order: the table row of each
+    orbit's first member, which stands for it, and each orbit's size.
 
-    Each permutation is labelled with its own index, and labels are
-    lowered to the least label one generator step away, then to their
-    own label's label, until none moves. A label stays in its orbit and
-    only falls, and a label no step lowers is constant along every
-    orbit, which the steps connect, so each orbit ends labelled with its
-    first member. Each generator costs one gather over ``perms``.
+    Each permutation is labelled with its own row, and labels are lowered
+    to the least label one generator step away, then to their own
+    label's label, until none moves. A label stays in its orbit and only
+    falls, and a label no step lowers is constant along every orbit,
+    which the steps connect, so each orbit ends labelled with its first
+    member. Each generator costs one gather of the table and one search.
     """
-    n = perms[0].n
-    images = np.array([p.images for p in perms], dtype=np.intp) - 1
-    # Base-n digits name each permutation by one integer.
-    digits = n ** np.arange(n - 1, -1, -1)
-    codes = (images * digits).sum(axis=1)
-    sorter = np.argsort(codes)
-    steps = []
-    for pi in generators:
-        pi = np.array(pi.images, dtype=np.intp) - 1
-        # (pi sigma pi^-1)(y) = pi(sigma(pi^-1(y))), for every sigma at once.
-        moved = (np.take(pi, images[:, np.argsort(pi)]) * digits).sum(axis=1)
-        steps.append(sorter[np.searchsorted(codes, moved, sorter=sorter)])
-    label = np.arange(len(perms))
+    images = _table(n)[0]
+    # (pi sigma pi^-1)(y) = pi(sigma(pi^-1(y))), for every sigma at once.
+    steps = [_rows(np.take(pi, images[:, np.argsort(pi)])) for pi in images[generators]]
+    label = np.arange(len(images))
     while True:
         lowered = label
         for step in steps:
@@ -363,56 +334,62 @@ def _conjugation_orbits(perms: list, generators: list) -> list[list]:
         label = lowered
     label.sort()
     firsts = _run_starts(label[:, None])
-    sizes = np.diff(firsts, append=len(perms))
-    return [[perms[i], size] for i, size in zip(label[firsts].tolist(), sizes.tolist())]
+    return label[firsts], np.diff(firsts, append=len(images))
 
 
-def _symmetric_generators(n: int, points: Sequence[int]) -> list[Permutation]:
-    """A transposition and a cycle of ``points``, which generate every
-    permutation of {1..n} that fixes the other points; none for fewer
-    than two points."""
+def _symmetric_generators(n: int, points: Sequence[int]) -> np.ndarray:
+    """The table rows of a transposition and a cycle of ``points``
+    (0-based), which generate every permutation of them that fixes the
+    other points; both are the identity for fewer than two points."""
     points = list(points)
-    if len(points) < 2:
-        return []
-    return [Permutation.from_cycles(n, [points[:2]]), Permutation.from_cycles(n, [points])]
+    swap, cycle = generators = np.tile(np.arange(n), (2, 1))
+    swap[points[:2]] = points[1::-1]
+    cycle[points] = np.roll(points, -1)
+    return _rows(generators)
 
 
-def _centraliser_generators(sigma: Permutation) -> list[Permutation]:
-    """Generators of the permutations commuting with sigma: sigma on one
-    of its cycles and the identity elsewhere, for each cycle, and the
-    swap, point by point along them, of each two consecutive cycles of
-    one length. They rotate each cycle and reorder the cycles of each
-    length, which is every such permutation."""
-    n, seen, cycles = sigma.n, set(), []
-    for m in range(1, n + 1):
-        if m not in seen:
-            cycles.append(cycle_of(sigma, m))
-            seen.update(cycles[-1])
+def _centraliser_generators(sigma: np.ndarray) -> np.ndarray:
+    """The table rows of generators of the permutations commuting with
+    sigma, given as 0-based images: sigma on one of its cycles and the
+    identity elsewhere, for each cycle, and the swap, point by point
+    along them, of each two consecutive cycles of one length. They
+    rotate each cycle and reorder the cycles of each length, which is
+    every such permutation."""
+    n, cycles = len(sigma), []
+    for m in range(n):
+        if all(m not in cycle for cycle in cycles):
+            cycles.append([m])
+            while sigma[cycles[-1][-1]] != m:
+                cycles[-1].append(int(sigma[cycles[-1][-1]]))
     cycles.sort(key=len)
-    out = [Permutation.from_cycles(n, [cycle]) for cycle in cycles if len(cycle) > 1]
-    for a, b in zip(cycles, cycles[1:]):
+    out = []
+    for a, b in zip(cycles, cycles[1:] + [[]]):
+        out.append(np.arange(n))
+        out[-1][a] = sigma[a]
         if len(a) == len(b):
-            out.append(Permutation.from_cycles(n, list(zip(a, b))))
-    return out
+            out.append(np.arange(n))
+            out[-1][a], out[-1][b] = b, a
+    return _rows(np.stack(out))
 
 
-def _stabiliser_orbits(perms: list, fixed: int) -> list[list]:
-    """[representative, orbit size] for each orbit of conjugation by the
-    permutations that fix 1..fixed pointwise, in first-seen order."""
-    n = perms[0].n
-    return _conjugation_orbits(perms, _symmetric_generators(n, range(fixed + 1, n + 1)))
+def _stabiliser_orbits(n: int, fixed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_conjugation_orbits` under the permutations that fix
+    1..fixed pointwise."""
+    return _conjugation_orbits(n, _symmetric_generators(n, range(fixed, n)))
 
 
-def _pair_orbits(perms: list):
-    """(sigma, rho, orbit size) for each orbit of simultaneous conjugation
-    on S_n x S_n: sigma runs over one permutation per cycle type, and rho
-    over one per orbit of conjugation by sigma's centraliser, since
-    conjugating the pair by pi keeps sigma exactly when pi commutes with
-    it. The orbit has (class size) x (rho's orbit size) members."""
-    n = perms[0].n
-    for sigma, class_size in _conjugation_orbits(perms, _symmetric_generators(n, range(1, n + 1))):
-        for rho, orbit_size in _conjugation_orbits(perms, _centraliser_generators(sigma)):
-            yield sigma, rho, class_size * orbit_size
+def _pair_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table rows of sigma and rho, and the orbit size, of one pair
+    per orbit of simultaneous conjugation on S_n x S_n: sigma runs over
+    one permutation per cycle type, and rho over one per orbit of
+    conjugation by sigma's centraliser, since conjugating the pair by pi
+    keeps sigma exactly when pi commutes with it. The orbit has (class
+    size) x (rho's orbit size) members."""
+    orbits = []
+    for sigma, size in zip(*_conjugation_orbits(n, _symmetric_generators(n, range(n)))):
+        rhos, sizes = _conjugation_orbits(n, _centraliser_generators(_table(n)[0][sigma]))
+        orbits.append((np.full(len(rhos), sigma), rhos, size * sizes))
+    return tuple(map(np.concatenate, zip(*orbits)))
 
 
 def sweep_pairs(n: int = 4, start_counts: Sequence[int] = (1, 2, 3)) -> list[SweepSummary]:
@@ -454,28 +431,27 @@ def _reduced_pair_suites(n: int) -> list[SweepSummary]:
     start-minor (start-pair-minor for shared-cycle-graphs), so the
     examples are the first failures in that order.
     """
-    orbits = list(_pair_orbits(list(all_permutations(n))))
-    sigmas = np.array([sigma.images for sigma, _, _ in orbits], dtype=np.intp) - 1
-    rhos = np.array([rho.images for _, rho, _ in orbits], dtype=np.intp) - 1
-    sizes = np.array([size for _, _, size in orbits], dtype=np.int64)
+    images = _table(n)[0]
+    sigma_rows, rho_rows, sizes = _pair_orbits(n)
+    sigmas, rhos = images[sigma_rows], images[rho_rows]
     start_pairs = [f"m1={a + 1} m2={b + 1}" for a, b in itertools.combinations(range(n), 2)]
     per_start = [f"m={m}" for m in range(1, n + 1)]
     tallies = [_Tally() for _ in range(4)]
     columns = [per_start, start_pairs, per_start, per_start]
-    for start in range(0, len(orbits), _PAIR_BLOCK):
+    for start in range(0, len(sizes), _PAIR_BLOCK):
         block = slice(start, start + _PAIR_BLOCK)
         weights = sizes[block]
         for tally, ok, names in zip(tallies, _pair_verdicts(sigmas[block], rhos[block]), columns):
             tally.cases += int((ok.sum(axis=1) * weights).sum())
             for cell in np.flatnonzero(~ok).tolist():
                 row, column = divmod(cell, ok.shape[1])
-                sigma, rho, size = orbits[start + row]
+                pair = start + row
                 tally.record(
                     False,
-                    lambda ss=sigma, rr=rho, c=names[column]: (
-                        f"sigma={ss.to_line()} rho={rr.to_line()} {c}"
+                    lambda ss=sigmas[pair], rr=rhos[pair], c=names[column]: (
+                        f"sigma={_line(ss.tolist())} rho={_line(rr.tolist())} {c}"
                     ),
-                    size,
+                    int(sizes[pair]),
                 )
     encoding, shared, reversal, small = tallies
     detail = f"all ordered pairs at n={n}, every start index"
@@ -898,13 +874,13 @@ def sweep_event_factorization(
     # The points that every permutation fixing the starts fixes: fixing
     # all points but one fixes that one too.
     fixed = n if n - last == 1 else last
-    orbits = _stabiliser_orbits(list(all_permutations(n)), fixed)
-    # S_n as rows of 0-based images, in the same order, and as edge masks.
-    images = next(_permutation_blocks(n, math.factorial(n)))
+    reps, sizes = _stabiliser_orbits(n, fixed)
+    # S_n as rows of 0-based images and as edge masks.
+    images = _table(n)[0]
     perm_masks = np.bitwise_or.reduce(1 << (images + np.arange(0, n * n, n)), axis=1)
-    sigmas = np.array([sigma.images for sigma, _ in orbits], dtype=np.intp) - 1
+    sigmas = images[reps]
     sigma_invs = np.argsort(sigmas, axis=1)
-    sizes = np.array([size for _, size in orbits], dtype=np.int32)
+    sizes = sizes.astype(np.int32)
     total = len(sigmas) * len(images)
     # The table, once merged, then the blocks walked since. A pair count
     # fits in 32 bits up to n = 8, as does a row's index.
@@ -1045,24 +1021,46 @@ def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:
     relabeling permutation; cases where some component avoids the fixed
     points are vacuous and still counted. The dichotomy holds for (E, tau)
     exactly when it holds for (pi E, pi tau pi^-1), so one graph per
-    relabeling orbit is tried against every tau, weighted by the orbit
-    size.
+    relabeling orbit, weighted by the orbit size, is tried against every
+    tau of the table at once (:func:`_relabel_verdicts`). Failures are
+    recorded graph-major, tau in table order.
     """
+    taus = _table(n)[0]
     tally = _Tally()
-    perms = list(all_permutations(n))
     for g, size in _graph_orbits(n):
-        components = [verts for verts, _ in profile(g)]
-        for tau in perms:
-            ok = relabel_dichotomy_holds(g, components, tau)
+        premise, frozen, inconsistent = _relabel_verdicts(g, taus)
+        ok = ~premise | frozen | inconsistent
+        tally.cases += size * int(ok.sum())
+        for row in np.flatnonzero(~ok).tolist():
             tally.record(
-                ok,
-                lambda ee=g.edges, t=tau: f"edges={sorted(ee)} tau={t.to_line()}",
+                False,
+                lambda ee=g.edges, t=taus[row]: f"edges={sorted(ee)} tau={_line(t.tolist())}",
                 size,
             )
     return _summary(
         "relabel-dichotomy", n, tally,
         f"all partial-injection graphs at n={n} times all relabelings",
     )
+
+
+def _relabel_verdicts(g: DirectedGraph, taus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(premise, frozen, inconsistent) for the partial injection g and
+    each row of ``taus``, 0-based images: each component of g holds a
+    fixed point of tau; tau maps g's edges onto themselves; an edge
+    (tau(a), tau(b)) leaves a tail, or enters a head, that an edge of g
+    leaves for another head or enters from another tail, so that no
+    permutation holds both. The dichotomy fails where only the premise holds."""
+    tails, heads = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2).T - 1
+    head_of, tail_of = np.full(g.n, -1), np.full(g.n, -1)
+    head_of[tails], tail_of[heads] = heads, tails
+    fixed = taus == np.arange(g.n)
+    premise = np.ones(len(taus), dtype=bool)
+    for verts, _ in profile(g):
+        premise &= fixed[:, [v - 1 for v in verts]].any(axis=1)
+    tail, head = taus[:, tails], taus[:, heads]
+    out, into = head_of[tail], tail_of[head]
+    clash = ((out >= 0) & (out != head)) | ((into >= 0) & (into != tail))
+    return premise, (out == head).all(axis=1), clash.any(axis=1)
 
 
 _FAMILY_OF_CHECK = {

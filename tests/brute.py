@@ -4,18 +4,21 @@ Most functions here are unreduced sums over all of S_n (or S_n x S_n)
 with exact ``Fraction`` weights; ``union_graph_list`` takes unions over
 every start set of every pair rather than listing partial injections,
 ``trace_pass`` builds every power of every permutation by composition,
+where the trace sweep checks one permutation per cycle type,
 ``power_fixed_points`` walks one permutation at a time where the trace
-sweep walks blocks of rows,
+sweep walks a block of rows,
 ``pair_pass`` walks every ordered pair instead of one per orbit of
 simultaneous conjugation, ``class_pair_pass`` (the sweep's previous
 path) walks one sigma per cycle type against every rho,
 ``event_factorization_pass`` walks every ordered pair instead of one
 sigma per orbit under the stabiliser of its starts and keys its fibers
 by labelled graph tuples, ``graph_pass`` checks every partial injection
-instead of one per relabeling orbit, ``graph_orbits`` (the sweep's
-previous path) finds those orbits by listing every partial injection
-and grouping by ``shape`` instead of building one graph per shape, and
-the two-vertex predicate reads full component profiles.
+instead of one per relabeling orbit, one tau at a time through
+``relabel_dichotomy_holds`` where the sweep tries every tau at once,
+``graph_orbits`` (the sweep's previous path) finds those orbits by
+listing every partial injection and grouping by ``shape`` instead of
+building one graph per shape, and the two-vertex predicate reads full
+component profiles.
 ``pair_verdicts`` gives the four reduced pair suites' verdicts on one
 pair from its traversal records and graph objects, through
 ``shared_cycle_graphs_match``, ``reversal_identities_hold`` and the
@@ -51,7 +54,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,7 +64,6 @@ from permprod.cyclegraphs import (
     _partial_bijection,
     membership,
     profile,
-    relabel_dichotomy_holds,
     traversal,
 )
 from permprod.oracle import ExactDistribution, verify_bounds
@@ -679,6 +681,43 @@ _BOUND_FAMILY = {
     "matching-sandwich-lower": "matching-sandwich-bounds",
     "matching-sandwich-upper": "matching-sandwich-bounds",
 }
+
+
+def _joint_membership_consistent(
+    e1: Iterable[tuple[int, int]], e2: Iterable[tuple[int, int]]
+) -> bool:
+    # Whether some permutation satisfies every constraint of both edge sets.
+    return _partial_bijection(list(e1) + list(e2)) is not None
+
+
+@lru_cache(maxsize=1024)
+def _fixed_points(images: tuple[int, ...]) -> frozenset[int]:
+    # A pass tries every relabeling on thousands of graphs.
+    return frozenset(x for x, y in enumerate(images, start=1) if x == y)
+
+
+def relabel_dichotomy_holds(
+    g1: DirectedGraph, components: Iterable[frozenset[int]], tau: Permutation
+) -> bool:
+    """Relabeling by a map with a fixed point in every non-trivial component
+    either moves the graph to one with incompatible constraints or fixes
+    it entirely. Returns True when that dichotomy holds for (g1, tau);
+    vacuously true when the fixed-point premise fails.
+
+    ``components`` holds the vertex sets of the non-trivial components of
+    g1, as listed by ``profile(g1)``, so a caller trying many relabelings
+    computes them once.
+    """
+    if g1.n != tau.n:
+        raise ValueError(f"size mismatch: {g1.n} vs {tau.n}")
+    fixed = _fixed_points(tau.images)
+    for verts in components:
+        if not verts & fixed:
+            return True
+    g2 = g1.relabel(tau)
+    if g1.edges == g2.edges:
+        return True
+    return not _joint_membership_consistent(g1.edges, g2.edges)
 
 
 def graph_pass(n: int, thetas: Sequence = ("1/2", "1", "2")):

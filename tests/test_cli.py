@@ -518,10 +518,10 @@ def test_pair_n_above_the_cap_names_its_field(pair_n, monkeypatch, capsys):
     assert config_from_mapping({"command": "verify-lemmas", "pair_n": "7"}).pair_n == 7
 
 
-@pytest.mark.parametrize("single_n", ["11", "12"])
+@pytest.mark.parametrize("single_n", ["31", "32"])
 def test_single_n_above_the_cap_names_its_field(single_n, monkeypatch, tmp_path, capsys):
-    # Rejected while validating: the trace sweep walks all single_n!
-    # permutations, about 2 minutes at n = 11.
+    # Rejected while validating: the trace sweep checks one permutation
+    # per cycle type, 5,604 at n = 30 and 37,338 at n = 40.
     def unreachable(*args, **kwargs):
         raise AssertionError("run_all ran past a rejected single_n")
 
@@ -530,16 +530,16 @@ def test_single_n_above_the_cap_names_its_field(single_n, monkeypatch, tmp_path,
     assert main(["verify-lemmas", "--single-n", single_n]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: single_n: caps at 10, ")
+    assert captured.err.startswith("config error: single_n: caps at 30, ")
     f = tmp_path / "c.cfg"
     f.write_text(f"command = verify-lemmas\nsingle_n = {single_n}\n")
     assert main(["verify-lemmas", "--config", str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: single_n: caps at 10, ")
-    f.write_text("command = verify-lemmas\nsingle_n = 10\n")
-    assert parse_config(f.read_text()).single_n == 10
-    assert config_from_mapping({"command": "verify-lemmas", "single_n": "10"}).single_n == 10
+    assert captured.err.startswith("config error: single_n: caps at 30, ")
+    f.write_text("command = verify-lemmas\nsingle_n = 30\n")
+    assert parse_config(f.read_text()).single_n == 30
+    assert config_from_mapping({"command": "verify-lemmas", "single_n": "30"}).single_n == 30
 
 
 def test_main_error_paths(tmp_path, capsys):

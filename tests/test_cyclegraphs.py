@@ -6,8 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import brute
 from brute import (
+    _joint_membership_consistent,
     graphs_from_traversal,
     no_two_cycles_when_components_small,
+    relabel_dichotomy_holds,
     reversal_identities_hold,
     shared_cycle_graphs_match,
     union_graphs,
@@ -18,12 +20,10 @@ from permprod.perms import Permutation, all_permutations, compose, cycle_of, inv
 from permprod.cyclegraphs import (
     DirectedGraph,
     TraversalRecord,
-    _joint_membership_consistent,
     enumerate_B,
     graphs_from_record,
     membership,
     profile,
-    relabel_dichotomy_holds,
     shape,
     shape_orbit_size,
     traversal,

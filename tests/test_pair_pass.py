@@ -125,25 +125,27 @@ def test_pair_suites_match_sigma_per_class_against_every_rho(monkeypatch, fault)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("group", ["all", "centraliser", "stabiliser"])
 def test_conjugation_orbits_partition_the_group(n, group):
+    # The whole group, given by its table rows, generates itself.
     perms = list(all_permutations(n))
     last = perms[-1]
-    pis = {
-        "all": perms,
-        "centraliser": [pi for pi in perms if conjugate(last, pi) == last],
-        "stabiliser": [pi for pi in perms if pi.images[:2] == (1, 2)[:n]],
+    keep = {
+        "all": lambda pi: True,
+        "centraliser": lambda pi: conjugate(last, pi) == last,
+        "stabiliser": lambda pi: pi.images[:2] == (1, 2)[:n],
     }[group]
-    orbits = sweeps._conjugation_orbits(perms, pis)
-    members = [frozenset(conjugate(rep, pi).images for pi in pis) for rep, _ in orbits]
-    assert [size for _, size in orbits] == [len(m) for m in members]
+    pis = [row for row, pi in enumerate(perms) if keep(pi)]
+    reps, sizes = sweeps._conjugation_orbits(n, np.array(pis))
+    members = [frozenset(conjugate(perms[rep], perms[pi]).images for pi in pis) for rep in reps]
+    assert sizes.tolist() == [len(m) for m in members]
     assert sum(map(len, members)) == len(frozenset().union(*members)) == math.factorial(n)
     # Each representative is the first of its orbit in lexicographic order.
-    assert [rep.images for rep, _ in orbits] == sorted(min(m) for m in members)
+    assert [perms[rep].images for rep in reps] == sorted(min(m) for m in members)
 
 
 @pytest.mark.parametrize("n, pairs", [(1, 1), (2, 4), (3, 11), (4, 43), (5, 161), (6, 901)])
 def test_pair_orbits_are_the_orbits_of_simultaneous_conjugation(n, pairs):
     perms = list(all_permutations(n))
-    orbits = list(sweeps._pair_orbits(perms))
+    orbits = list(zip(*(column.tolist() for column in sweeps._pair_orbits(n))))
     # Burnside: the pairs fixed by pi are its centraliser squared, so
     # there are sum over classes of n!/(class size) orbits.
     class_sizes = Counter(cycle_type(p) for p in perms).values()
@@ -152,11 +154,54 @@ def test_pair_orbits_are_the_orbits_of_simultaneous_conjugation(n, pairs):
     if n > 4:
         return
     members = [
-        frozenset((conjugate(s, pi).images, conjugate(r, pi).images) for pi in perms)
+        frozenset((conjugate(perms[s], pi).images, conjugate(perms[r], pi).images) for pi in perms)
         for s, r, _ in orbits
     ]
     assert [size for _, _, size in orbits] == [len(m) for m in members]
     assert len(frozenset().union(*members)) == math.factorial(n) ** 2
+
+
+def _conjugate_images(sigma, pi):
+    # pi sigma pi^-1 on 1-based image tuples.
+    out = [0] * len(sigma)
+    for x, y in zip(pi, sigma):
+        out[x - 1] = pi[y - 1]
+    return tuple(out)
+
+
+def _listed_orbits(perms, group):
+    # (row, size) of each orbit of conjugation by the members of group,
+    # each orbit listed in full when its first member in perms is met.
+    seen, out = set(), []
+    for row, sigma in enumerate(perms):
+        if sigma not in seen:
+            orbit = {_conjugate_images(sigma, pi) for pi in group}
+            seen |= orbit
+            out.append((row, len(orbit)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_pair_orbits_match_the_listed_orbits(n):
+    # Sigma per class, then rho per orbit of sigma's centraliser, listed
+    # from all_permutations with whole groups, in the same order.
+    perms = [p.images for p in all_permutations(n)]
+    want = []
+    for sigma, class_size in _listed_orbits(perms, perms):
+        centraliser = [pi for pi in perms if _conjugate_images(perms[sigma], pi) == perms[sigma]]
+        rhos = _listed_orbits(perms, centraliser)
+        want += [(sigma, rho, class_size * size) for rho, size in rhos]
+    got = list(zip(*(column.tolist() for column in sweeps._pair_orbits(n))))
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("fixed", [1, 2, 3])
+def test_stabiliser_orbits_match_the_listed_orbits(n, fixed):
+    perms = [p.images for p in all_permutations(n)]
+    stabiliser = [pi for pi in perms if pi[:fixed] == tuple(range(1, fixed + 1))[:n]]
+    reps, sizes = sweeps._stabiliser_orbits(n, fixed)
+    assert list(zip(reps.tolist(), sizes.tolist())) == _listed_orbits(perms, stabiliser)
 
 
 @pytest.mark.parametrize(
@@ -491,10 +536,11 @@ def test_each_verdict_is_the_predicate_on_its_own_records(monkeypatch, n, fault,
     # cancel in a suite's totals. The faults reach both through _inject.
     if fault is not None:
         _inject(monkeypatch, fault)
-    orbits = list(sweeps._pair_orbits(list(all_permutations(n))))
-    sigma = np.array([s.images for s, _, _ in orbits]) - 1
-    rho = np.array([r.images for _, r, _ in orbits]) - 1
-    verdicts = [v.tolist() for v in sweeps._pair_verdicts(sigma, rho)]
-    for row, (s, r, _) in enumerate(orbits):
-        assert [v[row] for v in verdicts] == list(brute.pair_verdicts(s, r)[0]), (s, r)
+    perms = list(all_permutations(n))
+    sigmas, rhos, _ = sweeps._pair_orbits(n)
+    images = sweeps._table(n)[0]
+    verdicts = [v.tolist() for v in sweeps._pair_verdicts(images[sigmas], images[rhos])]
+    for row, (s, r) in enumerate(zip(sigmas.tolist(), rhos.tolist())):
+        pair = perms[s], perms[r]
+        assert [v[row] for v in verdicts] == list(brute.pair_verdicts(*pair)[0]), pair
     assert [not all(map(all, v)) for v in verdicts] == failing

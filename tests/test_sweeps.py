@@ -4,6 +4,7 @@ The acceptance suite runs the full-size sweeps; these keep the plumbing
 honest at sizes that finish in well under a second each.
 """
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -14,7 +15,8 @@ import pytest
 
 import brute
 from permprod import perms, sweeps
-from permprod.cyclegraphs import DirectedGraph
+from permprod.cyclegraphs import DirectedGraph, profile
+from permprod.oracle import class_size, partitions
 from permprod.perms import Permutation, all_permutations
 from permprod.sweeps import (
     SweepSummary,
@@ -43,7 +45,7 @@ def test_trace_identity_sweep():
     assert_clean(sweep_trace_identity(5))
 
 
-_power_walk, _cycle_type_keys = sweeps._power_walk, sweeps._cycle_type_keys
+_power_walk = sweeps._power_walk
 
 
 def _walk_miscounting_start_one(block, max_power):
@@ -64,61 +66,105 @@ def _formula_off_at_four_with_a_two_cycle(counts, k):
     return perms.trace_power(counts, k) + (k == 4 and counts.get(2) > 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("fault", ["clean", "walk", "formula"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("fault", ["clean", "formula"])
 def test_trace_identity_matches_every_power_built_by_composition(monkeypatch, fault, n):
-    # The walk fault reads a label, so it guards the walk running for
-    # every permutation; the formula fault reads the cycle type only, so
-    # it guards the formula table keyed by the full cycle counts. Blocks
-    # of 7 rows split S_n raggedly past n = 3, so the examples run across
-    # blocks.
-    monkeypatch.setattr(sweeps, "_TRACE_BLOCK_ROWS", 7)
-    if fault == "walk":
-        monkeypatch.setattr(sweeps, "_power_walk", _walk_miscounting_start_one)
-        monkeypatch.setattr(brute, "start_is_fixed", _brute_miscounting_start_one)
-    elif fault == "formula":
+    # The formula fault reads the cycle type only, so the sweep, which
+    # checks one permutation per cycle type, must count it as the full
+    # walk does, and name the same first failing cells. At n = 8 powers
+    # 1..4 keep the full walk to a few seconds.
+    if fault == "formula":
         for module in (sweeps, brute):
             monkeypatch.setattr(module, "trace_power", _formula_off_at_four_with_a_two_cycle)
-    summary = sweep_trace_identity(n)
-    row = brute.trace_pass(n, 2 * n)
+    max_power = 4 if n == 8 else 2 * n
+    summary = sweep_trace_identity(n, max_power)
+    row = brute.trace_pass(n, max_power)
     assert (summary.suite, summary.cases, summary.violations, summary.examples) == row
-    assert summary.cases == math.factorial(n) * 2 * n
-    # Neither fault can show at n = 1: no permutation moves 1, and no
-    # power reaches 4.
+    assert summary.cases == math.factorial(n) * max_power
+    # The fault cannot show at n = 1: no power reaches 4.
     assert (summary.violations > 0) == (fault != "clean" and n > 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_batched_walks_match_the_walk_of_each_permutation(monkeypatch, n):
-    # Blocks of 7 rows, which divides no n! here, so the last block is
-    # ragged. Both walks see every permutation, in order, once.
-    monkeypatch.setattr(sweeps, "_TRACE_BLOCK_ROWS", 7)
-    direct, typed = [], []
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_walk_fault_reading_a_label_shows_in_the_representatives_only(monkeypatch, n):
+    # The walk fault reads a(1), which conjugation moves, so the sweep
+    # sees it on the representative of every class but the identity's
+    # (each puts its longest cycle on 1..l, so a(1) = 2) and counts the
+    # whole class, while the full walk sees the permutations with
+    # a(1) = 2 alone. Each counts the powers k not divisible by the
+    # length l of the cycle through 1.
+    monkeypatch.setattr(sweeps, "_power_walk", _walk_miscounting_start_one)
+    monkeypatch.setattr(brute, "start_is_fixed", _brute_miscounting_start_one)
+    powers = range(1, 2 * n + 1)
+    summary = sweep_trace_identity(n)
+    row = brute.trace_pass(n, 2 * n)
+    assert summary.cases == row[1] == math.factorial(n) * 2 * n
+    assert summary.violations == sum(
+        class_size(lengths, n) * sum(k % lengths[0] != 0 for k in powers)
+        for lengths in partitions(n)
+    )
+    assert row[2] == sum(
+        sum(k % len(perms.cycle_of(a, 1)) != 0 for k in powers)
+        for a in all_permutations(n)
+        if a(1) == 2
+    )
+    assert summary.violations > row[2] > 0
+    if n == 4:
+        # The sweep names the first members of the failing classes in
+        # order, the full walk the first permutations with a(1) = 2.
+        assert summary.examples == [
+            "perm=1 2 4 3 k=1", "perm=1 2 4 3 k=3", "perm=1 2 4 3 k=5",
+            "perm=1 2 4 3 k=7", "perm=1 3 2 4 k=1",
+        ]
+        assert row[3] == [
+            "perm=2 1 3 4 k=1", "perm=2 1 3 4 k=3", "perm=2 1 3 4 k=5",
+            "perm=2 1 3 4 k=7", "perm=2 1 4 3 k=1",
+        ]
 
-    def walk(block, max_power):
-        fixed = _power_walk(block, max_power)
-        direct.extend(zip(block.tolist(), fixed.tolist()))
-        return fixed
 
-    def keys(block):
-        out = _cycle_type_keys(block)
-        typed.extend(zip(block.tolist(), out.tolist()))
-        return out
-
-    monkeypatch.setattr(sweeps, "_power_walk", walk)
-    monkeypatch.setattr(sweeps, "_cycle_type_keys", keys)
-    assert_clean(sweep_trace_identity(n))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_power_walk_of_the_table_matches_each_permutation(n):
+    # The sweep walks its representatives only, so the walk is checked
+    # here on every row of S_n, in table order.
+    images = sweeps._table(n)[0]
     every = list(all_permutations(n))
-    assert [tuple(x + 1 for x in images) for images, _ in direct] == [p.images for p in every]
-    assert [images for images, _ in typed] == [images for images, _ in direct]
-    for p, (_, fixed), (_, key) in zip(every, direct, typed):
-        assert fixed == brute.power_fixed_points(p, 2 * n)
-        assert sweeps._cycle_counts_of_key(key, n) == perms.cycle_counts(p)
+    assert [tuple(row) for row in (images + 1).tolist()] == [p.images for p in every]
+    fixed = _power_walk(images, 2 * n).tolist()
+    assert fixed == [brute.power_fixed_points(p, 2 * n) for p in every]
+
+
+@pytest.mark.parametrize("n", [1, 4, 6, 7])
+def test_first_failures_are_the_first_members_of_their_classes(n):
+    # One failing cycle type at a time, and all of them at once, against
+    # the permutations listed in lexicographic order.
+    every = list(all_permutations(n))
+    for lengths in [*partitions(n), None]:
+        failing = {c: [1, 2] for c in partitions(n) if lengths in (None, c)}
+        want = [
+            f"perm={p.to_line()} k={k}"
+            for p in every
+            if perms.cycle_type(p) in failing
+            for k in (1, 2)
+        ][:5]
+        assert sweeps._first_failures(n, failing) == want
+
+
+def test_trace_identity_names_its_first_failures_far_past_a_full_walk(monkeypatch):
+    # At n = 16 the formula fault fails every class with a 2-cycle at
+    # k = 4, and the first such permutations in lexicographic order come
+    # early enough to list one by one.
+    monkeypatch.setattr(sweeps, "trace_power", _formula_off_at_four_with_a_two_cycle)
+    summary = sweep_trace_identity(16)
+    first = itertools.islice((a for a in all_permutations(16) if 2 in perms.cycle_type(a)), 5)
+    assert summary.examples == [f"perm={a.to_line()} k=4" for a in first]
+    assert summary.violations == sum(
+        class_size(lengths, 16) for lengths in partitions(16) if 2 in lengths
+    )
 
 
 def test_trace_sweep_memory_is_bounded():
-    # One block of rows and its temporaries at a time: S_8 as intp rows
-    # alone would take 2.5 MiB, its powers 4.9 MiB.
+    # One row per cycle type, 22 at n = 8: S_8 as intp rows alone would
+    # take 2.5 MiB, its powers 4.9 MiB.
     tracemalloc.start()
     try:
         summary = sweep_trace_identity(8)
@@ -333,7 +379,13 @@ def test_graph_suites_by_orbit_match_every_partial_injection(n):
 def _fail_graphs_with_two_edges(monkeypatch):
     # Failing every case on a two-edge graph is constant on relabeling
     # orbits.
-    real_relabel, real_bounds = sweeps.relabel_dichotomy_holds, sweeps.verify_bounds
+    real_verdicts, real_relabel = sweeps._relabel_verdicts, brute.relabel_dichotomy_holds
+    real_bounds = sweeps.verify_bounds
+
+    def verdicts_fail_on_two_edges(g, taus):
+        premise, frozen, inconsistent = real_verdicts(g, taus)
+        two = len(g.edges) == 2
+        return premise | two, frozen & (not two), inconsistent & (not two)
 
     def relabel_fails_on_two_edges(g, components, tau):
         return len(g.edges) != 2 and real_relabel(g, components, tau)
@@ -344,9 +396,34 @@ def _fail_graphs_with_two_edges(monkeypatch):
             check.holds = check.holds and len(g.edges) != 2
         return checks
 
+    monkeypatch.setattr(sweeps, "_relabel_verdicts", verdicts_fail_on_two_edges)
+    monkeypatch.setattr(brute, "relabel_dichotomy_holds", relabel_fails_on_two_edges)
     for module in (sweeps, brute):
-        monkeypatch.setattr(module, "relabel_dichotomy_holds", relabel_fails_on_two_edges)
         monkeypatch.setattr(module, "verify_bounds", bounds_fail_on_two_edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_relabel_verdicts_are_the_predicate_on_each_tau(n):
+    # Every shape representative against every tau, cell by cell, so that
+    # no two errors can cancel in the suite's totals. The dichotomy is a
+    # theorem, so a verdict that always holds would match it too: each of
+    # its three parts is checked against the reference's own.
+    every = list(all_permutations(n))
+    taus = sweeps._table(n)[0]
+    for g, _ in sweeps._graph_orbits(n):
+        components = [verts for verts, _ in profile(g)]
+        moved = [g.relabel(tau).edges for tau in every]
+        premise, frozen, inconsistent = sweeps._relabel_verdicts(g, taus)
+        assert (~premise | frozen | inconsistent).tolist() == [
+            brute.relabel_dichotomy_holds(g, components, tau) for tau in every
+        ], sorted(g.edges)
+        assert premise.tolist() == [
+            all(verts & brute._fixed_points(tau.images) for verts in components) for tau in every
+        ]
+        assert frozen.tolist() == [edges == g.edges for edges in moved]
+        assert inconsistent.tolist() == [
+            not brute._joint_membership_consistent(g.edges, edges) for edges in moved
+        ]
 
 
 def test_a_graph_fault_of_shape_only_is_counted_alike(monkeypatch):
