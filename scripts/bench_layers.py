@@ -28,9 +28,13 @@ pair pass at n = 5 with the count of rows its numpy walks
 (``sweeps._walk_pairs``) take, then its two parts on their own (the four
 reduced pair suites and event-factorization at n = 5), relabel-dichotomy at n = 5,
 the membership bounds at n = 5 and, beyond the default, at n = 7 (the
-largest ``--pair-n``), and the whole default ``run_all()``,
-every suite of the report. These stages run round robin, one pass over
-all of them per repeat, and each keeps its best. Stages beyond the
+largest ``--pair-n``), the prefix-fixing decay, and the whole default
+``run_all()``, every suite of the report. These stages run round robin,
+one pass over all of them per repeat, and each keeps its best. The
+oracle's shape tables (``oracle._shape_counts`` and ``_cycle_shapes``)
+are cleared before each run of the two bounds stages and the prefix
+decay, so that these pay the tabulation a fresh ``verify-lemmas``
+pays instead of reading the tables of the pass before. Stages beyond the
 default are timed once after them: the trace sweep at n = 10 and at
 n = 30, each left out when the package's ``_SINGLE_MAX_N`` is below it
 (so the one script also measures a tree that walks all n!
@@ -62,7 +66,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from permprod import cyclegraphs, samplers, sweeps
+from permprod import cyclegraphs, oracle, samplers, sweeps
 from permprod.cli import sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
@@ -208,6 +212,15 @@ def main(argv=None) -> int:
     finally:
         sweeps._walk_pairs = walk
 
+    def cold_shapes(stage):
+        # The stage after clearing the oracle's shape tables.
+        def run():
+            oracle._shape_counts.cache_clear()
+            oracle._cycle_shapes.cache_clear()
+            return stage()
+
+        return run
+
     stages = (
         ("trace n = 7", lambda: sweeps.sweep_trace_identity(7), ""),
         ("trace n = 8", lambda: sweeps.sweep_trace_identity(8), ""),
@@ -215,8 +228,9 @@ def main(argv=None) -> int:
         ("reduced pairs n = 5", lambda: sweeps._reduced_pair_suites(5), ""),
         ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
-        ("bounds n = 5", lambda: sweeps.sweep_membership_bounds(5), ""),
-        ("bounds n = 7", lambda: sweeps.sweep_membership_bounds(7), ""),
+        ("bounds n = 5", cold_shapes(lambda: sweeps.sweep_membership_bounds(5)), ""),
+        ("bounds n = 7", cold_shapes(lambda: sweeps.sweep_membership_bounds(7)), ""),
+        ("prefix decay", cold_shapes(sweeps.sweep_prefix_decay), ""),
         ("run_all()", sweeps.run_all, ""),
     )
     best = round_robin({label: stage for label, stage, _ in stages}, args.repeat)

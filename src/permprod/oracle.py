@@ -40,12 +40,17 @@ cycles of lambda: each l-cycle's edges are chosen independently, all l
 of them giving one l-cycle and otherwise each run of r chosen edges a
 path with r edges. Nothing enumerates S_n, so no cap on n is needed;
 the cost grows with the number of shapes inside each cycle type.
+
+Each law also holds its class probabilities as integer masses over one
+common denominator, worked out once when it is built. The sums over
+lambda, here and in the product law, run on those integers; each
+probability is one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
@@ -102,19 +107,8 @@ def class_size(partition: Sequence[int], n: int) -> int:
     return math.factorial(n) // z
 
 
-def rising_factorial(theta: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= theta + i
-    return out
-
-
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         return Fraction(value)
     raise ValueError(f"expected an exact rational, got {value!r}")
 
@@ -126,32 +120,40 @@ class ExactDistribution:
     ``class_probs`` assigns each cycle type its total class probability;
     the pmf of a single permutation is the class probability divided by
     the class size. Construct through :meth:`uniform`, :meth:`ewens` or
-    :meth:`explicit`.
+    :meth:`explicit`. ``masses`` holds the same law in integers: each
+    cycle type of nonzero probability with its numerator over
+    ``denominator``, the least common denominator of the probabilities.
     """
 
     n: int
     kind: str
     class_probs: tuple[tuple[tuple[int, ...], Fraction], ...]
+    masses: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("distribution needs n >= 1")
-        total = Fraction(0)
+        denom = math.lcm(*(prob.denominator for _, prob in self.class_probs))
+        masses = []
         for partition, prob in self.class_probs:
             if sum(partition) != self.n:
                 raise ValueError(f"cycle type {partition!r} does not sum to {self.n}")
-            if prob < 0:
+            mass = prob.numerator * (denom // prob.denominator)
+            if mass < 0:
                 raise ValueError(f"negative class probability for {partition!r}")
-            total += prob
-        if total != 1:
-            raise ValueError(f"class probabilities sum to {total}, expected 1")
+            if mass:
+                masses.append((partition, mass))
+        total = sum(mass for _, mass in masses)
+        if total != denom:
+            raise ValueError(f"class probabilities sum to {Fraction(total, denom)}, expected 1")
+        object.__setattr__(self, "masses", tuple(masses))
+        object.__setattr__(self, "denominator", denom)
 
     @classmethod
     def uniform(cls, n: int) -> "ExactDistribution":
         fact = math.factorial(n)
-        probs = tuple(
-            (p, Fraction(class_size(p, n), fact)) for p in partitions(n)
-        )
+        probs = tuple((p, Fraction(class_size(p, n), fact)) for p in partitions(n))
         return cls(n=n, kind="uniform", class_probs=probs)
 
     @classmethod
@@ -162,9 +164,13 @@ class ExactDistribution:
         if theta == 0:
             # Degenerate limit: all mass on the single n-cycle class.
             return cls.explicit(n, {(n,): Fraction(1)}, kind="ewens0")
-        norm = rising_factorial(theta, n)
+        # With theta = a / b, class_size * theta^c / (theta (theta + 1) ... (theta + n - 1))
+        # is class_size * a^c * b^(n - c) over a (a + b) ... (a + (n - 1) b).
+        a, b = theta.numerator, theta.denominator
+        norm = math.prod(a + i * b for i in range(n))
         probs = tuple(
-            (p, class_size(p, n) * theta ** len(p) / norm) for p in partitions(n)
+            (p, Fraction(class_size(p, n) * a ** len(p) * b ** (n - len(p)), norm))
+            for p in partitions(n)
         )
         return cls(n=n, kind=f"ewens({theta})", class_probs=probs)
 
@@ -232,9 +238,9 @@ def product_type_distribution(
     the given laws, as sorted (type, probability) pairs without the
     zero-mass types.
 
-    Uses the character formula of the module docstring. Each law's class
-    probabilities are scaled to integers by their common denominator,
-    and n! / chi_lambda(1) is an integer, so the sums stay in integers
+    Uses the character formula of the module docstring. Each law's
+    integer ``masses`` stand for its class probabilities, and
+    n! / chi_lambda(1) is an integer, so the sums stay in integers
     and only the final quotient is a Fraction. The order of the factors
     does not matter: the law of a product's class is the same for every
     order of invariant factors.
@@ -252,13 +258,8 @@ def product_type_distribution(
     denom = fact ** len(laws)
     weights = [(fact // row[identity]) ** (len(laws) - 1) for row in table]
     for d in laws:
-        scale = math.lcm(*(prob.denominator for _, prob in d.class_probs))
-        denom *= scale
-        mass = [
-            (column[mu], prob.numerator * (scale // prob.denominator))
-            for mu, prob in d.class_probs
-            if prob
-        ]
+        denom *= d.denominator
+        mass = [(column[mu], m) for mu, m in d.masses]
         for i, row in enumerate(table):
             weights[i] *= sum(m * row[j] for j, m in mass)
     out = []
@@ -361,15 +362,15 @@ def _cycle_shapes(length: int) -> tuple[tuple[_Shape, int], ...]:
 def _shape_counts(partition: tuple[int, ...]) -> dict[_Shape, int]:
     """N_lambda(S) for every shape S: the number of partial injections
     of shape S inside one permutation of cycle type ``partition``. Each
-    cycle's edges are chosen independently of the others'."""
-    counts: dict[_Shape, int] = {(): 1}
-    for length in partition:
-        grown: dict[_Shape, int] = {}
-        for kinds, count in counts.items():
-            for more, ways in _cycle_shapes(length):
-                key = tuple(sorted(kinds + more)) if more else kinds
-                grown[key] = grown.get(key, 0) + count * ways
-        counts = grown
+    cycle's edges are chosen independently of the others', so the table
+    extends the cached one of ``partition[:-1]`` by the last cycle."""
+    if not partition:
+        return {(): 1}
+    counts: dict[_Shape, int] = {}
+    for kinds, count in _shape_counts(partition[:-1]).items():
+        for more, ways in _cycle_shapes(partition[-1]):
+            key = tuple(sorted(kinds + more)) if more else kinds
+            counts[key] = counts.get(key, 0) + count * ways
     return counts
 
 
@@ -378,18 +379,17 @@ def shape_prob(d: ExactDistribution, kinds: Sequence[tuple[int, int]]) -> Fracti
     injection E of {1..n} with the given shape: its components as
     (vertex count, edge count) pairs, as ``cyclegraphs.shape`` lists them.
 
-    Sums N_lambda(S) / |orbit(S)| over the law's cycle types lambda; see
-    the module docstring.
+    Sums N_lambda(S) / |orbit(S)| over the law's cycle types lambda (see
+    the module docstring) in integers: each N_lambda(S) times the law's
+    integer mass of lambda, over ``d.denominator`` times |orbit(S)| in
+    one ``Fraction``.
     """
     kinds = tuple(sorted(kinds))
     orbit = shape_orbit_size(kinds, d.n)
     if not orbit:
         raise ValueError(f"shape {kinds!r} has more than {d.n} vertices")
-    total = sum(
-        (prob * _shape_counts(mu).get(kinds, 0) for mu, prob in d.class_probs if prob),
-        Fraction(0),
-    )
-    return total / orbit
+    total = sum(mass * _shape_counts(mu).get(kinds, 0) for mu, mass in d.masses)
+    return Fraction(total, d.denominator * orbit)
 
 
 def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:

@@ -27,7 +27,12 @@ them off numpy walk arrays and edge masks. They exist so
 that tests can check the reduced code against straight enumeration
 instead of trusting it, and they are practical only for n <= 7.
 ``graph_prob`` sums a law's pmf over every permutation containing a
-graph, where the oracle reads one probability per shape.
+graph, where the oracle reads one probability per shape, and
+``shape_counts`` builds the oracle's per-type shape counts one cycle at
+a time from every edge subset of each cycle, where the oracle extends
+the cached table of a shorter type by one cycle. ``rising_factorial``
+is the Ewens normaliser in ``Fraction``s, where the oracle builds Ewens
+laws in integers.
 ``enumerate_B`` lists every labelled couple of two shapes and replays
 each through ``_trace_realizes``, where ``cyclegraphs.enumerate_B``
 counts walk patterns; ``canonical_form`` names a graph up to relabeling
@@ -118,6 +123,14 @@ def representative(partition: Sequence[int]) -> Permutation:
     return Permutation.from_cycles(sum(partition), cycles)
 
 
+def rising_factorial(theta: Fraction, n: int) -> Fraction:
+    """theta (theta + 1) ... (theta + n - 1)."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= theta + i
+    return out
+
+
 def ewens_weight(sigma: Permutation, theta) -> Fraction:
     """Probability of one permutation under the theta-biased cycle measure,
     theta^(number of cycles) over the rising factorial theta(theta+1)...(theta+n-1)."""
@@ -129,8 +142,7 @@ def ewens_weight(sigma: Permutation, theta) -> Fraction:
             "theta = 0 is degenerate; use ExactDistribution.ewens(n, 0), "
             "which is the uniform single-cycle law"
         )
-    rising = math.prod(theta + i for i in range(sigma.n))
-    return theta ** len(cycle_type(sigma)) / rising
+    return theta ** len(cycle_type(sigma)) / rising_factorial(theta, sigma.n)
 
 
 def _type_of_images(images: Sequence[int]) -> tuple[int, ...]:
@@ -660,6 +672,33 @@ def shape(g: DirectedGraph) -> tuple[tuple[int, int], ...]:
     """Sorted (vertex count, edge count) of the components of a partial
     injection: a complete invariant of its relabeling orbit."""
     return tuple(sorted((len(verts), len(edges)) for verts, edges in profile(g)))
+
+
+@lru_cache(maxsize=None)
+def _cycle_subset_shapes(length: int) -> dict[tuple[tuple[int, int], ...], int]:
+    # How many edge subsets of one l-cycle have each shape.
+    cycle = [(i, i % length + 1) for i in range(1, length + 1)]
+    out: dict[tuple[tuple[int, int], ...], int] = {}
+    for size in range(length + 1):
+        for edges in itertools.combinations(cycle, size):
+            kinds = shape(DirectedGraph.of(length, edges))
+            out[kinds] = out.get(kinds, 0) + 1
+    return out
+
+
+def shape_counts(partition: Sequence[int]) -> dict[tuple[tuple[int, int], ...], int]:
+    """The number of partial injections of each shape inside one
+    permutation of cycle type ``partition``, built from the empty table
+    one cycle at a time: each cycle's edges are chosen independently."""
+    counts: dict[tuple[tuple[int, int], ...], int] = {(): 1}
+    for length in partition:
+        grown: dict[tuple[tuple[int, int], ...], int] = {}
+        for kinds, count in counts.items():
+            for more, ways in _cycle_subset_shapes(length).items():
+                key = tuple(sorted(kinds + more))
+                grown[key] = grown.get(key, 0) + count * ways
+        counts = grown
+    return counts
 
 
 def graph_orbits(n: int) -> list[list]:

@@ -18,6 +18,7 @@ from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
     _character_table,
+    _shape_counts,
     class_size,
     ewens_prefix_fixed_prob,
     exact_graph_prob,
@@ -26,7 +27,6 @@ from permprod.oracle import (
     partitions,
     prefix_fixed_prob,
     product_type_distribution,
-    rising_factorial,
     shape_prob,
     verify_bounds,
 )
@@ -40,6 +40,8 @@ from brute import (
     pair_expectation_direct,
     permutation_weights,
     representative,
+    rising_factorial,
+    shape_counts,
     shape_tuple_pmf,
     union_graphs,
     union_pair_pmf,
@@ -95,6 +97,52 @@ def test_ewens_special_cases():
     ).class_probs
     d0 = ExactDistribution.ewens(n, 0)
     assert dict(d0.class_probs) == {(n,): Fraction(1)}
+
+
+@pytest.mark.parametrize(
+    "theta", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3), Fraction(10**20, 3)]
+)
+def test_ewens_law_matches_fraction_formula(theta):
+    # The integer construction against class_size * theta^c / theta^(n)
+    # in Fractions, theta^(n) the rising factorial.
+    for n in range(1, 10):
+        want = tuple(
+            (p, class_size(p, n) * theta ** len(p) / rising_factorial(theta, n))
+            for p in partitions(n)
+        )
+        assert ExactDistribution.ewens(n, theta).class_probs == want, n
+    for n in range(1, 10):
+        d0 = ExactDistribution.ewens(n, 0)
+        assert (d0.kind, d0.class_probs) == ("ewens0", (((n,), Fraction(1)),))
+
+
+def test_distribution_validation_messages():
+    with pytest.raises(ValueError, match="class probabilities sum to 5/6, expected 1"):
+        ExactDistribution.explicit(2, {(2,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
+    with pytest.raises(ValueError, match=r"negative class probability for \(2,\)"):
+        ExactDistribution.explicit(2, {(2,): -1, (1, 1): 2})
+    with pytest.raises(ValueError, match="does not sum to 4"):
+        ExactDistribution.explicit(4, {(2, 1): 1})
+
+
+def test_integer_masses_sum_to_the_denominator():
+    laws = [ExactDistribution.uniform(n) for n in range(1, 10)]
+    laws += [ExactDistribution.ewens(n, theta) for n in range(1, 10) for theta in THETAS]
+    laws.append(ExactDistribution.ewens(6, Fraction(10**20, 3)))
+    mapping = {(4,): "1/6", (2, 2): "1/3", (2, 1, 1): 0, (1, 1, 1, 1): "1/2"}
+    laws.append(ExactDistribution.explicit(4, mapping))
+    for d in laws:
+        assert sum(mass for _, mass in d.masses) == d.denominator, d.kind
+        assert all(mass > 0 for _, mass in d.masses), d.kind
+        assert {mu: Fraction(mass, d.denominator) for mu, mass in d.masses} == {
+            mu: prob for mu, prob in d.class_probs if prob
+        }, d.kind
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_prefix_built_shape_counts_match_reference(n):
+    for partition in partitions(n):
+        assert _shape_counts(partition) == shape_counts(partition), partition
 
 
 def test_uniform_product_has_uniform_law():
