@@ -3,21 +3,24 @@
 
 For each n it times one chunk (the rows ``draw_chunks`` draws at once):
 every sampler law, both as full relabeled draws and as the class
-representatives that class-function consumers draw for factor 0, with the
-``tracemalloc`` peak of one more full draw beside the output's own size
-(numpy reports its buffers to ``tracemalloc``); the
-product of two factors; small-cycle counting of that product for
-k = 1, 3 and 6; and ``product_cycle_counts``, the last factor of a
-two-factor job drawn, composed and counted block by block, for a
-uniform and a sqrt_fixed:sqrt pair at k = 1 and 3 and for the Ewens
-scan's pair (an ewens:2 representative, then ewens:1/2) at k = 3 (its
-time includes the last factor's draw). These last three layers carry the
-``tracemalloc`` peak of one more call beside them. The layers of one n
-run round robin, one pass over all of them per repeat, and each keeps
-its best. The ``product_cycle_counts`` rows are left out when the
-package on the path has no such function, so the one script also
-measures a tree from before it. Then it times the exact oracle: one
-``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
+representatives that class-function consumers draw for factor 0 (their
+cycle blocks, ``SamplerSpec.draw_blocks``; on a tree from before those,
+unrelabelled rows), with the ``tracemalloc`` peak of one more full draw
+beside the output's own size (numpy reports its buffers to
+``tracemalloc``); the product of two factors; small-cycle counting of
+that product for k = 1, 3 and 6; the counts of a single-factor
+ewens:1/2 chunk at k = 3, factor 0's draw included (read off its block
+lengths, or on an older tree counted by ``small_cycle_counts`` on its
+rows); and a whole two-factor chunk through ``product_cycle_counts``:
+factor 0's representative drawn, then the last factor drawn, composed
+and counted block by block, for a uniform and a sqrt_fixed:sqrt pair at
+k = 1 and 3 and for the Ewens scan's pair (ewens:2, then ewens:1/2) at
+k = 3. These last layers carry the ``tracemalloc`` peak of one more call
+beside them. The layers of one n run round robin, one pass over all of
+them per repeat, and each keeps its best. The ``product_cycle_counts``
+rows are left out when the package on the path has no such function, so
+the one script also measures a tree from before it. Then it times the
+exact oracle: one ``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
 16, with its caches cleared first, as in a fresh ``permprod exact``
 process. Times are wall-clock milliseconds from time.perf_counter.
 Last come the stages of a default ``permprod verify-lemmas``, in
@@ -40,10 +43,12 @@ n = 30, each left out when the package's ``_SINGLE_MAX_N`` is below it
 (so the one script also measures a tree that walks all n!
 permutations), then, at n = 7, the largest ``--pair-n``, the four
 reduced pair suites and relabel-dichotomy, and event-factorization at
-n = 6 and n = 7. Then a whole
-``permprod verify-lemmas --pair-n 7`` runs once in a fresh interpreter
-on the same package, timed from spawn to exit, with the peak resident
-set that process reads for itself (VmHWM, so Linux only). Last,
+n = 6 and n = 7. Then two whole jobs run once each in a fresh
+interpreter on the same package, timed from spawn to exit, with the
+peak resident set that process reads for itself (VmHWM, so Linux only):
+``permprod verify-lemmas --pair-n 7``, and the acceptance suite's
+pair-scan ``convergence`` job (ewens:2 x ewens:1/2 at n = 1000, 100,000
+samples, product:1..3 and tv:3). Last,
 ``cyclegraphs.walk_patterns`` lists its patterns for the cycle lengths
 (3, 3) and (2, 2, 2), each timed once, with the pattern count beside
 the time; this is left out when the package on the path has no such
@@ -85,6 +90,15 @@ FUSED_PAIRS = (
     ("ewens:2", "ewens:1/2", (3,)),
 )
 ORACLE_SIZES = (8, 12, 16)
+# Whole jobs run once each in a fresh interpreter.
+FRESH_JOBS = (
+    ["verify-lemmas", "--pair-n", "7"],
+    [
+        "convergence", "--seed", "1", "--samplers", "ewens:2, ewens:1/2",
+        "--n-grid", "1000", "--functionals", "product:1, product:2, product:3",
+        "--tv-orders", "3", "--samples", "100000",
+    ],
+)
 
 
 def best_ms(fn, repeat: int) -> float:
@@ -107,6 +121,41 @@ def round_robin(stages: dict, repeat: int) -> dict:
             stage()
             best[key] = min(best[key], time.perf_counter() - start)
     return best
+
+
+def representative(spec, size: int):
+    # Factor 0 of a class-function chunk: its cycle blocks, or, on a tree
+    # from before those, its unrelabelled rows.
+    if hasattr(spec, "draw_blocks"):
+        return spec.draw_blocks(RngStream(1, 0), size)
+    return spec.draw_batch(RngStream(1, 0), size, relabel=False)
+
+
+def single_factor_counts(spec, size: int, k: int):
+    # The counts of a single-factor chunk, as ``draw_chunks`` takes them.
+    first = representative(spec, size)
+    if hasattr(first, "cycle_counts"):
+        return first.cycle_counts(k)
+    return small_cycle_counts(first, k)
+
+
+def fresh_run(argv, env) -> tuple[float, int, float]:
+    """Seconds from spawn to exit, exit code and peak RSS in MB of one
+    ``permprod`` job in a fresh interpreter. The child reports the peak of
+    its own address space (VmHWM, Linux), which a fork of this large
+    process does not inflate."""
+    child = (
+        f"import sys; from permprod.cli import main; code = main({argv!r}); "
+        "sys.stderr.write(open('/proc/self/status').read()); sys.exit(code)"
+    )
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True,
+    )
+    seconds = time.perf_counter() - start
+    peak_mb = int(done.stderr.split("VmHWM:")[1].split()[0]) / 1024
+    return seconds, done.returncode, peak_mb
 
 
 def traced_peak(fn):
@@ -139,11 +188,10 @@ def main(argv=None) -> int:
         size = _chunk_size(n)
         print(f"n = {n}, {size} rows per chunk")
         specs = {text: sampler_from_text(text).bind(n=n) for text in LAWS}
-        draws = {
-            (text, relabel): lambda spec=spec, r=relabel: spec.draw_batch(RngStream(1, 0), size, relabel=r)
-            for text, spec in specs.items()
-            for relabel in (True, False)
-        }
+        draws = {}
+        for text, spec in specs.items():
+            draws[(text, True)] = lambda spec=spec: spec.draw_batch(RngStream(1, 0), size)
+            draws[(text, False)] = lambda spec=spec: representative(spec, size)
         factors = [specs["uniform"].draw_batch(RngStream(1, f), size) for f in range(2)]
         layers = [("product_rows x2", "product_rows", None, None, lambda: product_rows(factors))]
         prod = product_rows(factors)
@@ -151,17 +199,23 @@ def main(argv=None) -> int:
             (f"small_cycle_counts {k}", "small_cycle_counts", None, k, lambda k=k: small_cycle_counts(prod, k))
             for k in (1, 3, 6)
         ]
+        layers.append(
+            (
+                "single factor ewens:1/2 3", "single-factor counts", None, 3,
+                lambda: single_factor_counts(specs["ewens:1/2"], size, 3),
+            )
+        )
         if fused is not None:
-            # The last factor of a two-factor job, against its first
-            # factor's representative; it includes the last factor's draw.
+            # A two-factor chunk: factor 0's representative, then the last
+            # factor drawn, composed and counted.
             for first, text, ks in FUSED_PAIRS:
-                spec = specs[text]
-                left = specs[first].draw_batch(RngStream(1, 0), size, relabel=False)
                 layers += [
                     (
                         f"product_cycle_counts {first} x {text} {k}", "product_cycle_counts",
                         (first, text), k,
-                        lambda spec=spec, left=left, k=k: fused(left, spec, RngStream(1, 1), k),
+                        lambda head=specs[first], spec=specs[text], k=k: fused(
+                            representative(head, size), spec, RngStream(1, 1), k
+                        ),
                     )
                     for k in ks
                 ]
@@ -182,7 +236,7 @@ def main(argv=None) -> int:
             peak = traced_peak(fn)[0]
             extra = {"first": pair[0], "law": pair[1]} if pair else {}
             emit(
-                f"  {label:<56} {ms:8.2f}  peak {peak:6.1f} MiB",
+                f"  {label:<60} {ms:8.2f}  peak {peak:6.1f} MiB",
                 layer=layer, n=n, rows=size, k=k, ms=ms, peak_mib=peak, **extra,
             )
     print("oracle: product_type_distribution(ewens:2, ewens:1/2), cold caches, ms")
@@ -263,26 +317,14 @@ def main(argv=None) -> int:
     source = os.path.dirname(os.path.dirname(os.path.abspath(sweeps.__file__)))
     path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    argv = ["verify-lemmas", "--pair-n", "7"]
-    # The child reports the peak of its own address space (VmHWM, Linux),
-    # which a fork of this large process does not inflate.
-    child = (
-        f"import sys; from permprod.cli import main; code = main({argv!r}); "
-        "sys.stderr.write(open('/proc/self/status').read()); sys.exit(code)"
-    )
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", child], env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True,
-    )
-    seconds = time.perf_counter() - start
-    code = done.returncode
-    peak_mb = int(done.stderr.split("VmHWM:")[1].split()[0]) / 1024
-    emit(
-        f"  {' '.join(argv):<20} {seconds:8.3f} s  peak RSS {peak_mb:7.1f} MB  exit {code}, run once",
-        layer="verify-lemmas run", args=argv, s=seconds, peak_rss_mb=peak_mb, exit_code=code,
-        repeat=1,
-    )
+    print("whole jobs in a fresh interpreter: s and peak RSS, run once")
+    for argv in FRESH_JOBS:
+        seconds, code, peak_mb = fresh_run(argv, env)
+        emit(
+            f"  {argv[0]:<20} {seconds:8.3f} s  peak RSS {peak_mb:7.1f} MB  exit {code}",
+            layer=f"{argv[0]} run", args=argv, s=seconds, peak_rss_mb=peak_mb, exit_code=code,
+            repeat=1,
+        )
     patterns = getattr(cyclegraphs, "walk_patterns", None)
     if patterns is not None:
         print("walk patterns: s, timed once")

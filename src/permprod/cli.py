@@ -32,7 +32,7 @@ from permprod.oracle import (
     exact_joint_cycle_prob,
     exact_moment,
 )
-from permprod.samplers import _MAX_N, SamplerSpec, product_rows, small_cycle_counts
+from permprod.samplers import _MAX_N, SamplerSpec, product_rows
 from permprod.stats import (
     _CHUNK_ELEMENTS,
     _MIN_ESTIMATE_SAMPLES,
@@ -573,10 +573,9 @@ def _run_verify_lemmas(config: ExperimentConfig):
 
 
 def _run_counterexample(config: ExperimentConfig):
-    # The factor1:* diagnostics read the first factor of the pair's draws,
-    # or its cycle type when the first law fixes one.
+    # The factor1:* diagnostics read the cycle counts of the first factor
+    # of the pair's draws, off its blocks.
     specs = [s.bind(n=config.n) for s in config.samplers]
-    solo_type = specs[0].fixed_cycle_type()
     pair_funcs = [
         Functional.product_cycle_counts((1,)),
         Functional.product_cycle_counts((1, 1)),
@@ -587,15 +586,12 @@ def _run_counterexample(config: ExperimentConfig):
         Functional.scaled_two_cycle_rate(),
     ]
     pair_counts = np.empty((config.samples, 1), dtype=np.int64)
-    solo_counts = np.empty((config.samples, 2), dtype=np.int64)
-    if solo_type is not None:
-        solo_counts[:] = (solo_type.count(1), solo_type.count(2))
+    solo_counts = np.empty((config.samples, min(2, config.n)), dtype=np.int64)
 
     def consume(pos, counts, first):
         end = pos + counts.shape[0]
         pair_counts[pos:end] = counts
-        if solo_type is None:
-            solo_counts[pos:end] = small_cycle_counts(first, 2)
+        solo_counts[pos:end] = first.cycle_counts(2)
 
     draw_chunks(specs, config.samples, config.seed, consume, kmax=1)
     rows = []

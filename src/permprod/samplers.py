@@ -35,13 +35,20 @@ product and of the first factor. For independent conjugation-invariant
 factors, replacing the first factor by any member of its class leaves
 the law of the product's class unchanged (the representative reduction
 that the brute-force product law in ``tests/brute.py`` relies on), so
-consumers of class functions draw the first factor unrelabeled, on the
-identity arrangement. Nor do they build the last factor:
-:func:`product_cycle_counts` takes the kernel's row blocks as pairs
-(arrangement, successor values), composes each with the product of the
-factors before it and counts the small cycles per block, with the same
-draws as a full draw. ``sample`` prints the factors themselves and
-draws every factor in full.
+consumers of class functions draw the first factor unrelabeled, as its
+blocks alone (:meth:`SamplerSpec.draw_blocks`, a :class:`CycleBlocks`):
+the Feller ends of every row for Ewens and uniform laws, the shared
+base of a fixed cycle type. No (size, n) array of it is ever built. Its
+own small-cycle counts are one bincount of its block lengths
+(:meth:`CycleBlocks.cycle_counts`); a product builds its rows one row
+block at a time, from the ends of those rows. Nor do consumers build the
+last factor: :func:`product_cycle_counts` takes the kernel's row blocks
+as pairs (arrangement, successor values), composes each with the
+product of the factors before it and counts the small cycles per block,
+with the same draws as a full draw. ``sample`` prints the factors
+themselves and draws every factor in full. Cycle counts stop at the
+ground-set size: no permutation of n points has a cycle longer than n,
+so ``kmax`` above n walks and stores n columns only.
 
 Randomness comes from :class:`RngStream`, keyed by (seed, stream_id);
 identical keys reproduce identical draw sequences. The samplers draw
@@ -65,6 +72,7 @@ from permprod.oracle import _as_fraction
 __all__ = [
     "RngStream",
     "SamplerSpec",
+    "CycleBlocks",
     "uniform_rows",
     "ewens_rows",
     "sqrt_fixed_rows",
@@ -211,25 +219,110 @@ class SamplerSpec:
                 f"theta above {sys.float_info.max:.6g}, the largest float, cannot be drawn"
             ) from None
 
-    def draw_batch(self, rng: RngStream, size: int, relabel: bool = True) -> np.ndarray:
-        """``size`` rows of this law, or with ``relabel=False`` only of its
-        cycle-type law, laid on the identity arrangement. A uniform
-        permutation's cycle type is Ewens(1), so unrelabelled ``uniform``
-        rows are Ewens(1) representatives."""
+    def _bound_n(self, size: int) -> int:
+        # n of a draw of ``size`` rows.
         if self.n is None:
             raise ValueError("bind n before drawing")
         if size < 1:
             raise ValueError("batch size must be >= 1")
-        n = self.n
+        return self.n
+
+    def draw_batch(self, rng: RngStream, size: int) -> np.ndarray:
+        """``size`` rows of this law."""
+        n = self._bound_n(size)
         if self.kind == "uniform":
-            if not relabel:
-                return ewens_rows(rng, size, n, 1.0, relabel=False)
             return uniform_rows(rng, size, n)
         if self.kind == "ewens":
-            return ewens_rows(rng, size, n, self._drawn_theta(), relabel)
+            return ewens_rows(rng, size, n, self._drawn_theta())
         if self.kind == "sqrt_fixed":
-            return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count(), relabel)
-        return matching_heavy_rows(rng, size, n, self.two_cycle_fraction, relabel)
+            return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count())
+        return matching_heavy_rows(rng, size, n, self.two_cycle_fraction)
+
+    def draw_blocks(self, rng: RngStream, size: int) -> "CycleBlocks":
+        """``size`` draws of this law's cycle-type law, as their blocks.
+
+        Ewens rows draw their Feller ends; a uniform permutation's cycle
+        type is Ewens(1), so ``uniform`` draws Ewens(1) ends. The fixed-type
+        laws draw nothing: every row is their one base.
+        """
+        n = self._bound_n(size)
+        if self.kind in ("uniform", "ewens"):
+            theta = 1.0 if self.kind == "uniform" else self._drawn_theta()
+            return CycleBlocks(size, n, ends=_feller_ends(rng.generator, size, n, theta))
+        return CycleBlocks(size, n, succ=_block_base(self.fixed_cycle_type()))
+
+
+@dataclass(frozen=True, eq=False)
+class CycleBlocks:
+    """``size`` permutations of {0..n-1} held as their cycles, never as rows.
+
+    Each cycle is a block of consecutive positions, each mapped to the
+    next and the last back to the first: a class representative. The
+    blocks come either as ``succ``, one (n,) base shared by every row,
+    with ``succ[j]`` the position after j in its block; or as ``ends`` =
+    (r, last, first), the last and first position of every block of row
+    r, sorted by r, for rows with blocks of their own. ``shape`` and
+    ``dtype`` are those of the int32 rows the blocks stand for.
+    """
+
+    size: int
+    n: int
+    succ: np.ndarray | None = None
+    ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    dtype = np.dtype(_ROW_DTYPE)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.n)
+
+    def rows(self, s: int, e: int) -> np.ndarray:
+        """Rows s..e-1 as an (e - s, n) array: a read-only broadcast of a
+        shared base, or built fresh from those rows' ends, so a caller
+        that takes a row block at a time holds no more than that."""
+        if self.succ is not None:
+            return np.broadcast_to(self.succ, (e - s, self.n))
+        r, last, first = self._ends_of(s, e)
+        rows = np.empty((e - s, self.n), dtype=_ROW_DTYPE)
+        # Off the block ends, j maps to j + 1.
+        rows[:] = np.arange(1, self.n + 1, dtype=_ROW_DTYPE)
+        rows[r, last] = first
+        return rows
+
+    def _ends_of(self, s: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The ends of rows s..e-1, with rows counted from s.
+        lo, hi = np.searchsorted(self.ends[0], (s, e))
+        r, last, first = (part[lo:hi] for part in self.ends)
+        return r - s, last, first
+
+    def _carried(self, arr: np.ndarray, s: int) -> np.ndarray:
+        # arr[i, succ_{s+i}[j]] for the len(arr) rows from s on: off the
+        # block ends the successor of j is j + 1, so a shifted copy of arr
+        # is right everywhere else.
+        if self.succ is not None:
+            return np.take(arr, self.succ, axis=1)
+        r, last, first = self._ends_of(s, s + len(arr))
+        vals = np.empty(arr.shape, dtype=_ROW_DTYPE)
+        vals[:, :-1] = arr[:, 1:]
+        vals[r, last] = arr[r, first]
+        return vals
+
+    def cycle_counts(self, kmax: int) -> np.ndarray:
+        """Per-row counts of d-cycles for d = 1..min(kmax, n), one bincount
+        of the block lengths."""
+        if kmax < 1:
+            raise ValueError("kmax must be >= 1")
+        k = min(kmax, self.n)
+        if self.succ is not None:
+            last = np.flatnonzero(self.succ <= np.arange(self.n))
+            lengths = last - self.succ[last] + 1
+            row = np.bincount(lengths[lengths <= k] - 1, minlength=k)
+            return np.tile(row, (self.size, 1))
+        r, last, first = self.ends
+        lengths = last - first + 1
+        short = lengths <= k
+        cells = r[short].astype(np.intp) * k + lengths[short] - 1
+        return np.bincount(cells, minlength=self.size * k).reshape(self.size, k)
 
 
 # int64 entries in the one reused shuffle block (512 KiB).
@@ -259,38 +352,20 @@ def _shuffled_blocks(gen: np.random.Generator, size: int, n: int):
         yield s, s + len(arr), arr
 
 
-def _arranged(
-    gen: np.random.Generator,
-    size: int,
-    n: int,
-    relabel: bool,
-    succ: np.ndarray | None = None,
-    ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """The kernel: rows whose cycles are the blocks of an arrangement.
+def _arranged(gen: np.random.Generator, blocks: CycleBlocks) -> np.ndarray:
+    """The kernel: the rows of ``blocks`` carried onto uniform arrangements.
 
-    Each block is a run of consecutive positions, each mapped to the next
-    and the last back to the first. The blocks come either as ``succ``,
-    one (n,) base shared by every row, with ``succ[j]`` the position
-    after j in its block; or as ``ends`` = (r, last, first), the last and
-    first position of every block of row r, sorted by r, for rows with
-    blocks of their own. Without ``relabel`` the rows are the successor
-    map itself on the identity arrangement (a read-only broadcast of a
-    shared base). With it, each row draws a uniform arrangement arr and
-    maps arr[j] to arr[succ[j]], which is a uniform member of the row's
-    conjugacy class; the row blocks of ``_arrangement_blocks`` are
-    scattered into the output one at a time.
+    Each row draws a uniform arrangement arr and maps arr[j] to
+    arr[succ[j]], for succ the row's successor map, which is a uniform
+    member of the row's conjugacy class; the row blocks of
+    ``_arrangement_blocks`` are scattered into the output one at a time.
     """
-    if not relabel:
-        if succ is not None:
-            return np.broadcast_to(succ, (size, n))
-        identity = np.broadcast_to(np.arange(n, dtype=_ROW_DTYPE), (size, n))
-        return _next_in_block(identity, ends)
+    size, n = blocks.shape
     rows = np.empty((size, n), dtype=_ROW_DTYPE)
     flat = rows.reshape(-1)
     # Offsets within one block stay below max(_BLOCK_ELEMENTS, n), so int32.
     offsets = np.arange(0, _block_rows(n) * n, n, dtype=_ROW_DTYPE)[:, None]
-    for s, e, arr, vals in _arrangement_blocks(gen, size, n, succ, ends):
+    for s, e, arr, vals in _arrangement_blocks(gen, size, n, blocks):
         # rows[s + i, arr[i, j]] = vals[i, j], scattered through flat
         # indices: faster than put_along_axis, most of all at large n.
         arr += offsets[: e - s]
@@ -299,47 +374,24 @@ def _arranged(
 
 
 def _arrangement_blocks(
-    gen: np.random.Generator,
-    size: int,
-    n: int,
-    succ: np.ndarray | None = None,
-    ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    gen: np.random.Generator, size: int, n: int, blocks: CycleBlocks | None
 ):
     """Yield (s, e, arr, vals): relabelled rows s..e-1 of the kernel, in order.
 
     Row s + i maps ``arr[i, j]`` to ``vals[i, j]``. ``arr`` is the row
     block's uniform arrangement from ``_shuffled_blocks`` and ``vals``
-    its successor values under ``succ`` or ``ends`` (as in
-    ``_arranged``), both fresh int32 blocks. With neither, the rows are
-    the arrangements themselves (``uniform``): ``arr`` is a read-only
-    broadcast of the identity and ``vals`` the shuffled int64 block,
-    valid until the next step.
+    its successor values under ``blocks``, both fresh int32 blocks.
+    Without blocks, the rows are the arrangements themselves
+    (``uniform``): ``arr`` is a read-only broadcast of the identity and
+    ``vals`` the shuffled int64 block, valid until the next step.
     """
     identity = np.arange(n, dtype=_ROW_DTYPE)
     for s, e, block in _shuffled_blocks(gen, size, n):
-        if succ is None and ends is None:
+        if blocks is None:
             yield s, e, np.broadcast_to(identity, block.shape), block
             continue
         arr = block.astype(_ROW_DTYPE)
-        if succ is not None:
-            vals = np.take(arr, succ, axis=1)
-        else:
-            lo, hi = np.searchsorted(ends[0], (s, e))
-            r, last, first = (part[lo:hi] for part in ends)
-            vals = _next_in_block(arr, (r - s, last, first))
-        yield s, e, arr, vals
-
-
-def _next_in_block(
-    arr: np.ndarray, ends: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> np.ndarray:
-    # arr[r, succ[r, j]] for per-row blocks: off the block ends succ[r, j]
-    # is j + 1, so a shifted copy of arr is right everywhere else.
-    r, last, first = ends
-    vals = np.empty(arr.shape, dtype=_ROW_DTYPE)
-    vals[:, :-1] = arr[:, 1:]
-    vals[r, last] = arr[r, first]
-    return vals
+        yield s, e, arr, blocks._carried(arr, s)
 
 
 def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
@@ -351,9 +403,7 @@ def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
     return rows
 
 
-def ewens_rows(
-    rng: RngStream, size: int, n: int, theta: float, relabel: bool = True
-) -> np.ndarray:
+def ewens_rows(rng: RngStream, size: int, n: int, theta: float) -> np.ndarray:
     """Blocks from the Feller coupling (Arratia, Barbour and Tavare 2003).
 
     Position j >= 1 opens a block with probability theta / (theta + j),
@@ -369,7 +419,7 @@ def ewens_rows(
     if not 0 <= theta < math.inf:
         raise ValueError("theta must be finite and non-negative")
     gen = rng.generator
-    return _arranged(gen, size, n, relabel, ends=_feller_ends(gen, size, n, theta))
+    return _arranged(gen, CycleBlocks(size, n, ends=_feller_ends(gen, size, n, theta)))
 
 
 def _feller_ends(
@@ -423,29 +473,26 @@ def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
     return base
 
 
-def sqrt_fixed_rows(
-    rng: RngStream, size: int, n: int, fixed_count: int, relabel: bool = True
-) -> np.ndarray:
+def sqrt_fixed_rows(rng: RngStream, size: int, n: int, fixed_count: int) -> np.ndarray:
     spec = SamplerSpec("sqrt_fixed", n=n, fixed_count=fixed_count)
-    return _arranged(rng.generator, size, n, relabel, succ=_block_base(spec.fixed_cycle_type()))
+    return _arranged(rng.generator, spec.draw_blocks(rng, size))
 
 
-def matching_heavy_rows(
-    rng: RngStream, size: int, n: int, fraction, relabel: bool = True
-) -> np.ndarray:
+def matching_heavy_rows(rng: RngStream, size: int, n: int, fraction) -> np.ndarray:
     spec = SamplerSpec("matching_heavy", n=n, two_cycle_fraction=fraction)
-    return _arranged(rng.generator, size, n, relabel, succ=_block_base(spec.fixed_cycle_type()))
+    return _arranged(rng.generator, spec.draw_blocks(rng, size))
 
 
-def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
+def product_rows(factor_rows: Sequence[np.ndarray | CycleBlocks]) -> np.ndarray | CycleBlocks:
     """Row-wise left-to-right product of equal-shape batches.
 
-    Row r of the result maps x to ``f0[r, f1[r, ... fk[r, x]]]``. A
-    broadcast class representative (strides 0) is gathered from its one
-    base row. Every other step fills a fresh output of the running
-    product's dtype one row block at a time: the factor's block, offset
-    into flat indices (``_flat_blocks``), drives one 1-D ``np.take``
-    from the product's block into the output's.
+    Row r of the result maps x to ``f0[r, f1[r, ... fk[r, x]]]``; the
+    first factor may be :class:`CycleBlocks`. Blocks with a shared base
+    are gathered from that base. Every other step fills a fresh output of
+    the running product's dtype one row block at a time: the factor's
+    block, offset into flat indices (``_flat_blocks``), drives one 1-D
+    ``np.take`` from the product's block (``_rows_of``) into the
+    output's.
     """
     if not factor_rows:
         raise ValueError("need at least one factor")
@@ -453,16 +500,21 @@ def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
     for rows in factor_rows[1:]:
         if rows.shape != prod.shape:
             raise ValueError("factor batches must share a shape")
-        if prod.strides[0] == 0:
-            prod = prod[0][rows]
+        if isinstance(prod, CycleBlocks) and prod.succ is not None:
+            prod = prod.succ[rows]
             continue
         out = np.empty(prod.shape, dtype=prod.dtype)
         flat = out.reshape(-1)
         n = prod.shape[1]
         for s, e, idx in _flat_blocks(rows):
-            np.take(prod[s:e], idx, out=flat[s * n : e * n], mode="wrap")
+            np.take(_rows_of(prod, s, e), idx, out=flat[s * n : e * n], mode="wrap")
         prod = out
     return prod
+
+
+def _rows_of(left: np.ndarray | CycleBlocks, s: int, e: int) -> np.ndarray:
+    # Rows s..e-1 of a batch, built from their blocks for CycleBlocks.
+    return left.rows(s, e) if isinstance(left, CycleBlocks) else left[s:e]
 
 
 def _flat_blocks(rows: np.ndarray):
@@ -486,18 +538,19 @@ def _flat_blocks(rows: np.ndarray):
 
 
 def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
-    """Per-row counts of d-cycles for d = 1..kmax, exact integer output.
+    """Per-row counts of d-cycles for d = 1..min(kmax, n), exact integer output.
 
-    Counts the fixed points of the first kmax powers, then inverts over
-    divisors; no full cycle decomposition. kmax = 1 is one comparison.
-    Otherwise each row block is offset into flat indices once
-    (``_flat_blocks``) and its powers counted by ``_power_fixed_points``.
+    Counts the fixed points of the first min(kmax, n) powers, then
+    inverts over divisors; no full cycle decomposition. A count of one
+    is one comparison. Otherwise each row block is offset into flat
+    indices once (``_flat_blocks``) and its powers counted by
+    ``_power_fixed_points``.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     size, n = rows.shape
-    fixed = np.empty((size, kmax), dtype=np.int64)
-    if kmax == 1:
+    fixed = np.empty((size, min(kmax, n)), dtype=np.int64)
+    if fixed.shape[1] == 1:
         fixed[:, 0] = (rows == np.arange(n, dtype=rows.dtype)).sum(axis=1)
     else:
         scratch = _power_scratch(min(size, _block_rows(n)) * n)
@@ -507,7 +560,7 @@ def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def product_cycle_counts(
-    left: np.ndarray, spec: SamplerSpec, rng: RngStream, kmax: int
+    left: np.ndarray | CycleBlocks, spec: SamplerSpec, rng: RngStream, kmax: int
 ) -> np.ndarray:
     """``small_cycle_counts(product_rows([left, right]), kmax)`` for
     ``right = spec.draw_batch(rng, len(left))``, without building
@@ -516,27 +569,23 @@ def product_cycle_counts(
     It takes the same draws, in the same order, and leaves ``rng`` in
     the same state. Each row block of the kernel (``_arrangement_blocks``)
     maps arr to vals, so the product maps arr to img = left[vals], one
-    flat ``np.take`` per block: from the base row of a broadcast
-    representative (strides 0), otherwise from the block's own rows of
-    ``left`` through row offsets. The fixed points are the entries with
-    img equal to arr. Only for kmax >= 2 is img scattered at arr into one
-    reused flat block, whose powers ``_power_fixed_points`` counts as it
-    does for ``small_cycle_counts``.
+    flat ``np.take`` per block: from the base of :class:`CycleBlocks`
+    with one, otherwise from the block's own rows of ``left``
+    (``_rows_of``, so blocks build only those) through row offsets. The
+    fixed points are the entries with img equal to arr. Only for
+    min(kmax, n) >= 2 is img scattered at arr into one reused flat block,
+    whose powers ``_power_fixed_points`` counts as it does for
+    ``small_cycle_counts``.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     size, n = left.shape
     if spec.bind().n != n:
         raise ValueError(f"left rows have n={n}, the spec n={spec.n}")
-    gen = rng.generator
-    if spec.kind == "ewens":
-        ends = _feller_ends(gen, size, n, spec._drawn_theta())
-        blocks = _arrangement_blocks(gen, size, n, ends=ends)
-    else:
-        succ = None if spec.kind == "uniform" else _block_base(spec.fixed_cycle_type())
-        blocks = _arrangement_blocks(gen, size, n, succ=succ)
-    broadcast = left.strides[0] == 0
-    left = left[0] if broadcast else np.ascontiguousarray(left).reshape(-1)
+    kmax = min(kmax, n)
+    right = None if spec.kind == "uniform" else spec.draw_blocks(rng, size)
+    blocks = _arrangement_blocks(rng.generator, size, n, right)
+    shared = left.succ if isinstance(left, CycleBlocks) else None
     step = min(size, _block_rows(n))
     offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None]
     idx = np.empty((step, n), dtype=np.intp)
@@ -548,11 +597,11 @@ def product_cycle_counts(
     fixed = np.empty((size, kmax), dtype=np.int64)
     for s, e, arr, vals in blocks:
         b = e - s
-        if broadcast:
-            np.take(left, vals, out=img[:b], mode="wrap")
+        if shared is not None:
+            np.take(shared, vals, out=img[:b], mode="wrap")
         else:
             np.add(vals, offsets[:b], out=idx[:b])
-            np.take(left[s * n : e * n], idx[:b], out=img[:b], mode="wrap")
+            np.take(_rows_of(left, s, e), idx[:b], out=img[:b], mode="wrap")
         fixed[s:e, 0] = np.equal(img[:b], arr, out=hits[:b]).sum(axis=1)
         if kmax > 1:
             # base[arr[i, j] + i * n] = img[i, j] + i * n; the identity

@@ -13,8 +13,13 @@ results are reproducible bit for bit for a fixed chunk size, and two
 grid points never share a stream. Every row a grid point reports (each
 moment and each ``tv:k``) reads the same single draw. The estimators read
 only the small-cycle counts of the product, so they take those counts
-straight from the chunk loop: factor 0 is drawn as its class
-representative and the last factor is never built as rows.
+straight from the chunk loop: factor 0 comes as the cycle blocks of its
+class representatives (``samplers.CycleBlocks``), never as rows, and the
+last factor is never built as rows either. A single factor's counts are
+read off its block lengths. No permutation of n points has a cycle
+longer than n, so a count table holds the cycle lengths up to n that
+some estimate reads (:func:`_depth`), and a d-cycle count for d > n
+reads 0 without a column (:func:`_column`).
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from permprod.samplers import (
+    CycleBlocks,
     RngStream,
     SamplerSpec,
     product_cycle_counts,
     product_rows,
-    small_cycle_counts,
 )
 
 __all__ = [
@@ -263,10 +268,16 @@ def draw_chunks(
     rows, each a full relabeled draw. A consumer that reads only class
     functions of the product and of factor 0 passes ``kmax``, and
     ``consume(pos, counts, first)`` gets the product's counts of
-    d-cycles, d = 1..kmax, and factor 0's rows, drawn unshuffled as its
-    class representative (see ``samplers``). The middle factors are
-    multiplied in by ``product_rows``; the last factor is never built:
-    ``product_cycle_counts`` composes and counts it block by block.
+    d-cycles, d = 1..min(kmax, n), and factor 0 as the
+    ``samplers.CycleBlocks`` of its class representatives, drawn
+    unshuffled: ``first.cycle_counts(k)`` reads its own counts off its
+    block lengths, and no (size, n) array of it is built. A single
+    factor's counts are those. Otherwise ``product_rows`` composes the
+    blocks into the first middle factor one row block at a time and
+    multiplies in the other middle factors; the last factor is never
+    built: ``product_cycle_counts`` composes and counts it block by
+    block, building factor 0's rows only for the row block at hand when
+    it is the left side.
     """
     num = len(bound)
     chunk = _chunk_size(bound[0].n)
@@ -279,12 +290,12 @@ def draw_chunks(
         if kmax is None:
             consume(pos, [spec.draw_batch(rng, size) for spec, rng in zip(bound, streams)])
             continue
-        first = bound[0].draw_batch(streams[0], size, relabel=False)
+        first = bound[0].draw_blocks(streams[0], size)
         if num == 1:
-            counts = small_cycle_counts(first, kmax)
+            counts = first.cycle_counts(kmax)
         else:
-            middle = zip(bound[1:-1], streams[1:-1])
-            left = product_rows([first, *(spec.draw_batch(rng, size) for spec, rng in middle)])
+            middle = [spec.draw_batch(rng, size) for spec, rng in zip(bound[1:-1], streams[1:-1])]
+            left = product_rows([first, *middle]) if middle else first
             counts = product_cycle_counts(left, bound[-1], streams[-1], kmax)
         consume(pos, counts, first)
 
@@ -292,9 +303,10 @@ def draw_chunks(
 def _product_counts(
     bound: Sequence[SamplerSpec], kmax: int, samples: int, seed: int, stream_base: int
 ) -> np.ndarray:
-    out = np.empty((samples, kmax), dtype=np.int64)
+    # Counts of d-cycles, d = 1..min(kmax, n), of every sampled product.
+    out = np.empty((samples, min(kmax, bound[0].n)), dtype=np.int64)
 
-    def consume(pos: int, counts: np.ndarray, first: np.ndarray) -> None:
+    def consume(pos: int, counts: np.ndarray, first: CycleBlocks) -> None:
         out[pos : pos + counts.shape[0]] = counts
 
     draw_chunks(bound, samples, seed, consume, stream_base, kmax)
@@ -311,8 +323,35 @@ def sample_joint_counts(
     """Count vectors (1-cycles, ..., k-cycles) of the sampled products."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    bound, _ = _resolved_specs(specs, n)
-    return _product_counts(bound, k, samples, seed, 0)
+    bound, size = _resolved_specs(specs, n)
+    return _columns(_product_counts(bound, k, samples, seed, 0), k, size)
+
+
+def _depth(functionals: Sequence[Functional], tv_orders: Sequence[int], n: int) -> int:
+    """The longest cycle length up to n whose counts the estimates read.
+
+    A ``tv:k`` reads lengths 1..k; a functional, the lengths it
+    multiplies (or 1 or 2). Lengths above n are never counted.
+    """
+    lengths = [min(k, n) for k in tv_orders]
+    for f in functionals:
+        lengths += f.v_vec if f.kind == "product_cycle_counts" else (f.kmax,)
+    return max((d for d in lengths if d <= n), default=1)
+
+
+def _column(counts: np.ndarray, d: int, n: int) -> np.ndarray:
+    # The d-cycle counts of permutations of n points: none for d > n,
+    # which has no column.
+    if d > n:
+        return np.zeros(counts.shape[0], dtype=counts.dtype)
+    return counts[:, d - 1]
+
+
+def _columns(counts: np.ndarray, k: int, n: int) -> np.ndarray:
+    # Count vectors (1-cycles, ..., k-cycles) of permutations of n points.
+    if k <= n:
+        return counts[:, :k]
+    return np.column_stack([_column(counts, d, n) for d in range(1, k + 1)])
 
 
 def _functional_values(
@@ -321,11 +360,11 @@ def _functional_values(
     if functional.kind == "product_cycle_counts":
         values = np.ones(counts.shape[0], dtype=np.float64)
         for v in functional.v_vec:
-            values *= counts[:, v - 1]
+            values *= _column(counts, v, n)
         return values
     if functional.kind == "scaled_fixed_point_moment":
-        return (counts[:, 0] / math.sqrt(n)) ** functional.power
-    return counts[:, 1] / n
+        return (_column(counts, 1, n) / math.sqrt(n)) ** functional.power
+    return _column(counts, 2, n) / n
 
 
 def estimates_from_counts(
@@ -337,7 +376,8 @@ def estimates_from_counts(
     """Mean and standard error of each functional over rows of cycle counts.
 
     ``counts`` holds one row (1-cycles, 2-cycles, ...) per sample of the
-    law ``bound`` describes, with at least ``max(f.kmax)`` columns.
+    law ``bound`` describes, with a column for every cycle length up to n
+    that the functionals read (:func:`_depth`); a length above n reads 0.
     """
     samples = counts.shape[0]
     if samples < _MIN_ESTIMATE_SAMPLES:
@@ -383,8 +423,7 @@ def moment_estimates(
         raise ValueError("need at least one functional")
     bound, _ = _resolved_specs(specs, n)
     _check_functionals(funcs, len(bound))
-    kmax = max(f.kmax for f in funcs)
-    counts = _product_counts(bound, kmax, samples, seed, 0)
+    counts = _product_counts(bound, _depth(funcs, (), bound[0].n), samples, seed, 0)
     return estimates_from_counts(funcs, counts, bound, seed)
 
 
@@ -435,11 +474,11 @@ def convergence_scan(
     if not functionals and not tv_orders:
         raise ValueError("nothing to scan")
     _check_functionals(functionals, len(specs))
-    kmax = max([f.kmax for f in functionals] + list(tv_orders))
     result = ScanResult()
     series: dict[str, list[tuple[float, float]]] = {}
     for gi, n in enumerate(grid):
         bound, _ = _resolved_specs(specs, n)
+        kmax = _depth(functionals, tv_orders, n)
         counts = _product_counts(bound, kmax, samples, seed, gi * _GRID_STRIDE)
         estimates = (
             estimates_from_counts(functionals, counts, bound, seed)
@@ -461,7 +500,7 @@ def convergence_scan(
                 (est.value, 2.0 * est.stderr)
             )
         for k in tv_orders:
-            emp = empirical_joint_pmf(counts[:, :k], truncation)
+            emp = empirical_joint_pmf(_columns(counts, k, n), truncation)
             ref = eta_joint_pmf(k, truncation)
             dist = tv_distance(emp, ref)
             label = f"tv:{k}"

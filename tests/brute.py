@@ -46,7 +46,9 @@ blocks of pairs in numpy (the sweep's previous path); ``edge_mask``
 builds a mask from an edge list, one edge at a time.
 ``product_rows`` and ``small_cycle_counts`` are the Monte Carlo layers
 as whole-chunk ``take_along_axis`` gathers, with no row blocks and no
-flat indices. Only ``perms``, ``cyclegraphs``, the
+flat indices, and ``representative_rows`` expands class representatives
+held as cycle blocks into all their rows at once, where the Monte Carlo
+builds one row block at a time or none. Only ``perms``, ``cyclegraphs``, the
 ``ExactDistribution`` type (whose pmf is read off its class
 probabilities here) and, in ``graph_pass``, the per-graph
 ``verify_bounds`` are used, so nothing here leans on the reductions it
@@ -1031,3 +1033,16 @@ def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
             fixed[:, d - 1] - sum(e * counts[:, e - 1] for e in range(1, d) if d % e == 0)
         ) // d
     return counts
+
+
+def representative_rows(blocks) -> np.ndarray:
+    """The (size, n) int32 rows that ``samplers.CycleBlocks`` stand for,
+    all at once: each position maps to the next, and the last of each
+    block back to its first."""
+    size, n = blocks.shape
+    if blocks.succ is not None:
+        return np.tile(blocks.succ, (size, 1))
+    rows = np.tile(np.arange(1, n + 1, dtype=np.int32), (size, 1))
+    r, last, first = blocks.ends
+    rows[r, last] = first
+    return rows

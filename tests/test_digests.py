@@ -31,6 +31,25 @@ _CONFIGS = {
          "--tv-orders", "2, 3", "--samples", "3000"],
         "85e1f1352e26d53fc0a1f0c826815d0c62c648cd152fbf30446c268da76a2ce7",
     ),
+    "moments-single-factor": (
+        ["moments", "--seed", "3", "--samplers", "ewens:1/2", "--n", "1000",
+         "--functionals", "product:1, product:2*3, fixed-moment:2, two-cycle-rate",
+         "--samples", "5000"],
+        "60e44fdb8592177b6b247b51dbc938e8fcf9ad51bb17501412caf8d597497a0c",
+    ),
+    # v = 3000 is above n, so it reads 0 and no power is walked (walking
+    # all 3000 powers took 23.6 s).
+    "moments-past-n": (
+        ["moments", "--seed", "1", "--samplers", "ewens:2, ewens:1/2", "--n", "2000",
+         "--functionals", "product:3000", "--samples", "2000"],
+        "b8c243757d0c757f30e4d03a9e3957ab728a3364c8a28c92716281615b1b9aaf",
+    ),
+    "convergence-three-factors": (
+        ["convergence", "--seed", "5", "--samplers", "ewens:1, ewens:1, ewens:1",
+         "--n-grid", "64, 2048", "--functionals", "product:1, product:3",
+         "--tv-orders", "2, 3", "--samples", "3000"],
+        "f1acb93c251164d6b77c0cb13c9bd8dcc4c62f069082b1611b88c3e48821ede7",
+    ),
     "exact": (
         ["exact", "--seed", "0", "--samplers", "ewens:2, ewens:1/2", "--n", "5",
          "--v-vec", "1, 2"],

@@ -30,6 +30,7 @@ from permprod.samplers import (
 )
 from permprod.cli import sampler_from_text
 from permprod.oracle import ExactDistribution
+from permprod.stats import _chunk_size
 
 
 def perm_from_row(row: np.ndarray) -> Permutation:
@@ -44,6 +45,11 @@ def row_from_perm(perm: Permutation) -> np.ndarray:
 def rows_are_permutations(rows: np.ndarray, n: int) -> bool:
     target = np.arange(n)
     return bool(np.all(np.sort(rows, axis=1) == target))
+
+
+def representative_rows(spec: SamplerSpec, rng: RngStream, size: int) -> np.ndarray:
+    # The rows of a law's class representatives, expanded from their blocks.
+    return brute.representative_rows(spec.draw_blocks(rng, size))
 
 
 def test_stream_reproducible_and_distinct():
@@ -67,15 +73,16 @@ def test_uniform_rows_are_valid(n, seed):
 @given(
     st.integers(min_value=1, max_value=20),
     st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]),
-    st.booleans(),
 )
 @settings(max_examples=30)
-def test_ewens_rows_are_valid(n, theta, relabel):
+def test_ewens_rows_are_valid(n, theta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = ewens_rows(RngStream(5, 1), 16, n, float(theta), relabel)
-    assert rows.shape == (16, n)
-    assert rows_are_permutations(rows, n)
+        rows = ewens_rows(RngStream(5, 1), 16, n, float(theta))
+        reps = representative_rows(SamplerSpec("ewens", n=n, theta=theta), RngStream(5, 1), 16)
+    for batch in (rows, reps):
+        assert batch.shape == (16, n)
+        assert rows_are_permutations(batch, n)
 
 
 def _feller_opens(gen, size, n, theta):
@@ -183,9 +190,10 @@ def test_block_loop_matches_the_whole_chunk_construction(law, relabel, block, n,
     # block is the entry budget of the shuffle block; None keeps the module's.
     if block is not None:
         monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
+    # Unrelabelled, the law's blocks expand to the representatives.
     spec = sampler_from_text(law).bind(n=n)
     rng, reference = RngStream(21, 6), RngStream(21, 6)
-    rows = spec.draw_batch(rng, size, relabel)
+    rows = spec.draw_batch(rng, size) if relabel else representative_rows(spec, rng, size)
     expected = _whole_chunk_rows(spec, reference, size, relabel)
     assert rows.dtype == np.int32
     assert np.array_equal(rows, expected)
@@ -196,7 +204,11 @@ def test_block_loop_matches_the_whole_chunk_construction(law, relabel, block, n,
 @pytest.mark.parametrize("n", [1, 2, 250])
 @pytest.mark.parametrize("relabel", [True, False])
 def test_ewens_rows_match_the_successor_array_construction(theta, n, relabel):
-    rows = ewens_rows(RngStream(9, 4), 40, n, theta, relabel)
+    if relabel:
+        rows = ewens_rows(RngStream(9, 4), 40, n, theta)
+    else:
+        spec = SamplerSpec("ewens", n=n, theta=Fraction(theta))
+        rows = representative_rows(spec, RngStream(9, 4), 40)
     expected = _ewens_rows_through_succ(RngStream(9, 4), 40, n, theta, relabel)
     assert rows.dtype == np.int32
     assert np.array_equal(rows, expected)
@@ -204,15 +216,14 @@ def test_ewens_rows_match_the_successor_array_construction(theta, n, relabel):
 
 def test_representatives_lay_cycles_on_consecutive_blocks():
     # Unshuffled rows map each point to the next one of its block.
-    for rows in (
-        ewens_rows(RngStream(2, 0), 50, 9, 2.0, relabel=False),
-        sqrt_fixed_rows(RngStream(2, 0), 50, 9, 3, relabel=False),
-        matching_heavy_rows(RngStream(2, 0), 50, 9, Fraction(1, 3), relabel=False),
-    ):
+    laws = ("ewens:2", "sqrt_fixed:3", "matching_heavy:1/3")
+    specs = [sampler_from_text(law).bind(n=9) for law in laws]
+    for spec in specs:
+        rows = representative_rows(spec, RngStream(2, 0), 50)
         assert rows_are_permutations(rows, 9)
         step = rows != np.arange(1, 10)
         assert np.all(rows[step] <= np.nonzero(step)[1])
-    fixed = sqrt_fixed_rows(RngStream(2, 0), 4, 9, 3, relabel=False)
+    fixed = representative_rows(specs[1], RngStream(2, 0), 4)
     assert np.array_equal(fixed, np.tile([0, 1, 2, 4, 5, 6, 7, 8, 3], (4, 1)))
 
 
@@ -281,7 +292,8 @@ def test_feller_ends_at_extreme_theta_give_the_identity(theta):
     # happens, as every step of the log table, 36.9 or more, stays finite
     # and above -log V, which is at most 53 ln 2 = 36.7.
     size, n = 64, 10
-    rows = ewens_rows(RngStream(24, 0), size, n, theta, relabel=False)
+    spec = SamplerSpec("ewens", n=n, theta=Fraction(theta))
+    rows = representative_rows(spec, RngStream(24, 0), size)
     assert np.array_equal(rows, np.tile(np.arange(n), (size, 1)))
 
 
@@ -436,10 +448,12 @@ def test_spec_draw_batch_matches_row_sampler():
     a = spec.draw_batch(RngStream(31, 2), 5)
     b = uniform_rows(RngStream(31, 2), 5, 6)
     assert np.array_equal(a, b)
-    # Unrelabelled, a uniform row is an Ewens(1) representative.
-    a = spec.draw_batch(RngStream(31, 2), 5, relabel=False)
-    b = ewens_rows(RngStream(31, 2), 5, 6, 1.0, relabel=False)
-    assert np.array_equal(a, b)
+    # A uniform permutation's cycle type is Ewens(1): uniform blocks are
+    # Ewens(1) ends.
+    a = spec.draw_blocks(RngStream(31, 2), 5)
+    b = SamplerSpec("ewens", n=6, theta=1).draw_blocks(RngStream(31, 2), 5)
+    assert a.succ is None
+    assert all(np.array_equal(x, y) for x, y in zip(a.ends, b.ends))
 
 
 def test_product_rows_is_left_composition():
@@ -451,12 +465,12 @@ def test_product_rows_is_left_composition():
 
 @pytest.mark.parametrize("first", ["sqrt_fixed:sqrt", "matching_heavy:1/3"])
 def test_product_rows_of_a_broadcast_representative(first):
-    # A fixed-type representative is a read-only broadcast of one base row.
+    # Every fixed-type representative is one shared base row.
     spec = sampler_from_text(first).bind(n=30)
-    rep = spec.draw_batch(RngStream(4, 0), 12, relabel=False)
-    assert rep.strides[0] == 0
+    rep = spec.draw_blocks(RngStream(4, 0), 12)
+    assert rep.succ is not None
     factors = [rep, uniform_rows(RngStream(4, 1), 12, 30), uniform_rows(RngStream(4, 2), 12, 30)]
-    expected = np.ascontiguousarray(rep)
+    expected = brute.representative_rows(rep)
     for rows in factors[1:]:
         expected = np.take_along_axis(expected, rows, axis=1)
     prod = product_rows(factors)
@@ -465,12 +479,15 @@ def test_product_rows_of_a_broadcast_representative(first):
 
 
 def _layer_input(law, n, size, seed, relabel=True, dtype=np.int32):
-    # One factor batch in the given dtype; a broadcast representative
-    # stays a broadcast of its (cast) base row.
-    rows = sampler_from_text(law).bind(n=n).draw_batch(RngStream(seed, 0), size, relabel)
-    if rows.strides[0] == 0:
-        return np.broadcast_to(rows[0].astype(dtype), rows.shape)
-    return rows.astype(dtype)
+    # One factor batch in the given dtype: a full draw, or the rows of the
+    # law's class representatives, with a shared base broadcast.
+    spec = sampler_from_text(law).bind(n=n)
+    if relabel:
+        return spec.draw_batch(RngStream(seed, 0), size).astype(dtype)
+    blocks = spec.draw_blocks(RngStream(seed, 0), size)
+    if blocks.succ is not None:
+        return np.broadcast_to(blocks.succ.astype(dtype), blocks.shape)
+    return brute.representative_rows(blocks).astype(dtype)
 
 
 _FIXED_TYPE_LAWS = ("sqrt_fixed:sqrt", "matching_heavy:1/3")
@@ -492,16 +509,18 @@ def _feasible_shapes(laws):
 )
 @pytest.mark.parametrize("factors", [2, 3])
 def test_product_rows_match_whole_chunk_gathers(first, block, n, size, dtypes, factors, monkeypatch):
-    # The first factor is a class representative (a broadcast for the
-    # fixed-type laws); a smaller block budget gives many blocks, a ragged
-    # last one, or rows longer than a block.
+    # The first factor is a class representative: its blocks (a shared
+    # base for the fixed-type laws), which stand for int32 rows, or its
+    # rows in another dtype. A smaller block budget gives many blocks, a
+    # ragged last one, or rows longer than a block.
     if block is not None:
         monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
-    rows = [_layer_input(first, n, size, 30, relabel=False, dtype=dtypes[0])]
-    assert (rows[0].strides[0] == 0) == (first in _FIXED_TYPE_LAWS)
-    rows += [_layer_input("uniform", n, size, 31 + f, dtype=dtypes[f]) for f in range(1, factors)]
-    prod = product_rows(rows)
-    expected = brute.product_rows(rows)
+    blocks = sampler_from_text(first).bind(n=n).draw_blocks(RngStream(30, 0), size)
+    assert (blocks.succ is not None) == (first in _FIXED_TYPE_LAWS)
+    dense = _layer_input(first, n, size, 30, relabel=False, dtype=dtypes[0])
+    rest = [_layer_input("uniform", n, size, 31 + f, dtype=dtypes[f]) for f in range(1, factors)]
+    prod = product_rows([blocks if dtypes[0] == np.int32 else dense, *rest])
+    expected = brute.product_rows([np.ascontiguousarray(dense), *rest])
     assert prod.dtype == expected.dtype
     assert np.array_equal(prod, expected)
 
@@ -520,10 +539,34 @@ def test_small_cycle_counts_match_whole_chunk_powers(law, block, n, size, dtype,
         monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
     rows = _layer_input(law, n, size, 32, relabel, dtype)
     assert (rows.strides[0] == 0) == (law in _FIXED_TYPE_LAWS)
+    # Counts stop at n: there are no longer cycles.
     counts = small_cycle_counts(rows, kmax)
     expected = brute.small_cycle_counts(rows, kmax)
     assert counts.dtype == expected.dtype == np.int64
-    assert np.array_equal(counts, expected)
+    assert np.array_equal(counts, expected[:, :n])
+    assert not expected[:, n:].any()
+
+
+@pytest.mark.parametrize(
+    "law, n, size",
+    [
+        (law, n, size)
+        for law in _BLOCK_LAWS
+        for n, size in sorted({shape[1:] for shape in _BLOCK_SHAPES})
+        if _has_cycle_type(law, n)
+    ],
+)
+def test_block_counts_match_the_counts_of_their_rows(law, n, size):
+    # A single factor's counts, one bincount of its block lengths, against
+    # the powers of the representatives' rows.
+    blocks = sampler_from_text(law).bind(n=n).draw_blocks(RngStream(33, 0), size)
+    rows = brute.representative_rows(blocks)
+    expected = brute.small_cycle_counts(rows, 7)
+    for kmax in range(1, 8):
+        counts = blocks.cycle_counts(kmax)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, small_cycle_counts(rows, kmax)), kmax
+        assert np.array_equal(counts, expected[:, : min(kmax, n)]), kmax
 
 
 # First factors of every layout: a broadcast representative, a per-row
@@ -549,27 +592,83 @@ def test_product_cycle_counts_match_the_built_product(
     # ends where draw_batch leaves it.
     if block is not None:
         monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
-    rows = [sampler_from_text(first).bind(n=n).draw_batch(RngStream(40, 0), size, relabel)]
-    assert (rows[0].strides[0] == 0) == (first == "sqrt_fixed:sqrt")
+    spec = sampler_from_text(first).bind(n=n)
+    if relabel:
+        head = spec.draw_batch(RngStream(40, 0), size)
+        rows = [head]
+    else:
+        head = spec.draw_blocks(RngStream(40, 0), size)
+        assert (head.succ is not None) == (first == "sqrt_fixed:sqrt")
+        rows = [brute.representative_rows(head)]
     if factors == 3:
         rows.append(uniform_rows(RngStream(40, 1), size, n))
-    left = product_rows(rows)
+    left = product_rows([head, *rows[1:]])
     spec = sampler_from_text(last).bind(n=n)
     drawn = RngStream(40, 2)
     expected = brute.small_cycle_counts(brute.product_rows([*rows, spec.draw_batch(drawn, size)]), 7)
+    assert not expected[:, n:].any()
     for kmax in range(1, 8):
         rng = RngStream(40, 2)
         counts = samplers.product_cycle_counts(left, spec, rng, kmax)
         assert counts.dtype == expected.dtype == np.int64
-        assert np.array_equal(counts, expected[:, :kmax]), kmax
+        assert np.array_equal(counts, expected[:, : min(kmax, n)]), kmax
         assert rng.generator.bit_generator.state == drawn.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("first", ["uniform", "ewens:0", "ewens:1/2", "ewens:2"])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_block_fed_product_cycle_counts_match_the_dense_reference(first, n, monkeypatch):
+    # Factor 0's blocks against the scalar Feller walk's rows, and the
+    # counts they feed against the whole-chunk product, with both streams
+    # left where the reference leaves them. A budget of 64 entries gives
+    # row blocks of 64, 32 and 9 rows at n = 1, 2 and 7; n = 1000 keeps
+    # the module's 65. Each chunk is two row blocks and three rows.
+    if n < 1000:
+        monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", 64)
+    size = 2 * samplers._block_rows(n) + 3
+    spec = sampler_from_text(first).bind(n=n)
+    theta = 1.0 if spec.kind == "uniform" else float(spec.theta)
+    rng, reference = RngStream(50, 0), RngStream(50, 0)
+    blocks = spec.draw_blocks(rng, size)
+    dense = _ewens_rows_through_succ(reference, size, n, theta, relabel=False)
+    assert np.array_equal(brute.representative_rows(blocks), dense)
+    assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+    for last in ("uniform", "ewens:1/2"):
+        spec = sampler_from_text(last).bind(n=n)
+        drawn = RngStream(50, 1)
+        product = brute.product_rows([dense, spec.draw_batch(drawn, size)])
+        expected = brute.small_cycle_counts(product, 7)
+        for kmax in (1, 3, 7):
+            rng = RngStream(50, 1)
+            counts = samplers.product_cycle_counts(blocks, spec, rng, kmax)
+            assert np.array_equal(counts, expected[:, : min(kmax, n)]), (last, kmax)
+            assert rng.generator.bit_generator.state == drawn.generator.bit_generator.state
+
+
+def test_no_power_above_n_is_walked(monkeypatch):
+    # There are no d-cycles for d > n, so kmax = 9 at n = 5 walks 5 powers.
+    walk, walked = samplers._power_fixed_points, []
+
+    def spy(base, fixed, first, scratch):
+        walked.append(fixed.shape[1])
+        return walk(base, fixed, first, scratch)
+
+    monkeypatch.setattr(samplers, "_power_fixed_points", spy)
+    n, size = 5, 12
+    rows = uniform_rows(RngStream(44, 0), size, n)
+    blocks = sampler_from_text("ewens:1/2").bind(n=n).draw_blocks(RngStream(44, 1), size)
+    last = SamplerSpec("uniform", n=n)
+    assert small_cycle_counts(rows, 9).shape == (size, n)
+    assert samplers.product_cycle_counts(blocks, last, RngStream(44, 2), 9).shape == (size, n)
+    assert blocks.cycle_counts(9).shape == (size, n)
+    assert walked == [n, n]
 
 
 def test_product_cycle_counts_hold_no_factor_rows():
     # One chunk of the counter-fixed job: 1024 rows at n = 4096, k = 1.
     n, size = 4096, 1024
     spec = sampler_from_text("sqrt_fixed:sqrt").bind(n=n)
-    left = spec.draw_batch(RngStream(41, 0), size, relabel=False)
+    left = spec.draw_blocks(RngStream(41, 0), size)
     tracemalloc.start()
     try:
         samplers.product_cycle_counts(left, spec, RngStream(41, 1), 1)
@@ -577,6 +676,22 @@ def test_product_cycle_counts_hold_no_factor_rows():
     finally:
         tracemalloc.stop()
     assert peak < size * n * np.dtype(np.int32).itemsize / 4
+
+
+def test_an_ewens_pair_chunk_holds_no_factor_rows():
+    # One chunk of the Ewens scan's pair at n = 1000, k = 3, factor 0's
+    # draw included: its blocks never become a (size, n) array.
+    n = 1000
+    size = _chunk_size(n)
+    first, last = (sampler_from_text(law).bind(n=n) for law in ("ewens:2", "ewens:1/2"))
+    tracemalloc.start()
+    try:
+        blocks = first.draw_blocks(RngStream(43, 0), size)
+        samplers.product_cycle_counts(blocks, last, RngStream(43, 1), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * n * np.dtype(np.int32).itemsize
 
 
 def test_product_cycle_counts_reject_bad_input():
@@ -607,11 +722,11 @@ def test_product_rows_associates_with_perm_composition(n, k):
 def test_small_cycle_counts_match_brute_force(n, kmax):
     rows = uniform_rows(RngStream(13, n), 6, n)
     table = small_cycle_counts(rows, kmax)
-    assert table.shape == (6, kmax)
+    assert table.shape == (6, min(kmax, n))
     assert np.array_equal(small_cycle_counts(rows.astype(np.int64), kmax), table)
     for i, row in enumerate(rows):
         counts = cycle_counts(perm_from_row(row))
-        for k in range(1, kmax + 1):
+        for k in range(1, min(kmax, n) + 1):
             assert table[i, k - 1] == counts.get(k)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permprod import samplers
 from permprod.cli import _exact_law, main, sampler_from_text
 from permprod.oracle import ExactDistribution, exact_moment, product_type_distribution
 from permprod.samplers import SamplerSpec
@@ -153,6 +154,33 @@ def test_sample_joint_counts_shape_and_range():
     assert np.all(counts[:, 0] <= 6)
     # weighted cycle lengths can never exceed n
     assert np.all(counts @ np.array([1, 2, 3]) <= 6)
+
+
+def test_cycle_lengths_above_n_read_zero_and_are_never_walked(monkeypatch):
+    # No permutation of n points has a cycle longer than n: such a count
+    # reads 0, and no power above n is walked for it.
+    walk, walked = samplers._power_fixed_points, []
+
+    def spy(base, fixed, first, scratch):
+        walked.append(fixed.shape[1])
+        return walk(base, fixed, first, scratch)
+
+    monkeypatch.setattr(samplers, "_power_fixed_points", spy)
+    funcs = [Functional.product_cycle_counts((50,)), Functional.product_cycle_counts((1, 50))]
+    for est in moment_estimates(UNIFORM2, funcs, 200, seed=3, n=20):
+        assert (est.value, est.stderr) == (0.0, 0.0)
+    single = [Functional.scaled_two_cycle_rate(), Functional.scaled_fixed_point_moment(1)]
+    rate, fixed = moment_estimates(UNIFORM2[:1], single, 200, seed=3, n=1)
+    assert (rate.value, fixed.value) == (0.0, 1.0)
+    assert walked == []
+    counts = sample_joint_counts(UNIFORM2, 6, 300, seed=3, n=3)
+    assert counts.shape == (300, 6)
+    assert np.array_equal(counts[:, :3], sample_joint_counts(UNIFORM2, 3, 300, seed=3, n=3))
+    assert not counts[:, 3:].any()
+    assert walked and max(walked) == 3
+    scan = convergence_scan(UNIFORM2, funcs[:1], [2, 3], 200, seed=3, tv_orders=[4])
+    assert [row.value for row in scan.rows if row.functional == "product:50"] == [0.0, 0.0]
+    assert max(walked) == 3
 
 
 def test_moment_estimate_deterministic_and_labeled():
