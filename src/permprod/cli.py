@@ -51,7 +51,6 @@ __all__ = [
     "ExperimentConfig",
     "sampler_from_text",
     "sampler_to_text",
-    "parse_config",
     "serialize_config",
     "config_from_mapping",
     "emit_report",
@@ -319,6 +318,7 @@ def config_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
 
 
 def _mapping_from_text(text: str) -> dict[str, str]:
+    """The key = value pairs of a config file body; # starts a comment line."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -334,13 +334,8 @@ def _mapping_from_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a key = value config file body; # starts a comment line."""
-    return config_from_mapping(_mapping_from_text(text))
-
-
 def serialize_config(config: ExperimentConfig) -> str:
-    """Inverse of parse_config; omits fields that hold their defaults."""
+    """A ``--config`` file body that reads back as config; omits default fields."""
     lines = [f"command = {config.command}"]
     if config.seed is not None:
         lines.append(f"seed = {config.seed}")

@@ -53,9 +53,10 @@ times as its orbit has members (:func:`_conjugation_orbits` and the
   orbit. It builds no graph objects and no traversal records: it walks
   its pairs in numpy blocks, every start of every pair at once, and
   reads each couple's edges, labelled and renamed, off the walk arrays.
-  Its fibers are kept as counts only, in one sorted table of int64 key
-  rows over the starts 1..K, with a pair count and a first failing start
-  per row; the keys over fewer starts are the rows' prefixes.
+  Its fibers are kept as counts only, in one sorted table of key rows
+  over the starts 1..K, each the renamed couples' side masks as int64
+  words, with a pair count and a first failing start per row; the keys
+  over fewer starts are the rows' prefixes.
   A tuple whose count is its union's rectangle size, with no such pair,
   fills that rectangle, so no other tuple can share its union; a second
   one would be a non-empty, disjoint fiber inside the same rectangle,
@@ -138,8 +139,8 @@ _EXAMPLE_CAP = 5
 # n = 6; 1.54 million pairs (807,468 key rows) in 6-9 s at n = 7, where
 # a whole run takes 6.8-7.2 s and 162-183 MB, the other suites under
 # 0.3 s in all. At n = 8 it would walk 23.2 million pairs, about 100 s of
-# walking, into some 9 million key rows of 81 bytes: a 0.7 GB table, and
-# a peak near 1.8 GB if it grows as it does at n = 7.
+# walking, into some 9 million key rows of 57 bytes: a 0.5 GB table, and
+# a peak near 1.2 GB if it grows as it does at n = 7.
 _PAIR_MAX_N = 7
 # The trace sweep checks one permutation per cycle type: 5,604 at n = 30,
 # in 0.45 s on one core of a 2-core machine, but 37,338 at n = 40.
@@ -655,16 +656,15 @@ def _walk_pairs(
     return steps[:, :, :2], steps[:, :, 2::-2], steps[:, :, [1, 1]]
 
 
-def _vertex_names(walks: np.ndarray, fixed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(names, u) for the walks of a block of :func:`_walk_pairs`.
+def _vertex_names(walks: np.ndarray, fixed: int) -> np.ndarray:
+    """The vertex names for the walks of a block of :func:`_walk_pairs`.
 
     Vertices below ``fixed`` keep their labels, and the others are named
     fixed, fixed + 1, ... in order of first appearance along each row's
     walks: start by start, the index walk before its companion sequence.
     ``names[r, s, v]`` is row r's name for vertex v at start s + 1, or
     n * n, which names no vertex, while no walk of starts 1..s+1 has
-    reached v. Column n, which the -1 padding reads, is 0. ``u[r, s]``
-    counts the vertices named by the walks of starts 1..s+1.
+    reached v. Column n, which the -1 padding reads, is 0.
     """
     rows, last, _, n = walks.shape
     # Each vertex also appears once past the end of row r's walks.
@@ -682,7 +682,7 @@ def _vertex_names(walks: np.ndarray, fixed: int) -> tuple[np.ndarray, np.ndarray
     # Start s's walks end at position 2n(s + 1).
     reached = first[:, None, :] < 2 * n * np.arange(1, last + 1)[:, None]
     padded = np.concatenate([reached, np.ones((rows, last, 1), dtype=bool)], axis=2)
-    return np.where(padded, names[:, None, :], n * n), reached[:, :, fixed:].sum(axis=2)
+    return np.where(padded, names[:, None, :], n * n)
 
 
 def _side_masks(tails: np.ndarray, heads: np.ndarray, names: np.ndarray) -> np.ndarray:
@@ -742,43 +742,23 @@ def _bit_counts(masks: np.ndarray) -> np.ndarray:
     return np.take(_BYTE_BITS, masks.view(np.uint8)).reshape(*masks.shape, 8).sum(axis=-1)
 
 
-def _key_layout(n: int, fixed: int) -> tuple[list[tuple[int, int, int]], int]:
-    """Where one start's sigma mask, rho mask and u lie in a key row: each
-    as (word, shift, width), filling an int64 word from bit 0 and moving
-    to the next word when it does not fit; and the words a start takes:
-    1 up to n = 5, 2 at n = 6 and 7, 3 at n = 8."""
-    place, word, used = [], 0, 0
-    for width in (n * n, n * n, (n - fixed).bit_length()):
-        if used + width > 64:
-            word, used = word + 1, 0
-        place.append((word, used, width))
-        used += width
-    return place, word + 1
-
-
 def _key_rows(
     sigma: np.ndarray, sigma_inv: np.ndarray, rho: np.ndarray, last: int, fixed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The key rows of a block of pairs of 0-based images, and each row's
     first failing start, or last + 1.
 
-    Row r holds, start by start, the renamed masks of each start's couple
-    (:func:`_side_masks`) and u (:func:`_vertex_names`), in int64 words
-    as :func:`_key_layout` places them: a tuple's key over the starts
-    1..k is its row's first k starts' words. A start fails when sigma or
-    rho misses an edge of its labelled couple.
+    Row r holds, start by start, the sigma-side and rho-side masks of
+    each start's renamed couple (:func:`_side_masks`), 2 * last int64
+    words: a tuple's key over the starts 1..k is its row's first 2k
+    words. A start fails when sigma or rho misses an edge of its
+    labelled couple.
     """
-    rows, n = rho.shape
     walks, tails, heads = _walk_pairs(sigma_inv, rho, last)
-    names, u = _vertex_names(walks, fixed)
-    masks = _side_masks(tails, heads, names)
-    place, words = _key_layout(n, fixed)
-    keys = np.zeros((rows, last, words), dtype=np.int64)
-    for (word, shift, _), value in zip(place, (masks[:, :, 0], masks[:, :, 1], u)):
-        keys[:, :, word] |= value << shift
+    masks = _side_masks(tails, heads, _vertex_names(walks, fixed))
     missed = _unsatisfied(sigma, rho, tails, heads)
     fail = np.where(missed.any(axis=1), missed.argmax(axis=1) + 1, last + 1)
-    return keys.reshape(rows, -1), fail.astype(np.int8)
+    return masks.reshape(len(rho), -1), fail.astype(np.int8)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -793,7 +773,7 @@ def _merge_keys(columns: tuple[list[np.ndarray], ...]) -> None:
     pair count, first row, first failing start) into one, sorted by key
     with each key once: its counts summed, its least first row and
     failing start kept. Keys sort as byte strings, so rows sharing their
-    first k starts' words are contiguous for every k; the stable sort
+    first k starts' masks are contiguous for every k; the stable sort
     finds a sorted piece, such as the last table, as one run."""
     keys, pairs, first, fail = map(np.concatenate, columns)
     for column in columns:
@@ -835,8 +815,8 @@ def sweep_event_factorization(
     order of first appearance along the records of starts 1..K (the
     index walk, then its companion sequence). A couple gives back its
     record, so a tuple and its pi-images share one key. The key over k
-    starts holds the first k renamed couples and u, the count of renamed
-    vertices they touch; it stands for (n-K)!/(n-K-u)! labelled tuples,
+    starts is the first k renamed couples. With u the count of renamed
+    vertices they touch, it stands for (n-K)!/(n-K-u)! labelled tuples,
     which share its fiber size, so its weighted pair total must divide
     by that count, and the tally counts each key that many times. A run
     with violations names the renamed tuples in its examples.
@@ -844,12 +824,12 @@ def sweep_event_factorization(
     The pairs are walked sigma-major and rho-minor, in numpy blocks of
     ``_PAIR_BLOCK`` rows that run across sigmas, every start at once
     (:func:`_walk_pairs`). No graph objects are built: a row becomes
-    one row of int64 words, each start's renamed side masks and u, and
-    its first failing start (:func:`_key_rows`). One sorted table keeps
-    the distinct rows with their weighted pair counts, first rows and
-    first failing starts; blocks are merged into it whenever the rows
-    walked since reach half its size (:func:`_merge_keys`). The keys
-    over k starts are the runs of the table's first k starts' words, and
+    one key row, the two int64 side masks of each start's renamed
+    couple, and its first failing start (:func:`_key_rows`). One sorted
+    table keeps the distinct rows with their weighted pair counts, first
+    rows and first failing starts; blocks are merged into it whenever
+    the rows walked since reach half its size (:func:`_merge_keys`). The
+    keys over k starts are the runs of the table's first 2k words, and
     their counts, first rows and failing starts are reduced over each
     run. Examples follow the first rows, the order in which the pairs
     first meet the keys.
@@ -860,10 +840,11 @@ def sweep_event_factorization(
     the whole rectangle. That the tuple is then the only one with its
     union follows: a second tuple with the same union would have a
     non-empty fiber, disjoint from the first, of pairs satisfying that
-    union, so inside the same rectangle. The unions are read off the key
-    words (:func:`_key_unions`); each distinct side mask is counted once
-    against every permutation's mask (:func:`_satisfying_counts`), and
-    compared with (n - edges)! (:func:`_fixing_counts`).
+    union, so inside the same rectangle. The unions, and u, are read off
+    the key rows (:func:`_key_unions`); each distinct side mask is
+    counted once against every permutation's mask
+    (:func:`_satisfying_counts`), and compared with (n - edges)!
+    (:func:`_fixing_counts`).
     """
     ks = list(start_counts)
     if not ks or any(k < 1 or k > n for k in ks):
@@ -905,14 +886,13 @@ def sweep_event_factorization(
     # permutations holding all its edges, shifted above 32 bits that
     # hold (n - edges)!.
     known = counts = np.empty(0, dtype=np.int64)
-    words = keys.shape[1] // last
     factorization = _Tally()
 
     def check(k: int) -> None:
         # The keys over k starts, one per run of the table's first k
         # starts; at k = last every row is its own run.
         nonlocal known, counts
-        heads = keys[:, : k * words]
+        heads = keys[:, : 2 * k]
         starts = _run_starts(heads)
         u, e1, e2 = _key_unions(heads[starts] if len(starts) < len(keys) else heads, k, n, fixed)
         tuples = arrangements[u]
@@ -955,18 +935,21 @@ def sweep_event_factorization(
 
 
 def _key_unions(keys: np.ndarray, k: int, n: int, fixed: int) -> tuple[np.ndarray, ...]:
-    """u, and the sigma-side and rho-side unions of the couples of the
-    first k starts as int64 edge masks, of each key row (:func:`_key_rows`)."""
-    place, words = _key_layout(n, fixed)
-    head = keys[:, : k * words].reshape(len(keys), k, words)
-    union = np.bitwise_or.reduce(head, axis=1)
-
-    def field(row: np.ndarray, word: int, shift: int, width: int) -> np.ndarray:
-        value = row[:, word] >> shift
-        return value & (1 << width) - 1 if width < 64 else value
-
-    sigma_side, rho_side, named = place
-    return field(head[:, -1], *named), field(union, *sigma_side), field(union, *rho_side)
+    """u, and the sigma-side and rho-side unions of the renamed couples
+    of the first k starts as int64 edge masks, of each key row
+    (:func:`_key_rows`). Every vertex a walk reaches is an end of one of
+    its rho-side edges, so u, the count of renamed vertices the couples
+    touch, is that of the vertices from ``fixed`` up with a rho-side edge
+    out or in."""
+    sigma_side, rho_side = np.bitwise_or.reduce(
+        keys[:, : 2 * k].reshape(len(keys), k, 2), axis=1
+    ).T
+    # Bit a * n + v for every a: the edges into v, shifted down by v.
+    into = sum(1 << a * n for a in range(n))
+    u = np.zeros(len(keys), dtype=np.intp)
+    for v in range(fixed, n):
+        u += (rho_side >> v * n & (1 << n) - 1 != 0) | (rho_side >> v & into != 0)
+    return u, sigma_side, rho_side
 
 
 def _satisfying_counts(masks: np.ndarray, perm_masks: np.ndarray) -> np.ndarray:

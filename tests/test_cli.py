@@ -12,12 +12,16 @@ from permprod.cli import (
     config_from_mapping,
     emit_report,
     main,
-    parse_config,
     sampler_from_text,
     sampler_to_text,
     serialize_config,
 )
 from permprod.samplers import SamplerSpec
+
+
+def _config_from_text(text):
+    # A config file body, read as ``--config`` reads it.
+    return config_from_mapping(cli._mapping_from_text(text))
 
 
 def test_sampler_text_round_trip():
@@ -45,20 +49,20 @@ def test_config_round_trip():
         truncation=6,
         format="json",
     )
-    assert parse_config(serialize_config(config)) == config
+    assert _config_from_text(serialize_config(config)) == config
     unseeded = ExperimentConfig(command="verify-lemmas", pair_n=4)
     assert serialize_config(unseeded) == "command = verify-lemmas\npair_n = 4\n"
-    assert parse_config(serialize_config(unseeded)) == unseeded
+    assert _config_from_text(serialize_config(unseeded)) == unseeded
 
 
-def test_parse_config_comments_and_duplicates():
+def test_config_text_comments_and_duplicates():
     text = "# demo\ncommand = verify-lemmas\n\nseed = 3\npair_n = 4\n"
-    config = parse_config(text)
+    config = _config_from_text(text)
     assert config.command == "verify-lemmas" and config.pair_n == 4
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config("command = exact\nseed = 1\nseed = 2\n")
+        _config_from_text("command = exact\nseed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="key = value"):
-        parse_config("command exact\n")
+        _config_from_text("command exact\n")
 
 
 def test_config_missing_and_unknown_fields():
@@ -538,7 +542,7 @@ def test_single_n_above_the_cap_names_its_field(single_n, monkeypatch, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith("config error: single_n: caps at 30, ")
     f.write_text("command = verify-lemmas\nsingle_n = 30\n")
-    assert parse_config(f.read_text()).single_n == 30
+    assert _config_from_text(f.read_text()).single_n == 30
     assert config_from_mapping({"command": "verify-lemmas", "single_n": "30"}).single_n == 30
 
 

@@ -278,15 +278,15 @@ def test_batched_walks_give_the_masks_of_the_graph_couples(n):
     sigma_inv = np.array([inverse(sigma).images for sigma, _ in pairs]) - 1
     rho = np.array([rho.images for _, rho in pairs]) - 1
     walks, tails, heads = sweeps._walk_pairs(sigma_inv, rho, n)
-    names, u = sweeps._vertex_names(walks, fixed)
+    names = sweeps._vertex_names(walks, fixed)
     labels = np.tile(np.append(np.arange(n), 0), (len(pairs), n, 1))
     # masks[r, s]: labelled sigma side, rho side, then renamed.
     masks = np.concatenate(
         [sweeps._side_masks(tails, heads, table) for table in (labels, names)], axis=2
     ).tolist()
     bits = brute.edge_bits(n)
-    rows = zip(pairs, walks.tolist(), names.tolist(), u.tolist(), masks)
-    for (sigma, rho), row_walks, row_names, row_u, row_masks in rows:
+    rows = zip(pairs, walks.tolist(), names.tolist(), masks)
+    for (sigma, rho), row_walks, row_names, row_masks in rows:
         records = [traversal(sigma, rho, m) for m in range(1, n + 1)]
         want_names = _first_names(records, fixed)
         for s, record in enumerate(records):
@@ -295,7 +295,6 @@ def test_batched_walks_give_the_masks_of_the_graph_couples(n):
             assert row_names[s][:n] == [
                 want_names[v] - 1 if v in named else n * n for v in range(1, n + 1)
             ]
-            assert row_u[s] == len(named) - fixed
             pad = [-1] * (n - record.k)
             assert row_walks[s] == [
                 [v - 1 for v in seq] + pad for seq in (record.i_seq, record.j_seq)
@@ -311,8 +310,8 @@ class _Walked(Exception):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_key_unions_read_back_what_a_block_packs(monkeypatch, n):
-    # A key row packs u and the renamed couples of starts 1..3 into int64
-    # words, n * n edge bits a side, 64 at n = 8. Read back over its
+    # A key row holds the renamed couples of starts 1..3 as two int64
+    # words each, n * n edge bits a side, 64 at n = 8. Read back over its
     # first k starts, it gives u and the unions of the couples'
     # renamed masks.
     fixed = n if n == 4 else 3
@@ -325,6 +324,7 @@ def test_key_unions_read_back_what_a_block_packs(monkeypatch, n):
     ]
     keys, fail = sweeps._key_rows(*sigma_rows, rho, 3, fixed)
     assert keys.dtype == np.int64 and fail.tolist() == [4] * len(perms)
+    assert keys.shape == (len(perms), 2 * 3)
     bits = brute.edge_bits(n)
     for k in (1, 2, 3):
         read = zip(*(side.tolist() for side in sweeps._key_unions(keys, k, n, fixed)))
