@@ -2,11 +2,16 @@
 
 A run is described by a flat key = value config, either in a file loaded
 with ``--config`` or assembled from command-line flags; flags override
-file entries. Commands that sample need an explicit seed, never an
-auto-generated one, so a config determines its output bytes exactly;
-``exact`` and ``verify-lemmas`` draw nothing, so for them the seed is
-optional. Reports embed the resolved config (minus the output path,
-which would break byte-level comparison of reruns) as provenance.
+file entries. One table, ``_TEXT``, holds each field's text form: how
+file or flag text reads into the value, and how the value is written
+back. ``config_from_mapping`` is the only parser of that text: every
+flag is taken as a plain string, so a malformed flag value fails with a
+``ConfigError`` that names its field, as a malformed file entry does.
+Commands that sample need an explicit seed, never an auto-generated
+one, so a config determines its output bytes exactly; ``exact`` and
+``verify-lemmas`` draw nothing, so for them the seed is optional.
+Reports embed the resolved config (minus the output path, which would
+break byte-level comparison of reruns) as provenance.
 
 Exit codes: 0 success, 1 a verification suite reported violations,
 2 malformed config or infeasible parameters.
@@ -19,7 +24,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -36,8 +41,10 @@ from permprod.samplers import _MAX_N, SamplerSpec, product_rows
 from permprod.stats import (
     _CHUNK_ELEMENTS,
     _MIN_ESTIMATE_SAMPLES,
+    _check_functionals,
     Functional,
     MomentEstimate,
+    ScanRow,
     convergence_scan,
     draw_chunks,
     estimates_from_counts,
@@ -157,10 +164,10 @@ class ExperimentConfig:
             raise ConfigError("seed: must be a non-negative integer")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: {self.format!r} is not csv or json")
-        allowed = _APPLICABLE[self.command]
-        for name, default in _FIELD_DEFAULTS.items():
-            if name not in allowed and getattr(self, name) != default:
-                raise ConfigError(f"{name}: does not apply to command {self.command}")
+        allowed = _APPLICABLE[self.command] | {"command", "seed", "output", "format"}
+        for f in fields(self):
+            if f.name not in allowed and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name}: does not apply to command {self.command}")
         for name in _REQUIRED[self.command]:
             value = getattr(self, name)
             if value is None or value == ():
@@ -238,6 +245,10 @@ class ExperimentConfig:
                 raise ConfigError("v_vec: more start indices than ground-set elements")
         if self.command == "convergence" and not self.functionals and not self.tv_orders:
             raise ConfigError("functionals: convergence needs functionals or tv_orders")
+        try:
+            _check_functionals(self.functionals, len(self.samplers))
+        except ValueError as exc:
+            raise ConfigError(f"functionals: {exc}") from None
         # Moment rows need a standard error; checked before anything is drawn.
         estimates = self.command in ("moments", "counterexample") or (
             self.command == "convergence" and self.functionals
@@ -249,13 +260,6 @@ class ExperimentConfig:
             )
 
 
-_FIELD_DEFAULTS = {
-    f.name: f.default
-    for f in fields(ExperimentConfig)
-    if f.default is not MISSING and f.name not in ("command", "seed", "output", "format")
-}
-
-
 def _parse_int(key: str, raw: str) -> int:
     try:
         return int(raw.strip())
@@ -263,58 +267,73 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
-def _split_list(raw: str) -> list[str]:
-    return [part for part in (p.strip() for p in raw.split(",")) if part]
+def _parse_functional(key: str, text: str) -> Functional:
+    try:
+        return parse_functional(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
-    parts = _split_list(raw)
-    if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated integer list, got {raw!r}")
-    return tuple(_parse_int(key, p) for p in parts)
+def _parse_path(key: str, raw: str) -> str:
+    if not raw.strip():
+        raise ConfigError(f"{key}: empty path")
+    return raw.strip()
+
+
+def _parse_text(key: str, raw: str) -> str:
+    return raw.strip()
+
+
+def _list_text(read_item, write_item=str):
+    """The (read, write) pair of a comma-separated list of at least one item."""
+
+    def read(key: str, raw: str) -> tuple:
+        parts = [part for part in (p.strip() for p in raw.split(",")) if part]
+        if not parts:
+            raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
+        return tuple(read_item(key, p) for p in parts)
+
+    return read, lambda values: ", ".join(write_item(v) for v in values)
+
+
+_INT_LIST = _list_text(_parse_int)
+
+# The text form of every config field but command, in field order:
+# read(key, raw) parses file or flag text and names the field on failure;
+# write(value) gives the text that reads back as the value. Each key is
+# also the flag --key-with-dashes.
+_TEXT = {
+    "seed": (_parse_int, str),
+    "samplers": _list_text(lambda _, text: sampler_from_text(text), sampler_to_text),
+    "n": (_parse_int, str),
+    "n_grid": _INT_LIST,
+    "v_vec": _INT_LIST,
+    "functionals": _list_text(_parse_functional, Functional.label),
+    "tv_orders": _INT_LIST,
+    "samples": (_parse_int, str),
+    "truncation": (_parse_int, str),
+    "pair_n": (_parse_int, str),
+    "single_n": (_parse_int, str),
+    "output": (_parse_path, str),
+    "format": (_parse_text, str),
+}
 
 
 def config_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
     """Validate a string-to-string mapping into a config.
 
-    The single choke point for file plus flag merging: every entry is a
-    string and every failure names its field.
+    The single parser of config text, from a file and from flags alike:
+    every entry is a string and every failure names its field.
     """
-    known = {f.name for f in fields(ExperimentConfig)}
     for key in mapping:
-        if key not in known:
+        if key != "command" and key not in _TEXT:
             raise ConfigError(f"{key}: unknown config key")
     if "command" not in mapping:
         raise ConfigError("command: missing")
-    kwargs: dict = {"command": mapping["command"].strip()}
-    if "seed" in mapping:
-        kwargs["seed"] = _parse_int("seed", mapping["seed"])
-    if "samplers" in mapping:
-        parts = _split_list(mapping["samplers"])
-        if not parts:
-            raise ConfigError("samplers: empty sampler list")
-        kwargs["samplers"] = tuple(sampler_from_text(p) for p in parts)
-    for key in ("n", "samples", "truncation", "pair_n", "single_n"):
-        if key in mapping:
-            kwargs[key] = _parse_int(key, mapping[key])
-    for key in ("n_grid", "v_vec", "tv_orders"):
-        if key in mapping:
-            kwargs[key] = _parse_int_list(key, mapping[key])
-    if "functionals" in mapping:
-        parts = _split_list(mapping["functionals"])
-        if not parts:
-            raise ConfigError("functionals: empty functional list")
-        try:
-            kwargs["functionals"] = tuple(parse_functional(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"functionals: {exc}") from None
-    if "output" in mapping:
-        if not mapping["output"].strip():
-            raise ConfigError("output: empty path")
-        kwargs["output"] = mapping["output"].strip()
-    if "format" in mapping:
-        kwargs["format"] = mapping["format"].strip()
-    return ExperimentConfig(**kwargs)
+    kwargs = {
+        key: read(key, mapping[key]) for key, (read, _) in _TEXT.items() if key in mapping
+    }
+    return ExperimentConfig(command=mapping["command"].strip(), **kwargs)
 
 
 def _mapping_from_text(text: str) -> dict[str, str]:
@@ -337,30 +356,10 @@ def _mapping_from_text(text: str) -> dict[str, str]:
 def serialize_config(config: ExperimentConfig) -> str:
     """A ``--config`` file body that reads back as config; omits default fields."""
     lines = [f"command = {config.command}"]
-    if config.seed is not None:
-        lines.append(f"seed = {config.seed}")
-    if config.samplers:
-        lines.append("samplers = " + ", ".join(sampler_to_text(s) for s in config.samplers))
-    if config.n is not None:
-        lines.append(f"n = {config.n}")
-    if config.n_grid is not None:
-        lines.append("n_grid = " + ", ".join(str(x) for x in config.n_grid))
-    if config.v_vec is not None:
-        lines.append("v_vec = " + ", ".join(str(x) for x in config.v_vec))
-    if config.functionals:
-        lines.append("functionals = " + ", ".join(f.label() for f in config.functionals))
-    if config.tv_orders:
-        lines.append("tv_orders = " + ", ".join(str(x) for x in config.tv_orders))
-    if config.samples is not None:
-        lines.append(f"samples = {config.samples}")
-    for name in ("truncation", "pair_n", "single_n"):
-        value = getattr(config, name)
-        if value != _FIELD_DEFAULTS[name]:
-            lines.append(f"{name} = {value}")
-    if config.output is not None:
-        lines.append(f"output = {config.output}")
-    if config.format != "csv":
-        lines.append(f"format = {config.format}")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name in _TEXT and value != f.default:
+            lines.append(f"{f.name} = {_TEXT[f.name][1](value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -392,9 +391,9 @@ def _cell(value) -> str:
 
 def _json_value(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _cell(value)
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(_cell(value))
     return value
 
 
@@ -478,14 +477,8 @@ def _run_sample(config: ExperimentConfig):
 
 
 def _estimate_row(config: ExperimentConfig, label: str, est: MomentEstimate) -> dict:
-    return {
-        "n": config.n,
-        "functional": label,
-        "value": est.value,
-        "stderr": est.stderr,
-        "samples": config.samples,
-        "seed": config.seed,
-    }
+    row = ScanRow(config.n, label, est.value, est.stderr, config.samples, config.seed)
+    return asdict(row)
 
 
 def _run_moments(config: ExperimentConfig):
@@ -510,18 +503,7 @@ def _run_convergence(config: ExperimentConfig):
         truncation=config.truncation,
         tv_orders=list(config.tv_orders),
     )
-    rows = [
-        {
-            "n": r.n,
-            "functional": r.functional,
-            "value": r.value,
-            "stderr": r.stderr,
-            "samples": r.samples,
-            "seed": r.seed,
-        }
-        for r in scan.rows
-    ]
-    return rows, dict(scan.trend), 0
+    return [asdict(r) for r in scan.rows], dict(scan.trend), 0
 
 
 def _run_exact(config: ExperimentConfig):
@@ -622,45 +604,24 @@ def run(config: ExperimentConfig) -> int:
     return code
 
 
-_FLAG_KEYS = (
-    "seed",
-    "samplers",
-    "n",
-    "n_grid",
-    "v_vec",
-    "functionals",
-    "tv_orders",
-    "samples",
-    "truncation",
-    "pair_n",
-    "single_n",
-    "output",
-    "format",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permprod",
         description="Cycle statistics of products of invariant random permutations.",
     )
+    helps = {
+        "samplers": "comma-separated sampler descriptors",
+        "n_grid": "comma-separated sizes",
+        "v_vec": "comma-separated cycle lengths",
+        "functionals": "comma-separated functional descriptors",
+        "tv_orders": "comma-separated joint orders",
+    }
     sub = parser.add_subparsers(dest="command")
     for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samplers", help="comma-separated sampler descriptors")
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-grid", dest="n_grid", help="comma-separated sizes")
-        p.add_argument("--v-vec", dest="v_vec", help="comma-separated cycle lengths")
-        p.add_argument("--functionals", help="comma-separated functional descriptors")
-        p.add_argument("--tv-orders", dest="tv_orders", help="comma-separated joint orders")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--truncation", type=int)
-        p.add_argument("--pair-n", dest="pair_n", type=int)
-        p.add_argument("--single-n", dest="single_n", type=int)
-        p.add_argument("--output")
-        p.add_argument("--format", choices=("csv", "json"))
+        for key in _TEXT:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=helps.get(key))
     return parser
 
 
@@ -668,10 +629,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     mapping: dict[str, str] = {}
     if args.config:
         mapping.update(_mapping_from_text(Path(args.config).read_text()))
-    for key in _FLAG_KEYS:
+    for key in _TEXT:
         value = getattr(args, key)
         if value is not None:
-            mapping[key] = str(value)
+            mapping[key] = value
     if "command" in mapping and mapping["command"] != args.command:
         raise ConfigError(
             f"command: config file says {mapping['command']!r} but the "

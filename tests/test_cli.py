@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,62 @@ def test_config_round_trip():
         format="json",
     )
     assert _config_from_text(serialize_config(config)) == config
+    # One config per command; between them every field is off its default.
+    per_command = [
+        config,
+        ExperimentConfig(
+            command="sample",
+            seed=1,
+            samplers=(SamplerSpec("sqrt_fixed", fixed_count="sqrt"),),
+            n=9,
+            samples=3,
+            output="out dir/rows.csv",
+        ),
+        ExperimentConfig(
+            command="moments",
+            seed=2,
+            samplers=(SamplerSpec("matching_heavy", two_cycle_fraction=Fraction(1, 3)),),
+            n=12,
+            functionals=tuple(
+                stats.parse_functional(t)
+                for t in ("product:1*2", "fixed-moment:2", "two-cycle-rate")
+            ),
+            samples=100,
+        ),
+        ExperimentConfig(
+            command="convergence",
+            seed=3,
+            samplers=(SamplerSpec("ewens", theta=Fraction(1, 2)),) * 2,
+            n_grid=(5, 6),
+            functionals=(stats.parse_functional("product:1"),),
+            samples=100,
+        ),
+        ExperimentConfig(
+            command="exact",
+            samplers=(SamplerSpec("ewens", theta=Fraction(7, 3)), SamplerSpec("uniform")),
+            n=6,
+            v_vec=(1, 2, 2),
+            output="exact.json",
+            format="json",
+        ),
+        ExperimentConfig(command="verify-lemmas", seed=5, pair_n=4, single_n=9),
+        ExperimentConfig(
+            command="counterexample",
+            seed=6,
+            samplers=(SamplerSpec("sqrt_fixed", fixed_count=2),) * 2,
+            n=10,
+            samples=200,
+        ),
+    ]
+    assert [c.command for c in per_command[1:]] == list(cli._COMMANDS)
+    off_default = set()
+    for c in per_command:
+        text = serialize_config(c)
+        assert _config_from_text(text) == c
+        assert serialize_config(_config_from_text(text)) == text
+        off_default |= {f.name for f in fields(c) if getattr(c, f.name) != f.default}
+    # command has no default, so it counts as set in each config.
+    assert off_default == {f.name for f in fields(ExperimentConfig)}
     unseeded = ExperimentConfig(command="verify-lemmas", pair_n=4)
     assert serialize_config(unseeded) == "command = verify-lemmas\npair_n = 4\n"
     assert _config_from_text(serialize_config(unseeded)) == unseeded
@@ -122,6 +179,72 @@ def test_config_value_checks():
                 "samples": "200",
             }
         )
+
+
+def test_text_table_covers_every_field_but_command_in_order():
+    assert list(cli._TEXT) == [f.name for f in fields(ExperimentConfig)][1:]
+    assert fields(ExperimentConfig)[0].name == "command"
+
+
+def test_every_subcommand_takes_one_flag_per_config_field():
+    expected = [
+        "--config", "--seed", "--samplers", "--n", "--n-grid", "--v-vec",
+        "--functionals", "--tv-orders", "--samples", "--truncation", "--pair-n",
+        "--single-n", "--output", "--format",
+    ]
+    (subparsers,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert list(subparsers.choices) == list(cli._COMMANDS)
+    for command, sub in subparsers.choices.items():
+        flags = [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        assert flags == expected
+        # Every flag is kept as its text, for config_from_mapping to parse.
+        args = sub.parse_args([a for flag in expected[1:] for a in (flag, " 7 ")])
+        assert [getattr(args, key) for key in cli._TEXT] == [" 7 "] * len(cli._TEXT)
+
+
+@pytest.mark.parametrize("key, raw", [("n", "x"), ("seed", "1.5"), ("format", "xml")])
+@pytest.mark.parametrize("source", ["flag", "config file"])
+def test_a_malformed_value_is_a_config_error_naming_its_field(key, raw, source, tmp_path, capsys):
+    entries = {"samplers": "uniform, uniform", "n": "4", "v_vec": "1", key: raw}
+    if source == "flag":
+        argv = ["exact", *(a for k, v in entries.items() for a in (f"--{k}".replace("_", "-"), v))]
+    else:
+        f = tmp_path / "c.cfg"
+        f.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        argv = ["exact", "--config", str(f)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--n", "5", "--samples", "200"],
+        ["convergence", "--n-grid", "5, 6", "--samples", "200"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("functional", ["fixed-moment:2", "two-cycle-rate"])
+def test_single_factor_functionals_of_a_product_name_functionals(
+    argv, functional, monkeypatch, capsys
+):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before rejecting the config")
+
+    monkeypatch.setattr("permprod.stats.draw_chunks", no_draw)
+    argv = argv + ["--seed", "1", "--functionals", f"product:1, {functional}"]
+    assert main(argv + ["--samplers", "uniform, uniform"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: functionals: functional {functional} applies to a single "
+        "sampler, got 2\n"
+    )
+    monkeypatch.undo()
+    assert main(argv + ["--samplers", "uniform"]) == 0
 
 
 def test_emit_report_csv_layout():
