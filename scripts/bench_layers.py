@@ -4,22 +4,19 @@
 For each n it times one chunk (the rows ``draw_chunks`` draws at once):
 every sampler law, both as full relabeled draws and as the class
 representatives that class-function consumers draw for factor 0 (their
-cycle blocks, ``SamplerSpec.draw_blocks``; on a tree from before those,
-unrelabelled rows), with the ``tracemalloc`` peak of one more full draw
+cycle blocks, ``SamplerSpec.draw_blocks``), with the ``tracemalloc`` peak of one more full draw
 beside the output's own size (numpy reports its buffers to
 ``tracemalloc``); the product of two factors; small-cycle counting of
 that product for k = 1, 3 and 6; the counts of a single-factor
 ewens:1/2 chunk at k = 3, factor 0's draw included (read off its block
-lengths, or on an older tree counted by ``small_cycle_counts`` on its
-rows); and a whole two-factor chunk through ``product_cycle_counts``:
-factor 0's representative drawn, then the last factor drawn, composed
-and counted block by block, for a uniform and a sqrt_fixed:sqrt pair at
-k = 1 and 3 and for the Ewens scan's pair (ewens:2, then ewens:1/2) at
-k = 3. These last layers carry the ``tracemalloc`` peak of one more call
+lengths); and a whole chunk through ``product_cycle_counts``: factor
+0's representative drawn, then every later factor drawn, composed and
+counted block by block, for a uniform and a sqrt_fixed:sqrt pair at
+k = 1 and 3, for the Ewens scan's pair (ewens:2, then ewens:1/2) at
+k = 3 and for the triple scan's three ewens:1 factors at k = 2. These
+last layers carry the ``tracemalloc`` peak of one more call
 beside them. The layers of one n run round robin, one pass over all of
-them per repeat, and each keeps its best. The ``product_cycle_counts``
-rows are left out when the package on the path has no such function, so
-the one script also measures a tree from before it. Then it times the
+them per repeat, and each keeps its best. Then it times the
 exact oracle: one ``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
 16, with its caches cleared first, as in a fresh ``permprod exact``
 process. Times are wall-clock milliseconds from time.perf_counter.
@@ -48,7 +45,8 @@ interpreter on the same package, timed from spawn to exit, with the
 peak resident set that process reads for itself (VmHWM, so Linux only):
 ``permprod verify-lemmas --pair-n 7``, and the acceptance suite's
 pair-scan ``convergence`` job (ewens:2 x ewens:1/2 at n = 1000, 100,000
-samples, product:1..3 and tv:3). Last,
+samples, product:1..3 and tv:3) and triple-scan job (ewens:1 three
+times at n = 500, 50,000 samples, tv:2). Last,
 ``cyclegraphs.walk_patterns`` lists its patterns for the cycle lengths
 (3, 3) and (2, 2, 2), each timed once, with the pattern count beside
 the time; this is left out when the package on the path has no such
@@ -83,11 +81,12 @@ from permprod.samplers import RngStream, product_rows, small_cycle_counts
 from permprod.stats import _chunk_size
 
 LAWS = ("uniform", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/3")
-# (first factor, last factor, k values) of the product_cycle_counts rows.
-FUSED_PAIRS = (
-    ("uniform", "uniform", (1, 3)),
-    ("sqrt_fixed:sqrt", "sqrt_fixed:sqrt", (1, 3)),
-    ("ewens:2", "ewens:1/2", (3,)),
+# (factors, k values) of the product_cycle_counts rows.
+FUSED_CHUNKS = (
+    (("uniform", "uniform"), (1, 3)),
+    (("sqrt_fixed:sqrt", "sqrt_fixed:sqrt"), (1, 3)),
+    (("ewens:2", "ewens:1/2"), (3,)),
+    (("ewens:1",) * 3, (2,)),
 )
 ORACLE_SIZES = (8, 12, 16)
 # Whole jobs run once each in a fresh interpreter.
@@ -97,6 +96,10 @@ FRESH_JOBS = (
         "convergence", "--seed", "1", "--samplers", "ewens:2, ewens:1/2",
         "--n-grid", "1000", "--functionals", "product:1, product:2, product:3",
         "--tv-orders", "3", "--samples", "100000",
+    ],
+    [
+        "convergence", "--seed", "1", "--samplers", "ewens:1, ewens:1, ewens:1",
+        "--n-grid", "500", "--tv-orders", "2", "--samples", "50000",
     ],
 )
 
@@ -124,19 +127,14 @@ def round_robin(stages: dict, repeat: int) -> dict:
 
 
 def representative(spec, size: int):
-    # Factor 0 of a class-function chunk: its cycle blocks, or, on a tree
-    # from before those, its unrelabelled rows.
-    if hasattr(spec, "draw_blocks"):
-        return spec.draw_blocks(RngStream(1, 0), size)
-    return spec.draw_batch(RngStream(1, 0), size, relabel=False)
+    # Factor 0 of a class-function chunk: its cycle blocks.
+    return spec.draw_blocks(RngStream(1, 0), size)
 
 
-def single_factor_counts(spec, size: int, k: int):
-    # The counts of a single-factor chunk, as ``draw_chunks`` takes them.
-    first = representative(spec, size)
-    if hasattr(first, "cycle_counts"):
-        return first.cycle_counts(k)
-    return small_cycle_counts(first, k)
+def fused_chunk(specs, size: int, k: int):
+    # The counts of a chunk of several factors, as ``draw_chunks`` takes them.
+    streams = [RngStream(1, f) for f in range(1, len(specs))]
+    return samplers.product_cycle_counts(representative(specs[0], size), specs[1:], streams, k)
 
 
 def fresh_run(argv, env) -> tuple[float, int, float]:
@@ -183,7 +181,6 @@ def main(argv=None) -> int:
         rows.append(row)
 
     print(f"nproc {os.cpu_count()}, numpy {np.__version__}, best of {args.repeat}, ms per chunk")
-    fused = getattr(samplers, "product_cycle_counts", None)
     for n in sizes:
         size = _chunk_size(n)
         print(f"n = {n}, {size} rows per chunk")
@@ -202,23 +199,20 @@ def main(argv=None) -> int:
         layers.append(
             (
                 "single factor ewens:1/2 3", "single-factor counts", None, 3,
-                lambda: single_factor_counts(specs["ewens:1/2"], size, 3),
+                lambda: representative(specs["ewens:1/2"], size).cycle_counts(3),
             )
         )
-        if fused is not None:
-            # A two-factor chunk: factor 0's representative, then the last
-            # factor drawn, composed and counted.
-            for first, text, ks in FUSED_PAIRS:
-                layers += [
-                    (
-                        f"product_cycle_counts {first} x {text} {k}", "product_cycle_counts",
-                        (first, text), k,
-                        lambda head=specs[first], spec=specs[text], k=k: fused(
-                            representative(head, size), spec, RngStream(1, 1), k
-                        ),
-                    )
-                    for k in ks
-                ]
+        # A whole chunk: factor 0's representative, then every later
+        # factor drawn, composed and counted.
+        for laws, ks in FUSED_CHUNKS:
+            bound = [sampler_from_text(text).bind(n=n) for text in laws]
+            layers += [
+                (
+                    f"product_cycle_counts {' x '.join(laws)} {k}", "product_cycle_counts",
+                    laws, k, lambda bound=bound, k=k: fused_chunk(bound, size, k),
+                )
+                for k in ks
+            ]
         best = round_robin(
             {**draws, **{label: fn for label, _, _, _, fn in layers}}, args.repeat
         )
@@ -231,10 +225,10 @@ def main(argv=None) -> int:
                 layer="draw_batch", law=text, n=n, rows=size, full_ms=full,
                 representative_ms=rep, peak_mib=peak, output_mib=out.nbytes / 2**20,
             )
-        for label, layer, pair, k, fn in layers:
+        for label, layer, laws, k, fn in layers:
             ms = best[label] * 1e3
             peak = traced_peak(fn)[0]
-            extra = {"first": pair[0], "law": pair[1]} if pair else {}
+            extra = {"laws": list(laws)} if laws else {}
             emit(
                 f"  {label:<60} {ms:8.2f}  peak {peak:6.1f} MiB",
                 layer=layer, n=n, rows=size, k=k, ms=ms, peak_mib=peak, **extra,

@@ -40,15 +40,15 @@ blocks alone (:meth:`SamplerSpec.draw_blocks`, a :class:`CycleBlocks`):
 the Feller ends of every row for Ewens and uniform laws, the shared
 base of a fixed cycle type. No (size, n) array of it is ever built. Its
 own small-cycle counts are one bincount of its block lengths
-(:meth:`CycleBlocks.cycle_counts`); a product builds its rows one row
-block at a time, from the ends of those rows. Nor do consumers build the
-last factor: :func:`product_cycle_counts` takes the kernel's row blocks
-as pairs (arrangement, successor values), composes each with the
-product of the factors before it and counts the small cycles per block,
-with the same draws as a full draw. ``sample`` prints the factors
-themselves and draws every factor in full. Cycle counts stop at the
-ground-set size: no permutation of n points has a cycle longer than n,
-so ``kmax`` above n walks and stores n columns only.
+(:meth:`CycleBlocks.cycle_counts`). Nor do consumers build any later
+factor: :func:`product_cycle_counts` walks every later factor's kernel
+row blocks, pairs (arrangement, successor values), side by side,
+carries factor 0's rows for each row block through them in turn and
+counts the small cycles per block, with the same draws as full draws.
+``sample`` prints the factors themselves and draws every factor in
+full. Cycle counts stop at the ground-set size: no permutation of n
+points has a cycle longer than n, so ``kmax`` above n walks and stores
+n columns only.
 
 Randomness comes from :class:`RngStream`, keyed by (seed, stream_id);
 identical keys reproduce identical draw sequences. The samplers draw
@@ -261,8 +261,8 @@ class CycleBlocks:
     blocks come either as ``succ``, one (n,) base shared by every row,
     with ``succ[j]`` the position after j in its block; or as ``ends`` =
     (r, last, first), the last and first position of every block of row
-    r, sorted by r, for rows with blocks of their own. ``shape`` and
-    ``dtype`` are those of the int32 rows the blocks stand for.
+    r, sorted by r, for rows with blocks of their own. ``shape`` is that
+    of the int32 rows the blocks stand for.
     """
 
     size: int
@@ -270,18 +270,14 @@ class CycleBlocks:
     succ: np.ndarray | None = None
     ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    dtype = np.dtype(_ROW_DTYPE)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.size, self.n)
 
     def rows(self, s: int, e: int) -> np.ndarray:
-        """Rows s..e-1 as an (e - s, n) array: a read-only broadcast of a
-        shared base, or built fresh from those rows' ends, so a caller
-        that takes a row block at a time holds no more than that."""
-        if self.succ is not None:
-            return np.broadcast_to(self.succ, (e - s, self.n))
+        """Rows s..e-1 of blocks held as ``ends``, built fresh as an
+        (e - s, n) int32 array, so a caller that takes a row block at a
+        time holds no more than that. A shared base is read as ``succ``."""
         r, last, first = self._ends_of(s, e)
         rows = np.empty((e - s, self.n), dtype=_ROW_DTYPE)
         # Off the block ends, j maps to j + 1.
@@ -483,16 +479,14 @@ def matching_heavy_rows(rng: RngStream, size: int, n: int, fraction) -> np.ndarr
     return _arranged(rng.generator, spec.draw_blocks(rng, size))
 
 
-def product_rows(factor_rows: Sequence[np.ndarray | CycleBlocks]) -> np.ndarray | CycleBlocks:
+def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
     """Row-wise left-to-right product of equal-shape batches.
 
-    Row r of the result maps x to ``f0[r, f1[r, ... fk[r, x]]]``; the
-    first factor may be :class:`CycleBlocks`. Blocks with a shared base
-    are gathered from that base. Every other step fills a fresh output of
-    the running product's dtype one row block at a time: the factor's
-    block, offset into flat indices (``_flat_blocks``), drives one 1-D
-    ``np.take`` from the product's block (``_rows_of``) into the
-    output's.
+    Row r of the result maps x to ``f0[r, f1[r, ... fk[r, x]]]``. Each
+    step fills a fresh output of the running product's dtype one row
+    block at a time: the factor's block, offset into flat indices
+    (``_flat_blocks``), drives one 1-D ``np.take`` from the product's
+    block into the output's.
     """
     if not factor_rows:
         raise ValueError("need at least one factor")
@@ -500,21 +494,13 @@ def product_rows(factor_rows: Sequence[np.ndarray | CycleBlocks]) -> np.ndarray 
     for rows in factor_rows[1:]:
         if rows.shape != prod.shape:
             raise ValueError("factor batches must share a shape")
-        if isinstance(prod, CycleBlocks) and prod.succ is not None:
-            prod = prod.succ[rows]
-            continue
         out = np.empty(prod.shape, dtype=prod.dtype)
         flat = out.reshape(-1)
         n = prod.shape[1]
         for s, e, idx in _flat_blocks(rows):
-            np.take(_rows_of(prod, s, e), idx, out=flat[s * n : e * n], mode="wrap")
+            np.take(prod[s:e], idx, out=flat[s * n : e * n], mode="wrap")
         prod = out
     return prod
-
-
-def _rows_of(left: np.ndarray | CycleBlocks, s: int, e: int) -> np.ndarray:
-    # Rows s..e-1 of a batch, built from their blocks for CycleBlocks.
-    return left.rows(s, e) if isinstance(left, CycleBlocks) else left[s:e]
 
 
 def _flat_blocks(rows: np.ndarray):
@@ -555,66 +541,83 @@ def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
     else:
         scratch = _power_scratch(min(size, _block_rows(n)) * n)
         for s, e, base in _flat_blocks(rows):
-            _power_fixed_points(base, fixed[s:e], 1, scratch)
+            _power_fixed_points(base, fixed[s:e], scratch)
     return _cycle_counts(fixed)
 
 
 def product_cycle_counts(
-    left: np.ndarray | CycleBlocks, spec: SamplerSpec, rng: RngStream, kmax: int
+    first: CycleBlocks, specs: Sequence[SamplerSpec], streams: Sequence[RngStream], kmax: int
 ) -> np.ndarray:
-    """``small_cycle_counts(product_rows([left, right]), kmax)`` for
-    ``right = spec.draw_batch(rng, len(left))``, without building
-    ``right`` or the product.
+    """``small_cycle_counts(product_rows([f0, f1, ...]), kmax)`` for f0 the
+    rows of ``first`` and each later factor ``spec.draw_batch(rng,
+    first.size)``, one (spec, rng) pair of ``specs`` and ``streams`` each,
+    without building a factor or the product.
 
-    It takes the same draws, in the same order, and leaves ``rng`` in
-    the same state. Each row block of the kernel (``_arrangement_blocks``)
-    maps arr to vals, so the product maps arr to img = left[vals], one
-    flat ``np.take`` per block: from the base of :class:`CycleBlocks`
-    with one, otherwise from the block's own rows of ``left``
-    (``_rows_of``, so blocks build only those) through row offsets. The
-    fixed points are the entries with img equal to arr. Only for
-    min(kmax, n) >= 2 is img scattered at arr into one reused flat block,
-    whose powers ``_power_fixed_points`` counts as it does for
-    ``small_cycle_counts``.
+    It takes the same draws and leaves every stream in the same state:
+    the later factors' kernels (``_arrangement_blocks``) walk side by side,
+    each consuming its own stream row by row. For one row block, the
+    product so far starts as the rows of ``first``: its shared base, or
+    ``first.rows``. A factor that maps arr to vals carries it to
+    left[vals], one flat ``np.take``, scattered at arr into one reused
+    block (for ``uniform``, arr is the identity, so a copy). After the
+    last factor, ``_power_fixed_points`` counts the block; for
+    min(kmax, n) = 1 the last factor is not scattered, and the fixed
+    points are the entries whose image equals arr.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    size, n = left.shape
-    if spec.bind().n != n:
-        raise ValueError(f"left rows have n={n}, the spec n={spec.n}")
+    if not specs:
+        raise ValueError("need a factor after the first")
+    size, n = first.shape
+    if any(spec.bind().n != n for spec in specs):
+        raise ValueError(f"factor 0 has n={n}, later specs {[spec.n for spec in specs]}")
     kmax = min(kmax, n)
-    right = None if spec.kind == "uniform" else spec.draw_blocks(rng, size)
-    blocks = _arrangement_blocks(rng.generator, size, n, right)
-    shared = left.succ if isinstance(left, CycleBlocks) else None
+    kernels = [
+        _arrangement_blocks(
+            rng.generator, size, n, None if spec.kind == "uniform" else spec.draw_blocks(rng, size)
+        )
+        for spec, rng in zip(specs, streams, strict=True)
+    ]
     step = min(size, _block_rows(n))
     offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None]
     idx = np.empty((step, n), dtype=np.intp)
-    img = np.empty((step, n), dtype=left.dtype)
-    hits = np.empty((step, n), dtype=bool)
-    if kmax > 1:
+    img = np.empty((step, n), dtype=_ROW_DTYPE)
+    # Each buffer only where it is read: peak RSS counts every one.
+    prod = np.empty((step, n), dtype=_ROW_DTYPE) if len(specs) > 1 else None
+    if kmax == 1:
+        hits = np.empty((step, n), dtype=bool)
+    else:
         scratch = _power_scratch(step * n)
-        scattered = np.empty(step * n, dtype=np.intp)
+        base = np.empty((step, n), dtype=np.intp)
     fixed = np.empty((size, kmax), dtype=np.int64)
-    for s, e, arr, vals in blocks:
+    for s in range(0, size, step):
+        e = min(size, s + step)
         b = e - s
-        if shared is not None:
-            np.take(shared, vals, out=img[:b], mode="wrap")
-        else:
-            np.add(vals, offsets[:b], out=idx[:b])
-            np.take(_rows_of(left, s, e), idx[:b], out=img[:b], mode="wrap")
-        fixed[s:e, 0] = np.equal(img[:b], arr, out=hits[:b]).sum(axis=1)
-        if kmax > 1:
-            # base[arr[i, j] + i * n] = img[i, j] + i * n; the identity
-            # arrangement of ``uniform`` needs no scatter.
-            base = idx[:b]
-            if arr.strides[0] == 0:
-                np.copyto(base, img[:b])
+        left = first.succ if first.succ is not None else first.rows(s, e)
+        for f, kernel in enumerate(kernels, 1):
+            arr, vals = next(kernel)[2:]
+            if left.ndim == 1:
+                np.take(left, vals, out=img[:b], mode="wrap")
             else:
-                np.add(arr, offsets[:b], out=base)
-                scattered[base.reshape(-1)] = img[:b].reshape(-1)
-                base = scattered[: b * n].reshape(b, n)
-            base += offsets[:b]
-            _power_fixed_points(base.reshape(-1), fixed[s:e], 2, scratch)
+                np.add(vals, offsets[:b], out=idx[:b])
+                np.take(left, idx[:b], out=img[:b], mode="wrap")
+            if f == len(kernels) and kmax == 1:
+                fixed[s:e, 0] = np.equal(img[:b], arr, out=hits[:b]).sum(axis=1)
+            else:
+                # left[i, arr[i, j]] = img[i, j], through flat indices; the
+                # identity arrangement of ``uniform`` needs no scatter.
+                left = (prod if f < len(kernels) else base)[:b]
+                if arr.strides[0] == 0:
+                    np.copyto(left, img[:b])
+                else:
+                    np.add(arr, offsets[:b], out=idx[:b])
+                    left.reshape(-1)[idx[:b].reshape(-1)] = img[:b].reshape(-1)
+            # Drop this factor's blocks before the next kernel draws its own.
+            del arr, vals
+        if kmax > 1:
+            left += offsets[:b]
+            _power_fixed_points(left.reshape(-1), fixed[s:e], scratch)
+        del left
     return _cycle_counts(fixed)
 
 
@@ -629,13 +632,10 @@ def _power_scratch(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _power_fixed_points(
-    base: np.ndarray,
-    fixed: np.ndarray,
-    first: int,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+    base: np.ndarray, fixed: np.ndarray, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> None:
     """Set ``fixed[i, k - 1]`` to the fixed points of power k of row i,
-    for k = first..kmax, kmax = ``fixed.shape[1]``.
+    for k = 1..kmax, kmax = ``fixed.shape[1]``.
 
     ``base`` is a row block as flat indices into itself (entry i * n + x
     is row i's image of x, plus i * n). Power k is one 1-D ``np.take`` of
@@ -650,9 +650,8 @@ def _power_fixed_points(
     for k in range(1, kmax + 1):
         if k > 1:
             power = np.take(power, base, out=powers[k % 2, :m], mode="wrap")
-        if k >= first:
-            np.equal(power, identity[:m], out=hits[:m])
-            fixed[:, k - 1] = hits[:m].reshape(rows, -1).sum(axis=1)
+        np.equal(power, identity[:m], out=hits[:m])
+        fixed[:, k - 1] = hits[:m].reshape(rows, -1).sum(axis=1)
 
 
 def _cycle_counts(fixed: np.ndarray) -> np.ndarray:

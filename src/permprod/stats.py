@@ -14,8 +14,8 @@ grid points never share a stream. Every row a grid point reports (each
 moment and each ``tv:k``) reads the same single draw. The estimators read
 only the small-cycle counts of the product, so they take those counts
 straight from the chunk loop: factor 0 comes as the cycle blocks of its
-class representatives (``samplers.CycleBlocks``), never as rows, and the
-last factor is never built as rows either. A single factor's counts are
+class representatives (``samplers.CycleBlocks``), never as rows, and no
+later factor is built as rows either. A single factor's counts are
 read off its block lengths. No permutation of n points has a cycle
 longer than n, so a count table holds the cycle lengths up to n that
 some estimate reads (:func:`_depth`), and a d-cycle count for d > n
@@ -36,7 +36,6 @@ from permprod.samplers import (
     RngStream,
     SamplerSpec,
     product_cycle_counts,
-    product_rows,
 )
 
 __all__ = [
@@ -272,12 +271,10 @@ def draw_chunks(
     ``samplers.CycleBlocks`` of its class representatives, drawn
     unshuffled: ``first.cycle_counts(k)`` reads its own counts off its
     block lengths, and no (size, n) array of it is built. A single
-    factor's counts are those. Otherwise ``product_rows`` composes the
-    blocks into the first middle factor one row block at a time and
-    multiplies in the other middle factors; the last factor is never
-    built: ``product_cycle_counts`` composes and counts it block by
-    block, building factor 0's rows only for the row block at hand when
-    it is the left side.
+    factor's counts are those. Otherwise one ``product_cycle_counts``
+    call composes every later factor with factor 0 and counts the
+    product, one row block at a time, so no factor and no product is
+    built as a (size, n) array either.
     """
     num = len(bound)
     chunk = _chunk_size(bound[0].n)
@@ -294,9 +291,7 @@ def draw_chunks(
         if num == 1:
             counts = first.cycle_counts(kmax)
         else:
-            middle = [spec.draw_batch(rng, size) for spec, rng in zip(bound[1:-1], streams[1:-1])]
-            left = product_rows([first, *middle]) if middle else first
-            counts = product_cycle_counts(left, bound[-1], streams[-1], kmax)
+            counts = product_cycle_counts(first, bound[1:], streams[1:], kmax)
         consume(pos, counts, first)
 
 

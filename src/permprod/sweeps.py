@@ -241,7 +241,7 @@ def _power_walk(block: np.ndarray, max_power: int) -> np.ndarray:
     at its first return or reads a cycle length."""
     base = _flat(block)
     fixed = np.empty((len(block), max_power), dtype=np.int64)
-    _power_fixed_points(base, fixed, 1, _power_scratch(base.size))
+    _power_fixed_points(base, fixed, _power_scratch(base.size))
     return fixed
 
 

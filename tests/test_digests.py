@@ -50,6 +50,20 @@ _CONFIGS = {
          "--tv-orders", "2, 3", "--samples", "3000"],
         "f1acb93c251164d6b77c0cb13c9bd8dcc4c62f069082b1611b88c3e48821ede7",
     ),
+    # Non-uniform and uniform middle factors, each drawn from its own stream.
+    "convergence-mixed-three-factors": (
+        ["convergence", "--seed", "5", "--samplers", "ewens:2, sqrt_fixed:sqrt, ewens:1/2",
+         "--n-grid", "64, 2048", "--functionals", "product:1, product:3",
+         "--tv-orders", "2, 3", "--samples", "3000"],
+        "316f41cdab077ac428cc1358cdd3d226e50dd65da11fcac53ccde2b9f8f49aaa",
+    ),
+    "convergence-four-factors": (
+        ["convergence", "--seed", "5",
+         "--samplers", "uniform, ewens:1/2, uniform, sqrt_fixed:sqrt",
+         "--n-grid", "64, 2048", "--functionals", "product:1, product:3",
+         "--tv-orders", "2, 3", "--samples", "3000"],
+        "bb78ddbbbfa68ab930e60b159f5dd25621778d57f3f9fb4578c3fcb005d338dd",
+    ),
     "exact": (
         ["exact", "--seed", "0", "--samplers", "ewens:2, ewens:1/2", "--n", "5",
          "--v-vec", "1, 2"],

@@ -332,10 +332,13 @@ def test_draw_batch_rejects_a_theta_beyond_floats():
 
 
 def test_product_cycle_counts_rejects_a_theta_beyond_floats():
-    spec = SamplerSpec("ewens", n=5, theta=10**400)
-    left = np.tile(np.arange(5), (3, 1))
-    with pytest.raises(ValueError, match="theta above .* the largest float"):
-        samplers.product_cycle_counts(left, spec, RngStream(1), 1)
+    # As the last factor and as a middle one.
+    spec, uniform = SamplerSpec("ewens", n=5, theta=10**400), SamplerSpec("uniform", n=5)
+    first = uniform.draw_blocks(RngStream(1, 0), 3)
+    for specs in ([spec], [spec, uniform], [uniform, spec]):
+        streams = [RngStream(1, f) for f in range(1, len(specs) + 1)]
+        with pytest.raises(ValueError, match="theta above .* the largest float"):
+            samplers.product_cycle_counts(first, specs, streams, 1)
 
 
 @given(st.integers(min_value=0, max_value=6))
@@ -463,21 +466,6 @@ def test_product_rows_is_left_composition():
     assert perm_from_row(prod[0]) == compose(s, r)
 
 
-@pytest.mark.parametrize("first", ["sqrt_fixed:sqrt", "matching_heavy:1/3"])
-def test_product_rows_of_a_broadcast_representative(first):
-    # Every fixed-type representative is one shared base row.
-    spec = sampler_from_text(first).bind(n=30)
-    rep = spec.draw_blocks(RngStream(4, 0), 12)
-    assert rep.succ is not None
-    factors = [rep, uniform_rows(RngStream(4, 1), 12, 30), uniform_rows(RngStream(4, 2), 12, 30)]
-    expected = brute.representative_rows(rep)
-    for rows in factors[1:]:
-        expected = np.take_along_axis(expected, rows, axis=1)
-    prod = product_rows(factors)
-    assert prod.dtype == np.int32
-    assert np.array_equal(prod, expected)
-
-
 def _layer_input(law, n, size, seed, relabel=True, dtype=np.int32):
     # One factor batch in the given dtype: a full draw, or the rows of the
     # law's class representatives, with a shared base broadcast.
@@ -509,17 +497,15 @@ def _feasible_shapes(laws):
 )
 @pytest.mark.parametrize("factors", [2, 3])
 def test_product_rows_match_whole_chunk_gathers(first, block, n, size, dtypes, factors, monkeypatch):
-    # The first factor is a class representative: its blocks (a shared
-    # base for the fixed-type laws), which stand for int32 rows, or its
-    # rows in another dtype. A smaller block budget gives many blocks, a
-    # ragged last one, or rows longer than a block.
+    # The first factor is the rows of a class representative, a broadcast
+    # of one base row for the fixed-type laws. A smaller block budget
+    # gives many blocks, a ragged last one, or rows longer than a block.
     if block is not None:
         monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
-    blocks = sampler_from_text(first).bind(n=n).draw_blocks(RngStream(30, 0), size)
-    assert (blocks.succ is not None) == (first in _FIXED_TYPE_LAWS)
     dense = _layer_input(first, n, size, 30, relabel=False, dtype=dtypes[0])
+    assert (dense.strides[0] == 0) == (first in _FIXED_TYPE_LAWS)
     rest = [_layer_input("uniform", n, size, 31 + f, dtype=dtypes[f]) for f in range(1, factors)]
-    prod = product_rows([blocks if dtypes[0] == np.int32 else dense, *rest])
+    prod = product_rows([dense, *rest])
     expected = brute.product_rows([np.ascontiguousarray(dense), *rest])
     assert prod.dtype == expected.dtype
     assert np.array_equal(prod, expected)
@@ -569,50 +555,52 @@ def test_block_counts_match_the_counts_of_their_rows(law, n, size):
         assert np.array_equal(counts, expected[:, : min(kmax, n)]), kmax
 
 
-# First factors of every layout: a broadcast representative, a per-row
-# representative, and a full uniform draw.
-_FIRST_FACTORS = (("sqrt_fixed:sqrt", False), ("ewens:2", False), ("uniform", True))
+# First factors of every layout: a shared base, per-row ends, and the
+# identity, which a full uniform draw follows.
+_FIRST_FACTORS = ("sqrt_fixed:sqrt", "ewens:2", "uniform")
+# The factors between the first and the last: none, a uniform one, a
+# non-uniform one, and both.
+_MIDDLE_FACTORS = ((), ("uniform",), ("ewens:1/2",), ("sqrt_fixed:sqrt", "uniform"))
 
 
 @pytest.mark.parametrize(
-    "first, relabel, last, block, n, size",
+    "first, middle, last, block, n, size",
     [
-        (first, relabel, *shape)
-        for first, relabel in _FIRST_FACTORS
+        (first, middle, *shape)
+        for first in _FIRST_FACTORS
+        for middle in _MIDDLE_FACTORS
         for shape in _feasible_shapes(("uniform", "ewens:1/2", "sqrt_fixed:sqrt", "matching_heavy:1/3"))
-        if _has_cycle_type(first, shape[2])
+        if all(_has_cycle_type(law, shape[2]) for law in (first, *middle))
     ],
+    ids=lambda value: "+".join(value) or "none" if isinstance(value, tuple) else None,
 )
-@pytest.mark.parametrize("factors", [2, 3])
-def test_product_cycle_counts_match_the_built_product(
-    first, relabel, last, block, n, size, factors, monkeypatch
-):
-    # The counts equal those of the whole-chunk product with the last
-    # factor drawn in full, for every kmax, and the last factor's stream
-    # ends where draw_batch leaves it.
+def test_product_cycle_counts_match_the_built_product(first, middle, last, block, n, size, monkeypatch):
+    # The counts equal those of the whole-chunk product with every later
+    # factor drawn in full, for every kmax, and every later stream ends
+    # where draw_batch leaves it. Products have 2, 3 and 4 factors.
     if block is not None:
         monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", block)
-    spec = sampler_from_text(first).bind(n=n)
-    if relabel:
-        head = spec.draw_batch(RngStream(40, 0), size)
-        rows = [head]
+    later = (*middle, last)
+    if first == "uniform":
+        head = samplers.CycleBlocks(size, n, succ=np.arange(n, dtype=np.int32))
+        later = ("uniform", *later)
     else:
-        head = spec.draw_blocks(RngStream(40, 0), size)
+        head = sampler_from_text(first).bind(n=n).draw_blocks(RngStream(40, 0), size)
         assert (head.succ is not None) == (first == "sqrt_fixed:sqrt")
-        rows = [brute.representative_rows(head)]
-    if factors == 3:
-        rows.append(uniform_rows(RngStream(40, 1), size, n))
-    left = product_rows([head, *rows[1:]])
-    spec = sampler_from_text(last).bind(n=n)
-    drawn = RngStream(40, 2)
-    expected = brute.small_cycle_counts(brute.product_rows([*rows, spec.draw_batch(drawn, size)]), 7)
+    specs = [sampler_from_text(law).bind(n=n) for law in later]
+    drawn = [RngStream(40, f) for f in range(1, len(specs) + 1)]
+    rows = [spec.draw_batch(rng, size) for spec, rng in zip(specs, drawn)]
+    expected = brute.small_cycle_counts(
+        brute.product_rows([brute.representative_rows(head), *rows]), 7
+    )
     assert not expected[:, n:].any()
     for kmax in range(1, 8):
-        rng = RngStream(40, 2)
-        counts = samplers.product_cycle_counts(left, spec, rng, kmax)
+        streams = [RngStream(40, f) for f in range(1, len(specs) + 1)]
+        counts = samplers.product_cycle_counts(head, specs, streams, kmax)
         assert counts.dtype == expected.dtype == np.int64
         assert np.array_equal(counts, expected[:, : min(kmax, n)]), kmax
-        assert rng.generator.bit_generator.state == drawn.generator.bit_generator.state
+        for rng, ref in zip(streams, drawn):
+            assert rng.generator.bit_generator.state == ref.generator.bit_generator.state
 
 
 @pytest.mark.parametrize("first", ["uniform", "ewens:0", "ewens:1/2", "ewens:2"])
@@ -640,7 +628,7 @@ def test_block_fed_product_cycle_counts_match_the_dense_reference(first, n, monk
         expected = brute.small_cycle_counts(product, 7)
         for kmax in (1, 3, 7):
             rng = RngStream(50, 1)
-            counts = samplers.product_cycle_counts(blocks, spec, rng, kmax)
+            counts = samplers.product_cycle_counts(blocks, [spec], [rng], kmax)
             assert np.array_equal(counts, expected[:, : min(kmax, n)]), (last, kmax)
             assert rng.generator.bit_generator.state == drawn.generator.bit_generator.state
 
@@ -649,9 +637,9 @@ def test_no_power_above_n_is_walked(monkeypatch):
     # There are no d-cycles for d > n, so kmax = 9 at n = 5 walks 5 powers.
     walk, walked = samplers._power_fixed_points, []
 
-    def spy(base, fixed, first, scratch):
+    def spy(base, fixed, scratch):
         walked.append(fixed.shape[1])
-        return walk(base, fixed, first, scratch)
+        return walk(base, fixed, scratch)
 
     monkeypatch.setattr(samplers, "_power_fixed_points", spy)
     n, size = 5, 12
@@ -659,7 +647,7 @@ def test_no_power_above_n_is_walked(monkeypatch):
     blocks = sampler_from_text("ewens:1/2").bind(n=n).draw_blocks(RngStream(44, 1), size)
     last = SamplerSpec("uniform", n=n)
     assert small_cycle_counts(rows, 9).shape == (size, n)
-    assert samplers.product_cycle_counts(blocks, last, RngStream(44, 2), 9).shape == (size, n)
+    assert samplers.product_cycle_counts(blocks, [last], [RngStream(44, 2)], 9).shape == (size, n)
     assert blocks.cycle_counts(9).shape == (size, n)
     assert walked == [n, n]
 
@@ -671,23 +659,29 @@ def test_product_cycle_counts_hold_no_factor_rows():
     left = spec.draw_blocks(RngStream(41, 0), size)
     tracemalloc.start()
     try:
-        samplers.product_cycle_counts(left, spec, RngStream(41, 1), 1)
+        samplers.product_cycle_counts(left, [spec], [RngStream(41, 1)], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < size * n * np.dtype(np.int32).itemsize / 4
 
 
-def test_an_ewens_pair_chunk_holds_no_factor_rows():
-    # One chunk of the Ewens scan's pair at n = 1000, k = 3, factor 0's
-    # draw included: its blocks never become a (size, n) array.
-    n = 1000
+@pytest.mark.parametrize(
+    "laws, n, k",
+    [(("ewens:2", "ewens:1/2"), 1000, 3), (("ewens:1",) * 3, 500, 2)],
+    ids=["pair-scan", "triple-scan"],
+)
+def test_an_ewens_pair_chunk_holds_no_factor_rows(laws, n, k):
+    # One chunk of the acceptance suite's Ewens pair scan at n = 1000,
+    # k = 3, or of its triple scan at n = 500, k = 2, factor 0's draw
+    # included: no factor and no product becomes a (size, n) array.
     size = _chunk_size(n)
-    first, last = (sampler_from_text(law).bind(n=n) for law in ("ewens:2", "ewens:1/2"))
+    first, *later = (sampler_from_text(law).bind(n=n) for law in laws)
     tracemalloc.start()
     try:
         blocks = first.draw_blocks(RngStream(43, 0), size)
-        samplers.product_cycle_counts(blocks, last, RngStream(43, 1), 3)
+        streams = [RngStream(43, f) for f in range(1, len(laws))]
+        samplers.product_cycle_counts(blocks, later, streams, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -696,11 +690,15 @@ def test_an_ewens_pair_chunk_holds_no_factor_rows():
 
 def test_product_cycle_counts_reject_bad_input():
     spec = SamplerSpec("uniform", n=5)
-    left = uniform_rows(RngStream(42, 0), 3, 5)
+    first = spec.draw_blocks(RngStream(42, 0), 3)
+    streams = [RngStream(42, 1), RngStream(42, 2)]
     with pytest.raises(ValueError, match="kmax"):
-        samplers.product_cycle_counts(left, spec, RngStream(42, 1), 0)
-    with pytest.raises(ValueError, match="n=6"):
-        samplers.product_cycle_counts(left, spec.bind(n=6), RngStream(42, 1), 1)
+        samplers.product_cycle_counts(first, [spec, spec], streams, 0)
+    with pytest.raises(ValueError, match="after the first"):
+        samplers.product_cycle_counts(first, [], [], 1)
+    for specs in ([spec.bind(n=6), spec], [spec, spec.bind(n=6)]):
+        with pytest.raises(ValueError, match=r"factor 0 has n=5, later specs .*6"):
+            samplers.product_cycle_counts(first, specs, streams, 1)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=4))

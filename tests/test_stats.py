@@ -161,9 +161,9 @@ def test_cycle_lengths_above_n_read_zero_and_are_never_walked(monkeypatch):
     # reads 0, and no power above n is walked for it.
     walk, walked = samplers._power_fixed_points, []
 
-    def spy(base, fixed, first, scratch):
+    def spy(base, fixed, scratch):
         walked.append(fixed.shape[1])
-        return walk(base, fixed, first, scratch)
+        return walk(base, fixed, scratch)
 
     monkeypatch.setattr(samplers, "_power_fixed_points", spy)
     funcs = [Functional.product_cycle_counts((50,)), Functional.product_cycle_counts((1, 50))]
