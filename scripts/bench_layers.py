@@ -9,7 +9,8 @@ beside the output's own size (numpy reports its buffers to
 ``tracemalloc``); the product of two factors; small-cycle counting of
 that product for k = 1, 3 and 6; the counts of a single-factor
 ewens:1/2 chunk at k = 3, factor 0's draw included (read off its block
-lengths); and a whole chunk through ``product_cycle_counts``: factor
+lengths); the Feller ends of an ewens:2 chunk (``samplers._feller_ends``);
+and a whole chunk through ``product_cycle_counts``: factor
 0's representative drawn, then every later factor drawn, composed and
 counted block by block, for a uniform and a sqrt_fixed:sqrt pair at
 k = 1 and 3, for the Ewens scan's pair (ewens:2, then ewens:1/2) at
@@ -46,7 +47,11 @@ peak resident set that process reads for itself (VmHWM, so Linux only):
 ``permprod verify-lemmas --pair-n 7``, and the acceptance suite's
 pair-scan ``convergence`` job (ewens:2 x ewens:1/2 at n = 1000, 100,000
 samples, product:1..3 and tv:3) and triple-scan job (ewens:1 three
-times at n = 500, 50,000 samples, tv:2). Last,
+times at n = 500, 50,000 samples, tv:2), and the benchmark's two Monte
+Carlo configs: the Ewens scan (``convergence``, seed 11, ewens:2 x
+ewens:1/2 at n = 250 and 1000, 2,000 samples) and the fixed-type pair
+(``counterexample``, seed 11, sqrt_fixed:sqrt twice at n = 4096, 3,000
+samples). Last,
 ``cyclegraphs.walk_patterns`` lists its patterns for the cycle lengths
 (3, 3) and (2, 2, 2), each timed once, with the pattern count beside
 the time; this is left out when the package on the path has no such
@@ -100,6 +105,16 @@ FRESH_JOBS = (
     [
         "convergence", "--seed", "1", "--samplers", "ewens:1, ewens:1, ewens:1",
         "--n-grid", "500", "--tv-orders", "2", "--samples", "50000",
+    ],
+    # The benchmark's two Monte Carlo configs, scan-ewens and counter-fixed.
+    [
+        "convergence", "--seed", "11", "--samplers", "ewens:2, ewens:1/2",
+        "--n-grid", "250, 1000", "--functionals", "product:1, product:2, product:3",
+        "--tv-orders", "2, 3", "--samples", "2000",
+    ],
+    [
+        "counterexample", "--seed", "11", "--samplers", "sqrt_fixed:sqrt, sqrt_fixed:sqrt",
+        "--n", "4096", "--samples", "3000",
     ],
 )
 
@@ -200,6 +215,12 @@ def main(argv=None) -> int:
             (
                 "single factor ewens:1/2 3", "single-factor counts", None, 3,
                 lambda: representative(specs["ewens:1/2"], size).cycle_counts(3),
+            )
+        )
+        layers.append(
+            (
+                "feller ends ewens:2", "_feller_ends", None, None,
+                lambda: samplers._feller_ends(RngStream(1, 0).generator, size, n, 2.0),
             )
         )
         # A whole chunk: factor 0's representative, then every later

@@ -17,18 +17,17 @@ have one fixed cycle type. ``uniform`` rows are the kernel's arrangements
 themselves, and a uniform cycle type is Ewens(1).
 
 The kernel works through a chunk a few rows at a time: it shuffles one
-reused block of rows (``_BLOCK_ELEMENTS`` entries), carries that block's
-cycles onto it and scatters the result into the chunk's rows, so no
-(size, n) temporary exists beside the output. The generator shuffles
-row by row, so the blocks draw the same rows, and leave the generator
-in the same state, as one whole-chunk shuffle. Before any shuffle, an
-Ewens chunk draws its Feller openings for all rows together: one
-uniform per cycle, each jumping a row from one opening to the next
-(``_feller_ends``), so only the openings, not every position, are
-drawn. The product and the small-cycle counts walk the same row blocks:
-each block's rows are offset by r * n into one reused intp block of
-flat indices, and every gather is a 1-D ``np.take`` into a reused or
-output buffer, so neither layer holds a (size, n) temporary either.
+reused int64 block of rows (``_BLOCK_ELEMENTS`` entries, 256 KiB) and
+scatters the block's cycles through it into the chunk's rows
+(``_carry``), so no (size, n) temporary exists beside the output. The
+generator shuffles row by row, so the blocks draw the same rows, and
+leave the generator in the same state, as one whole-chunk shuffle.
+Before any shuffle, an Ewens chunk draws its Feller openings for all
+rows together, as int32: one uniform per cycle, each jumping a row from
+one opening to the next (``_feller_ends``). The product and the
+small-cycle counts walk the same row blocks as flat indices (row r
+offset by r * n), and every gather is a 1-D ``np.take`` into a reused
+or output buffer, so neither layer holds a (size, n) temporary either.
 
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
@@ -41,10 +40,9 @@ the Feller ends of every row for Ewens and uniform laws, the shared
 base of a fixed cycle type. No (size, n) array of it is ever built. Its
 own small-cycle counts are one bincount of its block lengths
 (:meth:`CycleBlocks.cycle_counts`). Nor do consumers build any later
-factor: :func:`product_cycle_counts` walks every later factor's kernel
-row blocks, pairs (arrangement, successor values), side by side,
-carries factor 0's rows for each row block through them in turn and
-counts the small cycles per block, with the same draws as full draws.
+factor: :func:`product_cycle_counts` carries factor 0's rows through
+every later factor's kernel, one row block at a time, and counts the
+small cycles per block, with the same draws as full draws.
 ``sample`` prints the factors themselves and draws every factor in
 full. Cycle counts stop at the ground-set size: no permutation of n
 points has a cycle longer than n, so ``kmax`` above n walks and stores
@@ -63,6 +61,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -262,7 +261,8 @@ class CycleBlocks:
     with ``succ[j]`` the position after j in its block; or as ``ends`` =
     (r, last, first), the last and first position of every block of row
     r, sorted by r, for rows with blocks of their own. ``shape`` is that
-    of the int32 rows the blocks stand for.
+    of the int32 rows the blocks stand for; no code builds them, as
+    ``_ends_of`` gives the ends of a few rows in either form.
     """
 
     size: int
@@ -274,34 +274,21 @@ class CycleBlocks:
     def shape(self) -> tuple[int, int]:
         return (self.size, self.n)
 
-    def rows(self, s: int, e: int) -> np.ndarray:
-        """Rows s..e-1 of blocks held as ``ends``, built fresh as an
-        (e - s, n) int32 array, so a caller that takes a row block at a
-        time holds no more than that. A shared base is read as ``succ``."""
-        r, last, first = self._ends_of(s, e)
-        rows = np.empty((e - s, self.n), dtype=_ROW_DTYPE)
-        # Off the block ends, j maps to j + 1.
-        rows[:] = np.arange(1, self.n + 1, dtype=_ROW_DTYPE)
-        rows[r, last] = first
-        return rows
+    @cached_property
+    def _base_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        # (last, first) of every block of the shared base.
+        last = np.flatnonzero(self.succ <= np.arange(self.n))
+        return last, self.succ[last]
 
     def _ends_of(self, s: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # The ends of rows s..e-1, with rows counted from s.
+        # (r, last, first) of the blocks of rows s..e-1, with r counted
+        # from s. A shared base gives r as a slice of every row, to index
+        # the columns of its one row of ends.
+        if self.succ is not None:
+            return (slice(None), *self._base_ends)
         lo, hi = np.searchsorted(self.ends[0], (s, e))
         r, last, first = (part[lo:hi] for part in self.ends)
         return r - s, last, first
-
-    def _carried(self, arr: np.ndarray, s: int) -> np.ndarray:
-        # arr[i, succ_{s+i}[j]] for the len(arr) rows from s on: off the
-        # block ends the successor of j is j + 1, so a shifted copy of arr
-        # is right everywhere else.
-        if self.succ is not None:
-            return np.take(arr, self.succ, axis=1)
-        r, last, first = self._ends_of(s, s + len(arr))
-        vals = np.empty(arr.shape, dtype=_ROW_DTYPE)
-        vals[:, :-1] = arr[:, 1:]
-        vals[r, last] = arr[r, first]
-        return vals
 
     def cycle_counts(self, kmax: int) -> np.ndarray:
         """Per-row counts of d-cycles for d = 1..min(kmax, n), one bincount
@@ -310,8 +297,8 @@ class CycleBlocks:
             raise ValueError("kmax must be >= 1")
         k = min(kmax, self.n)
         if self.succ is not None:
-            last = np.flatnonzero(self.succ <= np.arange(self.n))
-            lengths = last - self.succ[last] + 1
+            last, first = self._base_ends
+            lengths = last - first + 1
             row = np.bincount(lengths[lengths <= k] - 1, minlength=k)
             return np.tile(row, (self.size, 1))
         r, last, first = self.ends
@@ -321,8 +308,9 @@ class CycleBlocks:
         return np.bincount(cells, minlength=self.size * k).reshape(self.size, k)
 
 
-# int64 entries in the one reused shuffle block (512 KiB).
-_BLOCK_ELEMENTS = 1 << 16
+# int64 entries in the one reused shuffle block (256 KiB). A smaller
+# block holds less beside a chunk but costs more numpy calls per chunk.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _block_rows(n: int) -> int:
@@ -330,17 +318,17 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def _shuffled_blocks(gen: np.random.Generator, size: int, n: int):
+def _shuffled_blocks(gen: np.random.Generator, size: int, n: int, buf: np.ndarray | None = None):
     """Yield (s, e, arr): uniform arrangements of rows s..e-1, in order.
 
-    ``arr`` is an int64 view of one reused block, valid until the next
-    step. permuted shuffles int64 rows faster than int32 ones, with the
-    same draws, and it consumes the stream row by row, so the blocks draw
-    what one (size, n) shuffle would.
+    ``arr`` is an int64 view of one reused block, ``buf`` if given, valid
+    until the next step. permuted shuffles int64 rows faster than int32
+    ones, with the same draws, and it consumes the stream row by row, so
+    the blocks draw what one (size, n) shuffle would.
     """
     step = _block_rows(n)
     base = np.arange(n, dtype=np.int64)
-    buf = np.empty((min(size, step), n), dtype=np.int64)
+    buf = np.empty((min(size, step), n), dtype=np.int64) if buf is None else buf
     for s in range(0, size, step):
         arr = buf[: min(step, size - s)]
         arr[...] = base
@@ -348,46 +336,38 @@ def _shuffled_blocks(gen: np.random.Generator, size: int, n: int):
         yield s, s + len(arr), arr
 
 
+def _carry(out: np.ndarray, arr: np.ndarray, h: np.ndarray, ends) -> None:
+    """Set entry arr[i, j] of the flat ``out`` to h[i, succ(j)]: for h the
+    product so far gathered at arr, the product after a factor mapping
+    arr[i, j] to arr[i, succ(j)]. Off the block ends (r, last, first)
+    ``ends``, succ(j) = j + 1, so a shifted scatter sets all the rest."""
+    flat = out.reshape(-1)
+    flat[arr[:, :-1]] = h[:, 1:]
+    r, last, first = ends
+    flat[arr[r, last]] = h[r, first]
+
+
 def _arranged(gen: np.random.Generator, blocks: CycleBlocks) -> np.ndarray:
     """The kernel: the rows of ``blocks`` carried onto uniform arrangements.
 
     Each row draws a uniform arrangement arr and maps arr[j] to
     arr[succ[j]], for succ the row's successor map, which is a uniform
-    member of the row's conjugacy class; the row blocks of
-    ``_arrangement_blocks`` are scattered into the output one at a time.
+    member of the row's conjugacy class. Each row block is written by
+    ``_carry`` through flat indices, faster than put_along_axis, most of
+    all at large n: arr offset by r * n in place gives the positions and
+    the values at once, and the offsets come off the values after.
     """
     size, n = blocks.shape
     rows = np.empty((size, n), dtype=_ROW_DTYPE)
-    flat = rows.reshape(-1)
-    # Offsets within one block stay below max(_BLOCK_ELEMENTS, n), so int32.
-    offsets = np.arange(0, _block_rows(n) * n, n, dtype=_ROW_DTYPE)[:, None]
-    for s, e, arr, vals in _arrangement_blocks(gen, size, n, blocks):
-        # rows[s + i, arr[i, j]] = vals[i, j], scattered through flat
-        # indices: faster than put_along_axis, most of all at large n.
+    # Offsets within one block stay below max(_BLOCK_ELEMENTS, n): int64 to
+    # add to the shuffle block, int32 to take off the rows.
+    offsets = np.arange(0, _block_rows(n) * n, n, dtype=np.int64)[:, None]
+    shifts = offsets.astype(_ROW_DTYPE)
+    for s, e, arr in _shuffled_blocks(gen, size, n):
         arr += offsets[: e - s]
-        flat[s * n : e * n][arr] = vals
+        _carry(rows[s:e], arr, arr, blocks._ends_of(s, e))
+        rows[s:e] -= shifts[: e - s]
     return rows
-
-
-def _arrangement_blocks(
-    gen: np.random.Generator, size: int, n: int, blocks: CycleBlocks | None
-):
-    """Yield (s, e, arr, vals): relabelled rows s..e-1 of the kernel, in order.
-
-    Row s + i maps ``arr[i, j]`` to ``vals[i, j]``. ``arr`` is the row
-    block's uniform arrangement from ``_shuffled_blocks`` and ``vals``
-    its successor values under ``blocks``, both fresh int32 blocks.
-    Without blocks, the rows are the arrangements themselves
-    (``uniform``): ``arr`` is a read-only broadcast of the identity and
-    ``vals`` the shuffled int64 block, valid until the next step.
-    """
-    identity = np.arange(n, dtype=_ROW_DTYPE)
-    for s, e, block in _shuffled_blocks(gen, size, n):
-        if blocks is None:
-            yield s, e, np.broadcast_to(identity, block.shape), block
-            continue
-        arr = block.astype(_ROW_DTYPE)
-        yield s, e, arr, blocks._carried(arr, s)
 
 
 def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
@@ -432,31 +412,37 @@ def _feller_ends(
     (0, 1], and its next opening is the first m with
     drop[m] > drop[j] - log V, or none. Round t draws one uniform per row
     still open, in row order, and one searchsorted jumps them all: one
-    uniform per block.
+    uniform per block. Each round keeps its rows and openings as int32
+    and, once every row's block count is known, goes straight to its place.
     """
     positions = np.arange(1, n)
     drop = np.zeros(n)
     np.cumsum(np.log(theta + positions) - np.log(positions), out=drop[1:])
-    rows = np.arange(size)
-    at = np.zeros(size, dtype=np.intp)
-    parts = []
+    rows = np.arange(size, dtype=_ROW_DTYPE)
+    at = np.zeros(size, dtype=_ROW_DTYPE)
+    counts = np.zeros(size, dtype=np.intp)
+    rounds = []
     while len(rows):
+        rounds.append((rows, at))
+        counts[rows] += 1
         nxt = np.searchsorted(drop, drop[at] - np.log(1 - gen.random(len(rows))), side="right")
-        # The block opened at ``at`` ends before the next opening, or at n - 1.
-        parts.append((rows, nxt - 1, at))
         more = nxt < n
-        rows, at = rows[more], nxt[more]
-    # Round t lists block t of each row still open, so that block goes to
-    # the row's offset plus t. A stable argsort by row would do as well,
-    # but it pages in about 128 kB of numpy sort code, which peak RSS counts.
-    r, last, first = (np.concatenate(part) for part in zip(*parts))
-    counts = np.bincount(r, minlength=size)
-    rounds = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
-    place = (np.cumsum(counts) - counts)[r] + rounds
-    ends = np.empty((3, len(r)), dtype=_ROW_DTYPE)
-    for out, part in zip(ends, (r, last, first)):
-        out[place] = part
-    return tuple(ends)
+        rows, at = rows[more], nxt[more].astype(_ROW_DTYPE)
+    # Round t opens block t of each row in it, so that block goes to the
+    # row's offset plus t. A stable argsort by row would do as well, but
+    # it pages in about 128 kB of numpy sort code, which peak RSS counts.
+    start = np.cumsum(counts) - counts
+    r, last, first = np.empty((3, start[-1] + counts[-1]), dtype=_ROW_DTYPE)
+    for t, (rows, at) in enumerate(rounds):
+        place = start[rows] + t
+        r[place] = rows
+        first[place] = at
+    # A block ends before the next one opens. Only a row's first block
+    # opens at 0, so the block before it, at start - 1 (the very last
+    # block for row 0), ends its row, at n - 1.
+    np.subtract(first[1:], 1, out=last[:-1])
+    last[start - 1] = n - 1
+    return r, last, first
 
 
 def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
@@ -554,15 +540,16 @@ def product_cycle_counts(
     without building a factor or the product.
 
     It takes the same draws and leaves every stream in the same state:
-    the later factors' kernels (``_arrangement_blocks``) walk side by side,
-    each consuming its own stream row by row. For one row block, the
-    product so far starts as the rows of ``first``: its shared base, or
-    ``first.rows``. A factor that maps arr to vals carries it to
-    left[vals], one flat ``np.take``, scattered at arr into one reused
-    block (for ``uniform``, arr is the identity, so a copy). After the
-    last factor, ``_power_fixed_points`` counts the block; for
-    min(kmax, n) = 1 the last factor is not scattered, and the fixed
-    points are the entries whose image equals arr.
+    per row block, each later factor shuffles its arrangement arr from
+    its own stream, row by row, into one shared int64 block. The product
+    so far, flat indices into its own block, starts as the rows of
+    ``first``. arr takes its row offsets in place, h gathers the product
+    at arr, and ``_carry`` scatters h back into the spent product block
+    (for ``uniform``, h is the product). At min(kmax, n) = 1 the last
+    factor is not scattered: its fixed points are the j with
+    h[succ(j)] = arr[j]. Otherwise ``_power_fixed_points`` counts the
+    product, with the gather block for powers and the spent shuffle block
+    as the identity.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -572,52 +559,60 @@ def product_cycle_counts(
     if any(spec.bind().n != n for spec in specs):
         raise ValueError(f"factor 0 has n={n}, later specs {[spec.n for spec in specs]}")
     kmax = min(kmax, n)
-    kernels = [
-        _arrangement_blocks(
-            rng.generator, size, n, None if spec.kind == "uniform" else spec.draw_blocks(rng, size)
+    step = min(size, _block_rows(n))
+    arr = np.empty((step, n), dtype=np.int64)
+    # Every later factor shuffles into arr, one row block at a time.
+    later = [
+        (
+            None if spec.kind == "uniform" else spec.draw_blocks(rng, size),
+            _shuffled_blocks(rng.generator, size, n, arr),
         )
         for spec, rng in zip(specs, streams, strict=True)
     ]
-    step = min(size, _block_rows(n))
+    compare = kmax == 1 and later[-1][0] is not None
+    ramp = np.arange(n + 1, dtype=np.intp)
     offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None]
-    idx = np.empty((step, n), dtype=np.intp)
-    img = np.empty((step, n), dtype=_ROW_DTYPE)
-    # Each buffer only where it is read: peak RSS counts every one.
-    prod = np.empty((step, n), dtype=_ROW_DTYPE) if len(specs) > 1 else None
-    if kmax == 1:
-        hits = np.empty((step, n), dtype=bool)
-    else:
-        scratch = _power_scratch(step * n)
-        base = np.empty((step, n), dtype=np.intp)
+    # The product and its gather, and a second power block for kmax > 2;
+    # each only where it is read, as peak RSS counts every one.
+    blocks = [np.empty(step * n, dtype=np.intp) for _ in range(2 + (kmax > 2))]
+    hits = np.empty(step * n, dtype=bool)
     fixed = np.empty((size, kmax), dtype=np.int64)
     for s in range(0, size, step):
         e = min(size, s + step)
         b = e - s
-        left = first.succ if first.succ is not None else first.rows(s, e)
-        for f, kernel in enumerate(kernels, 1):
-            arr, vals = next(kernel)[2:]
-            if left.ndim == 1:
-                np.take(left, vals, out=img[:b], mode="wrap")
-            else:
-                np.add(vals, offsets[:b], out=idx[:b])
-                np.take(left, idx[:b], out=img[:b], mode="wrap")
-            if f == len(kernels) and kmax == 1:
-                fixed[s:e, 0] = np.equal(img[:b], arr, out=hits[:b]).sum(axis=1)
-            else:
-                # left[i, arr[i, j]] = img[i, j], through flat indices; the
-                # identity arrangement of ``uniform`` needs no scatter.
-                left = (prod if f < len(kernels) else base)[:b]
-                if arr.strides[0] == 0:
-                    np.copyto(left, img[:b])
-                else:
-                    np.add(arr, offsets[:b], out=idx[:b])
-                    left.reshape(-1)[idx[:b].reshape(-1)] = img[:b].reshape(-1)
-            # Drop this factor's blocks before the next kernel draws its own.
-            del arr, vals
+        prod, h, *spare = (x[: b * n].reshape(b, n) for x in blocks)
+        off = offsets[:b]
+        if first.succ is None:
+            # Off its block ends, factor 0 maps j to j + 1.
+            np.add(off, ramp[1:], out=prod)
+            r, last, head = first._ends_of(s, e)
+            prod[r, last] = head + r * n
+        else:
+            np.add(off, first.succ, out=prod)
+        for f, (factor, kernel) in enumerate(later, 1):
+            a = next(kernel)[2]
+            a += off
+            np.take(prod, a, out=h, mode="wrap")
+            if factor is None:
+                # A uniform row maps x to arr[x], so the gather is the product.
+                prod, h = h, prod
+            elif f < len(later) or not compare:
+                _carry(prod, a, h, factor._ends_of(s, e))
+        if not compare:
+            # The spent shuffle block becomes the flat identity.
+            np.add(off, ramp[:n], out=a)
         if kmax > 1:
-            left += offsets[:b]
-            _power_fixed_points(left.reshape(-1), fixed[s:e], scratch)
-        del left
+            powers = [x.reshape(-1) for x in (h, *spare)]
+            _power_fixed_points(prod.reshape(-1), fixed[s:e], (a.reshape(-1), powers, hits))
+            continue
+        hit = hits[: b * n].reshape(b, n)
+        if compare:
+            r, last, head = later[-1][0]._ends_of(s, e)
+            np.equal(h[:, 1:], a[:, :-1], out=hit[:, :-1])
+            hit[r, last] = h[r, head] == a[r, last]
+        else:
+            np.equal(prod, a, out=hit)
+        fixed[s:e, 0] = hit.sum(axis=1)
     return _cycle_counts(fixed)
 
 
@@ -638,10 +633,11 @@ def _power_fixed_points(
     for k = 1..kmax, kmax = ``fixed.shape[1]``.
 
     ``base`` is a row block as flat indices into itself (entry i * n + x
-    is row i's image of x, plus i * n). Power k is one 1-D ``np.take`` of
-    power k - 1 by ``base``, alternating between the two power blocks of
-    ``scratch`` (``_power_scratch``), and its fixed points are the
-    entries equal to the flat identity block.
+    is row i's image of x, plus i * n). ``scratch`` (``_power_scratch``)
+    is a flat identity, two power blocks (read from k = 2 and 3 on) and
+    bool hits, none shorter than ``base``. Power k is one 1-D ``np.take``
+    of power k - 1 by ``base``, into the power blocks in turn, and its
+    fixed points are the entries equal to the identity.
     """
     identity, powers, hits = scratch
     m = len(base)
@@ -649,7 +645,7 @@ def _power_fixed_points(
     power = base
     for k in range(1, kmax + 1):
         if k > 1:
-            power = np.take(power, base, out=powers[k % 2, :m], mode="wrap")
+            power = np.take(power, base, out=powers[k % 2][:m], mode="wrap")
         np.equal(power, identity[:m], out=hits[:m])
         fixed[:, k - 1] = hits[:m].reshape(rows, -1).sum(axis=1)
 

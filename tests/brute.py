@@ -48,7 +48,9 @@ builds a mask from an edge list, one edge at a time.
 as whole-chunk ``take_along_axis`` gathers, with no row blocks and no
 flat indices, and ``representative_rows`` expands class representatives
 held as cycle blocks into all their rows at once, where the Monte Carlo
-builds one row block at a time or none. Only ``perms``, ``cyclegraphs``, the
+builds one row block at a time or none. ``feller_ends`` draws the
+Feller ends in intp rounds concatenated at the end, where the sampler
+writes each int32 round straight to its place. Only ``perms``, ``cyclegraphs``, the
 ``ExactDistribution`` type (whose pmf is read off its class
 probabilities here) and, in ``graph_pass``, the per-graph
 ``verify_bounds`` are used, so nothing here leans on the reductions it
@@ -1046,3 +1048,30 @@ def representative_rows(blocks) -> np.ndarray:
     r, last, first = blocks.ends
     rows[r, last] = first
     return rows
+
+
+def feller_ends(gen, size: int, n: int, theta: float):
+    """(r, last, first) of every block of every row, sorted by r, as
+    ``samplers._feller_ends`` draws them (the same uniforms in the same
+    order), with every round kept in intp and gathered at the end: a
+    concatenation of the rounds, and each block placed at its row's
+    offset plus its round."""
+    positions = np.arange(1, n)
+    drop = np.zeros(n)
+    np.cumsum(np.log(theta + positions) - np.log(positions), out=drop[1:])
+    rows = np.arange(size)
+    at = np.zeros(size, dtype=np.intp)
+    parts = []
+    while len(rows):
+        nxt = np.searchsorted(drop, drop[at] - np.log(1 - gen.random(len(rows))), side="right")
+        parts.append((rows, nxt - 1, at))
+        more = nxt < n
+        rows, at = rows[more], nxt[more]
+    r, last, first = (np.concatenate(part) for part in zip(*parts))
+    counts = np.bincount(r, minlength=size)
+    rounds = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+    place = (np.cumsum(counts) - counts)[r] + rounds
+    ends = np.empty((3, len(r)), dtype=np.int32)
+    for out, part in zip(ends, (r, last, first)):
+        out[place] = part
+    return tuple(ends)

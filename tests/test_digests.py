@@ -64,6 +64,19 @@ _CONFIGS = {
          "--tv-orders", "2, 3", "--samples", "3000"],
         "bb78ddbbbfa68ab930e60b159f5dd25621778d57f3f9fb4578c3fcb005d338dd",
     ),
+    # The two Monte Carlo configs of the benchmark; the fixed-type pair at
+    # n = 4096 has several row blocks per chunk.
+    "convergence-ewens-scan": (
+        ["convergence", "--seed", "11", "--samplers", "ewens:2, ewens:1/2",
+         "--n-grid", "250, 1000", "--functionals", "product:1, product:2, product:3",
+         "--tv-orders", "2, 3", "--samples", "2000"],
+        "fe78431da6b1316225e9fba370c138e6a618de3c6fa8c90e3ec4901b7c1dad45",
+    ),
+    "counterexample-fixed-pair": (
+        ["counterexample", "--seed", "11", "--samplers", "sqrt_fixed:sqrt, sqrt_fixed:sqrt",
+         "--n", "4096", "--samples", "3000"],
+        "edefeba506b750f9f6a20edda52e36fac9655ed7d7bbf4c446906bafa93d64df",
+    ),
     "exact": (
         ["exact", "--seed", "0", "--samplers", "ewens:2, ewens:1/2", "--n", "5",
          "--v-vec", "1, 2"],

@@ -158,8 +158,8 @@ def _whole_chunk_rows(spec, rng, size, relabel):
 
 _BLOCK_LAWS = ("uniform", "ewens:0", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/3")
 _BLOCK_SHAPES = [
-    (None, 250, 1000),  # four blocks, the last one partial
-    (None, 4096, 40),  # three blocks of 16, 16 and 8 rows
+    (None, 250, 1000),  # eight blocks, the last one partial
+    (None, 4096, 40),  # five blocks of 8 rows
     (None, 2, 300),  # one block
     (None, 7, 1),
     (64, 1, 5),
@@ -316,6 +316,37 @@ def test_feller_ends_tile_each_row_and_draw_one_uniform_per_block(theta, n):
     assert np.all(last[np.r_[new_row[1:], True]] == n - 1)
     reference.random(len(r))
     assert gen.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.0, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 7, 250, 1000])
+def test_feller_ends_match_the_reference_rounds(theta, n):
+    # The same ends and the same stream state as the rounds kept in intp
+    # and concatenated at the end.
+    size = 37
+    gen, reference = RngStream(24, 3).generator, RngStream(24, 3).generator
+    ends = samplers._feller_ends(gen, size, n, theta)
+    expected = brute.feller_ends(reference, size, n, theta)
+    for got, want in zip(ends, expected, strict=True):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+    assert gen.bit_generator.state == reference.bit_generator.state
+
+
+def test_feller_ends_of_a_chunk_hold_little_beside_their_output():
+    # One ewens:2 chunk of the Ewens scan at n = 1000: 4194 rows, about
+    # 54,000 blocks and 0.65 MB of int32 ends. Each round is kept as int32
+    # rows and openings (8 bytes a block) and written straight to its
+    # place: 1.2 MiB. Rounds kept in intp and concatenated reach 4.0 MiB.
+    n = 1000
+    gen = RngStream(43, 0).generator
+    tracemalloc.start()
+    try:
+        samplers._feller_ends(gen, _chunk_size(n), n, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_ewens_rows_reject_an_infinite_theta():
@@ -610,7 +641,7 @@ def test_block_fed_product_cycle_counts_match_the_dense_reference(first, n, monk
     # counts they feed against the whole-chunk product, with both streams
     # left where the reference leaves them. A budget of 64 entries gives
     # row blocks of 64, 32 and 9 rows at n = 1, 2 and 7; n = 1000 keeps
-    # the module's 65. Each chunk is two row blocks and three rows.
+    # the module's 32. Each chunk is two row blocks and three rows.
     if n < 1000:
         monkeypatch.setattr(samplers, "_BLOCK_ELEMENTS", 64)
     size = 2 * samplers._block_rows(n) + 3
@@ -664,17 +695,24 @@ def test_product_cycle_counts_hold_no_factor_rows():
     finally:
         tracemalloc.stop()
     assert peak < size * n * np.dtype(np.int32).itemsize / 4
+    # One shuffle block, the product block, its gather and a block of
+    # hits, of 8 rows each: 0.94 MiB. int32 copies and a separate image
+    # block beside them reach 2.4 MiB.
+    assert peak < 1.5 * 2**20
 
 
 @pytest.mark.parametrize(
-    "laws, n, k",
-    [(("ewens:2", "ewens:1/2"), 1000, 3), (("ewens:1",) * 3, 500, 2)],
+    "laws, n, k, mib",
+    [(("ewens:2", "ewens:1/2"), 1000, 3, 4), (("ewens:1",) * 3, 500, 2, 5)],
     ids=["pair-scan", "triple-scan"],
 )
-def test_an_ewens_pair_chunk_holds_no_factor_rows(laws, n, k):
+def test_an_ewens_pair_chunk_holds_no_factor_rows(laws, n, k, mib):
     # One chunk of the acceptance suite's Ewens pair scan at n = 1000,
     # k = 3, or of its triple scan at n = 500, k = 2, factor 0's draw
-    # included: no factor and no product becomes a (size, n) array.
+    # included: no factor and no product becomes a (size, n) array. Nor
+    # does any block exist only to change a dtype or copy another: the
+    # chunks peak at 2.4 and 3.3 MiB, and int32 copies of the
+    # arrangements and a successor block per factor reach 5.1 and 7.3.
     size = _chunk_size(n)
     first, *later = (sampler_from_text(law).bind(n=n) for law in laws)
     tracemalloc.start()
@@ -686,6 +724,7 @@ def test_an_ewens_pair_chunk_holds_no_factor_rows(laws, n, k):
     finally:
         tracemalloc.stop()
     assert peak < size * n * np.dtype(np.int32).itemsize
+    assert peak < mib * 2**20
 
 
 def test_product_cycle_counts_reject_bad_input():
