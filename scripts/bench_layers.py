@@ -20,7 +20,15 @@ beside them. The layers of one n run round robin, one pass over all of
 them per repeat, and each keeps its best. Then it times the
 exact oracle: one ``product_type_distribution`` for ewens:2 x ewens:1/2 at n = 8, 12 and
 16, with its caches cleared first, as in a fresh ``permprod exact``
-process. Times are wall-clock milliseconds from time.perf_counter.
+process, and ``shape_prob`` of one shape from cold, with the
+``tracemalloc`` peak of one more call beside it: one edge under
+ewens:2 at n = 16, 20 and 24, one edge under the n-cycle law at n = 30,
+40 and 50, and one edge under sqrt_fixed:sqrt at n = 4096 (64 fixed
+points and a 4032-cycle). A tree whose oracle tabulates every shape of
+every cycle type (it has ``oracle._shape_counts``) leaves out the rows
+above n = 20: its tables took 20.7 s and 1.18 GB at n = 24 under
+ewens:2 and 10.6 s at n = 50 under the n-cycle law, and cannot be built
+at n = 4096. Times are wall-clock milliseconds from time.perf_counter.
 Last come the stages of a default ``permprod verify-lemmas``, in
 seconds, each with the ``tracemalloc`` peak of one more, untimed run:
 the trace sweep at n = 7 and, beyond the default, at n = 8 (one
@@ -31,11 +39,12 @@ reduced pair suites and event-factorization at n = 5), relabel-dichotomy at n = 
 the membership bounds at n = 5 and, beyond the default, at n = 7 (the
 largest ``--pair-n``), the prefix-fixing decay, and the whole default
 ``run_all()``, every suite of the report. These stages run round robin,
-one pass over all of them per repeat, and each keeps its best. The
-oracle's shape tables (``oracle._shape_counts`` and ``_cycle_shapes``)
-are cleared before each run of the two bounds stages and the prefix
-decay, so that these pay the tabulation a fresh ``verify-lemmas``
-pays instead of reading the tables of the pass before. Stages beyond the
+one pass over all of them per repeat, and each keeps its best. Every
+cache of the oracle module is cleared before each run of the two
+bounds stages and the prefix decay, and before each ``shape_prob``
+row, so that a tree that keeps shape tables pays them as a fresh
+``verify-lemmas`` does instead of reading the tables of the pass
+before. Stages beyond the
 default are timed once after them: the trace sweep at n = 10 and at
 n = 30, each left out when the package's ``_SINGLE_MAX_N`` is below it
 (so the one script also measures a tree that walks all n!
@@ -75,13 +84,8 @@ from fractions import Fraction
 import numpy as np
 
 from permprod import cyclegraphs, oracle, samplers, sweeps
-from permprod.cli import sampler_from_text
-from permprod.oracle import (
-    ExactDistribution,
-    _character_table,
-    _mn_character,
-    product_type_distribution,
-)
+from permprod.cli import _exact_law, sampler_from_text
+from permprod.oracle import ExactDistribution, product_type_distribution
 from permprod.samplers import RngStream, product_rows, small_cycle_counts
 from permprod.stats import _chunk_size
 
@@ -94,6 +98,17 @@ FUSED_CHUNKS = (
     (("ewens:1",) * 3, (2,)),
 )
 ORACLE_SIZES = (8, 12, 16)
+# shape_prob rows: (label, n, law builder), each for one edge.
+SHAPE_ROWS = (
+    *((f"ewens:2 edge n = {n}", n, lambda n: ExactDistribution.ewens(n, 2)) for n in (16, 20, 24)),
+    *((f"n-cycle edge n = {n}", n, lambda n: ExactDistribution.ewens(n, 0)) for n in (30, 40, 50)),
+    (
+        "sqrt_fixed:sqrt edge n = 4096", 4096,
+        lambda n: _exact_law(sampler_from_text("sqrt_fixed:sqrt").bind(n=n)),
+    ),
+)
+# Above this n a tree with shape tables skips the shape_prob rows.
+TABLE_MAX_N = 20
 # Whole jobs run once each in a fresh interpreter.
 FRESH_JOBS = (
     ["verify-lemmas", "--pair-n", "7"],
@@ -169,6 +184,16 @@ def fresh_run(argv, env) -> tuple[float, int, float]:
     seconds = time.perf_counter() - start
     peak_mb = int(done.stderr.split("VmHWM:")[1].split()[0]) / 1024
     return seconds, done.returncode, peak_mb
+
+
+def cold_oracle(stage):
+    # The stage after clearing every cache of the oracle module.
+    def run():
+        for value in vars(oracle).values():
+            getattr(value, "cache_clear", lambda: None)()
+        return stage()
+
+    return run
 
 
 def traced_peak(fn):
@@ -257,14 +282,21 @@ def main(argv=None) -> int:
     print("oracle: product_type_distribution(ewens:2, ewens:1/2), cold caches, ms")
     for n in ORACLE_SIZES:
         laws = (ExactDistribution.ewens(n, 2), ExactDistribution.ewens(n, Fraction(1, 2)))
-
-        def cold_law():
-            for cached in (product_type_distribution, _character_table, _mn_character):
-                cached.cache_clear()
-            product_type_distribution(*laws)
-
-        ms = best_ms(cold_law, args.repeat)
+        ms = best_ms(cold_oracle(lambda: product_type_distribution(*laws)), args.repeat)
         emit(f"  n = {n:<16} {ms:8.2f}", layer="product_type_distribution", n=n, ms=ms)
+    print("oracle: shape_prob of one edge, cold caches, ms, and MiB traced")
+    tables = hasattr(oracle, "_shape_counts")
+    for label, n, build in SHAPE_ROWS:
+        if tables and n > TABLE_MAX_N:
+            continue
+        law = build(n)
+        one = cold_oracle(lambda law=law: oracle.shape_prob(law, ((2, 1),)))
+        ms = best_ms(one, args.repeat)
+        peak = traced_peak(one)[0]
+        emit(
+            f"  {label:<30} {ms:10.3f}  peak {peak:8.2f} MiB",
+            layer="shape_prob", law=label.split()[0], n=n, ms=ms, peak_mib=peak,
+        )
     print("verify-lemmas stages at the default sizes: s, and MiB traced")
     # An untimed pair pass counts the rows of its numpy walks.
     walk = sweeps._walk_pairs
@@ -281,15 +313,6 @@ def main(argv=None) -> int:
     finally:
         sweeps._walk_pairs = walk
 
-    def cold_shapes(stage):
-        # The stage after clearing the oracle's shape tables.
-        def run():
-            oracle._shape_counts.cache_clear()
-            oracle._cycle_shapes.cache_clear()
-            return stage()
-
-        return run
-
     stages = (
         ("trace n = 7", lambda: sweeps.sweep_trace_identity(7), ""),
         ("trace n = 8", lambda: sweeps.sweep_trace_identity(8), ""),
@@ -297,9 +320,9 @@ def main(argv=None) -> int:
         ("reduced pairs n = 5", lambda: sweeps._reduced_pair_suites(5), ""),
         ("event-factor. n = 5", lambda: sweeps.sweep_event_factorization(5), ""),
         ("relabel n = 5", lambda: sweeps.sweep_relabel_dichotomy(5), ""),
-        ("bounds n = 5", cold_shapes(lambda: sweeps.sweep_membership_bounds(5)), ""),
-        ("bounds n = 7", cold_shapes(lambda: sweeps.sweep_membership_bounds(7)), ""),
-        ("prefix decay", cold_shapes(sweeps.sweep_prefix_decay), ""),
+        ("bounds n = 5", cold_oracle(lambda: sweeps.sweep_membership_bounds(5)), ""),
+        ("bounds n = 7", cold_oracle(lambda: sweeps.sweep_membership_bounds(7)), ""),
+        ("prefix decay", cold_oracle(sweeps.sweep_prefix_decay), ""),
         ("run_all()", sweeps.run_all, ""),
     )
     best = round_robin({label: stage for label, stage, _ in stages}, args.repeat)

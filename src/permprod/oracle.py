@@ -24,22 +24,32 @@ integer arithmetic. The cost is that of the p(n) x p(n) character
 table, not of n!, so the product law reaches n = 16 where enumerating
 S_n stops at 8. The tests check it against brute-force enumeration.
 
-The membership probabilities of a single law (``exact_graph_prob``,
-``prefix_fixed_prob`` and ``verify_bounds``) come from one rule by
-shape. A partial injection E of {1..n} is a disjoint union of paths and
-cycles, and its shape S (``cyclegraphs.shape``) is the multiset of
-those. Counting the pairs (pi, E) with pi of cycle type lambda, E of
-shape S and E inside pi in two ways gives
+The membership probabilities of a single law (``shape_prob``,
+``exact_graph_prob``, ``prefix_fixed_prob`` and ``verify_bounds``) need
+no table of shapes. A partial injection E of {1..n} is a disjoint union
+of paths and cycles, its shape S (``cyclegraphs.shape``) is the multiset
+of those, and P(sigma contains E) is the same for every E of one shape.
+Under the Ewens law with parameter theta, theta = 1 being the uniform
+law, the Feller coupling gives it in closed form (Arratia, Barbour and
+Tavare, *Logarithmic Combinatorial Structures*, EMS 2003): with |E|
+edges and c(E) closed cycles in E,
+
+    P(sigma contains E) = theta^c(E) / prod_{i = n - |E|}^{n - 1} (theta + i).
+
+For any other law, counting the pairs (pi, E) with pi of cycle type
+lambda, E of shape S and E inside pi in two ways gives
 
     P(sigma contains E | sigma in C_lambda) = N_lambda(S) / |orbit(S)|,
 
 where N_lambda(S) counts the partial injections of shape S inside one
 member of C_lambda and |orbit(S)| those in {1..n}
-(``cyclegraphs.shape_orbit_size``). N_lambda(S) is a product over the
-cycles of lambda: each l-cycle's edges are chosen independently, all l
-of them giving one l-cycle and otherwise each run of r chosen edges a
-path with r edges. Nothing enumerates S_n, so no cap on n is needed;
-the cost grows with the number of shapes inside each cycle type.
+(``cyclegraphs.shape_orbit_size``). Each cycle's edges are chosen
+independently: all l edges of an l-cycle give the cycle itself, and
+otherwise each run of r chosen edges is a path with r edges. So each
+l-cycle of S is a whole l-cycle of lambda, and S's paths are shared out
+among lambda's other cycles. The count runs over the sub-multisets of
+S's paths only (:func:`_shape_counter`), never over the shapes S does
+not hold, so its cost grows neither with n nor with a cycle's length.
 
 Each law also holds its class probabilities as integer masses over one
 common denominator, worked out once when it is built. The sums over
@@ -49,11 +59,14 @@ probability is one ``Fraction`` at the end.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from permprod.cyclegraphs import DirectedGraph, shape, shape_orbit_size
 
@@ -123,11 +136,16 @@ class ExactDistribution:
     :meth:`explicit`. ``masses`` holds the same law in integers: each
     cycle type of nonzero probability with its numerator over
     ``denominator``, the least common denominator of the probabilities.
+    ``theta`` is the Ewens parameter of the laws :meth:`ewens` builds
+    for theta > 0 and 1 for :meth:`uniform`, None for the others; it
+    selects the closed form of :func:`shape_prob` and takes no part in
+    equality or the hash.
     """
 
     n: int
     kind: str
     class_probs: tuple[tuple[tuple[int, ...], Fraction], ...]
+    theta: Fraction | None = field(default=None, compare=False)
     masses: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
 
@@ -154,7 +172,7 @@ class ExactDistribution:
     def uniform(cls, n: int) -> "ExactDistribution":
         fact = math.factorial(n)
         probs = tuple((p, Fraction(class_size(p, n), fact)) for p in partitions(n))
-        return cls(n=n, kind="uniform", class_probs=probs)
+        return cls(n=n, kind="uniform", class_probs=probs, theta=Fraction(1))
 
     @classmethod
     def ewens(cls, n: int, theta) -> "ExactDistribution":
@@ -172,7 +190,7 @@ class ExactDistribution:
             (p, Fraction(class_size(p, n) * a ** len(p) * b ** (n - len(p)), norm))
             for p in partitions(n)
         )
-        return cls(n=n, kind=f"ewens({theta})", class_probs=probs)
+        return cls(n=n, kind=f"ewens({theta})", class_probs=probs, theta=theta)
 
     @classmethod
     def explicit(
@@ -336,42 +354,72 @@ def exact_joint_cycle_prob(
     )
 
 
-_Shape = tuple[tuple[int, int], ...]
+def _shape_counter(kinds: Sequence[tuple[int, int]]) -> Callable[[Sequence[int]], int]:
+    """N_lambda(S) as a function of the cycle type lambda, for the shape
+    S that ``kinds`` lists: the number of partial injections of shape S
+    inside one permutation of cycle type lambda.
 
+    The b_l l-cycles of S are whole l-cycles of lambda, chosen among its
+    m_l in C(m_l, b_l) ways, and S's paths lie on the other cycles. One
+    l-cycle holds k >= 1 runs of r_1..r_k edges, R < l in all, in
+    l (k - 1)! C(l - R - 1, k - 1) / prod m! ways, m runs of each length:
+    the first edge of a first run (l ways), the k! / prod m! orders of
+    the runs and the C(l - R - 1, k - 1) ways of k gaps of at least one
+    edge summing to l - R, over k, as each edge subset is met once per
+    run taken as first. The free m_l - b_l l-cycles then hold the sum
+    over j of C(m_l - b_l, j) times the ordered j-fold products of one
+    cycle's runs; the j cycles are distinct, so nothing is divided by
+    j!. Every product is truncated to the sub-multisets of S's paths,
+    the only states the count visits, and each (l, m_l - b_l) is worked
+    out once for every lambda asked.
+    """
+    cycles = Counter(verts for verts, edges in kinds if verts == edges)
+    paths = Counter(edges for verts, edges in kinds if verts != edges)
+    runs = sorted(paths)
+    caps = tuple(paths[r] for r in runs)
+    subs = list(itertools.product(*(range(cap + 1) for cap in caps)))
+    none = subs[0]
 
-@lru_cache(maxsize=None)
-def _cycle_shapes(length: int) -> tuple[tuple[_Shape, int], ...]:
-    # (shape, count) over the edge subsets of one l-cycle. All l edges
-    # give the cycle itself. Otherwise k >= 1 runs of r_1..r_k edges, R in
-    # all, are placed by the first edge of a first run (l ways), the
-    # k! / prod m! orders of the runs (m runs of each length) and the k
-    # gaps of at least one edge summing to l - R (C(l - R - 1, k - 1)
-    # ways); each subset is met k times, once per run taken as first.
-    out = [(((length, length),), 1), ((), 1)]
-    for edges in range(1, length):
-        for runs in partitions(edges):
-            k = len(runs)
-            repeats = math.prod(map(math.factorial, _multiplicities(runs).values()))
-            count = length * math.factorial(k - 1) * math.comb(length - edges - 1, k - 1)
-            if count:
-                out.append((tuple(sorted((r + 1, r) for r in runs)), count // repeats))
-    return tuple(out)
+    def times(a: dict, b: dict) -> dict:
+        out: dict[tuple[int, ...], int] = {}
+        for x, ways_x in a.items():
+            for y, ways_y in b.items():
+                xy = tuple(map(operator.add, x, y))
+                if all(map(operator.le, xy, caps)):
+                    out[xy] = out.get(xy, 0) + ways_x * ways_y
+        return out
 
+    @lru_cache(maxsize=None)
+    def free_cycles(length: int, free: int) -> dict:
+        one = {}
+        for sub in subs[1:]:
+            k, edges = sum(sub), sum(map(operator.mul, sub, runs))
+            if edges < length:
+                ways = length * math.factorial(k - 1) * math.comb(length - edges - 1, k - 1)
+                if ways:
+                    one[sub] = ways // math.prod(map(math.factorial, sub))
+        out, power = {none: 1}, {none: 1}
+        for j in range(1, min(free, sum(caps)) + 1):
+            power = times(power, one)
+            if not power:
+                break
+            for sub, ways in power.items():
+                out[sub] = out.get(sub, 0) + math.comb(free, j) * ways
+        return out
 
-@lru_cache(maxsize=None)
-def _shape_counts(partition: tuple[int, ...]) -> dict[_Shape, int]:
-    """N_lambda(S) for every shape S: the number of partial injections
-    of shape S inside one permutation of cycle type ``partition``. Each
-    cycle's edges are chosen independently of the others', so the table
-    extends the cached one of ``partition[:-1]`` by the last cycle."""
-    if not partition:
-        return {(): 1}
-    counts: dict[_Shape, int] = {}
-    for kinds, count in _shape_counts(partition[:-1]).items():
-        for more, ways in _cycle_shapes(partition[-1]):
-            key = tuple(sorted(kinds + more)) if more else kinds
-            counts[key] = counts.get(key, 0) + count * ways
-    return counts
+    def count(partition: Sequence[int]) -> int:
+        mults = _multiplicities(partition)
+        whole = math.prod(math.comb(mults.get(length, 0), b) for length, b in cycles.items())
+        if not whole:
+            return 0
+        shared = {none: 1}
+        for length, mult in mults.items():
+            # Only a cycle longer than S's shortest path can hold a path.
+            if mult > cycles[length] and runs and runs[0] < length:
+                shared = times(shared, free_cycles(length, mult - cycles[length]))
+        return whole * shared.get(caps, 0)
+
+    return count
 
 
 def shape_prob(d: ExactDistribution, kinds: Sequence[tuple[int, int]]) -> Fraction:
@@ -379,17 +427,27 @@ def shape_prob(d: ExactDistribution, kinds: Sequence[tuple[int, int]]) -> Fracti
     injection E of {1..n} with the given shape: its components as
     (vertex count, edge count) pairs, as ``cyclegraphs.shape`` lists them.
 
-    Sums N_lambda(S) / |orbit(S)| over the law's cycle types lambda (see
-    the module docstring) in integers: each N_lambda(S) times the law's
-    integer mass of lambda, over ``d.denominator`` times |orbit(S)| in
-    one ``Fraction``.
+    For a law with ``theta`` (Ewens and uniform), the closed form of the
+    module docstring in integers: with theta = a / b, |E| edges and c
+    closed cycles, a^c b^(|E| - c) over prod_{i = n - |E|}^{n - 1}
+    (a + i b). For any other law, sum N_lambda(S) / |orbit(S)| over its
+    cycle types lambda (:func:`_shape_counter`): each N_lambda(S) times
+    the law's integer mass of lambda, over ``d.denominator`` times
+    |orbit(S)|. Either way one ``Fraction``, at a cost that grows with
+    neither n nor the cycle lengths.
     """
     kinds = tuple(sorted(kinds))
-    orbit = shape_orbit_size(kinds, d.n)
-    if not orbit:
+    if sum(verts for verts, _ in kinds) > d.n:
         raise ValueError(f"shape {kinds!r} has more than {d.n} vertices")
-    total = sum(mass * _shape_counts(mu).get(kinds, 0) for mu, mass in d.masses)
-    return Fraction(total, d.denominator * orbit)
+    if d.theta is not None:
+        a, b = d.theta.numerator, d.theta.denominator
+        edges = sum(edge_count for _, edge_count in kinds)
+        closed = sum(verts == edge_count for verts, edge_count in kinds)
+        rising = math.prod(a + i * b for i in range(d.n - edges, d.n))
+        return Fraction(a**closed * b ** (edges - closed), rising)
+    count = _shape_counter(kinds)
+    total = sum(mass * count(mu) for mu, mass in d.masses)
+    return Fraction(total, d.denominator * shape_orbit_size(kinds, d.n))
 
 
 def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
@@ -402,10 +460,15 @@ def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
 
 
 def prefix_fixed_prob(d: ExactDistribution, f: int) -> Fraction:
-    """P(sigma fixes each of 1..f) under ``d``: the shape of f loops."""
+    """P(sigma fixes each of 1..f) under ``d``, read off the law's class
+    masses: given cycle type lambda with m_1 fixed points, (m_1)_f of the
+    (n)_f ordered choices of f points are fixed points, (x)_f the falling
+    factorial. So it is sum over lambda of mass * (m_1)_f over
+    ``d.denominator`` * (n)_f, one ``Fraction``; no shape is counted."""
     if f < 0 or f > d.n:
         raise ValueError(f"prefix length {f} outside 0..{d.n}")
-    return shape_prob(d, ((1, 1),) * f)
+    total = sum(mass * math.perm(mu.count(1), f) for mu, mass in d.masses)
+    return Fraction(total, d.denominator * math.perm(d.n, f))
 
 
 def ewens_prefix_fixed_prob(n: int, f: int, theta) -> Fraction:
@@ -434,27 +497,32 @@ class BoundCheck:
     holds: bool
 
 
-def verify_bounds(d: ExactDistribution, g: DirectedGraph) -> list[BoundCheck]:
+def verify_bounds(
+    d: ExactDistribution,
+    g: DirectedGraph,
+    kinds: Sequence[tuple[int, int]] | None = None,
+) -> list[BoundCheck]:
     """Check the membership-probability inequalities for one partial
-    injection.
+    injection. ``kinds`` is ``shape(g)`` when the caller already has it.
 
     Always checks the two-step upper bound through the loop-fixing
     probability. When every non-trivial component has two vertices and
     at least one is a 2-cycle, also checks the 2-cycle upper bound. When
     the graph consists of disjoint single edges, checks the two-sided
-    sandwich. Everything but the membership probability is read off
-    the shape: p components, v vertices, f loops.
+    sandwich. Everything is read off the shape: the membership
+    probability (:func:`shape_prob`), p components, v vertices, f loops.
     """
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
-    kinds = shape(g)
+    if kinds is None:
+        kinds = shape(g)
     if kinds is None:
         raise ValueError("the bounds are stated for partial injections")
     n = d.n
     p = len(kinds)
     v = sum(verts for verts, _ in kinds)
     f = kinds.count((1, 1))
-    prob = exact_graph_prob(d, g)
+    prob = shape_prob(d, kinds)
     params = {"p": p, "v": v, "f": f, "edges": len(g.edges)}
     checks: list[BoundCheck] = []
 

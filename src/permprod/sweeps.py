@@ -106,7 +106,7 @@ import numpy as np
 from permprod.cyclegraphs import DirectedGraph, profile, shape, shape_orbit_size
 from permprod.oracle import (
     ExactDistribution,
-    _shape_counts,
+    _shape_counter,
     class_size,
     ewens_prefix_fixed_prob,
     partitions,
@@ -282,14 +282,16 @@ def _first_failures(n: int, failing: dict[tuple[int, ...], list[int]]) -> list[s
     lexicographic order, k among the powers ``failing`` gives perm's
     cycle type. S_n is not listed: images are chosen point by point,
     least first, and a prefix grows only while a failing type holds a
-    partial injection of its shape (``oracle._shape_counts``)."""
+    partial injection of its shape, which the count restricted to that
+    shape tells (``oracle._shape_counter``) without listing any other."""
     examples: list[str] = []
 
     def extend(prefix: list[int]) -> None:
         for y in sorted(set(range(n)).difference(prefix)):
             grown = prefix + [y]
             kinds = shape(DirectedGraph(n, frozenset((x + 1, z + 1) for x, z in enumerate(grown))))
-            types = [lengths for lengths in failing if kinds in _shape_counts(lengths)]
+            holds = _shape_counter(kinds)
+            types = [lengths for lengths in failing if holds(lengths)]
             if types and len(grown) < n:
                 extend(grown)
             elif types:
@@ -1070,8 +1072,8 @@ def sweep_membership_bounds(
     theta (plus the uniform law when ``thetas`` includes None). The laws
     are conjugation invariant, so every value a check reads is constant
     on a relabeling orbit: one graph per orbit is checked, weighted by
-    the orbit size. Returns one summary per bound family, exact
-    arithmetic throughout.
+    the orbit size, and its shape is worked out once for every law.
+    Returns one summary per bound family, exact arithmetic throughout.
     """
     laws = []
     for theta in thetas or ():
@@ -1081,11 +1083,11 @@ def sweep_membership_bounds(
             laws.append(ExactDistribution.ewens(n, Fraction(theta)))
     if not laws:
         raise ValueError("need at least one law")
-    orbits = [(g, size) for g, size in _graph_orbits(n) if g.edges]
+    orbits = [(g, size, shape(g)) for g, size in _graph_orbits(n) if g.edges]
     tallies = {family: _Tally() for family in set(_FAMILY_OF_CHECK.values())}
-    for g, size in orbits:
+    for g, size, g_kinds in orbits:
         for law in laws:
-            for check in verify_bounds(law, g):
+            for check in verify_bounds(law, g, g_kinds):
                 family = _FAMILY_OF_CHECK[check.check_id]
                 tallies[family].record(
                     check.holds,
@@ -1095,7 +1097,7 @@ def sweep_membership_bounds(
                     ),
                     size,
                 )
-    graphs = sum(size for _, size in orbits)
+    graphs = sum(size for _, size, _ in orbits)
     kinds = ", ".join(law.kind for law in laws)
     return [
         _summary(family, n, tally, f"{graphs} union graphs at n={n}; laws: {kinds}")
@@ -1110,11 +1112,12 @@ def sweep_prefix_decay(
 ) -> SweepSummary:
     """Prefix-fixing probabilities: closed form and scaled decay.
 
-    For each theta and prefix length f, the probability of the shape of
-    f loops (``prefix_fixed_prob``) must match the closed form exactly,
-    and P(fix 1..f)^2 * n^f must strictly decrease along n_values. The
-    square keeps the comparison rational; it is equivalent to decay of
-    P * n^(f/2). Each theta's laws are built once, for every f.
+    For each theta and prefix length f, the probability of fixing 1..f
+    read off the law's class masses (``prefix_fixed_prob``) must match
+    the closed form exactly, and P(fix 1..f)^2 * n^f must strictly
+    decrease along n_values. The square keeps the comparison rational;
+    it is equivalent to decay of P * n^(f/2). Each theta's laws are
+    built once, for every f.
     """
     ns = list(n_values)
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):

@@ -28,9 +28,14 @@ that tests can check the reduced code against straight enumeration
 instead of trusting it, and they are practical only for n <= 7.
 ``graph_prob`` sums a law's pmf over every permutation containing a
 graph, where the oracle reads one probability per shape, and
-``shape_counts`` builds the oracle's per-type shape counts one cycle at
-a time from every edge subset of each cycle, where the oracle extends
-the cached table of a shorter type by one cycle. ``rising_factorial``
+``shape_table`` tabulates every shape inside a cycle type, extending
+the cached table of a shorter type by one cycle's ``cycle_shapes`` (run
+formula), and ``table_shape_prob`` reads a law's shape probabilities
+off it, where the oracle uses a closed form for Ewens laws and
+otherwise counts only the shapes inside one target shape;
+``shape_counts`` builds the same table one cycle at a time from every
+edge subset of each cycle, and ``shapes`` lists every shape up to n
+vertices. ``rising_factorial``
 is the Ewens normaliser in ``Fraction``s, where the oracle builds Ewens
 laws in integers.
 ``enumerate_B`` lists every labelled couple of two shapes and replays
@@ -52,8 +57,8 @@ builds one row block at a time or none. ``feller_ends`` draws the
 Feller ends in intp rounds concatenated at the end, where the sampler
 writes each int32 round straight to its place. Only ``perms``, ``cyclegraphs``, the
 ``ExactDistribution`` type (whose pmf is read off its class
-probabilities here) and, in ``graph_pass``, the per-graph
-``verify_bounds`` are used, so nothing here leans on the reductions it
+probabilities here), the ``partitions`` generator and, in
+``graph_pass``, the per-graph ``verify_bounds`` are used, so nothing here leans on the reductions it
 checks.
 """
 
@@ -75,7 +80,7 @@ from permprod.cyclegraphs import (
     profile,
     traversal,
 )
-from permprod.oracle import ExactDistribution, verify_bounds
+from permprod.oracle import ExactDistribution, partitions, verify_bounds
 from permprod.perms import (
     Permutation,
     all_permutations,
@@ -703,6 +708,70 @@ def shape_counts(partition: Sequence[int]) -> dict[tuple[tuple[int, int], ...], 
                 grown[key] = grown.get(key, 0) + count * ways
         counts = grown
     return counts
+
+
+def cycle_shapes(length: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """(shape, count) over the edge subsets of one l-cycle by the run
+    formula. All l edges give the cycle itself. Otherwise k >= 1 runs of
+    r_1..r_k edges, R in all, are placed by the first edge of a first
+    run (l ways), the k! / prod m! orders of the runs (m runs of each
+    length) and the k gaps of at least one edge summing to l - R
+    (C(l - R - 1, k - 1) ways); each subset is met k times, once per run
+    taken as first."""
+    out = [(((length, length),), 1), ((), 1)]
+    for edges in range(1, length):
+        for runs in partitions(edges):
+            k = len(runs)
+            repeats = math.prod(math.factorial(runs.count(r)) for r in set(runs))
+            count = length * math.factorial(k - 1) * math.comb(length - edges - 1, k - 1)
+            if count:
+                out.append((tuple(sorted((r + 1, r) for r in runs)), count // repeats))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def shape_table(partition: tuple[int, ...]) -> dict[tuple[tuple[int, int], ...], int]:
+    """N_lambda(S) for every shape S inside one permutation of cycle type
+    ``partition``. Each cycle's edges are chosen independently of the
+    others', so the table extends the cached one of ``partition[:-1]``
+    by the last cycle's ``cycle_shapes``."""
+    if not partition:
+        return {(): 1}
+    counts: dict[tuple[tuple[int, int], ...], int] = {}
+    for kinds, count in shape_table(partition[:-1]).items():
+        for more, ways in cycle_shapes(partition[-1]):
+            key = tuple(sorted(kinds + more)) if more else kinds
+            counts[key] = counts.get(key, 0) + count * ways
+    return counts
+
+
+def table_shape_prob(d: ExactDistribution, kinds: Sequence[tuple[int, int]]) -> Fraction:
+    """P(sigma contains E) for E of shape ``kinds`` under ``d``, read off
+    the table of every shape of each of the law's cycle types: the sum
+    of N_lambda(S) / |orbit(S)| weighted by the class probabilities."""
+    kinds = tuple(sorted(kinds))
+    orbit = cyclegraphs.shape_orbit_size(kinds, d.n)
+    return sum(
+        (prob * Fraction(shape_table(mu).get(kinds, 0), orbit) for mu, prob in d.class_probs),
+        Fraction(0),
+    )
+
+
+def shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every shape of a partial injection of {1..n}, the empty one first:
+    each multiset of l-cycles (l, l) and paths with l edges (l + 1, l)
+    with n vertices or fewer in all, as a sorted tuple."""
+    kinds = sorted([(v, v) for v in range(1, n + 1)] + [(v, v - 1) for v in range(2, n + 1)])
+    out = []
+
+    def extend(shape: tuple, first: int, free: int) -> None:
+        out.append(shape)
+        for index in range(first, len(kinds)):
+            if kinds[index][0] <= free:
+                extend(shape + (kinds[index],), index, free - kinds[index][0])
+
+    extend((), 0, n)
+    return out
 
 
 def graph_orbits(n: int) -> list[list]:

@@ -18,7 +18,6 @@ from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
     ExactDistribution,
     _character_table,
-    _shape_counts,
     class_size,
     ewens_prefix_fixed_prob,
     exact_graph_prob,
@@ -42,7 +41,10 @@ from brute import (
     representative,
     rising_factorial,
     shape_counts,
+    shape_table,
     shape_tuple_pmf,
+    shapes,
+    table_shape_prob,
     union_graphs,
     union_pair_pmf,
 )
@@ -142,7 +144,56 @@ def test_integer_masses_sum_to_the_denominator():
 @pytest.mark.parametrize("n", range(10))
 def test_prefix_built_shape_counts_match_reference(n):
     for partition in partitions(n):
-        assert _shape_counts(partition) == shape_counts(partition), partition
+        assert shape_table(partition) == shape_counts(partition), partition
+
+
+def _table_laws(n: int) -> list[ExactDistribution]:
+    # The CLI's exact laws of every kind that exist at n, and every
+    # single-type law.
+    texts = ["uniform", *(f"ewens:{theta}" for theta in ("0", "1/2", "1", "2", "3/7"))]
+    texts += ["sqrt_fixed:sqrt", "matching_heavy:1/3", "matching_heavy:1/2"]
+    laws = []
+    for text in texts:
+        try:
+            laws.append(_exact_law(sampler_from_text(text).bind(n=n)))
+        except ValueError:  # no such fixed cycle type at this n
+            pass
+    return laws + [ExactDistribution.explicit(n, {lam: 1}, kind=str(lam)) for lam in partitions(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_shape_and_prefix_probs_match_the_table_for_every_shape(n):
+    # Both routes of shape_prob, the closed form and the restricted
+    # count, and the class-mass route of prefix_fixed_prob, against the
+    # table of every shape of every cycle type.
+    laws = _table_laws(n)
+    assert {d.theta is None for d in laws} == {True, False}
+    for d in laws:
+        for kinds in shapes(n):
+            assert shape_prob(d, kinds) == table_shape_prob(d, kinds), (d.kind, kinds)
+        for f in range(n + 1):
+            assert prefix_fixed_prob(d, f) == table_shape_prob(d, ((1, 1),) * f), (d.kind, f)
+
+
+def test_ewens_closed_form_is_the_count_over_every_cycle_type_at_24():
+    # No table: the closed form of Ewens(2) against the restricted count
+    # over its 1575 cycle types, given as a law without theta, which is
+    # equal to it and hashes alike.
+    ewens = ExactDistribution.ewens(24, 2)
+    mixture = ExactDistribution(24, ewens.kind, ewens.class_probs)
+    assert mixture.theta is None and len(mixture.masses) == 1575
+    assert mixture == ewens and hash(mixture) == hash(ewens)
+    for kinds in [((1, 1),), ((2, 1),), ((2, 2),), ((2, 1), (3, 2))]:
+        assert shape_prob(ewens, kinds) == shape_prob(mixture, kinds), kinds
+    assert shape_prob(ewens, ((2, 1),)) == Fraction(1, 25)
+
+
+def test_membership_at_monte_carlo_sizes_needs_no_table():
+    # One edge of the 50-cycle law; one loop of sqrt_fixed:sqrt at
+    # n = 4096, 64 fixed points and a 4032-cycle.
+    assert shape_prob(ExactDistribution.ewens(50, 0), ((2, 1),)) == Fraction(1, 49)
+    law = _exact_law(sampler_from_text("sqrt_fixed:sqrt").bind(n=4096))
+    assert shape_prob(law, ((1, 1),)) == Fraction(1, 64)
 
 
 def test_uniform_product_has_uniform_law():
@@ -339,8 +390,7 @@ def test_graph_prob_is_zero_off_partial_injections():
 
 
 def test_graph_prob_counts_are_keyed_by_n():
-    # The shape counts are cached per cycle type and shared across laws;
-    # one edge set at two sizes must not share them.
+    # One edge set at two sizes must read each law's own n.
     edges = [(1, 2), (2, 1)]
     for n in (4, 5, 4):
         g = DirectedGraph.of(n, edges)

@@ -162,6 +162,35 @@ def test_trace_identity_names_its_first_failures_far_past_a_full_walk(monkeypatc
     )
 
 
+@pytest.mark.parametrize(
+    "lengths, prefix",
+    [((5, 3) + (1,) * 22, tuple(range(1, 23))), ((28, 1, 1), (1, 2, *range(4, 28)))],
+)
+def test_trace_identity_names_the_first_members_of_one_class_at_thirty(
+    monkeypatch, lengths, prefix
+):
+    # One class of S_30 fails at k = 4. A member that does not start with
+    # ``prefix`` comes after every member that does: where it first
+    # differs, a smaller image would be a value already taken, or close
+    # a cycle shorter than any non-fixed cycle of the class. So the
+    # first members complete the prefix, tried in lexicographic order.
+    def formula_off_for_one_class(counts, k):
+        return perms.trace_power(counts, k) + (k == 4 and counts.partition == lengths)
+
+    monkeypatch.setattr(sweeps, "trace_power", formula_off_for_one_class)
+    summary = sweep_trace_identity(30)
+    rest = sorted(set(range(1, 31)).difference(prefix))
+    members = (
+        Permutation(prefix + tail)
+        for tail in itertools.permutations(rest)
+        if perms.cycle_type(Permutation(prefix + tail)) == lengths
+    )
+    first = list(itertools.islice(members, sweeps._EXAMPLE_CAP))
+    assert len(first) == sweeps._EXAMPLE_CAP
+    assert summary.examples == [f"perm={a.to_line()} k=4" for a in first]
+    assert summary.violations == class_size(lengths, 30)
+
+
 def test_trace_sweep_memory_is_bounded():
     # One row per cycle type, 22 at n = 8: S_8 as intp rows alone would
     # take 2.5 MiB, its powers 4.9 MiB.
@@ -390,8 +419,8 @@ def _fail_graphs_with_two_edges(monkeypatch):
     def relabel_fails_on_two_edges(g, components, tau):
         return len(g.edges) != 2 and real_relabel(g, components, tau)
 
-    def bounds_fail_on_two_edges(law, g):
-        checks = real_bounds(law, g)
+    def bounds_fail_on_two_edges(law, g, kinds=None):
+        checks = real_bounds(law, g, kinds)
         for check in checks:
             check.holds = check.holds and len(g.edges) != 2
         return checks
