@@ -13,7 +13,7 @@ lengths); the Feller ends of an ewens:2 chunk (``samplers._feller_ends``);
 and a whole chunk through ``product_cycle_counts``: factor
 0's representative drawn, then every later factor drawn, composed and
 counted block by block, for a uniform and a sqrt_fixed:sqrt pair at
-k = 1 and 3, for the Ewens scan's pair (ewens:2, then ewens:1/2) at
+k = 1 and 3, for a matching_heavy:1/3 pair at k = 1, for the Ewens scan's pair (ewens:2, then ewens:1/2) at
 k = 3 and for the triple scan's three ewens:1 factors at k = 2. These
 last layers carry the ``tracemalloc`` peak of one more call
 beside them. The layers of one n run round robin, one pass over all of
@@ -94,6 +94,7 @@ LAWS = ("uniform", "ewens:1/2", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/
 FUSED_CHUNKS = (
     (("uniform", "uniform"), (1, 3)),
     (("sqrt_fixed:sqrt", "sqrt_fixed:sqrt"), (1, 3)),
+    (("matching_heavy:1/3", "matching_heavy:1/3"), (1,)),
     (("ewens:2", "ewens:1/2"), (3,)),
     (("ewens:1",) * 3, (2,)),
 )

@@ -17,17 +17,23 @@ have one fixed cycle type. ``uniform`` rows are the kernel's arrangements
 themselves, and a uniform cycle type is Ewens(1).
 
 The kernel works through a chunk a few rows at a time: it shuffles one
-reused int64 block of rows (``_BLOCK_ELEMENTS`` entries, 256 KiB) and
+reused intp block of rows (``_BLOCK_ELEMENTS`` entries, 256 KiB) and
 scatters the block's cycles through it into the chunk's rows
 (``_carry``), so no (size, n) temporary exists beside the output. The
-generator shuffles row by row, so the blocks draw the same rows, and
-leave the generator in the same state, as one whole-chunk shuffle.
-Before any shuffle, an Ewens chunk draws its Feller openings for all
-rows together, as int32: one uniform per cycle, each jumping a row from
-one opening to the next (``_feller_ends``). The product and the
-small-cycle counts walk the same row blocks as flat indices (row r
-offset by r * n), and every gather is a 1-D ``np.take`` into a reused
-or output buffer, so neither layer holds a (size, n) temporary either.
+block is filled with the flat identity (row r holds r * n .. r * n +
+n - 1) before it is shuffled, so its arrangements are born as flat
+indices into the block; the shuffle makes the same swaps whatever the
+values. (Full ``uniform`` draws shuffle rows of 0..n-1 instead, and
+write them out as they are.) The generator shuffles row by row, so the
+blocks draw the same rows, and leave the generator in the same state, as
+one whole-chunk shuffle. Before any shuffle, an Ewens chunk draws its Feller openings
+for all rows together, as int32: one uniform per cycle, each jumping a
+row from one opening to the next (``_feller_ends``). The product and
+the small-cycle counts walk the same row blocks as flat indices, every
+gather is a 1-D ``np.take`` into a reused or output buffer, and every
+scatter runs over the block's rows run together, so neither layer holds
+a (size, n) temporary either. A power has a few fixed points a row, so
+they are counted from their flat positions, cut at the row starts.
 
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
@@ -308,7 +314,7 @@ class CycleBlocks:
         return np.bincount(cells, minlength=self.size * k).reshape(self.size, k)
 
 
-# int64 entries in the one reused shuffle block (256 KiB). A smaller
+# intp entries in the one reused shuffle block (256 KiB). A smaller
 # block holds less beside a chunk but costs more numpy calls per chunk.
 _BLOCK_ELEMENTS = 1 << 15
 
@@ -318,20 +324,38 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def _shuffled_blocks(gen: np.random.Generator, size: int, n: int, buf: np.ndarray | None = None):
+def _flat_identity(rows: int, n: int) -> np.ndarray:
+    # (rows, n) intp, row i holding i * n .. i * n + n - 1: the identity
+    # of each row as flat indices into the block.
+    return np.arange(rows * n, dtype=np.intp).reshape(rows, n)
+
+
+def _shuffled_blocks(
+    gen: np.random.Generator,
+    size: int,
+    n: int,
+    buf: np.ndarray | None = None,
+    fill: np.ndarray | None = None,
+):
     """Yield (s, e, arr): uniform arrangements of rows s..e-1, in order.
 
-    ``arr`` is an int64 view of one reused block, ``buf`` if given, valid
-    until the next step. permuted shuffles int64 rows faster than int32
-    ones, with the same draws, and it consumes the stream row by row, so
-    the blocks draw what one (size, n) shuffle would.
+    Each step copies ``fill`` into a view of one reused intp block, ``buf``
+    if given, and shuffles it there; arr is valid until the next step.
+    ``fill`` is by default the flat identity (``_flat_identity``), so the
+    arrangements are born as flat indices into the block: row i of arr is
+    a shuffle of i * n .. i * n + n - 1. A caller that passes ``buf`` as
+    its own fill must leave the identity in it after each step, and no
+    copy is made. permuted makes the same swaps whatever the values,
+    shuffles intp rows faster than int32 ones, and consumes the stream row
+    by row, so the blocks draw what one (size, n) shuffle of 0..n-1 would.
     """
     step = _block_rows(n)
-    base = np.arange(n, dtype=np.int64)
-    buf = np.empty((min(size, step), n), dtype=np.int64) if buf is None else buf
+    fill = _flat_identity(min(size, step), n) if fill is None else fill
+    buf = np.empty(fill.shape, dtype=np.intp) if buf is None else buf
     for s in range(0, size, step):
         arr = buf[: min(step, size - s)]
-        arr[...] = base
+        if fill is not buf:
+            np.copyto(arr, fill[: len(arr)])
         gen.permuted(arr, axis=1, out=arr)
         yield s, s + len(arr), arr
 
@@ -340,9 +364,12 @@ def _carry(out: np.ndarray, arr: np.ndarray, h: np.ndarray, ends) -> None:
     """Set entry arr[i, j] of the flat ``out`` to h[i, succ(j)]: for h the
     product so far gathered at arr, the product after a factor mapping
     arr[i, j] to arr[i, succ(j)]. Off the block ends (r, last, first)
-    ``ends``, succ(j) = j + 1, so a shifted scatter sets all the rest."""
+    ``ends``, succ(j) = j + 1, so one shifted scatter over the block's
+    rows run together sets all the rest. Where a row meets the next, it
+    carries h[i + 1, 0] to arr[i, n - 1]; but column n - 1 ends the last
+    block of every row, so the ends scatter after it rewrites that entry."""
     flat = out.reshape(-1)
-    flat[arr[:, :-1]] = h[:, 1:]
+    flat[arr.reshape(-1)[:-1]] = h.reshape(-1)[1:]
     r, last, first = ends
     flat[arr[r, last]] = h[r, first]
 
@@ -354,17 +381,16 @@ def _arranged(gen: np.random.Generator, blocks: CycleBlocks) -> np.ndarray:
     arr[succ[j]], for succ the row's successor map, which is a uniform
     member of the row's conjugacy class. Each row block is written by
     ``_carry`` through flat indices, faster than put_along_axis, most of
-    all at large n: arr offset by r * n in place gives the positions and
-    the values at once, and the offsets come off the values after.
+    all at large n: the arrangements, born as flat indices, give the
+    positions and the values at once, and the offsets come off the values
+    after.
     """
     size, n = blocks.shape
     rows = np.empty((size, n), dtype=_ROW_DTYPE)
-    # Offsets within one block stay below max(_BLOCK_ELEMENTS, n): int64 to
-    # add to the shuffle block, int32 to take off the rows.
-    offsets = np.arange(0, _block_rows(n) * n, n, dtype=np.int64)[:, None]
-    shifts = offsets.astype(_ROW_DTYPE)
+    # Offsets within one block stay below max(_BLOCK_ELEMENTS, n), so int32
+    # to take off the rows.
+    shifts = np.arange(0, _block_rows(n) * n, n, dtype=_ROW_DTYPE)[:, None]
     for s, e, arr in _shuffled_blocks(gen, size, n):
-        arr += offsets[: e - s]
         _carry(rows[s:e], arr, arr, blocks._ends_of(s, e))
         rows[s:e] -= shifts[: e - s]
     return rows
@@ -374,7 +400,10 @@ def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rows = np.empty((size, n), dtype=_ROW_DTYPE)
-    for s, e, arr in _shuffled_blocks(rng.generator, size, n):
+    # Rows of 0..n-1 are shuffled as they are: a cast copy writes them
+    # out, where flat indices would also need their offsets taken off.
+    ramp = np.broadcast_to(np.arange(n, dtype=np.intp), (min(size, _block_rows(n)), n))
+    for s, e, arr in _shuffled_blocks(rng.generator, size, n, fill=ramp):
         rows[s:e] = arr
     return rows
 
@@ -540,16 +569,21 @@ def product_cycle_counts(
     without building a factor or the product.
 
     It takes the same draws and leaves every stream in the same state:
-    per row block, each later factor shuffles its arrangement arr from
-    its own stream, row by row, into one shared int64 block. The product
-    so far, flat indices into its own block, starts as the rows of
-    ``first``. arr takes its row offsets in place, h gathers the product
-    at arr, and ``_carry`` scatters h back into the spent product block
-    (for ``uniform``, h is the product). At min(kmax, n) = 1 the last
-    factor is not scattered: its fixed points are the j with
-    h[succ(j)] = arr[j]. Otherwise ``_power_fixed_points`` counts the
-    product, with the gather block for powers and the spent shuffle block
-    as the identity.
+    per row block, each later factor shuffles its arrangement arr, born
+    as flat indices, from its own stream, row by row, into one shared
+    intp block. The product so far, flat indices into its own block,
+    starts as the rows of ``first``, built from the flat identity. h
+    gathers the product at arr, and ``_carry`` scatters h back into the
+    spent product block (for ``uniform``, h is the product). At
+    min(kmax, n) = 1 the last factor is not scattered: its fixed points
+    are the j with h[succ(j)] = arr[j]. Otherwise ``_power_fixed_points``
+    counts the product against the identity.
+
+    One flat identity block is the fill of every shuffle, factor 0's
+    start and what the powers are compared with. For kmax >= 3 it is a
+    block of its own, and the spent shuffle block is the second power
+    block. Below that the identity is rebuilt in the shuffle block after
+    each factor, ready for the next shuffle, so no block is added.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -560,94 +594,99 @@ def product_cycle_counts(
         raise ValueError(f"factor 0 has n={n}, later specs {[spec.n for spec in specs]}")
     kmax = min(kmax, n)
     step = min(size, _block_rows(n))
-    arr = np.empty((step, n), dtype=np.int64)
-    # Every later factor shuffles into arr, one row block at a time.
+    # Each block only where it is read, as peak RSS counts every one.
+    identity = _flat_identity(step, n)
+    arr = np.empty_like(identity) if kmax > 2 else identity
     later = [
         (
             None if spec.kind == "uniform" else spec.draw_blocks(rng, size),
-            _shuffled_blocks(rng.generator, size, n, arr),
+            _shuffled_blocks(rng.generator, size, n, arr, identity),
         )
         for spec, rng in zip(specs, streams, strict=True)
     ]
     compare = kmax == 1 and later[-1][0] is not None
-    ramp = np.arange(n + 1, dtype=np.intp)
-    offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None]
-    # The product and its gather, and a second power block for kmax > 2;
-    # each only where it is read, as peak RSS counts every one.
-    blocks = [np.empty(step * n, dtype=np.intp) for _ in range(2 + (kmax > 2))]
-    hits = np.empty(step * n, dtype=bool)
+    ramp = np.arange(n, dtype=np.intp)
+    offsets = identity[:, :1].copy()
+    # The product and its gather.
+    blocks = np.empty((2, step * n), dtype=np.intp)
     fixed = np.empty((size, kmax), dtype=np.int64)
     for s in range(0, size, step):
         e = min(size, s + step)
         b = e - s
-        prod, h, *spare = (x[: b * n].reshape(b, n) for x in blocks)
-        off = offsets[:b]
+        prod, h = (x[: b * n].reshape(b, n) for x in blocks)
+        ident = identity[:b]
         if first.succ is None:
             # Off its block ends, factor 0 maps j to j + 1.
-            np.add(off, ramp[1:], out=prod)
+            np.add(ident, 1, out=prod)
             r, last, head = first._ends_of(s, e)
-            prod[r, last] = head + r * n
+            prod[r, last] = ident[r, head]
         else:
-            np.add(off, first.succ, out=prod)
+            np.add(offsets[:b], first.succ, out=prod)
         for f, (factor, kernel) in enumerate(later, 1):
             a = next(kernel)[2]
-            a += off
             np.take(prod, a, out=h, mode="wrap")
             if factor is None:
                 # A uniform row maps x to arr[x], so the gather is the product.
                 prod, h = h, prod
             elif f < len(later) or not compare:
                 _carry(prod, a, h, factor._ends_of(s, e))
-        if not compare:
-            # The spent shuffle block becomes the flat identity.
-            np.add(off, ramp[:n], out=a)
+            else:
+                # Compared along the rows run together, then at the block
+                # ends, column n - 1 among them, as in _carry.
+                r, last, head = factor._ends_of(s, e)
+                hit = np.empty((b, n), dtype=bool)
+                np.equal(h.reshape(-1)[1:], a.reshape(-1)[:-1], out=hit.reshape(-1)[:-1])
+                hit[r, last] = h[r, head] == a[r, last]
+                fixed[s:e, 0] = _row_counts(hit)
+            if arr is identity:
+                # The next shuffle starts from the flat identity.
+                np.add(offsets[:b], ramp, out=a)
         if kmax > 1:
-            powers = [x.reshape(-1) for x in (h, *spare)]
-            _power_fixed_points(prod.reshape(-1), fixed[s:e], (a.reshape(-1), powers, hits))
-            continue
-        hit = hits[: b * n].reshape(b, n)
-        if compare:
-            r, last, head = later[-1][0]._ends_of(s, e)
-            np.equal(h[:, 1:], a[:, :-1], out=hit[:, :-1])
-            hit[r, last] = h[r, head] == a[r, last]
-        else:
-            np.equal(prod, a, out=hit)
-        fixed[s:e, 0] = hit.sum(axis=1)
+            # Power 2 goes to h, and power 3 on to the spent shuffle block,
+            # which holds the identity only where kmax = 2 reads no power 3.
+            powers = (h.reshape(-1), a.reshape(-1))
+            _power_fixed_points(prod.reshape(-1), fixed[s:e], (ident.reshape(-1), powers))
+        elif not compare:
+            fixed[s:e, 0] = _row_counts(prod == ident)
     return _cycle_counts(fixed)
 
 
-def _power_scratch(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # A flat identity block and two power blocks of m intp entries, and
-    # one bool block of hits.
-    return (
-        np.arange(m, dtype=np.intp),
-        np.empty((2, m), dtype=np.intp),
-        np.empty(m, dtype=bool),
-    )
+def _power_scratch(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # A flat identity block and two power blocks of m intp entries.
+    return np.arange(m, dtype=np.intp), np.empty((2, m), dtype=np.intp)
 
 
 def _power_fixed_points(
-    base: np.ndarray, fixed: np.ndarray, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]
+    base: np.ndarray, fixed: np.ndarray, scratch: tuple[np.ndarray, Sequence[np.ndarray]]
 ) -> None:
     """Set ``fixed[i, k - 1]`` to the fixed points of power k of row i,
     for k = 1..kmax, kmax = ``fixed.shape[1]``.
 
     ``base`` is a row block as flat indices into itself (entry i * n + x
     is row i's image of x, plus i * n). ``scratch`` (``_power_scratch``)
-    is a flat identity, two power blocks (read from k = 2 and 3 on) and
-    bool hits, none shorter than ``base``. Power k is one 1-D ``np.take``
-    of power k - 1 by ``base``, into the power blocks in turn, and its
-    fixed points are the entries equal to the identity.
+    is a flat identity and two power blocks (read from k = 2 and 3 on),
+    none shorter than ``base``. Power k is one 1-D ``np.take`` of power
+    k - 1 by ``base``, into the power blocks in turn, and its fixed
+    points are the entries equal to the identity, counted per row from
+    their few flat positions (``_row_counts``).
     """
-    identity, powers, hits = scratch
+    identity, powers = scratch
     m = len(base)
     rows, kmax = fixed.shape
     power = base
     for k in range(1, kmax + 1):
         if k > 1:
             power = np.take(power, base, out=powers[k % 2][:m], mode="wrap")
-        np.equal(power, identity[:m], out=hits[:m])
-        fixed[:, k - 1] = hits[:m].reshape(rows, -1).sum(axis=1)
+        fixed[:, k - 1] = _row_counts((power == identity[:m]).reshape(rows, -1))
+
+
+def _row_counts(hits: np.ndarray) -> np.ndarray:
+    # Per-row counts of the true entries of a (rows, n) bool block. A
+    # power has a few fixed points a row, so their flat positions, cut at
+    # the row starts, cost less than a row sum over every entry.
+    rows, n = hits.shape
+    cuts = np.searchsorted(np.flatnonzero(hits), np.arange(0, rows * n + 1, n))
+    return cuts[1:] - cuts[:-1]
 
 
 def _cycle_counts(fixed: np.ndarray) -> np.ndarray:

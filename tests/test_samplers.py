@@ -664,6 +664,64 @@ def test_block_fed_product_cycle_counts_match_the_dense_reference(first, n, monk
             assert rng.generator.bit_generator.state == drawn.generator.bit_generator.state
 
 
+# Laws whose blocks feed _carry: Feller ends from theta = 0 (one cycle)
+# to 10**6 (mostly fixed points), and the shared bases of the fixed types.
+_ENDS_LAWS = ("ewens:0", "ewens:1/2", "ewens:2", "ewens:1000000", *_FIXED_TYPE_LAWS)
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [(law, n) for law in _ENDS_LAWS for n in (1, 2, 7, 1000) if _has_cycle_type(law, n)],
+)
+def test_every_row_block_ends_each_row_at_its_last_column(law, n):
+    # _carry scatters a block's rows run together, which carries the
+    # wrong entry to column n - 1 of each row; the ends scatter after it
+    # rewrites that entry only if (r, n - 1) is a block end of every row
+    # r. Two row blocks of the module's budget and a ragged third.
+    step = samplers._block_rows(n)
+    size = 2 * step + 3
+    blocks = sampler_from_text(law).bind(n=n).draw_blocks(RngStream(45, 0), size)
+    for s in range(0, size, step):
+        e = min(size, s + step)
+        r, last, _ = blocks._ends_of(s, e)
+        if blocks.succ is not None:
+            assert r == slice(None) and last[-1] == n - 1
+        else:
+            assert np.array_equal(r[last == n - 1], np.arange(e - s))
+
+
+_LATER_LAWS = (*_BLOCK_LAWS, "matching_heavy:1/2")
+
+
+@pytest.mark.parametrize(
+    "first, last, n",
+    [
+        (first, last, n)
+        for first in ("uniform", "ewens:2", "sqrt_fixed:sqrt", "matching_heavy:1/2")
+        for last in _LATER_LAWS
+        for n in (2, 3)
+        if _has_cycle_type(first, n) and _has_cycle_type(last, n)
+    ],
+)
+def test_product_cycle_counts_at_the_most_row_boundaries(first, last, n):
+    # The module's budget puts thousands of rows in a block at n = 2 and
+    # 3, so nearly every entry of the contiguous carry and compare sits
+    # next to a row boundary; the last block is ragged. Every kmax, and
+    # every stream left where draw_batch leaves it.
+    size = 2 * samplers._block_rows(n) + 5
+    head = sampler_from_text(first).bind(n=n).draw_blocks(RngStream(46, 0), size)
+    spec = sampler_from_text(last).bind(n=n)
+    drawn = RngStream(46, 1)
+    rows = spec.draw_batch(drawn, size)
+    product = brute.product_rows([brute.representative_rows(head), rows])
+    expected = brute.small_cycle_counts(product, n)
+    for kmax in range(1, 5):
+        rng = RngStream(46, 1)
+        counts = samplers.product_cycle_counts(head, [spec], [rng], kmax)
+        assert np.array_equal(counts, expected[:, : min(kmax, n)]), kmax
+        assert rng.generator.bit_generator.state == drawn.generator.bit_generator.state
+
+
 def test_no_power_above_n_is_walked(monkeypatch):
     # There are no d-cycles for d > n, so kmax = 9 at n = 5 walks 5 powers.
     walk, walked = samplers._power_fixed_points, []
@@ -695,9 +753,10 @@ def test_product_cycle_counts_hold_no_factor_rows():
     finally:
         tracemalloc.stop()
     assert peak < size * n * np.dtype(np.int32).itemsize / 4
-    # One shuffle block, the product block, its gather and a block of
-    # hits, of 8 rows each: 0.94 MiB. int32 copies and a separate image
-    # block beside them reach 2.4 MiB.
+    # One shuffle block, which the identity is rebuilt in after each use,
+    # the product block and its gather, of 8 rows each, and the last
+    # factor's compare as bools while it lasts: 0.88 MiB. int32 copies and
+    # a separate image block beside them reach 2.4 MiB.
     assert peak < 1.5 * 2**20
 
 
@@ -710,8 +769,11 @@ def test_an_ewens_pair_chunk_holds_no_factor_rows(laws, n, k, mib):
     # One chunk of the acceptance suite's Ewens pair scan at n = 1000,
     # k = 3, or of its triple scan at n = 500, k = 2, factor 0's draw
     # included: no factor and no product becomes a (size, n) array. Nor
-    # does any block exist only to change a dtype or copy another: the
-    # chunks peak at 2.4 and 3.3 MiB, and int32 copies of the
+    # does any block exist only to change a dtype or copy another: beside
+    # the ends, the pair keeps a flat identity, the shuffle block (the
+    # second power block once spent), the product and its gather, and the
+    # triple the same less the identity, which it rebuilds in the shuffle
+    # block. The chunks peak at 2.3 and 3.2 MiB, and int32 copies of the
     # arrangements and a successor block per factor reach 5.1 and 7.3.
     size = _chunk_size(n)
     first, *later = (sampler_from_text(law).bind(n=n) for law in laws)
