@@ -60,7 +60,12 @@ times at n = 500, 50,000 samples, tv:2), and the benchmark's two Monte
 Carlo configs: the Ewens scan (``convergence``, seed 11, ewens:2 x
 ewens:1/2 at n = 250 and 1000, 2,000 samples) and the fixed-type pair
 (``counterexample``, seed 11, sqrt_fixed:sqrt twice at n = 4096, 3,000
-samples). Last,
+samples). Before those, the start-up of one job per command,
+best of k fresh interpreters run round robin: seconds from after
+``import numpy`` (which the benchmark's job imports first) to the
+validated config, with the permprod modules executed by then. That is
+the span ``perfbench`` counts in ``setup_s``. The package is
+byte-compiled first, so that no row counts a compile. Last,
 ``cyclegraphs.walk_patterns`` lists its patterns for the cycle lengths
 (3, 3) and (2, 2, 2), each timed once, with the pattern count beside
 the time; this is left out when the package on the path has no such
@@ -72,6 +77,7 @@ count, to PATH.
 """
 
 import argparse
+import compileall
 import json
 import os
 import subprocess
@@ -134,6 +140,48 @@ FRESH_JOBS = (
     ],
 )
 
+# One job per command for the start-up rows: the benchmark's four and a
+# small sample and moments job.
+STARTUP_JOBS = (
+    ["sample", "--seed", "1", "--samplers", "uniform, ewens:2", "--n", "6", "--samples", "5"],
+    [
+        "moments", "--seed", "1", "--samplers", "ewens:2, ewens:1/2", "--n", "50",
+        "--functionals", "product:1", "--samples", "2000",
+    ],
+    [
+        "convergence", "--seed", "1", "--samplers", "ewens:2, ewens:1/2",
+        "--n-grid", "250, 1000", "--functionals", "product:1, product:2, product:3",
+        "--tv-orders", "2, 3", "--samples", "2000",
+    ],
+    ["exact", "--samplers", "ewens:2, ewens:1/2", "--n", "7", "--v-vec", "1"],
+    ["verify-lemmas"],
+    [
+        "counterexample", "--seed", "1", "--samplers", "sqrt_fixed:sqrt, sqrt_fixed:sqrt",
+        "--n", "4096", "--samples", "3000",
+    ],
+)
+# Stops the job at the validated config and prints its start-up seconds
+# and the permprod modules executed by then; a layer that has not executed
+# is still an instance of a types.ModuleType subclass.
+STARTUP_CHILD = """
+import json, sys, time, types
+import numpy
+start = time.perf_counter()
+import permprod.cli as cli
+
+def validated(config):
+    seconds = time.perf_counter() - start
+    executed = sorted(
+        name.removeprefix("permprod.") for name, module in sys.modules.items()
+        if name.startswith("permprod.") and type(module) is types.ModuleType
+    )
+    print(json.dumps({"s": seconds, "modules": executed}))
+    return 0
+
+cli.run = validated
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 
 def best_ms(fn, repeat: int) -> float:
     times = []
@@ -185,6 +233,15 @@ def fresh_run(argv, env) -> tuple[float, int, float]:
     seconds = time.perf_counter() - start
     peak_mb = int(done.stderr.split("VmHWM:")[1].split()[0]) / 1024
     return seconds, done.returncode, peak_mb
+
+
+def startup(argv, env) -> dict:
+    """Start-up seconds and executed modules of one job in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, *argv], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def cold_oracle(stage):
@@ -356,6 +413,20 @@ def main(argv=None) -> int:
     source = os.path.dirname(os.path.dirname(os.path.abspath(sweeps.__file__)))
     path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
+    compileall.compile_dir(os.path.dirname(sweeps.__file__), quiet=1)
+    print(f"start-up after numpy to the validated config, best of {args.repeat}: ms")
+    fastest = {}
+    for _ in range(args.repeat):
+        for argv in STARTUP_JOBS:
+            row = startup(argv, env)
+            if argv[0] not in fastest or row["s"] < fastest[argv[0]]["s"]:
+                fastest[argv[0]] = row
+    for argv in STARTUP_JOBS:
+        row = fastest[argv[0]]
+        emit(
+            f"  {argv[0]:<20} {row['s'] * 1e3:8.2f} ms  {', '.join(row['modules'])}",
+            layer="start-up", args=argv, s=row["s"], modules=row["modules"],
+        )
     print("whole jobs in a fresh interpreter: s and peak RSS, run once")
     for argv in FRESH_JOBS:
         seconds, code, peak_mb = fresh_run(argv, env)

@@ -13,6 +13,13 @@ one, so a config determines its output bytes exactly; ``exact`` and
 Reports embed the resolved config (minus the output path, which would
 break byte-level comparison of reruns) as provenance.
 
+``stats`` and ``sweeps`` are reached through their modules, which the
+package registers lazily, so a command executes only the layers it
+calls. Their caps are read while validating and only for the commands
+whose fields they bound, so a benchmarked command's layers have all
+executed before ``run`` starts; only ``sample``, which no cap bounds,
+first executes ``stats`` inside ``run``.
+
 Exit codes: 0 success, 1 a verification suite reported violations,
 2 malformed config or infeasible parameters.
 """
@@ -31,6 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from permprod import stats, sweeps
 from permprod.oracle import (
     _EXACT_MAX_N,
     ExactDistribution,
@@ -38,20 +46,6 @@ from permprod.oracle import (
     exact_moment,
 )
 from permprod.samplers import _MAX_N, SamplerSpec, product_rows
-from permprod.stats import (
-    _CHUNK_ELEMENTS,
-    _MIN_ESTIMATE_SAMPLES,
-    _check_functionals,
-    Functional,
-    MomentEstimate,
-    ScanRow,
-    convergence_scan,
-    draw_chunks,
-    estimates_from_counts,
-    moment_estimates,
-    parse_functional,
-)
-from permprod.sweeps import _PAIR_MAX_N, _SINGLE_MAX_N, run_all
 
 __all__ = [
     "ConfigError",
@@ -140,7 +134,7 @@ class ExperimentConfig:
     n: int | None = None
     n_grid: tuple[int, ...] | None = None
     v_vec: tuple[int, ...] | None = None
-    functionals: tuple[Functional, ...] = ()
+    functionals: tuple[stats.Functional, ...] = ()
     tv_orders: tuple[int, ...] = ()
     samples: int | None = None
     truncation: int = 8
@@ -194,26 +188,29 @@ class ExperimentConfig:
             raise ConfigError("truncation: must be >= 0")
         # Each TV order k fills (truncation + 1)^k float cells; checked
         # before anything is drawn.
-        if self.tv_orders and (self.truncation + 1) ** max(self.tv_orders) > _CHUNK_ELEMENTS:
+        if self.tv_orders and (self.truncation + 1) ** max(self.tv_orders) > stats._CHUNK_ELEMENTS:
             raise ConfigError(
                 f"tv_orders: order {max(self.tv_orders)} at truncation {self.truncation} "
                 f"needs {self.truncation + 1}^{max(self.tv_orders)} pmf cells, "
-                f"above the cap of {_CHUNK_ELEMENTS}"
+                f"above the cap of {stats._CHUNK_ELEMENTS}"
             )
-        if self.pair_n < 3:
-            raise ConfigError("pair_n: must be >= 3, as event-factorization walks starts 1..3")
-        if self.pair_n > _PAIR_MAX_N:
-            raise ConfigError(
-                f"pair_n: caps at {_PAIR_MAX_N}, as event-factorization walks "
-                "23.2 million pairs at n = 8, 15 times as many as at n = 7"
-            )
-        if self.single_n < 1:
-            raise ConfigError("single_n: must be >= 1")
-        if self.single_n > _SINGLE_MAX_N:
-            raise ConfigError(
-                f"single_n: caps at {_SINGLE_MAX_N}, as the trace sweep checks one "
-                "permutation per cycle type: 5,604 at n = 30, 37,338 at n = 40"
-            )
+        if self.command == "verify-lemmas":
+            if self.pair_n < 3:
+                raise ConfigError(
+                    "pair_n: must be >= 3, as event-factorization walks starts 1..3"
+                )
+            if self.pair_n > sweeps._PAIR_MAX_N:
+                raise ConfigError(
+                    f"pair_n: caps at {sweeps._PAIR_MAX_N}, as event-factorization walks "
+                    "23.2 million pairs at n = 8, 15 times as many as at n = 7"
+                )
+            if self.single_n < 1:
+                raise ConfigError("single_n: must be >= 1")
+            if self.single_n > sweeps._SINGLE_MAX_N:
+                raise ConfigError(
+                    f"single_n: caps at {sweeps._SINGLE_MAX_N}, as the trace sweep checks "
+                    "one permutation per cycle type: 5,604 at n = 30, 37,338 at n = 40"
+                )
         for size in self.n_grid or (self.n,):
             for spec in self.samplers:
                 try:
@@ -245,18 +242,19 @@ class ExperimentConfig:
                 raise ConfigError("v_vec: more start indices than ground-set elements")
         if self.command == "convergence" and not self.functionals and not self.tv_orders:
             raise ConfigError("functionals: convergence needs functionals or tv_orders")
-        try:
-            _check_functionals(self.functionals, len(self.samplers))
-        except ValueError as exc:
-            raise ConfigError(f"functionals: {exc}") from None
+        if self.functionals:
+            try:
+                stats._check_functionals(self.functionals, len(self.samplers))
+            except ValueError as exc:
+                raise ConfigError(f"functionals: {exc}") from None
         # Moment rows need a standard error; checked before anything is drawn.
         estimates = self.command in ("moments", "counterexample") or (
             self.command == "convergence" and self.functionals
         )
-        if estimates and self.samples < _MIN_ESTIMATE_SAMPLES:
+        if estimates and self.samples < stats._MIN_ESTIMATE_SAMPLES:
             raise ConfigError(
                 f"samples: command {self.command} estimates moments from at least "
-                f"{_MIN_ESTIMATE_SAMPLES} samples, got {self.samples}"
+                f"{stats._MIN_ESTIMATE_SAMPLES} samples, got {self.samples}"
             )
 
 
@@ -267,9 +265,9 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
-def _parse_functional(key: str, text: str) -> Functional:
+def _parse_functional(key: str, text: str) -> stats.Functional:
     try:
-        return parse_functional(text)
+        return stats.parse_functional(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -308,7 +306,7 @@ _TEXT = {
     "n": (_parse_int, str),
     "n_grid": _INT_LIST,
     "v_vec": _INT_LIST,
-    "functionals": _list_text(_parse_functional, Functional.label),
+    "functionals": _list_text(_parse_functional, lambda f: f.label()),
     "tv_orders": _INT_LIST,
     "samples": (_parse_int, str),
     "truncation": (_parse_int, str),
@@ -472,17 +470,17 @@ def _run_sample(config: ExperimentConfig):
                 row["product"] = " ".join(str(int(x) + 1) for x in prod[i])
             rows.append(row)
 
-    draw_chunks(specs, config.samples, config.seed, consume)
+    stats.draw_chunks(specs, config.samples, config.seed, consume)
     return rows, None, 0
 
 
-def _estimate_row(config: ExperimentConfig, label: str, est: MomentEstimate) -> dict:
-    row = ScanRow(config.n, label, est.value, est.stderr, config.samples, config.seed)
+def _estimate_row(config: ExperimentConfig, label: str, est: stats.MomentEstimate) -> dict:
+    row = stats.ScanRow(config.n, label, est.value, est.stderr, config.samples, config.seed)
     return asdict(row)
 
 
 def _run_moments(config: ExperimentConfig):
-    ests = moment_estimates(
+    ests = stats.moment_estimates(
         list(config.samplers),
         list(config.functionals),
         config.samples,
@@ -494,7 +492,7 @@ def _run_moments(config: ExperimentConfig):
 
 
 def _run_convergence(config: ExperimentConfig):
-    scan = convergence_scan(
+    scan = stats.convergence_scan(
         list(config.samplers),
         list(config.functionals),
         list(config.n_grid),
@@ -532,7 +530,7 @@ def _run_exact(config: ExperimentConfig):
 
 
 def _run_verify_lemmas(config: ExperimentConfig):
-    summaries = run_all(pair_n=config.pair_n, single_n=config.single_n)
+    summaries = sweeps.run_all(pair_n=config.pair_n, single_n=config.single_n)
     rows = [
         {
             "suite": s.suite,
@@ -554,13 +552,13 @@ def _run_counterexample(config: ExperimentConfig):
     # of the pair's draws, off its blocks.
     specs = [s.bind(n=config.n) for s in config.samplers]
     pair_funcs = [
-        Functional.product_cycle_counts((1,)),
-        Functional.product_cycle_counts((1, 1)),
+        stats.Functional.product_cycle_counts((1,)),
+        stats.Functional.product_cycle_counts((1, 1)),
     ]
     solo_funcs = [
-        Functional.scaled_fixed_point_moment(1),
-        Functional.scaled_fixed_point_moment(2),
-        Functional.scaled_two_cycle_rate(),
+        stats.Functional.scaled_fixed_point_moment(1),
+        stats.Functional.scaled_fixed_point_moment(2),
+        stats.Functional.scaled_two_cycle_rate(),
     ]
     pair_counts = np.empty((config.samples, 1), dtype=np.int64)
     solo_counts = np.empty((config.samples, min(2, config.n)), dtype=np.int64)
@@ -570,13 +568,13 @@ def _run_counterexample(config: ExperimentConfig):
         pair_counts[pos:end] = counts
         solo_counts[pos:end] = first.cycle_counts(2)
 
-    draw_chunks(specs, config.samples, config.seed, consume, kmax=1)
+    stats.draw_chunks(specs, config.samples, config.seed, consume, kmax=1)
     rows = []
     for prefix, funcs, counts, law in (
         ("", pair_funcs, pair_counts, specs),
         ("factor1:", solo_funcs, solo_counts, specs[:1]),
     ):
-        ests = estimates_from_counts(funcs, counts, law, config.seed)
+        ests = stats.estimates_from_counts(funcs, counts, law, config.seed)
         rows += [_estimate_row(config, prefix + f.label(), e) for f, e in zip(funcs, ests)]
     return rows, None, 0
 
@@ -616,12 +614,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "functionals": "comma-separated functional descriptors",
         "tv_orders": "comma-separated joint orders",
     }
+    # Every command takes the same flags, built once and shared.
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="key = value config file; flags override")
+    for key in _TEXT:
+        flags.add_argument("--" + key.replace("_", "-"), dest=key, help=helps.get(key))
     sub = parser.add_subparsers(dest="command")
     for command in _COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="key = value config file; flags override")
-        for key in _TEXT:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=helps.get(key))
+        sub.add_parser(command, parents=[flags])
     return parser
 
 

@@ -27,9 +27,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from permprod.perms import Permutation
+if TYPE_CHECKING:
+    from permprod.perms import Permutation
 
 __all__ = [
     "DirectedGraph",

@@ -66,9 +66,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
-from permprod.cyclegraphs import DirectedGraph, shape, shape_orbit_size
+from permprod import cyclegraphs
+
+if TYPE_CHECKING:
+    from permprod.cyclegraphs import DirectedGraph
 
 __all__ = [
     "ExactDistribution",
@@ -447,7 +450,7 @@ def shape_prob(d: ExactDistribution, kinds: Sequence[tuple[int, int]]) -> Fracti
         return Fraction(a**closed * b ** (edges - closed), rising)
     count = _shape_counter(kinds)
     total = sum(mass * count(mu) for mu, mass in d.masses)
-    return Fraction(total, d.denominator * shape_orbit_size(kinds, d.n))
+    return Fraction(total, d.denominator * cyclegraphs.shape_orbit_size(kinds, d.n))
 
 
 def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
@@ -455,7 +458,7 @@ def exact_graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
     probability of g's shape, or 0 when g is not a partial injection."""
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
-    kinds = shape(g)
+    kinds = cyclegraphs.shape(g)
     return Fraction(0) if kinds is None else shape_prob(d, kinds)
 
 
@@ -515,7 +518,7 @@ def verify_bounds(
     if d.n != g.n:
         raise ValueError(f"size mismatch: {d.n} vs {g.n}")
     if kinds is None:
-        kinds = shape(g)
+        kinds = cyclegraphs.shape(g)
     if kinds is None:
         raise ValueError("the bounds are stated for partial injections")
     n = d.n

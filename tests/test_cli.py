@@ -416,7 +416,6 @@ def test_too_few_samples_for_estimates_name_samples_before_drawing(argv, monkeyp
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before rejecting the config")
 
-    monkeypatch.setattr("permprod.cli.draw_chunks", no_draw)
     monkeypatch.setattr("permprod.stats.draw_chunks", no_draw)
     common = ["--seed", "1", "--samplers", "uniform, uniform", "--samples", "50"]
     assert main(argv + common) == 2
@@ -587,7 +586,6 @@ def test_tv_lattice_above_the_cap_names_its_field(tv_orders, truncation, monkeyp
     def unreachable(*args, **kwargs):
         raise AssertionError("drew samples for a rejected TV lattice")
 
-    monkeypatch.setattr(cli, "draw_chunks", unreachable)
     monkeypatch.setattr(stats, "draw_chunks", unreachable)
     argv = ["convergence", "--seed", "1", "--samplers", "uniform", "--n-grid", "5, 6"]
     argv += ["--tv-orders", tv_orders, "--truncation", truncation, "--samples", "50"]
@@ -634,7 +632,6 @@ def test_pair_n_above_the_cap_names_its_field(pair_n, monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("run_all ran past a rejected pair_n")
 
-    monkeypatch.setattr(cli, "run_all", unreachable)
     monkeypatch.setattr(sweeps, "run_all", unreachable)
     assert main(["verify-lemmas", "--pair-n", pair_n, "--single-n", "3"]) == 2
     captured = capsys.readouterr()
@@ -652,7 +649,6 @@ def test_single_n_above_the_cap_names_its_field(single_n, monkeypatch, tmp_path,
     def unreachable(*args, **kwargs):
         raise AssertionError("run_all ran past a rejected single_n")
 
-    monkeypatch.setattr(cli, "run_all", unreachable)
     monkeypatch.setattr(sweeps, "run_all", unreachable)
     assert main(["verify-lemmas", "--single-n", single_n]) == 2
     captured = capsys.readouterr()

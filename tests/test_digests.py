@@ -90,6 +90,11 @@ _CONFIGS = {
         ["verify-lemmas"],
         "3dadb253a4a67db5a521d1d919a388dde031a289c1d575028d18d1a6a44c6cfc",
     ),
+    # The pair suites one size past the default.
+    "verify-lemmas-pair-n-6": (
+        ["verify-lemmas", "--pair-n", "6"],
+        "66dd90d0485e747ca5a990c3a96794af219d8f142f45de864d24662b395a26be",
+    ),
     "counterexample-ewens": (
         ["counterexample", "--seed", "7", "--samplers", "ewens:2, uniform",
          "--n", "2048", "--samples", "3000"],
