@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -99,26 +98,6 @@ class TraversalRecord:
         if len(set(self.i_seq)) != self.k or len(set(self.j_seq)) != self.k:
             raise ValueError("traversal sequences must have distinct entries")
 
-    @classmethod
-    def _of_walk(cls, i_seq: tuple[int, ...], j_seq: tuple[int, ...]) -> "TraversalRecord":
-        # The record of a walk ``traversal`` has just made, built without
-        # the checks of ``__post_init__``: a walk of a permutation cycle
-        # starts at m and has distinct entries, and so do its images.
-        record = object.__new__(cls)
-        vars(record).update(m=i_seq[0], k=len(i_seq), i_seq=i_seq, j_seq=j_seq)
-        return record
-
-
-@lru_cache(maxsize=1024)
-def _preimages(images: tuple[int, ...]) -> tuple[int, ...]:
-    # out[j] is the index mapped to j; out[0] is unused. A full pass over
-    # pairs walks each permutation thousands of times, so the inverse is
-    # built once per permutation it meets.
-    out = [0] * (len(images) + 1)
-    for pos, img in enumerate(images, start=1):
-        out[img] = pos
-    return tuple(out)
-
 
 def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
     """Walk the cycle of ``inverse(sigma) o rho`` through m, recording rho-images."""
@@ -128,7 +107,9 @@ def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
         raise ValueError(f"size mismatch: {n} vs {len(rho_images)}")
     if not 1 <= m <= n:
         raise ValueError(f"start index {m} outside 1..{n}")
-    sinv = _preimages(sigma.images)
+    sinv = [0] * (n + 1)  # sinv[j] is the index sigma maps to j
+    for pos, img in enumerate(sigma.images, start=1):
+        sinv[img] = pos
     i_seq = [m]
     j = rho_images[m - 1]
     j_seq = [j]
@@ -138,7 +119,7 @@ def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
         j = rho_images[x - 1]
         j_seq.append(j)
         x = sinv[j]
-    return TraversalRecord._of_walk(tuple(i_seq), tuple(j_seq))
+    return TraversalRecord(m, len(i_seq), tuple(i_seq), tuple(j_seq))
 
 
 def graphs_from_record(record: TraversalRecord, n: int) -> tuple[DirectedGraph, DirectedGraph]:

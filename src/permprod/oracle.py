@@ -106,19 +106,12 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n)
 
 
-def _multiplicities(partition: Sequence[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in partition:
-        out[part] = out.get(part, 0) + 1
-    return out
-
-
 def class_size(partition: Sequence[int], n: int) -> int:
     """Number of permutations of {1..n} with the given cycle type."""
     if sum(partition) != n:
         raise ValueError(f"partition {partition!r} does not sum to {n}")
     z = 1
-    for length, mult in _multiplicities(partition).items():
+    for length, mult in Counter(partition).items():
         z *= length**mult * math.factorial(mult)
     return math.factorial(n) // z
 
@@ -292,10 +285,10 @@ def product_type_distribution(
 
 
 def _count_product(partition: tuple[int, ...], v_vec: Sequence[int]) -> int:
-    mults = _multiplicities(partition)
+    mults = Counter(partition)
     prod = 1
     for v in v_vec:
-        prod *= mults.get(v, 0)
+        prod *= mults[v]
     return prod
 
 
@@ -320,8 +313,7 @@ def _fixed_index_prob(
     # P(the cycle through index a_i has length v_i for i = 1..k) for
     # distinct indices, under a uniform relabeling of a fixed permutation
     # of this cycle type. Sequential selection over index slots.
-    mults = _multiplicities(partition)
-    avail = {length: length * mult for length, mult in mults.items()}
+    avail = {length: length * mult for length, mult in Counter(partition).items()}
     num = 1
     den = 1
     remaining = n
@@ -411,8 +403,8 @@ def _shape_counter(kinds: Sequence[tuple[int, int]]) -> Callable[[Sequence[int]]
         return out
 
     def count(partition: Sequence[int]) -> int:
-        mults = _multiplicities(partition)
-        whole = math.prod(math.comb(mults.get(length, 0), b) for length, b in cycles.items())
+        mults = Counter(partition)
+        whole = math.prod(math.comb(mults[length], b) for length, b in cycles.items())
         if not whole:
             return 0
         shared = {none: 1}

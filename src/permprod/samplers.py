@@ -28,12 +28,15 @@ write them out as they are.) The generator shuffles row by row, so the
 blocks draw the same rows, and leave the generator in the same state, as
 one whole-chunk shuffle. Before any shuffle, an Ewens chunk draws its Feller openings
 for all rows together, as int32: one uniform per cycle, each jumping a
-row from one opening to the next (``_feller_ends``). The product and
-the small-cycle counts walk the same row blocks as flat indices, every
-gather is a 1-D ``np.take`` into a reused or output buffer, and every
-scatter runs over the block's rows run together, so neither layer holds
-a (size, n) temporary either. A power has a few fixed points a row, so
+row from one opening to the next (``_feller_ends``).
+:func:`product_cycle_counts` composes and counts in the same row blocks
+as flat indices: every gather is a 1-D ``np.take`` into a reused buffer
+and every scatter runs over the block's rows run together, so it holds
+no (size, n) temporary either. A power has a few fixed points a row, so
 they are counted from their flat positions, cut at the row starts.
+:func:`product_rows` and :func:`small_cycle_counts` take built rows and
+work on the whole array at once: ``sample`` composes the factors it
+prints with the first, and no job calls the second.
 
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
@@ -494,70 +497,40 @@ def matching_heavy_rows(rng: RngStream, size: int, n: int, fraction) -> np.ndarr
     return _arranged(rng.generator, spec.draw_blocks(rng, size))
 
 
+def _in_range(rows: np.ndarray) -> np.ndarray:
+    # ``rows``, once every entry is known to lie in 0..n-1.
+    n = rows.shape[1]
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"row entries must lie in 0..{n - 1}")
+    return rows
+
+
 def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:
     """Row-wise left-to-right product of equal-shape batches.
 
-    Row r of the result maps x to ``f0[r, f1[r, ... fk[r, x]]]``. Each
-    step fills a fresh output of the running product's dtype one row
-    block at a time: the factor's block, offset into flat indices
-    (``_flat_blocks``), drives one 1-D ``np.take`` from the product's
-    block into the output's.
+    Row r of the result maps x to ``f0[r, f1[r, ... fk[r, x]]]``, in the
+    first factor's dtype: one ``np.take_along_axis`` per later factor.
     """
     if not factor_rows:
         raise ValueError("need at least one factor")
-    prod = factor_rows[0]
+    prod = _in_range(factor_rows[0])
     for rows in factor_rows[1:]:
         if rows.shape != prod.shape:
             raise ValueError("factor batches must share a shape")
-        out = np.empty(prod.shape, dtype=prod.dtype)
-        flat = out.reshape(-1)
-        n = prod.shape[1]
-        for s, e, idx in _flat_blocks(rows):
-            np.take(prod[s:e], idx, out=flat[s * n : e * n], mode="wrap")
-        prod = out
+        prod = np.take_along_axis(prod, _in_range(rows), axis=1)
     return prod
-
-
-def _flat_blocks(rows: np.ndarray):
-    """Yield (s, e, idx): rows s..e-1 as flat indices into their own block.
-
-    ``idx[i * n + x]`` is ``rows[s + i, x] + i * n``, in one reused intp
-    block of ``_block_rows(n)`` rows, valid until the next step. An intp
-    index spares ``np.take`` the intp copy it makes of any other index;
-    every entry is in range, so ``mode="wrap"`` never acts, and unlike
-    the default mode it does not buffer the output.
-    """
-    size, n = rows.shape
-    step = _block_rows(n)
-    offsets = np.arange(0, step * n, n, dtype=np.intp)[:, None]
-    buf = np.empty(min(size, step) * n, dtype=np.intp)
-    for s in range(0, size, step):
-        e = min(size, s + step)
-        idx = buf[: (e - s) * n]
-        np.add(rows[s:e], offsets[: e - s], out=idx.reshape(e - s, n))
-        yield s, e, idx
 
 
 def small_cycle_counts(rows: np.ndarray, kmax: int) -> np.ndarray:
     """Per-row counts of d-cycles for d = 1..min(kmax, n), exact integer output.
 
-    Counts the fixed points of the first min(kmax, n) powers, then
-    inverts over divisors; no full cycle decomposition. A count of one
-    is one comparison. Otherwise each row block is offset into flat
-    indices once (``_flat_blocks``) and its powers counted by
-    ``_power_fixed_points``.
+    Counts the fixed points of the first min(kmax, n) powers over the
+    whole array (``_power_walk``), then inverts over divisors; no full
+    cycle decomposition.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    size, n = rows.shape
-    fixed = np.empty((size, min(kmax, n)), dtype=np.int64)
-    if fixed.shape[1] == 1:
-        fixed[:, 0] = (rows == np.arange(n, dtype=rows.dtype)).sum(axis=1)
-    else:
-        scratch = _power_scratch(min(size, _block_rows(n)) * n)
-        for s, e, base in _flat_blocks(rows):
-            _power_fixed_points(base, fixed[s:e], scratch)
-    return _cycle_counts(fixed)
+    return _cycle_counts(_power_walk(_in_range(rows), min(kmax, rows.shape[1])))
 
 
 def product_cycle_counts(
@@ -651,9 +624,25 @@ def product_cycle_counts(
     return _cycle_counts(fixed)
 
 
-def _power_scratch(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # A flat identity block and two power blocks of m intp entries.
-    return np.arange(m, dtype=np.intp), np.empty((2, m), dtype=np.intp)
+def _flat(block: np.ndarray) -> np.ndarray:
+    # Entry i * n + x is row i's image of x, plus i * n.
+    b, n = block.shape
+    return (block + np.arange(0, b * n, n)[:, None]).reshape(-1)
+
+
+def _power_walk(block: np.ndarray, max_power: int) -> np.ndarray:
+    """``fixed[i, k - 1]``, the fixed points of power k of row i of
+    ``block``, for k = 1..max_power: each power is one flat ``np.take``
+    of the last (``_power_fixed_points``), its fixed points the entries
+    equal to the identity. No cycle logic is used: no walk stops at its
+    first return or reads a cycle length. The whole block is walked at
+    once, with a flat copy of it, a flat identity and two power blocks
+    beside it."""
+    base = _flat(block)
+    fixed = np.empty((len(block), max_power), dtype=np.int64)
+    scratch = np.arange(base.size, dtype=np.intp), np.empty((2, base.size), dtype=np.intp)
+    _power_fixed_points(base, fixed, scratch)
+    return fixed
 
 
 def _power_fixed_points(
@@ -663,12 +652,12 @@ def _power_fixed_points(
     for k = 1..kmax, kmax = ``fixed.shape[1]``.
 
     ``base`` is a row block as flat indices into itself (entry i * n + x
-    is row i's image of x, plus i * n). ``scratch`` (``_power_scratch``)
-    is a flat identity and two power blocks (read from k = 2 and 3 on),
-    none shorter than ``base``. Power k is one 1-D ``np.take`` of power
-    k - 1 by ``base``, into the power blocks in turn, and its fixed
-    points are the entries equal to the identity, counted per row from
-    their few flat positions (``_row_counts``).
+    is row i's image of x, plus i * n). ``scratch`` is a flat identity
+    and two power blocks (read from k = 2 and 3 on), none shorter than
+    ``base``. Power k is one 1-D ``np.take`` of power k - 1 by ``base``,
+    into the power blocks in turn, and its fixed points are the entries
+    equal to the identity, counted per row from their few flat positions
+    (``_row_counts``).
     """
     identity, powers = scratch
     m = len(base)

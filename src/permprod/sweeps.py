@@ -114,7 +114,7 @@ from permprod.oracle import (
     verify_bounds,
 )
 from permprod.perms import CycleCounts, trace_power
-from permprod.samplers import _block_base, _power_fixed_points, _power_scratch
+from permprod.samplers import _block_base, _flat, _power_walk
 
 __all__ = [
     "SweepSummary",
@@ -227,24 +227,6 @@ def _line(images: Sequence[int]) -> str:
     return " ".join(str(x + 1) for x in images)
 
 
-def _flat(block: np.ndarray) -> np.ndarray:
-    # Entry i * n + x is row i's image of x, plus i * n.
-    b, n = block.shape
-    return (block + np.arange(0, b * n, n)[:, None]).reshape(-1)
-
-
-def _power_walk(block: np.ndarray, max_power: int) -> np.ndarray:
-    """``fixed[i, k - 1]``, the fixed points of power k of row i of
-    ``block``, for k = 1..max_power: each power is one flat ``np.take``
-    of the last (``samplers._power_fixed_points``), its fixed points the
-    entries equal to the identity. No cycle logic is used: no walk stops
-    at its first return or reads a cycle length."""
-    base = _flat(block)
-    fixed = np.empty((len(block), max_power), dtype=np.int64)
-    _power_fixed_points(base, fixed, _power_scratch(base.size))
-    return fixed
-
-
 def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSummary:
     """Fixed points of every power, computed twice.
 
@@ -252,8 +234,8 @@ def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSumma
     with direct iteration for every permutation and every power. Both
     sides are class functions, so one permutation per cycle type is
     checked, its cycles on consecutive blocks of points
-    (``samplers._block_base``), walked by :func:`_power_walk`, and each
-    (perm, k) cell counts as many cases as the class has members. The
+    (``samplers._block_base``), walked by ``samplers._power_walk``, and
+    each (perm, k) cell counts as many cases as the class has members. The
     examples are the first failing cells of S_n in lexicographic order,
     k-minor (:func:`_first_failures`).
     """

@@ -4,9 +4,12 @@
 ``sys.modules`` from the start, and executes on first attribute use.
 These tests start a fresh interpreter per job, as the ``permprod``
 command and the benchmark's jobs do, because in the test process every
-layer has long executed.
+layer has long executed. The last test runs in process: the row-level
+layers that only ``sample`` and the tests still call stay off the path
+of every other command.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,8 +17,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_digests import _CONFIGS
 
 import permprod
+from permprod import cli, cyclegraphs, samplers
 
 _SOURCE = Path(permprod.__file__).resolve().parents[1]
 
@@ -111,3 +116,26 @@ def test_an_unknown_package_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         permprod.nonexistent
     assert permprod.Functional is permprod.stats.Functional
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["moments", "convergence", "counterexample-fixed-pair", "counterexample-ewens", "verify-lemmas"],
+)
+def test_no_class_function_job_reaches_the_row_layers(config, tmp_path, monkeypatch):
+    # Every command but sample composes and counts in product_cycle_counts
+    # and walks pairs in numpy, so with the row-level product, the row
+    # counts and the traversal all raising, each report keeps its pinned
+    # bytes.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a class-function job reached a row-level layer")
+
+    for module, name in [
+        (samplers, "small_cycle_counts"), (samplers, "product_rows"), (cli, "product_rows"),
+        (cyclegraphs, "traversal"),
+    ]:
+        monkeypatch.setattr(module, name, unreachable)
+    argv, digest = _CONFIGS[config]
+    path = tmp_path / "report.csv"
+    assert cli.main(argv + ["--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -497,6 +497,22 @@ def test_product_rows_is_left_composition():
     assert perm_from_row(prod[0]) == compose(s, r)
 
 
+@pytest.mark.parametrize("bad", [3, -1, 7], ids=["n", "negative", "far-above"])
+@pytest.mark.parametrize("at", [0, 1], ids=["first", "later"])
+def test_row_layers_reject_entries_outside_the_ground_set(bad, at):
+    # A wrapped index would compose or count some other permutation
+    # without a word: [I, [[1, 2, 3]]] would read [1, 2, 0].
+    rows = np.array([[1, 2, 0]], dtype=np.int32)
+    factors = [np.array([[0, 1, 2]], dtype=np.int32), rows.copy()]
+    factors[at][0, 2] = bad
+    with pytest.raises(ValueError, match=r"row entries must lie in 0\.\.2"):
+        product_rows(factors)
+    for kmax in (1, 3):
+        with pytest.raises(ValueError, match=r"row entries must lie in 0\.\.2"):
+            small_cycle_counts(factors[at], kmax)
+    assert np.array_equal(product_rows([rows, rows]), [[2, 0, 1]])
+
+
 def _layer_input(law, n, size, seed, relabel=True, dtype=np.int32):
     # One factor batch in the given dtype: a full draw, or the rows of the
     # law's class representatives, with a shared base broadcast.
