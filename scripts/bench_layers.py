@@ -50,9 +50,12 @@ n = 30, each left out when the package's ``_SINGLE_MAX_N`` is below it
 (so the one script also measures a tree that walks all n!
 permutations), then, at n = 7, the largest ``--pair-n``, the four
 reduced pair suites and relabel-dichotomy, and event-factorization at
-n = 6 and n = 7. Then two whole jobs run once each in a fresh
-interpreter on the same package, timed from spawn to exit, with the
-peak resident set that process reads for itself (VmHWM, so Linux only):
+n = 6 and n = 7. Then whole jobs run in a fresh interpreter on the
+same package, ``FRESH_RUNS`` times each, one pass over all of them per
+run, timed from spawn to exit, with the peak resident set that process
+reads for itself (VmHWM, so Linux only); each row gives the medians,
+and its JSON row every reading, as VmHWM moves by tens of MB from run
+to run of one job:
 ``permprod verify-lemmas --pair-n 7``, and the acceptance suite's
 pair-scan ``convergence`` job (ewens:2 x ewens:1/2 at n = 1000, 100,000
 samples, product:1..3 and tv:3) and triple-scan job (ewens:1 three
@@ -86,6 +89,7 @@ import time
 import tracemalloc
 
 from fractions import Fraction
+from statistics import median
 
 import numpy as np
 
@@ -116,7 +120,8 @@ SHAPE_ROWS = (
 )
 # Above this n a tree with shape tables skips the shape_prob rows.
 TABLE_MAX_N = 20
-# Whole jobs run once each in a fresh interpreter.
+# Whole jobs run in a fresh interpreter, FRESH_RUNS times each, alternating.
+FRESH_RUNS = 3
 FRESH_JOBS = (
     ["verify-lemmas", "--pair-n", "7"],
     [
@@ -427,13 +432,18 @@ def main(argv=None) -> int:
             f"  {argv[0]:<20} {row['s'] * 1e3:8.2f} ms  {', '.join(row['modules'])}",
             layer="start-up", args=argv, s=row["s"], modules=row["modules"],
         )
-    print("whole jobs in a fresh interpreter: s and peak RSS, run once")
-    for argv in FRESH_JOBS:
-        seconds, code, peak_mb = fresh_run(argv, env)
+    print(f"whole jobs in a fresh interpreter: median s and peak RSS of {FRESH_RUNS} runs")
+    readings = [[] for _ in FRESH_JOBS]
+    for _ in range(FRESH_RUNS):
+        for argv, runs in zip(FRESH_JOBS, readings):
+            runs.append(fresh_run(argv, env))
+    for argv, runs in zip(FRESH_JOBS, readings):
+        seconds, codes, peaks = zip(*runs)
+        s, peak_mb, code = median(seconds), median(peaks), next((c for c in codes if c), 0)
         emit(
-            f"  {argv[0]:<20} {seconds:8.3f} s  peak RSS {peak_mb:7.1f} MB  exit {code}",
-            layer=f"{argv[0]} run", args=argv, s=seconds, peak_rss_mb=peak_mb, exit_code=code,
-            repeat=1,
+            f"  {argv[0]:<20} {s:8.3f} s  peak RSS {peak_mb:7.1f} MB  exit {code}",
+            layer=f"{argv[0]} run", args=argv, s=s, peak_rss_mb=peak_mb, exit_code=code,
+            repeat=FRESH_RUNS, runs_s=list(seconds), runs_peak_rss_mb=list(peaks),
         )
     patterns = getattr(cyclegraphs, "walk_patterns", None)
     if patterns is not None:

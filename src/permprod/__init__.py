@@ -1,12 +1,12 @@
 """Cycle statistics of products of conjugation-invariant random permutations.
 
-A laboratory in seven layers: exact permutation combinatorics (perms),
-batched samplers for invariant laws (samplers), the directed-graph
-machinery that encodes how a product cycle reads its factors
-(cyclegraphs), a rational-arithmetic oracle over small symmetric groups
-(oracle), Monte Carlo estimators against Poisson reference laws (stats),
-exhaustive verification suites (sweeps), and a command-line front end
-(cli).
+A laboratory in seven layers: the permutation type and the listing of
+a symmetric group (perms), batched samplers for invariant laws
+(samplers), the directed-graph machinery that encodes how a product
+cycle reads its factors (cyclegraphs), a rational-arithmetic oracle over
+small symmetric groups (oracle), Monte Carlo estimators against Poisson
+reference laws (stats), exhaustive verification suites (sweeps), and a
+command-line front end (cli).
 
 Importing the package executes none of the first six layers. Each is
 registered in ``sys.modules`` and as an attribute of the package, and
@@ -16,8 +16,9 @@ executes on first attribute use: ``permprod.stats.draw_chunks``,
 while ``from permprod import stats`` alone does not. So a process pays
 only for the layers its work reaches: ``exact`` executes ``oracle`` and
 ``samplers``, the Monte Carlo commands add ``stats``, and
-``verify-lemmas`` executes every layer but ``stats``. ``cli`` is not
-registered; it is imported as usual, as the entry point.
+``verify-lemmas`` executes every layer but ``perms`` and ``stats``. No
+command executes ``perms``; the tests' brute-force references read it.
+``cli`` is not registered; it is imported as usual, as the entry point.
 """
 
 import importlib.util
@@ -28,19 +29,11 @@ __version__ = "0.1.0"
 # Each re-export, in __all__'s order, by the layer that defines it.
 _EXPORTS = {
     "Permutation": "perms",
-    "CycleCounts": "perms",
-    "compose": "perms",
-    "inverse": "perms",
-    "conjugate": "perms",
-    "cycle_of": "perms",
-    "cycle_counts": "perms",
-    "trace_power": "perms",
     "RngStream": "samplers",
     "SamplerSpec": "samplers",
     "DirectedGraph": "cyclegraphs",
     "TraversalRecord": "cyclegraphs",
     "traversal": "cyclegraphs",
-    "membership": "cyclegraphs",
     "enumerate_B": "cyclegraphs",
     "ExactDistribution": "oracle",
     "exact_moment": "oracle",

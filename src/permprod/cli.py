@@ -154,6 +154,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"command: {self.command!r} is not one of {', '.join(_COMMANDS)}"
             )
+        # A bool passes as an int, but serializes as True or False, which
+        # does not read back.
+        scalars = ("seed", "n", "samples", "truncation", "pair_n", "single_n")
+        ints = [(name, getattr(self, name)) for name in scalars]
+        ints += [(name, v) for name in ("n_grid", "v_vec", "tv_orders") for v in getattr(self, name) or ()]
+        for name, value in ints:
+            if isinstance(value, bool):
+                raise ConfigError(f"{name}: expected an integer, got {value!r}")
         if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
             raise ConfigError("seed: must be a non-negative integer")
         if self.format not in ("csv", "json"):

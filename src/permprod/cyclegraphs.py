@@ -35,8 +35,6 @@ __all__ = [
     "DirectedGraph",
     "TraversalRecord",
     "traversal",
-    "graphs_from_record",
-    "membership",
     "profile",
     "shape",
     "shape_orbit_size",
@@ -65,15 +63,6 @@ class DirectedGraph:
     @classmethod
     def of(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
         return cls(n, frozenset((int(a), int(b)) for a, b in edges))
-
-    def relabel(self, t: Permutation) -> "DirectedGraph":
-        """Rename vertex x to t(x) everywhere."""
-        if t.n != self.n:
-            raise ValueError(f"size mismatch: {t.n} vs {self.n}")
-        images = t.images
-        return DirectedGraph(
-            self.n, frozenset((images[a - 1], images[b - 1]) for a, b in self.edges)
-        )
 
 
 @dataclass(frozen=True)
@@ -120,24 +109,6 @@ def traversal(sigma: Permutation, rho: Permutation, m: int) -> TraversalRecord:
         j_seq.append(j)
         x = sinv[j]
     return TraversalRecord(m, len(i_seq), tuple(i_seq), tuple(j_seq))
-
-
-def graphs_from_record(record: TraversalRecord, n: int) -> tuple[DirectedGraph, DirectedGraph]:
-    """Build the sigma-side and rho-side graphs of one traversal."""
-    k = record.k
-    i_seq, j_seq = record.i_seq, record.j_seq
-    first = {(i_seq[0], j_seq[k - 1])}
-    for l in range(k - 1):
-        first.add((i_seq[l + 1], j_seq[l]))
-    return DirectedGraph(n, frozenset(first)), DirectedGraph(n, frozenset(zip(i_seq, j_seq)))
-
-
-def membership(sigma: Permutation, g: DirectedGraph) -> bool:
-    """Whether sigma satisfies every edge constraint sigma(i) = j of ``g``."""
-    if sigma.n != g.n:
-        raise ValueError(f"size mismatch: {sigma.n} vs {g.n}")
-    images = sigma.images
-    return all(images[a - 1] == b for a, b in g.edges)
 
 
 def profile(

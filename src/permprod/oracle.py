@@ -111,7 +111,8 @@ def class_size(partition: Sequence[int], n: int) -> int:
     if sum(partition) != n:
         raise ValueError(f"partition {partition!r} does not sum to {n}")
     z = 1
-    for length, mult in Counter(partition).items():
+    for length in set(partition):
+        mult = partition.count(length)
         z *= length**mult * math.factorial(mult)
     return math.factorial(n) // z
 
@@ -285,11 +286,7 @@ def product_type_distribution(
 
 
 def _count_product(partition: tuple[int, ...], v_vec: Sequence[int]) -> int:
-    mults = Counter(partition)
-    prod = 1
-    for v in v_vec:
-        prod *= mults[v]
-    return prod
+    return math.prod(partition.count(v) for v in v_vec)
 
 
 def exact_moment(
@@ -313,7 +310,7 @@ def _fixed_index_prob(
     # P(the cycle through index a_i has length v_i for i = 1..k) for
     # distinct indices, under a uniform relabeling of a fixed permutation
     # of this cycle type. Sequential selection over index slots.
-    avail = {length: length * mult for length, mult in Counter(partition).items()}
+    avail = {length: length * partition.count(length) for length in set(partition)}
     num = 1
     den = 1
     remaining = n

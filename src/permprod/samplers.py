@@ -14,7 +14,11 @@ positions and carries the blocks onto a uniform arrangement of the ground
 set. Ewens cycle types come from the Feller coupling (position j >= 1
 opens a block with probability theta / (theta + j)); the last two laws
 have one fixed cycle type. ``uniform`` rows are the kernel's arrangements
-themselves, and a uniform cycle type is Ewens(1).
+themselves, and a uniform cycle type is Ewens(1). So
+:meth:`SamplerSpec.draw_batch` has one path for every other law: its
+blocks (:meth:`SamplerSpec.draw_blocks`) through the kernel
+(``_arranged``). ``ewens_rows`` and ``sqrt_fixed_rows`` are that path
+for one law each, with the same draws.
 
 The kernel works through a chunk a few rows at a time: it shuffles one
 reused intp block of rows (``_BLOCK_ELEMENTS`` entries, 256 KiB) and
@@ -84,7 +88,6 @@ __all__ = [
     "uniform_rows",
     "ewens_rows",
     "sqrt_fixed_rows",
-    "matching_heavy_rows",
     "product_rows",
     "small_cycle_counts",
     "product_cycle_counts",
@@ -159,7 +162,8 @@ class SamplerSpec:
             if not 0 <= self.two_cycle_fraction <= Fraction(1, 2):
                 raise ValueError("two_cycle_fraction must lie in [0, 1/2]")
         if self.fixed_count is not None and self.fixed_count != "sqrt":
-            if not isinstance(self.fixed_count, int) or self.fixed_count < 0:
+            count = self.fixed_count
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise ValueError("fixed_count must be a non-negative integer or 'sqrt'")
 
     def bind(self, n: int | None = None) -> "SamplerSpec":
@@ -236,15 +240,11 @@ class SamplerSpec:
         return self.n
 
     def draw_batch(self, rng: RngStream, size: int) -> np.ndarray:
-        """``size`` rows of this law."""
-        n = self._bound_n(size)
+        """``size`` rows of this law: its cycle blocks carried onto uniform
+        arrangements, or, for ``uniform``, the arrangements themselves."""
         if self.kind == "uniform":
-            return uniform_rows(rng, size, n)
-        if self.kind == "ewens":
-            return ewens_rows(rng, size, n, self._drawn_theta())
-        if self.kind == "sqrt_fixed":
-            return sqrt_fixed_rows(rng, size, n, self.resolved_fixed_count())
-        return matching_heavy_rows(rng, size, n, self.two_cycle_fraction)
+            return uniform_rows(rng, size, self._bound_n(size))
+        return _arranged(rng.generator, self.draw_blocks(rng, size))
 
     def draw_blocks(self, rng: RngStream, size: int) -> "CycleBlocks":
         """``size`` draws of this law's cycle-type law, as their blocks.
@@ -489,11 +489,6 @@ def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
 
 def sqrt_fixed_rows(rng: RngStream, size: int, n: int, fixed_count: int) -> np.ndarray:
     spec = SamplerSpec("sqrt_fixed", n=n, fixed_count=fixed_count)
-    return _arranged(rng.generator, spec.draw_blocks(rng, size))
-
-
-def matching_heavy_rows(rng: RngStream, size: int, n: int, fraction) -> np.ndarray:
-    spec = SamplerSpec("matching_heavy", n=n, two_cycle_fraction=fraction)
     return _arranged(rng.generator, spec.draw_blocks(rng, size))
 
 

@@ -113,7 +113,6 @@ from permprod.oracle import (
     prefix_fixed_prob,
     verify_bounds,
 )
-from permprod.perms import CycleCounts, trace_power
 from permprod.samplers import _block_base, _flat, _power_walk
 
 __all__ = [
@@ -223,7 +222,7 @@ def _rows(images: np.ndarray) -> np.ndarray:
 
 
 def _line(images: Sequence[int]) -> str:
-    # 0-based images in one-line notation, as ``Permutation.to_line``.
+    # 0-based images in 1-based one-line notation, e.g. "2 3 1".
     return " ".join(str(x + 1) for x in images)
 
 
@@ -248,8 +247,7 @@ def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSumma
     failing: dict[tuple[int, ...], list[int]] = {}  # each type's failing powers
     tally = _Tally()
     for lengths, fixed in zip(classes, direct.tolist()):
-        counts = CycleCounts.from_mapping(n, {d: lengths.count(d) for d in lengths})
-        failing[lengths] = [k for k, got in enumerate(fixed, 1) if trace_power(counts, k) != got]
+        failing[lengths] = [k for k, got in enumerate(fixed, 1) if _trace_power(lengths, k) != got]
         size = class_size(lengths, n)
         tally.cases += size * max_power
         tally.violations += size * len(failing[lengths])
@@ -257,6 +255,12 @@ def sweep_trace_identity(n: int = 7, max_power: int | None = None) -> SweepSumma
     return _summary(
         "trace-power-identity", n, tally, f"all {n}! permutations, powers 1..{max_power}"
     )
+
+
+def _trace_power(lengths: Sequence[int], k: int) -> int:
+    # Fixed points of a^k for a of cycle type ``lengths``: a point on a
+    # d-cycle is fixed exactly when d divides k.
+    return sum(d for d in lengths if k % d == 0)
 
 
 def _first_failures(n: int, failing: dict[tuple[int, ...], list[int]]) -> list[str]:

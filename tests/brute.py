@@ -55,11 +55,15 @@ flat indices, and ``representative_rows`` expands class representatives
 held as cycle blocks into all their rows at once, where the Monte Carlo
 builds one row block at a time or none. ``feller_ends`` draws the
 Feller ends in intp rounds concatenated at the end, where the sampler
-writes each int32 round straight to its place. Only ``perms``, ``cyclegraphs``, the
-``ExactDistribution`` type (whose pmf is read off its class
+writes each int32 round straight to its place. The permutation algebra
+(``from_cycles``, ``compose``, ``inverse``, ``conjugate``, ``cycle_of``,
+``cycle_type``, ``trace_power``) and three graph helpers
+(``graphs_from_record``, ``membership``, ``relabeled``) are plain
+functions here: no command needs them. Only ``perms``, ``cyclegraphs``,
+the ``ExactDistribution`` type (whose pmf is read off its class
 probabilities here), the ``partitions`` generator and, in
-``graph_pass``, the per-graph ``verify_bounds`` are used, so nothing here leans on the reductions it
-checks.
+``graph_pass``, the per-graph ``verify_bounds`` are used, so nothing
+here leans on the reductions it checks.
 """
 
 from __future__ import annotations
@@ -73,25 +77,85 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from permprod import cyclegraphs
-from permprod.cyclegraphs import (
-    DirectedGraph,
-    _partial_bijection,
-    membership,
-    profile,
-    traversal,
-)
+from permprod.cyclegraphs import DirectedGraph, _partial_bijection, profile, traversal
 from permprod.oracle import ExactDistribution, partitions, verify_bounds
-from permprod.perms import (
-    Permutation,
-    all_permutations,
-    compose,
-    conjugate,
-    cycle_counts,
-    cycle_type,
-    identity,
-    inverse,
-    trace_power,
-)
+from permprod.perms import Permutation, all_permutations
+
+
+# Permutation algebra on {1..n}, in one-line notation. ``compose(a, b)``
+# applies b first: compose(a, b) has images a(b(x)).
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
+    """The permutation with these cycles; points on no cycle are fixed."""
+    images = list(range(1, n + 1))
+    for cycle in cycles:
+        for pos, x in enumerate(cycle):
+            images[x - 1] = cycle[(pos + 1) % len(cycle)]
+    return Permutation(tuple(images))
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    return Permutation(tuple(a.images[x - 1] for x in b.images))
+
+
+def inverse(a: Permutation) -> Permutation:
+    out = [0] * a.n
+    for pos, img in enumerate(a.images, start=1):
+        out[img - 1] = pos
+    return Permutation(tuple(out))
+
+
+def conjugate(a: Permutation, t: Permutation) -> Permutation:
+    """t^-1 o a o t."""
+    return compose(inverse(t), compose(a, t))
+
+
+def cycle_of(a: Permutation, m: int) -> tuple[int, ...]:
+    """(m, a(m), a(a(m)), ...) up to the return to m."""
+    out = [m]
+    while a.images[out[-1] - 1] != m:
+        out.append(a.images[out[-1] - 1])
+    return tuple(out)
+
+
+def cycle_type(a: Permutation) -> tuple[int, ...]:
+    """Cycle lengths with multiplicity, largest first."""
+    return _type_of_images(a.images)
+
+
+def line(a: Permutation) -> str:
+    """One-line notation, e.g. "2 3 1"."""
+    return " ".join(map(str, a.images))
+
+
+def trace_power(lengths: Sequence[int], k: int) -> int:
+    """Fixed points of a^k for a of cycle type ``lengths``: the divisor sum."""
+    return sum(d for d in lengths if k % d == 0)
+
+
+def membership(sigma: Permutation, g: DirectedGraph) -> bool:
+    """Whether sigma satisfies every edge constraint sigma(a) = b of ``g``."""
+    return all(sigma.images[a - 1] == b for a, b in g.edges)
+
+
+def relabeled(g: DirectedGraph, t: Permutation) -> DirectedGraph:
+    """``g`` with every vertex x renamed t(x)."""
+    return DirectedGraph(g.n, frozenset((t.images[a - 1], t.images[b - 1]) for a, b in g.edges))
+
+
+def graphs_from_record(
+    record: cyclegraphs.TraversalRecord, n: int
+) -> tuple[DirectedGraph, DirectedGraph]:
+    """The sigma-side graph of one traversal, edges (i_{l+1}, j_l) and the
+    wrap edge (i_1, j_k), and its rho-side graph, edges (i_l, j_l)."""
+    i_seq, j_seq = record.i_seq, record.j_seq
+    first = zip(i_seq[1:] + i_seq[:1], j_seq)
+    return DirectedGraph(n, frozenset(first)), DirectedGraph(n, frozenset(zip(i_seq, j_seq)))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +193,7 @@ def representative(partition: Sequence[int]) -> Permutation:
     for length in partition:
         cycles.append(list(range(start, start + length)))
         start += length
-    return Permutation.from_cycles(sum(partition), cycles)
+    return from_cycles(sum(partition), cycles)
 
 
 def rising_factorial(theta: Fraction, n: int) -> Fraction:
@@ -281,9 +345,9 @@ def graphs_from_traversal(
     sigma: Permutation, rho: Permutation, m: int
 ) -> tuple[DirectedGraph, DirectedGraph]:
     """Both graphs of the traversal of (sigma, rho) from m. Looked up on
-    the module at each call, so that a fault patched into
-    ``cyclegraphs.traversal`` or ``graphs_from_record`` reaches it."""
-    return cyclegraphs.graphs_from_record(cyclegraphs.traversal(sigma, rho, m), sigma.n)
+    their modules at each call, so that a fault patched into
+    ``cyclegraphs.traversal`` or ``brute.graphs_from_record`` reaches it."""
+    return graphs_from_record(cyclegraphs.traversal(sigma, rho, m), sigma.n)
 
 
 def edge_mask(edges, n: int) -> int:
@@ -408,7 +472,7 @@ def power_fixed_points(a: Permutation, max_power: int) -> list[int]:
 def start_is_fixed(a: Permutation, power: Permutation, start: int) -> bool:
     """Whether ``power``, a power of ``a``, fixes ``start``. A seam for
     faults that read ``a`` as well."""
-    return power(start) == start
+    return power.images[start - 1] == start
 
 
 def trace_pass(n: int, max_power: int):
@@ -424,9 +488,7 @@ def trace_pass(n: int, max_power: int):
         for k in range(1, max_power + 1):
             power = compose(a, power)
             fixed = sum(start_is_fixed(a, power, m) for m in starts)
-            tally.record(
-                trace_power(cycle_counts(a), k) == fixed, f"perm={a.to_line()} k={k}"
-            )
+            tally.record(trace_power(cycle_type(a), k) == fixed, f"perm={line(a)} k={k}")
     return tally.row()
 
 
@@ -497,23 +559,22 @@ def pair_verdicts(sigma: Permutation, rho: Permutation):
     """
     n = sigma.n
     sinv, rinv = inverse(sigma), inverse(rho)
+    walk = compose(sinv, rho)
     records = [traversal(sigma, rho, m) for m in range(1, n + 1)]
     graphs = [graphs_from_traversal(sigma, rho, m) for m in range(1, n + 1)]
     encoding, reversal, small = [], [], []
     for r, (g1, g2) in zip(records, graphs):
         m = r.m
-        cycle = [m]
-        while sinv(rho(cycle[-1])) != m:
-            cycle.append(sinv(rho(cycle[-1])))
+        cycle = cycle_of(walk, m)
         encoding.append(
-            list(r.i_seq) == cycle
-            and list(r.j_seq) == [rho(x) for x in cycle]
+            r.i_seq == cycle
+            and r.j_seq == tuple(rho.images[x - 1] for x in cycle)
             and len(g1.edges) == len(g2.edges) == len(cycle)
             and membership(sigma, g1)
             and membership(rho, g2)
         )
         back = traversal(rho, sigma, m)
-        h2 = graphs_from_traversal(rinv, sinv, rho(m))[1]
+        h2 = graphs_from_traversal(rinv, sinv, rho.images[m - 1])[1]
         reversal.append(reversal_identities_hold(r, g1, back, h2))
         small.append(no_two_cycles_when_components_small(g1, g2))
     shared = [
@@ -528,7 +589,7 @@ def _check_pair(sigma: Permutation, rho: Permutation, tallies, weight: int = 1):
     pair suites' tallies, in suite order, each case counted ``weight``
     times. Returns the graph couples of the starts 1..n."""
     verdicts, graphs = pair_verdicts(sigma, rho)
-    pair = f"sigma={sigma.to_line()} rho={rho.to_line()}"
+    pair = f"sigma={line(sigma)} rho={line(rho)}"
     per_start = [f"m={m}" for m in range(1, sigma.n + 1)]
     start_pairs = [f"m1={a + 1} m2={b + 1}" for a, b in itertools.combinations(range(sigma.n), 2)]
     columns = (per_start, start_pairs, per_start, per_start)
@@ -673,7 +734,7 @@ def partial_injections(n: int) -> list[frozenset]:
     for perm in all_permutations(n):
         for size in range(n + 1):
             for domain in itertools.combinations(range(1, n + 1), size):
-                seen.add(frozenset((a, perm(a)) for a in domain))
+                seen.add(frozenset((a, perm.images[a - 1]) for a in domain))
     return sorted(seen, key=sorted)
 
 
@@ -826,7 +887,7 @@ def relabel_dichotomy_holds(
     for verts in components:
         if not verts & fixed:
             return True
-    g2 = g1.relabel(tau)
+    g2 = relabeled(g1, tau)
     if g1.edges == g2.edges:
         return True
     return not _joint_membership_consistent(g1.edges, g2.edges)
@@ -851,7 +912,7 @@ def graph_pass(n: int, thetas: Sequence = ("1/2", "1", "2")):
         for tau in perms:
             relabel.record(
                 relabel_dichotomy_holds(g, components, tau),
-                f"edges={sorted(g.edges)} tau={tau.to_line()}",
+                f"edges={sorted(g.edges)} tau={line(tau)}",
             )
     laws = [
         ExactDistribution.uniform(n) if theta is None else ExactDistribution.ewens(n, theta)
@@ -929,17 +990,8 @@ def union_pair_pmf(
     for sigma, p1 in w1.items():
         sinv = inverse(sigma)
         for rho, p2 in w2.items():
-            lengths_ok = True
-            for m in starts:
-                length = 1
-                x = sinv(rho(m))
-                while x != m:
-                    length += 1
-                    x = sinv(rho(x))
-                if length != v_vec[m - 1]:
-                    lengths_ok = False
-                    break
-            if not lengths_ok:
+            walk = compose(sinv, rho)
+            if any(len(cycle_of(walk, m)) != v_vec[m - 1] for m in starts):
                 continue
             u1, u2 = union_graphs(sigma, rho, starts)
             key = (shape(u1), shape(u2))

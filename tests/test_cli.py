@@ -112,6 +112,20 @@ def test_config_round_trip():
     assert _config_from_text(serialize_config(unseeded)) == unseeded
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", True), ("n", True), ("samples", False), ("truncation", True), ("pair_n", True),
+     ("single_n", True), ("n_grid", (True, 2)), ("v_vec", (1, True)), ("tv_orders", (True,))],
+)
+def test_a_bool_is_no_integer_field(field, value):
+    # bool subclasses int, but a config holding one would serialize as
+    # True or False, which does not read back.
+    with pytest.raises(ConfigError, match=f"^{field}: expected an integer, got (True|False)$"):
+        ExperimentConfig(command="verify-lemmas", **{field: value})
+    with pytest.raises(ValueError, match="fixed_count"):
+        SamplerSpec("sqrt_fixed", fixed_count=True)
+
+
 def test_config_text_comments_and_duplicates():
     text = "# demo\ncommand = verify-lemmas\n\nseed = 3\npair_n = 4\n"
     config = _config_from_text(text)

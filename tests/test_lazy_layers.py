@@ -87,8 +87,8 @@ _JOBS = {
     ),
     "lemmas-n5": (
         ["verify-lemmas"],
-        ["permprod.cli", "permprod.cyclegraphs", "permprod.oracle", "permprod.perms",
-         "permprod.samplers", "permprod.sweeps"],
+        ["permprod.cli", "permprod.cyclegraphs", "permprod.oracle", "permprod.samplers",
+         "permprod.sweeps"],
     ),
 }
 

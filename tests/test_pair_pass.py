@@ -24,7 +24,7 @@ and, at n <= 4, where that stabiliser is trivial, those of
 tuples of each union, under faults that read labels too. Its pairs are
 walked in numpy blocks (``sweeps._walk_pairs``), as are the four
 suites': the walks and masks of a block must be those of ``traversal``
-and ``graphs_from_record``, pair by pair, and faults reach every pair
+and ``brute.graphs_from_record``, pair by pair, and faults reach every pair
 suite by rewriting a block's edges (``_inject``), and the full passes
 through the same couples.
 """
@@ -39,9 +39,10 @@ import numpy as np
 import pytest
 
 import brute
+from brute import conjugate, cycle_type, graphs_from_record, inverse
 from permprod import cyclegraphs, sweeps
-from permprod.cyclegraphs import DirectedGraph, TraversalRecord, graphs_from_record, traversal
-from permprod.perms import Permutation, all_permutations, conjugate, cycle_type, inverse
+from permprod.cyclegraphs import DirectedGraph, TraversalRecord, traversal
+from permprod.perms import Permutation, all_permutations
 
 
 def _rows(summaries):
@@ -74,7 +75,7 @@ def test_a_fault_reading_a_label_is_not(monkeypatch):
     # under conjugation: the class representative stands for members that
     # do not fix 1, so the weighted count is not the true one.
     def fails_when_one_is_fixed(sigma, r, g1, g2):
-        return _drop_wrap_edge(sigma, r, g1, g2) if sigma(1) == 1 else (g1, g2)
+        return _drop_wrap_edge(sigma, r, g1, g2) if sigma.images[0] == 1 else (g1, g2)
 
     _inject(monkeypatch, fails_when_one_is_fixed)
     n = 4
@@ -395,7 +396,7 @@ def _inject(monkeypatch, fault):
         return walks, tails, heads
 
     monkeypatch.setattr(cyclegraphs, "traversal", walk)
-    monkeypatch.setattr(cyclegraphs, "graphs_from_record", build)
+    monkeypatch.setattr(brute, "graphs_from_record", build)
     monkeypatch.setattr(sweeps, "_walk_pairs", faulty_walk_pairs)
 
 
@@ -413,8 +414,8 @@ def _add_unsatisfied_edge(sigma, r, g1, g2):
     if len(off) < 2:
         return g1, g2
     x = off[-1]
-    targets = sorted(sigma(v) for v in off)
-    y = targets[(targets.index(sigma(x)) + 1) % len(targets)]
+    targets = sorted(sigma.images[v - 1] for v in off)
+    y = targets[(targets.index(sigma.images[x - 1]) + 1) % len(targets)]
     return DirectedGraph(g1.n, g1.edges | {(x, y)}), g2
 
 
@@ -423,7 +424,7 @@ def _empty_start_two(sigma, r, g1, g2):
     # when sigma fixes n off that cycle splits one fiber into two tuples
     # with one union, each smaller than the rectangle.
     n = g1.n
-    if r.m == 2 and 1 in r.i_seq and n not in r.i_seq and sigma(n) == n:
+    if r.m == 2 and 1 in r.i_seq and n not in r.i_seq and sigma.images[n - 1] == n:
         empty = DirectedGraph(n, frozenset())
         return empty, empty
     return g1, g2

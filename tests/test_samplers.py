@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
+from brute import compose, cycle_type, from_cycles
 from permprod import samplers
-from permprod.perms import Permutation, compose, cycle_counts, cycle_type
+from permprod.perms import Permutation
 from permprod.samplers import (
     RngStream,
     SamplerSpec,
     ewens_rows,
-    matching_heavy_rows,
     product_rows,
     small_cycle_counts,
     sqrt_fixed_rows,
@@ -392,13 +392,15 @@ def test_sqrt_fixed_full_fix_is_identity():
     assert np.all(rows == np.arange(5))
 
 
+def matching_heavy_rows(rng, size, n, fraction):
+    return SamplerSpec("matching_heavy", n=n, two_cycle_fraction=fraction).draw_batch(rng, size)
+
+
 def test_matching_heavy_rows_have_declared_type():
-    n, frac = 10, Fraction(1, 2)
-    rows = matching_heavy_rows(RngStream(11, 4), 24, n, frac)
+    rows = matching_heavy_rows(RngStream(11, 4), 24, 10, Fraction(1, 2))
     for row in rows:
         assert cycle_type(perm_from_row(row)) == (2, 2, 2, 2, 2)
-    n = 11
-    rows = matching_heavy_rows(RngStream(11, 5), 24, n, Fraction(1, 4))
+    rows = matching_heavy_rows(RngStream(11, 5), 24, 11, Fraction(1, 4))
     # m = floor(11/4) = 2 two-cycles, rest-cycle of length 7
     for row in rows:
         assert cycle_type(perm_from_row(row)) == (7, 2, 2)
@@ -482,6 +484,12 @@ def test_spec_draw_batch_matches_row_sampler():
     a = spec.draw_batch(RngStream(31, 2), 5)
     b = uniform_rows(RngStream(31, 2), 5, 6)
     assert np.array_equal(a, b)
+    # Every other law draws its blocks through the kernel, as the row
+    # samplers do.
+    a = SamplerSpec("ewens", n=6, theta=2).draw_batch(RngStream(31, 2), 5)
+    assert np.array_equal(a, ewens_rows(RngStream(31, 2), 5, 6, 2.0))
+    a = SamplerSpec("sqrt_fixed", n=6, fixed_count=2).draw_batch(RngStream(31, 2), 5)
+    assert np.array_equal(a, sqrt_fixed_rows(RngStream(31, 2), 5, 6, 2))
     # A uniform permutation's cycle type is Ewens(1): uniform blocks are
     # Ewens(1) ends.
     a = spec.draw_blocks(RngStream(31, 2), 5)
@@ -491,8 +499,8 @@ def test_spec_draw_batch_matches_row_sampler():
 
 
 def test_product_rows_is_left_composition():
-    s = Permutation.from_cycles(4, [(1, 2, 3)])
-    r = Permutation.from_cycles(4, [(3, 4)])
+    s = from_cycles(4, [(1, 2, 3)])
+    r = from_cycles(4, [(3, 4)])
     prod = product_rows([row_from_perm(s)[None, :], row_from_perm(r)[None, :]])
     assert perm_from_row(prod[0]) == compose(s, r)
 
@@ -840,12 +848,12 @@ def test_small_cycle_counts_match_brute_force(n, kmax):
     assert table.shape == (6, min(kmax, n))
     assert np.array_equal(small_cycle_counts(rows.astype(np.int64), kmax), table)
     for i, row in enumerate(rows):
-        counts = cycle_counts(perm_from_row(row))
+        lengths = cycle_type(perm_from_row(row))
         for k in range(1, min(kmax, n) + 1):
-            assert table[i, k - 1] == counts.get(k)
+            assert table[i, k - 1] == lengths.count(k)
 
 
 def test_row_perm_round_trip():
-    p = Permutation.from_cycles(5, [(1, 5, 2)])
+    p = from_cycles(5, [(1, 5, 2)])
     assert perm_from_row(row_from_perm(p)) == p
     assert row_from_perm(p).dtype == uniform_rows(RngStream(0, 0), 1, 5).dtype == np.int32

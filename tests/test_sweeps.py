@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import brute
-from permprod import perms, sweeps
+from brute import cycle_of, cycle_type, line, relabeled
+from permprod import sweeps
 from permprod.cyclegraphs import DirectedGraph, profile
 from permprod.oracle import class_size, partitions
 from permprod.perms import Permutation, all_permutations
@@ -45,7 +46,7 @@ def test_trace_identity_sweep():
     assert_clean(sweep_trace_identity(5))
 
 
-_power_walk = sweeps._power_walk
+_power_walk, _trace_power = sweeps._power_walk, brute.trace_power
 
 
 def _walk_miscounting_start_one(block, max_power):
@@ -53,17 +54,17 @@ def _walk_miscounting_start_one(block, max_power):
     fixed = _power_walk(block, max_power)
     for row, images in zip(fixed, block.tolist()):
         if images[0] == 1:
-            length = len(perms.cycle_of(Permutation(tuple(x + 1 for x in images)), 1))
+            length = len(cycle_of(Permutation(tuple(x + 1 for x in images)), 1))
             row += [k % length != 0 for k in range(1, max_power + 1)]
     return fixed
 
 
 def _brute_miscounting_start_one(a, power, start):
-    return (start == 1 and a(1) == 2) or power(start) == start
+    return (start == 1 and a.images[0] == 2) or power.images[start - 1] == start
 
 
-def _formula_off_at_four_with_a_two_cycle(counts, k):
-    return perms.trace_power(counts, k) + (k == 4 and counts.get(2) > 0)
+def _formula_off_at_four_with_a_two_cycle(lengths, k):
+    return _trace_power(lengths, k) + (k == 4 and 2 in lengths)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -74,8 +75,8 @@ def test_trace_identity_matches_every_power_built_by_composition(monkeypatch, fa
     # walk does, and name the same first failing cells. At n = 8 powers
     # 1..4 keep the full walk to a few seconds.
     if fault == "formula":
-        for module in (sweeps, brute):
-            monkeypatch.setattr(module, "trace_power", _formula_off_at_four_with_a_two_cycle)
+        monkeypatch.setattr(sweeps, "_trace_power", _formula_off_at_four_with_a_two_cycle)
+        monkeypatch.setattr(brute, "trace_power", _formula_off_at_four_with_a_two_cycle)
     max_power = 4 if n == 8 else 2 * n
     summary = sweep_trace_identity(n, max_power)
     row = brute.trace_pass(n, max_power)
@@ -104,9 +105,9 @@ def test_a_walk_fault_reading_a_label_shows_in_the_representatives_only(monkeypa
         for lengths in partitions(n)
     )
     assert row[2] == sum(
-        sum(k % len(perms.cycle_of(a, 1)) != 0 for k in powers)
+        sum(k % len(cycle_of(a, 1)) != 0 for k in powers)
         for a in all_permutations(n)
-        if a(1) == 2
+        if a.images[0] == 2
     )
     assert summary.violations > row[2] > 0
     if n == 4:
@@ -141,9 +142,9 @@ def test_first_failures_are_the_first_members_of_their_classes(n):
     for lengths in [*partitions(n), None]:
         failing = {c: [1, 2] for c in partitions(n) if lengths in (None, c)}
         want = [
-            f"perm={p.to_line()} k={k}"
+            f"perm={line(p)} k={k}"
             for p in every
-            if perms.cycle_type(p) in failing
+            if cycle_type(p) in failing
             for k in (1, 2)
         ][:5]
         assert sweeps._first_failures(n, failing) == want
@@ -153,10 +154,10 @@ def test_trace_identity_names_its_first_failures_far_past_a_full_walk(monkeypatc
     # At n = 16 the formula fault fails every class with a 2-cycle at
     # k = 4, and the first such permutations in lexicographic order come
     # early enough to list one by one.
-    monkeypatch.setattr(sweeps, "trace_power", _formula_off_at_four_with_a_two_cycle)
+    monkeypatch.setattr(sweeps, "_trace_power", _formula_off_at_four_with_a_two_cycle)
     summary = sweep_trace_identity(16)
-    first = itertools.islice((a for a in all_permutations(16) if 2 in perms.cycle_type(a)), 5)
-    assert summary.examples == [f"perm={a.to_line()} k=4" for a in first]
+    first = itertools.islice((a for a in all_permutations(16) if 2 in cycle_type(a)), 5)
+    assert summary.examples == [f"perm={line(a)} k=4" for a in first]
     assert summary.violations == sum(
         class_size(lengths, 16) for lengths in partitions(16) if 2 in lengths
     )
@@ -174,20 +175,20 @@ def test_trace_identity_names_the_first_members_of_one_class_at_thirty(
     # differs, a smaller image would be a value already taken, or close
     # a cycle shorter than any non-fixed cycle of the class. So the
     # first members complete the prefix, tried in lexicographic order.
-    def formula_off_for_one_class(counts, k):
-        return perms.trace_power(counts, k) + (k == 4 and counts.partition == lengths)
+    def formula_off_for_one_class(class_lengths, k):
+        return _trace_power(class_lengths, k) + (k == 4 and class_lengths == lengths)
 
-    monkeypatch.setattr(sweeps, "trace_power", formula_off_for_one_class)
+    monkeypatch.setattr(sweeps, "_trace_power", formula_off_for_one_class)
     summary = sweep_trace_identity(30)
     rest = sorted(set(range(1, 31)).difference(prefix))
     members = (
         Permutation(prefix + tail)
         for tail in itertools.permutations(rest)
-        if perms.cycle_type(Permutation(prefix + tail)) == lengths
+        if cycle_type(Permutation(prefix + tail)) == lengths
     )
     first = list(itertools.islice(members, sweeps._EXAMPLE_CAP))
     assert len(first) == sweeps._EXAMPLE_CAP
-    assert summary.examples == [f"perm={a.to_line()} k=4" for a in first]
+    assert summary.examples == [f"perm={line(a)} k=4" for a in first]
     assert summary.violations == class_size(lengths, 30)
 
 
@@ -381,7 +382,7 @@ def test_union_graphs_match_every_start_set(n):
 def test_shape_key_groups_graphs_as_relabeling_orbits(n):
     perms = list(all_permutations(n))
     orbit_of = {
-        edges: frozenset(DirectedGraph(n, edges).relabel(t).edges for t in perms)
+        edges: frozenset(relabeled(DirectedGraph(n, edges), t).edges for t in perms)
         for edges in brute.partial_injections(n)
     }
     by_shape = {}
@@ -441,7 +442,7 @@ def test_relabel_verdicts_are_the_predicate_on_each_tau(n):
     taus = sweeps._table(n)[0]
     for g, _ in sweeps._graph_orbits(n):
         components = [verts for verts, _ in profile(g)]
-        moved = [g.relabel(tau).edges for tau in every]
+        moved = [relabeled(g, tau).edges for tau in every]
         premise, frozen, inconsistent = sweeps._relabel_verdicts(g, taus)
         assert (~premise | frozen | inconsistent).tolist() == [
             brute.relabel_dichotomy_holds(g, components, tau) for tau in every
