@@ -60,10 +60,6 @@ class DirectedGraph:
             if not (1 <= a <= self.n and 1 <= b <= self.n):
                 raise ValueError(f"edge {edge!r} outside 1..{self.n}")
 
-    @classmethod
-    def of(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        return cls(n, frozenset((int(a), int(b)) for a, b in edges))
-
 
 @dataclass(frozen=True)
 class TraversalRecord:

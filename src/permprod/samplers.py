@@ -8,39 +8,25 @@ Four families, all invariant under relabeling of the ground set:
 * ``matching_heavy``: a prescribed share of 2-cycles plus one long
   cycle on the leftovers.
 
-Each law is its cycle-type law followed by a uniform relabeling, and one
-kernel draws them that way: it lays the cycles on consecutive blocks of
-positions and carries the blocks onto a uniform arrangement of the ground
-set. Ewens cycle types come from the Feller coupling (position j >= 1
-opens a block with probability theta / (theta + j)); the last two laws
-have one fixed cycle type. ``uniform`` rows are the kernel's arrangements
-themselves, and a uniform cycle type is Ewens(1). So
-:meth:`SamplerSpec.draw_batch` has one path for every other law: its
-blocks (:meth:`SamplerSpec.draw_blocks`) through the kernel
-(``_arranged``). ``ewens_rows`` and ``sqrt_fixed_rows`` are that path
-for one law each, with the same draws.
+Each law is its cycle-type law followed by a uniform relabeling: its
+cycles lie on consecutive blocks of positions, carried onto a uniform
+arrangement of the ground set. Ewens cycle types come from the Feller
+coupling (position j >= 1 opens a block with probability
+theta / (theta + j)); the last two laws have one fixed cycle type, and a
+``uniform`` row is the arrangement itself.
 
-The kernel works through a chunk a few rows at a time: it shuffles one
-reused intp block of rows (``_BLOCK_ELEMENTS`` entries, 256 KiB) and
-scatters the block's cycles through it into the chunk's rows
-(``_carry``), so no (size, n) temporary exists beside the output. The
-block is filled with the flat identity (row r holds r * n .. r * n +
-n - 1) before it is shuffled, so its arrangements are born as flat
-indices into the block; the shuffle makes the same swaps whatever the
-values. (Full ``uniform`` draws shuffle rows of 0..n-1 instead, and
-write them out as they are.) The generator shuffles row by row, so the
-blocks draw the same rows, and leave the generator in the same state, as
-one whole-chunk shuffle. Before any shuffle, an Ewens chunk draws its Feller openings
-for all rows together, as int32: one uniform per cycle, each jumping a
-row from one opening to the next (``_feller_ends``).
-:func:`product_cycle_counts` composes and counts in the same row blocks
-as flat indices: every gather is a 1-D ``np.take`` into a reused buffer
-and every scatter runs over the block's rows run together, so it holds
-no (size, n) temporary either. A power has a few fixed points a row, so
-they are counted from their flat positions, cut at the row starts.
-:func:`product_rows` and :func:`small_cycle_counts` take built rows and
-work on the whole array at once: ``sample`` composes the factors it
-prints with the first, and no job calls the second.
+One kernel, the fold (``_fold``), composes a first factor with later
+ones that way, one reused 256 KiB block of rows at a time, into the
+product's int32 rows or its small-cycle counts, with no (size, n)
+temporary beside the output. A full draw (:meth:`SamplerSpec.draw_batch`,
+and ``uniform_rows``, ``ewens_rows`` and ``sqrt_fixed_rows`` for one law
+each) is the fold of one factor from the identity; a product
+(:func:`product_cycle_counts`) the fold of every later factor from the
+first. An Ewens chunk draws its Feller openings for all rows together
+before any shuffle (``_feller_ends``). :func:`product_rows` and
+:func:`small_cycle_counts` take built rows and work on the whole array
+at once: ``sample`` composes the factors it prints with the first, and
+no job calls the second.
 
 Every quantity the Monte Carlo reports is a class function of the
 product and of the first factor. For independent conjugation-invariant
@@ -53,9 +39,9 @@ the Feller ends of every row for Ewens and uniform laws, the shared
 base of a fixed cycle type. No (size, n) array of it is ever built. Its
 own small-cycle counts are one bincount of its block lengths
 (:meth:`CycleBlocks.cycle_counts`). Nor do consumers build any later
-factor: :func:`product_cycle_counts` carries factor 0's rows through
-every later factor's kernel, one row block at a time, and counts the
-small cycles per block, with the same draws as full draws.
+factor: :func:`product_cycle_counts` folds every later factor onto
+factor 0's rows and counts the small cycles per block, with the same
+draws as full draws.
 ``sample`` prints the factors themselves and draws every factor in
 full. Cycle counts stop at the ground-set size: no permutation of n
 points has a cycle longer than n, so ``kmax`` above n walks and stores
@@ -98,6 +84,14 @@ _KINDS = ("uniform", "ewens", "sqrt_fixed", "matching_heavy")
 # Row entries are positions 0..n-1, so int32 rows hold every n up to _MAX_N.
 _ROW_DTYPE = np.int32
 _MAX_N = int(np.iinfo(_ROW_DTYPE).max)
+
+
+def _check_batch(size: int, n: int) -> None:
+    # Every full draw passes this before it draws anything.
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if size < 1:
+        raise ValueError("batch size must be >= 1")
 
 
 class RngStream:
@@ -235,16 +229,19 @@ class SamplerSpec:
         # n of a draw of ``size`` rows.
         if self.n is None:
             raise ValueError("bind n before drawing")
-        if size < 1:
-            raise ValueError("batch size must be >= 1")
+        _check_batch(size, self.n)
         return self.n
 
     def draw_batch(self, rng: RngStream, size: int) -> np.ndarray:
         """``size`` rows of this law: its cycle blocks carried onto uniform
-        arrangements, or, for ``uniform``, the arrangements themselves."""
-        if self.kind == "uniform":
-            return uniform_rows(rng, size, self._bound_n(size))
-        return _arranged(rng.generator, self.draw_blocks(rng, size))
+        arrangements, or, for ``uniform``, the arrangements themselves.
+        Either is the fold of this one factor from the identity."""
+        return _fold(size, self._bound_n(size), [self._factor(rng, size)])
+
+    def _factor(self, rng: RngStream, size: int) -> tuple[CycleBlocks | None, np.random.Generator]:
+        # A factor of ``size`` rows as the fold takes it: its blocks, none
+        # for ``uniform``, and the generator of its arrangements.
+        return (None if self.kind == "uniform" else self.draw_blocks(rng, size)), rng.generator
 
     def draw_blocks(self, rng: RngStream, size: int) -> "CycleBlocks":
         """``size`` draws of this law's cycle-type law, as their blocks.
@@ -327,42 +324,6 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def _flat_identity(rows: int, n: int) -> np.ndarray:
-    # (rows, n) intp, row i holding i * n .. i * n + n - 1: the identity
-    # of each row as flat indices into the block.
-    return np.arange(rows * n, dtype=np.intp).reshape(rows, n)
-
-
-def _shuffled_blocks(
-    gen: np.random.Generator,
-    size: int,
-    n: int,
-    buf: np.ndarray | None = None,
-    fill: np.ndarray | None = None,
-):
-    """Yield (s, e, arr): uniform arrangements of rows s..e-1, in order.
-
-    Each step copies ``fill`` into a view of one reused intp block, ``buf``
-    if given, and shuffles it there; arr is valid until the next step.
-    ``fill`` is by default the flat identity (``_flat_identity``), so the
-    arrangements are born as flat indices into the block: row i of arr is
-    a shuffle of i * n .. i * n + n - 1. A caller that passes ``buf`` as
-    its own fill must leave the identity in it after each step, and no
-    copy is made. permuted makes the same swaps whatever the values,
-    shuffles intp rows faster than int32 ones, and consumes the stream row
-    by row, so the blocks draw what one (size, n) shuffle of 0..n-1 would.
-    """
-    step = _block_rows(n)
-    fill = _flat_identity(min(size, step), n) if fill is None else fill
-    buf = np.empty(fill.shape, dtype=np.intp) if buf is None else buf
-    for s in range(0, size, step):
-        arr = buf[: min(step, size - s)]
-        if fill is not buf:
-            np.copyto(arr, fill[: len(arr)])
-        gen.permuted(arr, axis=1, out=arr)
-        yield s, s + len(arr), arr
-
-
 def _carry(out: np.ndarray, arr: np.ndarray, h: np.ndarray, ends) -> None:
     """Set entry arr[i, j] of the flat ``out`` to h[i, succ(j)]: for h the
     product so far gathered at arr, the product after a factor mapping
@@ -377,38 +338,119 @@ def _carry(out: np.ndarray, arr: np.ndarray, h: np.ndarray, ends) -> None:
     flat[arr[r, last]] = h[r, first]
 
 
-def _arranged(gen: np.random.Generator, blocks: CycleBlocks) -> np.ndarray:
-    """The kernel: the rows of ``blocks`` carried onto uniform arrangements.
+def _fold(
+    size: int,
+    n: int,
+    later: Sequence[tuple[CycleBlocks | None, np.random.Generator]],
+    first: CycleBlocks | None = None,
+    kmax: int = 1,
+) -> np.ndarray:
+    """The kernel: factor 0 composed with each factor of ``later`` in
+    turn, one row block at a time.
 
-    Each row draws a uniform arrangement arr and maps arr[j] to
-    arr[succ[j]], for succ the row's successor map, which is a uniform
-    member of the row's conjugacy class. Each row block is written by
-    ``_carry`` through flat indices, faster than put_along_axis, most of
-    all at large n: the arrangements, born as flat indices, give the
-    positions and the values at once, and the offsets come off the values
-    after.
+    A later factor is its blocks (None for ``uniform``) and the generator
+    of its arrangements. Per row block it shuffles its arrangement arr
+    into one reused intp block (``_BLOCK_ELEMENTS`` entries), filled with
+    the flat identity, so arr is born as flat indices into the block.
+    permuted makes the same swaps whatever the values, shuffles intp rows
+    faster than int32 ones, and consumes the stream row by row, so the
+    blocks draw what one (size, n) shuffle of 0..n-1 would. The factor
+    maps arr[j] to arr[succ(j)], succ its row's successor map: a uniform
+    member of the row's class. h gathers the product so far at arr, one
+    1-D ``np.take``, and ``_carry`` scatters h back into the spent
+    product block; a uniform row maps x to arr[x], so h is the product.
+
+    Given ``first``, the product starts as its rows and the fold gives
+    the product's cycle counts up to ``kmax``, at most n. At kmax = 1 the
+    last factor is not scattered: its fixed points are the j with
+    h[succ(j)] = arr[j]. Otherwise ``_power_fixed_points`` counts each
+    power against the identity. For kmax >= 3 the identity is a block of
+    its own, and the spent shuffle block is the second power block; below
+    that it is rebuilt in the shuffle block after each factor, so no
+    block is added.
+
+    Without ``first`` the product starts as the identity, whose gather at
+    arr is arr, and ``later`` is one factor: a full draw. The fold carries
+    straight into its int32 rows and takes the row offsets off after; a
+    uniform factor, which carries nothing, shuffles rows of 0..n-1
+    instead and writes them out as they are.
     """
-    size, n = blocks.shape
-    rows = np.empty((size, n), dtype=_ROW_DTYPE)
-    # Offsets within one block stay below max(_BLOCK_ELEMENTS, n), so int32
-    # to take off the rows.
-    shifts = np.arange(0, _block_rows(n) * n, n, dtype=_ROW_DTYPE)[:, None]
-    for s, e, arr in _shuffled_blocks(gen, size, n):
-        _carry(rows[s:e], arr, arr, blocks._ends_of(s, e))
-        rows[s:e] -= shifts[: e - s]
-    return rows
+    step = min(size, _block_rows(n))
+    ramp = np.arange(n, dtype=np.intp)
+    # Shuffles start from the flat identity, row i holding i * n .. i * n
+    # + n - 1; a full uniform draw's rows are its arrangements of 0..n-1,
+    # so it shuffles those and holds no identity block.
+    if first is None and later[0][0] is None:
+        identity = np.broadcast_to(ramp, (step, n))
+    else:
+        identity = np.arange(step * n, dtype=np.intp).reshape(step, n)
+    # Each block only where it is read, as peak RSS counts every one.
+    arr = identity if first is not None and kmax <= 2 else np.empty((step, n), dtype=np.intp)
+    if first is None:
+        out = np.empty((size, n), dtype=_ROW_DTYPE)
+    else:
+        # The product and its gather.
+        blocks = np.empty((2, step * n), dtype=np.intp)
+        out = np.empty((size, kmax), dtype=np.int64)
+    # Row offsets, in the dtype of the rows they are added to or taken
+    # off; below max(_BLOCK_ELEMENTS, n), so int32 holds them.
+    offsets = identity[:, :1].astype(_ROW_DTYPE if first is None else np.intp)
+    compare = first is not None and kmax == 1 and later[-1][0] is not None
+    for s in range(0, size, step):
+        e = min(size, s + step)
+        b = e - s
+        ident, a = identity[:b], arr[:b]
+        if first is None:
+            rows = prod = out[s:e]
+        else:
+            prod, h = (x[: b * n].reshape(b, n) for x in blocks)
+            if first.succ is None:
+                # Off its block ends, factor 0 maps j to j + 1.
+                np.add(ident, 1, out=prod)
+                r, last, head = first._ends_of(s, e)
+                prod[r, last] = ident[r, head]
+            else:
+                np.add(offsets[:b], first.succ, out=prod)
+        for f, (factor, gen) in enumerate(later, 1):
+            if arr is not identity:
+                np.copyto(a, ident)
+            gen.permuted(a, axis=1, out=a)
+            # Without first, the product so far is the identity: its gather is arr.
+            h = a if first is None else np.take(prod, a, out=h, mode="wrap")
+            if factor is None:
+                prod, h = h, prod
+            elif f < len(later) or not compare:
+                _carry(prod, a, h, factor._ends_of(s, e))
+            else:
+                # Compared along the rows run together, then at the block
+                # ends, column n - 1 among them, as in _carry.
+                r, last, head = factor._ends_of(s, e)
+                hit = np.empty((b, n), dtype=bool)
+                np.equal(h.reshape(-1)[1:], a.reshape(-1)[:-1], out=hit.reshape(-1)[:-1])
+                hit[r, last] = h[r, head] == a[r, last]
+                out[s:e, 0] = _row_counts(hit)
+            if arr is identity:
+                # The next shuffle starts from the flat identity.
+                np.add(offsets[:b], ramp, out=a)
+        if first is None:
+            if prod is rows:
+                rows -= offsets[:b]
+            else:
+                # A uniform row is its arrangement, still in the shuffle block.
+                np.copyto(rows, prod)
+        elif kmax > 1:
+            # Power 2 goes to h, and power 3 on to the spent shuffle block,
+            # which holds the identity only where kmax = 2 reads no power 3.
+            powers = (h.reshape(-1), a.reshape(-1))
+            _power_fixed_points(prod.reshape(-1), out[s:e], (ident.reshape(-1), powers))
+        elif not compare:
+            out[s:e, 0] = _row_counts(prod == ident)
+    return out if first is None else _cycle_counts(out)
 
 
 def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rows = np.empty((size, n), dtype=_ROW_DTYPE)
-    # Rows of 0..n-1 are shuffled as they are: a cast copy writes them
-    # out, where flat indices would also need their offsets taken off.
-    ramp = np.broadcast_to(np.arange(n, dtype=np.intp), (min(size, _block_rows(n)), n))
-    for s, e, arr in _shuffled_blocks(rng.generator, size, n, fill=ramp):
-        rows[s:e] = arr
-    return rows
+    _check_batch(size, n)
+    return _fold(size, n, [(None, rng.generator)])
 
 
 def ewens_rows(rng: RngStream, size: int, n: int, theta: float) -> np.ndarray:
@@ -422,12 +464,11 @@ def ewens_rows(rng: RngStream, size: int, n: int, theta: float) -> np.ndarray:
     a row on average: about theta * ln(n) for theta well below n, and
     about n, in as many rounds per chunk, for theta far above it.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_batch(size, n)
     if not 0 <= theta < math.inf:
         raise ValueError("theta must be finite and non-negative")
     gen = rng.generator
-    return _arranged(gen, CycleBlocks(size, n, ends=_feller_ends(gen, size, n, theta)))
+    return _fold(size, n, [(CycleBlocks(size, n, ends=_feller_ends(gen, size, n, theta)), gen)])
 
 
 def _feller_ends(
@@ -489,7 +530,7 @@ def _block_base(cycle_type: Sequence[int]) -> np.ndarray:
 
 def sqrt_fixed_rows(rng: RngStream, size: int, n: int, fixed_count: int) -> np.ndarray:
     spec = SamplerSpec("sqrt_fixed", n=n, fixed_count=fixed_count)
-    return _arranged(rng.generator, spec.draw_blocks(rng, size))
+    return _fold(size, n, [spec._factor(rng, size)])
 
 
 def _in_range(rows: np.ndarray) -> np.ndarray:
@@ -534,25 +575,8 @@ def product_cycle_counts(
     """``small_cycle_counts(product_rows([f0, f1, ...]), kmax)`` for f0 the
     rows of ``first`` and each later factor ``spec.draw_batch(rng,
     first.size)``, one (spec, rng) pair of ``specs`` and ``streams`` each,
-    without building a factor or the product.
-
-    It takes the same draws and leaves every stream in the same state:
-    per row block, each later factor shuffles its arrangement arr, born
-    as flat indices, from its own stream, row by row, into one shared
-    intp block. The product so far, flat indices into its own block,
-    starts as the rows of ``first``, built from the flat identity. h
-    gathers the product at arr, and ``_carry`` scatters h back into the
-    spent product block (for ``uniform``, h is the product). At
-    min(kmax, n) = 1 the last factor is not scattered: its fixed points
-    are the j with h[succ(j)] = arr[j]. Otherwise ``_power_fixed_points``
-    counts the product against the identity.
-
-    One flat identity block is the fill of every shuffle, factor 0's
-    start and what the powers are compared with. For kmax >= 3 it is a
-    block of its own, and the spent shuffle block is the second power
-    block. Below that the identity is rebuilt in the shuffle block after
-    each factor, ready for the next shuffle, so no block is added.
-    """
+    folded (``_fold``) without building a factor or the product: the same
+    draws, and every stream left where the full draws leave it."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if not specs:
@@ -560,63 +584,8 @@ def product_cycle_counts(
     size, n = first.shape
     if any(spec.bind().n != n for spec in specs):
         raise ValueError(f"factor 0 has n={n}, later specs {[spec.n for spec in specs]}")
-    kmax = min(kmax, n)
-    step = min(size, _block_rows(n))
-    # Each block only where it is read, as peak RSS counts every one.
-    identity = _flat_identity(step, n)
-    arr = np.empty_like(identity) if kmax > 2 else identity
-    later = [
-        (
-            None if spec.kind == "uniform" else spec.draw_blocks(rng, size),
-            _shuffled_blocks(rng.generator, size, n, arr, identity),
-        )
-        for spec, rng in zip(specs, streams, strict=True)
-    ]
-    compare = kmax == 1 and later[-1][0] is not None
-    ramp = np.arange(n, dtype=np.intp)
-    offsets = identity[:, :1].copy()
-    # The product and its gather.
-    blocks = np.empty((2, step * n), dtype=np.intp)
-    fixed = np.empty((size, kmax), dtype=np.int64)
-    for s in range(0, size, step):
-        e = min(size, s + step)
-        b = e - s
-        prod, h = (x[: b * n].reshape(b, n) for x in blocks)
-        ident = identity[:b]
-        if first.succ is None:
-            # Off its block ends, factor 0 maps j to j + 1.
-            np.add(ident, 1, out=prod)
-            r, last, head = first._ends_of(s, e)
-            prod[r, last] = ident[r, head]
-        else:
-            np.add(offsets[:b], first.succ, out=prod)
-        for f, (factor, kernel) in enumerate(later, 1):
-            a = next(kernel)[2]
-            np.take(prod, a, out=h, mode="wrap")
-            if factor is None:
-                # A uniform row maps x to arr[x], so the gather is the product.
-                prod, h = h, prod
-            elif f < len(later) or not compare:
-                _carry(prod, a, h, factor._ends_of(s, e))
-            else:
-                # Compared along the rows run together, then at the block
-                # ends, column n - 1 among them, as in _carry.
-                r, last, head = factor._ends_of(s, e)
-                hit = np.empty((b, n), dtype=bool)
-                np.equal(h.reshape(-1)[1:], a.reshape(-1)[:-1], out=hit.reshape(-1)[:-1])
-                hit[r, last] = h[r, head] == a[r, last]
-                fixed[s:e, 0] = _row_counts(hit)
-            if arr is identity:
-                # The next shuffle starts from the flat identity.
-                np.add(offsets[:b], ramp, out=a)
-        if kmax > 1:
-            # Power 2 goes to h, and power 3 on to the spent shuffle block,
-            # which holds the identity only where kmax = 2 reads no power 3.
-            powers = (h.reshape(-1), a.reshape(-1))
-            _power_fixed_points(prod.reshape(-1), fixed[s:e], (ident.reshape(-1), powers))
-        elif not compare:
-            fixed[s:e, 0] = _row_counts(prod == ident)
-    return _cycle_counts(fixed)
+    later = [spec._factor(rng, size) for spec, rng in zip(specs, streams, strict=True)]
+    return _fold(size, n, later, first, min(kmax, n))
 
 
 def _flat(block: np.ndarray) -> np.ndarray:
@@ -627,12 +596,10 @@ def _flat(block: np.ndarray) -> np.ndarray:
 
 def _power_walk(block: np.ndarray, max_power: int) -> np.ndarray:
     """``fixed[i, k - 1]``, the fixed points of power k of row i of
-    ``block``, for k = 1..max_power: each power is one flat ``np.take``
-    of the last (``_power_fixed_points``), its fixed points the entries
-    equal to the identity. No cycle logic is used: no walk stops at its
-    first return or reads a cycle length. The whole block is walked at
-    once, with a flat copy of it, a flat identity and two power blocks
-    beside it."""
+    ``block``, for k = 1..max_power (``_power_fixed_points``), with no
+    cycle logic: no walk stops at its first return or reads a cycle
+    length. The whole block is walked at once, beside a flat copy of it,
+    a flat identity and two power blocks."""
     base = _flat(block)
     fixed = np.empty((len(block), max_power), dtype=np.int64)
     scratch = np.arange(base.size, dtype=np.intp), np.empty((2, base.size), dtype=np.intp)

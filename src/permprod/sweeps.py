@@ -953,21 +953,22 @@ def _satisfying_counts(masks: np.ndarray, perm_masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _graph_orbits(n: int) -> list[list]:
-    """[representative, orbit size] for each relabeling orbit of the
-    partial injections of {1..n}, the empty graph first.
+def _graph_orbits(n: int) -> list[tuple]:
+    """(representative, orbit size, shape) for each relabeling orbit of
+    the partial injections of {1..n}, the empty graph first.
 
     An orbit is a shape: a multiset of components, each an l-cycle
     (l vertices, l edges) or a path with l edges (l + 1 vertices), with
     v vertices in all. Its representative lays the components out on
     consecutive vertices from 1, and its size is ``shape_orbit_size``.
+    The shape is listed sorted, so it is the representative's ``shape``.
     """
     # Kinds of component as (vertex count, edge count); a shape is listed
     # once, as a non-decreasing tuple of kinds.
     kinds = sorted([(v, v) for v in range(1, n + 1)] + [(v, v - 1) for v in range(2, n + 1)])
     out = []
 
-    def extend(shape: list, first: int, free: int) -> None:
+    def extend(shape: tuple, first: int, free: int) -> None:
         edges = []
         start = 1
         for verts, edge_count in shape:
@@ -976,12 +977,12 @@ def _graph_orbits(n: int) -> list[list]:
             if edge_count == verts:
                 edges.append((block[-1], start))
             start += verts
-        out.append([DirectedGraph(n, frozenset(edges)), shape_orbit_size(shape, n)])
+        out.append((DirectedGraph(n, frozenset(edges)), shape_orbit_size(shape, n), shape))
         for index in range(first, len(kinds)):
             if kinds[index][0] <= free:
-                extend([*shape, kinds[index]], index, free - kinds[index][0])
+                extend((*shape, kinds[index]), index, free - kinds[index][0])
 
-    extend([], 0, n)
+    extend((), 0, n)
     return out
 
 
@@ -998,7 +999,7 @@ def sweep_relabel_dichotomy(n: int = 4) -> SweepSummary:
     """
     taus = _table(n)[0]
     tally = _Tally()
-    for g, size in _graph_orbits(n):
+    for g, size, _ in _graph_orbits(n):
         premise, frozen, inconsistent = _relabel_verdicts(g, taus)
         ok = ~premise | frozen | inconsistent
         tally.cases += size * int(ok.sum())
@@ -1069,7 +1070,8 @@ def sweep_membership_bounds(
             laws.append(ExactDistribution.ewens(n, Fraction(theta)))
     if not laws:
         raise ValueError("need at least one law")
-    orbits = [(g, size, shape(g)) for g, size in _graph_orbits(n) if g.edges]
+    # Every orbit but the empty graph's.
+    orbits = _graph_orbits(n)[1:]
     tallies = {family: _Tally() for family in set(_FAMILY_OF_CHECK.values())}
     for g, size, g_kinds in orbits:
         for law in laws:

@@ -138,6 +138,11 @@ def trace_power(lengths: Sequence[int], k: int) -> int:
     return sum(d for d in lengths if k % d == 0)
 
 
+def digraph(n: int, edges: Iterable[tuple[int, int]]) -> DirectedGraph:
+    """The graph on {1..n} with ``edges``, each end cast to int."""
+    return DirectedGraph(n, frozenset((int(a), int(b)) for a, b in edges))
+
+
 def membership(sigma: Permutation, g: DirectedGraph) -> bool:
     """Whether sigma satisfies every edge constraint sigma(a) = b of ``g``."""
     return all(sigma.images[a - 1] == b for a, b in g.edges)
@@ -751,7 +756,7 @@ def _cycle_subset_shapes(length: int) -> dict[tuple[tuple[int, int], ...], int]:
     out: dict[tuple[tuple[int, int], ...], int] = {}
     for size in range(length + 1):
         for edges in itertools.combinations(cycle, size):
-            kinds = shape(DirectedGraph.of(length, edges))
+            kinds = shape(digraph(length, edges))
             out[kinds] = out.get(kinds, 0) + 1
     return out
 
@@ -835,16 +840,16 @@ def shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def graph_orbits(n: int) -> list[list]:
-    """[representative, orbit size] for each relabeling orbit of the
-    partial injections of {1..n}, found by listing every one of them and
-    grouping by ``shape``: the first in sorted edge order stands for its
-    orbit. The empty graph comes first."""
+def graph_orbits(n: int) -> list[tuple]:
+    """(representative, orbit size, shape) for each relabeling orbit of
+    the partial injections of {1..n}, found by listing every one of them
+    and grouping by ``shape``: the first in sorted edge order stands for
+    its orbit. The empty graph comes first."""
     groups: dict[tuple, list] = {}
     for edges in partial_injections(n):
         g = DirectedGraph(n, edges)
         groups.setdefault(shape(g), [g, 0])[1] += 1
-    return list(groups.values())
+    return [(g, size, kinds) for kinds, (g, size) in groups.items()]
 
 
 _BOUND_FAMILY = {

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 from dataclasses import fields
 from fractions import Fraction

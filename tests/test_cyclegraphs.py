@@ -9,6 +9,7 @@ from brute import (
     _joint_membership_consistent,
     compose,
     cycle_of,
+    digraph,
     from_cycles,
     graphs_from_record,
     graphs_from_traversal,
@@ -123,14 +124,14 @@ def test_union_graphs_merge_edge_sets():
 
 
 def test_graph_basics():
-    g = DirectedGraph.of(4, [(1, 2), (3, 3)])
+    g = digraph(4, [(1, 2), (3, 3)])
     t = from_cycles(4, [(1, 4)])
     assert relabeled(g, t).edges == frozenset({(4, 2), (3, 3)})
 
 
 def test_shape_concrete():
-    assert shape(DirectedGraph.of(9, [(3, 7)])) == ((2, 1),)
-    assert shape(DirectedGraph.of(9, [(4, 4)])) == ((1, 1),)
+    assert shape(digraph(9, [(3, 7)])) == ((2, 1),)
+    assert shape(digraph(9, [(4, 4)])) == ((1, 1),)
 
 
 @given(perm_strategy(7), st.data())
@@ -142,7 +143,7 @@ def test_shape_is_relabel_invariant(t, data):
             st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=k, max_size=k
         )
     )
-    g = DirectedGraph.of(7, pairs)
+    g = digraph(7, pairs)
     assert shape(relabeled(g, t)) == shape(g)
 
 
@@ -159,7 +160,7 @@ def test_shape_names_the_classes_of_the_lex_min_form(n):
 
 
 def test_profile_counts_components():
-    g = DirectedGraph.of(8, [(1, 2), (2, 3), (5, 5), (6, 7)])
+    g = digraph(8, [(1, 2), (2, 3), (5, 5), (6, 7)])
     prof = profile(g)
     assert len(prof) == 3
     assert set().union(*(v for v, _ in prof)) == {1, 2, 3, 5, 6, 7}
@@ -178,19 +179,19 @@ def test_shape_matches_the_profile_of_every_partial_injection(n):
 
 
 def test_shape_of_a_graph_that_is_no_partial_injection_is_none():
-    assert shape(DirectedGraph.of(4, [(1, 2), (2, 3), (3, 1), (4, 4)])) == ((1, 1), (3, 3))
-    assert shape(DirectedGraph.of(4, [(1, 2), (1, 3)])) is None
-    assert shape(DirectedGraph.of(4, [(1, 3), (2, 3)])) is None
-    assert shape(DirectedGraph.of(4, [(1, 1), (1, 2)])) is None
+    assert shape(digraph(4, [(1, 2), (2, 3), (3, 1), (4, 4)])) == ((1, 1), (3, 3))
+    assert shape(digraph(4, [(1, 2), (1, 3)])) is None
+    assert shape(digraph(4, [(1, 3), (2, 3)])) is None
+    assert shape(digraph(4, [(1, 1), (1, 2)])) is None
 
 
 def test_t_shape_recognition():
     # A graph is k pairwise disjoint single edges exactly when its shape
     # is ((2, 1),) * k.
-    assert shape(DirectedGraph.of(6, [(1, 4), (2, 5)])) == ((2, 1),) * 2
-    assert shape(DirectedGraph.of(6, [(1, 4), (4, 5)])) != ((2, 1),) * 2
-    assert shape(DirectedGraph.of(6, [(3, 3)])) != ((2, 1),)
-    assert shape(DirectedGraph.of(6, [(1, 4), (2, 5), (3, 6)])) == ((2, 1),) * 3
+    assert shape(digraph(6, [(1, 4), (2, 5)])) == ((2, 1),) * 2
+    assert shape(digraph(6, [(1, 4), (4, 5)])) != ((2, 1),) * 2
+    assert shape(digraph(6, [(3, 3)])) != ((2, 1),)
+    assert shape(digraph(6, [(1, 4), (2, 5), (3, 6)])) == ((2, 1),) * 3
 
 
 def test_joint_membership_consistency():
@@ -288,7 +289,7 @@ def test_lemma_predicates_catch_broken_inputs():
     assert 1 in r2.i_seq
     graphs1, graphs2 = graphs_from_record(r1, 4), graphs_from_record(r2, 4)
     assert shared_cycle_graphs_match(r1, graphs1, r2, graphs2)
-    other = (DirectedGraph.of(4, [(1, 1)]), graphs2[1])
+    other = (digraph(4, [(1, 1)]), graphs2[1])
     assert not shared_cycle_graphs_match(r1, graphs1, r2, other)
     assert shared_cycle_graphs_match(r1, graphs1, traversal(sigma, sigma, 2), other)
     s = traversal(rho, sigma, 1)
@@ -296,10 +297,10 @@ def test_lemma_predicates_catch_broken_inputs():
     assert reversal_identities_hold(r1, graphs1[0], s, h2)
     assert not reversal_identities_hold(r1, graphs1[0], s, graphs1[1])
     assert not reversal_identities_hold(r1, graphs1[0], traversal(rho, sigma, 4), h2)
-    two_cycle = DirectedGraph.of(4, [(1, 2), (2, 1)])
-    pair = DirectedGraph.of(4, [(3, 4)])
+    two_cycle = digraph(4, [(1, 2), (2, 1)])
+    pair = digraph(4, [(3, 4)])
     assert not no_two_cycles_when_components_small(two_cycle, pair)
-    assert no_two_cycles_when_components_small(two_cycle, DirectedGraph.of(4, [(2, 3), (3, 4)]))
+    assert no_two_cycles_when_components_small(two_cycle, digraph(4, [(2, 3), (3, 4)]))
 
 
 def edge_lists(n: int = 6):
@@ -324,7 +325,7 @@ def edge_lists(n: int = 6):
 def test_two_vertex_predicate_matches_profile_definition(e1, e2):
     # The sweep's bit tests on a couple's edge masks, and on the masks
     # with every edge reversed, against component profiles.
-    g1, g2 = DirectedGraph.of(6, e1), DirectedGraph.of(6, e2)
+    g1, g2 = digraph(6, e1), digraph(6, e2)
     masks, flipped = (
         np.array([[[brute.edge_mask(edges, 6) for edges in sides]]], dtype=np.int64)
         for sides in ((e1, e2), ([e[::-1] for e in e1], [e[::-1] for e in e2]))
@@ -342,6 +343,6 @@ def test_relabel_dichotomy_on_random_graphs(tau, data):
             st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3
         )
     )
-    g = DirectedGraph.of(5, pairs)
+    g = digraph(5, pairs)
     components = [verts for verts, _ in profile(g)]
     assert relabel_dichotomy_holds(g, components, tau)

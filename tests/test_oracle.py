@@ -34,6 +34,7 @@ from brute import (
     conjugation_average,
     cycle_of,
     cycle_type,
+    digraph,
     ewens_weight,
     expect_cycle_product,
     graph_orbits,
@@ -325,11 +326,11 @@ def test_prefix_fixed_prob_matches_closed_form(theta, n, f):
 def test_graph_prob_uniform_is_falling_factorial():
     n = 5
     du = ExactDistribution.uniform(n)
-    g = DirectedGraph.of(n, [(1, 2), (3, 3)])
+    g = digraph(n, [(1, 2), (3, 3)])
     assert exact_graph_prob(du, g) == Fraction(
         math.factorial(n - 2), math.factorial(n)
     )
-    contradictory = DirectedGraph.of(n, [(1, 2), (1, 3)])
+    contradictory = digraph(n, [(1, 2), (1, 3)])
     assert exact_graph_prob(du, contradictory) == 0
 
 
@@ -337,8 +338,8 @@ def test_graph_prob_ewens_concrete():
     # ewens(2) at n=4: P(sigma(1)=1) = E[#1]/n = 2/5, and by exchangeability
     # P(sigma(1)=2) = (1 - 2/5)/3 = 1/5
     d = ExactDistribution.ewens(4, 2)
-    assert exact_graph_prob(d, DirectedGraph.of(4, [(1, 1)])) == Fraction(2, 5)
-    assert exact_graph_prob(d, DirectedGraph.of(4, [(1, 2)])) == Fraction(1, 5)
+    assert exact_graph_prob(d, digraph(4, [(1, 1)])) == Fraction(2, 5)
+    assert exact_graph_prob(d, digraph(4, [(1, 2)])) == Fraction(1, 5)
 
 
 def _mixture(n: int) -> ExactDistribution:
@@ -361,7 +362,7 @@ def _shape_laws(n: int) -> list[ExactDistribution]:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_shape_prob_matches_enumeration_for_every_shape(n):
     laws = _shape_laws(n)
-    for g, _ in graph_orbits(n):
+    for g, _, _ in graph_orbits(n):
         kinds = brute_shape(g)
         for d in laws:
             expected = graph_prob(d, g)
@@ -377,18 +378,18 @@ def test_shape_prob_matches_enumeration_at_six():
         ExactDistribution.explicit(n, {(3, 2, 1): 1}),
         _mixture(n),
     ]
-    for g, _ in graph_orbits(n):
+    for g, _, _ in graph_orbits(n):
         for d in laws:
             assert exact_graph_prob(d, g) == graph_prob(d, g), (d.kind, sorted(g.edges))
 
 
 def test_graph_prob_is_zero_off_partial_injections():
     for edges in ([(1, 2), (1, 3)], [(1, 3), (2, 3)], [(1, 1), (1, 2)]):
-        g = DirectedGraph.of(4, edges)
+        g = digraph(4, edges)
         for d in _shape_laws(4):
             assert exact_graph_prob(d, g) == graph_prob(d, g) == 0
     with pytest.raises(ValueError):
-        verify_bounds(ExactDistribution.uniform(4), DirectedGraph.of(4, [(1, 2), (1, 3)]))
+        verify_bounds(ExactDistribution.uniform(4), digraph(4, [(1, 2), (1, 3)]))
     with pytest.raises(ValueError):
         shape_prob(ExactDistribution.uniform(3), ((2, 1), (2, 1)))
 
@@ -397,7 +398,7 @@ def test_graph_prob_counts_are_keyed_by_n():
     # One edge set at two sizes must read each law's own n.
     edges = [(1, 2), (2, 1)]
     for n in (4, 5, 4):
-        g = DirectedGraph.of(n, edges)
+        g = digraph(n, edges)
         uniform = ExactDistribution.uniform(n)
         assert exact_graph_prob(uniform, g) == Fraction(1, n * (n - 1))
         d = ExactDistribution.ewens(n, 2)
@@ -495,13 +496,13 @@ def test_walk_patterns_sum_to_the_joint_cycle_law(n):
 def test_verify_bounds_families_and_validity():
     n = 5
     d = ExactDistribution.ewens(n, 2)
-    single_edges = DirectedGraph.of(n, [(1, 2), (3, 4)])
+    single_edges = digraph(n, [(1, 2), (3, 4)])
     checks = verify_bounds(d, single_edges)
     ids = {c.check_id for c in checks}
     assert any("membership-upper" in i for i in ids)
     assert any("matching-sandwich" in i for i in ids)
     assert all(c.holds for c in checks)
-    with_two_cycle = DirectedGraph.of(n, [(1, 2), (2, 1)])
+    with_two_cycle = digraph(n, [(1, 2), (2, 1)])
     checks = verify_bounds(d, with_two_cycle)
     assert any("two-cycle-upper" in c.check_id for c in checks)
     assert all(c.holds for c in checks)
@@ -518,7 +519,7 @@ def test_verify_bounds_does_not_depend_on_law_order():
 
     laws = new_laws()
     graphs = [
-        DirectedGraph.of(n, edges)
+        digraph(n, edges)
         for edges in (
             [(1, 1)],
             [(1, 2)],
@@ -581,7 +582,7 @@ def test_graph_prob_past_enumeration_matches_closed_forms(n):
     }
     du = ExactDistribution.uniform(n)
     for edges, cycles in graphs.items():
-        g = DirectedGraph.of(n, edges)
+        g = digraph(n, edges)
         assert exact_graph_prob(du, g) == Fraction(
             math.factorial(n - len(edges)), math.factorial(n)
         )

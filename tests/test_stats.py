@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from permprod import samplers
 from permprod.cli import _exact_law, main, sampler_from_text

@@ -8,7 +8,6 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ import pytest
 import brute
 from brute import cycle_of, cycle_type, line, relabeled
 from permprod import sweeps
-from permprod.cyclegraphs import DirectedGraph, profile
+from permprod.cyclegraphs import DirectedGraph, profile, shape
 from permprod.oracle import class_size, partitions
 from permprod.perms import Permutation, all_permutations
 from permprod.sweeps import (
@@ -390,8 +389,19 @@ def test_shape_key_groups_graphs_as_relabeling_orbits(n):
         by_shape.setdefault(brute.shape(DirectedGraph(n, edges)), set()).add(edges)
     assert {frozenset(group) for group in by_shape.values()} == set(orbit_of.values())
     # One representative per orbit, counted as many times as it has members.
-    reps = {orbit_of[g.edges]: size for g, size in sweeps._graph_orbits(n)}
+    reps = {orbit_of[g.edges]: size for g, size, _ in sweeps._graph_orbits(n)}
     assert reps == {orbit: len(orbit) for orbit in orbit_of.values()}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_graph_orbits_list_the_shape_of_their_representative(n):
+    # The membership bounds read each orbit's listed shape in place of
+    # shape(g): 35 non-empty orbits at n = 5 and 109 at n = 7.
+    orbits = sweeps._graph_orbits(n)
+    assert orbits[0][0].edges == frozenset() and orbits[0][2] == ()
+    for g, _, kinds in orbits:
+        assert kinds == shape(g)
+    assert len(orbits) - 1 == {5: 35, 7: 109}.get(n, len(orbits) - 1)
 
 
 def _graph_suites(n, thetas):
@@ -440,7 +450,7 @@ def test_relabel_verdicts_are_the_predicate_on_each_tau(n):
     # its three parts is checked against the reference's own.
     every = list(all_permutations(n))
     taus = sweeps._table(n)[0]
-    for g, _ in sweeps._graph_orbits(n):
+    for g, _, _ in sweeps._graph_orbits(n):
         components = [verts for verts, _ in profile(g)]
         moved = [relabeled(g, tau).edges for tau in every]
         premise, frozen, inconsistent = sweeps._relabel_verdicts(g, taus)
@@ -473,12 +483,12 @@ def test_graph_orbits_by_shape_match_the_enumeration(n, total):
     built = sweeps._graph_orbits(n)
     listed = brute.graph_orbits(n)
     assert not built[0][0].edges
-    for g, _ in built:
+    for g, _, _ in built:
         assert len({a for a, _ in g.edges}) == len({b for _, b in g.edges}) == len(g.edges)
-    assert Counter((brute.shape(g), size) for g, size in built) == Counter(
-        (brute.shape(g), size) for g, size in listed
+    assert Counter((brute.shape(g), size) for g, size, _ in built) == Counter(
+        (brute.shape(g), size) for g, size, _ in listed
     )
-    assert sum(size for _, size in built) == total == len(brute.partial_injections(n))
+    assert sum(size for _, size, _ in built) == total == len(brute.partial_injections(n))
 
 
 @pytest.mark.parametrize("fault", [False, True])
