@@ -350,9 +350,9 @@ def _mapping_from_text(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
+        if not sep or not key:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if key in mapping:
             raise ConfigError(f"{key}: duplicate key on line {lineno}")
         mapping[key] = value.strip()

@@ -51,10 +51,10 @@ among lambda's other cycles. The count runs over the sub-multisets of
 S's paths only (:func:`_shape_counter`), never over the shapes S does
 not hold, so its cost grows neither with n nor with a cycle's length.
 
-Each law also holds its class probabilities as integer masses over one
-common denominator, worked out once when it is built. The sums over
-lambda, here and in the product law, run on those integers; each
-probability is one ``Fraction`` at the end.
+A law is its class probabilities as integer masses over one
+denominator, in lowest terms, and the product law is a law too. The
+sums over lambda, here and in the product law, run on those integers;
+each probability is one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -127,49 +127,51 @@ def _as_fraction(value) -> Fraction:
 class ExactDistribution:
     """A conjugation-invariant law on the symmetric group of {1..n}.
 
-    ``class_probs`` assigns each cycle type its total class probability;
-    the pmf of a single permutation is the class probability divided by
-    the class size. Construct through :meth:`uniform`, :meth:`ewens` or
-    :meth:`explicit`. ``masses`` holds the same law in integers: each
-    cycle type of nonzero probability with its numerator over
-    ``denominator``, the least common denominator of the probabilities.
-    ``theta`` is the Ewens parameter of the laws :meth:`ewens` builds
-    for theta > 0 and 1 for :meth:`uniform`, None for the others; it
-    selects the closed form of :func:`shape_prob` and takes no part in
-    equality or the hash.
+    ``masses`` lists each cycle type of nonzero probability with its
+    integer mass, sorted by type; the class probability is the mass over
+    ``denominator``, and the pmf of a single permutation is that over the
+    class size. The masses are kept in lowest terms, so laws with the
+    same class probabilities are equal and hash alike however they were
+    built. Construct through :meth:`uniform`, :meth:`ewens` or
+    :meth:`explicit`; :func:`product_type_distribution` returns one too.
+    ``theta`` is the Ewens parameter of the laws :meth:`ewens` builds for
+    theta > 0 and 1 for :meth:`uniform`, None for the others; it selects
+    the closed form of :func:`shape_prob` and takes no part in equality
+    or the hash.
     """
 
     n: int
     kind: str
-    class_probs: tuple[tuple[tuple[int, ...], Fraction], ...]
+    masses: tuple[tuple[tuple[int, ...], int], ...]
+    denominator: int
     theta: Fraction | None = field(default=None, compare=False)
-    masses: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("distribution needs n >= 1")
-        denom = math.lcm(*(prob.denominator for _, prob in self.class_probs))
-        masses = []
-        for partition, prob in self.class_probs:
+        if self.denominator < 1:
+            raise ValueError(f"denominator {self.denominator} is not positive")
+        for partition, mass in self.masses:
             if sum(partition) != self.n:
                 raise ValueError(f"cycle type {partition!r} does not sum to {self.n}")
-            mass = prob.numerator * (denom // prob.denominator)
             if mass < 0:
                 raise ValueError(f"negative class probability for {partition!r}")
-            if mass:
-                masses.append((partition, mass))
-        total = sum(mass for _, mass in masses)
-        if total != denom:
-            raise ValueError(f"class probabilities sum to {Fraction(total, denom)}, expected 1")
-        object.__setattr__(self, "masses", tuple(masses))
-        object.__setattr__(self, "denominator", denom)
+        if len(dict(self.masses)) < len(self.masses):
+            raise ValueError("a cycle type is listed twice")
+        total = sum(mass for _, mass in self.masses)
+        if total != self.denominator:
+            raise ValueError(
+                f"class probabilities sum to {Fraction(total, self.denominator)}, expected 1"
+            )
+        g = math.gcd(total, *(mass for _, mass in self.masses))
+        masses = tuple(sorted((mu, mass // g) for mu, mass in self.masses if mass))
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "denominator", total // g)
 
     @classmethod
     def uniform(cls, n: int) -> "ExactDistribution":
-        fact = math.factorial(n)
-        probs = tuple((p, Fraction(class_size(p, n), fact)) for p in partitions(n))
-        return cls(n=n, kind="uniform", class_probs=probs, theta=Fraction(1))
+        masses = tuple((p, class_size(p, n)) for p in partitions(n))
+        return cls(n, "uniform", masses, math.factorial(n), theta=Fraction(1))
 
     @classmethod
     def ewens(cls, n: int, theta) -> "ExactDistribution":
@@ -178,28 +180,24 @@ class ExactDistribution:
             raise ValueError("theta must be non-negative")
         if theta == 0:
             # Degenerate limit: all mass on the single n-cycle class.
-            return cls.explicit(n, {(n,): Fraction(1)}, kind="ewens0")
+            return cls(n, "ewens0", (((n,), 1),), 1)
         # With theta = a / b, class_size * theta^c / (theta (theta + 1) ... (theta + n - 1))
         # is class_size * a^c * b^(n - c) over a (a + b) ... (a + (n - 1) b).
         a, b = theta.numerator, theta.denominator
         norm = math.prod(a + i * b for i in range(n))
-        probs = tuple(
-            (p, Fraction(class_size(p, n) * a ** len(p) * b ** (n - len(p)), norm))
-            for p in partitions(n)
+        masses = tuple(
+            (p, class_size(p, n) * a ** len(p) * b ** (n - len(p))) for p in partitions(n)
         )
-        return cls(n=n, kind=f"ewens({theta})", class_probs=probs, theta=theta)
+        return cls(n, f"ewens({theta})", masses, norm, theta=theta)
 
     @classmethod
     def explicit(
         cls, n: int, mapping: Mapping[Sequence[int], object], kind: str = "explicit"
     ) -> "ExactDistribution":
-        probs = tuple(
-            sorted(
-                (tuple(sorted(p, reverse=True)), _as_fraction(w))
-                for p, w in mapping.items()
-            )
-        )
-        return cls(n=n, kind=kind, class_probs=probs)
+        probs = [(tuple(sorted(p, reverse=True)), _as_fraction(w)) for p, w in mapping.items()]
+        denom = math.lcm(*(prob.denominator for _, prob in probs))
+        masses = tuple((p, prob.numerator * (denom // prob.denominator)) for p, prob in probs)
+        return cls(n, kind, masses, denom)
 
 
 @lru_cache(maxsize=None)
@@ -246,19 +244,18 @@ def _character_table(
 
 
 @lru_cache(maxsize=None)
-def product_type_distribution(
-    *laws: ExactDistribution,
-) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def product_type_distribution(*laws: ExactDistribution) -> ExactDistribution:
     """Exact cycle-type law of the product of independent factors with
-    the given laws, as sorted (type, probability) pairs without the
-    zero-mass types.
+    the given laws, as a law of kind ``"product"``, so it can be a factor
+    of a further product.
 
     Uses the character formula of the module docstring. Each law's
     integer ``masses`` stand for its class probabilities, and
-    n! / chi_lambda(1) is an integer, so the sums stay in integers
-    and only the final quotient is a Fraction. The order of the factors
-    does not matter: the law of a product's class is the same for every
-    order of invariant factors.
+    n! / chi_lambda(1) is an integer, so the sums stay in integers and
+    the product's masses are integers over the product of the factors'
+    denominators and n!^F. The order of the factors does not matter: the
+    law of a product's class is the same for every order of invariant
+    factors.
     """
     if not laws:
         raise ValueError("a product needs at least one factor")
@@ -277,16 +274,11 @@ def product_type_distribution(
         mass = [(column[mu], m) for mu, m in d.masses]
         for i, row in enumerate(table):
             weights[i] *= sum(m * row[j] for j, m in mass)
-    out = []
-    for j, nu in enumerate(parts):
-        total = sum(w * row[j] for w, row in zip(weights, table) if w)
-        if total:
-            out.append((nu, Fraction(class_size(nu, n) * total, denom)))
-    return tuple(sorted(out))
-
-
-def _count_product(partition: tuple[int, ...], v_vec: Sequence[int]) -> int:
-    return math.prod(partition.count(v) for v in v_vec)
+    masses = tuple(
+        (nu, class_size(nu, n) * sum(w * row[j] for w, row in zip(weights, table) if w))
+        for j, nu in enumerate(parts)
+    )
+    return ExactDistribution(n, "product", masses, denom)
 
 
 def exact_moment(
@@ -299,30 +291,17 @@ def exact_moment(
     if not v_vec or any(v < 1 for v in v_vec):
         raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
     dist = product_type_distribution(*laws)
-    return sum(
-        (prob * _count_product(mu, v_vec) for mu, prob in dist), Fraction(0)
-    )
+    total = sum(mass * math.prod(map(mu.count, v_vec)) for mu, mass in dist.masses)
+    return Fraction(total, dist.denominator)
 
 
-def _fixed_index_prob(
-    partition: tuple[int, ...], v_vec: Sequence[int], n: int
-) -> Fraction:
-    # P(the cycle through index a_i has length v_i for i = 1..k) for
-    # distinct indices, under a uniform relabeling of a fixed permutation
-    # of this cycle type. Sequential selection over index slots.
-    avail = {length: length * partition.count(length) for length in set(partition)}
-    num = 1
-    den = 1
-    remaining = n
-    for v in v_vec:
-        have = avail.get(v, 0)
-        if have <= 0:
-            return Fraction(0)
-        num *= have
-        den *= remaining
-        avail[v] = have - 1
-        remaining -= 1
-    return Fraction(num, den)
+def _fixed_index_count(partition: tuple[int, ...], v_vec: Sequence[int]) -> int:
+    # Of the (n)_k ordered choices of k distinct indices, those whose
+    # cycle under a permutation of this cycle type has length v_i at the
+    # i-th index: it is one of the v_i m_{v_i} points on v_i-cycles not
+    # taken by an earlier index. A factor reaches 0 before it could turn
+    # negative, so the product is never negative.
+    return math.prod(v * partition.count(v) - v_vec[:i].count(v) for i, v in enumerate(v_vec))
 
 
 def exact_joint_cycle_prob(
@@ -337,13 +316,11 @@ def exact_joint_cycle_prob(
     """
     if not v_vec or any(v < 1 for v in v_vec):
         raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
-    dist = product_type_distribution(*laws)
-    n = laws[0].n
-    if len(v_vec) > n:
+    if laws and len(v_vec) > laws[0].n:
         raise ValueError(f"more start indices than ground-set elements: {v_vec!r}")
-    return sum(
-        (prob * _fixed_index_prob(mu, v_vec, n) for mu, prob in dist), Fraction(0)
-    )
+    dist = product_type_distribution(*laws)
+    total = sum(mass * _fixed_index_count(mu, v_vec) for mu, mass in dist.masses)
+    return Fraction(total, dist.denominator * math.perm(dist.n, len(v_vec)))
 
 
 def _shape_counter(kinds: Sequence[tuple[int, int]]) -> Callable[[Sequence[int]], int]:

@@ -19,8 +19,8 @@ One kernel, the fold (``_fold``), composes a first factor with later
 ones that way, one reused 256 KiB block of rows at a time, into the
 product's int32 rows or its small-cycle counts, with no (size, n)
 temporary beside the output. A full draw (:meth:`SamplerSpec.draw_batch`,
-and ``uniform_rows``, ``ewens_rows`` and ``sqrt_fixed_rows`` for one law
-each) is the fold of one factor from the identity; a product
+and ``ewens_rows`` and ``sqrt_fixed_rows`` for one law each) is the fold
+of one factor from the identity; a product
 (:func:`product_cycle_counts`) the fold of every later factor from the
 first. An Ewens chunk draws its Feller openings for all rows together
 before any shuffle (``_feller_ends``). :func:`product_rows` and
@@ -71,7 +71,6 @@ __all__ = [
     "RngStream",
     "SamplerSpec",
     "CycleBlocks",
-    "uniform_rows",
     "ewens_rows",
     "sqrt_fixed_rows",
     "product_rows",
@@ -446,11 +445,6 @@ def _fold(
         elif not compare:
             out[s:e, 0] = _row_counts(prod == ident)
     return out if first is None else _cycle_counts(out)
-
-
-def uniform_rows(rng: RngStream, size: int, n: int) -> np.ndarray:
-    _check_batch(size, n)
-    return _fold(size, n, [(None, rng.generator)])
 
 
 def ewens_rows(rng: RngStream, size: int, n: int, theta: float) -> np.ndarray:

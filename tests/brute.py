@@ -169,13 +169,19 @@ def _perm_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple((perm.images, cycle_type(perm)) for perm in all_permutations(n))
 
 
+def class_probs(d: ExactDistribution) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """The law's class probabilities as sorted (type, probability) pairs,
+    the zero-mass types left out: each integer mass over the denominator."""
+    return tuple((ptype, Fraction(mass, d.denominator)) for ptype, mass in d.masses)
+
+
 def type_weights(d: ExactDistribution) -> dict[tuple[int, ...], Fraction]:
     """Probability of one permutation of each cycle type: its class
     probability over the class size, counted in the enumeration."""
     sizes: dict[tuple[int, ...], int] = {}
     for _, ptype in _perm_table(d.n):
         sizes[ptype] = sizes.get(ptype, 0) + 1
-    return {ptype: prob / sizes[ptype] for ptype, prob in d.class_probs}
+    return {ptype: prob / sizes[ptype] for ptype, prob in class_probs(d)}
 
 
 def graph_prob(d: ExactDistribution, g: DirectedGraph) -> Fraction:
@@ -249,16 +255,16 @@ def product_type_distribution(
 
     For each cycle type of the first factor, one class representative
     stands in for the whole class, because the second factor's law is
-    conjugation invariant; the second factor runs over all of S_n. Same
-    return shape as the oracle's: sorted (type, probability) pairs with
-    zero-mass types left out.
+    conjugation invariant; the second factor runs over all of S_n. As
+    sorted (type, probability) pairs with zero-mass types left out, the
+    form :func:`class_probs` reads the oracle's law in.
     """
     if d1.n != d2.n:
         raise ValueError(f"size mismatch: {d1.n} vs {d2.n}")
     table = _perm_table(d1.n)
     w2 = type_weights(d2)
     out: dict[tuple[int, ...], Fraction] = {}
-    for lam, prob1 in d1.class_probs:
+    for lam, prob1 in class_probs(d1):
         if prob1 == 0:
             continue
         base_images = representative(lam).images
@@ -279,7 +285,7 @@ def expect_cycle_product(d: ExactDistribution, v_vec: Sequence[int]) -> Fraction
     if not v_vec or any(v < 1 for v in v_vec):
         raise ValueError(f"cycle lengths must be >= 1: {v_vec!r}")
     return sum(
-        (prob * math.prod(p.count(v) for v in v_vec) for p, prob in d.class_probs),
+        (prob * math.prod(p.count(v) for v in v_vec) for p, prob in class_probs(d)),
         Fraction(0),
     )
 
@@ -818,7 +824,7 @@ def table_shape_prob(d: ExactDistribution, kinds: Sequence[tuple[int, int]]) -> 
     kinds = tuple(sorted(kinds))
     orbit = cyclegraphs.shape_orbit_size(kinds, d.n)
     return sum(
-        (prob * Fraction(shape_table(mu).get(kinds, 0), orbit) for mu, prob in d.class_probs),
+        (prob * Fraction(shape_table(mu).get(kinds, 0), orbit) for mu, prob in class_probs(d)),
         Fraction(0),
     )
 

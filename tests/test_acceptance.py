@@ -22,7 +22,7 @@ from permprod.oracle import (
     exact_joint_cycle_prob,
     exact_moment,
 )
-from permprod.samplers import RngStream, product_rows, small_cycle_counts, uniform_rows
+from permprod.samplers import RngStream, SamplerSpec, product_rows, small_cycle_counts
 from permprod.sweeps import (
     sweep_membership_bounds,
     sweep_pairs,
@@ -237,8 +237,8 @@ def test_criterion_10_matching_heavy_factors(cli_artifacts, report):
 
 def test_criterion_11_power_trace_identity(report):
     size, n, kmax = 10**4, 200, 6
-    rows1 = uniform_rows(RngStream(1, 0), size, n)
-    rows2 = uniform_rows(RngStream(1, 1), size, n)
+    rows1 = SamplerSpec("uniform", n=n).draw_batch(RngStream(1, 0), size)
+    rows2 = SamplerSpec("uniform", n=n).draw_batch(RngStream(1, 1), size)
     prod = product_rows([rows1, rows2])
     counts = small_cycle_counts(prod, kmax)
     idx = np.arange(n)

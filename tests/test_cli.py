@@ -135,6 +135,14 @@ def test_config_text_comments_and_duplicates():
         _config_from_text("command exact\n")
 
 
+def test_a_config_line_without_a_key_names_its_line(tmp_path, capsys):
+    f = tmp_path / "c.cfg"
+    f.write_text("samplers = uniform, uniform\n = 3\n")
+    assert main(["exact", "--config", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: line 2: expected 'key = value', got ' = 3'\n"
+
+
 def test_config_missing_and_unknown_fields():
     with pytest.raises(ConfigError, match="seed"):
         config_from_mapping(

@@ -1,16 +1,34 @@
-"""Every exported name must resolve.
+"""Every exported name must resolve, and every one must have a use.
 
 Deleting a function without its ``__all__`` entry or its re-export in
 ``permprod/__init__.py`` leaves a stale name behind; ``from permprod
 import *`` would then fail. This checks the package and each submodule.
+
+A public function that only tests call is code ``src/`` carries for no
+job. So every name in a layer's ``__all__`` must be read somewhere in
+``src/permprod`` outside ``__init__.py``, or be wrapped by the benchmark
+tracer (``perfbench/tracing.py``, read as ``test_trace_names.py`` reads
+it), or be on ``_UNREAD`` with the reason it stays.
 """
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import permprod
+
+_SRC = Path(permprod.__file__).resolve().parent
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Exported names that nothing in src/ reads yet, with the reason each stays.
+_UNREAD = {
+    "enumerate_B": "counts the graph couples behind exact two-factor moments at Monte "
+    "Carlo sizes (ROADMAP item 2), which will read it",
+}
 
 _MODULES = ["permprod"] + [
     f"permprod.{info.name}" for info in pkgutil.iter_modules(permprod.__path__)
@@ -25,3 +43,36 @@ def test_all_names_resolve(module):
     missing = [name for name in names if not hasattr(mod, name)]
     assert missing == []
     assert len(set(names)) == len(names)
+
+
+def _read_names() -> set[str]:
+    names = set()
+    for path in _SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _traced_names() -> set[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {attr.split(".")[0] for _, attr, _ in (*tracing.SPANS, *tracing.COUNTERS)}
+
+
+def test_every_exported_name_has_a_use():
+    used = _read_names() | _traced_names()
+    assert not set(_UNREAD) & used, "drop a name from _UNREAD once it is read"
+    used |= set(_UNREAD)
+    unused = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"permprod.{path.stem}")
+        unused += [f"{path.stem}.{name}" for name in module.__all__ if name not in used]
+    assert unused == []

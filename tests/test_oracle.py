@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permprod import oracle
 from permprod.cyclegraphs import DirectedGraph, shape, walk_patterns
 from permprod.cli import _exact_law, sampler_from_text
 from permprod.oracle import (
@@ -30,6 +31,7 @@ from permprod.oracle import (
 )
 
 from brute import (
+    class_probs,
     compose,
     conjugation_average,
     cycle_of,
@@ -93,17 +95,15 @@ def test_ewens_weight_depends_only_on_cycle_count():
 @given(st.sampled_from(THETAS), st.integers(min_value=1, max_value=7))
 def test_distributions_are_normalized(theta, n):
     d = ExactDistribution.ewens(n, theta)
-    assert sum(p for _, p in d.class_probs) == 1
-    assert all(p >= 0 for _, p in d.class_probs)
+    assert sum(p for _, p in class_probs(d)) == 1
+    assert all(p >= 0 for _, p in class_probs(d))
 
 
 def test_ewens_special_cases():
     n = 5
-    assert ExactDistribution.ewens(n, 1).class_probs == ExactDistribution.uniform(
-        n
-    ).class_probs
+    assert class_probs(ExactDistribution.ewens(n, 1)) == class_probs(ExactDistribution.uniform(n))
     d0 = ExactDistribution.ewens(n, 0)
-    assert dict(d0.class_probs) == {(n,): Fraction(1)}
+    assert dict(class_probs(d0)) == {(n,): Fraction(1)}
 
 
 @pytest.mark.parametrize(
@@ -113,14 +113,14 @@ def test_ewens_law_matches_fraction_formula(theta):
     # The integer construction against class_size * theta^c / theta^(n)
     # in Fractions, theta^(n) the rising factorial.
     for n in range(1, 10):
-        want = tuple(
-            (p, class_size(p, n) * theta ** len(p) / rising_factorial(theta, n))
+        want = {
+            p: class_size(p, n) * theta ** len(p) / rising_factorial(theta, n)
             for p in partitions(n)
-        )
-        assert ExactDistribution.ewens(n, theta).class_probs == want, n
+        }
+        assert dict(class_probs(ExactDistribution.ewens(n, theta))) == want, n
     for n in range(1, 10):
         d0 = ExactDistribution.ewens(n, 0)
-        assert (d0.kind, d0.class_probs) == ("ewens0", (((n,), Fraction(1)),))
+        assert (d0.kind, class_probs(d0)) == ("ewens0", (((n,), Fraction(1)),))
 
 
 def test_distribution_validation_messages():
@@ -130,6 +130,8 @@ def test_distribution_validation_messages():
         ExactDistribution.explicit(2, {(2,): -1, (1, 1): 2})
     with pytest.raises(ValueError, match="does not sum to 4"):
         ExactDistribution.explicit(4, {(2, 1): 1})
+    with pytest.raises(ValueError, match="a cycle type is listed twice"):
+        ExactDistribution.explicit(3, {(2, 1): "1/2", (1, 2): "1/2"})
 
 
 def test_integer_masses_sum_to_the_denominator():
@@ -141,9 +143,23 @@ def test_integer_masses_sum_to_the_denominator():
     for d in laws:
         assert sum(mass for _, mass in d.masses) == d.denominator, d.kind
         assert all(mass > 0 for _, mass in d.masses), d.kind
-        assert {mu: Fraction(mass, d.denominator) for mu, mass in d.masses} == {
-            mu: prob for mu, prob in d.class_probs if prob
-        }, d.kind
+        assert [mu for mu, _ in d.masses] == sorted(mu for mu, _ in d.masses), d.kind
+        assert math.gcd(d.denominator, *(mass for _, mass in d.masses)) == 1, d.kind
+
+
+def test_laws_with_the_same_class_probabilities_are_equal():
+    # Masses are kept sorted and in lowest terms, whatever the order,
+    # scale or zero entries they were given in.
+    mapping = {(4,): "1/6", (2, 2): "1/3", (2, 1, 1): 0, (1, 1, 1, 1): "1/2"}
+    law = ExactDistribution.explicit(4, mapping)
+    masses = (((1, 1, 1, 1), 9), ((2, 1, 1), 0), ((4,), 3), ((2, 2), 6))
+    scaled = ExactDistribution(4, "explicit", masses, 18)
+    assert law == scaled and hash(law) == hash(scaled)
+    assert (scaled.masses, scaled.denominator) == ((((1, 1, 1, 1), 3), ((2, 2), 2), ((4,), 1)), 6)
+    uniform = ExactDistribution.uniform(5)
+    assert ExactDistribution.explicit(5, dict(class_probs(uniform)), kind="uniform") == uniform
+    with pytest.raises(ValueError, match="denominator 0 is not positive"):
+        ExactDistribution(2, "explicit", (((2,), 0),), 0)
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -185,7 +201,7 @@ def test_ewens_closed_form_is_the_count_over_every_cycle_type_at_24():
     # over its 1575 cycle types, given as a law without theta, which is
     # equal to it and hashes alike.
     ewens = ExactDistribution.ewens(24, 2)
-    mixture = ExactDistribution(24, ewens.kind, ewens.class_probs)
+    mixture = ExactDistribution(24, ewens.kind, ewens.masses, ewens.denominator)
     assert mixture.theta is None and len(mixture.masses) == 1575
     assert mixture == ewens and hash(mixture) == hash(ewens)
     for kinds in [((1, 1),), ((2, 1),), ((2, 2),), ((2, 1), (3, 2))]:
@@ -206,9 +222,7 @@ def test_uniform_product_has_uniform_law():
     # collapses back to uniform
     n = 5
     du = ExactDistribution.uniform(n)
-    got = dict(product_type_distribution(du, du))
-    want = dict(du.class_probs)
-    assert got == want
+    assert product_type_distribution(du, du).masses == du.masses
 
 
 @given(st.integers(min_value=2, max_value=6))
@@ -290,6 +304,19 @@ def test_joint_cycle_prob_frozen_values():
     assert exact_joint_cycle_prob((d1, d2), (1,)) == Fraction(8, 35)
     assert exact_joint_cycle_prob((d1, d2), (2,)) == Fraction(87, 350)
     assert exact_joint_cycle_prob((d1, d2), (1, 2)) == Fraction(8, 105)
+
+
+def test_joint_cycle_prob_checks_its_arguments_before_the_product_law(monkeypatch):
+    def unreachable(*laws):
+        raise AssertionError("the product law was built")
+
+    du = ExactDistribution.uniform(3)
+    monkeypatch.setattr(oracle, "product_type_distribution", unreachable)
+    with pytest.raises(ValueError, match="more start indices than ground-set elements"):
+        exact_joint_cycle_prob((du, du), (1, 1, 1, 1))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="a product needs at least one factor"):
+        exact_joint_cycle_prob((), (1,))
 
 
 def test_expect_cycle_product_frozen_values():
@@ -592,7 +619,7 @@ def test_graph_prob_past_enumeration_matches_closed_forms(n):
             )
             assert exact_graph_prob(ExactDistribution.ewens(n, theta), g) == expected, (theta, edges)
     # The product law does not enumerate S_n either.
-    assert dict(product_type_distribution(du, du)) == dict(du.class_probs)
+    assert product_type_distribution(du, du).masses == du.masses
 
 
 def _law(text: str, n: int) -> ExactDistribution:
@@ -613,16 +640,19 @@ def test_character_law_matches_enumeration(first, second):
     for n in range(1, 8):
         a = _fixed_law(n) if first == "fixed" else _law(first, n)
         b = _law(second, n)
-        assert product_type_distribution(a, b) == brute_product_law(a, b), n
+        assert class_probs(product_type_distribution(a, b)) == brute_product_law(a, b), n
 
 
 def test_three_factor_law_is_two_factor_law_of_the_first_pair():
     # sigma_1 sigma_2 is conjugation invariant and independent of sigma_3,
     # so the three-factor law is the two-factor law of (law(ab), c)
-    for n in range(1, 7):
+    # and a product law can be a factor itself
+    for n in range(1, 8):
         a, b, c = _law("ewens:2", n), _law("ewens:1/2", n), _fixed_law(n)
+        three = product_type_distribution(a, b, c)
+        assert product_type_distribution(product_type_distribution(a, b), c) == three, n
         pair = ExactDistribution.explicit(n, dict(brute_product_law(a, b)))
-        assert product_type_distribution(a, b, c) == brute_product_law(pair, c), n
+        assert class_probs(three) == brute_product_law(pair, c), n
 
 
 def _hook_length_degree(lam: tuple[int, ...]) -> int:
@@ -656,4 +686,5 @@ def test_fixed_point_moment_matches_closed_form_past_enumeration(n):
     a, b = theta1 / (theta1 + n - 1), theta2 / (theta2 + n - 1)
     laws = (ExactDistribution.ewens(n, theta1), ExactDistribution.ewens(n, theta2))
     assert exact_moment(laws, (1,)) == n * (a * b + (1 - a) * (1 - b) / (n - 1))
-    assert sum(p for _, p in product_type_distribution(*laws)) == 1
+    law = product_type_distribution(*laws)
+    assert (law.kind, sum(mass for _, mass in law.masses)) == ("product", law.denominator)

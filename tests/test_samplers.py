@@ -26,7 +26,6 @@ from permprod.samplers import (
     product_rows,
     small_cycle_counts,
     sqrt_fixed_rows,
-    uniform_rows,
 )
 from permprod.cli import sampler_from_text
 from permprod.oracle import ExactDistribution
@@ -65,7 +64,7 @@ def test_stream_reproducible_and_distinct():
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**30))
 @settings(max_examples=30)
 def test_uniform_rows_are_valid(n, seed):
-    rows = uniform_rows(RngStream(seed, 0), 8, n)
+    rows = SamplerSpec("uniform", n=n).draw_batch(RngStream(seed, 0), 8)
     assert rows.shape == (8, n)
     assert rows_are_permutations(rows, n)
 
@@ -228,7 +227,7 @@ def test_representatives_lay_cycles_on_consecutive_blocks():
 
 
 def test_uniform_frequencies_at_n3():
-    rows = uniform_rows(RngStream(42, 0), 60000, 3)
+    rows = SamplerSpec("uniform", n=3).draw_batch(RngStream(42, 0), 60000)
     _, counts = np.unique(rows, axis=0, return_counts=True)
     assert len(counts) == 6
     # each of the 6 permutations: p = 1/6, 4 sigma band
@@ -239,7 +238,7 @@ def test_uniform_frequencies_at_n3():
 def test_ewens_class_frequencies_match_exact_law():
     n, theta, m = 4, Fraction(2), 80000
     rows = ewens_rows(RngStream(9, 3), m, n, float(theta))
-    law = dict(ExactDistribution.ewens(n, theta).class_probs)
+    law = dict(brute.class_probs(ExactDistribution.ewens(n, theta)))
     got: dict[tuple[int, ...], int] = {}
     for row in rows:
         t = cycle_type(perm_from_row(row))
@@ -273,7 +272,7 @@ def _block_types(ends, size, n):
 def test_feller_block_types_match_the_ewens_law(theta, n):
     m = 40000
     types = _block_types(samplers._feller_ends(RngStream(24, n).generator, m, n, float(theta)), m, n)
-    law = dict(ExactDistribution.ewens(n, theta).class_probs)
+    law = dict(brute.class_probs(ExactDistribution.ewens(n, theta)))
     got: dict[tuple[int, ...], int] = {}
     for t in types:
         got[t] = got.get(t, 0) + 1
@@ -375,11 +374,11 @@ def test_a_full_draw_holds_no_row_block_beside_its_rows(law):
     "draw",
     [
         lambda rng, size: SamplerSpec("ewens", n=5, theta=1).draw_batch(rng, size),
-        lambda rng, size: uniform_rows(rng, size, 5),
+        lambda rng, size: SamplerSpec("uniform", n=5).draw_batch(rng, size),
         lambda rng, size: ewens_rows(rng, size, 5, 1.0),
         lambda rng, size: sqrt_fixed_rows(rng, size, 5, 2),
     ],
-    ids=["draw_batch", "uniform_rows", "ewens_rows", "sqrt_fixed_rows"],
+    ids=["draw_batch", "uniform_draw_batch", "ewens_rows", "sqrt_fixed_rows"],
 )
 def test_every_full_draw_rejects_a_batch_below_one_row(draw, size):
     # One check, before anything is drawn: the stream is where it started.
@@ -520,19 +519,15 @@ def test_spec_bind_and_sqrt_resolution():
 
 
 def test_spec_draw_batch_matches_row_sampler():
-    spec = SamplerSpec("uniform", n=6)
-    a = spec.draw_batch(RngStream(31, 2), 5)
-    b = uniform_rows(RngStream(31, 2), 5, 6)
-    assert np.array_equal(a, b)
-    # Every other law draws its blocks through the kernel, as the row
-    # samplers do.
+    # Every law draws its blocks through the kernel, as the row samplers
+    # do.
     a = SamplerSpec("ewens", n=6, theta=2).draw_batch(RngStream(31, 2), 5)
     assert np.array_equal(a, ewens_rows(RngStream(31, 2), 5, 6, 2.0))
     a = SamplerSpec("sqrt_fixed", n=6, fixed_count=2).draw_batch(RngStream(31, 2), 5)
     assert np.array_equal(a, sqrt_fixed_rows(RngStream(31, 2), 5, 6, 2))
     # A uniform permutation's cycle type is Ewens(1): uniform blocks are
     # Ewens(1) ends.
-    a = spec.draw_blocks(RngStream(31, 2), 5)
+    a = SamplerSpec("uniform", n=6).draw_blocks(RngStream(31, 2), 5)
     b = SamplerSpec("ewens", n=6, theta=1).draw_blocks(RngStream(31, 2), 5)
     assert a.succ is None
     assert all(np.array_equal(x, y) for x, y in zip(a.ends, b.ends))
@@ -796,7 +791,7 @@ def test_no_power_above_n_is_walked(monkeypatch):
 
     monkeypatch.setattr(samplers, "_power_fixed_points", spy)
     n, size = 5, 12
-    rows = uniform_rows(RngStream(44, 0), size, n)
+    rows = SamplerSpec("uniform", n=n).draw_batch(RngStream(44, 0), size)
     blocks = sampler_from_text("ewens:1/2").bind(n=n).draw_blocks(RngStream(44, 1), size)
     last = SamplerSpec("uniform", n=n)
     assert small_cycle_counts(rows, 9).shape == (size, n)
@@ -870,7 +865,7 @@ def test_product_cycle_counts_reject_bad_input():
 @settings(max_examples=25)
 def test_product_rows_associates_with_perm_composition(n, k):
     rng = RngStream(77, 0)
-    factors = [uniform_rows(rng, 3, n) for _ in range(k)]
+    factors = [SamplerSpec("uniform", n=n).draw_batch(rng, 3) for _ in range(k)]
     prod = product_rows(factors)
     for i in range(3):
         perms = [perm_from_row(f[i]) for f in factors]
@@ -883,7 +878,7 @@ def test_product_rows_associates_with_perm_composition(n, k):
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
 @settings(max_examples=40)
 def test_small_cycle_counts_match_brute_force(n, kmax):
-    rows = uniform_rows(RngStream(13, n), 6, n)
+    rows = SamplerSpec("uniform", n=n).draw_batch(RngStream(13, n), 6)
     table = small_cycle_counts(rows, kmax)
     assert table.shape == (6, min(kmax, n))
     assert np.array_equal(small_cycle_counts(rows.astype(np.int64), kmax), table)
@@ -896,4 +891,5 @@ def test_small_cycle_counts_match_brute_force(n, kmax):
 def test_row_perm_round_trip():
     p = from_cycles(5, [(1, 5, 2)])
     assert perm_from_row(row_from_perm(p)) == p
-    assert row_from_perm(p).dtype == uniform_rows(RngStream(0, 0), 1, 5).dtype == np.int32
+    rows = SamplerSpec("uniform", n=5).draw_batch(RngStream(0, 0), 1)
+    assert row_from_perm(p).dtype == rows.dtype == np.int32

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from brute import class_probs
 from permprod import samplers
 from permprod.cli import _exact_law, main, sampler_from_text
 from permprod.oracle import ExactDistribution, exact_moment, product_type_distribution
@@ -332,7 +333,7 @@ def test_first_factor_representative_keeps_product_class_law(tmp_path):
             tuple(d for d in range(n, 0, -1) for _ in range(row[d - 1])): count
             for row, count in zip(*np.unique(counts, axis=0, return_counts=True))
         }
-        law = dict(product_type_distribution(*(_exact_law(s) for s in bound)))
+        law = dict(class_probs(product_type_distribution(*(_exact_law(s) for s in bound))))
         assert set(seen) <= set(law), pair
         for part, prob in law.items():
             p = float(prob)
