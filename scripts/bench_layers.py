@@ -50,10 +50,16 @@ n = 30, each left out when the package's ``_SINGLE_MAX_N`` is below it
 (so the one script also measures a tree that walks all n!
 permutations), then, at n = 7, the largest ``--pair-n``, the four
 reduced pair suites and relabel-dichotomy, and event-factorization at
-n = 6 and n = 7. Then whole jobs run in a fresh interpreter on the
-same package, ``FRESH_RUNS`` times each, one pass over all of them per
-run, timed from spawn to exit, with the peak resident set that process
-reads for itself (VmHWM, so Linux only); each row gives the medians,
+n = 6 and n = 7. Event-factorization at n = 5, 6 and 7 is then timed
+in parts: the whole sweep (best of k at n = 5, once above), and within
+it the seconds spent building its walk table over S_n
+(``sweeps._start_walks``, left out for a tree that has none) and keying
+its blocks of pairs (``sweeps._key_rows``); ``walked_rows`` in the JSON
+still counts the pairs the pair pass walks. Then whole jobs run in a
+fresh interpreter on the same package, ``FRESH_RUNS`` times each, one
+pass over all of them per run, timed from spawn to exit, with the peak
+resident set that process reads for itself (VmHWM, so Linux only);
+each row gives the medians,
 and its JSON row every reading, as VmHWM moves by tens of MB from run
 to run of one job:
 ``permprod verify-lemmas --pair-n 7``, and the acceptance suite's
@@ -270,6 +276,36 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def event_factorization_parts(n: int) -> tuple[float, float | None, float]:
+    """Seconds of one event-factorization at n, then of the parts of it
+    spent building the walk table (``sweeps._start_walks``; None for a
+    package without one) and keying the blocks of pairs
+    (``sweeps._key_rows``)."""
+    spent, originals = {}, {}
+    for name in ("_start_walks", "_key_rows"):
+        fn = getattr(sweeps, name, None)
+        if fn is None:
+            continue
+        originals[name] = fn
+
+        def timed(*args, fn=fn, name=name):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+
+        setattr(sweeps, name, timed)
+    try:
+        start = time.perf_counter()
+        sweeps.sweep_event_factorization(n)
+        total = time.perf_counter() - start
+    finally:
+        for name, fn in originals.items():
+            setattr(sweeps, name, fn)
+    return total, spent.get("_start_walks"), spent["_key_rows"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5, help="runs per layer; the best is kept")
@@ -365,10 +401,10 @@ def main(argv=None) -> int:
     walk = sweeps._walk_pairs
     walked = 0
 
-    def counted(sigma_inv, rho, last):
+    def counted(sigma_inv, rho, *rest):
         nonlocal walked
         walked += len(rho)
-        return walk(sigma_inv, rho, last)
+        return walk(sigma_inv, rho, *rest)
 
     sweeps._walk_pairs = counted
     try:
@@ -413,6 +449,16 @@ def main(argv=None) -> int:
         emit(
             f"  {label:<20} {seconds:8.3f} s  peak {peak:8.2f} MiB  timed once",
             layer="verify-lemmas stage", stage=label, s=seconds, peak_mib=peak, repeat=1,
+        )
+    print("event-factorization parts: s of the whole, the walk table and the key rows")
+    for n in (5, 6, 7):
+        repeat = args.repeat if n == 5 else 1
+        total, table, keys = min(event_factorization_parts(n) for _ in range(repeat))
+        table_text = "    none" if table is None else f"{table:8.4f}"
+        emit(
+            f"  n = {n:<16} {total:8.3f} s  table {table_text} s  key rows {keys:8.3f} s",
+            layer="event-factorization parts", n=n, s=total, table_s=table, key_rows_s=keys,
+            repeat=repeat,
         )
     # The package's own source directory goes first on the child's path.
     source = os.path.dirname(os.path.dirname(os.path.abspath(sweeps.__file__)))

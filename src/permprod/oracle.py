@@ -127,8 +127,9 @@ def _as_fraction(value) -> Fraction:
 class ExactDistribution:
     """A conjugation-invariant law on the symmetric group of {1..n}.
 
-    ``masses`` lists each cycle type of nonzero probability with its
-    integer mass, sorted by type; the class probability is the mass over
+    ``masses`` lists each cycle type of nonzero probability, a weakly
+    decreasing tuple of positive parts, with its integer mass, sorted by
+    type; the class probability is the mass over
     ``denominator``, and the pmf of a single permutation is that over the
     class size. The masses are kept in lowest terms, so laws with the
     same class probabilities are equal and hash alike however they were
@@ -152,6 +153,12 @@ class ExactDistribution:
         if self.denominator < 1:
             raise ValueError(f"denominator {self.denominator} is not positive")
         for partition, mass in self.masses:
+            # Sorted down, so the last part is the least.
+            descending = list(partition) == sorted(partition, reverse=True)
+            if type(partition) is not tuple or not descending or partition[-1:] < (1,):
+                raise ValueError(
+                    f"cycle type {partition!r} is not a weakly decreasing tuple of positive parts"
+                )
             if sum(partition) != self.n:
                 raise ValueError(f"cycle type {partition!r} does not sum to {self.n}")
             if mass < 0:

@@ -50,9 +50,18 @@ times as its orbit has members (:func:`_conjugation_orbits` and the
   count and rectangle size, so each tuple is keyed canonically: the
   vertices outside 1..K are renamed in order of first appearance along
   the walks, and one key stands for all the labelled tuples of its
-  orbit. It builds no graph objects and no traversal records: it walks
-  its pairs in numpy blocks, every start of every pair at once, and
-  reads each couple's edges, labelled and renamed, off the walk arrays.
+  orbit. The walks from the starts depend on sigma^-1 rho alone, so
+  they are built once per sweep, for every permutation of S_n
+  (:func:`_start_walks`): each index walk, its next indices, and where
+  each vertex first appears on the index walks. It builds no graph
+  objects and no traversal records: it takes its pairs in numpy blocks,
+  and each pair gathers its walks from every start at the row of its
+  sigma^-1 rho, its companion sequences j_l = rho(i_l) with one more
+  gather, and where each vertex first appears along them with one
+  scatter along rho and a minimum, since v = rho(u) first appears on the
+  companion sequences right where u first appears on the index walks,
+  one sequence later. It reads each couple's edges, labelled and
+  renamed, off those arrays.
   Its fibers are kept as counts only, in one sorted table of key rows
   over the starts 1..K, each the renamed couples' side masks as int64
   words, with a pair count and a first failing start per row; the keys
@@ -82,9 +91,14 @@ relabel-dichotomy and event-factorization read; a permutation, a
 generator included, is named by its row. ``verify-lemmas`` caps the
 pair sweeps at n = 7 (``_PAIR_MAX_N``), where event-factorization walks
 1.5 million of the 25.4 million ordered pairs, and the trace sweep at
-n = 30 (``_SINGLE_MAX_N``), with 5,604 cycle types. The four reduced pair
-suites walk their orbit pairs in blocks of ``_PAIR_BLOCK``, three times
-each: as (sigma, rho), swapped and inverted. Event-factorization
+n = 30 (``_SINGLE_MAX_N``), with 5,604 cycle types. Each pair sweep
+builds one table of the walks of every permutation of S_n from its
+starts when it is called (:func:`_start_walks`), and every pair it
+walks reads its walks off the row of its sigma^-1 rho
+(:func:`_walk_pairs`). The four reduced pair suites walk their orbit
+pairs in blocks of ``_PAIR_BLOCK``, three times each: as (sigma, rho),
+swapped and inverted; traversal-encoding checks each index walk against
+a walk of sigma^-1 rho of its own, not the table. Event-factorization
 walks its (sigma, rho) rows in blocks of ``_PAIR_BLOCK`` that run across
 sigmas, merges each block's key rows into its table as it goes, reads
 every start count's keys off that one table by one sort, and counts the
@@ -134,18 +148,20 @@ _EXAMPLE_CAP = 5
 
 # Event-factorization walks one sigma per orbit under the stabiliser of
 # its starts against every rho, and is most of a run past n = 5. On one
-# core of a 2-core machine: 108,000 pairs (72,780 key rows) in 0.6 s at
-# n = 6; 1.54 million pairs (807,468 key rows) in 6-9 s at n = 7, where
-# a whole run takes 6.8-7.2 s and 162-183 MB, the other suites under
-# 0.3 s in all. At n = 8 it would walk 23.2 million pairs, about 100 s of
-# walking, into some 9 million key rows of 57 bytes: a 0.5 GB table, and
-# a peak near 1.2 GB if it grows as it does at n = 7.
+# core of a 2-core machine: 108,000 pairs (72,780 key rows) in 0.25-0.33 s
+# at n = 6; 1.54 million pairs (807,468 key rows) in 4.3-5.3 s at n = 7,
+# where a whole run takes 4.6-5.7 s and 175 MB, the other suites under
+# 0.3 s in all. At n = 8 it would walk 23.2 million pairs, 15 times as
+# many, into some 9 million key rows of 57 bytes: a 0.5 GB table, and a
+# peak near 1.2 GB if it grows as it does at n = 7.
 _PAIR_MAX_N = 7
 # The trace sweep checks one permutation per cycle type: 5,604 at n = 30,
 # in 0.45 s on one core of a 2-core machine, but 37,338 at n = 40.
 _SINGLE_MAX_N = 30
 # Event-factorization walks its pairs in blocks of _PAIR_BLOCK rows,
-# whose temporaries peak at 0.2 MiB at n = 5 and 0.6 MiB at n = 7. It
+# whose temporaries peak at 0.35 MiB at n = 5 and 0.5 MiB at n = 7,
+# beside its walk table over S_n (33 KiB at n = 5, 1.9 MiB at n = 7; the
+# reduced suites' table from all n starts is 4 MiB at n = 7). It
 # merges the blocks' key rows into its table once the rows walked since
 # the last merge number _MERGE_ROWS and half the table's rows: at n = 7
 # that holds the peak to about 2.4 times the table's 46 MB. It compares
@@ -213,7 +229,7 @@ def _table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _codes(images: np.ndarray) -> np.ndarray:
     # Rows of 0-based images as base-n numbers, the first image leading.
     n = images.shape[-1]
-    return (images * n ** np.arange(n - 1, -1, -1)).sum(axis=-1)
+    return images @ n ** np.arange(n - 1, -1, -1)
 
 
 def _rows(images: np.ndarray) -> np.ndarray:
@@ -415,7 +431,8 @@ def _reduced_pair_suites(n: int) -> list[SweepSummary]:
     event-factorization.
 
     The orbit pairs are walked in blocks of ``_PAIR_BLOCK`` rows, every
-    start at once (:func:`_pair_verdicts`). Each verdict counts its
+    start at once (:func:`_pair_verdicts`), off one table of the walks
+    of S_n built per call (:func:`_start_walks`). Each verdict counts its
     pair's orbit size, and the failures are recorded pair-major and
     start-minor (start-pair-minor for shared-cycle-graphs), so the
     examples are the first failures in that order.
@@ -427,10 +444,12 @@ def _reduced_pair_suites(n: int) -> list[SweepSummary]:
     per_start = [f"m={m}" for m in range(1, n + 1)]
     tallies = [_Tally() for _ in range(4)]
     columns = [per_start, start_pairs, per_start, per_start]
+    walk_table = _start_walks(n, n)
     for start in range(0, len(sizes), _PAIR_BLOCK):
         block = slice(start, start + _PAIR_BLOCK)
         weights = sizes[block]
-        for tally, ok, names in zip(tallies, _pair_verdicts(sigmas[block], rhos[block]), columns):
+        verdicts = _pair_verdicts(sigmas[block], rhos[block], walk_table)
+        for tally, ok, names in zip(tallies, verdicts, columns):
             tally.cases += int((ok.sum(axis=1) * weights).sum())
             for cell in np.flatnonzero(~ok).tolist():
                 row, column = divmod(cell, ok.shape[1])
@@ -455,27 +474,30 @@ def _reduced_pair_suites(n: int) -> list[SweepSummary]:
     ]
 
 
-def _pair_verdicts(sigma: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair_verdicts(
+    sigma: np.ndarray, rho: np.ndarray, walk_table: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, ...]:
     """The verdicts of the four reduced suites on a block of pairs of
     0-based images, in suite order: bool arrays with one row per pair and
     one column per start (per start pair, in ``itertools.combinations``
     order, for shared-cycle-graphs).
 
-    The pairs are walked from every start by :func:`_walk_pairs`, as
-    (sigma, rho), swapped as (rho, sigma), and inverted as (rho^-1,
-    sigma^-1), whose walk from rho(m) goes with the start m. The couples
+    The pairs are walked from every start by :func:`_walk_pairs`, off
+    ``walk_table`` (:func:`_start_walks` from all n starts), as (sigma, rho),
+    swapped as (rho, sigma), and inverted as (rho^-1, sigma^-1), whose
+    walk from rho(m) goes with the start m. The couples
     are read as labelled edge masks (:func:`_side_masks`), each also with
     every edge reversed.
     """
     rows, n = rho.shape
     sigma_inv, rho_inv = np.argsort(sigma, axis=1), np.argsort(rho, axis=1)
-    walks, tails, heads = _walk_pairs(sigma_inv, rho, n)
+    walks, tails, heads, _ = _walk_pairs(sigma_inv, rho, walk_table)
     # Every vertex keeps its label; the -1 padding reads column n.
     labels = np.tile(np.append(np.arange(n), 0), (rows, n, 1))
     masks = _side_masks(tails, heads, labels)
     flipped = _side_masks(heads, tails, labels)
-    swapped = _walk_pairs(rho_inv, sigma, n)[0]
-    _, inverted_tails, inverted_heads = _walk_pairs(rho, sigma_inv, n)
+    swapped = _walk_pairs(rho_inv, sigma, walk_table)[0]
+    _, inverted_tails, inverted_heads, _ = _walk_pairs(rho, sigma_inv, walk_table)
     inverted = _side_masks(inverted_tails, inverted_heads, labels)[:, :, 1]
     return (
         _encoding_verdicts(sigma, sigma_inv, rho, walks, tails, heads, masks),
@@ -501,9 +523,10 @@ def _encoding_verdicts(
 ) -> np.ndarray:
     """Traversal-encoding: the index walk is the cycle of sigma^-1 rho
     through its start, walked here on its own, one flat gather of the
-    product per step; the companion sequence is its rho-image; each side
-    of the couple has k distinct edges (set bits of its mask); and sigma
-    and rho hold every edge of their sides."""
+    product per step, and not read off the walk table; the companion
+    sequence is its rho-image; each side of the couple has k distinct
+    edges (set bits of its mask); and sigma and rho hold every edge of
+    their sides."""
     rows, n = rho.shape
     product = np.take(_flat(sigma_inv), _flat(rho))
     start = np.arange(rows * n).reshape(rows, n)
@@ -608,44 +631,81 @@ def sweep_small_components(n: int = 4) -> SweepSummary:
     return _reduced_pair_suites(n)[3]
 
 
-def _walk_pairs(
-    sigma_inv: np.ndarray, rho: np.ndarray, last: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The walks of a block of pairs from the starts 1..last, and the
-    edges of their graph couples, all 0-based: row r is the pair whose
-    sigma^-1 has the images ``sigma_inv[r]`` and whose rho has ``rho[r]``.
+def _start_walks(n: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walks of every permutation pi of S_n from the starts 1..last,
+    0-based, one row per row of :func:`_table`: all that the pairs
+    (sigma, rho) with sigma^-1 rho = pi share.
 
-    Every row walks every start at once, for n steps: i_0 = m, j_l =
-    rho(i_l) and i_{l+1} = sigma^-1(j_l), until i_{l+1} is m again after
-    k steps. ``walks[r, s]`` is start s + 1's traversal record, its index
-    walk then its companion sequence, each padded with -1 to n entries.
-    ``tails[r, s, side]`` and ``heads[r, s, side]`` are the edges of that
-    start's couple, side 0 for sigma and 1 for rho, padded with -1: step
-    l gives the sigma-side edge (i_{l+1}, j_l), which for the last step
-    is the wrap edge (i_0, j_{k-1}), and the rho-side edge (i_l, j_l).
+    ``steps[p, s]`` is start s + 1's walk along its cycle of pi, k steps
+    long: the next index i_{l+1} = pi(i_l), which after the last step is
+    i_0 = m again, then the index walk i_0..i_{k-1}, each padded with -1
+    to n entries. ``first[p, v]`` is where v first appears on the index
+    walks in key order (:func:`_walk_pairs`), 2 * n * s + l at step l of
+    start s + 1, or 2 * n * last if on none.
     """
-    rows, n = rho.shape
-    offset = np.arange(0, rows * n, n)[:, None]
-    # Flat indices: entry r * n + x of rho_at is that of rho_r(x).
-    rho_at = (rho + offset).ravel()
-    sigma_inv_at = (sigma_inv + offset).ravel()
-    # Step l of every row and start, (i_l, j_l, i_{l+1}) as flat indices.
-    steps = np.empty((n, 3, rows, last), dtype=np.intp)
-    i = offset + np.arange(last)
+    images = _table(n)[0]
+    count = len(images)
+    offset = np.arange(0, count * n, n)[:, None, None, None]
+    flat = _flat(images)
+    steps = np.empty((count, last, 2, n), dtype=np.intp)
+    i = offset[:, :, 0, 0] + np.arange(last)
     for l in range(n):
-        steps[l, 0] = i
-        np.take(rho_at, i, out=steps[l, 1])
-        i = np.take(sigma_inv_at, steps[l, 1], out=steps[l, 2])
+        steps[:, :, 1, l] = i
+        i = np.take(flat, i, out=steps[:, :, 0, l])
     steps -= offset
-    steps = steps.transpose(2, 3, 1, 0)
     # A walk's k steps run up to its first return to m.
-    k = np.argmax(steps[:, :, 2] == np.arange(last)[:, None], axis=2) + 1
+    k = np.argmax(steps[:, :, 0] == np.arange(last)[:, None], axis=2) + 1
     np.copyto(steps, -1, where=(np.arange(n) >= k[..., None])[:, :, None])
-    return steps[:, :, :2], steps[:, :, 2::-2], steps[:, :, [1, 1]]
+    # Each start's walk meets a vertex once, so writing the starts from
+    # the last down keeps each vertex's first place; -1 writes column n.
+    first = np.full((count, n + 1), 2 * n * last)
+    rows = np.arange(count)[:, None]
+    for s in range(last - 1, -1, -1):
+        first[rows, steps[:, s, 1]] = 2 * n * s + np.arange(n)
+    return steps, first[:, :n]
 
 
-def _vertex_names(walks: np.ndarray, fixed: int) -> np.ndarray:
-    """The vertex names for the walks of a block of :func:`_walk_pairs`.
+def _walk_pairs(
+    sigma_inv: np.ndarray, rho: np.ndarray, walk_table: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """The walks of a block of pairs from the starts 1..last, the edges of
+    their graph couples, and where each vertex first appears along them,
+    all 0-based: row r is the pair whose sigma^-1 has the images
+    ``sigma_inv[r]`` and whose rho has ``rho[r]``.
+
+    Every row reads its index walks off ``walk_table``
+    (:func:`_start_walks`, over the starts 1..last) at the row of pi =
+    sigma^-1 rho, found by one gather and one search: i_0 = m and
+    i_{l+1} = pi(i_l), until i_{l+1} is m again after k steps. Its
+    companion sequence is j_l = rho(i_l), one more gather, so that
+    i_{l+1} = sigma^-1(j_l). ``walks[r, s]`` is start s + 1's traversal
+    record, its index walk then its companion sequence, each padded with
+    -1 to n entries. ``tails[r, s, side]`` and ``heads[r, s, side]`` are
+    the edges of that start's couple, side 0 for sigma and 1 for rho,
+    padded with -1: step l gives the sigma-side edge (i_{l+1}, j_l),
+    which for the last step is the wrap edge (i_0, j_{k-1}), and the
+    rho-side edge (i_l, j_l). ``first[r, v]`` is where v first appears
+    in key order, ``walks[r]`` read flat: 2 * n * s + l at step l of
+    start s + 1's index walk and that plus n on its companion sequence,
+    or 2 * n * last or more if on neither. So v = rho(u) first appears on
+    the companion sequences n places after u does on the index walks.
+    """
+    steps, first_index = walk_table
+    n = rho.shape[1]
+    at = _rows(np.take_along_axis(sigma_inv, rho, axis=1))
+    tails = steps[at]
+    companion = _images_of(rho[:, None], tails[:, :, 1:])
+    first = first_index[at]
+    later = np.empty_like(first)
+    np.put_along_axis(later, rho, first + n, axis=1)
+    np.minimum(first, later, out=first)
+    walks = np.concatenate([tails[:, :, 1:], companion], axis=2)
+    return walks, tails, np.concatenate([companion, companion], axis=2), first
+
+
+def _vertex_names(first: np.ndarray, fixed: int, last: int) -> np.ndarray:
+    """The vertex names for a block of :func:`_walk_pairs` from the
+    starts 1..last, read off ``first``.
 
     Vertices below ``fixed`` keep their labels, and the others are named
     fixed, fixed + 1, ... in order of first appearance along each row's
@@ -654,23 +714,22 @@ def _vertex_names(walks: np.ndarray, fixed: int) -> np.ndarray:
     n * n, which names no vertex, while no walk of starts 1..s+1 has
     reached v. Column n, which the -1 padding reads, is 0.
     """
-    rows, last, _, n = walks.shape
-    # Each vertex also appears once past the end of row r's walks.
-    every = np.broadcast_to(np.arange(n), (rows, n))
-    seq = np.concatenate([walks.reshape(rows, -1), every], axis=1)
-    # first[r, v]: where v first appears in row r's walks, or past their
-    # end if it never does; -1 for the fixed vertices.
-    first = np.full((rows, n), -1, dtype=np.intp)
-    for v in range(fixed, n):
-        first[:, v] = np.argmax(seq == v, axis=1)
-    late = first[:, fixed:]
+    rows, n = first.shape
+    # Where each vertex first appears; the fixed vertices and column n
+    # count as seen before every start.
+    seen = np.full((rows, n + 1), -1, dtype=first.dtype)
+    late = seen[:, fixed:n]
+    late[...] = first[:, fixed:]
     names = np.zeros((rows, n + 1), dtype=np.intp)
     names[:, :fixed] = np.arange(fixed)
-    names[:, fixed:n] = fixed + (late[:, None, :] < late[:, :, None]).sum(axis=2)
+    # Each renamed vertex is fixed plus the count seen before it.
+    renamed = names[:, fixed:n]
+    renamed += fixed
+    for column in range(n - fixed):
+        renamed += late[:, column : column + 1] < late
     # Start s's walks end at position 2n(s + 1).
-    reached = first[:, None, :] < 2 * n * np.arange(1, last + 1)[:, None]
-    padded = np.concatenate([reached, np.ones((rows, last, 1), dtype=bool)], axis=2)
-    return np.where(padded, names[:, None, :], n * n)
+    reached = seen[:, None, :] < 2 * n * np.arange(1, last + 1)[:, None]
+    return np.where(reached, names[:, None, :], n * n)
 
 
 def _side_masks(tails: np.ndarray, heads: np.ndarray, names: np.ndarray) -> np.ndarray:
@@ -692,9 +751,12 @@ def _side_masks(tails: np.ndarray, heads: np.ndarray, names: np.ndarray) -> np.n
     if np.count_nonzero(bit >= n * n):
         r, s = np.argwhere((bit >= n * n).any(axis=(2, 3)))[0]
         raise KeyError(f"an edge of start {s + 1} in row {r} is on a vertex no walk has reached")
-    edges = np.left_shift(1, bit, dtype=np.int64)
-    edges[tails < 0] = 0
-    return np.bitwise_or.reduce(edges, axis=3)
+    # Padding shifts a 0. The steps are few, so they are ORed one by one.
+    edges = np.left_shift(tails >= 0, bit, dtype=np.int64)
+    masks = edges[..., 0].copy()
+    for step in range(1, edges.shape[3]):
+        masks |= edges[..., step]
+    return masks
 
 
 def _images_of(perms: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -731,10 +793,15 @@ def _bit_counts(masks: np.ndarray) -> np.ndarray:
 
 
 def _key_rows(
-    sigma: np.ndarray, sigma_inv: np.ndarray, rho: np.ndarray, last: int, fixed: int
+    sigma: np.ndarray,
+    sigma_inv: np.ndarray,
+    rho: np.ndarray,
+    walk_table: tuple[np.ndarray, np.ndarray],
+    fixed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The key rows of a block of pairs of 0-based images, and each row's
-    first failing start, or last + 1.
+    """The key rows of a block of pairs of 0-based images, walked from
+    the starts 1..last of ``walk_table`` (:func:`_start_walks`), and each
+    row's first failing start, or last + 1.
 
     Row r holds, start by start, the sigma-side and rho-side masks of
     each start's renamed couple (:func:`_side_masks`), 2 * last int64
@@ -742,17 +809,21 @@ def _key_rows(
     words. A start fails when sigma or rho misses an edge of its
     labelled couple.
     """
-    walks, tails, heads = _walk_pairs(sigma_inv, rho, last)
-    masks = _side_masks(tails, heads, _vertex_names(walks, fixed))
+    tails, heads, first = _walk_pairs(sigma_inv, rho, walk_table)[1:]
+    last = tails.shape[1]
+    masks = _side_masks(tails, heads, _vertex_names(first, fixed, last))
+    # Read off sigma and rho, not the table, so a wrong walk fails here.
     missed = _unsatisfied(sigma, rho, tails, heads)
     fail = np.where(missed.any(axis=1), missed.argmax(axis=1) + 1, last + 1)
     return masks.reshape(len(rho), -1), fail.astype(np.int8)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
-    # The first row of each run of equal rows.
+    # The first row of each run of equal rows, compared column by column.
     change = np.ones(len(keys), dtype=bool)
-    np.any(keys[1:] != keys[:-1], axis=1, out=change[1:])
+    np.not_equal(keys[1:, 0], keys[:-1, 0], out=change[1:])
+    for column in range(1, keys.shape[1]):
+        change[1:] |= keys[1:, column] != keys[:-1, column]
     return np.flatnonzero(change)
 
 
@@ -811,7 +882,13 @@ def sweep_event_factorization(
 
     The pairs are walked sigma-major and rho-minor, in numpy blocks of
     ``_PAIR_BLOCK`` rows that run across sigmas, every start at once
-    (:func:`_walk_pairs`). No graph objects are built: a row becomes
+    (:func:`_walk_pairs`). The walks from the starts 1..K of every
+    permutation of S_n are built once per call (:func:`_start_walks`),
+    and each row gathers its index walks, its next indices and where
+    each vertex first appears on them from the row of its sigma^-1 rho;
+    its companion sequences take one gather more, and the vertices'
+    first places along the whole records, and so the names, one scatter
+    and a minimum, with no search of the walks. No graph objects are built: a row becomes
     one key row, the two int64 side masks of each start's renamed
     couple, and its first failing start (:func:`_key_rows`). One sorted
     table keeps the distinct rows with their weighted pair counts, first
@@ -851,21 +928,37 @@ def sweep_event_factorization(
     sigma_invs = np.argsort(sigmas, axis=1)
     sizes = sizes.astype(np.int32)
     total = len(sigmas) * len(images)
-    # The table, once merged, then the blocks walked since. A pair count
+    walk_table = _start_walks(n, last)
+    # The table, once merged, then the rows walked since. A pair count
     # fits in 32 bits up to n = 8, as does a row's index.
     columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
-    table_rows = pending = 0
-    for start in range(0, total, _PAIR_BLOCK):
-        row = np.arange(start, min(start + _PAIR_BLOCK, total), dtype=np.int32)
-        orbit, r = np.divmod(row, len(images))
-        keys, fail = _key_rows(sigmas[orbit], sigma_invs[orbit], images[r], last, fixed)
-        for column, piece in zip(columns, (keys, sizes[orbit], row, fail)):
+    walked = 0
+    while walked < total:
+        # Whole blocks, until the rows since the last merge number
+        # _MERGE_ROWS and half the table's rows. They are written into one
+        # batch, so that no block leaves a piece of its own between the
+        # next block's temporaries.
+        bound = max(_MERGE_ROWS, len(columns[0][0]) // 2 if columns[0] else 0)
+        size = min(total - walked, -(-bound // _PAIR_BLOCK) * _PAIR_BLOCK)
+        batch = (
+            np.empty((size, 2 * last), dtype=np.int64),
+            np.empty(size, dtype=np.int32),
+            np.empty(size, dtype=np.int32),
+            np.empty(size, dtype=np.int8),
+        )
+        for at in range(0, size, _PAIR_BLOCK):
+            row = np.arange(walked + at, walked + min(at + _PAIR_BLOCK, size), dtype=np.int32)
+            orbit, r = np.divmod(row, len(images))
+            keys, fail = _key_rows(sigmas[orbit], sigma_invs[orbit], images[r], walk_table, fixed)
+            for column, piece in zip(batch, (keys, sizes[orbit], row, fail)):
+                column[at : at + len(row)] = piece
+        for column, piece in zip(columns, batch):
             column.append(piece)
-        pending += len(row)
-        if pending >= max(_MERGE_ROWS, table_rows // 2):
-            _merge_keys(columns)
-            table_rows, pending = len(columns[0][0]), 0
-    _merge_keys(columns)
+        del batch
+        _merge_keys(columns)
+        walked += size
+    # The checks, where a run peaks, read no walks.
+    del walk_table
     keys, pairs, first, fail = (column.pop() for column in columns)
 
     free = _fixing_counts(n)
@@ -876,26 +969,30 @@ def sweep_event_factorization(
     known = counts = np.empty(0, dtype=np.int64)
     factorization = _Tally()
 
+    def counted(side: np.ndarray) -> np.ndarray:
+        # The counts of each mask of one side, each distinct mask looked
+        # up once and counted the first time it is met.
+        nonlocal known, counts
+        masks, which = np.unique(side, return_inverse=True)
+        at = np.searchsorted(known, masks)
+        new = np.take(known, at, mode="clip") != masks if len(known) else slice(None)
+        fresh = masks[new]
+        if len(fresh):
+            edges = [free[mask.bit_count()] for mask in fresh.view(np.uint64).tolist()]
+            known = np.insert(known, at[new], fresh)
+            found = _satisfying_counts(fresh, perm_masks) << 32 | edges
+            counts = np.insert(counts, at[new], found)
+        return np.take(counts, np.searchsorted(known, masks))[which]
+
     def check(k: int) -> None:
         # The keys over k starts, one per run of the table's first k
         # starts; at k = last every row is its own run.
-        nonlocal known, counts
         heads = keys[:, : 2 * k]
         starts = _run_starts(heads)
         u, e1, e2 = _key_unions(heads[starts] if len(starts) < len(keys) else heads, k, n, fixed)
         tuples = arrangements[u]
         del u
-        masks = np.sort(np.concatenate([e1, e2]))
-        masks = masks[_run_starts(masks[:, None])]
-        if len(known):
-            masks = masks[np.take(known, np.searchsorted(known, masks), mode="clip") != masks]
-        if len(masks):
-            edges = [free[mask.bit_count()] for mask in masks.view(np.uint64).tolist()]
-            at = np.searchsorted(known, masks)
-            known = np.insert(known, at, masks)
-            counts = np.insert(counts, at, _satisfying_counts(masks, perm_masks) << 32 | edges)
-        del masks
-        side1, side2 = (np.take(counts, np.searchsorted(known, side)) for side in (e1, e2))
+        side1, side2 = counted(e1), counted(e2)
         expected = (side1 >> 32) * (side2 >> 32)
         ok = expected == (side1 & 0xFFFFFFFF) * (side2 & 0xFFFFFFFF)
         fiber_size, spread = np.divmod(np.add.reduceat(pairs, starts), tuples)
@@ -929,9 +1026,10 @@ def _key_unions(keys: np.ndarray, k: int, n: int, fixed: int) -> tuple[np.ndarra
     its rho-side edges, so u, the count of renamed vertices the couples
     touch, is that of the vertices from ``fixed`` up with a rho-side edge
     out or in."""
-    sigma_side, rho_side = np.bitwise_or.reduce(
-        keys[:, : 2 * k].reshape(len(keys), k, 2), axis=1
-    ).T
+    sigma_side, rho_side = keys[:, 0].copy(), keys[:, 1].copy()
+    for start in range(1, k):
+        sigma_side |= keys[:, 2 * start]
+        rho_side |= keys[:, 2 * start + 1]
     # Bit a * n + v for every a: the edges into v, shifted down by v.
     into = sum(1 << a * n for a in range(n))
     u = np.zeros(len(keys), dtype=np.intp)

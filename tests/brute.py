@@ -48,7 +48,12 @@ graph shapes over every pair, and ``graphs_from_traversal`` and
 ``record_masks`` reads one traversal's side masks, labelled and
 renamed, straight off its record, where event-factorization walks
 blocks of pairs in numpy (the sweep's previous path); ``edge_mask``
-builds a mask from an edge list, one edge at a time.
+builds a mask from an edge list, one edge at a time. ``step_walks``
+walks each pair of a block step by step, ``walk_names`` finds each
+vertex's first place by a search of the whole walk, and ``key_rows``
+reads a block's key rows and failing starts off them (the sweep's
+previous path), where event-factorization gathers each pair's walks
+from one table over sigma^-1 rho.
 ``product_rows`` and ``small_cycle_counts`` are the Monte Carlo layers
 as whole-chunk ``take_along_axis`` gathers, with no row blocks and no
 flat indices, and ``representative_rows`` expands class representatives
@@ -1139,6 +1144,77 @@ def enumerate_B(
         )
         return len(couples), graphs
     return len(couples)
+
+
+def step_walks(
+    sigma_inv: np.ndarray, rho: np.ndarray, last: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(walks, tails, heads) of a block of pairs from the starts 1..last,
+    in the layout of ``sweeps._walk_pairs``, each pair walked step by
+    step: every row and start takes n steps i_0 = m, j_l = rho(i_l),
+    i_{l+1} = sigma^-1(j_l), and each walk is cut at its first return
+    to m."""
+    rows, n = rho.shape
+    offset = np.arange(0, rows * n, n)[:, None]
+    rho_at = (rho + offset).ravel()
+    sigma_inv_at = (sigma_inv + offset).ravel()
+    # Step l of every row and start, (i_l, j_l, i_{l+1}) as flat indices.
+    steps = np.empty((n, 3, rows, last), dtype=np.intp)
+    i = offset + np.arange(last)
+    for l in range(n):
+        steps[l, 0] = i
+        np.take(rho_at, i, out=steps[l, 1])
+        i = np.take(sigma_inv_at, steps[l, 1], out=steps[l, 2])
+    steps -= offset
+    steps = steps.transpose(2, 3, 1, 0)
+    k = np.argmax(steps[:, :, 2] == np.arange(last)[:, None], axis=2) + 1
+    np.copyto(steps, -1, where=(np.arange(n) >= k[..., None])[:, :, None])
+    return steps[:, :, :2], steps[:, :, 2::-2], steps[:, :, [1, 1]]
+
+
+def walk_names(walks: np.ndarray, fixed: int) -> np.ndarray:
+    """The vertex names of ``sweeps._vertex_names`` read off the walks
+    themselves: each vertex from ``fixed`` up is found by a search of the
+    whole flattened walk of its row, start by start, the index walk
+    before its companion sequence."""
+    rows, last, _, n = walks.shape
+    # Each vertex also appears once past the end of row r's walks.
+    seq = np.concatenate([walks.reshape(rows, -1), np.broadcast_to(np.arange(n), (rows, n))], 1)
+    first = np.full((rows, n), -1, dtype=np.intp)
+    for v in range(fixed, n):
+        first[:, v] = np.argmax(seq == v, axis=1)
+    late = first[:, fixed:]
+    names = np.zeros((rows, n + 1), dtype=np.intp)
+    names[:, :fixed] = np.arange(fixed)
+    names[:, fixed:n] = fixed + (late[:, None, :] < late[:, :, None]).sum(axis=2)
+    # Start s's walks end at position 2n(s + 1).
+    reached = first[:, None, :] < 2 * n * np.arange(1, last + 1)[:, None]
+    padded = np.concatenate([reached, np.ones((rows, last, 1), dtype=bool)], axis=2)
+    return np.where(padded, names[:, None, :], n * n)
+
+
+def key_rows(
+    sigma: np.ndarray, sigma_inv: np.ndarray, rho: np.ndarray, last: int, fixed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sweeps._key_rows`` of a block of pairs from the walks of
+    ``step_walks`` and the names of ``walk_names``: each start's renamed
+    sigma-side and rho-side masks, and each row's first start whose
+    labelled couple sigma or rho misses an edge of, or last + 1. Edges
+    and images are read with ``take_along_axis``, padding kept apart by
+    a mask."""
+    rows, n = rho.shape
+    walks, tails, heads = step_walks(sigma_inv, rho, last)
+    names = walk_names(walks, fixed)[:, :, None, :]
+    real = tails >= 0
+    bit = np.take_along_axis(names, np.where(real, tails, n), axis=3) * n
+    bit += np.take_along_axis(names, np.where(real, heads, n), axis=3)
+    edges = np.where(real, np.uint64(1) << bit.astype(np.uint64), np.uint64(0))
+    masks = np.bitwise_or.reduce(edges, axis=3).view(np.int64)
+    images = np.stack([sigma, rho], axis=1)[:, None]
+    missed = (real & (np.take_along_axis(images, np.where(real, tails, 0), axis=3) != heads))
+    missed = missed.any(axis=(2, 3))
+    fail = np.where(missed.any(axis=1), missed.argmax(axis=1) + 1, last + 1)
+    return masks.reshape(rows, -1), fail.astype(np.int8)
 
 
 def product_rows(factor_rows: Sequence[np.ndarray]) -> np.ndarray:

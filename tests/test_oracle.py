@@ -132,6 +132,11 @@ def test_distribution_validation_messages():
         ExactDistribution.explicit(4, {(2, 1): 1})
     with pytest.raises(ValueError, match="a cycle type is listed twice"):
         ExactDistribution.explicit(3, {(2, 1): "1/2", (1, 2): "1/2"})
+    not_a_type = "is not a weakly decreasing tuple of positive parts"
+    with pytest.raises(ValueError, match=rf"cycle type \(1, 2\) {not_a_type}"):
+        ExactDistribution(3, "x", (((1, 2), 1),), 1)
+    with pytest.raises(ValueError, match=rf"cycle type \(3, 0\) {not_a_type}"):
+        ExactDistribution(3, "x", (((3, 0), 1),), 1)
 
 
 def test_integer_masses_sum_to_the_denominator():

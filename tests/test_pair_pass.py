@@ -26,7 +26,12 @@ walked in numpy blocks (``sweeps._walk_pairs``), as are the four
 suites': the walks and masks of a block must be those of ``traversal``
 and ``brute.graphs_from_record``, pair by pair, and faults reach every pair
 suite by rewriting a block's edges (``_inject``), and the full passes
-through the same couples.
+through the same couples. Every walk is read off one table of the
+walks of S_n, built once per sweep call (``sweeps._start_walks``): the
+key rows and failing starts of every block must be those of
+``brute.key_rows``, which walks each pair step by step, and a corrupt
+entry of the table must fail event-factorization's failing-start check
+and traversal-encoding, neither of which reads the table back.
 """
 
 import functools
@@ -215,10 +220,11 @@ def test_event_factorization_walks_one_sigma_per_stabiliser_orbit(
     walked = []
     walk = sweeps._walk_pairs
 
-    def counted(sigma_inv, rho, last):
+    def counted(sigma_inv, rho, starts):
+        last = starts[0].shape[1]
         for sigma, images in zip(_images(sigma_inv, inverted=True), _images(rho)):
             walked.extend((sigma, images, m) for m in range(1, last + 1))
-        return walk(sigma_inv, rho, last)
+        return walk(sigma_inv, rho, starts)
 
     monkeypatch.setattr(sweeps, "_walk_pairs", counted)
     summary = sweeps.sweep_event_factorization(n, start_counts)
@@ -278,8 +284,8 @@ def test_batched_walks_give_the_masks_of_the_graph_couples(n):
     pairs = list(itertools.product(perms, perms))
     sigma_inv = np.array([inverse(sigma).images for sigma, _ in pairs]) - 1
     rho = np.array([rho.images for _, rho in pairs]) - 1
-    walks, tails, heads = sweeps._walk_pairs(sigma_inv, rho, n)
-    names = sweeps._vertex_names(walks, fixed)
+    walks, tails, heads, first = sweeps._walk_pairs(sigma_inv, rho, sweeps._start_walks(n, n))
+    names = sweeps._vertex_names(first, fixed, n)
     labels = np.tile(np.append(np.arange(n), 0), (len(pairs), n, 1))
     # masks[r, s]: labelled sigma side, rho side, then renamed.
     masks = np.concatenate(
@@ -305,6 +311,102 @@ def test_batched_walks_give_the_masks_of_the_graph_couples(n):
             assert tuple(row_masks[s]) == want
 
 
+# Blocks of one pair at n = 6 would key 145,440 blocks, about half a
+# minute; they run at n <= 5, and n = 6 runs the two larger sizes.
+@pytest.mark.parametrize(
+    "n, block", [(n, block) for n in (3, 4, 5) for block in (1, 7, 256)] + [(6, 7), (6, 256)]
+)
+@pytest.mark.parametrize("last", [2, 3])
+def test_key_rows_match_the_step_by_step_walk(monkeypatch, n, block, last):
+    # Every block the sweep keys, read off the walk table, against
+    # brute.key_rows, which walks each pair step by step and finds each
+    # vertex's first place by a search of its whole walk.
+    blocks = []
+    key_rows = sweeps._key_rows
+
+    def recorded(sigma, sigma_inv, rho, starts, fixed):
+        out = key_rows(sigma, sigma_inv, rho, starts, fixed)
+        blocks.append(((sigma, sigma_inv, rho), out, fixed))
+        return out
+
+    monkeypatch.setattr(sweeps, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(sweeps, "_key_rows", recorded)
+    assert sweeps.sweep_event_factorization(n, range(1, last + 1)).ok
+    pairs = [np.concatenate(column) for column in zip(*(args for args, _, _ in blocks))]
+    keys, fail = (np.concatenate(column) for column in zip(*(out for _, out, _ in blocks)))
+    assert [len(rho) for (_, _, rho), _, _ in blocks[:-1]] == [block] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1][0][2]) <= block
+    assert len(pairs[2]) % math.factorial(n) == 0
+    want_keys, want_fail = brute.key_rows(*pairs, last, blocks[0][2])
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(fail, want_fail)
+    assert fail.tolist() == [last + 1] * len(fail)
+
+
+def test_the_walk_table_is_built_once_per_sweep_call(monkeypatch):
+    built, walked = [], []
+    start_walks, walk_pairs = sweeps._start_walks, sweeps._walk_pairs
+
+    def build(n, last):
+        built.append((n, last))
+        return start_walks(n, last)
+
+    def walk(sigma_inv, rho, starts):
+        walked.append(len(rho))
+        return walk_pairs(sigma_inv, rho, starts)
+
+    monkeypatch.setattr(sweeps, "_start_walks", build)
+    monkeypatch.setattr(sweeps, "_walk_pairs", walk)
+    monkeypatch.setattr(sweeps, "_PAIR_BLOCK", 7)
+    # 66 sigmas against 120 rhos, in blocks of 7.
+    sweeps.sweep_event_factorization(5)
+    assert built == [(5, 3)]
+    assert len(walked) == math.ceil(66 * 120 / 7) and sum(walked) == 66 * 120
+    # 161 orbit pairs, each block walked three times.
+    built.clear(), walked.clear()
+    sweeps._reduced_pair_suites(5)
+    assert built == [(5, 5)]
+    assert len(walked) == 3 * math.ceil(161 / 7) and sum(walked) == 3 * 161
+    built.clear()
+    sweeps.sweep_pairs(5)
+    assert sorted(built) == [(5, 3), (5, 5)]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_corrupt_walk_table_is_caught(monkeypatch, n):
+    # The n-cycle 1 -> 2 -> ... -> n -> 1 walks 1, 2, 3, ... from start 1;
+    # its entry in the table is made to walk 1, 3, 2, ... instead. Every
+    # pair with sigma^-1 rho that cycle fails at start 1, and no other:
+    # event-factorization's failing-start check reads sigma and rho
+    # themselves, not the table, and traversal-encoding walks sigma^-1
+    # rho on its own.
+    start_walks, key_rows = sweeps._start_walks, sweeps._key_rows
+    cycle = sweeps._rows(np.roll(np.arange(n), -1)[None])[0]
+    keyed = []
+
+    def corrupt(n, last):
+        steps, first = start_walks(n, last)
+        steps = steps.copy()
+        steps[cycle, 0, 1, [1, 2]] = steps[cycle, 0, 1, [2, 1]]
+        return steps, first
+
+    def recorded(sigma, sigma_inv, rho, starts, fixed):
+        out = key_rows(sigma, sigma_inv, rho, starts, fixed)
+        keyed.append((sweeps._rows(np.take_along_axis(sigma_inv, rho, axis=1)), out[1]))
+        return out
+
+    monkeypatch.setattr(sweeps, "_start_walks", corrupt)
+    monkeypatch.setattr(sweeps, "_key_rows", recorded)
+    assert sweeps.sweep_event_factorization(n).violations > 0
+    pis, fail = (np.concatenate(column) for column in zip(*keyed))
+    assert np.array_equal(fail == 1, pis == cycle)
+    assert set(fail[pis != cycle].tolist()) == {4}
+    encoding = sweeps._reduced_pair_suites(n)[0]
+    assert encoding.suite == "traversal-encoding" and encoding.violations > 0
+    monkeypatch.setattr(sweeps, "_start_walks", start_walks)
+    assert sweeps._reduced_pair_suites(n)[0].ok
+
+
 class _Walked(Exception):
     pass
 
@@ -323,7 +425,7 @@ def test_key_unions_read_back_what_a_block_packs(monkeypatch, n):
     sigma_rows = [
         np.broadcast_to(np.array(p.images) - 1, rho.shape) for p in (sigma, inverse(sigma))
     ]
-    keys, fail = sweeps._key_rows(*sigma_rows, rho, 3, fixed)
+    keys, fail = sweeps._key_rows(*sigma_rows, rho, sweeps._start_walks(n, 3), fixed)
     assert keys.dtype == np.int64 and fail.tolist() == [4] * len(perms)
     assert keys.shape == (len(perms), 2 * 3)
     bits = brute.edge_bits(n)
@@ -357,7 +459,8 @@ def _inject(monkeypatch, fault):
     ``sweeps`` walks its pairs in blocks through ``_walk_pairs``; here
     each row's walk from each start is read back as its record, and the
     block's edges are replaced by those of the faulty couple, padded
-    with -1. The walks, which name the vertices, are kept. One seam so
+    with -1. The walks, and where each vertex first appears along them,
+    which name the vertices, are kept. One seam so
     feeds every pair suite: event-factorization's check of a pair
     against its own couple and its canonical key, and the four reduced
     suites' verdicts, the swapped and inverted walks included. ``brute.graphs_from_traversal`` builds each couple
@@ -375,8 +478,8 @@ def _inject(monkeypatch, fault):
 
     walk_pairs = sweeps._walk_pairs
 
-    def faulty_walk_pairs(sigma_inv, rho, last):
-        walks, _, _ = walk_pairs(sigma_inv, rho, last)
+    def faulty_walk_pairs(sigma_inv, rho, starts):
+        walks, _, _, first = walk_pairs(sigma_inv, rho, starts)
         n = rho.shape[1]
         couples = []
         for images, row_walks in zip(_images(sigma_inv, inverted=True), walks.tolist()):
@@ -393,7 +496,7 @@ def _inject(monkeypatch, fault):
                 for e, edge in enumerate(sorted(g.edges)):
                     ends[:, c, side, e] = np.subtract(edge, 1)
         tails, heads = ends.reshape(2, *walks.shape[:3], -1)
-        return walks, tails, heads
+        return walks, tails, heads, first
 
     monkeypatch.setattr(cyclegraphs, "traversal", walk)
     monkeypatch.setattr(brute, "graphs_from_record", build)
@@ -540,7 +643,8 @@ def test_each_verdict_is_the_predicate_on_its_own_records(monkeypatch, n, fault,
     perms = list(all_permutations(n))
     sigmas, rhos, _ = sweeps._pair_orbits(n)
     images = sweeps._table(n)[0]
-    verdicts = [v.tolist() for v in sweeps._pair_verdicts(images[sigmas], images[rhos])]
+    starts = sweeps._start_walks(n, n)
+    verdicts = [v.tolist() for v in sweeps._pair_verdicts(images[sigmas], images[rhos], starts)]
     for row, (s, r) in enumerate(zip(sigmas.tolist(), rhos.tolist())):
         pair = perms[s], perms[r]
         assert [v[row] for v in verdicts] == list(brute.pair_verdicts(*pair)[0]), pair
